@@ -1,22 +1,16 @@
 package hypo
 
 import (
-	"errors"
-	"sort"
-	"strings"
-
 	"hypodatalog/internal/ast"
-	"hypodatalog/internal/cache"
 	"hypodatalog/internal/symbols"
-	"hypodatalog/internal/topdown"
 )
 
-// CacheStatus reports how a read was served when the versioned answer
-// cache (Options.CacheBytes) is enabled.
+// CacheStatus reports how a Pool read was served when the versioned
+// answer cache (Options.CacheBytes) is enabled.
 type CacheStatus int
 
 const (
-	// CacheBypass: no cache is configured for this engine or pool.
+	// CacheBypass: no cache is configured for this pool.
 	CacheBypass CacheStatus = iota
 	// CacheMiss: this call ran the evaluation (and stored the answer).
 	CacheMiss
@@ -52,13 +46,13 @@ type ReadInfo struct {
 	Stats       Stats
 }
 
-// cachedAnswer is the value stored in the answer cache: a ground result
-// or a materialised binding set, stamped with the data version it was
-// computed at. An entry's version always equals its key's version —
-// answers computed at a version other than the one the key was built
-// from are returned to callers but never stored (see Computed.Store).
+// cachedAnswer is the value stored in the answer cache: a read's
+// materialised binding set (for a ground read, one empty binding when it
+// holds), stamped with the data version it was computed at. An entry's
+// version always equals its key's version — answers computed at a
+// version other than the one the key was built from are returned to
+// callers but never stored (see Computed.Store).
 type cachedAnswer struct {
-	ok       bool
 	bindings []Binding
 	version  uint64
 
@@ -98,49 +92,6 @@ func premisePreds(cpr ast.CPremise, extra []ast.CAtom) []symbols.Pred {
 	return out
 }
 
-// Cache key canonicalisation. The key folds the operation kind, the
-// parsed premise rendered back to surface syntax (so formatting
-// differences collapse), and — for AskUnder — the sorted added atoms.
-// Ask and AskUnder use distinct prefixes even when semantically
-// equivalent; the cache trades a little duplication for keys that are
-// trivially correct.
-
-// demandKeyPrefix namespaces answer-cache keys produced under
-// demand-driven evaluation. Demand answers equal full answers by
-// construction, but the modes memoise through different machinery, so
-// keeping their cache entries disjoint means a defect in one mode can
-// never serve a wrong answer through the other's key.
-const demandKeyPrefix = "d\x1f"
-
-// ckey namespaces an answer-cache key by the engine's evaluation mode.
-func (e *Engine) ckey(k string) string {
-	if e.dem != nil {
-		return demandKeyPrefix + k
-	}
-	return k
-}
-
-// ckey namespaces an answer-cache key by the pool's evaluation mode.
-func (pl *Pool) ckey(k string) string {
-	if pl.opts.DemandDriven {
-		return demandKeyPrefix + k
-	}
-	return k
-}
-
-func askCacheKey(pr ast.Premise) string { return "a\x1f" + pr.String() }
-
-func queryCacheKey(pr ast.Premise) string { return "q\x1f" + pr.String() }
-
-func askUnderCacheKey(pr ast.Premise, adds []ast.Atom) string {
-	ss := make([]string, len(adds))
-	for i, a := range adds {
-		ss[i] = a.String()
-	}
-	sort.Strings(ss)
-	return "u\x1f" + pr.String() + "\x1f" + strings.Join(ss, "\x1f")
-}
-
 // boolAnswerBytes is the charged size of a cached ground answer.
 const boolAnswerBytes = 16
 
@@ -155,16 +106,4 @@ func bindingsBytes(bs []Binding) int64 {
 		}
 	}
 	return n
-}
-
-// wrapCacheWait converts a cache.WaitError — the caller's context ended
-// while it was waiting on another caller's in-flight evaluation — into
-// the same *AbortError(ErrCanceled/ErrDeadline) shape every other
-// ctx-bounded wait in the package reports. Other errors pass through.
-func wrapCacheWait(err error) error {
-	var we *cache.WaitError
-	if errors.As(err, &we) {
-		return topdown.ContextAbort(we.Err, topdown.Stats{})
-	}
-	return err
 }

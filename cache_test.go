@@ -264,52 +264,6 @@ func TestPoolQueryEachYieldErrorWithCache(t *testing.T) {
 	}
 }
 
-// TestEngineCacheStandalone covers the single-engine cache (hypo.New with
-// CacheBytes): same hit/miss semantics without a pool.
-func TestEngineCacheStandalone(t *testing.T) {
-	prog, err := Parse(cacheTestSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(prog, Options{CacheBytes: 1 << 20, Mode: ModeUniform})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := e.Stats()
-	for i := 0; i < 3; i++ {
-		ok, err := e.Ask("path(a, d)")
-		if err != nil || !ok {
-			t.Fatalf("ask %d: %v %v", i, ok, err)
-		}
-	}
-	mid := e.Stats()
-	if mid.Goals == before.Goals {
-		t.Fatal("first ask did no work")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := e.Ask("path(a, d)"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := e.Stats(); after.Goals != mid.Goals {
-		t.Fatalf("cached asks still expanded goals: %d -> %d", mid.Goals, after.Goals)
-	}
-
-	sentinel := errors.New("stop")
-	seen := 0
-	err = e.QueryEachCtx(context.Background(), "path(a, X)", func(b Binding) error {
-		seen++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) || seen != 1 {
-		t.Fatalf("engine yield error: err=%v seen=%d", err, seen)
-	}
-	bs, err := e.Query("path(a, X)")
-	if err != nil || len(bs) != 3 {
-		t.Fatalf("engine full query after abort: %v %v", bs, err)
-	}
-}
-
 func bindingSet(bs []Binding) string {
 	out := make([]string, 0, len(bs))
 	for _, b := range bs {

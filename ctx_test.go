@@ -146,14 +146,36 @@ func TestBudgetAbortError(t *testing.T) {
 
 // TestDomainCheckDoesNotIntern checks the compile-order fix: a rejected
 // out-of-domain query constant must not leak into the shared symbol
-// table.
+// table — through Ask, AskUnder or the Query family, on Engine and Pool.
 func TestDomainCheckDoesNotIntern(t *testing.T) {
 	e := mustEngine(t, uniSrc, Options{})
-	if _, err := e.Ask("grad(nosuchperson)"); err == nil {
-		t.Fatal("out-of-domain constant accepted")
+	pl, err := NewPool(e.prog, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := e.prog.syms.LookupConst("nosuchperson"); ok {
-		t.Error("rejected query constant was interned into the symbol table")
+	defer pl.Close()
+	ctx := context.Background()
+	nop := func(Binding) error { return nil }
+	for name, read := range map[string]func(q string) error{
+		"Engine.Ask":            func(q string) error { _, err := e.Ask(q); return err },
+		"Engine.Query":          func(q string) error { _, err := e.Query(q); return err },
+		"Engine.QueryEach":      func(q string) error { return e.QueryEach(q, nop) },
+		"Pool.Ask":              func(q string) error { _, err := pl.Ask(q); return err },
+		"Pool.Query":            func(q string) error { _, err := pl.Query(q); return err },
+		"Pool.QueryInfoCtx":     func(q string) error { _, _, err := pl.QueryInfoCtx(ctx, q); return err },
+		"Pool.QueryEachCtx":     func(q string) error { return pl.QueryEachCtx(ctx, q, nop) },
+		"Pool.QueryEachInfoCtx": func(q string) error { return pl.QueryEachInfoCtx(ctx, q, nil, nop) },
+	} {
+		for _, q := range []string{"grad(nosuchperson)", "not grad(nosuchperson)", "grad(tony)[add: take(tony, nosuchcourse)]"} {
+			if err := read(q); err == nil {
+				t.Errorf("%s(%q): out-of-domain constant accepted", name, q)
+			}
+		}
+	}
+	for _, c := range []string{"nosuchperson", "nosuchcourse"} {
+		if _, ok := e.prog.syms.LookupConst(c); ok {
+			t.Errorf("rejected query constant %q was interned into the symbol table", c)
+		}
 	}
 	if _, err := e.AskUnder("grad(tony)", "take(ghost, his101)"); err == nil {
 		t.Fatal("out-of-domain added atom accepted")

@@ -54,10 +54,8 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"hypodatalog/internal/ast"
-	"hypodatalog/internal/cache"
 	"hypodatalog/internal/depgraph"
 	"hypodatalog/internal/engine"
 	"hypodatalog/internal/facts"
@@ -326,13 +324,13 @@ type Options struct {
 	// PoolSize bounds the number of engines a Pool keeps alive (and hence
 	// its maximum concurrency). Zero means GOMAXPROCS. Ignored by New.
 	PoolSize int
-	// CacheBytes enables the versioned answer cache: Ask/Query/AskUnder
-	// answers are memoised keyed by (data version, canonical query,
-	// sorted hypothetical adds) up to this byte budget, with singleflight
-	// coalescing of concurrent identical misses on a Pool. Entries from
+	// CacheBytes enables a Pool's versioned answer cache: Ask/Query/
+	// AskUnder answers are memoised keyed by (data version, canonical
+	// query, sorted hypothetical adds) up to this byte budget, with
+	// singleflight coalescing of concurrent identical misses. Entries from
 	// older data versions are never served after a hot swap (the version
 	// is part of the key); they expire lazily under LRU pressure. Zero
-	// disables caching.
+	// disables caching. Ignored by New.
 	CacheBytes int64
 	// DemandDriven enables magic-sets demand-driven evaluation: ground
 	// goals on intensional predicates are answered by evaluating a
@@ -371,12 +369,6 @@ type Engine struct {
 	dem    *engine.Demand  // non-nil when Options.DemandDriven
 	domSet map[symbols.Const]bool
 
-	// cache memoises answers for a standalone engine (Options.CacheBytes
-	// on New). Engines inside a Pool carry no cache of their own — the
-	// Pool owns one shared cache above the lease, so coalesced callers
-	// never consume an engine.
-	cache *cache.Cache
-
 	// version is the data version of the program this engine was built
 	// against; set by Pool on engines serving a live program, zero
 	// otherwise. Memo tables, interner and base DB are all private to the
@@ -389,7 +381,7 @@ type Engine struct {
 
 	// mem tracks the engine's approximate heap footprint and enforces
 	// Options.MaxMemoryBytes per query. Always non-nil for engines built
-	// by New/newFromSubstrate; shared by every component of a cascade.
+	// by assemble; shared by every component of a cascade.
 	mem *topdown.MemTracker
 }
 
@@ -398,11 +390,6 @@ type Engine struct {
 // estimator (linear in the real footprint), the quantity per-tenant
 // memory quotas account idle pooled engines at.
 func (e *Engine) MemBytes() int64 { return e.mem.Current() }
-
-// beginMem snapshots the footprint as the next query's budget baseline.
-// Engine methods do this via track; the Pool calls it before evaluating
-// on a leased engine.
-func (e *Engine) beginMem() { e.mem.Begin() }
 
 // newMemTracker assembles the per-engine footprint tracker: explicit
 // charges land in it directly, and the substrate counters are polled as
@@ -476,13 +463,7 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 		g.Extend(e.dem.InstalledRules())
 	}
 	cone := coneFromGraph(g, e.prog.syms, seeds)
-	if err := e.applyDeltaCompiled(cadd, crem, cone); err != nil {
-		return err
-	}
-	// The private answer cache keys on the data version; bumping it makes
-	// pre-delta entries unreachable without flushing the whole cache.
-	e.version++
-	return nil
+	return e.applyDeltaCompiled(cadd, crem, cone)
 }
 
 // applyDeltaCompiled applies an effective, already-compiled base-fact
@@ -561,108 +542,86 @@ func coneFromGraph(g *depgraph.Graph, syms *symbols.Table, seeds []ast.PredSig) 
 
 // New builds an engine for a program.
 func New(p *Program, opts Options) (*Engine, error) {
-	dom, domSet := domainInfo(p, opts)
-	mode := opts.Mode
-	if mode == ModeAuto {
-		if p.strt != nil {
-			mode = ModeCascade
-		} else {
-			mode = ModeUniform
+	sub, err := buildSubstrate(p)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(p, opts, sub)
+}
+
+// substrate is an interner + base database pair holding a program's
+// facts: what an engine is assembled over. New builds a private one; a
+// Pool builds one per data version and hands each engine a clone.
+type substrate struct {
+	in *facts.Interner
+	db *facts.DB
+}
+
+func buildSubstrate(p *Program) (*substrate, error) {
+	in := facts.NewInterner(p.syms)
+	db := facts.NewDB(in)
+	for _, f := range p.comp.Facts {
+		if _, err := db.Insert(in.InternGround(f)); err != nil {
+			return nil, err
 		}
 	}
-	mets := opts.metricSet()
-	var ac *cache.Cache
-	if opts.CacheBytes > 0 {
-		ac = cache.New(opts.CacheBytes, mets)
+	return &substrate{in: in, db: db}, nil
+}
+
+// clone copies the substrate keeping its atom-id assignment, so deltas
+// interned against one clone's interner carry over to any sibling.
+func (s *substrate) clone() *substrate {
+	in := s.in.Clone()
+	return &substrate{in: in, db: s.db.CloneFor(in)}
+}
+
+// assemble is the one engine constructor: it builds the evaluator the
+// options select over a substrate the engine takes ownership of.
+func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
+	dom, domSet := domainInfo(p, opts)
+	e := &Engine{
+		prog:   p,
+		domSet: domSet,
+		mets:   opts.metricSet(),
+		mem:    newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db),
+	}
+	mode := opts.Mode
+	if mode == ModeAuto {
+		mode = ModeUniform
+		if p.strt != nil {
+			mode = ModeCascade
+		}
 	}
 	switch mode {
 	case ModeUniform:
-		uni := engine.NewUniform(p.comp, dom, topdown.Options{
+		e.uni = topdown.NewWithBase(p.comp, sub.db, dom, topdown.Options{
 			MaxGoals:  opts.MaxGoals,
 			NoTabling: opts.NoTabling,
 			NoPlanner: opts.NoPlanner,
 		})
-		mem := newMemTracker(opts.MaxMemoryBytes, uni.Interner(), uni.Base())
-		uni.SetMem(mem)
-		return wrapDemand(&Engine{prog: p, asker: uni, uni: uni, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
+		e.uni.SetMem(e.mem)
+		e.asker = e.uni
 	case ModeCascade:
 		if p.strt == nil {
 			return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
 		}
-		cas, err := engine.NewCascade(p.comp, p.strt, dom)
+		cas, err := engine.NewCascadeWithBase(p.comp, p.strt, dom, sub.db)
 		if err != nil {
 			return nil, err
 		}
-		mem := newMemTracker(opts.MaxMemoryBytes, cas.Interner(), cas.Base())
-		cas.SetMemTracker(mem)
-		return wrapDemand(&Engine{prog: p, asker: cas, cas: cas, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
+		cas.SetMemTracker(e.mem)
+		e.cas, e.asker = cas, cas
 	default:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
 	}
-}
-
-// newFromSubstrate builds an engine whose interner and base database are
-// private clones of a shared per-version substrate (see Pool), skipping
-// the per-engine fact re-interning that New performs. The clones keep
-// the substrate's atom-id assignment, so deltas interned against one
-// engine's interner carry over to any sibling cloned from the same
-// substrate.
-func newFromSubstrate(p *Program, opts Options, subIn *facts.Interner, subDB *facts.DB) (*Engine, error) {
-	dom, domSet := domainInfo(p, opts)
-	mode := opts.Mode
-	if mode == ModeAuto {
-		if p.strt != nil {
-			mode = ModeCascade
-		} else {
-			mode = ModeUniform
-		}
+	if opts.DemandDriven {
+		// Ground goals go through the program's magic-transformed rewrite;
+		// everything else falls back to the wrapped engine.
+		e.dem = engine.NewDemand(e.asker, p.demand(), p.comp, e.mets)
+		e.dem.SetMem(e.mem)
+		e.asker = e.dem
 	}
-	mets := opts.metricSet()
-	var ac *cache.Cache
-	if opts.CacheBytes > 0 {
-		ac = cache.New(opts.CacheBytes, mets)
-	}
-	in := subIn.Clone()
-	base := subDB.CloneFor(in)
-	switch mode {
-	case ModeUniform:
-		uni := topdown.NewWithBase(p.comp, base, dom, topdown.Options{
-			MaxGoals:  opts.MaxGoals,
-			NoTabling: opts.NoTabling,
-			NoPlanner: opts.NoPlanner,
-		})
-		mem := newMemTracker(opts.MaxMemoryBytes, in, base)
-		uni.SetMem(mem)
-		return wrapDemand(&Engine{prog: p, asker: uni, uni: uni, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
-	case ModeCascade:
-		if p.strt == nil {
-			return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
-		}
-		cas, err := engine.NewCascadeWithBase(p.comp, p.strt, dom, base)
-		if err != nil {
-			return nil, err
-		}
-		mem := newMemTracker(opts.MaxMemoryBytes, in, base)
-		cas.SetMemTracker(mem)
-		return wrapDemand(&Engine{prog: p, asker: cas, cas: cas, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
-	default:
-		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
-	}
-}
-
-// wrapDemand turns on demand-driven evaluation for a freshly built
-// engine when requested: the asker is wrapped in an engine.Demand that
-// answers ground goals through the program's magic-transformed rewrite
-// and falls back to the wrapped engine everywhere else.
-func wrapDemand(e *Engine, p *Program, opts Options) *Engine {
-	if !opts.DemandDriven {
-		return e
-	}
-	d := engine.NewDemand(e.asker, p.demand(), p.comp, e.mets)
-	d.SetMem(e.mem)
-	e.asker = d
-	e.dem = d
-	return e
+	return e, nil
 }
 
 // domainInfo computes dom(R, DB) plus Options.ExtraDomain, as both the
@@ -699,47 +658,7 @@ func (e *Engine) Ask(query string) (bool, error) {
 // ErrCanceled or ErrDeadline within a bounded number of goal expansions.
 // An Engine is single-flight — the context governs the one running query.
 func (e *Engine) AskCtx(ctx context.Context, query string) (bool, error) {
-	fin := e.track()
-	ok, err := e.askCtx(ctx, query)
-	fin(err)
-	return ok, err
-}
-
-func (e *Engine) askCtx(ctx context.Context, query string) (bool, error) {
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return false, err
-	}
-	cpr, names, err := compilePremiseChecked(pr, e.prog.syms, e.domSet)
-	if err != nil {
-		return false, err
-	}
-	if len(names) > 0 {
-		return false, fmt.Errorf("hypo: Ask needs a ground query; use Query for %q", query)
-	}
-	if e.cache == nil {
-		ok, err := e.asker.AskPremiseCtx(ctx, cpr, e.asker.EmptyState())
-		return ok, e.enrich(err)
-	}
-	return e.cachedBool(ctx, e.ckey(askCacheKey(pr)), func() (bool, error) {
-		return e.asker.AskPremiseCtx(ctx, cpr, e.asker.EmptyState())
-	})
-}
-
-// cachedBool memoises a ground answer in the engine's private cache
-// keyed at the engine's data version.
-func (e *Engine) cachedBool(ctx context.Context, key string, eval func() (bool, error)) (bool, error) {
-	v, _, err := e.cache.Do(ctx, cache.Key{Version: e.version, Query: key}, func() (cache.Computed, error) {
-		ok, err := eval()
-		if err != nil {
-			return cache.Computed{}, e.enrich(err)
-		}
-		return cache.Computed{Val: ok, Bytes: boolAnswerBytes, Store: true}, nil
-	})
-	if err != nil {
-		return false, wrapCacheWait(err)
-	}
-	return v.(bool), nil
+	return e.ask(ctx, readAsk, query, nil)
 }
 
 // Binding is one answer to a non-ground query: variable name to constant.
@@ -754,19 +673,8 @@ func (e *Engine) Query(query string) ([]Binding, error) {
 
 // QueryCtx is Query under a context; see AskCtx for abort semantics.
 func (e *Engine) QueryCtx(ctx context.Context, query string) ([]Binding, error) {
-	fin := e.track()
-	bs, err := e.queryCtx(ctx, query)
-	fin(err)
-	return bs, err
-}
-
-func (e *Engine) queryCtx(ctx context.Context, query string) ([]Binding, error) {
 	var out []Binding
-	err := e.queryEachCtx(ctx, query, func(b Binding) error {
-		out = append(out, b)
-		return nil
-	})
-	if err != nil {
+	if err := e.QueryEachCtx(ctx, query, collectInto(&out)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -785,63 +693,7 @@ func (e *Engine) QueryEach(query string, yield func(Binding) error) error {
 // error from yield stops the enumeration and is returned verbatim;
 // evaluation aborts surface as *AbortError like QueryCtx.
 func (e *Engine) QueryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	fin := e.track()
-	err := e.queryEachCtx(ctx, query, yield)
-	fin(err)
-	return err
-}
-
-func (e *Engine) queryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return err
-	}
-	cpr, names, err := compilePremiseLoose(pr, e.prog.syms)
-	if err != nil {
-		return err
-	}
-	if e.cache == nil {
-		return e.enrich(e.queryEachCompiledCtx(ctx, cpr, names, yield))
-	}
-	v, st, err := e.cache.Do(ctx, cache.Key{Version: e.version, Query: e.ckey(queryCacheKey(pr))}, func() (cache.Computed, error) {
-		// Leader: stream each binding to yield as it is proved while
-		// also materialising the answer set for the cache. A yield abort
-		// surfaces verbatim and caches nothing — the set is partial.
-		acc := []Binding{}
-		err := e.queryEachCompiledCtx(ctx, cpr, names, func(b Binding) error {
-			acc = append(acc, b)
-			return yield(b)
-		})
-		if err != nil {
-			return cache.Computed{}, e.enrich(err)
-		}
-		return cache.Computed{Val: acc, Bytes: bindingsBytes(acc), Store: true}, nil
-	})
-	if err != nil {
-		return wrapCacheWait(err)
-	}
-	if st == cache.Miss {
-		return nil // already streamed during evaluation
-	}
-	for _, b := range v.([]Binding) {
-		if err := yield(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// queryEachCompiledCtx is the streaming core shared by QueryCtx and
-// QueryEachCtx: solutions come straight off the enumerator, are rendered
-// to surface-name bindings, and handed to yield one at a time.
-func (e *Engine) queryEachCompiledCtx(ctx context.Context, cpr ast.CPremise, names []string, yield func(Binding) error) error {
-	return engine.SolutionsEachCtx(ctx, e.asker, cpr, len(names), e.asker.EmptyState(), func(s engine.Solution) error {
-		b := make(Binding, len(names))
-		for slot, name := range names {
-			b[name] = e.prog.syms.ConstName(s[slot])
-		}
-		return yield(b)
-	})
+	return e.serve(ctx, readQuery, query, nil, yield)
 }
 
 // AskUnder evaluates a ground query in a database hypothetically extended
@@ -854,73 +706,7 @@ func (e *Engine) AskUnder(query string, added ...string) (bool, error) {
 // AskUnderCtx is AskUnder under a context; see AskCtx for abort
 // semantics.
 func (e *Engine) AskUnderCtx(ctx context.Context, query string, added ...string) (bool, error) {
-	fin := e.track()
-	ok, err := e.askUnderCtx(ctx, query, added)
-	fin(err)
-	return ok, err
-}
-
-func (e *Engine) askUnderCtx(ctx context.Context, query string, added []string) (bool, error) {
-	pr, adds, key, err := compileAskUnder(query, added, e.prog.syms, e.domSet)
-	if err != nil {
-		return false, err
-	}
-	if e.cache == nil {
-		ok, err := e.askUnderCompiled(ctx, pr, adds)
-		return ok, e.enrich(err)
-	}
-	return e.cachedBool(ctx, e.ckey(key), func() (bool, error) {
-		return e.askUnderCompiled(ctx, pr, adds)
-	})
-}
-
-// askUnderCompiled runs a pre-compiled AskUnder; like queryCompiledCtx it
-// never touches the shared symbol table.
-func (e *Engine) askUnderCompiled(ctx context.Context, pr ast.CPremise, adds []ast.CAtom) (bool, error) {
-	st := e.asker.EmptyState()
-	for _, ca := range adds {
-		st = st.Add(e.asker.Interner().InternGround(ca))
-	}
-	return e.asker.AskPremiseCtx(ctx, pr, st)
-}
-
-// compileAskUnder compiles an AskUnder query and its added atoms,
-// domain-validating everything before any interning. The third result is
-// the canonical answer-cache key for the operation (kind, rendered
-// premise, sorted adds).
-func compileAskUnder(query string, added []string, syms *symbols.Table, domSet map[symbols.Const]bool) (ast.CPremise, []ast.CAtom, string, error) {
-	adds := make([]ast.CAtom, 0, len(added))
-	surface := make([]ast.Atom, 0, len(added))
-	for _, src := range added {
-		a, err := parser.ParseAtom(src)
-		if err != nil {
-			return ast.CPremise{}, nil, "", err
-		}
-		if !a.IsGround() {
-			return ast.CPremise{}, nil, "", fmt.Errorf("hypo: added atom %q is not ground", src)
-		}
-		if err := checkAtomDomain(a, syms, domSet); err != nil {
-			return ast.CPremise{}, nil, "", err
-		}
-		ca, err := compileGroundAtom(a, syms)
-		if err != nil {
-			return ast.CPremise{}, nil, "", err
-		}
-		adds = append(adds, ca)
-		surface = append(surface, a)
-	}
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return ast.CPremise{}, nil, "", err
-	}
-	cpr, names, err := compilePremiseChecked(pr, syms, domSet)
-	if err != nil {
-		return ast.CPremise{}, nil, "", err
-	}
-	if len(names) > 0 {
-		return ast.CPremise{}, nil, "", fmt.Errorf("hypo: AskUnder needs a ground query")
-	}
-	return cpr, adds, askUnderCacheKey(pr, surface), nil
+	return e.ask(ctx, readAskUnder, query, added)
 }
 
 // Explain returns a rendered derivation tree for a provable ground query
@@ -930,13 +716,14 @@ func (e *Engine) Explain(query string) (string, error) {
 	if e.uni == nil {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}
-	pr, names, err := compileQueryChecked(query, e.prog.syms, e.domSet)
+	r, err := compileRead(readQuery, query, nil, e.prog.syms, e.domSet)
 	if err != nil {
 		return "", err
 	}
-	if len(names) > 0 {
+	if len(r.names) > 0 {
 		return "", fmt.Errorf("hypo: Explain needs a ground query")
 	}
+	pr := r.premise
 	st := e.uni.EmptyState()
 	switch pr.Kind {
 	case ast.Plain:
@@ -986,48 +773,6 @@ func (e *Engine) Stats() topdown.Stats {
 	return sum
 }
 
-// compileQueryChecked parses a query premise, domain-validates it, and
-// only then compiles (interns) it. Validation happens on the surface form
-// via read-only symbol lookups, so a rejected query never grows the
-// shared symbol table — a stream of bad queries against one Program
-// cannot leak interned garbage into every engine sharing it.
-func compileQueryChecked(query string, syms *symbols.Table, domSet map[symbols.Const]bool) (ast.CPremise, []string, error) {
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return ast.CPremise{}, nil, err
-	}
-	return compilePremiseChecked(pr, syms, domSet)
-}
-
-// compilePremiseChecked is the compile half of compileQueryChecked for
-// callers that parse the premise themselves (the cached read paths keep
-// the parsed form to canonicalise their cache keys).
-func compilePremiseChecked(pr ast.Premise, syms *symbols.Table, domSet map[symbols.Const]bool) (ast.CPremise, []string, error) {
-	if err := checkQueryDomain(pr, syms, domSet); err != nil {
-		return ast.CPremise{}, nil, err
-	}
-	vars := map[string]int{}
-	var names []string
-	cpr, err := ast.CompilePremise(pr, syms, vars, &names)
-	if err != nil {
-		return ast.CPremise{}, nil, err
-	}
-	return cpr, names, nil
-}
-
-// compilePremiseLoose is compilePremiseChecked without the domain check —
-// Query answers over dom(R, DB) bindings anyway, so an out-of-domain
-// constant merely yields zero rows rather than a wrong answer.
-func compilePremiseLoose(pr ast.Premise, syms *symbols.Table) (ast.CPremise, []string, error) {
-	vars := map[string]int{}
-	var names []string
-	cpr, err := ast.CompilePremise(pr, syms, vars, &names)
-	if err != nil {
-		return ast.CPremise{}, nil, err
-	}
-	return cpr, names, nil
-}
-
 // checkQueryDomain rejects queries mentioning constants outside
 // dom(R, DB): variable enumeration and negation-as-failure range over the
 // engine's fixed domain, so a fresh constant would silently be excluded
@@ -1060,74 +805,6 @@ func checkAtomDomain(a ast.Atom, syms *symbols.Table, domSet map[symbols.Const]b
 		}
 	}
 	return nil
-}
-
-// track opens a metrics window for one top-level query; the returned
-// func closes it, recording outcome, latency and the engine's stats
-// delta. Hot evaluation loops never touch the metrics package — all
-// accounting happens here, once per query.
-func (e *Engine) track() func(error) {
-	fin := poolTrack(e.mets)
-	e.beginMem()
-	before := e.Stats()
-	return func(err error) {
-		e.noteWork(before)
-		fin(err)
-	}
-}
-
-// poolTrack is the engine-independent half of track: Pool uses it
-// directly because it leases an engine only after compilation succeeds.
-func poolTrack(m *metrics.Set) func(error) {
-	m.QueriesStarted.Inc()
-	start := time.Now()
-	return func(err error) { recordOutcome(m, start, err) }
-}
-
-// noteWork adds the engine's evaluation-stats growth since before to the
-// engine's metric set.
-func (e *Engine) noteWork(before topdown.Stats) {
-	after := e.Stats()
-	e.mets.GoalExpansions.Add(after.Goals - before.Goals)
-	e.mets.TableHits.Add(after.TableHits - before.TableHits)
-}
-
-// recordOutcome classifies one finished query for the metrics layer;
-// queries_started always equals succeeded + failed + canceled.
-func recordOutcome(m *metrics.Set, start time.Time, err error) {
-	m.QueryLatency.Observe(time.Since(start).Seconds())
-	switch {
-	case err == nil:
-		m.QueriesSucceeded.Inc()
-	case errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline):
-		m.QueriesCanceled.Inc()
-	default:
-		if errors.Is(err, ErrMemory) {
-			m.MemQueryAborts.Inc()
-		}
-		m.QueriesFailed.Inc()
-	}
-}
-
-// enrich fills an AbortError's empty stats snapshot with the engine's
-// summed counters: aborts raised inside a Δ prover or the solution
-// enumerator carry no top-down stats of their own. A memory abort from a
-// Δ prover carries only its MemBytes reading; the goal counters are
-// filled in the same way.
-func (e *Engine) enrich(err error) error {
-	var ae *AbortError
-	if errors.As(err, &ae) {
-		rest := ae.Stats
-		rest.MemBytes = 0
-		if rest == (topdown.Stats{}) {
-			mem := ae.Stats.MemBytes
-			ae.Stats = e.Stats()
-			if mem != 0 {
-				ae.Stats.MemBytes = mem
-			}
-		}
-	}
-	return err
 }
 
 func compileGroundAtom(a ast.Atom, syms *symbols.Table) (ast.CAtom, error) {

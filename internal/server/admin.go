@@ -34,23 +34,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqIn
 		return
 	}
 	ri.query = req.Query
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
-	release, err := t.Admit(ctx)
-	if err != nil {
-		s.refuse(w, ri, err)
-		return
-	}
-	defer release()
+	defer done()
 	proof, info, err := t.Pool().ExplainCtx(ctx, req.Query)
 	ri.dataVersion = info.DataVersion
 	ri.stats = info.Stats

@@ -159,19 +159,31 @@ func (s *Server) timeoutFor(spec string) (time.Duration, error) {
 	return d, nil
 }
 
-// statsDelta is the evaluation work done between two Engine.Stats
-// snapshots of the same engine.
-func statsDelta(before, after hypo.Stats) hypo.Stats {
-	return hypo.Stats{
-		Goals:      after.Goals - before.Goals,
-		TableHits:  after.TableHits - before.TableHits,
-		LoopCuts:   after.LoopCuts - before.LoopCuts,
-		Enumerated: after.Enumerated - before.Enumerated,
-		NegCalls:   after.NegCalls - before.NegCalls,
-		MaxDepth:   after.MaxDepth,
-		TableSize:  after.TableSize,
-		MemBytes:   after.MemBytes - before.MemBytes,
+// admit is the shared prologue of every evaluating handler, run once the
+// body is decoded and validated: it resolves the request's deadline,
+// enforces X-Hdl-Min-Version (before admission — a request parked on
+// replication lag must not hold an evaluation slot) and takes a slot on
+// the tenant's admission quota. When ok is false the response has been
+// written; otherwise the caller must defer done.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant, timeout string) (ctx context.Context, done func(), ok bool) {
+	d, err := s.timeoutFor(timeout)
+	if err != nil {
+		ri.outcome = "bad_request"
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return nil, nil, false
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	if !s.gateMinVersion(ctx, w, r, ri, t) {
+		cancel()
+		return nil, nil, false
+	}
+	release, err := t.Admit(ctx)
+	if err != nil {
+		cancel()
+		s.refuse(w, ri, err)
+		return nil, nil, false
+	}
+	return ctx, func() { release(); cancel() }, true
 }
 
 // classify maps an evaluation error to its HTTP status, error kind and
@@ -211,24 +223,6 @@ func (s *Server) evalError(w http.ResponseWriter, ri *reqInfo, err error) {
 	writeError(w, status, kind, err.Error())
 }
 
-// run is the shared admit-lease-evaluate skeleton of the non-streaming
-// handlers: it reserves a slot on the tenant's admission quota, leases
-// an engine from the tenant's pool, runs fn with the engine and records
-// the evaluation-work delta.
-func (s *Server) run(ctx context.Context, ri *reqInfo, t *tenant.Tenant, fn func(e *hypo.Engine) error) error {
-	release, err := t.Admit(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return t.Pool().Do(ctx, func(e *hypo.Engine) error {
-		ri.dataVersion = e.DataVersion()
-		before := e.Stats()
-		defer func() { ri.stats = statsDelta(before, e.Stats()) }()
-		return fn(e)
-	})
-}
-
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
 	var req askRequest
 	if !s.decode(w, r, ri, &req) {
@@ -257,25 +251,14 @@ func (s *Server) handleAskUnder(w http.ResponseWriter, r *http.Request, ri *reqI
 // so the answer cache sits above the engine lease: a hit or coalesced
 // read still takes an admission slot (it is HTTP work) but no engine.
 func (s *Server) answerAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant, req askRequest) {
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
-	release, err := t.Admit(ctx)
-	if err != nil {
-		s.refuse(w, ri, err)
-		return
-	}
-	defer release()
+	defer done()
 	var result bool
 	var info hypo.ReadInfo
+	var err error
 	if len(req.Add) > 0 {
 		result, info, err = t.Pool().AskUnderInfoCtx(ctx, req.Query, req.Add...)
 	} else {
@@ -311,23 +294,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		return
 	}
 	ri.query = req.Query
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
-	release, err := t.Admit(ctx)
-	if err != nil {
-		s.refuse(w, ri, err)
-		return
-	}
-	defer release()
+	defer done()
 
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
@@ -335,7 +306,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	var info hypo.ReadInfo
 	// QueryEachInfoCtx guarantees DataVersion and Cache are set before
 	// the first yield, so the headers can go out ahead of the stream.
-	err = t.Pool().QueryEachInfoCtx(ctx, req.Query, &info, func(b hypo.Binding) error {
+	err := t.Pool().QueryEachInfoCtx(ctx, req.Query, &info, func(b hypo.Binding) error {
 		if n == 0 {
 			setCacheHeader(w, info.Cache)
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -399,20 +370,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		return
 	}
 	ri.query = req.Queries[0].Query
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
+	defer done()
 
 	results := make([]batchResult, len(req.Queries))
-	err = s.run(ctx, ri, t, func(e *hypo.Engine) error {
+	err := t.Pool().Do(ctx, func(e *hypo.Engine) error {
+		ri.dataVersion = e.DataVersion()
+		before := e.Stats()
+		defer func() { ri.stats = e.Stats().Sub(before) }()
 		for i, item := range req.Queries {
 			res, abort := evalBatchItem(ctx, e, item)
 			results[i] = res
@@ -431,15 +399,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		}
 		return nil
 	})
-	switch {
-	case err == nil:
-		ri.bindings = len(results)
-		writeJSON(w, batchResponse{Results: results, DataVersion: ri.dataVersion})
-	case errors.Is(err, errShed), errors.Is(err, errDraining):
-		s.refuse(w, ri, err)
-	default:
+	if err != nil {
 		s.evalError(w, ri, err)
+		return
 	}
+	ri.bindings = len(results)
+	writeJSON(w, batchResponse{Results: results, DataVersion: ri.dataVersion})
 }
 
 // evalBatchItem runs one batch entry on the leased engine. Item-level

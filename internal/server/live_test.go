@@ -34,7 +34,12 @@ light(X) :- flag(X).
 // newLiveTestServer is newTestServer plus a Live store in a temp dir.
 func newLiveTestServer(t *testing.T, opts hypo.Options, cfg Config) (*Server, *httptest.Server, *hypo.Live) {
 	t.Helper()
-	prog, err := hypo.Parse(liveSrc)
+	return newLiveTestServerSrc(t, liveSrc, opts, cfg)
+}
+
+func newLiveTestServerSrc(t *testing.T, src string, opts hypo.Options, cfg Config) (*Server, *httptest.Server, *hypo.Live) {
+	t.Helper()
+	prog, err := hypo.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,10 @@ import (
 // store to catch up, then is refused with 503 kind "stale" + Retry-After
 // if it has not. Returns false when the response has been written.
 //
-// The gate runs before admission: a request parked on replication lag
-// must not hold an evaluation slot while it waits.
+// The version compared is the one leases are served at (Pool.Version,
+// what WaitVersion waits on), not the store's: a commit advances the
+// store before it publishes to the pool, and a read admitted in that
+// window would still be answered at the old version.
 func (s *Server) gateMinVersion(ctx context.Context, w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) bool {
 	h := r.Header.Get("X-Hdl-Min-Version")
 	if h == "" {
@@ -39,7 +41,7 @@ func (s *Server) gateMinVersion(ctx context.Context, w http.ResponseWriter, r *h
 		return false
 	}
 	ri.minVersion = min
-	if t.Version() >= min {
+	if t.Pool().Version() >= min {
 		return true
 	}
 	if t.Live() == nil {

@@ -6,12 +6,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,6 +95,70 @@ func TestMinVersionGate(t *testing.T) {
 	<-done
 	if resp.StatusCode != 200 || !strings.Contains(body, `"result":true`) {
 		t.Fatalf("min=1 with concurrent write: status %d body %s", resp.StatusCode, body)
+	}
+}
+
+// TestMinVersionGateDuringCommit pins the gate to the version leases are
+// served at. A commit advances the store's version before it publishes
+// the new program to the pool; a reader that learns version i in that
+// window (here by polling the store, in production from another node's
+// write ack) and demands it must park until the pool serves i, never be
+// answered from i-1. The base is padded so the window — deriving the
+// next program from the fact set — is wide enough to hit every run.
+func TestMinVersionGateDuringCommit(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(liveSrc)
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&src, "pad(p%d).\n", i)
+	}
+	s, _, lv := newLiveTestServerSrc(t, src.String(), hypo.Options{PoolSize: 4}, Config{})
+
+	const commits = 80
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				min := lv.Version()
+				req := httptest.NewRequest(http.MethodPost, "/v1/ask", strings.NewReader(`{"query": "reach(a, c)"}`))
+				req.Header.Set("X-Hdl-Min-Version", strconv.FormatUint(min, 10))
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, req)
+				var resp askResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+					t.Errorf("gated read at min=%d: status %d body %s", min, rec.Code, rec.Body)
+					return
+				}
+				if resp.DataVersion < min {
+					t.Errorf("read gated on version %d was served at version %d", min, resp.DataVersion)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < commits && !t.Failed(); i++ {
+		assert, retract := []string{"edge(b, c)"}, []string(nil)
+		if i%2 == 1 {
+			assert, retract = retract, assert
+		}
+		ms, err := hypo.ParseMutations(assert, retract)
+		if err == nil {
+			_, err = lv.Apply(ms)
+		}
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
 	}
 }
 

@@ -258,6 +258,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"huge body", "/v1/ask", `{"query": "` + strings.Repeat("x", 600) + `"}`, 413, "too_large"},
 		{"empty batch", "/v1/batch", `{"queries": []}`, 400, "bad_request"},
 		{"query parse error", "/v1/query", `{"query": "???"}`, 400, "bad_request"},
+		{"query domain violation", "/v1/query", `{"query": "take(nobody, C)"}`, 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -543,7 +544,8 @@ func TestBatchSingleLease(t *testing.T) {
 		{"kind": "query", "query": "take(tony, C)"},
 		{"kind": "askunder", "query": "grad(mary)", "add": ["take(mary, eng201)"]},
 		{"query": "grad(broken("},
-		{"query": "grad(mary)"}
+		{"query": "grad(mary)"},
+		{"kind": "query", "query": "take(nobody, C)"}
 	]}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -552,8 +554,8 @@ func TestBatchSingleLease(t *testing.T) {
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Results) != 5 {
-		t.Fatalf("got %d results, want 5", len(br.Results))
+	if len(br.Results) != 6 {
+		t.Fatalf("got %d results, want 6", len(br.Results))
 	}
 	if br.Results[0].Result == nil || !*br.Results[0].Result {
 		t.Errorf("item 0: %s", body)
@@ -569,6 +571,9 @@ func TestBatchSingleLease(t *testing.T) {
 	}
 	if br.Results[4].Result == nil || *br.Results[4].Result {
 		t.Errorf("item 4 should still evaluate to false after item 3 failed: %s", body)
+	}
+	if br.Results[5].Error == nil || br.Results[5].Error.Kind != "bad_request" {
+		t.Errorf("item 5 (out-of-domain query) should be a per-item bad_request: %s", body)
 	}
 
 	// An abort mid-batch stops it: the hard item reports the deadline,

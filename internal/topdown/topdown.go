@@ -138,6 +138,19 @@ type Stats struct {
 	MemBytes   int64 // tracked footprint growth since the query began
 }
 
+// Sub returns the evaluation work between an earlier snapshot of the same
+// engine and s: counters are differenced, the MaxDepth and TableSize
+// gauges keep s's reading.
+func (s Stats) Sub(before Stats) Stats {
+	s.Goals -= before.Goals
+	s.TableHits -= before.TableHits
+	s.LoopCuts -= before.LoopCuts
+	s.Enumerated -= before.Enumerated
+	s.NegCalls -= before.NegCalls
+	s.MemBytes -= before.MemBytes
+	return s
+}
+
 // Engine proves ground goals against hypothetical states.
 // An Engine is not safe for concurrent use.
 type Engine struct {

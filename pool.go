@@ -11,9 +11,7 @@ import (
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/cache"
 	"hypodatalog/internal/depgraph"
-	"hypodatalog/internal/facts"
 	"hypodatalog/internal/metrics"
-	"hypodatalog/internal/parser"
 	"hypodatalog/internal/symbols"
 	"hypodatalog/internal/topdown"
 )
@@ -63,27 +61,12 @@ type verProgram struct {
 	subErr  error
 }
 
-// substrate is a per-version interner + base database pair that engines
-// clone from instead of re-interning the program's facts.
-type substrate struct {
-	in *facts.Interner
-	db *facts.DB
-}
-
 // substrate builds the version's fact substrate on first use; concurrent
 // callers block on the one build.
 func (v *verProgram) substrate() (*substrate, error) {
 	v.subOnce.Do(func() {
 		v.mets.LiveSubstrateBuilds.Inc()
-		in := facts.NewInterner(v.prog.syms)
-		db := facts.NewDB(in)
-		for _, f := range v.prog.comp.Facts {
-			if _, err := db.Insert(in.InternGround(f)); err != nil {
-				v.subErr = err
-				return
-			}
-		}
-		v.sub = &substrate{in: in, db: db}
+		v.sub, v.subErr = buildSubstrate(v.prog)
 	})
 	return v.sub, v.subErr
 }
@@ -116,8 +99,7 @@ type Pool struct {
 	// cache is the pool-wide versioned answer cache (nil when
 	// Options.CacheBytes is zero). It sits ABOVE the engine lease:
 	// coalesced callers of one in-flight query and callers served from a
-	// stored entry never draw an engine at all. Engines built by the pool
-	// carry no cache of their own.
+	// stored entry never draw an engine at all.
 	cache *cache.Cache
 
 	// cur is the program/version engines must be built against. Leases
@@ -157,9 +139,6 @@ func NewPool(p *Program, opts Options) (*Pool, error) {
 	var ac *cache.Cache
 	if opts.CacheBytes > 0 {
 		ac = cache.New(opts.CacheBytes, mets)
-		// The pool owns the one shared cache; strip the budget so the
-		// engines it builds do not each grow a private one.
-		opts.CacheBytes = 0
 	}
 	first, err := New(p, opts)
 	if err != nil {
@@ -399,7 +378,7 @@ func (pl *Pool) build() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := newFromSubstrate(cur.prog, pl.opts, sub.in, sub.db)
+	e, err := assemble(cur.prog, pl.opts, sub.clone())
 	if err != nil {
 		return nil, err
 	}
@@ -529,108 +508,7 @@ func (pl *Pool) AskCtx(ctx context.Context, query string) (bool, error) {
 // hit, missed, coalesced onto another caller's identical in-flight
 // evaluation, or bypassed, and the evaluation work this call performed.
 func (pl *Pool) AskInfoCtx(ctx context.Context, query string) (bool, ReadInfo, error) {
-	fin := poolTrack(pl.mets)
-	ok, info, err := pl.askInfoCtx(ctx, query)
-	fin(err)
-	return ok, info, err
-}
-
-func (pl *Pool) askInfoCtx(ctx context.Context, query string) (bool, ReadInfo, error) {
-	// Compile (and intern into the shared, concurrency-safe symbol table)
-	// before leasing an engine: a malformed query must not occupy — or
-	// block waiting for — an evaluation slot.
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return false, ReadInfo{}, err
-	}
-	cpr, names, err := compilePremiseChecked(pr, pl.prog.syms, pl.domSet)
-	if err != nil {
-		return false, ReadInfo{}, err
-	}
-	if len(names) > 0 {
-		return false, ReadInfo{}, fmt.Errorf("hypo: Ask needs a ground query; use Query for %q", query)
-	}
-	return pl.cachedBool(ctx, pl.ckey(askCacheKey(pr)), premisePreds(cpr, nil), func(ctx context.Context, e *Engine) (bool, error) {
-		return e.asker.AskPremiseCtx(ctx, cpr, e.asker.EmptyState())
-	})
-}
-
-// statsDelta is the evaluation work between two Stats snapshots of one
-// engine.
-func statsDelta(before, after Stats) Stats {
-	return Stats{
-		Goals:      after.Goals - before.Goals,
-		TableHits:  after.TableHits - before.TableHits,
-		LoopCuts:   after.LoopCuts - before.LoopCuts,
-		Enumerated: after.Enumerated - before.Enumerated,
-		NegCalls:   after.NegCalls - before.NegCalls,
-		MaxDepth:   after.MaxDepth,
-		TableSize:  after.TableSize,
-		MemBytes:   after.MemBytes - before.MemBytes,
-	}
-}
-
-func cacheStatusOf(st cache.Status) CacheStatus {
-	switch st {
-	case cache.Hit:
-		return CacheHit
-	case cache.Coalesced:
-		return CacheCoalesced
-	default:
-		return CacheMiss
-	}
-}
-
-// cachedBool runs a ground read through the pool's answer cache — or
-// straight to an engine lease when no cache is configured — reporting
-// how it was served. The cache key is built from the data version
-// current at entry; if a hot swap lands between key construction and
-// the engine lease, the (correct, newer-version) answer is returned but
-// not stored, so an entry's version always matches its key.
-func (pl *Pool) cachedBool(ctx context.Context, key string, preds []symbols.Pred, eval func(context.Context, *Engine) (bool, error)) (bool, ReadInfo, error) {
-	if pl.cache == nil {
-		e, err := pl.get(ctx)
-		if err != nil {
-			return false, ReadInfo{}, err
-		}
-		defer pl.put(e)
-		e.beginMem()
-		before := e.Stats()
-		ok, err := eval(ctx, e)
-		e.noteWork(before)
-		info := ReadInfo{DataVersion: e.version, Cache: CacheBypass, Stats: statsDelta(before, e.Stats())}
-		return ok, info, e.enrich(err)
-	}
-	var info ReadInfo
-	ver := pl.cur.Load().version
-	v, st, err := pl.cache.Do(ctx, cache.Key{Version: ver, Query: key}, func() (cache.Computed, error) {
-		e, err := pl.get(ctx)
-		if err != nil {
-			return cache.Computed{}, err
-		}
-		defer pl.put(e)
-		info.DataVersion = e.version
-		e.beginMem()
-		before := e.Stats()
-		ok, err := eval(ctx, e)
-		e.noteWork(before)
-		info.Stats = statsDelta(before, e.Stats())
-		if err != nil {
-			return cache.Computed{}, e.enrich(err)
-		}
-		return cache.Computed{
-			Val:   &cachedAnswer{ok: ok, version: e.version, preds: preds},
-			Bytes: boolAnswerBytes,
-			Store: e.version == ver,
-		}, nil
-	})
-	if err != nil {
-		return false, info, wrapCacheWait(err)
-	}
-	ca := v.(*cachedAnswer)
-	info.DataVersion = ca.version
-	info.Cache = cacheStatusOf(st)
-	return ca.ok, info, nil
+	return pl.ask(ctx, readAsk, query, nil)
 }
 
 // Do leases an engine, calls fn with it, and returns the engine to the
@@ -664,15 +542,9 @@ func (pl *Pool) QueryCtx(ctx context.Context, query string) ([]Binding, error) {
 // QueryInfoCtx is QueryCtx additionally reporting how the read was
 // served; see AskInfoCtx.
 func (pl *Pool) QueryInfoCtx(ctx context.Context, query string) ([]Binding, ReadInfo, error) {
-	fin := poolTrack(pl.mets)
 	var out []Binding
 	var info ReadInfo
-	err := pl.queryEachInfoCtx(ctx, query, &info, func(b Binding) error {
-		out = append(out, b)
-		return nil
-	})
-	fin(err)
-	if err != nil {
+	if err := pl.QueryEachInfoCtx(ctx, query, &info, collectInto(&out)); err != nil {
 		return nil, info, err
 	}
 	return out, info, nil
@@ -686,8 +558,7 @@ func (pl *Pool) QueryInfoCtx(ctx context.Context, query string) ([]Binding, Read
 // materialising the set for later hits, which replay in the original
 // enumeration order.
 func (pl *Pool) QueryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	var info ReadInfo
-	return pl.QueryEachInfoCtx(ctx, query, &info, yield)
+	return pl.QueryEachInfoCtx(ctx, query, nil, yield)
 }
 
 // QueryEachInfoCtx is QueryEachCtx additionally reporting how the read
@@ -695,83 +566,10 @@ func (pl *Pool) QueryEachCtx(ctx context.Context, query string, yield func(Bindi
 // set before the first yield call (so a streaming caller can surface
 // them in response headers), Stats when QueryEachInfoCtx returns.
 func (pl *Pool) QueryEachInfoCtx(ctx context.Context, query string, info *ReadInfo, yield func(Binding) error) error {
-	fin := poolTrack(pl.mets)
-	err := pl.queryEachInfoCtx(ctx, query, info, yield)
-	fin(err)
-	return err
-}
-
-func (pl *Pool) queryEachInfoCtx(ctx context.Context, query string, info *ReadInfo, yield func(Binding) error) error {
 	if info == nil {
 		info = &ReadInfo{}
 	}
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return err
-	}
-	cpr, names, err := compilePremiseLoose(pr, pl.prog.syms)
-	if err != nil {
-		return err
-	}
-	if pl.cache == nil {
-		e, err := pl.get(ctx)
-		if err != nil {
-			return err
-		}
-		defer pl.put(e)
-		info.DataVersion = e.version
-		info.Cache = CacheBypass
-		e.beginMem()
-		before := e.Stats()
-		err = e.queryEachCompiledCtx(ctx, cpr, names, yield)
-		e.noteWork(before)
-		info.Stats = statsDelta(before, e.Stats())
-		return e.enrich(err)
-	}
-	ver := pl.cur.Load().version
-	v, st, err := pl.cache.Do(ctx, cache.Key{Version: ver, Query: pl.ckey(queryCacheKey(pr))}, func() (cache.Computed, error) {
-		e, err := pl.get(ctx)
-		if err != nil {
-			return cache.Computed{}, err
-		}
-		defer pl.put(e)
-		info.DataVersion = e.version
-		info.Cache = CacheMiss
-		acc := []Binding{}
-		e.beginMem()
-		before := e.Stats()
-		err = e.queryEachCompiledCtx(ctx, cpr, names, func(b Binding) error {
-			acc = append(acc, b)
-			return yield(b)
-		})
-		e.noteWork(before)
-		info.Stats = statsDelta(before, e.Stats())
-		if err != nil {
-			// A yield abort — or an evaluation abort — surfaces verbatim
-			// and caches nothing: the materialised set is partial.
-			return cache.Computed{}, e.enrich(err)
-		}
-		return cache.Computed{
-			Val:   &cachedAnswer{bindings: acc, version: e.version, preds: premisePreds(cpr, nil)},
-			Bytes: bindingsBytes(acc),
-			Store: e.version == ver,
-		}, nil
-	})
-	if err != nil {
-		return wrapCacheWait(err)
-	}
-	if st == cache.Miss {
-		return nil // the leader's yield already saw every binding
-	}
-	ca := v.(*cachedAnswer)
-	info.DataVersion = ca.version
-	info.Cache = cacheStatusOf(st)
-	for _, b := range ca.bindings {
-		if err := yield(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pl.serve(ctx, readQuery, query, nil, info, yield)
 }
 
 // ExplainCtx returns a rendered derivation tree for a provable ground
@@ -784,54 +582,36 @@ func (pl *Pool) queryEachInfoCtx(ctx context.Context, query string, info *ReadIn
 // of a proof tree, not a hot-path cost). Answers bypass the cache: the
 // proof tree, not the boolean, is the product. ctx bounds the wait for a
 // free engine; the proof search itself is bounded by Options.MaxGoals.
-func (pl *Pool) ExplainCtx(ctx context.Context, query string) (string, ReadInfo, error) {
-	fin := poolTrack(pl.mets)
-	out, info, err := pl.explainCtx(ctx, query)
+func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info ReadInfo, err error) {
+	fin := trackQuery(pl.mets)
+	// The lease is kept even when a throwaway engine does the work, for
+	// its admission effect: at most PoolSize explanations run at once.
+	err = pl.Do(ctx, func(e *Engine) (err error) {
+		info = ReadInfo{DataVersion: e.version, Cache: CacheBypass}
+		if e.uni == nil {
+			cur := pl.cur.Load()
+			sub, err := cur.substrate()
+			if err != nil {
+				return err
+			}
+			// Explain reads the uniform engine directly; demand wrapping
+			// would be dead weight on the throwaway (and proof trees must
+			// show the user's rules only).
+			opts := pl.opts
+			opts.Mode, opts.DemandDriven = ModeUniform, false
+			if e, err = assemble(cur.prog, opts, sub.clone()); err != nil {
+				return fmt.Errorf("hypo: building uniform engine for Explain: %w", err)
+			}
+			info.DataVersion = cur.version
+		}
+		info.Stats, err = e.measured(func() (err error) {
+			out, err = e.Explain(query)
+			return err
+		})
+		return err
+	})
 	fin(err)
 	return out, info, err
-}
-
-func (pl *Pool) explainCtx(ctx context.Context, query string) (string, ReadInfo, error) {
-	e, err := pl.get(ctx)
-	if err != nil {
-		return "", ReadInfo{}, err
-	}
-	defer pl.put(e)
-	info := ReadInfo{DataVersion: e.version, Cache: CacheBypass}
-	if e.uni != nil {
-		e.beginMem()
-		before := e.Stats()
-		out, err := e.Explain(query)
-		e.noteWork(before)
-		info.Stats = statsDelta(before, e.Stats())
-		return out, info, e.enrich(err)
-	}
-	// Cascade-mode pool: build a throwaway uniform engine at the leased
-	// engine's version. The lease is kept for its admission effect — at
-	// most PoolSize explain evaluations run at once — and to pin `cur`
-	// from racing far ahead, though the substrate is looked up afresh.
-	cur := pl.cur.Load()
-	sub, serr := cur.substrate()
-	if serr != nil {
-		return "", info, serr
-	}
-	opts := pl.opts
-	opts.Mode = ModeUniform
-	opts.CacheBytes = 0
-	// Explain reads the uniform engine directly; demand wrapping would be
-	// dead weight on this throwaway engine (and proof trees must show the
-	// user's rules only).
-	opts.DemandDriven = false
-	ue, uerr := newFromSubstrate(cur.prog, opts, sub.in, sub.db)
-	if uerr != nil {
-		return "", info, fmt.Errorf("hypo: building uniform engine for Explain: %w", uerr)
-	}
-	ue.version = cur.version
-	info.DataVersion = cur.version
-	out, err := ue.Explain(query)
-	ue.noteWork(Stats{})
-	info.Stats = ue.Stats()
-	return out, info, ue.enrich(err)
 }
 
 // AskUnder evaluates a ground query in a hypothetically extended
@@ -851,18 +631,5 @@ func (pl *Pool) AskUnderCtx(ctx context.Context, query string, added ...string) 
 // same hypothetical state reached in a different add order shares one
 // entry.
 func (pl *Pool) AskUnderInfoCtx(ctx context.Context, query string, added ...string) (bool, ReadInfo, error) {
-	fin := poolTrack(pl.mets)
-	ok, info, err := pl.askUnderInfoCtx(ctx, query, added)
-	fin(err)
-	return ok, info, err
-}
-
-func (pl *Pool) askUnderInfoCtx(ctx context.Context, query string, added []string) (bool, ReadInfo, error) {
-	cpr, adds, key, err := compileAskUnder(query, added, pl.prog.syms, pl.domSet)
-	if err != nil {
-		return false, ReadInfo{}, err
-	}
-	return pl.cachedBool(ctx, pl.ckey(key), premisePreds(cpr, adds), func(ctx context.Context, e *Engine) (bool, error) {
-		return e.askUnderCompiled(ctx, cpr, adds)
-	})
+	return pl.ask(ctx, readAskUnder, query, added)
 }

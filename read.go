@@ -1,0 +1,313 @@
+package hypo
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"hypodatalog/internal/ast"
+	"hypodatalog/internal/cache"
+	"hypodatalog/internal/engine"
+	"hypodatalog/internal/metrics"
+	"hypodatalog/internal/parser"
+	"hypodatalog/internal/symbols"
+	"hypodatalog/internal/topdown"
+)
+
+// The one read path. Definition 3 of the paper has a single judgement,
+// R, DB+{B̄} ⊢ ψσ; Ask, Query, QueryEach and AskUnder are that judgement
+// with zero-or-more bindings σ and zero-or-more outer adds B̄. Every
+// public read method on Engine and Pool is a wrapper over three
+// functions:
+//
+//   - compileRead: parse, validate read-only, then intern. Nothing a
+//     rejected read mentions reaches the shared symbol table.
+//   - (*Engine).eval: state = empty + adds, enumerate σ; a ground read
+//     yields one empty binding when it holds.
+//   - (*Pool).read: data-version pinning, the answer cache above the
+//     lease, the lease itself, per-query measurement and replay.
+
+// readKind selects the judgement's shape. Its value is the first byte of
+// the read's answer-cache key.
+type readKind byte
+
+const (
+	readAsk      readKind = 'a' // ground premise, no outer adds
+	readQuery    readKind = 'q' // premise may carry variables
+	readAskUnder readKind = 'u' // ground premise under outer adds
+)
+
+func (k readKind) String() string {
+	switch k {
+	case readAsk:
+		return "Ask"
+	case readAskUnder:
+		return "AskUnder"
+	default:
+		return "Query"
+	}
+}
+
+// compiledRead is one read, validated and interned.
+type compiledRead struct {
+	kind    readKind
+	premise ast.CPremise
+	names   []string    // variable name per solution slot; empty when ground
+	adds    []ast.CAtom // outer hypothetical adds (AskUnder)
+
+	// key is the canonical answer-cache key: the kind, the parsed premise
+	// rendered back to surface syntax (so formatting differences collapse)
+	// and, for AskUnder, the sorted adds (so one hypothetical state reached
+	// in a different add order shares an entry). Ask and AskUnder keep
+	// distinct prefixes even when semantically equivalent — a little
+	// duplication for keys that are trivially correct.
+	key string
+}
+
+// compileRead parses and validates a read on its surface form — ground
+// adds, every constant inside dom(R, DB) (variable enumeration and
+// negation-as-failure range over the engine's fixed domain, so a fresh
+// constant would silently be excluded from them and could produce wrong
+// answers), a ground premise unless the kind enumerates — using read-only
+// symbol lookups, and only then interns it. A stream of bad reads against
+// one Program therefore cannot leak interned garbage into every engine
+// sharing its symbol table.
+func compileRead(kind readKind, query string, added []string, syms *symbols.Table, domSet map[symbols.Const]bool) (*compiledRead, error) {
+	adds := make([]ast.Atom, len(added))
+	sorted := make([]string, len(added))
+	for i, src := range added {
+		a, err := parser.ParseAtom(src)
+		if err != nil {
+			return nil, err
+		}
+		if !a.IsGround() {
+			return nil, fmt.Errorf("hypo: added atom %q is not ground", src)
+		}
+		if err := checkAtomDomain(a, syms, domSet); err != nil {
+			return nil, err
+		}
+		adds[i], sorted[i] = a, a.String()
+	}
+	pr, err := parser.ParsePremise(query)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkQueryDomain(pr, syms, domSet); err != nil {
+		return nil, err
+	}
+	if kind != readQuery && len(pr.Vars(nil)) > 0 {
+		return nil, fmt.Errorf("hypo: %s needs a ground query; use Query for %q", kind, query)
+	}
+
+	r := &compiledRead{kind: kind, key: string(kind) + "\x1f" + pr.String()}
+	if kind == readAskUnder {
+		sort.Strings(sorted)
+		r.key += "\x1f" + strings.Join(sorted, "\x1f")
+	}
+	for _, a := range adds {
+		ca, err := compileGroundAtom(a, syms)
+		if err != nil {
+			return nil, err
+		}
+		r.adds = append(r.adds, ca)
+	}
+	if r.premise, err = ast.CompilePremise(pr, syms, map[string]int{}, &r.names); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// eval decides the read on this engine: it extends the base state with
+// the outer adds and streams every binding of the premise's variables
+// over dom(R, DB) that makes it hold — for a ground premise, one empty
+// binding if it holds and none otherwise. It never touches the shared
+// symbol table. A non-nil error from yield stops the enumeration and is
+// returned verbatim.
+func (e *Engine) eval(ctx context.Context, r *compiledRead, yield func(Binding) error) error {
+	st := e.asker.EmptyState()
+	for _, ca := range r.adds {
+		st = st.Add(e.asker.Interner().InternGround(ca))
+	}
+	return engine.SolutionsEachCtx(ctx, e.asker, r.premise, len(r.names), st, func(s engine.Solution) error {
+		b := make(Binding, len(r.names))
+		for slot, name := range r.names {
+			b[name] = e.prog.syms.ConstName(s[slot])
+		}
+		return yield(b)
+	})
+}
+
+// measured runs fn as one query on the engine: the memory budget's
+// baseline is reset, the evaluation-work delta is added to the engine's
+// metric set and returned, and an abort raised where no top-down stats
+// were at hand (a Δ prover, the solution enumerator) is filled in with
+// the engine's summed counters. Hot evaluation loops never touch the
+// metrics package — all accounting happens here, once per query.
+func (e *Engine) measured(fn func() error) (Stats, error) {
+	e.mem.Begin()
+	before := e.Stats()
+	err := fn()
+	work := e.Stats().Sub(before)
+	e.mets.GoalExpansions.Add(work.Goals)
+	e.mets.TableHits.Add(work.TableHits)
+	var ae *AbortError
+	if errors.As(err, &ae) {
+		// A memory abort from a Δ prover carries only its MemBytes reading.
+		rest := ae.Stats
+		rest.MemBytes = 0
+		if rest == (Stats{}) {
+			mem := ae.Stats.MemBytes
+			ae.Stats = e.Stats()
+			if mem != 0 {
+				ae.Stats.MemBytes = mem
+			}
+		}
+	}
+	return work, err
+}
+
+// serve is every Engine read method: one metrics window around compile
+// and a measured eval.
+func (e *Engine) serve(ctx context.Context, kind readKind, query string, added []string, yield func(Binding) error) error {
+	fin := trackQuery(e.mets)
+	r, err := compileRead(kind, query, added, e.prog.syms, e.domSet)
+	if err == nil {
+		_, err = e.measured(func() error { return e.eval(ctx, r, yield) })
+	}
+	fin(err)
+	return err
+}
+
+// ask is serve for the ground kinds: the answer is whether eval yielded.
+func (e *Engine) ask(ctx context.Context, kind readKind, query string, added []string) (ok bool, err error) {
+	err = e.serve(ctx, kind, query, added, func(Binding) error { ok = true; return nil })
+	return ok, err
+}
+
+// collectInto is the yield that materialises a binding stream.
+func collectInto(out *[]Binding) func(Binding) error {
+	return func(b Binding) error {
+		*out = append(*out, b)
+		return nil
+	}
+}
+
+// read serves one compiled read from the pool, streaming its bindings to
+// yield and describing how it was served in info: DataVersion and Cache
+// are set before the first yield, Stats on return. It is the only place
+// that knows the serving protocol:
+//
+//   - Version pinning: the cache key carries the data version current at
+//     entry. If a hot swap lands before the lease, the (correct, newer)
+//     answer is returned but not stored, so an entry's version always
+//     equals its key's.
+//   - Cache above lease: a hit, or a caller coalesced onto an identical
+//     in-flight miss, replays the stored bindings in their original
+//     enumeration order and never draws an engine.
+//   - A miss streams each binding as it is proved while materialising the
+//     set; an enumeration cut short — by yield or by an abort — surfaces
+//     its error verbatim and caches nothing, the set being partial.
+func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield func(Binding) error) error {
+	lease := func(status CacheStatus, sink func(Binding) error) error {
+		return pl.Do(ctx, func(e *Engine) (err error) {
+			info.DataVersion, info.Cache = e.version, status
+			info.Stats, err = e.measured(func() error { return e.eval(ctx, r, sink) })
+			return err
+		})
+	}
+	if pl.cache == nil {
+		return lease(CacheBypass, yield)
+	}
+	key := cache.Key{Version: pl.Version(), Query: r.key}
+	if pl.opts.DemandDriven {
+		// Demand answers equal full answers by construction, but the modes
+		// memoise through different machinery; disjoint entries mean a
+		// defect in one can never serve a wrong answer through the other.
+		key.Query = "d\x1f" + r.key
+	}
+	v, st, err := pl.cache.Do(ctx, key, func() (cache.Computed, error) {
+		var acc []Binding
+		err := lease(CacheMiss, func(b Binding) error {
+			acc = append(acc, b)
+			return yield(b)
+		})
+		if err != nil {
+			return cache.Computed{}, err
+		}
+		bytes := int64(boolAnswerBytes)
+		if r.kind == readQuery {
+			bytes = bindingsBytes(acc)
+		}
+		return cache.Computed{
+			Val:   &cachedAnswer{bindings: acc, version: info.DataVersion, preds: premisePreds(r.premise, r.adds)},
+			Bytes: bytes,
+			Store: info.DataVersion == key.Version,
+		}, nil
+	})
+	var we *cache.WaitError
+	switch {
+	case errors.As(err, &we):
+		// The caller's context ended while it waited on another caller's
+		// evaluation: report it like every other ctx-bounded wait.
+		return topdown.ContextAbort(we.Err, Stats{})
+	case err != nil || st == cache.Miss:
+		return err // a miss's yield already saw every binding
+	}
+	ca := v.(*cachedAnswer)
+	info.DataVersion, info.Cache = ca.version, CacheHit
+	if st == cache.Coalesced {
+		info.Cache = CacheCoalesced
+	}
+	for _, b := range ca.bindings {
+		if err := yield(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// serve is every Pool read method: one metrics window around compile and
+// read. Compiling (and interning into the shared, concurrency-safe symbol
+// table) comes first so a malformed query never occupies — or blocks
+// waiting for — an evaluation slot.
+func (pl *Pool) serve(ctx context.Context, kind readKind, query string, added []string, info *ReadInfo, yield func(Binding) error) error {
+	fin := trackQuery(pl.mets)
+	r, err := compileRead(kind, query, added, pl.prog.syms, pl.domSet)
+	if err == nil {
+		err = pl.read(ctx, r, info, yield)
+	}
+	fin(err)
+	return err
+}
+
+// ask is serve for the ground kinds: the answer is whether the read
+// yielded.
+func (pl *Pool) ask(ctx context.Context, kind readKind, query string, added []string) (ok bool, info ReadInfo, err error) {
+	err = pl.serve(ctx, kind, query, added, &info, func(Binding) error { ok = true; return nil })
+	return ok, info, err
+}
+
+// trackQuery opens a metrics window for one top-level query; the
+// returned func closes it, classifying the outcome — queries_started
+// always equals succeeded + failed + canceled.
+func trackQuery(m *metrics.Set) func(error) {
+	m.QueriesStarted.Inc()
+	start := time.Now()
+	return func(err error) {
+		m.QueryLatency.Observe(time.Since(start).Seconds())
+		switch {
+		case err == nil:
+			m.QueriesSucceeded.Inc()
+		case errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline):
+			m.QueriesCanceled.Inc()
+		default:
+			if errors.Is(err, ErrMemory) {
+				m.MemQueryAborts.Inc()
+			}
+			m.QueriesFailed.Inc()
+		}
+	}
+}
