@@ -58,7 +58,7 @@ func main() {
 	mode := flag.String("mode", "auto", "evaluation mode: auto | uniform | cascade")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	explain := flag.Bool("explain", false, "print a derivation tree for provable ground queries (uniform mode)")
-	maxGoals := flag.Int64("max", 0, "goal budget per query (0 = unlimited)")
+	maxGoals := flag.Int64("max", 0, "goal budget per query, in every mode (0 = unlimited); bottom-up Δ-part work is not goals: -deadline bounds it")
 	deadline := flag.Duration("deadline", 0, "per-query evaluation deadline, e.g. 500ms (0 = none)")
 	snapshotOut := flag.String("snapshot-out", "", "write the loaded program+facts to this HDLSNAP file")
 	flag.Parse()

@@ -1,14 +1,15 @@
-// Command hdlbench runs the experiment suite (E1-E12 of DESIGN.md) and
-// prints one result table per experiment — the rows recorded in
-// EXPERIMENTS.md.
+// Command hdlbench measures the experiment suite of DESIGN.md §4 with
+// testing.Benchmark and prints one result table per experiment — the rows
+// recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
-//	hdlbench [-run E1,E7] [-smoke] [-json results.json]
+//	hdlbench [-run E1,E7] [-smoke] [-json BENCH_core.json]
 //
-// With -json the results are additionally written to the given file as a
-// JSON array of {id, name, elapsed_ms, table} objects — the machine-
-// readable baseline format (see BENCH_live.json).
+// With -json the typed results (ns/op, B/op, allocs/op and the work
+// counters of every case) are also written to the given file. The
+// committed BENCH_core.json is a full default-size run; internal/bench's
+// test holds every smoke case's counters to it exactly.
 package main
 
 import (
@@ -17,24 +18,27 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
+	"testing"
 
 	"hypodatalog/internal/bench"
 )
 
-// jsonResult is one experiment's entry in the -json output.
-type jsonResult struct {
-	ID        string       `json:"id"`
-	Name      string       `json:"name"`
-	ElapsedMS float64      `json:"elapsed_ms"`
-	Table     *bench.Table `json:"table"`
-}
-
 func main() {
-	runList := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	smoke := flag.Bool("smoke", false, "use tiny sweep sizes")
-	jsonOut := flag.String("json", "", "also write results to this file as JSON")
-	flag.Parse()
+	// A private flag set: testing.Init below registers the test.* flags on
+	// the process-wide one, and they are no part of this command's surface.
+	fs := flag.NewFlagSet("hdlbench", flag.ExitOnError)
+	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
+	smoke := fs.Bool("smoke", false, "use the small sweep sizes the tests run")
+	jsonOut := fs.String("json", "", "also write the typed results to this file as JSON")
+	_ = fs.Parse(os.Args[1:]) // ExitOnError
+
+	// testing.Benchmark reads -test.benchtime. A tenth of a second is
+	// thousands of iterations of the µs-scale cases and keeps the full run
+	// (some 350 cases) inside four minutes; slower cases run once.
+	testing.Init()
+	if err := flag.Set("test.benchtime", "100ms"); err != nil {
+		panic(err)
+	}
 
 	sizes := bench.DefaultSizes()
 	if *smoke {
@@ -47,28 +51,30 @@ func main() {
 		}
 	}
 	failed := false
-	var results []jsonResult
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "hdlbench: "+format+"\n", args...)
+		failed = true
+	}
+	results := []bench.Result{}
 	for _, ex := range bench.All() {
 		if len(want) > 0 && !want[ex.ID] {
 			continue
 		}
-		fmt.Printf("# %s — %s\n", ex.ID, ex.Name)
-		start := time.Now()
-		tbl, err := ex.Run(sizes)
-		elapsed := time.Since(start)
+		cases, err := ex.Cases(sizes)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", ex.ID, err)
-			failed = true
+			fail("%s: %v", ex.ID, err)
 			continue
 		}
-		fmt.Println(tbl.String())
-		fmt.Printf("(%s total)\n\n", elapsed.Round(time.Millisecond))
-		results = append(results, jsonResult{
-			ID:        ex.ID,
-			Name:      ex.Name,
-			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-			Table:     tbl,
-		})
+		from := len(results)
+		for _, c := range cases {
+			r, err := bench.Measure(ex.ID, c)
+			if err != nil {
+				fail("%v", err)
+				continue
+			}
+			results = append(results, r)
+		}
+		fmt.Println(bench.Table(ex, results[from:]))
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(results, "", "  ")
@@ -76,8 +82,7 @@ func main() {
 			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hdlbench: writing %s: %v\n", *jsonOut, err)
-			failed = true
+			fail("writing %s: %v", *jsonOut, err)
 		}
 	}
 	if failed {

@@ -121,7 +121,7 @@ func run() int {
 	mode := flag.String("mode", "auto", "evaluation mode: auto | uniform | cascade")
 	pool := flag.Int("pool", 0, "engine pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue length (0 = 4 × pool)")
-	maxGoals := flag.Int64("max", 0, "goal budget per query (0 = unlimited)")
+	maxGoals := flag.Int64("max", 0, "goal budget per query, in every mode (0 = unlimited); bottom-up Δ-part work is not goals: -timeout and -max-memory bound it")
 	maxMemory := flag.Int64("max-memory", 0, "memory budget per query in bytes (0 = unlimited)")
 	tenantMemQuota := flag.Int64("tenant-memory-quota", 0, "per-program memory ceiling in bytes (0 = unlimited)")
 	tenantDiskQuota := flag.Int64("tenant-disk-quota", 0, "per-program WAL+snapshot ceiling in bytes (0 = unlimited)")

@@ -144,6 +144,72 @@ func TestBudgetAbortError(t *testing.T) {
 	}
 }
 
+// TestBudgetEveryMode: the goal budget used to be read by the uniform
+// engine only, and ModeAuto picks the cascade for every linearly
+// stratified program, so by default it bounded nothing. It is also per
+// query: a warm engine's earlier work never counts against a later ask.
+func TestBudgetEveryMode(t *testing.T) {
+	src := workload.ParityProgram(8)
+	for _, mode := range []Mode{ModeAuto, ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			_, err := mustEngine(t, src, Options{Mode: mode, MaxGoals: 5}).Ask("even")
+			var ae *AbortError
+			if !errors.Is(err, ErrBudget) || !errors.As(err, &ae) {
+				t.Fatalf("Ask under MaxGoals 5 = %v, want ErrBudget", err)
+			}
+			if ae.Limit != 5 || ae.Stats.Goals != 5 {
+				t.Errorf("limit %d after %d goals, want exactly 5 of 5", ae.Limit, ae.Stats.Goals)
+			}
+
+			// Each pair of pre-copied items is a hypothetical state of its own,
+			// so every ask below is fresh work on the same warm engine.
+			e := mustEngine(t, src, Options{Mode: mode, MaxGoals: 100})
+			for i := 0; i < 8; i += 2 {
+				ok, err := e.AskUnder("even", fmt.Sprintf("copied(x%d)", i), fmt.Sprintf("copied(x%d)", i+1))
+				if err != nil || !ok {
+					t.Fatalf("ask %d on a warm engine = %v, %v; the budget is per query", i/2, ok, err)
+				}
+			}
+			if g := e.Stats().Goals; g <= 100 {
+				t.Fatalf("four asks spent %d goals in total: the loop above proves nothing", g)
+			}
+		})
+	}
+}
+
+// TestAutoModeStaysPolynomial pins the property that justifies ModeAuto
+// preferring the cascade: on Horn recursion the Δ part is a bottom-up
+// fixpoint, polynomial whatever the rule shape, while the uniform engine
+// memoises a failure only when it is clean (no in-progress ancestor
+// consulted), so refuting reachability over a k-clique walks its k!
+// simple paths and reach :- reach, reach re-derives every split of every
+// path. The ModeUniform half documents that limitation — it flips the day
+// topdown gets SCC completion, and until then a default flipped to
+// uniform reintroduces the cliff with no other test noticing.
+func TestAutoModeStaysPolynomial(t *testing.T) {
+	asks := []struct {
+		name, src, query string
+		want             bool
+	}{
+		{"refute over a 12-clique", workload.ClosureProgram(workload.Clique(12), workload.RightLinear), "reach(n0, n12)", false},
+		{"non-linear rule on a 32-chain", workload.ClosureProgram(workload.Chain(32), workload.NonLinear), "reach(n0, n32)", true},
+	}
+	for _, a := range asks {
+		t.Run(a.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			got, err := mustEngine(t, a.src, Options{MaxGoals: 100_000}).AskCtx(ctx, a.query)
+			if err != nil || got != a.want {
+				t.Errorf("default mode: %s = %v, %v; want %v without abort", a.query, got, err, a.want)
+			}
+			_, err = mustEngine(t, a.src, Options{Mode: ModeUniform, MaxGoals: 100_000}).AskCtx(ctx, a.query)
+			if !errors.Is(err, ErrBudget) {
+				t.Errorf("ModeUniform: %s = %v, want ErrBudget (see the comment above if topdown learned SCC completion)", a.query, err)
+			}
+		})
+	}
+}
+
 // TestDomainCheckDoesNotIntern checks the compile-order fix: a rejected
 // out-of-domain query constant must not leak into the shared symbol
 // table — through Ask, AskUnder or the Query family, on Engine and Pool.

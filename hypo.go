@@ -304,8 +304,12 @@ const (
 // Options configure an Engine.
 type Options struct {
 	Mode Mode
-	// MaxGoals aborts runaway queries after this many goal expansions in
-	// the uniform engine (0 = unlimited). Ignored by the cascade.
+	// MaxGoals aborts a query after this many goal expansions with an
+	// *AbortError wrapping ErrBudget (0 = unlimited). The budget is per
+	// query and enforced in every mode: a cascade's PROVE_Σ engines draw on
+	// one shared allowance, so it bounds their sum. Δ-part work (bottom-up
+	// materialisation in the cascade and under DemandDriven) is not goal
+	// expansion; the query's deadline and MaxMemoryBytes bound it.
 	MaxGoals int64
 	// MaxMemoryBytes aborts a query once it has grown the engine's
 	// tracked memory footprint (interner, base database, memo tables,
@@ -315,9 +319,9 @@ type Options struct {
 	// means unlimited (accounting stays on, so Pool.MemBytes and tenant
 	// quotas still see the footprint). Enforced in both modes.
 	MaxMemoryBytes int64
-	// NoTabling and NoPlanner disable engine features (for ablations).
+	// NoTabling disables the uniform engine's memo table, for ablations
+	// and for tests that need a query to stay intractable.
 	NoTabling bool
-	NoPlanner bool
 	// ExtraDomain adds constants to dom(R, DB) so that queries may
 	// mention symbols absent from the program.
 	ExtraDomain []string
@@ -383,6 +387,10 @@ type Engine struct {
 	// Options.MaxMemoryBytes per query. Always non-nil for engines built
 	// by assemble; shared by every component of a cascade.
 	mem *topdown.MemTracker
+
+	// goals enforces Options.MaxGoals per query (nil = unlimited); shared
+	// by every Σ engine of a cascade.
+	goals *topdown.GoalBudget
 }
 
 // MemBytes returns the engine's tracked heap footprint: interner, base
@@ -480,6 +488,10 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	for i, ca := range removed {
 		remIDs[i] = in.InternGround(ca)
 	}
+	// Maintenance is evaluator work like a query's: charge what it did
+	// (models maintained, dropped, rematerialised) to this engine's set.
+	before := e.Stats()
+	defer func() { e.charge(e.Stats().Sub(before)) }()
 	var err error
 	if e.cas != nil {
 		err = e.cas.ApplyDelta(addIDs, remIDs, cone)
@@ -585,6 +597,9 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 		mets:   opts.metricSet(),
 		mem:    newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db),
 	}
+	if opts.MaxGoals > 0 {
+		e.goals = &topdown.GoalBudget{Max: opts.MaxGoals}
+	}
 	mode := opts.Mode
 	if mode == ModeAuto {
 		mode = ModeUniform
@@ -594,12 +609,9 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 	}
 	switch mode {
 	case ModeUniform:
-		e.uni = topdown.NewWithBase(p.comp, sub.db, dom, topdown.Options{
-			MaxGoals:  opts.MaxGoals,
-			NoTabling: opts.NoTabling,
-			NoPlanner: opts.NoPlanner,
-		})
+		e.uni = topdown.NewWithBase(p.comp, sub.db, dom, topdown.Options{NoTabling: opts.NoTabling})
 		e.uni.SetMem(e.mem)
+		e.uni.SetGoals(e.goals)
 		e.asker = e.uni
 	case ModeCascade:
 		if p.strt == nil {
@@ -609,7 +621,7 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		cas.SetMemTracker(e.mem)
+		cas.SetBudgets(e.mem, e.goals)
 		e.cas, e.asker = cas, cas
 	default:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
@@ -748,27 +760,21 @@ func (e *Engine) Explain(query string) (string, error) {
 	return proof.String(), nil
 }
 
-// Stats reports evaluation counters: the uniform engine's in uniform
-// mode, or the sum over the cascade's PROVE_Σ engines in cascade mode.
+// Stats reports evaluation counters summed over every component of the
+// evaluator: the uniform engine or the cascade's PROVE_Σ engines and
+// PROVE_Δ provers, plus the demand provers when DemandDriven.
 func (e *Engine) Stats() topdown.Stats {
-	if e.uni != nil {
-		return e.uni.Stats()
-	}
 	var sum topdown.Stats
-	for i := 1; i <= e.cas.NumStrata(); i++ {
-		s := e.cas.SigmaStats(i)
-		sum.Goals += s.Goals
-		sum.TableHits += s.TableHits
-		sum.LoopCuts += s.LoopCuts
-		sum.Enumerated += s.Enumerated
-		sum.NegCalls += s.NegCalls
-		sum.TableSize += s.TableSize
-		if s.MaxDepth > sum.MaxDepth {
-			sum.MaxDepth = s.MaxDepth
-		}
+	if e.uni != nil {
+		sum = e.uni.Stats()
+	} else {
+		sum = e.cas.Stats()
 	}
-	// Every cascade component shares one tracker, so the growth is read
-	// once, not summed per stratum.
+	if e.dem != nil {
+		sum = sum.Add(e.dem.Stats())
+	}
+	// Every component shares one tracker, so the growth is read once, not
+	// summed per component.
 	sum.MemBytes = e.mem.Grown()
 	return sum
 }

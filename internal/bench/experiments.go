@@ -4,50 +4,41 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"log/slog"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	hypo "hypodatalog"
-	"hypodatalog/internal/ast"
-	"hypodatalog/internal/engine"
 	"hypodatalog/internal/generic"
 	"hypodatalog/internal/horn"
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/strat"
-	"hypodatalog/internal/symbols"
 	"hypodatalog/internal/topdown"
 	"hypodatalog/internal/turing"
 	"hypodatalog/internal/workload"
 )
 
-// Sizes configure the sweeps; the zero value selects the defaults used by
-// EXPERIMENTS.md.
+// Sizes configure the sweeps.
 type Sizes struct {
 	Chain   []int // E1
 	Order   []int // E2
-	Parity  []int // E3
-	HamN    []int // E4/E5
+	Parity  []int // E3/E8/E12
+	HamN    []int // E4/E5/E8/E12
 	StratM  []int // E6: k values (width fixed at 4)
-	TMLen   []int // E7: input lengths
-	HypOrd  []int // E9: domain sizes (n! orders!)
-	HornN   []int // E10
-	LiveN   []int // E16: live-EDB graph sizes
-	CacheN  []int // E17: answer-cache graph sizes
+	TMLen   []int // E7/E15: input lengths
+	HypOrd  []int // E9/E14: domain sizes (n! orders!)
+	HornN   []int // E10/E13
+	Closure []int // E8: chain lengths under the linear closure rules
+	Clique  []int // E8: clique sizes
+	NonLin  []int // E8: chain lengths under the non-linear closure rule
 	ReplN   []int // E18: replica counts
 	TenantK []int // E19: co-resident tenant counts
 	MemN    []int // E20: memory-budget graph sizes
-	DemandN []int // E21: demand-driven point-query graph sizes
 	Seed    int64
 }
 
-// DefaultSizes are the sweep points reported in EXPERIMENTS.md.
+// DefaultSizes are the sweep points of BENCH_core.json and EXPERIMENTS.md.
 func DefaultSizes() Sizes {
 	return Sizes{
 		Chain:   []int{4, 16, 64, 256, 512},
@@ -58,1022 +49,538 @@ func DefaultSizes() Sizes {
 		TMLen:   []int{0, 1, 2, 3},
 		HypOrd:  []int{2, 3, 4, 5},
 		HornN:   []int{16, 64, 256, 512},
-		LiveN:   []int{16, 32, 64},
-		CacheN:  []int{32, 48, 64},
+		Closure: []int{32, 64, 128},
+		Clique:  []int{6, 8, 10, 12},
+		NonLin:  []int{16, 32},
 		ReplN:   []int{1, 2, 3},
 		TenantK: []int{1, 2, 4},
 		MemN:    []int{24, 48, 64},
-		DemandN: []int{32, 64, 128},
 		Seed:    1,
 	}
 }
 
-// SmokeSizes are tiny sweeps for tests.
+// SmokeSizes are the sweeps the test runs. Each is a subset of its
+// default and every random input is seeded per case, so a smoke case is
+// a default case and its counters are in BENCH_core.json.
 func SmokeSizes() Sizes {
 	return Sizes{
-		Chain:   []int{4, 8},
-		Order:   []int{4, 8},
-		Parity:  []int{3, 6},
-		HamN:    []int{4, 5},
-		StratM:  []int{4, 8},
+		Chain:   []int{4, 16},
+		Order:   []int{4, 16},
+		Parity:  []int{4, 8},
+		HamN:    []int{4, 6},
+		StratM:  []int{4, 16},
 		TMLen:   []int{0, 1},
 		HypOrd:  []int{2, 3},
-		HornN:   []int{16, 32},
-		LiveN:   []int{6, 10},
-		CacheN:  []int{6, 10},
+		HornN:   []int{16, 64},
+		Closure: []int{32},
+		Clique:  []int{6, 8},
+		NonLin:  []int{16},
 		ReplN:   []int{1, 2},
 		TenantK: []int{1, 2},
-		MemN:    []int{16},
-		DemandN: []int{8, 16},
+		MemN:    []int{24},
 		Seed:    1,
 	}
 }
 
-// buildUniform compiles a source program and returns a fresh uniform
-// engine plus the compiled program.
-func buildUniform(src string, opts topdown.Options) (*topdown.Engine, *ast.CProgram, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, nil, err
+// rngFor seeds one case's random input from the sweep seed, the
+// experiment's salt and the case's own parameters — never from the cases
+// generated before it, so dropping a sweep point changes no other case.
+func rngFor(s Sizes, salt int64, params ...int) *rand.Rand {
+	seed := s.Seed*1_000_003 + salt
+	for _, p := range params {
+		seed = seed*1_000_003 + int64(p)
 	}
-	ast.RewriteNegHyp(prog)
-	if err := strat.CheckNegation(prog); err != nil {
-		return nil, nil, err
-	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
-	if err != nil {
-		return nil, nil, err
-	}
-	return topdown.New(cp, ref.Domain(cp), opts), cp, nil
+	return rand.New(rand.NewSource(seed))
 }
 
-// askZero evaluates a 0-ary predicate on a fresh uniform engine.
-func askZero(e *topdown.Engine, cp *ast.CProgram, name string) (bool, error) {
-	p, ok := cp.Syms.LookupPred(name, 0)
-	if !ok {
-		return false, fmt.Errorf("bench: no predicate %s/0", name)
+// uniform is the evaluator of the per-claim experiments: the paper's
+// counting claims (Example 4's 2n+2 goals, Appendix A's bound) are about
+// one top-down proof search. E8 is where the evaluators are compared.
+var uniform = hypo.Options{Mode: hypo.ModeUniform}
+
+// eval is the cold operation most cases measure: a fresh engine, one
+// query, the number of answers checked (1 or 0 for a ground query), the
+// engine's work reported. Running out of Options.MaxGoals is a result —
+// the cell reports aborted=1 beside the counters it got to, which the
+// exact budget makes deterministic. Running out of time is an error: no
+// counter of such a run repeats.
+func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query string, want int) (Counters, error) {
+	e, err := hypo.New(prog, opts)
+	if err != nil {
+		return nil, err
 	}
-	return e.Ask(e.Interner().ID(p, nil), e.EmptyState())
+	bs, err := e.QueryCtx(ctx, query)
+	st := e.Stats()
+	return settle(Counters{
+		"goals":            st.Goals,
+		"table_hits":       st.TableHits,
+		"max_depth":        int64(st.MaxDepth),
+		"states":           int64(st.TableSize),
+		"materialisations": st.Materialisations,
+	}, query, len(bs), want, err)
 }
 
-// E1HypChain measures Example 4: chains of hypothetical implications.
-func E1HypChain(s Sizes) (*Table, error) {
-	t := NewTable("E1 (Example 4): chain of hypothetical adds",
-		"n", "a1 holds", "time", "goals", "max depth")
-	t.Note = "a1 requires accumulating all n hypotheses; expect near-linear goal growth."
+// settle turns how an evaluation ended into how its case ends.
+func settle(c Counters, query string, answers, want int, err error) (Counters, error) {
+	switch {
+	case errors.Is(err, hypo.ErrBudget):
+		c["aborted"] = 1
+	case err != nil:
+		return nil, fmt.Errorf("%s: %w", query, err)
+	case answers != want:
+		return nil, fmt.Errorf("%s has %d answers, want %d", query, answers, want)
+	}
+	return c, nil
+}
+
+// count is a ground query's number of answers.
+func count(holds bool) int {
+	if holds {
+		return 1
+	}
+	return 0
+}
+
+// caseList accumulates an experiment's cases; the first program that
+// fails to parse fails the experiment.
+type caseList struct {
+	cases []Case
+	err   error
+}
+
+func (l *caseList) add(name string, run func() (Counters, error)) {
+	l.cases = append(l.cases, Case{Name: name, Run: run})
+}
+
+// parse compiles the program a case (or a row of cases) shares.
+func (l *caseList) parse(name, src string) *hypo.Program {
+	prog, err := hypo.Parse(src)
+	if err != nil && l.err == nil {
+		l.err = fmt.Errorf("%s: %w", name, err)
+	}
+	return prog
+}
+
+// ask adds a case asking a ground query of src cold.
+func (l *caseList) ask(name, src string, opts hypo.Options, query string, want bool) {
+	prog := l.parse(name, src)
+	l.add(name, func() (Counters, error) { return eval(context.Background(), prog, opts, query, count(want)) })
+}
+
+func (l *caseList) done() ([]Case, error) { return l.cases, l.err }
+
+func e1HypChain(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.Chain {
-		e, cp, err := buildUniform(workload.ChainProgram(n), topdown.Options{})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		ok, err := askZero(e, cp, "a1")
-		if err != nil {
-			return nil, err
-		}
-		st := e.Stats()
-		t.Add(n, ok, time.Since(start), st.Goals, st.MaxDepth)
-		if !ok {
-			return nil, fmt.Errorf("E1: a1 false at n=%d", n)
-		}
+		l.ask(fmt.Sprintf("n=%d", n), workload.ChainProgram(n), uniform, "a1", true)
 	}
-	return t, nil
+	return l.done()
 }
 
-// E2OrderLoop measures Example 5: iterating a stored linear order.
-func E2OrderLoop(s Sizes) (*Table, error) {
-	t := NewTable("E2 (Example 5): loop over a stored linear order",
-		"n", "a holds", "time", "goals", "max depth")
+func e2OrderLoop(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.Order {
-		e, cp, err := buildUniform(workload.OrderLoopProgram(n), topdown.Options{})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		ok, err := askZero(e, cp, "a")
-		if err != nil {
-			return nil, err
-		}
-		st := e.Stats()
-		t.Add(n, ok, time.Since(start), st.Goals, st.MaxDepth)
-		if !ok {
-			return nil, fmt.Errorf("E2: a false at n=%d", n)
-		}
+		l.ask(fmt.Sprintf("n=%d", n), workload.OrderLoopProgram(n), uniform, "a", true)
 	}
-	return t, nil
+	return l.done()
 }
 
-// E3Parity measures Example 6: relation parity via hypothetical copying.
-// Proving the true parity predicate follows one copy chain (polynomial
-// with tabling); refuting the false one must explore the whole subset
-// lattice (2^n tabled states) — the coNP face of the same query — so the
-// refutation column is only filled for small n.
-func E3Parity(s Sizes) (*Table, error) {
-	t := NewTable("E3 (Example 6): EVEN iff |A| is even",
-		"|A|", "true query", "time", "goals", "refute other", "refute time", "refute states")
-	t.Note = "proof of the true parity is one chain; refutation of the false one is 2^n (coNP shape)."
+// e3Parity: proving the true parity predicate follows one copy chain
+// (polynomial with tabling); refuting the false one must explore the
+// whole subset lattice (2^n tabled states) — the coNP face of the same
+// query — so refutations stop at n = 12.
+func e3Parity(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.Parity {
-		e, cp, err := buildUniform(workload.ParityProgram(n), topdown.Options{})
-		if err != nil {
-			return nil, err
-		}
 		trueQ, falseQ := "even", "odd"
 		if n%2 == 1 {
-			trueQ, falseQ = "odd", "even"
+			trueQ, falseQ = falseQ, trueQ
 		}
-		start := time.Now()
-		got, err := askZero(e, cp, trueQ)
-		if err != nil {
-			return nil, err
-		}
-		proveTime := time.Since(start)
-		if !got {
-			return nil, fmt.Errorf("E3: wrong parity at n=%d", n)
-		}
-		goals := e.Stats().Goals
+		l.ask(fmt.Sprintf("prove/n=%d", n), workload.ParityProgram(n), uniform, trueQ, true)
 		if n <= 12 {
-			e2, cp2, err := buildUniform(workload.ParityProgram(n), topdown.Options{})
-			if err != nil {
-				return nil, err
-			}
-			start = time.Now()
-			neg, err := askZero(e2, cp2, falseQ)
-			if err != nil {
-				return nil, err
-			}
-			if neg {
-				return nil, fmt.Errorf("E3: %s true at n=%d", falseQ, n)
-			}
-			t.Add(n, trueQ, proveTime, goals, falseQ, time.Since(start), e2.Stats().TableSize)
-		} else {
-			t.Add(n, trueQ, proveTime, goals, "-", "-", "-")
+			l.ask(fmt.Sprintf("refute/n=%d", n), workload.ParityProgram(n), uniform, falseQ, false)
 		}
 	}
-	return t, nil
+	return l.done()
 }
 
-// E4Hamiltonian measures Example 7 against the brute-force baseline.
-func E4Hamiltonian(s Sizes) (*Table, error) {
-	t := NewTable("E4 (Example 7): directed Hamiltonian path",
-		"n", "edges", "planted", "rules yes", "brute yes", "rule time", "brute time", "goals")
-	t.Note = "NP workload: expect superpolynomial growth of rule-engine time with n."
-	rng := rand.New(rand.NewSource(s.Seed))
+// e4Hamiltonian checks Example 7 against brute-force search, which is
+// also timed: the rules are a generic prover, the baseline a dedicated one.
+func e4Hamiltonian(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.HamN {
-		for _, planted := range []bool{true, false} {
+		for i, kind := range []string{"planted", "random"} {
 			var g workload.Digraph
-			if planted {
+			if rng := rngFor(s, 4, n, i); kind == "planted" {
 				g = workload.PlantedHamiltonian(rng, n, 0.15)
 			} else {
 				g = workload.RandomDigraph(rng, n, 0.25)
 			}
-			e, cp, err := buildUniform(workload.HamiltonianProgram(g), topdown.Options{})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			got, err := askZero(e, cp, "yes")
-			if err != nil {
-				return nil, err
-			}
-			ruleTime := time.Since(start)
-			start = time.Now()
 			want := workload.HasHamiltonianPath(g)
-			bruteTime := time.Since(start)
-			if got != want {
-				return nil, fmt.Errorf("E4: n=%d planted=%v: rules=%v brute=%v", n, planted, got, want)
-			}
-			t.Add(n, len(g.Edges), planted, got, want, ruleTime, bruteTime, e.Stats().Goals)
+			l.ask(fmt.Sprintf("rules/%s/n=%d", kind, n), workload.HamiltonianProgram(g), uniform, "yes", want)
+			l.add(fmt.Sprintf("brute/%s/n=%d", kind, n), func() (Counters, error) {
+				return Counters{"edges": int64(len(g.Edges)), "found": int64(count(workload.HasHamiltonianPath(g)))}, nil
+			})
 		}
 	}
-	return t, nil
+	return l.done()
 }
 
-// E5HamCircuitNo measures Example 8: the complementary no query.
-func E5HamCircuitNo(s Sizes) (*Table, error) {
-	t := NewTable("E5 (Example 8): NO <- ~YES adds the complement",
-		"n", "edges", "yes", "no", "time")
-	rng := rand.New(rand.NewSource(s.Seed + 1))
+// e5HamComplement: Example 8's NO <- ~YES is the exact complement.
+func e5HamComplement(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.HamN {
-		g := workload.RandomDigraph(rng, n, 0.2)
-		e, cp, err := buildUniform(workload.HamiltonianProgram(g), topdown.Options{})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		yes, err := askZero(e, cp, "yes")
-		if err != nil {
-			return nil, err
-		}
-		no, err := askZero(e, cp, "no")
-		if err != nil {
-			return nil, err
-		}
-		if yes == no {
-			return nil, fmt.Errorf("E5: yes and no agree at n=%d", n)
-		}
-		t.Add(n, len(g.Edges), yes, no, time.Since(start))
+		g := workload.RandomDigraph(rngFor(s, 5, n), n, 0.2)
+		l.ask(fmt.Sprintf("n=%d", n), workload.HamiltonianProgram(g), uniform, "no", !workload.HasHamiltonianPath(g))
 	}
-	return t, nil
+	return l.done()
 }
 
-// E6Stratify measures Lemma 1: the stratification algorithm is polynomial.
-func E6Stratify(s Sizes) (*Table, error) {
-	t := NewTable("E6 (Lemma 1): linear stratification is polynomial time",
-		"k", "rules", "preds", "strata", "iterations", "time")
+func e6Stratify(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, k := range s.StratM {
-		src := workload.KStrataProgram(k, 4)
-		prog, err := parser.Parse(src)
+		prog, err := parser.Parse(workload.KStrataProgram(k, 4))
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		st, err := strat.Stratify(prog)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if st.NumStrata != k {
-			return nil, fmt.Errorf("E6: k=%d got %d strata", k, st.NumStrata)
-		}
-		t.Add(k, len(prog.Rules), len(st.Part), st.NumStrata, st.Iterations, elapsed)
-	}
-	return t, nil
-}
-
-// E7TMEncoding runs the Theorem 1 lower-bound experiment: encoded oracle
-// machines agree with direct simulation.
-func E7TMEncoding(s Sizes) (*Table, error) {
-	t := NewTable("E7 (Theorem 1, lower bound): oracle-TM encodings",
-		"machine", "k", "input", "N", "sim", "encoding", "agree", "enc rules", "time")
-	machines := []*turing.Machine{
-		turing.HasOne(), turing.GuessOne(), turing.CopyThenAskYes(), turing.CopyThenAskNo(),
-	}
-	for _, m := range machines {
-		for _, l := range s.TMLen {
-			for _, in := range binStrings(l) {
-				n := 2*l + 6
-				want, err := m.Accepts(in, n)
-				if err != nil {
-					return nil, err
-				}
-				src, err := turing.Encode(m, in, n)
-				if err != nil {
-					return nil, err
-				}
-				prog, err := parser.Parse(src)
-				if err != nil {
-					return nil, err
-				}
-				cp, err := ast.Compile(prog, symbols.NewTable())
-				if err != nil {
-					return nil, err
-				}
-				e := topdown.New(cp, ref.Domain(cp), topdown.Options{MaxGoals: 100_000_000})
-				start := time.Now()
-				got, err := askZero(e, cp, "accept")
-				if err != nil {
-					return nil, err
-				}
-				if got != want {
-					return nil, fmt.Errorf("E7: %s(%q): enc=%v sim=%v", m.Name, in, got, want)
-				}
-				t.Add(m.Name, m.Depth(), fmt.Sprintf("%q", in), n, want, got, got == want,
-					len(prog.Rules), time.Since(start))
+		l.add(fmt.Sprintf("k=%d", k), func() (Counters, error) {
+			st, err := strat.Stratify(prog)
+			if err != nil {
+				return nil, err
 			}
-		}
+			if st.NumStrata != k {
+				return nil, fmt.Errorf("k=%d: %d strata", k, st.NumStrata)
+			}
+			return Counters{"rules": int64(len(prog.Rules)), "preds": int64(len(st.Part)), "iterations": int64(st.Iterations)}, nil
+		})
 	}
-	return t, nil
+	return l.done()
 }
 
-func binStrings(l int) []string {
-	if l == 0 {
-		return []string{""}
+// e7TMEncoding: Theorem 1's lower bound — the encoded oracle machines
+// agree with direct simulation on every input.
+func e7TMEncoding(s Sizes) ([]Case, error) {
+	var l caseList
+	opts := hypo.Options{Mode: hypo.ModeUniform, MaxGoals: 100_000_000}
+	for _, m := range []*turing.Machine{turing.HasOne(), turing.GuessOne(), turing.CopyThenAskYes(), turing.CopyThenAskNo()} {
+		for _, in := range inputs(s.TMLen) {
+			n := 2*len(in) + 6
+			want, err := m.Accepts(in, n)
+			if err != nil {
+				return nil, err
+			}
+			src, err := turing.Encode(m, in, n)
+			if err != nil {
+				return nil, err
+			}
+			l.ask(fmt.Sprintf("%s/in=%s", m.Name, orDash(in)), src, opts, "accept", want)
+		}
 	}
+	return l.done()
+}
+
+// inputs is every binary string of each given length.
+func inputs(lens []int) []string {
 	var out []string
-	for _, s := range binStrings(l - 1) {
-		out = append(out, s+"0", s+"1")
+	for _, l := range lens {
+		for v := 0; v < 1<<l; v++ {
+			out = append(out, fmt.Sprintf("%0*b", l, v)[:l])
+		}
 	}
 	return out
 }
 
-// E8Cascade compares the uniform engine with the paper's PROVE cascade
-// and records goal counts (the Appendix A polynomial-length bound).
-func E8Cascade(s Sizes) (*Table, error) {
-	t := NewTable("E8 (Theorem 1, upper bound): PROVE cascade vs uniform engine",
-		"workload", "n", "answer", "uniform time", "cascade time", "uniform goals")
-	run := func(name, src, query string, n int) error {
-		prog, err := parser.Parse(src)
-		if err != nil {
-			return err
+func orDash(in string) string {
+	if in == "" {
+		return "-"
+	}
+	return in
+}
+
+// e8Budget and e8Deadline bound every cell of the E8 matrix, so a cell
+// whose evaluator is exponential on its workload reports aborted=1 with
+// the counters it reached instead of hanging the run. The budget is sized
+// so that every cell that finishes at all finishes well inside it.
+const (
+	e8Budget   = 200_000
+	e8Deadline = time.Minute
+)
+
+// e8Evaluators are the columns of the E8 matrix: every evaluation
+// architecture a server can be started with (-mode × -demand).
+var e8Evaluators = []struct {
+	name string
+	opts hypo.Options
+}{
+	{"uniform", hypo.Options{Mode: hypo.ModeUniform}},
+	{"cascade", hypo.Options{Mode: hypo.ModeCascade}},
+	{"cascade+demand", hypo.Options{Mode: hypo.ModeCascade, DemandDriven: true}},
+	{"uniform+demand", hypo.Options{Mode: hypo.ModeUniform, DemandDriven: true}},
+}
+
+// e8Matrix is the evaluator matrix: workload rows × evaluator columns,
+// every cell the same cold query. The Σ-dominated rows (parity,
+// Hamiltonian) are where the cascade mirrors the upper-bound proof of
+// Theorem 1 at a constant overhead; the closure rows are Δ-dominated and
+// are where the evaluators part ways — bound point queries favour a
+// goal-directed search or demand, refutation over a clique and the
+// non-linear rule are polynomial only bottom-up.
+func e8Matrix(s Sizes) ([]Case, error) {
+	var l caseList
+	row := func(name, src, query string, want int) {
+		prog := l.parse(name, src)
+		for _, ev := range e8Evaluators {
+			opts := ev.opts
+			opts.MaxGoals = e8Budget
+			l.add(name+"/"+ev.name, func() (Counters, error) {
+				ctx, cancel := context.WithTimeout(context.Background(), e8Deadline)
+				defer cancel()
+				return eval(ctx, prog, opts, query, want)
+			})
 		}
-		st, err := strat.Stratify(prog)
-		if err != nil {
-			return err
-		}
-		cp, err := ast.Compile(prog, symbols.NewTable())
-		if err != nil {
-			return err
-		}
-		dom := ref.Domain(cp)
-		uni := topdown.New(cp, dom, topdown.Options{})
-		cas, err := engine.NewCascade(cp, st, dom)
-		if err != nil {
-			return err
-		}
-		p, ok := cp.Syms.LookupPred(query, 0)
-		if !ok {
-			return fmt.Errorf("no %s/0", query)
-		}
-		start := time.Now()
-		gu, err := uni.Ask(uni.Interner().ID(p, nil), uni.EmptyState())
-		if err != nil {
-			return err
-		}
-		uniTime := time.Since(start)
-		start = time.Now()
-		gc, err := cas.Ask(cas.Interner().ID(p, nil), cas.EmptyState())
-		if err != nil {
-			return err
-		}
-		casTime := time.Since(start)
-		if gu != gc {
-			return fmt.Errorf("E8: %s n=%d: uniform=%v cascade=%v", name, n, gu, gc)
-		}
-		t.Add(name, n, gu, uniTime, casTime, uni.Stats().Goals)
-		return nil
 	}
 	for _, n := range s.Parity {
-		if err := run("parity", workload.ParityProgram(n), "even", n); err != nil {
-			return nil, err
-		}
+		row(fmt.Sprintf("parity/n=%d", n), workload.ParityProgram(n), "even", (n+1)%2)
 	}
-	rng := rand.New(rand.NewSource(s.Seed + 2))
 	for _, n := range s.HamN {
-		g := workload.PlantedHamiltonian(rng, n, 0.15)
-		if err := run("hamiltonian", workload.HamiltonianProgram(g), "yes", n); err != nil {
-			return nil, err
+		g := workload.PlantedHamiltonian(rngFor(s, 8, n), n, 0.15)
+		row(fmt.Sprintf("hamiltonian/n=%d", n), workload.HamiltonianProgram(g), "yes", 1)
+	}
+	for _, rec := range []struct{ name, rule string }{{"right", workload.RightLinear}, {"left", workload.LeftLinear}} {
+		for _, n := range s.Closure {
+			src := workload.ClosureProgram(workload.Chain(n), rec.rule)
+			row(fmt.Sprintf("%s/n=%d/hit", rec.name, n), src, fmt.Sprintf("reach(n0, n%d)", n), 1)
+			row(fmt.Sprintf("%s/n=%d/miss", rec.name, n), src, fmt.Sprintf("reach(n%d, n0)", n), 0)
+			row(fmt.Sprintf("%s/n=%d/open", rec.name, n), src, "reach(n0, Y)", n)
 		}
 	}
-	return t, nil
+	for _, k := range s.Clique {
+		row(fmt.Sprintf("clique/k=%d", k), workload.ClosureProgram(workload.Clique(k), workload.RightLinear), fmt.Sprintf("reach(n0, n%d)", k), 0)
+	}
+	for _, n := range s.NonLin {
+		row(fmt.Sprintf("nonlinear/n=%d", n), workload.ClosureProgram(workload.Chain(n), workload.NonLinear), fmt.Sprintf("reach(n0, n%d)", n), 1)
+	}
+	return l.done()
 }
 
-// E9HypOrder measures the section 6 construction: asserting every linear
-// order hypothetically. All n! orders are explored, so n stays small.
-func E9HypOrder(s Sizes) (*Table, error) {
-	t := NewTable("E9 (Theorem 2 / section 6): hypothetically asserted orders",
-		"n", "yes (|D| odd)", "time", "goals", "order independent")
+// e9HypOrder: the section 6 construction asserts every linear order
+// hypothetically (all n! of them on a no-instance, so n stays small); a
+// renamed, re-ordered domain must give the same answer for the same work.
+func e9HypOrder(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.HypOrd {
-		names := make([]string, n)
+		names, renamed := make([]string, n), make([]string, n)
 		for i := range names {
 			names[i] = fmt.Sprintf("el%d", i)
-		}
-		src := generic.ParityViaOrder("d") + generic.DomainFacts("d", names)
-		e, cp, err := buildUniform(src, topdown.Options{})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		got, err := askZero(e, cp, "yes")
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if got != (n%2 == 1) {
-			return nil, fmt.Errorf("E9: wrong parity at n=%d", n)
-		}
-		// Order independence: renamed domain gives the same answer.
-		renamed := make([]string, n)
-		for i := range renamed {
 			renamed[i] = fmt.Sprintf("other%d", n-1-i)
 		}
-		src2 := generic.ParityViaOrder("d") + generic.DomainFacts("d", renamed)
-		e2, cp2, err := buildUniform(src2, topdown.Options{})
-		if err != nil {
-			return nil, err
-		}
-		got2, err := askZero(e2, cp2, "yes")
-		if err != nil {
-			return nil, err
-		}
-		t.Add(n, got, elapsed, e.Stats().Goals, got == got2)
-		if got != got2 {
-			return nil, fmt.Errorf("E9: order dependence at n=%d", n)
-		}
+		l.ask(fmt.Sprintf("n=%d", n), generic.ParityViaOrder("d")+generic.DomainFacts("d", names), uniform, "yes", n%2 == 1)
+		l.ask(fmt.Sprintf("renamed/n=%d", n), generic.ParityViaOrder("d")+generic.DomainFacts("d", renamed), uniform, "yes", n%2 == 1)
 	}
-	return t, nil
+	return l.done()
 }
 
-// E10Horn measures the Horn baseline: linear and non-linear transitive
-// closure, naive vs semi-naive — all polynomial.
-func E10Horn(s Sizes) (*Table, error) {
-	t := NewTable("E10 (section 1 claim): Horn Datalog stays in P",
-		"n", "variant", "strategy", "time", "derived", "probes")
-	variants := map[string]string{
-		"linear":     "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), edge(Z, Y).\n",
-		"non-linear": "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), tc(Z, Y).\n",
-	}
+// e10Horn is the Horn baseline: left-linear and non-linear transitive
+// closure of a chain, naive vs semi-naive — all polynomial.
+func e10Horn(s Sizes) ([]Case, error) {
+	var l caseList
 	for _, n := range s.HornN {
-		edges := ""
-		for i := 0; i < n; i++ {
-			edges += fmt.Sprintf("edge(v%d, v%d).\n", i, i+1)
+		for _, v := range []struct{ name, rule string }{{"linear", workload.LeftLinear}, {"non-linear", workload.NonLinear}} {
+			prog := l.parse(v.name, workload.ClosureProgram(workload.Chain(n), v.rule))
+			for _, st := range []struct {
+				name     string
+				strategy horn.Strategy
+			}{{"semi-naive", horn.SemiNaive}, {"naive", horn.Naive}} {
+				if st.strategy == horn.Naive && n > 256 {
+					continue // naive re-joins the whole relation every round; keep runs short
+				}
+				l.add(fmt.Sprintf("%s/%s/n=%d", v.name, st.name, n), func() (Counters, error) {
+					e, err := horn.New(prog.Compiled(), st.strategy)
+					if err != nil {
+						return nil, err
+					}
+					e.Compute()
+					hs := e.Stats()
+					if want := n * (n + 1) / 2; hs.Derived != want {
+						return nil, fmt.Errorf("derived %d tuples, want %d", hs.Derived, want)
+					}
+					return Counters{"derived": int64(hs.Derived), "probes": hs.JoinProbes, "rounds": int64(hs.Rounds)}, nil
+				})
+			}
 		}
-		for _, variant := range []string{"linear", "non-linear"} {
-			for _, strategy := range []horn.Strategy{horn.SemiNaive, horn.Naive} {
-				if strategy == horn.Naive && n > 256 {
-					continue // naive quadratic blowup; keep runs short
-				}
-				prog, err := parser.Parse(variants[variant] + edges)
-				if err != nil {
-					return nil, err
-				}
-				cp, err := ast.Compile(prog, symbols.NewTable())
-				if err != nil {
-					return nil, err
-				}
-				e, err := horn.New(cp, strategy)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				e.Compute()
-				elapsed := time.Since(start)
+	}
+	return l.done()
+}
+
+// e11Rewrite: a negated hypothetical premise, rewritten away by Parse
+// (section 3.1), answers as the hand-written auxiliary predicate does.
+func e11Rewrite(Sizes) ([]Case, error) {
+	const (
+		auto   = "p(a).\nq(X) :- p(X), not r(X)[add: w(X)].\nr(X) :- w(X), blocked.\nqa :- q(a).\n"
+		manual = "p(a).\nq(X) :- p(X), not aux(X).\naux(X) :- r(X)[add: w(X)].\nr(X) :- w(X), blocked.\nqa :- q(a).\n"
+	)
+	var l caseList
+	l.ask("blocked/auto", auto, uniform, "qa", true)
+	l.ask("blocked/manual", manual, uniform, "qa", true)
+	l.ask("enabled/auto", "blocked.\n"+auto, uniform, "qa", false)
+	l.ask("enabled/manual", "blocked.\n"+manual, uniform, "qa", false)
+	return l.done()
+}
+
+// e12Ablation switches off the top-down engine's two features, on the
+// workloads where each is load-bearing: refuting the false parity is
+// factorial in |A| without the memo table, and Hamiltonian rule bodies
+// are the join-heavy ones the planner reorders. The knobs are topdown's
+// own, so these cases build that engine directly.
+func e12Ablation(s Sizes) ([]Case, error) {
+	var l caseList
+	row := func(name, src, query string, want bool) {
+		prog := l.parse(name, src)
+		for _, cfg := range []struct {
+			name string
+			opts topdown.Options
+		}{
+			{"full", topdown.Options{MaxGoals: e8Budget}},
+			{"no-tabling", topdown.Options{MaxGoals: e8Budget, NoTabling: true}},
+			{"no-planner", topdown.Options{MaxGoals: e8Budget, NoPlanner: true}},
+		} {
+			l.add(name+"/"+cfg.name, func() (Counters, error) {
+				cp := prog.Compiled()
+				e := topdown.New(cp, ref.Domain(cp), cfg.opts)
+				p, _ := cp.Syms.LookupPred(query, 0)
+				got, err := e.Ask(e.Interner().ID(p, nil), e.EmptyState())
 				st := e.Stats()
-				name := "semi-naive"
-				if strategy == horn.Naive {
-					name = "naive"
-				}
-				t.Add(n, variant, name, elapsed, st.Derived, st.JoinProbes)
-			}
+				return settle(Counters{"goals": st.Goals, "table_hits": st.TableHits, "enumerated": st.Enumerated},
+					query, count(got), count(want), err)
+			})
 		}
 	}
-	return t, nil
+	for _, n := range s.Parity {
+		if n <= 8 {
+			falseQ := "odd"
+			if n%2 == 1 {
+				falseQ = "even"
+			}
+			row(fmt.Sprintf("parity-refute/n=%d", n), workload.ParityProgram(n), falseQ, false)
+		}
+	}
+	for _, n := range s.HamN {
+		if n <= 7 {
+			g := workload.PlantedHamiltonian(rngFor(s, 12, n), n, 0.15)
+			row(fmt.Sprintf("hamiltonian/n=%d", n), workload.HamiltonianProgram(g), "yes", true)
+		}
+	}
+	return l.done()
 }
 
-// E11Rewrite checks that the section 3.1 negated-hypothetical rewrite
-// preserves answers and measures its overhead.
-func E11Rewrite(s Sizes) (*Table, error) {
-	t := NewTable("E11 (section 3.1): ~A[add:B] rewrite preserves answers",
-		"case", "direct", "rewritten", "agree", "time")
-	cases := []struct {
-		name    string
-		rewrite string // uses not-hyp; rewritten automatically
-		manual  string // hand-written aux predicate
-		query   string
-	}{
-		{
-			name: "blocked",
-			rewrite: "p(a).\nq(X) :- p(X), not r(X)[add: w(X)].\n" +
-				"r(X) :- w(X), blocked.\n",
-			manual: "p(a).\nq(X) :- p(X), not aux(X).\naux(X) :- r(X)[add: w(X)].\n" +
-				"r(X) :- w(X), blocked.\n",
-			query: "qa",
-		},
-		{
-			name: "enabled",
-			rewrite: "p(a).\nblocked.\nq(X) :- p(X), not r(X)[add: w(X)].\n" +
-				"r(X) :- w(X), blocked.\n",
-			manual: "p(a).\nblocked.\nq(X) :- p(X), not aux(X).\naux(X) :- r(X)[add: w(X)].\n" +
-				"r(X) :- w(X), blocked.\n",
-			query: "qa",
-		},
-	}
-	for _, c := range cases {
-		ask := func(src string) (bool, error) {
-			prog, err := parser.Parse(src + "qa :- q(a).\n")
-			if err != nil {
-				return false, err
-			}
-			ast.RewriteNegHyp(prog)
-			cp, err := ast.Compile(prog, symbols.NewTable())
-			if err != nil {
-				return false, err
-			}
-			e := topdown.New(cp, ref.Domain(cp), topdown.Options{})
-			return askZero(e, cp, c.query)
-		}
-		start := time.Now()
-		d, err := ask(c.rewrite)
-		if err != nil {
-			return nil, err
-		}
-		m, err := ask(c.manual)
-		if err != nil {
-			return nil, err
-		}
-		if d != m {
-			return nil, fmt.Errorf("E11: case %s disagrees", c.name)
-		}
-		t.Add(c.name, d, m, d == m, time.Since(start))
-	}
-	return t, nil
-}
-
-// E12Ablation measures the engine features: tabling and the planner.
-func E12Ablation(s Sizes) (*Table, error) {
-	t := NewTable("E12 (ablation): tabling and premise planning",
-		"workload", "n", "config", "time", "goals", "enumerated")
-	t.Note = "untabled parity is factorial in |A|; sizes are capped and budgeted."
-	configs := []struct {
-		name string
-		opts topdown.Options
-	}{
-		{"full", topdown.Options{}},
-		{"no tabling", topdown.Options{NoTabling: true, MaxGoals: 20_000_000}},
-		{"no planner", topdown.Options{NoPlanner: true, MaxGoals: 20_000_000}},
-	}
-	run := func(name, src, query string, n int) error {
-		for _, cfg := range configs {
-			e, cp, err := buildUniform(src, cfg.opts)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			if _, err := askZero(e, cp, query); err != nil {
-				if errors.Is(err, topdown.ErrBudget) {
-					t.Add(name, n, cfg.name, "budget exceeded", ">"+fmt.Sprint(cfg.opts.MaxGoals), "-")
-					continue
-				}
-				return err
-			}
-			st := e.Stats()
-			t.Add(name, n, cfg.name, time.Since(start), st.Goals, st.Enumerated)
-		}
-		return nil
-	}
-	for _, n := range capped(s.Parity, 8) {
-		if err := run("parity", workload.ParityProgram(n), "even", n); err != nil {
-			return nil, err
-		}
-	}
-	rng := rand.New(rand.NewSource(s.Seed + 3))
-	for _, n := range capped(s.HamN, 7) {
-		g := workload.PlantedHamiltonian(rng, n, 0.15)
-		if err := run("hamiltonian", workload.HamiltonianProgram(g), "yes", n); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// capped filters out sweep points beyond max (for exponential ablations).
-func capped(xs []int, max int) []int {
-	var out []int
-	for _, x := range xs {
-		if x <= max {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// E13Deletion measures the hypothetical-deletion extension: the token
-// game (move a token along edges, each move an [add][del] pair) answers
-// graph reachability; cyclic move graphs revisit database states, so this
-// exercises the engines' non-monotone termination. BFS is the baseline.
-func E13Deletion(s Sizes) (*Table, error) {
-	t := NewTable("E13 (extension): hypothetical deletions — token game",
-		"n", "edges", "target", "rules goal", "bfs", "rule time", "bfs time", "goals")
-	t.Note = "each move is [add: token(Y)][del: token(X)]; states cycle, answers equal reachability."
-	rng := rand.New(rand.NewSource(s.Seed + 4))
+// e13Deletion is the hypothetical-deletion extension: in the token game
+// each move is an [add][del] pair, cyclic move graphs revisit database
+// states, and the answer is graph reachability (BFS is the check).
+func e13Deletion(s Sizes) ([]Case, error) {
+	var l caseList
+	opts := hypo.Options{Mode: hypo.ModeUniform, MaxGoals: 100_000_000}
 	for _, n := range s.HornN {
 		if n > 128 {
 			continue
 		}
-		for _, planted := range []bool{true, false} {
+		for i, kind := range []string{"planted", "random"} {
+			rng := rngFor(s, 13, n, i)
 			g := workload.RandomDigraph(rng, n, 2.0/float64(n))
 			target := rng.Intn(n)
-			if planted {
-				// Guarantee reachability with a chain 0 -> ... -> target.
-				for i := 0; i < target; i++ {
-					g.Edges = append(g.Edges, [2]int{i, i + 1})
-				}
+			if kind == "planted" {
+				g.Edges = append(g.Edges, workload.Chain(target).Edges...)
 			}
-			e, cp, err := buildUniform(workload.TokenGameProgram(g, 0, target), topdown.Options{MaxGoals: 100_000_000})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			got, err := askZero(e, cp, "goal")
-			if err != nil {
-				return nil, err
-			}
-			ruleTime := time.Since(start)
-			start = time.Now()
-			want := workload.Reachable(g, 0, target)
-			bfsTime := time.Since(start)
-			if got != want {
-				return nil, fmt.Errorf("E13: n=%d: rules=%v bfs=%v", n, got, want)
-			}
-			t.Add(n, len(g.Edges), target, got, want, ruleTime, bfsTime, e.Stats().Goals)
+			l.ask(fmt.Sprintf("%s/n=%d", kind, n), workload.TokenGameProgram(g, 0, target), opts, "goal", workload.Reachable(g, 0, target))
 		}
 	}
-	return t, nil
+	return l.done()
 }
 
-// E14GenericCompile runs Theorem 2's constructive content end to end:
-// constant-free rulebases compiled from Turing machines decide generic
-// queries on unordered domains (every order asserted hypothetically,
-// counter and database bitmap built from the asserted order).
-func E14GenericCompile(s Sizes) (*Table, error) {
-	t := NewTable("E14 (Theorem 2): constant-free machine compilation on unordered domains",
-		"query", "n", "|p|", "yes", "expected", "time", "goals")
-	t.Note = "n! orders x n^2-step machines; n stays small by design."
-	queries := []struct {
-		name string
-		m    func() *turing.Machine
+// e14GenericCompile runs Theorem 2's construction end to end: constant-
+// free rulebases compiled from Turing machines decide generic queries on
+// unordered domains. A no-instance pays for all n! orders times the
+// n^2-step simulation, so n stays small by design.
+func e14GenericCompile(s Sizes) ([]Case, error) {
+	var l caseList
+	opts := hypo.Options{Mode: hypo.ModeUniform, MaxGoals: 500_000_000}
+	for _, q := range []struct {
+		m    *turing.Machine
 		want func(n, marked int) bool
 	}{
-		{"p nonempty (has-one)", turing.HasOne, func(n, marked int) bool { return marked > 0 }},
-		{"p = domain (all-ones)", turing.AllOnes, func(n, marked int) bool { return marked == n }},
-	}
-	for _, q := range queries {
-		rules, err := generic.CompileGeneric(q.m(), "d", "p")
+		{turing.HasOne(), func(n, marked int) bool { return marked > 0 }},   // p is non-empty
+		{turing.AllOnes(), func(n, marked int) bool { return marked == n }}, // p covers the domain
+	} {
+		rules, err := generic.CompileGeneric(q.m, "d", "p")
 		if err != nil {
 			return nil, err
 		}
 		for _, n := range s.HypOrd {
-			if n < 2 {
-				continue
-			}
 			for _, marked := range []int{0, n / 2, n} {
-				var facts strings.Builder
+				var fs strings.Builder
 				for i := 0; i < n; i++ {
-					fmt.Fprintf(&facts, "d(el%d).\n", i)
+					fmt.Fprintf(&fs, "d(el%d).\n", i)
 				}
 				for i := 0; i < marked; i++ {
-					fmt.Fprintf(&facts, "p(el%d).\n", i)
+					fmt.Fprintf(&fs, "p(el%d).\n", i)
 				}
-				e, cp, err := buildUniform(rules+facts.String(), topdown.Options{MaxGoals: 500_000_000})
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				got, err := askZero(e, cp, "yes")
-				if err != nil {
-					return nil, err
-				}
-				want := q.want(n, marked)
-				if got != want {
-					return nil, fmt.Errorf("E14: %s n=%d |p|=%d: got %v want %v", q.name, n, marked, got, want)
-				}
-				t.Add(q.name, n, marked, got, want, time.Since(start), e.Stats().Goals)
+				l.ask(fmt.Sprintf("%s/n=%d/p=%d", q.m.Name, n, marked), rules+fs.String(), opts, "yes", q.want(n, marked))
 			}
 		}
 	}
-	return t, nil
+	return l.done()
 }
 
-// E15Alternation runs the PSPACE context of section 4: alternating
-// Turing machines encoded via the non-linear rule form (2) — the form
-// linear stratification excludes — evaluated by the uniform engine and
-// checked against direct alternating simulation.
-func E15Alternation(s Sizes) (*Table, error) {
-	t := NewTable("E15 (section 4 context): alternation via rule form (2) — PSPACE fragment",
-		"machine", "input", "sim", "encoding", "agree", "linearly stratifiable", "time")
-	machines := []*turing.AMachine{turing.AllOnesForall(), turing.HasDoubleOne()}
-	for _, m := range machines {
-		for _, l := range s.TMLen {
-			for _, in := range binStrings(l) {
-				n := 2*l + 6
-				want, err := m.Accepts(in, n)
-				if err != nil {
-					return nil, err
-				}
-				rules, err := turing.EncodeAlternating(m)
-				if err != nil {
-					return nil, err
-				}
-				db, err := turing.EncodeAlternatingDB(m, in, n)
-				if err != nil {
-					return nil, err
-				}
-				prog, err := parser.Parse(rules + db)
-				if err != nil {
-					return nil, err
-				}
-				_, serr := strat.Stratify(prog)
-				cp, err := ast.Compile(prog, symbols.NewTable())
-				if err != nil {
-					return nil, err
-				}
-				e := topdown.New(cp, ref.Domain(cp), topdown.Options{MaxGoals: 100_000_000})
-				start := time.Now()
-				got, err := askZero(e, cp, "accept")
-				if err != nil {
-					return nil, err
-				}
-				if got != want {
-					return nil, fmt.Errorf("E15: %s(%q): enc=%v sim=%v", m.Name, in, got, want)
-				}
-				t.Add(m.Name, fmt.Sprintf("%q", in), want, got, got == want,
-					serr == nil, time.Since(start))
-			}
-		}
-	}
-	return t, nil
-}
-
-// E16LiveChurn measures the live-EDB subsystem end to end: read latency
-// against an engine pool while the base fact set is quiet vs while it
-// churns through WAL-logged commits. Each commit recompiles the fact
-// layer and invalidates the pooled engines, so the churn column prices
-// the rebuild-on-lease path; the quiet column is the memoised steady
-// state. The workload is MixedReachability: transitive closure over a
-// spine graph with random non-spine edge toggles.
-func E16LiveChurn(s Sizes) (*Table, error) {
-	t := NewTable("E16 (live EDB): reads while the fact base churns",
-		"n", "ops", "commits", "quiet read", "churn read", "commit", "final version")
-	t.Note = "commits are applied incrementally on the next lease; memo state outside the delta's cone stays warm."
-	rng := rand.New(rand.NewSource(s.Seed + 5))
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	for _, n := range s.LiveN {
-		w := workload.MixedReachability(rng, n, 4*n, 0.3)
-		prog, err := hypo.Parse(w.Source)
+// e15Alternation is section 4's PSPACE context: alternating machines
+// encoded with rule form (2) — the form linear stratification exists to
+// exclude — are evaluable, agree with direct alternating simulation, and
+// are rejected by Lemma 1's test.
+func e15Alternation(s Sizes) ([]Case, error) {
+	var l caseList
+	opts := hypo.Options{Mode: hypo.ModeUniform, MaxGoals: 100_000_000}
+	for _, m := range []*turing.AMachine{turing.AllOnesForall(), turing.HasDoubleOne()} {
+		rules, err := turing.EncodeAlternating(m)
 		if err != nil {
 			return nil, err
 		}
-		dir, err := os.MkdirTemp("", "hdl-e16-")
-		if err != nil {
-			return nil, err
+		if prog, err := hypo.Parse(rules); err != nil || prog.Stratification().Linear {
+			return nil, fmt.Errorf("%s: parsed with %v and is linearly stratifiable; want a rule form (2) program", m.Name, err)
 		}
-		err = func() error {
-			defer os.RemoveAll(dir)
-			lv, err := hypo.OpenLive(prog, hypo.LiveConfig{
-				WALPath: filepath.Join(dir, "wal.log"),
-				NoSync:  true,
-				Logger:  quiet,
-			}, hypo.Options{PoolSize: 2})
+		for _, in := range inputs(s.TMLen) {
+			n := 2*len(in) + 6
+			want, err := m.Accepts(in, n)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			defer lv.Close()
-			pl := lv.Pool()
-			ground := fmt.Sprintf("reach(v0, v%d)", n-1)
-
-			const quietReads = 20
-			var quietTotal time.Duration
-			for i := 0; i < quietReads; i++ {
-				start := time.Now()
-				ok, err := pl.Ask(ground)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("E16: spine unreachable at n=%d", n)
-				}
-				quietTotal += time.Since(start)
-			}
-
-			var churnReads, commits int
-			var churnTotal, commitTotal time.Duration
-			for _, op := range w.Ops {
-				if op.Query == "" {
-					ms, err := hypo.ParseMutations(op.Assert, op.Retract)
-					if err != nil {
-						return err
-					}
-					start := time.Now()
-					info, err := lv.Apply(ms)
-					if err != nil {
-						return err
-					}
-					if info.Changed != 1 {
-						return fmt.Errorf("E16: toggle changed %d facts", info.Changed)
-					}
-					commitTotal += time.Since(start)
-					commits++
-					continue
-				}
-				start := time.Now()
-				if strings.ContainsRune(op.Query, 'Y') {
-					if _, err := pl.Query(op.Query); err != nil {
-						return err
-					}
-				} else {
-					ok, err := pl.Ask(op.Query)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return fmt.Errorf("E16: %s false at n=%d", op.Query, n)
-					}
-				}
-				churnTotal += time.Since(start)
-				churnReads++
-			}
-			if churnReads == 0 || commits == 0 {
-				return fmt.Errorf("E16: degenerate op stream (%d reads, %d commits)", churnReads, commits)
-			}
-			if got := lv.Version(); got != uint64(commits) {
-				return fmt.Errorf("E16: version %d after %d commits", got, commits)
-			}
-			t.Add(n, len(w.Ops), commits,
-				quietTotal/quietReads,
-				churnTotal/time.Duration(churnReads),
-				commitTotal/time.Duration(commits),
-				lv.Version())
-			return nil
-		}()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// E17CacheReads prices the versioned answer cache on the same
-// MixedReachability workload as E16, cache off vs on. The quiet column
-// is repeated reads at one data version — with the cache every read
-// after the first is a hit and never leases an engine; without it every
-// read re-enters the (warm) memo tables. The churn columns run the mixed
-// read/write stream against the cached pool: every commit moves the data
-// version, so entries expire by construction and the hit rate prices how
-// much reuse survives real write traffic.
-func E17CacheReads(s Sizes) (*Table, error) {
-	t := NewTable("E17 (answer cache): repeated reads, cache on vs off",
-		"n", "quiet p50 off", "quiet p50 on", "speedup", "churn read", "churn hits", "final version")
-	t.Note = "quiet = repeated reads at a fixed version; churn = mixed reads and commits, each commit expires the cached version."
-	rng := rand.New(rand.NewSource(s.Seed + 6))
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	const quietRounds = 25
-	p50 := func(ds []time.Duration) time.Duration {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return ds[len(ds)/2]
-	}
-	for _, n := range s.CacheN {
-		w := workload.MixedReachability(rng, n, 4*n, 0.3)
-		prog, err := hypo.Parse(w.Source)
-		if err != nil {
-			return nil, err
-		}
-		ground := fmt.Sprintf("reach(v0, v%d)", n-1)
-		// The quiet read materialises the whole closure — the "dashboard
-		// refresh" read pattern the cache exists for. Enumerating it costs
-		// O(n^2) engine work; replaying the cached answer costs a slice walk.
-		closure := "reach(X, Y)"
-
-		// withLive runs body against a fresh Live over its own WAL dir.
-		withLive := func(cacheBytes int64, body func(*hypo.Live) error) error {
-			dir, err := os.MkdirTemp("", "hdl-e17-")
+			db, err := turing.EncodeAlternatingDB(m, in, n)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			defer os.RemoveAll(dir)
-			lv, err := hypo.OpenLive(prog, hypo.LiveConfig{
-				WALPath: filepath.Join(dir, "wal.log"),
-				NoSync:  true,
-				Logger:  quiet,
-			}, hypo.Options{PoolSize: 2, CacheBytes: cacheBytes})
-			if err != nil {
-				return err
-			}
-			defer lv.Close()
-			return body(lv)
+			l.ask(fmt.Sprintf("%s/in=%s", m.Name, orDash(in)), rules+db, opts, "accept", want)
 		}
-
-		// quietP50: the same closure query repeated at one data version.
-		quietP50 := func(cacheBytes int64) (time.Duration, error) {
-			var reads []time.Duration
-			err := withLive(cacheBytes, func(lv *hypo.Live) error {
-				pl := lv.Pool()
-				ctx := context.Background()
-				ok, _, err := pl.AskInfoCtx(ctx, ground)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("E17: spine unreachable at n=%d", n)
-				}
-				want := -1
-				for i := 0; i < quietRounds; i++ {
-					start := time.Now()
-					bs, _, err := pl.QueryInfoCtx(ctx, closure)
-					if err != nil {
-						return err
-					}
-					reads = append(reads, time.Since(start))
-					if want == -1 {
-						want = len(bs)
-					} else if len(bs) != want {
-						return fmt.Errorf("E17: closure size changed %d -> %d while quiet", want, len(bs))
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return 0, err
-			}
-			return p50(reads), nil
-		}
-		p50Off, err := quietP50(0)
-		if err != nil {
-			return nil, err
-		}
-		p50On, err := quietP50(4 << 20)
-		if err != nil {
-			return nil, err
-		}
-
-		// Churn: the mixed op stream against the cached pool.
-		var churnReads, hits, commits int
-		var churnTotal time.Duration
-		var finalVersion uint64
-		err = withLive(4<<20, func(lv *hypo.Live) error {
-			pl := lv.Pool()
-			ctx := context.Background()
-			for _, op := range w.Ops {
-				if op.Query == "" {
-					ms, err := hypo.ParseMutations(op.Assert, op.Retract)
-					if err != nil {
-						return err
-					}
-					if _, err := lv.Apply(ms); err != nil {
-						return err
-					}
-					commits++
-					continue
-				}
-				var st hypo.CacheStatus
-				start := time.Now()
-				if strings.ContainsRune(op.Query, 'Y') {
-					_, info, err := pl.QueryInfoCtx(ctx, op.Query)
-					if err != nil {
-						return err
-					}
-					st = info.Cache
-				} else {
-					ok, info, err := pl.AskInfoCtx(ctx, op.Query)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return fmt.Errorf("E17: %s false at n=%d", op.Query, n)
-					}
-					st = info.Cache
-				}
-				churnTotal += time.Since(start)
-				churnReads++
-				if st == hypo.CacheHit || st == hypo.CacheCoalesced {
-					hits++
-				}
-			}
-			if churnReads == 0 || commits == 0 {
-				return fmt.Errorf("E17: degenerate op stream (%d reads, %d commits)", churnReads, commits)
-			}
-			finalVersion = lv.Version()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add(n,
-			p50Off,
-			p50On,
-			fmt.Sprintf("%.1fx", float64(p50Off)/float64(max64(int64(p50On), 1))),
-			churnTotal/time.Duration(churnReads),
-			fmt.Sprintf("%d/%d", hits, churnReads),
-			finalVersion)
 	}
-	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Experiment couples an id with its runner.
-type Experiment struct {
-	ID   string
-	Name string
-	Run  func(Sizes) (*Table, error)
+	return l.done()
 }
 
 // All returns every experiment in id order.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "hypothetical chain (Example 4)", E1HypChain},
-		{"E2", "order loop (Example 5)", E2OrderLoop},
-		{"E3", "parity (Example 6)", E3Parity},
-		{"E4", "Hamiltonian path (Example 7)", E4Hamiltonian},
-		{"E5", "Hamiltonian complement (Example 8)", E5HamCircuitNo},
-		{"E6", "stratification (Lemma 1)", E6Stratify},
-		{"E7", "oracle-TM encodings (Theorem 1 lower bound)", E7TMEncoding},
-		{"E8", "PROVE cascade (Theorem 1 upper bound)", E8Cascade},
-		{"E9", "hypothetical orders (Theorem 2 / section 6)", E9HypOrder},
-		{"E10", "Horn baseline (section 1)", E10Horn},
-		{"E11", "negated-hypothetical rewrite (section 3.1)", E11Rewrite},
-		{"E12", "engine ablation", E12Ablation},
-		{"E13", "hypothetical deletions (extension)", E13Deletion},
-		{"E14", "constant-free machine compilation (Theorem 2)", E14GenericCompile},
-		{"E15", "alternation / PSPACE fragment (section 4 context)", E15Alternation},
-		{"E16", "live EDB under churn (runtime fact updates)", E16LiveChurn},
-		{"E17", "answer cache: repeated reads on vs off", E17CacheReads},
-		{"E18", "replication: read scaling across replicas, min-version wait", E18Replication},
-		{"E19", "multi-tenant: per-tenant tail latency as co-resident programs grow", E19MultiTenant},
-		{"E20", "memory governance: per-query byte budget, refusing vs paying", E20MemGovern},
-		{"E21", "demand-driven magic sets: bound point queries vs full-stratum evaluation", E21DemandPoint},
+		{"E1", "(Example 4): chain of n hypothetical adds", "a1 needs all n hypotheses accumulated: exactly 2n+2 goals, depth 2n+1.", e1HypChain},
+		{"E2", "(Example 5): loop over a stored linear order", "", e2OrderLoop},
+		{"E3", "(Example 6): EVEN iff |A| is even", "proving the true parity is one chain; refuting the false one is 2^n states (the coNP face).", e3Parity},
+		{"E4", "(Example 7): directed Hamiltonian path, rules vs brute force", "NP workload; every rules answer is checked against the brute-force search timed beside it.", e4Hamiltonian},
+		{"E5", "(Example 8): NO <- ~YES adds the complement", "", e5HamComplement},
+		{"E6", "(Lemma 1): linear stratification is polynomial time", "k strata of 5 rules over 7 predicates; the relaxation takes 2k outer iterations.", e6Stratify},
+		{"E7", "(Theorem 1, lower bound): oracle-TM encodings agree with simulation", "", e7TMEncoding},
+		{"E8", "(Theorem 1, upper bound): the evaluator matrix", fmt.Sprintf("workload/query × evaluator, each cell one cold query under a %d-goal budget; aborted=1 marks a cell that spent it.", e8Budget), e8Matrix},
+		{"E9", "(Theorem 2 / section 6): hypothetically asserted orders", "yes iff |D| is odd; renamed/ re-runs the case on a renamed, reversed domain.", e9HypOrder},
+		{"E10", "(section 1 claim): Horn Datalog stays in P", "", e10Horn},
+		{"E11", "(section 3.1): ~A[add:B] rewrite preserves answers", "", e11Rewrite},
+		{"E12", "(ablation): tabling and premise planning", fmt.Sprintf("the top-down engine with one feature off, under a %d-goal budget.", e8Budget), e12Ablation},
+		{"E13", "(extension): hypothetical deletions — token game", "each move is [add: token(Y)][del: token(X)]; states cycle, answers equal reachability.", e13Deletion},
+		{"E14", "(Theorem 2): constant-free machine compilation on unordered domains", "n! orders × n^2-step machines; n stays small by design.", e14GenericCompile},
+		{"E15", "(section 4 context): alternation via rule form (2) — the PSPACE fragment", "", e15Alternation},
+		{"E18", "(replication): closure reads on replicas, min-version wait under churn", "one scenario per case; values are latencies of its inner operations.", e18Replication},
+		{"E19", "(multi-tenant): K co-resident programs under mixed traffic", "round-robin interleaved clients, one request in flight at a time.", e19MultiTenant},
+		{"E20", "(memory governance): a per-query byte budget, refusing vs paying", fmt.Sprintf("budget %d bytes; full = unbudgeted reach(X, Y), abort = the budgeted pool refusing it, cheap = edge(n0, Y) on that pool afterwards.", e20Budget), e20MemGovern},
 	}
 }

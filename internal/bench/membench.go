@@ -10,11 +10,10 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	hypo "hypodatalog"
+	"hypodatalog/internal/workload"
 )
 
 // e20Budget is the per-query growth ceiling under test. It sits far
@@ -22,90 +21,78 @@ import (
 // room for queries touching a single source node.
 const e20Budget = 8 << 10
 
-// memChainSrc builds the linear chain with transitive reachability used
-// by the E20 sweep: reach/2 has O(n²) answers, so the full closure is
-// the expensive thing a budget refuses.
-func memChainSrc(n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "edge(n%d, n%d).\n", i, i+1)
-	}
-	b.WriteString("reach(X, Y) :- edge(X, Y).\n")
-	b.WriteString("reach(X, Y) :- edge(X, Z), reach(Z, Y).\n")
-	return b.String()
-}
-
-// E20MemGovern prices Options.MaxMemoryBytes: the full-closure query is
-// evaluated to completion on an unbudgeted pool, then refused by a
-// budgeted one, on fresh pools each repetition so warm memo state never
-// lets a retry finish what the budget refused. Cheap queries run on the
-// budgeted pool AFTER its aborts — the same engines — so the column
-// doubles as the unpoisoned-engine check.
-func E20MemGovern(s Sizes) (*Table, error) {
-	t := NewTable("E20 (memory governance): per-query byte budget — refusing vs paying",
-		"n", "full eval", "abort latency", "refusal speedup", "cheap p50", "budget")
-	t.Note = fmt.Sprintf("budget %d bytes; full eval = unbudgeted reach(X, Y) closure; abort latency = time for the budgeted pool to refuse the same query with ErrMemory; cheap p50 = edge(n0, Y) on the budgeted pool after the aborts (fits the budget, must be unaffected)", e20Budget)
-
+// e20MemGovern prices Options.MaxMemoryBytes on a chain closure — reach/2
+// has O(n²) answers, so the full closure is the expensive thing a budget
+// refuses: the query is evaluated to completion on an unbudgeted pool,
+// then refused by a budgeted one, on fresh pools each repetition so warm
+// memo state never lets a retry finish what the budget refused. Cheap
+// queries run on the budgeted pool AFTER its aborts — the same engines —
+// so that value doubles as the unpoisoned-engine check.
+func e20MemGovern(s Sizes) ([]Case, error) {
 	const reps = 3
+	var cases []Case
 	for _, n := range s.MemN {
-		prog, err := hypo.Parse(memChainSrc(n))
+		prog, err := hypo.Parse(workload.ClosureProgram(workload.Chain(n), workload.RightLinear))
 		if err != nil {
 			return nil, err
 		}
-
-		var full, abort time.Duration
-		var cheap []time.Duration
-		for rep := 0; rep < reps; rep++ {
-			// Unbudgeted: pay for the whole closure.
-			pl, err := hypo.NewPool(prog, hypo.Options{PoolSize: 1})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			bs, err := pl.Query("reach(X, Y)")
-			d := time.Since(start)
-			pl.Close()
-			if err != nil {
-				return nil, fmt.Errorf("E20: unbudgeted closure: %w", err)
-			}
-			if want := n * (n + 1) / 2; len(bs) != want {
-				return nil, fmt.Errorf("E20: closure size %d, want %d", len(bs), want)
-			}
-			if rep == 0 || d < full {
-				full = d
-			}
-
-			// Budgeted: the same query must be refused, fast.
-			bpl, err := hypo.NewPool(prog, hypo.Options{PoolSize: 1, MaxMemoryBytes: e20Budget})
-			if err != nil {
-				return nil, err
-			}
-			start = time.Now()
-			_, err = bpl.Query("reach(X, Y)")
-			d = time.Since(start)
-			if !errors.Is(err, hypo.ErrMemory) {
-				bpl.Close()
-				return nil, fmt.Errorf("E20: budgeted closure at n=%d = %v, want ErrMemory", n, err)
-			}
-			if rep == 0 || d < abort {
-				abort = d
-			}
-			// The refused pool still serves queries that fit.
-			for i := 0; i < 8; i++ {
-				start = time.Now()
-				bs, err := bpl.Query("edge(n0, Y)")
-				cheap = append(cheap, time.Since(start))
-				if err != nil || len(bs) != 1 {
-					bpl.Close()
-					return nil, fmt.Errorf("E20: cheap query after abort = %d answers, %v", len(bs), err)
+		c := Case{Name: fmt.Sprintf("n=%d", n), Values: map[string]float64{}}
+		c.Run = func() (Counters, error) {
+			var full, abort time.Duration
+			var cheap []time.Duration
+			for rep := 0; rep < reps; rep++ {
+				// Unbudgeted: pay for the whole closure.
+				pl, err := hypo.NewPool(prog, hypo.Options{PoolSize: 1})
+				if err != nil {
+					return nil, err
 				}
-			}
-			bpl.Close()
-		}
+				start := time.Now()
+				bs, err := pl.Query("reach(X, Y)")
+				d := time.Since(start)
+				pl.Close()
+				if err != nil {
+					return nil, fmt.Errorf("E20: unbudgeted closure: %w", err)
+				}
+				if want := n * (n + 1) / 2; len(bs) != want {
+					return nil, fmt.Errorf("E20: closure size %d, want %d", len(bs), want)
+				}
+				if rep == 0 || d < full {
+					full = d
+				}
 
-		sort.Slice(cheap, func(i, j int) bool { return cheap[i] < cheap[j] })
-		speedup := float64(full) / float64(abort)
-		t.Add(n, full, abort, speedup, cheap[len(cheap)/2], e20Budget)
+				// Budgeted: the same query must be refused, fast.
+				bpl, err := hypo.NewPool(prog, hypo.Options{PoolSize: 1, MaxMemoryBytes: e20Budget})
+				if err != nil {
+					return nil, err
+				}
+				start = time.Now()
+				_, err = bpl.Query("reach(X, Y)")
+				d = time.Since(start)
+				if !errors.Is(err, hypo.ErrMemory) {
+					bpl.Close()
+					return nil, fmt.Errorf("E20: budgeted closure at n=%d = %v, want ErrMemory", n, err)
+				}
+				if rep == 0 || d < abort {
+					abort = d
+				}
+				// The refused pool still serves queries that fit.
+				for i := 0; i < 8; i++ {
+					start = time.Now()
+					bs, err := bpl.Query("edge(n0, Y)")
+					cheap = append(cheap, time.Since(start))
+					if err != nil || len(bs) != 1 {
+						bpl.Close()
+						return nil, fmt.Errorf("E20: cheap query after abort = %d answers, %v", len(bs), err)
+					}
+				}
+				bpl.Close()
+			}
+			c.Values["full_eval_us"] = us(full)
+			c.Values["abort_us"] = us(abort)
+			c.Values["cheap_p50_us"] = p50us(cheap)
+			return Counters{"closure": int64(n * (n + 1) / 2)}, nil
+		}
+		cases = append(cases, c)
 	}
-	return t, nil
+	return cases, nil
 }

@@ -1,13 +1,12 @@
 package bench
 
-// E18: replication read scaling and read-your-writes wait latency.
+// E18: replica read latency and read-your-writes wait latency.
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -40,22 +39,17 @@ func e18Node(prog *hypo.Program, poolSize int) (*hypo.Live, func(), error) {
 	return lv, func() { lv.Close(); os.RemoveAll(dir) }, nil
 }
 
-// E18Replication prices WAL-shipping read replicas: closure-read
-// throughput as replicas are added (each replica runs its own engine
-// pool, so aggregate read capacity should scale), and the
-// read-your-writes cost — after each primary commit, how long a replica
-// read demanding that version (X-Hdl-Min-Version) waits for the record
-// to ship and apply.
-func E18Replication(s Sizes) (*Table, error) {
-	t := NewTable("E18 (replication): read scaling across replicas, min-version wait under churn",
-		"replicas", "reads", "node read p50", "aggregate reads/s", "scaling", "min-ver wait p50", "final version")
-	t.Note = "aggregate = sum of per-node isolated rates (replicas are separate hosts in production; one shared benchmark CPU would serialize them); min-ver wait = time a replica read demanding the just-committed version parks before the record arrives."
-	rng := rand.New(rand.NewSource(s.Seed + 7))
+// e18Replication prices WAL-shipping read replicas, one scenario per
+// replica count: warm closure reads on each replica (each runs its own
+// engine pool), then the read-your-writes cost — after each primary
+// commit, how long a replica read demanding that version
+// (X-Hdl-Min-Version) waits for the record to ship and apply.
+func e18Replication(s Sizes) ([]Case, error) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 
 	// One fixed mid-size graph: E18 sweeps replica count, not data size.
 	const n = 24
-	w := workload.MixedReachability(rng, n, 4*n, 0.3)
+	w := workload.MixedReachability(rngFor(s, 18), n, 4*n, 0.3)
 	prog, err := hypo.Parse(w.Source)
 	if err != nil {
 		return nil, err
@@ -64,12 +58,13 @@ func E18Replication(s Sizes) (*Table, error) {
 	const readsPerReplica = 60
 	const churnCommits = 15
 
-	var baseline float64
+	var cases []Case
 	for _, replicas := range s.ReplN {
-		err := func() error {
+		c := Case{Name: fmt.Sprintf("replicas=%d", replicas), Values: map[string]float64{}}
+		c.Run = func() (Counters, error) {
 			primary, cleanup, err := e18Node(prog, 2)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer cleanup()
 
@@ -87,7 +82,7 @@ func E18Replication(s Sizes) (*Table, error) {
 			for i := range nodes {
 				lv, cleanup, err := e18Node(prog, 2)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				defer cleanup()
 				nodes[i] = lv
@@ -99,7 +94,7 @@ func E18Replication(s Sizes) (*Table, error) {
 					Logger:     quiet,
 				})
 				if err != nil {
-					return err
+					return nil, err
 				}
 				defer rep.Close()
 			}
@@ -116,84 +111,75 @@ func E18Replication(s Sizes) (*Table, error) {
 				return nil
 			}
 			if err := waitAll(primary.Version()); err != nil {
-				return err
+				return nil, err
 			}
 
-			// Warm each replica's memo tables once so the throughput phase
-			// measures steady-state reads, not first-touch compilation.
+			// Warm each replica's memo tables once so the read phase measures
+			// steady-state reads, not first-touch compilation.
 			for _, lv := range nodes {
 				if _, err := lv.Pool().Query(closure); err != nil {
-					return err
+					return nil, err
 				}
 			}
-
-			// Read-scaling phase: measure each node's serving rate in
-			// isolation and sum — the capacity a load balancer can draw on
-			// when every replica is its own host.
-			totalReads := readsPerReplica * replicas
 			var reads []time.Duration
-			var aggregate float64
 			for _, lv := range nodes {
-				start := time.Now()
 				for r := 0; r < readsPerReplica; r++ {
 					rs := time.Now()
 					if _, err := lv.Pool().Query(closure); err != nil {
-						return err
+						return nil, err
 					}
 					reads = append(reads, time.Since(rs))
 				}
-				aggregate += readsPerReplica / time.Since(start).Seconds()
-			}
-			sort.Slice(reads, func(i, j int) bool { return reads[i] < reads[j] })
-			if baseline == 0 {
-				baseline = aggregate
 			}
 
 			// Churn phase: commit on the primary, then immediately demand the
 			// new version on a replica — the X-Hdl-Min-Version server gate is
 			// Live.WaitVersion, measured here without the HTTP overhead.
 			var waits []time.Duration
-			toggles := 0
 			for _, op := range w.Ops {
 				if op.Query != "" {
 					continue
 				}
 				ms, err := hypo.ParseMutations(op.Assert, op.Retract)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				info, err := primary.Apply(ms)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				lv := nodes[toggles%replicas]
+				lv := nodes[len(waits)%replicas]
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				ws := time.Now()
 				err = lv.WaitVersion(ctx, info.Version)
 				cancel()
 				if err != nil {
-					return fmt.Errorf("E18: min-version wait for %d timed out at replica version %d", info.Version, lv.Version())
+					return nil, fmt.Errorf("E18: min-version wait for %d timed out at replica version %d", info.Version, lv.Version())
 				}
-				waits = append(waits, time.Since(ws))
-				if toggles++; toggles >= churnCommits {
+				if waits = append(waits, time.Since(ws)); len(waits) >= churnCommits {
 					break
 				}
 			}
 			if len(waits) == 0 {
-				return fmt.Errorf("E18: workload produced no commits")
+				return nil, fmt.Errorf("E18: workload produced no commits")
 			}
-			sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
 			if err := waitAll(primary.Version()); err != nil {
-				return err
+				return nil, err
 			}
-
-			t.Add(replicas, totalReads, reads[len(reads)/2], aggregate, aggregate/baseline,
-				waits[len(waits)/2], primary.Version())
-			return nil
-		}()
-		if err != nil {
-			return nil, err
+			c.Values["node_read_p50_us"] = p50us(reads)
+			c.Values["min_version_wait_p50_us"] = p50us(waits)
+			return Counters{"reads": int64(len(reads)), "final_version": int64(primary.Version())}, nil
 		}
+		cases = append(cases, c)
 	}
-	return t, nil
+	return cases, nil
+}
+
+// us is a latency in microseconds, the unit of every E18-E20 value.
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// p50us is the median of the given latencies, in microseconds.
+func p50us(ds []time.Duration) float64 {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return us(ds[len(ds)/2])
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"os"
 	"sort"
 	"time"
@@ -18,31 +17,29 @@ import (
 	"hypodatalog/internal/workload"
 )
 
-// E19MultiTenant prices the program registry: K tenants, each with its
+// e19MultiTenant prices the program registry: K tenants, each with its
 // own reachability graph, WAL, engine pool, and admission gate, served
-// by one process. Traffic is the mixed read/write stream from E16,
-// round-robin interleaved across tenants so every read lands on a
-// tenant whose neighbours just ran queries and commits of their own.
-// The isolation claim is the ratio column: per-tenant tail latency must
-// not grow with K, because tenants share nothing but the process.
-func E19MultiTenant(s Sizes) (*Table, error) {
-	t := NewTable("E19 (multi-tenant): K co-resident programs under mixed traffic",
-		"tenants", "reads", "read p50", "worst p99", "p99 vs K=1", "aggregate reads/s", "commits")
-	t.Note = "round-robin interleaved clients, one in flight at a time (tenants are independent request streams in production; one shared benchmark CPU would serialize concurrent ones); aggregate = sum of per-tenant isolated rates; worst p99 = slowest tenant's 99th-percentile read."
+// by one process. Traffic is a mixed read/write stream, round-robin
+// interleaved across tenants so every read lands on a tenant whose
+// neighbours just ran queries and commits of their own. The isolation
+// claim is read off across the cases: the worst tenant's tail latency
+// must not grow with K, because tenants share nothing but the process.
+func e19MultiTenant(s Sizes) ([]Case, error) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 
 	// Every tenant runs the identical graph and op stream: with the
 	// workload held fixed, any growth in the worst tenant's p99 as K
 	// rises is interference, not a harder-graph tenant skewing the tail.
 	const n = 16
-	opsPerTenant := 24 * n
+	w := workload.MixedReachability(rngFor(s, 19), n, 24*n, 0.3)
 
-	var baseline time.Duration
+	var cases []Case
 	for _, k := range s.TenantK {
-		err := func() error {
+		c := Case{Name: fmt.Sprintf("tenants=%d", k), Values: map[string]float64{}}
+		c.Run = func() (Counters, error) {
 			dir, err := os.MkdirTemp("", "hdl-e19-")
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer os.RemoveAll(dir)
 			reg, err := tenant.Open(tenant.Config{
@@ -52,86 +49,62 @@ func E19MultiTenant(s Sizes) (*Table, error) {
 				Logger:     quiet,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer reg.Close()
 
-			type client struct {
-				tn    *tenant.Tenant
-				ops   []workload.MixedOp
-				reads []time.Duration
-			}
-			clients := make([]*client, k)
-			for i := range clients {
-				rng := rand.New(rand.NewSource(s.Seed + 100))
-				w := workload.MixedReachability(rng, n, opsPerTenant, 0.3)
+			tenants := make([]*tenant.Tenant, k)
+			reads := make([][]time.Duration, k)
+			for i := range tenants {
 				tn, _, err := reg.Create(fmt.Sprintf("t%d", i), w.Source)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				// Warm the memo tables so the measured phase sees
 				// steady-state reads, not first-touch compilation.
 				if _, err := tn.Pool().Query("reach(X, Y)"); err != nil {
-					return err
+					return nil, err
 				}
-				clients[i] = &client{tn: tn, ops: w.Ops}
+				tenants[i] = tn
 			}
 
 			commits := 0
-			for op := 0; op < opsPerTenant; op++ {
-				for _, c := range clients {
-					o := c.ops[op]
-					release, err := c.tn.Admit(context.Background())
+			for _, o := range w.Ops {
+				for i, tn := range tenants {
+					release, err := tn.Admit(context.Background())
 					if err != nil {
-						return err
+						return nil, err
 					}
 					if o.Query != "" {
 						start := time.Now()
-						_, err = c.tn.Pool().Query(o.Query)
-						c.reads = append(c.reads, time.Since(start))
-					} else {
-						if ms, perr := hypo.ParseMutations(o.Assert, o.Retract); perr != nil {
-							err = perr
-						} else if _, err = c.tn.Live().Apply(ms); err == nil {
-							commits++
-						}
+						_, err = tn.Pool().Query(o.Query)
+						reads[i] = append(reads[i], time.Since(start))
+					} else if ms, perr := hypo.ParseMutations(o.Assert, o.Retract); perr != nil {
+						err = perr
+					} else if _, err = tn.Live().Apply(ms); err == nil {
+						commits++
 					}
 					release()
 					if err != nil {
-						return err
+						return nil, err
 					}
 				}
 			}
 
 			var all []time.Duration
 			var worst time.Duration
-			var aggregate float64
-			totalReads := 0
-			for _, c := range clients {
-				sort.Slice(c.reads, func(i, j int) bool { return c.reads[i] < c.reads[j] })
-				p99 := c.reads[len(c.reads)*99/100]
-				if p99 > worst {
+			for _, rs := range reads {
+				sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+				if p99 := rs[len(rs)*99/100]; p99 > worst {
 					worst = p99
 				}
-				var sum time.Duration
-				for _, d := range c.reads {
-					sum += d
-				}
-				aggregate += float64(len(c.reads)) / sum.Seconds()
-				totalReads += len(c.reads)
-				all = append(all, c.reads...)
+				all = append(all, rs...)
 			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			if baseline == 0 {
-				baseline = worst
-			}
-			t.Add(k, totalReads, all[len(all)/2], worst,
-				float64(worst)/float64(baseline), aggregate, commits)
-			return nil
-		}()
-		if err != nil {
-			return nil, err
+			c.Values["read_p50_us"] = p50us(all)
+			c.Values["worst_tenant_read_p99_us"] = us(worst)
+			return Counters{"reads": int64(len(all)), "commits": int64(commits)}, nil
 		}
+		cases = append(cases, c)
 	}
-	return t, nil
+	return cases, nil
 }

@@ -17,7 +17,6 @@ import (
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/facts"
-	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/symbols"
 	"hypodatalog/internal/topdown"
 )
@@ -53,6 +52,11 @@ type Prover struct {
 	// cached materialisations are charged into it as they grow, and the
 	// join loop polls it at the same points as the context.
 	mem *topdown.MemTracker
+
+	// stats counts this prover's work (Materialisations, IncStates,
+	// IncDropped) as plain integers; whoever owns the prover reads them
+	// with Stats and does the metrics accounting, once per query.
+	stats topdown.Stats
 }
 
 // ctxCheckInterval is how many join steps pass between context polls.
@@ -68,6 +72,9 @@ const (
 
 // SetMem installs the cascade's shared footprint tracker.
 func (p *Prover) SetMem(t *topdown.MemTracker) { p.mem = t }
+
+// Stats returns the prover's Δ-part work counters.
+func (p *Prover) Stats() topdown.Stats { return p.stats }
 
 type atomSet map[facts.AtomID]struct{}
 
@@ -247,7 +254,7 @@ func (p *Prover) Materialise(st facts.State) (atomSet, error) {
 	if m, ok := p.cache[key]; ok {
 		return m.atoms, nil
 	}
-	metrics.Default.DeltaMaterialisations.Inc()
+	p.stats.Materialisations++
 	derived := atomSet{}
 	for _, lvlRules := range p.levels {
 		if err := p.lfp(lvlRules, st, derived); err != nil {

@@ -35,7 +35,6 @@ package bottomup
 import (
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/facts"
-	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/symbols"
 )
 
@@ -108,9 +107,7 @@ func (p *Prover) releaseEntry(key string, me *matEntry) {
 // DropCache discards every cached materialisation; queries recompute
 // lazily against whatever the base database holds then.
 func (p *Prover) DropCache() {
-	if n := len(p.cache); n > 0 {
-		metrics.Default.LiveIncrementalDropped.Add(int64(n))
-	}
+	p.stats.IncDropped += int64(len(p.cache))
 	for key, me := range p.cache {
 		p.releaseEntry(key, me)
 	}
@@ -139,7 +136,7 @@ func (p *Prover) PlanDelta(added, removed []facts.AtomID, cone map[symbols.Pred]
 		if deltaTouches(me.delta, added) || deltaTouches(me.delta, removed) {
 			delete(p.cache, key)
 			p.releaseEntry(key, me)
-			metrics.Default.LiveIncrementalDropped.Inc()
+			p.stats.IncDropped++
 			continue
 		}
 		over, err := p.overdelete(me, removed)
@@ -149,7 +146,7 @@ func (p *Prover) PlanDelta(added, removed []facts.AtomID, cone map[symbols.Pred]
 			// in its own context.
 			delete(p.cache, key)
 			p.releaseEntry(key, me)
-			metrics.Default.LiveIncrementalDropped.Inc()
+			p.stats.IncDropped++
 			continue
 		}
 		plan.updates = append(plan.updates, &pendingUpdate{key: key, entry: me, over: over})
@@ -171,10 +168,10 @@ func (p *Prover) ApplyPlan(plan *Plan, added []facts.AtomID) {
 		if err := p.applyUpdate(u, added); err != nil {
 			delete(p.cache, u.key)
 			p.releaseEntry(u.key, u.entry)
-			metrics.Default.LiveIncrementalDropped.Inc()
+			p.stats.IncDropped++
 			continue
 		}
-		metrics.Default.LiveIncrementalStates.Inc()
+		p.stats.IncStates++
 	}
 }
 
@@ -395,16 +392,12 @@ func deltaTouches(d facts.Delta, ids []facts.AtomID) bool {
 // commit's predicate cone provably cannot change the prover's derived
 // atoms (the demand-driven mode's out-of-cone case).
 func (p *Prover) DropTouching(added, removed []facts.AtomID) {
-	var n int64
 	for key, me := range p.cache {
 		if !deltaTouches(me.delta, added) && !deltaTouches(me.delta, removed) {
 			continue
 		}
 		delete(p.cache, key)
 		p.releaseEntry(key, me)
-		n++
-	}
-	if n > 0 {
-		metrics.Default.LiveIncrementalDropped.Add(n)
+		p.stats.IncDropped++
 	}
 }

@@ -76,6 +76,18 @@ func NewDemand(inner Asker, set *magic.Set, cp *ast.CProgram, mets *metrics.Set)
 // from now on (call before use, as hypo does).
 func (d *Demand) SetMem(t *topdown.MemTracker) { d.mem = t }
 
+// Stats sums the Δ-part work of the demand provers installed so far (the
+// inner engine reports its own).
+func (d *Demand) Stats() topdown.Stats {
+	var sum topdown.Stats
+	for _, pat := range d.pats {
+		if pat.pv != nil {
+			sum = sum.Add(pat.pv.Stats())
+		}
+	}
+	return sum
+}
+
 // Interner returns the shared atom interner.
 func (d *Demand) Interner() *facts.Interner { return d.in }
 

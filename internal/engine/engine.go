@@ -140,14 +140,18 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 	return c, nil
 }
 
-// SetMemTracker installs one shared footprint tracker into every Σ
-// engine and Δ prover of the cascade. The components share a single
-// interner and base database, so the tracker's sources are registered
-// once by the caller, not per component; the components only charge
-// their private memo/materialisation state into it.
-func (c *Cascade) SetMemTracker(t *topdown.MemTracker) {
+// SetBudgets installs the per-query budgets the whole cascade shares: one
+// footprint tracker into every Σ engine and Δ prover, and one goal
+// allowance (nil = unlimited) into every Σ engine, so the goal budget
+// bounds their sum. The components share a single interner and base
+// database, so the tracker's sources are registered once by the caller,
+// not per component; the components only charge their private
+// memo/materialisation state into it. Δ-part work is not goal expansion:
+// the tracker and the caller's deadline are what bound it.
+func (c *Cascade) SetBudgets(t *topdown.MemTracker, goals *topdown.GoalBudget) {
 	for _, se := range c.sigma {
 		se.SetMem(t)
+		se.SetGoals(goals)
 	}
 	for _, dp := range c.delta {
 		dp.SetMem(t)
@@ -166,11 +170,14 @@ func (c *Cascade) EmptyState() facts.State { return facts.NewState(c.base) }
 // Dom returns the enumeration domain.
 func (c *Cascade) Dom() []symbols.Const { return c.dom }
 
-// NumStrata returns the number of strata in the cascade.
-func (c *Cascade) NumStrata() int { return c.numStrata }
-
-// SigmaStats returns the top-down statistics of PROVE_Σi (1-based i).
-func (c *Cascade) SigmaStats(i int) topdown.Stats { return c.sigma[i-1].Stats() }
+// Stats sums the work of every PROVE_Σ engine and PROVE_Δ prover.
+func (c *Cascade) Stats() topdown.Stats {
+	var sum topdown.Stats
+	for i := range c.sigma {
+		sum = sum.Add(c.sigma[i].Stats()).Add(c.delta[i].Stats())
+	}
+	return sum
+}
 
 // Ask reports whether the goal is derivable in the state.
 func (c *Cascade) Ask(goal facts.AtomID, st facts.State) (bool, error) {

@@ -251,26 +251,25 @@ func (e *Engine) semiNaiveFixpoint(rules []int) {
 	}
 	for len(delta) > 0 {
 		e.stats.Rounds++
-		deltaSet := make(map[facts.AtomID]struct{}, len(delta))
-		for _, id := range delta {
-			deltaSet[id] = struct{}{}
-		}
-		delta = delta[:0]
+		// The previous round's atoms in derivation order (insert reports each
+		// new atom once), so the work counters repeat exactly run to run.
+		prev := delta
+		delta = nil
 		for _, ri := range rules {
-			e.fireRuleCollect(ri, deltaSet, collect)
+			e.fireRuleCollect(ri, prev, collect)
 		}
 	}
 }
 
-// fireRule derives new instances of one rule; deltaSet, when non-nil,
+// fireRule derives new instances of one rule; delta, when non-nil,
 // restricts matching so at least one positive premise matches a delta atom.
-func (e *Engine) fireRule(ri int, deltaSet map[facts.AtomID]struct{}) bool {
+func (e *Engine) fireRule(ri int, delta []facts.AtomID) bool {
 	changed := false
-	e.fireRuleCollect(ri, deltaSet, func(facts.AtomID) { changed = true })
+	e.fireRuleCollect(ri, delta, func(facts.AtomID) { changed = true })
 	return changed
 }
 
-func (e *Engine) fireRuleCollect(ri int, deltaSet map[facts.AtomID]struct{}, onNew func(facts.AtomID)) {
+func (e *Engine) fireRuleCollect(ri int, delta []facts.AtomID, onNew func(facts.AtomID)) {
 	r := &e.prog.Rules[ri]
 	binding := make([]symbols.Const, r.NumVars)
 	for i := range binding {
@@ -293,7 +292,7 @@ func (e *Engine) fireRuleCollect(ri int, deltaSet map[facts.AtomID]struct{}, onN
 		}
 		e.stats.RuleFires++
 	}
-	if deltaSet == nil {
+	if delta == nil {
 		order := append(append([]int(nil), pos...), negs...)
 		e.joinAt(r, order, binding, 0, nil, -1, yield)
 		return
@@ -310,7 +309,7 @@ func (e *Engine) fireRuleCollect(ri int, deltaSet map[facts.AtomID]struct{}, onN
 			}
 		}
 		order = append(order, negs...)
-		e.joinAt(r, order, binding, 0, deltaSet, 0, yield)
+		e.joinAt(r, order, binding, 0, delta, 0, yield)
 	}
 }
 
@@ -334,7 +333,7 @@ func (e *Engine) groundHead(r *ast.CRule, binding []symbols.Const) facts.AtomID 
 }
 
 // joinAt enumerates bindings premise by premise.
-func (e *Engine) joinAt(r *ast.CRule, order []int, binding []symbols.Const, pi int, deltaSet map[facts.AtomID]struct{}, deltaAt int, yield func()) {
+func (e *Engine) joinAt(r *ast.CRule, order []int, binding []symbols.Const, pi int, delta []facts.AtomID, deltaAt int, yield func()) {
 	if pi == len(order) {
 		yield()
 		return
@@ -342,13 +341,13 @@ func (e *Engine) joinAt(r *ast.CRule, order []int, binding []symbols.Const, pi i
 	pr := &r.Body[order[pi]]
 	if pr.Kind == ast.Negated {
 		if !e.negHolds(r, pr, binding) {
-			e.joinAt(r, order, binding, pi+1, deltaSet, deltaAt, yield)
+			e.joinAt(r, order, binding, pi+1, delta, deltaAt, yield)
 		}
 		return
 	}
-	mustDelta := pi == deltaAt && deltaSet != nil
-	e.match(pr.Atom, binding, mustDelta, deltaSet, func() {
-		e.joinAt(r, order, binding, pi+1, deltaSet, deltaAt, yield)
+	mustDelta := pi == deltaAt && delta != nil
+	e.match(pr.Atom, binding, mustDelta, delta, func() {
+		e.joinAt(r, order, binding, pi+1, delta, deltaAt, yield)
 	})
 }
 
@@ -383,7 +382,7 @@ func (e *Engine) negHolds(r *ast.CRule, pr *ast.CPremise, binding []symbols.Cons
 }
 
 // match enumerates atoms in base+model matching the pattern under binding.
-func (e *Engine) match(pattern ast.CAtom, binding []symbols.Const, mustDelta bool, deltaSet map[facts.AtomID]struct{}, yield func()) {
+func (e *Engine) match(pattern ast.CAtom, binding []symbols.Const, mustDelta bool, delta []facts.AtomID, yield func()) {
 	bestPos, bestVal := -1, unbound
 	for i, t := range pattern.Args {
 		var v symbols.Const
@@ -429,7 +428,7 @@ func (e *Engine) match(pattern ast.CAtom, binding []symbols.Const, mustDelta boo
 	}
 	if mustDelta {
 		// Semi-naive: the delta premise scans only last round's new atoms.
-		for id := range deltaSet {
+		for _, id := range delta {
 			if e.in.Pred(id) == pattern.Pred {
 				try(id)
 			}

@@ -303,14 +303,20 @@ func TestDeadlineAndBudgetStatuses(t *testing.T) {
 			}
 		}
 	})
+	// The goal budget fires in every mode: hardSrc is linearly stratified,
+	// so the default mode is the cascade, whose Σ engines share the budget.
 	t.Run("budget", func(t *testing.T) {
-		_, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, MaxGoals: 100}, Config{})
-		resp, body := post(t, ts.Client(), ts.URL+"/v1/ask", `{"query": "yes"}`)
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("status %d, want 422: %s", resp.StatusCode, body)
-		}
-		if !strings.Contains(string(body), `"kind":"budget"`) {
-			t.Errorf("missing budget kind: %s", body)
+		for name, mode := range map[string]hypo.Mode{"uniform": hypo.ModeUniform, "default": hypo.ModeAuto} {
+			t.Run(name, func(t *testing.T) {
+				_, ts := newTestServer(t, hardSrc, hypo.Options{Mode: mode, MaxGoals: 100}, Config{})
+				resp, body := post(t, ts.Client(), ts.URL+"/v1/ask", `{"query": "yes"}`)
+				if resp.StatusCode != http.StatusUnprocessableEntity {
+					t.Errorf("status %d, want 422: %s", resp.StatusCode, body)
+				}
+				if !strings.Contains(string(body), `"kind":"budget"`) {
+					t.Errorf("missing budget kind: %s", body)
+				}
+			})
 		}
 	})
 }

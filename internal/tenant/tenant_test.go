@@ -12,6 +12,7 @@ import (
 
 	hypo "hypodatalog"
 	"hypodatalog/internal/metrics"
+	"hypodatalog/internal/workload"
 )
 
 const uniSrc = `
@@ -378,5 +379,56 @@ func TestMetricsIsolationAndSnapshot(t *testing.T) {
 	}
 	if _, ok := snap["mb"]; !ok {
 		t.Errorf("snapshot missing tenant mb: %v", snap)
+	}
+}
+
+// TestDeltaWorkChargedToItsTenant: Δ-part work — materialisations by
+// queries, cached models maintained or dropped by commits — used to be
+// counted on metrics.Default from inside the bottom-up prover, whichever
+// tenant's engine ran it.
+func TestDeltaWorkChargedToItsTenant(t *testing.T) {
+	r := openTestRegistry(t, t.TempDir())
+	src := workload.ClosureProgram(workload.Chain(6), workload.RightLinear)
+	idle, _, err := r.Create("idle", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, _, err := r.Create("busy", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaWork := func(m *metrics.Set) int64 {
+		return m.DeltaMaterialisations.Value() + m.LiveIncrementalStates.Value() + m.LiveIncrementalDropped.Value()
+	}
+	before := deltaWork(metrics.Default)
+
+	ask := func(want bool) {
+		t.Helper()
+		if got, err := busy.Pool().Ask("reach(n0, n6)"); err != nil || got != want {
+			t.Fatalf("reach(n0, n6) = %v, %v; want %v", got, err, want)
+		}
+	}
+	ask(true)
+	ms, err := hypo.ParseMutations(nil, []string{"edge(n2, n3)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := busy.Live().Apply(ms); err != nil {
+		t.Fatal(err)
+	}
+	ask(false)
+
+	bm := busy.Metrics()
+	if bm.DeltaMaterialisations.Value() == 0 {
+		t.Error("busy tenant's closure was materialised but its delta_materialisations reads 0")
+	}
+	if bm.LiveIncrementalStates.Value()+bm.LiveIncrementalDropped.Value() == 0 {
+		t.Error("busy tenant's cached model met a commit but neither live_incremental_states nor _dropped moved")
+	}
+	if got := deltaWork(idle.Metrics()); got != 0 {
+		t.Errorf("idle tenant's set shows %d units of Δ work", got)
+	}
+	if got := deltaWork(metrics.Default) - before; got != 0 {
+		t.Errorf("default set moved by %d: Δ work charged to the wrong tenant", got)
 	}
 }

@@ -58,7 +58,8 @@ type Options struct {
 	NoPlanner bool
 	// MaxGoals aborts evaluation after exactly this many goal expansions
 	// with an *AbortError wrapping ErrBudget (the error reports the limit
-	// and a Stats snapshot). Zero means no limit.
+	// and a Stats snapshot). Zero means no limit. Engines embedded in a
+	// cascade draw on one shared allowance installed with SetGoals instead.
 	MaxGoals int64
 	// MaxMemoryBytes aborts evaluation once the query has grown the
 	// engine's tracked footprint (memo table, interner, base database) by
@@ -126,7 +127,10 @@ func ContextAbort(ctxErr error, stats Stats) *AbortError {
 const ctxCheckInterval = 256
 
 // Stats are evaluation counters, reset by ResetStats. They back the
-// Appendix A experiment (polynomial goal-sequence length).
+// Appendix A experiment (polynomial goal-sequence length). The last three
+// are Δ-part work, counted by bottomup.Prover and carried here so one
+// snapshot describes a whole evaluator (a uniform engine, a cascade, a
+// demand wrapper); a top-down engine on its own leaves them zero.
 type Stats struct {
 	Goals      int64 // prove() entries
 	TableHits  int64
@@ -136,19 +140,57 @@ type Stats struct {
 	Enumerated int64 // domain bindings tried by the planner
 	NegCalls   int64 // nested negation regions started
 	MemBytes   int64 // tracked footprint growth since the query began
+
+	Materialisations int64 // Δ models computed (cache misses)
+	IncStates        int64 // cached Δ models maintained in place by a commit
+	IncDropped       int64 // cached Δ models a commit dropped instead
 }
 
 // Sub returns the evaluation work between an earlier snapshot of the same
 // engine and s: counters are differenced, the MaxDepth and TableSize
 // gauges keep s's reading.
 func (s Stats) Sub(before Stats) Stats {
-	s.Goals -= before.Goals
-	s.TableHits -= before.TableHits
-	s.LoopCuts -= before.LoopCuts
-	s.Enumerated -= before.Enumerated
-	s.NegCalls -= before.NegCalls
-	s.MemBytes -= before.MemBytes
+	return s.plus(before, -1)
+}
+
+// Add returns the combined work of two evaluator components: counters are
+// summed (TableSize too — the tables are disjoint), MaxDepth is the
+// deeper of the two.
+func (s Stats) Add(o Stats) Stats {
+	if o.MaxDepth > s.MaxDepth {
+		s.MaxDepth = o.MaxDepth
+	}
+	s.TableSize += o.TableSize
+	return s.plus(o, 1)
+}
+
+func (s Stats) plus(o Stats, sign int64) Stats {
+	s.Goals += sign * o.Goals
+	s.TableHits += sign * o.TableHits
+	s.LoopCuts += sign * o.LoopCuts
+	s.Enumerated += sign * o.Enumerated
+	s.NegCalls += sign * o.NegCalls
+	s.MemBytes += sign * o.MemBytes
+	s.Materialisations += sign * o.Materialisations
+	s.IncStates += sign * o.IncStates
+	s.IncDropped += sign * o.IncDropped
 	return s
+}
+
+// GoalBudget is a goal-expansion allowance. A standalone engine owns one
+// (Options.MaxGoals); the Σ engines of a cascade share one (SetGoals), so
+// the budget bounds their sum.
+type GoalBudget struct {
+	Max   int64
+	Spent int64
+}
+
+// Begin starts a new query's allowance. Like MemTracker's methods it is
+// nil-safe: no budget, nothing to reset.
+func (b *GoalBudget) Begin() {
+	if b != nil {
+		b.Spent = 0
+	}
 }
 
 // Engine proves ground goals against hypothetical states.
@@ -171,6 +213,9 @@ type Engine struct {
 	// mem is the footprint tracker enforcing MaxMemoryBytes; nil disables
 	// both accounting and the ceiling.
 	mem *MemTracker
+
+	// goals is the allowance enforcing MaxGoals; nil means unlimited.
+	goals *GoalBudget
 
 	stats Stats
 }
@@ -208,7 +253,7 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 		table:   make(map[tableKey]bool),
 		onStack: make(map[tableKey]int),
 	}
-	e.initMem()
+	e.initBudgets()
 	return e
 }
 
@@ -224,15 +269,19 @@ func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Opt
 		table:   make(map[tableKey]bool),
 		onStack: make(map[tableKey]int),
 	}
-	e.initMem()
+	e.initBudgets()
 	return e
 }
 
-// initMem builds the standalone tracker Options.MaxMemoryBytes asks for.
-// Engines assembled into a cascade get a shared tracker via SetMem
-// instead (the cascade's components share one interner and database, so
-// per-engine sources would double-count them).
-func (e *Engine) initMem() {
+// initBudgets builds the standalone allowance and tracker Options.MaxGoals
+// and Options.MaxMemoryBytes ask for. Engines assembled into a cascade
+// get shared ones via SetGoals and SetMem instead (the cascade's
+// components share one interner and database, so per-engine sources would
+// double-count them).
+func (e *Engine) initBudgets() {
+	if e.opts.MaxGoals > 0 {
+		e.goals = &GoalBudget{Max: e.opts.MaxGoals}
+	}
 	if e.opts.MaxMemoryBytes <= 0 {
 		return
 	}
@@ -250,6 +299,10 @@ func (e *Engine) SetMem(t *MemTracker) { e.mem = t }
 
 // Mem returns the engine's footprint tracker, or nil.
 func (e *Engine) Mem() *MemTracker { return e.mem }
+
+// SetGoals installs a goal allowance (replacing any standalone one); nil
+// lifts the limit.
+func (e *Engine) SetGoals(b *GoalBudget) { e.goals = b }
 
 // Base returns the engine's base database.
 func (e *Engine) Base() *facts.DB { return e.base }
@@ -411,9 +464,12 @@ func (e *Engine) AskPremise(p ast.CPremise, st facts.State) (bool, error) {
 // index; the second result is the minimum frame index of any in-progress
 // ancestor the (failed) subtree consulted, or maxFrame when untouched.
 func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int, error) {
-	if e.opts.MaxGoals > 0 && e.stats.Goals >= e.opts.MaxGoals {
-		// Checked before counting, so exactly MaxGoals expansions run.
-		return false, maxFrame, &AbortError{Reason: ErrBudget, Limit: e.opts.MaxGoals, Stats: e.Stats()}
+	if b := e.goals; b != nil {
+		if b.Spent >= b.Max {
+			// Checked before counting, so exactly Max expansions run.
+			return false, maxFrame, &AbortError{Reason: ErrBudget, Limit: b.Max, Stats: e.Stats()}
+		}
+		b.Spent++
 	}
 	if e.mem.Over() {
 		return false, maxFrame, &AbortError{Reason: ErrMemory, Limit: e.mem.Max(), Stats: e.Stats()}

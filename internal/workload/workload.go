@@ -252,6 +252,53 @@ func Reachable(g Digraph, start, target int) bool {
 	return false
 }
 
+// The recursive rule of a transitive closure, in its three shapes. All are
+// Horn, so all sit in a Δ part; they differ in what a goal-directed
+// search has to do with them.
+const (
+	RightLinear = "reach(X, Y) :- edge(X, Z), reach(Z, Y)."
+	LeftLinear  = "reach(X, Y) :- reach(X, Z), edge(Z, Y)."
+	NonLinear   = "reach(X, Y) :- reach(X, Z), reach(Z, Y)."
+)
+
+// ClosureProgram is reach/2, the transitive closure of the digraph's
+// edges over nodes n0..n(N-1), with the given recursive rule.
+func ClosureProgram(g Digraph, recursive string) string {
+	var b strings.Builder
+	b.WriteString("reach(X, Y) :- edge(X, Y).\n" + recursive + "\n")
+	for i := 0; i < g.N; i++ {
+		fmt.Fprintf(&b, "node(n%d).\n", i)
+	}
+	for _, e := range g.Edges {
+		fmt.Fprintf(&b, "edge(n%d, n%d).\n", e[0], e[1])
+	}
+	return b.String()
+}
+
+// Chain is the path 0 -> 1 -> ... -> n: n edges, n(n+1)/2 reach tuples.
+func Chain(n int) Digraph {
+	g := Digraph{N: n + 1}
+	for i := 0; i < n; i++ {
+		g.Edges = append(g.Edges, [2]int{i, i + 1})
+	}
+	return g
+}
+
+// Clique is the complete digraph on nodes 0..k-1 plus the isolated node
+// k: refuting reach(n0, nk) has to exhaust the clique, and a search that
+// memoises failures only when clean walks its k! simple paths to do so.
+func Clique(k int) Digraph {
+	g := Digraph{N: k + 1}
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			if i != j {
+				g.Edges = append(g.Edges, [2]int{i, j})
+			}
+		}
+	}
+	return g
+}
+
 // MixedOp is one step of a live read/write workload against a mutable
 // EDB: a query when Query is non-empty, otherwise a mutation batch.
 type MixedOp struct {

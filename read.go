@@ -140,33 +140,39 @@ func (e *Engine) eval(ctx context.Context, r *compiledRead, yield func(Binding) 
 	})
 }
 
-// measured runs fn as one query on the engine: the memory budget's
-// baseline is reset, the evaluation-work delta is added to the engine's
-// metric set and returned, and an abort raised where no top-down stats
-// were at hand (a Δ prover, the solution enumerator) is filled in with
-// the engine's summed counters. Hot evaluation loops never touch the
-// metrics package — all accounting happens here, once per query.
+// measured runs fn as one query on the engine: the memory and goal
+// budgets start afresh, the evaluation-work delta is charged to the
+// engine's metric set and returned, and an abort — raised by one Σ engine
+// of several, or where no top-down stats were at hand (a Δ prover, the
+// solution enumerator) — reports the whole engine's summed counters. Hot
+// evaluation loops never touch the metrics package: all accounting
+// happens here and in applyDeltaCompiled, once per query or commit.
 func (e *Engine) measured(fn func() error) (Stats, error) {
 	e.mem.Begin()
+	e.goals.Begin()
 	before := e.Stats()
 	err := fn()
-	work := e.Stats().Sub(before)
-	e.mets.GoalExpansions.Add(work.Goals)
-	e.mets.TableHits.Add(work.TableHits)
+	after := e.Stats()
+	work := after.Sub(before)
+	e.charge(work)
 	var ae *AbortError
 	if errors.As(err, &ae) {
-		// A memory abort from a Δ prover carries only its MemBytes reading.
-		rest := ae.Stats
-		rest.MemBytes = 0
-		if rest == (Stats{}) {
-			mem := ae.Stats.MemBytes
-			ae.Stats = e.Stats()
-			if mem != 0 {
-				ae.Stats.MemBytes = mem
-			}
+		// Keep a memory abort's own reading of the growth that tripped it.
+		if mem := ae.Stats.MemBytes; mem != 0 {
+			after.MemBytes = mem
 		}
+		ae.Stats = after
 	}
 	return work, err
+}
+
+// charge adds an evaluator-work delta to the engine's metric set.
+func (e *Engine) charge(work Stats) {
+	e.mets.GoalExpansions.Add(work.Goals)
+	e.mets.TableHits.Add(work.TableHits)
+	e.mets.DeltaMaterialisations.Add(work.Materialisations)
+	e.mets.LiveIncrementalStates.Add(work.IncStates)
+	e.mets.LiveIncrementalDropped.Add(work.IncDropped)
 }
 
 // serve is every Engine read method: one metrics window around compile
