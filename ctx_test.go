@@ -210,6 +210,37 @@ func TestAutoModeStaysPolynomial(t *testing.T) {
 	}
 }
 
+// TestCascadeClosureProbesStayQuadratic pins the exponent of the Δ-part
+// join core where tier-1 sees it, not only in BENCH_core.json: the
+// closure of an n-chain has n(n+1)/2 tuples, so a semi-naive, indexed
+// fixpoint probes about 4× as many candidates per doubling of n. The
+// naive, scanning fixpoint this replaced grew 16×. Being a count, the
+// number must also repeat exactly between two cold engines.
+func TestCascadeClosureProbesStayQuadratic(t *testing.T) {
+	for name, rule := range map[string]string{"right": workload.RightLinear, "left": workload.LeftLinear} {
+		t.Run(name, func(t *testing.T) {
+			probes := func(n int) int64 {
+				e := mustEngine(t, workload.ClosureProgram(workload.Chain(n), rule), Options{Mode: ModeCascade})
+				if ok, err := e.Ask(fmt.Sprintf("reach(n0, n%d)", n)); err != nil || !ok {
+					t.Fatalf("n=%d: reach(n0, n%d) = %v, %v", n, n, ok, err)
+				}
+				return e.Stats().JoinProbes
+			}
+			prev := probes(32)
+			for _, n := range []int{64, 128} {
+				got := probes(n)
+				if again := probes(n); again != got {
+					t.Errorf("n=%d: two cold runs probed %d and %d candidates", n, got, again)
+				}
+				if got == 0 || got >= 5*prev {
+					t.Errorf("n=%d: %d join probes after %d at n=%d; want growth under 5× per doubling", n, got, prev, n/2)
+				}
+				prev = got
+			}
+		})
+	}
+}
+
 // TestDomainCheckDoesNotIntern checks the compile-order fix: a rejected
 // out-of-domain query constant must not leak into the shared symbol
 // table — through Ask, AskUnder or the Query family, on Engine and Pool.

@@ -1,6 +1,9 @@
 package bottomup
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"hypodatalog/internal/ast"
@@ -8,11 +11,13 @@ import (
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/symbols"
+	"hypodatalog/internal/topdown"
 )
 
 // build compiles a source program and creates a prover over ALL its rules
-// (a single Δ part), with an optional oracle.
-func build(t *testing.T, src string, oracle Oracle) (*Prover, *ast.CProgram, *facts.DB) {
+// (a single Δ part), with an optional oracle. The unary predicates named
+// in below are marked as defined below the part: oracle-answered.
+func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *ast.CProgram, *facts.DB) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -21,6 +26,9 @@ func build(t *testing.T, src string, oracle Oracle) (*Prover, *ast.CProgram, *fa
 	cp, err := ast.Compile(prog, symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range below {
+		cp.IDB[cp.Syms.Pred(name, 1)] = true
 	}
 	in := facts.NewInterner(cp.Syms)
 	base := facts.NewDB(in)
@@ -229,5 +237,122 @@ func TestNegationLocalVarInDelta(t *testing.T) {
 	p2, cp2, base2 := build(t, "empty :- not q(X).\nq(a).\n", nil)
 	if holds(t, p2, cp2, base2, "empty") {
 		t.Error("empty should fail when q(a) exists")
+	}
+}
+
+// expiringCtx reports cancellation from its n-th Err poll on, so a
+// materialisation is cut off part-way at a repeatable point.
+type expiringCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *expiringCtx) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *expiringCtx) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// closureSrc is the right-linear closure of an n-edge chain; every
+// recursive step also asks live(X), which the tests leave to the oracle.
+func closureSrc(n int) string {
+	src := "reach(X, Y) :- edge(X, Y).\nreach(X, Y) :- edge(X, Z), reach(Z, Y), live(X).\n"
+	for i := 0; i < n; i++ {
+		src += fmt.Sprintf("edge(n%d, n%d).\n", i, i+1)
+	}
+	return src
+}
+
+func alwaysLive(facts.AtomID, facts.State) (bool, error) { return true, nil }
+
+// TestAbortedMaterialisationLeavesNothing: whichever way a large
+// materialisation is cut off — memory budget, cancellation, a failing
+// oracle — its partial model, its index and their charges all go: no
+// cache entry, zero net growth.
+func TestAbortedMaterialisationLeavesNothing(t *testing.T) {
+	const n = 80
+	calls := 0
+	cases := []struct {
+		name   string
+		max    int64
+		ctx    context.Context
+		oracle Oracle
+		want   error
+	}{
+		{name: "memory", max: 32 << 10, oracle: alwaysLive, want: topdown.ErrMemory},
+		{name: "canceled", ctx: &expiringCtx{Context: context.Background(), polls: 20}, oracle: alwaysLive, want: topdown.ErrCanceled},
+		{name: "oracle", oracle: func(facts.AtomID, facts.State) (bool, error) {
+			if calls++; calls > 500 {
+				return false, errOracleDown
+			}
+			return true, nil
+		}, want: errOracleDown},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _, base := build(t, closureSrc(n), tc.oracle, "live")
+			mem := topdown.NewMemTracker(tc.max)
+			p.SetMem(mem)
+			mem.Begin()
+			goal := base.Interner().ID(p.rules[0].r.Head.Pred, []symbols.Const{0, 1})
+			_, err := p.HoldsCtx(tc.ctx, goal, facts.NewState(base))
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if p.stats.JoinProbes < 100 {
+				t.Errorf("aborted after %d probes: the materialisation never got going", p.stats.JoinProbes)
+			}
+			if len(p.cache) != 0 {
+				t.Errorf("aborted materialisation left %d cache entries", len(p.cache))
+			}
+			if g := mem.Grown(); g != 0 {
+				t.Errorf("aborted materialisation left %d bytes charged", g)
+			}
+		})
+	}
+}
+
+var errOracleDown = errors.New("oracle down")
+
+// TestIndexChargedWhileLive: the index a materialisation builds counts
+// against the query's memory budget while it exists and is released with
+// it. On a warm interner a model costs its atoms plus the transient
+// index, so a budget that covers the cached atoms alone must still
+// refuse, and a finished materialisation must leave only the cache entry
+// charged.
+func TestIndexChargedWhileLive(t *testing.T) {
+	p, _, base := build(t, closureSrc(80), alwaysLive, "live")
+	in := base.Interner()
+	st := facts.NewState(base)
+	mem := topdown.NewMemTracker(0)
+	p.SetMem(mem)
+	mem.Begin()
+	m, err := p.Materialise(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 80 * 81 / 2; len(m) != want {
+		t.Fatalf("closure has %d atoms, want %d", len(m), want)
+	}
+	entry := matAtomBytes*int64(len(m)) + matEntryOverhead + int64(len(st.Key()))
+	if g := mem.Grown(); g != entry {
+		t.Errorf("finished materialisation holds %d bytes, want the cache entry's %d (index released)", g, entry)
+	}
+
+	// A new state over the same atoms: one hypothetical edge that adds no
+	// new pair. Twice the entry covers the model, not model plus index.
+	edge := p.rules[0].r.Body[0].Atom.Pred
+	ext := st.Add(in.ID(edge, []symbols.Const{in.Args(base.ByPred(edge)[0])[0], in.Args(base.ByPred(edge)[5])[1]}))
+	tight := topdown.NewMemTracker(2 * entry)
+	p.SetMem(tight)
+	tight.Begin()
+	if _, err := p.Materialise(ext); !errors.Is(err, topdown.ErrMemory) {
+		t.Fatalf("budget below atoms+index: err = %v, want ErrMemory", err)
+	}
+	if g := tight.Grown(); g != 0 || len(p.cache) != 1 {
+		t.Errorf("after the refusal: %d bytes charged, %d cache entries; want 0 and 1", g, len(p.cache))
 	}
 }

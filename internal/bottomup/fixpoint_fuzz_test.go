@@ -1,0 +1,265 @@
+package bottomup
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"hypodatalog/internal/ast"
+	"hypodatalog/internal/facts"
+	"hypodatalog/internal/parser"
+	"hypodatalog/internal/symbols"
+)
+
+// reference is PROVE_Δ read off Definition 3 with no join machinery at
+// all: per negation level, every rule under every ground substitution,
+// until nothing changes. It shares only the prover's level partition,
+// grounding and oracle.
+type reference struct {
+	p      *Prover
+	oracle func(facts.AtomID, facts.State) bool
+	done   map[string]map[facts.AtomID]bool
+}
+
+func forAll(dom []symbols.Const, slots []int, b []symbols.Const, f func()) {
+	if len(slots) == 0 {
+		f()
+		return
+	}
+	for _, c := range dom {
+		b[slots[0]] = c
+		forAll(dom, slots[1:], b, f)
+	}
+}
+
+func (rf *reference) model(st facts.State) map[facts.AtomID]bool {
+	if m, ok := rf.done[st.Key()]; ok {
+		return m
+	}
+	p, m := rf.p, map[facts.AtomID]bool{}
+	holds := func(g facts.AtomID, s facts.State) bool {
+		switch pred := p.in.Pred(g); {
+		case s.Has(g):
+			return true
+		case p.own[pred] && s.Key() == st.Key():
+			return m[g]
+		case p.own[pred]:
+			return rf.model(s)[g]
+		default:
+			return p.prog.IDB[pred] && rf.oracle(g, s)
+		}
+	}
+	for _, lvl := range p.levels {
+		for changed := true; changed; {
+			changed = false
+			for _, cr := range lvl {
+				r, b := cr.r, newUnbound(cr.r.NumVars)
+				forAll(p.dom, unboundIn(negate(r.PosVar), r.Head, bodyAtoms(r)), b, func() {
+					for i := range r.Body {
+						pr := &r.Body[i]
+						ext := st
+						for _, a := range pr.Adds {
+							ext = ext.Add(p.ground(a, b))
+						}
+						for _, a := range pr.Dels {
+							ext = ext.Del(p.ground(a, b))
+						}
+						ok := false // some instance of the premise atom holds
+						forAll(p.dom, unboundIn(r.PosVar, pr.Atom), b, func() { ok = ok || holds(p.ground(pr.Atom, b), ext) })
+						if ok == (pr.Kind == ast.Negated) {
+							return
+						}
+					}
+					if h := p.ground(r.Head, b); !m[h] && !st.Has(h) {
+						m[h], changed = true, true
+					}
+				})
+			}
+		}
+	}
+	rf.done[st.Key()] = m
+	return m
+}
+
+func negate(bs []bool) []bool {
+	out := make([]bool, len(bs))
+	for i, b := range bs {
+		out[i] = !b
+	}
+	return out
+}
+
+// bodyAtoms flattens a rule body to one pseudo-atom holding every term.
+func bodyAtoms(r *ast.CRule) ast.CAtom {
+	var all ast.CAtom
+	for _, pr := range r.Body {
+		for _, a := range append(append([]ast.CAtom{pr.Atom}, pr.Adds...), pr.Dels...) {
+			all.Args = append(all.Args, a.Args...)
+		}
+	}
+	return all
+}
+
+// Predicates of the generated parts: e, f extensional; o defined below
+// (oracle-answered); a, b | c, d | g own, on three negation levels.
+var (
+	fuzzArity  = map[string]int{"e": 1, "f": 2, "o": 1, "a": 1, "b": 2, "c": 1, "d": 2, "g": 1}
+	fuzzLevels = [][]string{{"a", "b"}, {"c", "d"}, {"g"}}
+	fuzzConsts = []string{"k1", "k2", "k3"}
+)
+
+type partGen struct{ rng *rand.Rand }
+
+func (g partGen) pick(xs ...string) string { return xs[g.rng.Intn(len(xs))] }
+
+func (g partGen) atom(pred string, ground bool) string {
+	args := make([]string, fuzzArity[pred])
+	for i := range args {
+		if ground || g.rng.Intn(6) == 0 {
+			args[i] = g.pick(fuzzConsts...)
+		} else {
+			args[i] = g.pick("X", "Y", "Z")
+		}
+	}
+	return pred + "(" + strings.Join(args, ", ") + ")"
+}
+
+// ownUpTo picks an own predicate of level <= l.
+func (g partGen) ownUpTo(l int) string {
+	return g.pick(fuzzLevels[g.rng.Intn(l+1)]...)
+}
+
+func (g partGen) premise(l int) string {
+	switch k := g.rng.Intn(11); {
+	case k < 3:
+		return g.atom(g.pick("e", "f"), false)
+	case k < 6:
+		return g.atom(g.ownUpTo(l), false)
+	case k == 6:
+		return g.atom("o", false)
+	case k == 7 && l > 0:
+		return "not " + g.atom(g.ownUpTo(l-1), false)
+	case k == 7:
+		return "not " + g.atom(g.pick("e", "f", "o"), false)
+	case k == 8:
+		return g.atom("o", false) + "[add: " + g.atom(g.pick("e", "f", "a"), false) + "]"
+	case k == 9:
+		return g.atom("o", false) + "[add: " + g.atom("e", false) + "][del: " + g.atom(g.pick("e", "f"), false) + "]"
+	default:
+		// An own target: a no-op addition reads the growing model, a real
+		// one materialises the extended state. Additions stay in e/1 so the
+		// nesting is bounded by the domain.
+		return g.atom(g.ownUpTo(l), false) + "[add: " + g.atom("e", false) + "]"
+	}
+}
+
+func (g partGen) program() string {
+	var b strings.Builder
+	for _, k := range fuzzConsts {
+		fmt.Fprintf(&b, "k(%s).\n", k)
+	}
+	for n := 3 + g.rng.Intn(6); n > 0; n-- {
+		fmt.Fprintf(&b, "%s.\n", g.atom(g.pick("e", "e", "f", "f", "f", "a"), true))
+	}
+	for l, heads := range fuzzLevels {
+		for n := 2 + g.rng.Intn(3); n > 0; n-- {
+			// The last rule of a level defines its first predicate and, above
+			// the bottom, negates the first predicate of the level below: the
+			// levels are real whatever else is drawn.
+			head, body := g.pick(heads...), []string(nil)
+			if n == 1 {
+				head = heads[0]
+				if l > 0 {
+					body = append(body, "not "+g.atom(fuzzLevels[l-1][0], false))
+				}
+			}
+			for m := 1 + g.rng.Intn(3); m > 0; m-- {
+				body = append(body, g.premise(l))
+			}
+			fmt.Fprintf(&b, "%s :- %s.\n", g.atom(head, false), strings.Join(body, ", "))
+		}
+	}
+	return b.String()
+}
+
+func checkFixpointAgreement(t *testing.T, seed int64) {
+	g := partGen{rand.New(rand.NewSource(seed))}
+	src := g.program()
+	defer func() {
+		if t.Failed() {
+			t.Logf("seed %d program:\n%s", seed, src)
+		}
+	}()
+	// The oracle is a fixed pseudo-random relation over (goal, state).
+	var in *facts.Interner
+	oracle := func(goal facts.AtomID, st facts.State) bool {
+		h := fnv.New32a()
+		fmt.Fprintf(h, "%d|%s|%s", seed, in.Format(goal), st.Key())
+		return h.Sum32()%3 == 0
+	}
+	p, cp, base := build(t, src, func(goal facts.AtomID, st facts.State) (bool, error) {
+		return oracle(goal, st), nil
+	}, "o")
+	in = base.Interner()
+	if len(p.levels) < 2 {
+		t.Fatalf("generated part has %d negation levels, want >= 2", len(p.levels))
+	}
+	rf := &reference{p: p, oracle: oracle, done: map[string]map[facts.AtomID]bool{}}
+
+	ground := func(pred string) facts.AtomID {
+		a, err := parser.ParseAtom(g.atom(pred, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := make([]symbols.Const, len(a.Args))
+		for i, tm := range a.Args {
+			args[i] = cp.Syms.Const(tm.Name)
+		}
+		return in.ID(cp.Syms.Pred(a.Pred, len(args)), args)
+	}
+	states := []facts.State{facts.NewState(base)}
+	for i := 0; i < 2; i++ {
+		st := facts.NewState(base)
+		for n := 1 + g.rng.Intn(3); n > 0; n-- {
+			st = st.Add(ground(g.pick("e", "f", "a", "c")))
+		}
+		for n := g.rng.Intn(3); n > 0; n-- {
+			st = st.Del(ground(g.pick("e", "f")))
+		}
+		states = append(states, st)
+	}
+	for _, st := range states {
+		if _, err := p.Materialise(st); err != nil {
+			t.Fatalf("Materialise: %v", err)
+		}
+	}
+	// Every model the core cached — the asked states and the extended
+	// states its hypothetical premises opened — must be the reference's.
+	for key, me := range p.cache {
+		want := rf.model(facts.State{Base: base, Delta: me.delta})
+		for id := range me.atoms {
+			if !want[id] {
+				t.Errorf("state %q: core derives %s, reference does not", key, in.Format(id))
+			}
+		}
+		for id := range want {
+			if !me.atoms.has(id) {
+				t.Errorf("state %q: reference derives %s, core does not", key, in.Format(id))
+			}
+		}
+	}
+}
+
+// FuzzFixpointAgreement holds the semi-naive, indexed core to the naive
+// reference on random Δ parts: two or three negation levels; extensional,
+// own and oracle-answered premises; head variables the body never binds;
+// hypothetical premises that add and delete, on oracle and on own
+// targets; states with hypothetical additions and deletions.
+func FuzzFixpointAgreement(f *testing.F) {
+	for seed := int64(0); seed < 200; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkFixpointAgreement)
+}

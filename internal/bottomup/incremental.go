@@ -77,10 +77,9 @@ func (p *Prover) Affected(cone map[symbols.Pred]bool) bool {
 // outright — they evaluate recursively under extended states whose
 // materialisations are themselves mid-update.
 func (p *Prover) incrementalOK(cone map[symbols.Pred]bool) bool {
-	for _, ri := range p.rules {
-		r := &p.prog.Rules[ri]
-		for i := range r.Body {
-			pr := &r.Body[i]
+	for _, cr := range p.rules {
+		for i := range cr.r.Body {
+			pr := &cr.r.Body[i]
 			switch pr.Kind {
 			case ast.Hyp:
 				return false
@@ -176,29 +175,30 @@ func (p *Prover) ApplyPlan(plan *Plan, added []facts.AtomID) {
 }
 
 func (p *Prover) applyUpdate(u *pendingUpdate, added []facts.AtomID) error {
-	me := u.entry
+	m := &model{atoms: u.entry.atoms}
 	for id := range u.over {
-		delete(me.atoms, id)
+		delete(m.atoms, id)
 		p.mem.Add(-matAtomBytes)
 	}
-	st := facts.State{Base: p.base, Delta: me.delta} // base holds post-commit facts now
+	st := facts.State{Base: p.base, Delta: u.entry.delta} // base holds post-commit facts now
 	var frontier []facts.AtomID
 	for id := range u.over {
-		ok, err := p.rederivable(id, st, me.atoms)
+		ok, err := p.rederivable(id, st, m)
 		if err != nil {
 			return err
 		}
 		if ok {
-			me.atoms[id] = struct{}{}
-			p.mem.Add(matAtomBytes)
+			p.insert(m, id)
 			frontier = append(frontier, id)
 		}
 	}
 	// Added base atoms are visible in every maintained state (a state
 	// whose delta mentioned them was dropped in PlanDelta), so they seed
-	// the semi-naive rounds directly.
+	// the semi-naive rounds directly. The cone admits no negated premise
+	// that can move (incrementalOK), so the rounds run over every level's
+	// rules at once.
 	frontier = append(frontier, added...)
-	return p.propagate(me, st, frontier)
+	return p.propagate(p.rules, st, m, frontier)
 }
 
 // overdelete computes the DRed overestimate for one cached state: every
@@ -210,11 +210,12 @@ func (p *Prover) overdelete(me *matEntry, removed []facts.AtomID) (atomSet, erro
 		return atomSet{}, nil
 	}
 	st := facts.State{Base: p.base, Delta: me.delta}
+	m := &model{atoms: me.atoms}
 	over := atomSet{}
 	frontier := removed
 	for len(frontier) > 0 {
 		var next []facts.AtomID
-		err := p.pinnedJoin(st, me.atoms, frontier, func(h facts.AtomID) error {
+		err := p.pinnedJoin(p.rules, st, m, frontier, func(h facts.AtomID) error {
 			if me.atoms.has(h) && !over.has(h) {
 				over[h] = struct{}{}
 				next = append(next, h)
@@ -229,109 +230,21 @@ func (p *Prover) overdelete(me *matEntry, removed []facts.AtomID) (atomSet, erro
 	return over, nil
 }
 
-// propagate runs semi-naive addition rounds: each round joins every rule
-// with one premise pinned to a frontier atom, deriving only heads not yet
-// in the model; new heads form the next frontier.
-func (p *Prover) propagate(me *matEntry, st facts.State, frontier []facts.AtomID) error {
-	for len(frontier) > 0 {
-		var next []facts.AtomID
-		err := p.pinnedJoin(st, me.atoms, frontier, func(h facts.AtomID) error {
-			if !me.atoms.has(h) && !st.Has(h) {
-				me.atoms[h] = struct{}{}
-				p.mem.Add(matAtomBytes)
-				next = append(next, h)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		frontier = next
-	}
-	return nil
-}
-
-// pinnedJoin joins every rule of the part once per (plain locally-matched
-// premise, frontier atom of its predicate) pair: the premise is bound to
-// the frontier atom, the remaining premises evaluate normally against the
-// state and model, and every resulting head instance is yielded.
-func (p *Prover) pinnedJoin(st facts.State, derived atomSet, frontier []facts.AtomID, yield func(facts.AtomID) error) error {
-	byPred := make(map[symbols.Pred][]facts.AtomID)
-	for _, id := range frontier {
-		pred := p.in.Pred(id)
-		byPred[pred] = append(byPred[pred], id)
-	}
-	for _, ri := range p.rules {
-		r := &p.prog.Rules[ri]
-		for bi := range r.Body {
-			pr := &r.Body[bi]
-			if pr.Kind != ast.Plain || p.oracleOwned(pr.Atom.Pred) {
-				continue
-			}
-			seeds := byPred[pr.Atom.Pred]
-			if len(seeds) == 0 {
-				continue
-			}
-			order := p.orderWithout(r, bi)
-			for _, fa := range seeds {
-				binding := newUnbound(r.NumVars)
-				err := p.tryMatch(pr.Atom, binding, fa, func() error {
-					return p.joinAt(r, order, binding, 0, st, derived, func() error {
-						return p.deriveHeads(r, binding, yield)
-					})
-				})
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// orderWithout is the static premise order minus the pinned premise.
-func (p *Prover) orderWithout(r *ast.CRule, skip int) []int {
-	full := p.premiseOrder(r)
-	out := make([]int, 0, len(full)-1)
-	for _, i := range full {
-		if i != skip {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// deriveHeads grounds the rule head under the binding, ranging head
-// variables with no body occurrence over the whole domain (Definition 3),
-// exactly as applyRule does.
-func (p *Prover) deriveHeads(r *ast.CRule, binding []symbols.Const, yield func(facts.AtomID) error) error {
-	var free []int
-	for _, t := range r.Head.Args {
-		if t.IsVar() && binding[t.VarSlot()] == unbound && !contains(free, t.VarSlot()) {
-			free = append(free, t.VarSlot())
-		}
-	}
-	return p.enumSlotsThen(free, binding, func() error {
-		return yield(p.ground(r.Head, binding))
-	})
-}
-
 // rederivable reports whether the goal still has a derivation from the
 // current model and state (used after overdeleted atoms are removed).
-func (p *Prover) rederivable(goal facts.AtomID, st facts.State, derived atomSet) (bool, error) {
+func (p *Prover) rederivable(goal facts.AtomID, st facts.State, m *model) (bool, error) {
 	gp := p.in.Pred(goal)
 	gargs := p.in.Args(goal)
-	for _, ri := range p.rules {
-		r := &p.prog.Rules[ri]
-		if r.Head.Pred != gp {
+	for _, cr := range p.rules {
+		if cr.r.Head.Pred != gp {
 			continue
 		}
-		binding := newUnbound(r.NumVars)
-		if !unifyHeadArgs(r.Head, gargs, binding) {
+		binding := newUnbound(cr.r.NumVars)
+		if !unifyHeadArgs(cr.r.Head, gargs, binding) {
 			continue
 		}
 		found := false
-		err := p.joinAt(r, p.premiseOrder(r), binding, 0, st, derived, func() error {
+		err := p.joinAt(&cr.head, binding, 0, st, m, func() error {
 			found = true
 			return errStop
 		})
@@ -363,14 +276,6 @@ func unifyHeadArgs(head ast.CAtom, goalArgs []symbols.Const, binding []symbols.C
 		}
 	}
 	return true
-}
-
-func newUnbound(n int) []symbols.Const {
-	b := make([]symbols.Const, n)
-	for i := range b {
-		b[i] = unbound
-	}
-	return b
 }
 
 func deltaTouches(d facts.Delta, ids []facts.AtomID) bool {

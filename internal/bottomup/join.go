@@ -1,0 +1,529 @@
+// The join core: every evaluation of a Δ rule body — the full pass that
+// opens a negation level, the delta-pinned rounds that close it, commit
+// propagation, DRed's overdelete and rederive — is one joinAt over a plan
+// compiled when the prover is built.
+package bottomup
+
+import (
+	"fmt"
+
+	"hypodatalog/internal/ast"
+	"hypodatalog/internal/facts"
+	"hypodatalog/internal/symbols"
+)
+
+// stepKind is how one body premise is evaluated.
+type stepKind uint8
+
+const (
+	stepOwn   stepKind = iota // plain, defined in this Δ part: matches the state and the growing model
+	stepExt                   // plain, extensional: matches the state
+	stepBelow                 // plain, defined below: ranged over the domain, answered by the oracle
+	stepHyp                   // hypothetical: ranged over the domain, answered by askOracleOrModel
+	stepNeg                   // negated: tested after every other premise
+)
+
+// step is one premise of a plan. The premise order is static, so which
+// variable slots are still unbound when the step runs is known at compile
+// time.
+type step struct {
+	pr    *ast.CPremise
+	kind  stepKind
+	binds []int // slots unbound on entry that the step binds: by matching (own, ext) or by ranging over the domain
+	local []int // stepNeg: unbound slots with no positive occurrence, quantified inside the negation
+	pos   int   // stepOwn, stepExt: the first argument bound on entry — the index position probed — or -1
+}
+
+// plan is a rule body in evaluation order, given what is bound before it
+// starts; free lists the head slots still unbound after the body, which
+// Definition 3 ranges over the whole domain.
+type plan struct {
+	steps []step
+	free  []int
+}
+
+// pin is one way of driving a rule from a frontier: the premise matched
+// against a frontier atom first, then the rest of the body.
+type pin struct {
+	atom  ast.CAtom
+	binds []int
+	rest  plan
+}
+
+// rule is a Δ rule with its plans.
+type rule struct {
+	r    *ast.CRule
+	full plan  // nothing bound on entry
+	head plan  // head variables bound on entry (rederivation)
+	pins []pin // one per plain premise matched locally (own or extensional)
+
+	// rerun marks a rule with a hypothetical premise on an own predicate:
+	// when its additions are no-ops, askOracleOrModel reads the growing
+	// model by membership, which no frontier atom can be pinned to, so the
+	// rule is re-run in full every round.
+	rerun bool
+}
+
+func (p *Prover) compileRule(r *ast.CRule) *rule {
+	cr := &rule{r: r, full: p.compilePlan(r, -1), head: p.compilePlan(r, -1, r.Head)}
+	for bi := range r.Body {
+		pr := &r.Body[bi]
+		switch {
+		case pr.Kind == ast.Hyp && p.own[pr.Atom.Pred]:
+			cr.rerun = true
+		case pr.Kind == ast.Plain && !p.oracleOwned(pr.Atom.Pred):
+			cr.pins = append(cr.pins, pin{
+				atom:  pr.Atom,
+				binds: unboundIn(make([]bool, r.NumVars), pr.Atom),
+				rest:  p.compilePlan(r, bi, pr.Atom),
+			})
+		}
+	}
+	return cr
+}
+
+// compilePlan orders the body of r, minus premise skip, for evaluation
+// with the variables of the pre atoms already bound.
+func (p *Prover) compilePlan(r *ast.CRule, skip int, pre ...ast.CAtom) plan {
+	bound := make([]bool, r.NumVars)
+	bind := func(slots []int) []int {
+		for _, s := range slots {
+			bound[s] = true
+		}
+		return slots
+	}
+	bind(unboundIn(bound, pre...))
+	var pl plan
+	for _, bi := range p.premiseOrder(r) {
+		if bi == skip {
+			continue
+		}
+		pr := &r.Body[bi]
+		s := step{pr: pr, pos: -1}
+		switch {
+		case pr.Kind == ast.Negated:
+			s.kind = stepNeg
+			for _, v := range unboundIn(bound, pr.Atom) {
+				if r.PosVar[v] {
+					s.binds = append(s.binds, v)
+				} else {
+					s.local = append(s.local, v)
+				}
+			}
+			bind(s.binds)
+		case pr.Kind == ast.Hyp:
+			s.kind = stepHyp
+			s.binds = bind(unboundIn(bound, append(append([]ast.CAtom{pr.Atom}, pr.Adds...), pr.Dels...)...))
+		case p.oracleOwned(pr.Atom.Pred):
+			s.kind = stepBelow
+			s.binds = bind(unboundIn(bound, pr.Atom))
+		default:
+			s.kind = stepExt
+			if p.own[pr.Atom.Pred] {
+				s.kind = stepOwn
+			}
+			for i, t := range pr.Atom.Args {
+				if !t.IsVar() || bound[t.VarSlot()] {
+					s.pos = i
+					break
+				}
+			}
+			s.binds = bind(unboundIn(bound, pr.Atom))
+		}
+		pl.steps = append(pl.steps, s)
+	}
+	pl.free = unboundIn(bound, r.Head)
+	return pl
+}
+
+// premiseOrder: state-matchable premises first (own preds and extensional,
+// which bind variables by scanning materialised/state atoms), then
+// hypothetical and oracle-answered premises, negations last.
+func (p *Prover) premiseOrder(r *ast.CRule) []int {
+	var matchable, middle, negs []int
+	for i := range r.Body {
+		pr := &r.Body[i]
+		switch {
+		case pr.Kind == ast.Negated:
+			negs = append(negs, i)
+		case pr.Kind == ast.Plain && !p.oracleOwned(pr.Atom.Pred):
+			matchable = append(matchable, i)
+		default:
+			middle = append(middle, i)
+		}
+	}
+	out := append(matchable, middle...)
+	return append(out, negs...)
+}
+
+// oracleOwned reports whether a predicate must be answered by the oracle:
+// it is intensional in the full program but not defined in this Δ part.
+func (p *Prover) oracleOwned(pred symbols.Pred) bool {
+	return p.prog.IDB[pred] && !p.own[pred]
+}
+
+// unboundIn lists, in order of first occurrence, the variable slots of
+// the atoms that bound does not mark.
+func unboundIn(bound []bool, atoms ...ast.CAtom) []int {
+	var slots []int
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			if t.IsVar() && !bound[t.VarSlot()] && !contains(slots, t.VarSlot()) {
+				slots = append(slots, t.VarSlot())
+			}
+		}
+	}
+	return slots
+}
+
+func contains(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}
+
+// indexKey names one candidate list: the atoms of pred whose argument at
+// pos is val, or (pos -1, val 0) every atom of pred.
+type indexKey struct {
+	pred symbols.Pred
+	pos  int
+	val  symbols.Const
+}
+
+// model is a Δ-part model being computed or maintained. A cold
+// materialisation indexes the atoms it derives by predicate and by
+// (predicate, position, value); the slices only grow, so a probe that
+// ranges over the slice it found sees a stable snapshot while the rule
+// it feeds keeps deriving. The index lives as long as the materialisation
+// does — a cached model is the atom set alone, and the commit-time passes
+// over one (index == nil) find candidates by scanning it.
+type model struct {
+	atoms    atomSet
+	index    map[indexKey][]facts.AtomID
+	idxBytes int64 // index footprint charged to the tracker so far
+}
+
+// idxSlotBytes approximates one index slot — the 4-byte id with slice
+// growth slack; the map entry of a key amortises over the atoms that
+// share it. An atom takes one slot per argument plus one by predicate.
+const idxSlotBytes = 8
+
+func (p *Prover) insert(m *model, id facts.AtomID) {
+	m.atoms[id] = struct{}{}
+	p.mem.Add(matAtomBytes)
+	if m.index == nil {
+		return
+	}
+	pred, args := p.in.Pred(id), p.in.Args(id)
+	all := indexKey{pred: pred, pos: -1}
+	m.index[all] = append(m.index[all], id)
+	for pos, val := range args {
+		k := indexKey{pred, pos, val}
+		m.index[k] = append(m.index[k], id)
+	}
+	n := idxSlotBytes * int64(1+len(args))
+	m.idxBytes += n
+	p.mem.Add(n)
+}
+
+const unbound symbols.Const = -1
+
+func newUnbound(n int) []symbols.Const {
+	b := make([]symbols.Const, n)
+	for i := range b {
+		b[i] = unbound
+	}
+	return b
+}
+
+// fullRule yields every head instance the rule derives from the state
+// and the model as they stand.
+func (p *Prover) fullRule(r *rule, st facts.State, m *model, yield func(facts.AtomID) error) error {
+	binding := newUnbound(r.r.NumVars)
+	return p.joinAt(&r.full, binding, 0, st, m, func() error {
+		return p.deriveHeads(r.r, r.full.free, binding, yield)
+	})
+}
+
+// pinnedJoin joins every rule once per (locally matched plain premise,
+// frontier atom of its predicate) pair: the premise is bound to the
+// frontier atom, the remaining premises evaluate against the state and
+// model, and every resulting head instance is yielded.
+func (p *Prover) pinnedJoin(rules []*rule, st facts.State, m *model, frontier []facts.AtomID, yield func(facts.AtomID) error) error {
+	byPred := make(map[symbols.Pred][]facts.AtomID)
+	for _, id := range frontier {
+		pred := p.in.Pred(id)
+		byPred[pred] = append(byPred[pred], id)
+	}
+	for _, r := range rules {
+		for i := range r.pins {
+			pn := &r.pins[i]
+			seeds := byPred[pn.atom.Pred]
+			if len(seeds) == 0 {
+				continue
+			}
+			binding := newUnbound(r.r.NumVars)
+			body := func() error {
+				return p.joinAt(&pn.rest, binding, 0, st, m, func() error {
+					return p.deriveHeads(r.r, pn.rest.free, binding, yield)
+				})
+			}
+			for _, fa := range seeds {
+				if err := p.tryMatch(pn.atom, pn.binds, binding, fa, body); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// deriveHeads grounds the rule head under the binding, ranging the head
+// variables the body left unbound over the whole domain (Definition 3).
+func (p *Prover) deriveHeads(r *ast.CRule, free []int, binding []symbols.Const, yield func(facts.AtomID) error) error {
+	return p.enumThen(free, binding, func() error {
+		return yield(p.ground(r.Head, binding))
+	})
+}
+
+func (p *Prover) joinAt(pl *plan, binding []symbols.Const, pi int, st facts.State, m *model, yield func() error) error {
+	p.steps++
+	if p.steps%ctxCheckInterval == 0 {
+		if err := p.poll(); err != nil {
+			return err
+		}
+	}
+	if pi == len(pl.steps) {
+		return yield()
+	}
+	s := &pl.steps[pi]
+	pr := s.pr
+	next := func() error {
+		return p.joinAt(pl, binding, pi+1, st, m, yield)
+	}
+	if s.kind == stepOwn || s.kind == stepExt {
+		// TEST⁰: membership in DB (the state) or, for an own predicate, the
+		// growing model.
+		return p.match(s, binding, st, m, next)
+	}
+	// holds continues the join when a ranged-over premise instance holds.
+	holds := func(ok bool, err error) error {
+		if err != nil || !ok {
+			return err
+		}
+		return next()
+	}
+	switch s.kind {
+	case stepBelow:
+		return p.enumThen(s.binds, binding, func() error {
+			return holds(p.askOracle(p.ground(pr.Atom, binding), st))
+		})
+	case stepHyp:
+		return p.enumThen(s.binds, binding, func() error {
+			ext := st
+			for _, a := range pr.Adds {
+				ext = ext.Add(p.ground(a, binding))
+			}
+			for _, a := range pr.Dels {
+				ext = ext.Del(p.ground(a, binding))
+			}
+			return holds(p.askOracleOrModel(p.ground(pr.Atom, binding), st, ext, m))
+		})
+	default:
+		return p.enumThen(s.binds, binding, func() error {
+			found, err := p.negInstance(pr.Atom, binding, s.local, st, m)
+			return holds(!found, err)
+		})
+	}
+}
+
+// askOracle answers a goal defined below the Δ part.
+func (p *Prover) askOracle(goal facts.AtomID, st facts.State) (bool, error) {
+	if st.Has(goal) {
+		return true, nil
+	}
+	if !p.prog.IDB[p.in.Pred(goal)] {
+		return false, nil
+	}
+	if p.oracle == nil {
+		return false, fmt.Errorf("bottomup: goal %s needs an oracle but none is configured",
+			p.in.Format(goal))
+	}
+	return p.oracle(goal, st)
+}
+
+// askOracleOrModel evaluates a hypothetical premise target. If the target
+// predicate is owned by this Δ part and the additions changed nothing, it
+// reads the growing model (monotone; the rule is marked rerun for it);
+// owned targets with real additions are materialised recursively;
+// everything else goes to the oracle.
+func (p *Prover) askOracleOrModel(goal facts.AtomID, st, ext facts.State, m *model) (bool, error) {
+	if ext.Has(goal) {
+		return true, nil
+	}
+	if p.own[p.in.Pred(goal)] {
+		if ext.Key() == st.Key() {
+			return m.atoms.has(goal), nil
+		}
+		// H-stratification normally rules this out; fall back to a
+		// recursive materialisation of the extended state for generality.
+		em, err := p.Materialise(ext)
+		if err != nil {
+			return false, err
+		}
+		return em.has(goal), nil
+	}
+	return p.askOracle(goal, ext)
+}
+
+var errStop = fmt.Errorf("bottomup: stop")
+
+// negInstance reports whether some instantiation of localSlots makes the
+// atom derivable (state, model, or oracle).
+func (p *Prover) negInstance(a ast.CAtom, binding []symbols.Const, localSlots []int, st facts.State, m *model) (bool, error) {
+	found := false
+	err := p.enumThen(localSlots, binding, func() error {
+		ok, err := p.testAtom(p.ground(a, binding), st, m)
+		if err == nil && ok {
+			found, err = true, errStop
+		}
+		return err
+	})
+	for _, s := range localSlots {
+		binding[s] = unbound
+	}
+	if err != nil && err != errStop {
+		return false, err
+	}
+	return found, nil
+}
+
+// testAtom is TEST⁰ for a ground atom: state, then own model, then oracle.
+func (p *Prover) testAtom(goal facts.AtomID, st facts.State, m *model) (bool, error) {
+	if st.Has(goal) {
+		return true, nil
+	}
+	if p.own[p.in.Pred(goal)] {
+		return m.atoms.has(goal), nil
+	}
+	return p.askOracle(goal, st)
+}
+
+// enumThen ranges the slots over the domain, running leaf under every
+// assignment.
+func (p *Prover) enumThen(slots []int, binding []symbols.Const, leaf func() error) error {
+	if len(slots) == 0 {
+		return leaf()
+	}
+	for _, c := range p.dom {
+		binding[slots[0]] = c
+		if err := p.enumThen(slots[1:], binding, leaf); err != nil {
+			return err
+		}
+	}
+	binding[slots[0]] = unbound
+	return nil
+}
+
+// match enumerates the bindings of a plain premise: from the state (base
+// indexes minus hypothetical deletions, plus hypothetical additions) and,
+// for an own predicate, from the model.
+func (p *Prover) match(s *step, binding []symbols.Const, st facts.State, m *model, yield func() error) error {
+	pattern := s.pr.Atom
+	var val symbols.Const
+	var candidates []facts.AtomID
+	if s.pos >= 0 {
+		if t := pattern.Args[s.pos]; t.IsVar() {
+			val = binding[t.VarSlot()]
+		} else {
+			val = t.ConstID()
+		}
+		candidates = p.base.ByPredArg(pattern.Pred, s.pos, val)
+	} else {
+		candidates = p.base.ByPred(pattern.Pred)
+	}
+	for _, id := range candidates {
+		if st.Delta.Deleted(id) {
+			continue
+		}
+		if err := p.tryMatch(pattern, s.binds, binding, id, yield); err != nil {
+			return err
+		}
+	}
+	for _, id := range st.Delta.IDs() {
+		if p.in.Pred(id) != pattern.Pred || p.base.Has(id) {
+			continue
+		}
+		if err := p.tryMatch(pattern, s.binds, binding, id, yield); err != nil {
+			return err
+		}
+	}
+	if s.kind != stepOwn {
+		return nil
+	}
+	// yield may grow the model; what it adds is the next round's frontier,
+	// so this probe reads a snapshot.
+	candidates = m.index[indexKey{pattern.Pred, s.pos, val}]
+	if m.index == nil {
+		for id := range m.atoms {
+			if p.in.Pred(id) == pattern.Pred {
+				candidates = append(candidates, id)
+			}
+		}
+	}
+	for _, id := range candidates {
+		if err := p.tryMatch(pattern, s.binds, binding, id, yield); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tryMatch unifies the pattern with one candidate atom and yields on
+// success. binds are the pattern's slots that were unbound on entry; they
+// are again on return.
+func (p *Prover) tryMatch(pattern ast.CAtom, binds []int, binding []symbols.Const, id facts.AtomID, yield func() error) error {
+	p.stats.JoinProbes++
+	args := p.in.Args(id)
+	ok := true
+	for i, t := range pattern.Args {
+		if !t.IsVar() {
+			ok = t.ConstID() == args[i]
+		} else if s := t.VarSlot(); binding[s] == unbound {
+			binding[s] = args[i]
+		} else {
+			ok = binding[s] == args[i]
+		}
+		if !ok {
+			break
+		}
+	}
+	var err error
+	if ok {
+		err = yield()
+	}
+	for _, s := range binds {
+		binding[s] = unbound
+	}
+	return err
+}
+
+func (p *Prover) ground(a ast.CAtom, binding []symbols.Const) facts.AtomID {
+	args := p.args[:0] // scratch: the interner copies what it keeps
+	for _, t := range a.Args {
+		if t.IsVar() {
+			v := binding[t.VarSlot()]
+			if v == unbound {
+				panic("bottomup: grounding with unbound variable")
+			}
+			args = append(args, v)
+		} else {
+			args = append(args, t.ConstID())
+		}
+	}
+	p.args = args
+	return p.in.ID(a.Pred, args)
+}

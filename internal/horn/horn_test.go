@@ -2,7 +2,6 @@ package horn
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"hypodatalog/internal/ast"
@@ -10,7 +9,7 @@ import (
 	"hypodatalog/internal/symbols"
 )
 
-func build(t *testing.T, src string, strategy Strategy) (*Engine, *ast.CProgram) {
+func build(t *testing.T, src string) (*Engine, *ast.CProgram) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -20,7 +19,7 @@ func build(t *testing.T, src string, strategy Strategy) (*Engine, *ast.CProgram)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	e, err := New(cp, strategy)
+	e, err := New(cp)
 	if err != nil {
 		t.Fatalf("horn.New: %v", err)
 	}
@@ -48,8 +47,11 @@ func holds(t *testing.T, e *Engine, cp *ast.CProgram, atomSrc string) bool {
 	if !ok {
 		return false
 	}
-	id := e.Interner().ID(p, args)
-	return e.Holds(id)
+	got, err := e.Holds(e.Interner().ID(p, args))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func chainTC(n int) string {
@@ -64,14 +66,22 @@ func chainTC(n int) string {
 }
 
 func TestTransitiveClosure(t *testing.T) {
-	for _, strategy := range []Strategy{Naive, SemiNaive} {
-		e, cp := build(t, chainTC(5), strategy)
-		if !holds(t, e, cp, "tc(v0, v5)") {
-			t.Errorf("strategy %v: tc(v0,v5) false", strategy)
-		}
-		if holds(t, e, cp, "tc(v5, v0)") {
-			t.Errorf("strategy %v: tc(v5,v0) true", strategy)
-		}
+	e, cp := build(t, chainTC(5))
+	if !holds(t, e, cp, "tc(v0, v5)") {
+		t.Error("tc(v0,v5) false")
+	}
+	if holds(t, e, cp, "tc(v5, v0)") {
+		t.Error("tc(v5,v0) true")
+	}
+	m, err := e.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 15 {
+		t.Errorf("model has %d derived atoms, want 15 (6·5/2 pairs)", len(m))
+	}
+	if e.JoinProbes() == 0 {
+		t.Error("no join probes counted")
 	}
 }
 
@@ -81,7 +91,7 @@ func TestNonLinearTC(t *testing.T) {
 		tc(X, Y) :- tc(X, Z), tc(Z, Y).
 		edge(a, b). edge(b, c). edge(c, d).
 	`
-	e, cp := build(t, src, SemiNaive)
+	e, cp := build(t, src)
 	if !holds(t, e, cp, "tc(a, d)") {
 		t.Error("non-linear tc(a,d) false")
 	}
@@ -95,7 +105,7 @@ func TestStratifiedNegation(t *testing.T) {
 		reach(Y) :- reach(X), edge(X, Y).
 		unreach(X) :- node(X), not reach(X).
 	`
-	e, cp := build(t, src, SemiNaive)
+	e, cp := build(t, src)
 	if !holds(t, e, cp, "unreach(c)") {
 		t.Error("unreach(c) false")
 	}
@@ -107,12 +117,12 @@ func TestStratifiedNegation(t *testing.T) {
 func TestNegationLocalVariable(t *testing.T) {
 	// empty holds iff no p atom is derivable at all.
 	src := "empty :- not p(X).\nq(a).\n"
-	e, cp := build(t, src, SemiNaive)
+	e, cp := build(t, src)
 	if !holds(t, e, cp, "empty") {
 		t.Error("empty should hold with no p facts")
 	}
 	src2 := "empty :- not p(X).\np(a).\n"
-	e2, cp2 := build(t, src2, SemiNaive)
+	e2, cp2 := build(t, src2)
 	if holds(t, e2, cp2, "empty") {
 		t.Error("empty should fail when p(a) exists")
 	}
@@ -127,7 +137,7 @@ func TestRejectsHypothetical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cp, SemiNaive); err == nil {
+	if _, err := New(cp); err == nil {
 		t.Error("expected hypothetical-premise rejection")
 	}
 }
@@ -141,7 +151,7 @@ func TestRejectsRecursionThroughNegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cp, SemiNaive); err == nil {
+	if _, err := New(cp); err == nil {
 		t.Error("expected recursion-through-negation rejection")
 	}
 }
@@ -155,62 +165,7 @@ func TestRejectsNonRangeRestricted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cp, SemiNaive); err == nil {
+	if _, err := New(cp); err == nil {
 		t.Error("expected range-restriction rejection")
-	}
-}
-
-// TestNaiveSemiNaiveAgree compares the two strategies on random graphs.
-func TestNaiveSemiNaiveAgree(t *testing.T) {
-	for seed := 0; seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		n := 4 + rng.Intn(5)
-		src := `
-			tc(X, Y) :- edge(X, Y).
-			tc(X, Y) :- tc(X, Z), edge(Z, Y).
-			sym(X, Y) :- tc(X, Y), tc(Y, X).
-			island(X) :- node(X), not tc(X, Y).
-		`
-		for i := 0; i < n; i++ {
-			src += fmt.Sprintf("node(v%d).\n", i)
-			for j := 0; j < n; j++ {
-				if i != j && rng.Float64() < 0.25 {
-					src += fmt.Sprintf("edge(v%d, v%d).\n", i, j)
-				}
-			}
-		}
-		eN, _ := build(t, src, Naive)
-		eS, _ := build(t, src, SemiNaive)
-		// The engines intern atoms in different orders, so compare the
-		// models as sets of formatted atoms.
-		mN := map[string]bool{}
-		for _, id := range eN.Model() {
-			mN[eN.Interner().Format(id)] = true
-		}
-		mS := map[string]bool{}
-		for _, id := range eS.Model() {
-			mS[eS.Interner().Format(id)] = true
-		}
-		for a := range mN {
-			if !mS[a] {
-				t.Errorf("seed %d: missing in semi-naive: %s", seed, a)
-			}
-		}
-		for a := range mS {
-			if !mN[a] {
-				t.Errorf("seed %d: extra in semi-naive: %s", seed, a)
-			}
-		}
-	}
-}
-
-func TestSemiNaiveDoesLessWork(t *testing.T) {
-	eN, _ := build(t, chainTC(40), Naive)
-	eS, _ := build(t, chainTC(40), SemiNaive)
-	eN.Compute()
-	eS.Compute()
-	if eS.Stats().JoinProbes >= eN.Stats().JoinProbes {
-		t.Errorf("semi-naive probes %d >= naive probes %d",
-			eS.Stats().JoinProbes, eN.Stats().JoinProbes)
 	}
 }

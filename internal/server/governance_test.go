@@ -7,6 +7,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -20,6 +21,7 @@ import (
 	hypo "hypodatalog"
 	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/vfs"
+	"hypodatalog/internal/workload"
 )
 
 // TestOverMemoryShed: a tenant whose untrimmable footprint (the answer
@@ -256,5 +258,28 @@ func TestRequestNotSent(t *testing.T) {
 		if got := requestNotSent(c.err); got != c.want {
 			t.Errorf("requestNotSent(%v) = %v, want %v", c.err, got, c.want)
 		}
+	}
+}
+
+// TestMemoryBudgetCountsTransientIndex: a cold closure read needs its
+// model and, while it is being built, the join index over it. A per-query
+// budget that the model alone would fit must keep answering 422 "memory"
+// however often the read is retried — each refusal leaves the interner
+// warmer, so from the fourth attempt on the index is what does not fit —
+// and must leave the engine serving reads that do fit.
+func TestMemoryBudgetCountsTransientIndex(t *testing.T) {
+	const n = 60 // 1,830 reach atoms: 29 KB as a cached model, 44 KB more of index
+	_, ts := newTestServer(t, workload.ClosureProgram(workload.Chain(n), workload.RightLinear),
+		hypo.Options{PoolSize: 1, MaxMemoryBytes: 48 << 10}, Config{})
+	cl := ts.Client()
+	for i := 0; i < 12; i++ {
+		resp, body := post(t, cl, ts.URL+"/v1/ask", fmt.Sprintf(`{"query": "reach(n0, n%d)"}`, n))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), `"kind":"memory"`) {
+			t.Fatalf("attempt %d: status %d body %s (want 422 memory)", i, resp.StatusCode, body)
+		}
+	}
+	resp, body := post(t, cl, ts.URL+"/v1/ask", `{"query": "edge(n0, n1)"}`)
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"result":true`) {
+		t.Fatalf("cheap read after the refusals: status %d body %s", resp.StatusCode, body)
 	}
 }
