@@ -4,9 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+
+	hypo "hypodatalog"
+	"hypodatalog/internal/workload"
 )
 
 // baseline is the committed result file, written by
@@ -110,4 +115,71 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("misaligned:\n%s", out)
 		}
 	}
+}
+
+// TestChainStateBytes pins what interning hypothetical states bought, in
+// bytes. A state's identity is a 4-byte id in the interner's state table,
+// so (1) E1 at n = 512 — 512 states, each one atom larger than the last —
+// allocates at most 0.6 of the 2,304,649 B/op the string-keyed tables
+// needed (goals still 2n + 2), and (2) on a warm engine a memo entry costs
+// tens of bytes however deep its state is: the live heap grows by under
+// 160 B per entry over 200 distinct depth-256 chains (41 B measured; the
+// string-keyed parent: 364 B, ≈ 131 KB of keys per chain).
+func TestChainStateBytes(t *testing.T) {
+	const n, keyedBytes = 512, 2304649
+	cases, err := e1HypChain(Sizes{Chain: []int{n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := cases[0].Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["goals"] != 2*n+2 {
+		t.Errorf("E1 n=%d took %d goals, want %d", n, got["goals"], 2*n+2)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > keyedBytes*6/10 {
+		t.Errorf("E1 n=%d allocated %d B, want at most 0.6 × %d", n, b, keyedBytes)
+	}
+
+	// Each tag opens a branch of 256 states no other ask stands in.
+	const depth, warm, asks = 256, 50, 200
+	prog, err := hypo.Parse(workload.TaggedChainProgram(depth, warm+asks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := hypo.New(prog, uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := func(from, to int) {
+		for i := from; i < to; i++ {
+			if ok, err := e.AskUnder("a1", fmt.Sprintf("note(t%d)", i)); err != nil || !ok {
+				t.Fatalf("a1 under note(t%d) = %v, %v; want true", i, ok, err)
+			}
+		}
+	}
+	live := func() (heap uint64, entries int) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, e.Stats().TableSize
+	}
+	chains(0, warm)
+	heap0, entries0 := live()
+	chains(warm, warm+asks)
+	heap1, entries1 := live()
+	added := entries1 - entries0
+	if added < asks*2*depth {
+		t.Fatalf("%d chains added %d memo entries, want at least %d", asks, added, asks*2*depth)
+	}
+	if per := float64(heap1-heap0) / float64(added); per > 160 {
+		t.Errorf("live heap grew %.0f B per memo entry over %d entries, want under 160", per, added)
+	} else {
+		t.Logf("live heap grew %.0f B per memo entry over %d entries", per, added)
+	}
+	runtime.KeepAlive(e)
 }

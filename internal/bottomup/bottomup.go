@@ -37,10 +37,10 @@ type Prover struct {
 	dom    []symbols.Const
 	oracle Oracle
 
-	rules    []*rule               // the rules forming this Δ part, compiled
-	own      map[symbols.Pred]bool // predicates defined by those rules
-	levels   [][]*rule             // rules grouped by negation sub-stratum
-	cache    map[string]*matEntry  // state key -> materialised model
+	rules    []*rule                   // the rules forming this Δ part, compiled
+	own      map[symbols.Pred]bool     // predicates defined by those rules
+	levels   [][]*rule                 // rules grouped by negation sub-stratum
+	cache    map[facts.StateID]atomSet // state -> materialised model
 	maxCache int
 
 	// ctx is the cancellation source of the in-flight *Ctx call, or nil
@@ -68,10 +68,11 @@ const ctxCheckInterval = 1024
 
 // matAtomBytes approximates the heap cost of one derived atom in a
 // materialised model; matEntryOverhead the fixed cost of one cache entry
-// beyond its atoms (key string, map slot, matEntry struct).
+// beyond its atoms (map slot with its 4-byte state id, the atom set's
+// header). The state itself is charged by the interner's state table.
 const (
 	matAtomBytes     = 16
-	matEntryOverhead = 96
+	matEntryOverhead = 64
 )
 
 // SetMem installs the cascade's shared footprint tracker.
@@ -84,15 +85,6 @@ type atomSet map[facts.AtomID]struct{}
 
 func (s atomSet) has(id facts.AtomID) bool { _, ok := s[id]; return ok }
 
-// matEntry is one cached materialisation: the perfect model of the Δ part
-// over the state with the given hypothetical delta. The delta is kept so
-// incremental maintenance (incremental.go) can reconstruct the state a
-// cached model belongs to and update it in place on a base-fact commit.
-type matEntry struct {
-	delta facts.Delta
-	atoms atomSet
-}
-
 // New builds a Δ prover over a subset of the program's rules. oracle may
 // be nil when the Δ part is self-contained (stratum 1 with no
 // hypothetical premises); it is then an error for evaluation to need it.
@@ -104,7 +96,7 @@ func New(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, rules []int, ora
 		dom:      dom,
 		oracle:   oracle,
 		own:      make(map[symbols.Pred]bool),
-		cache:    make(map[string]*matEntry),
+		cache:    make(map[facts.StateID]atomSet),
 		maxCache: 1 << 16,
 	}
 	for _, ri := range rules {
@@ -249,11 +241,13 @@ func (p *Prover) poll() error {
 }
 
 // Materialise computes (or returns the cached) perfect model of the Δ part
-// over the state, per the paper's PROVE_Δi main loop.
+// over the state, per the paper's PROVE_Δi main loop. Cached models are
+// held by state id alone; incremental maintenance (incremental.go)
+// rebuilds the state a model belongs to from the interner's table.
 func (p *Prover) Materialise(st facts.State) (atomSet, error) {
-	key := st.Key()
-	if m, ok := p.cache[key]; ok {
-		return m.atoms, nil
+	key := st.ID()
+	if atoms, ok := p.cache[key]; ok {
+		return atoms, nil
 	}
 	p.stats.Materialisations++
 	m := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
@@ -262,8 +256,8 @@ func (p *Prover) Materialise(st facts.State) (atomSet, error) {
 	// atoms stay charged only while a cache entry holds them.
 	p.mem.Add(-m.idxBytes)
 	if err == nil && len(p.cache) < p.maxCache {
-		p.cache[key] = &matEntry{delta: st.Delta, atoms: m.atoms}
-		p.mem.Add(matEntryOverhead + int64(len(key)))
+		p.cache[key] = m.atoms
+		p.mem.Add(matEntryOverhead)
 	} else {
 		p.mem.Add(-matAtomBytes * int64(len(m.atoms)))
 	}

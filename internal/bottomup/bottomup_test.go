@@ -337,7 +337,7 @@ func TestIndexChargedWhileLive(t *testing.T) {
 	if want := 80 * 81 / 2; len(m) != want {
 		t.Fatalf("closure has %d atoms, want %d", len(m), want)
 	}
-	entry := matAtomBytes*int64(len(m)) + matEntryOverhead + int64(len(st.Key()))
+	entry := matAtomBytes*int64(len(m)) + matEntryOverhead
 	if g := mem.Grown(); g != entry {
 		t.Errorf("finished materialisation holds %d bytes, want the cache entry's %d (index released)", g, entry)
 	}

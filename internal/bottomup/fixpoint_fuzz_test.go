@@ -237,16 +237,17 @@ func checkFixpointAgreement(t *testing.T, seed int64) {
 	}
 	// Every model the core cached — the asked states and the extended
 	// states its hypothetical premises opened — must be the reference's.
-	for key, me := range p.cache {
-		want := rf.model(facts.State{Base: base, Delta: me.delta})
-		for id := range me.atoms {
+	for sid, atoms := range p.cache {
+		st := facts.StateAt(base, sid)
+		want := rf.model(st)
+		for id := range atoms {
 			if !want[id] {
-				t.Errorf("state %q: core derives %s, reference does not", key, in.Format(id))
+				t.Errorf("state %q: core derives %s, reference does not", st.Key(), in.Format(id))
 			}
 		}
 		for id := range want {
-			if !me.atoms.has(id) {
-				t.Errorf("state %q: reference derives %s, core does not", key, in.Format(id))
+			if !atoms.has(id) {
+				t.Errorf("state %q: reference derives %s, core does not", st.Key(), in.Format(id))
 			}
 		}
 	}

@@ -52,9 +52,9 @@ type Plan struct {
 }
 
 type pendingUpdate struct {
-	key   string
-	entry *matEntry
-	over  atomSet // own atoms with some derivation through a removed atom
+	st    facts.State // the cached model's state; its Base is the prover's
+	atoms atomSet     // the cached model, updated in place
+	over  atomSet     // own atoms with some derivation through a removed atom
 }
 
 // Affected reports whether a commit touching the cone can change this
@@ -97,20 +97,20 @@ func (p *Prover) incrementalOK(cone map[symbols.Pred]bool) bool {
 	return true
 }
 
-// releaseEntry returns a cache entry's memory charges (the entry itself
-// is deleted by the caller).
-func (p *Prover) releaseEntry(key string, me *matEntry) {
-	p.mem.Add(-(matEntryOverhead + int64(len(key)) + matAtomBytes*int64(len(me.atoms))))
+// drop deletes one cached model and returns its memory charges.
+func (p *Prover) drop(id facts.StateID) {
+	p.mem.Add(-(matEntryOverhead + matAtomBytes*int64(len(p.cache[id]))))
+	delete(p.cache, id)
+	p.stats.IncDropped++
 }
 
 // DropCache discards every cached materialisation; queries recompute
 // lazily against whatever the base database holds then.
 func (p *Prover) DropCache() {
-	p.stats.IncDropped += int64(len(p.cache))
-	for key, me := range p.cache {
-		p.releaseEntry(key, me)
+	for id := range p.cache {
+		p.drop(id)
 	}
-	p.cache = make(map[string]*matEntry)
+	p.cache = make(map[facts.StateID]atomSet) // the emptied buckets go too
 }
 
 // PlanDelta is phase one of a commit: decide, per cached state, whether
@@ -127,28 +127,25 @@ func (p *Prover) PlanDelta(added, removed []facts.AtomID, cone map[symbols.Pred]
 		return nil
 	}
 	plan := &Plan{}
-	for key, me := range p.cache {
-		// A state whose hypothetical delta mentions a committed atom has a
-		// key that is no longer canonical against the new base (added ∩
-		// base must stay empty, deleted ⊆ base): the entry would be
-		// unreachable garbage, so drop it instead of maintaining it.
-		if deltaTouches(me.delta, added) || deltaTouches(me.delta, removed) {
-			delete(p.cache, key)
-			p.releaseEntry(key, me)
-			p.stats.IncDropped++
+	for id, atoms := range p.cache {
+		// A state whose hypothetical delta mentions a committed atom is no
+		// longer canonical against the new base (added ∩ base must stay
+		// empty, deleted ⊆ base): the entry would be unreachable garbage,
+		// so drop it instead of maintaining it.
+		st := facts.StateAt(p.base, id)
+		if deltaTouches(st.Delta, added) || deltaTouches(st.Delta, removed) {
+			p.drop(id)
 			continue
 		}
-		over, err := p.overdelete(me, removed)
+		over, err := p.overdelete(st, atoms, removed)
 		if err != nil {
 			// An oracle failure mid-plan: dropping the entry is always
 			// sound — the next query rematerialises and surfaces the error
 			// in its own context.
-			delete(p.cache, key)
-			p.releaseEntry(key, me)
-			p.stats.IncDropped++
+			p.drop(id)
 			continue
 		}
-		plan.updates = append(plan.updates, &pendingUpdate{key: key, entry: me, over: over})
+		plan.updates = append(plan.updates, &pendingUpdate{st: st, atoms: atoms, over: over})
 	}
 	return plan
 }
@@ -165,9 +162,7 @@ func (p *Prover) ApplyPlan(plan *Plan, added []facts.AtomID) {
 	}
 	for _, u := range plan.updates {
 		if err := p.applyUpdate(u, added); err != nil {
-			delete(p.cache, u.key)
-			p.releaseEntry(u.key, u.entry)
-			p.stats.IncDropped++
+			p.drop(u.st.ID())
 			continue
 		}
 		p.stats.IncStates++
@@ -175,12 +170,12 @@ func (p *Prover) ApplyPlan(plan *Plan, added []facts.AtomID) {
 }
 
 func (p *Prover) applyUpdate(u *pendingUpdate, added []facts.AtomID) error {
-	m := &model{atoms: u.entry.atoms}
+	m := &model{atoms: u.atoms}
 	for id := range u.over {
 		delete(m.atoms, id)
 		p.mem.Add(-matAtomBytes)
 	}
-	st := facts.State{Base: p.base, Delta: u.entry.delta} // base holds post-commit facts now
+	st := u.st // its base holds post-commit facts now
 	var frontier []facts.AtomID
 	for id := range u.over {
 		ok, err := p.rederivable(id, st, m)
@@ -205,18 +200,17 @@ func (p *Prover) applyUpdate(u *pendingUpdate, added []facts.AtomID) error {
 // derived atom with some derivation using a removed base atom (or,
 // transitively, an overdeleted one), joined against the pre-commit
 // database and the still-intact model.
-func (p *Prover) overdelete(me *matEntry, removed []facts.AtomID) (atomSet, error) {
+func (p *Prover) overdelete(st facts.State, atoms atomSet, removed []facts.AtomID) (atomSet, error) {
 	if len(removed) == 0 {
 		return atomSet{}, nil
 	}
-	st := facts.State{Base: p.base, Delta: me.delta}
-	m := &model{atoms: me.atoms}
+	m := &model{atoms: atoms}
 	over := atomSet{}
 	frontier := removed
 	for len(frontier) > 0 {
 		var next []facts.AtomID
 		err := p.pinnedJoin(p.rules, st, m, frontier, func(h facts.AtomID) error {
-			if me.atoms.has(h) && !over.has(h) {
+			if atoms.has(h) && !over.has(h) {
 				over[h] = struct{}{}
 				next = append(next, h)
 			}
@@ -297,12 +291,9 @@ func deltaTouches(d facts.Delta, ids []facts.AtomID) bool {
 // commit's predicate cone provably cannot change the prover's derived
 // atoms (the demand-driven mode's out-of-cone case).
 func (p *Prover) DropTouching(added, removed []facts.AtomID) {
-	for key, me := range p.cache {
-		if !deltaTouches(me.delta, added) && !deltaTouches(me.delta, removed) {
-			continue
+	for id := range p.cache {
+		if d := facts.StateAt(p.base, id).Delta; deltaTouches(d, added) || deltaTouches(d, removed) {
+			p.drop(id)
 		}
-		delete(p.cache, key)
-		p.releaseEntry(key, me)
-		p.stats.IncDropped++
 	}
 }

@@ -365,7 +365,7 @@ func (p *Prover) askOracleOrModel(goal facts.AtomID, st, ext facts.State, m *mod
 		return true, nil
 	}
 	if p.own[p.in.Pred(goal)] {
-		if ext.Key() == st.Key() {
+		if ext.ID() == st.ID() {
 			return m.atoms.has(goal), nil
 		}
 		// H-stratification normally rules this out; fall back to a

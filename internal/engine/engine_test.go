@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -39,18 +40,25 @@ func buildBoth(t *testing.T, src string) (*topdown.Engine, *Cascade, *ast.CProgr
 	return uni, cas, cp
 }
 
-func askBoth(t *testing.T, uni *topdown.Engine, cas *Cascade, cp *ast.CProgram, query string) bool {
+// compileQuery compiles a ground query premise against the program's
+// symbols.
+func compileQuery(t *testing.T, cp *ast.CProgram, query string) ast.CPremise {
 	t.Helper()
 	pr, err := parser.ParsePremise(query)
 	if err != nil {
 		t.Fatalf("parse %q: %v", query, err)
 	}
-	vars := map[string]int{}
 	var names []string
-	cpr, err := ast.CompilePremise(pr, cp.Syms, vars, &names)
+	cpr, err := ast.CompilePremise(pr, cp.Syms, map[string]int{}, &names)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cpr
+}
+
+func askBoth(t *testing.T, uni *topdown.Engine, cas *Cascade, cp *ast.CProgram, query string) bool {
+	t.Helper()
+	cpr := compileQuery(t, cp, query)
 	u, err := uni.AskPremise(cpr, uni.EmptyState())
 	if err != nil {
 		t.Fatalf("uniform %q: %v", query, err)
@@ -295,5 +303,80 @@ func TestSolutionsGroundQuery(t *testing.T) {
 	}
 	if len(sols) != 1 || len(sols[0]) != 0 {
 		t.Errorf("ground query solutions = %v", sols)
+	}
+}
+
+// TestStateNodesChargedAndReleased: interned hypothetical states are part
+// of the tracked footprint (through Interner.MemBytes), so a depth-256
+// chain under a budget smaller than its memo entries plus state nodes is
+// refused even when every atom it touches is already interned; the engine
+// keeps serving what fits; and the explicit charges — memo entries, cached
+// Δ-models — come back exactly when their tables are dropped.
+func TestStateNodesChargedAndReleased(t *testing.T) {
+	const depth, budget = 256, 6 << 10 // the chain's 256 state nodes alone outgrow 6 KiB
+	_, cas, cp := buildBoth(t, workload.TaggedChainProgram(depth, 2))
+	var mem *topdown.MemTracker
+	track := func(max int64) {
+		mem = topdown.NewMemTracker(max)
+		mem.AddSource(cas.Interner().MemBytes)
+		mem.AddSource(cas.Base().MemBytes)
+		cas.SetBudgets(mem, nil)
+	}
+	ask := func(query string) (bool, error) {
+		t.Helper()
+		cpr := compileQuery(t, cp, query)
+		mem.Begin()
+		return cas.AskPremise(cpr, cas.EmptyState())
+	}
+	drop := func() {
+		for _, se := range cas.sigma {
+			se.ResetTable()
+		}
+		for _, dp := range cas.delta {
+			dp.DropCache()
+		}
+	}
+
+	// Unbudgeted, one chain interns every atom the program can reach and
+	// charges 256 state nodes beside its memo entries and Δ-models.
+	track(0)
+	if ok, err := ask("a1[add: note(t0)]"); err != nil || !ok {
+		t.Fatalf("a1 under note(t0) = %v, %v; want true", ok, err)
+	}
+	if got, min := mem.Grown(), int64(depth*32); got < min {
+		t.Fatalf("a depth-%d chain charged %d bytes, want at least its state nodes' %d", depth, got, min)
+	}
+	drop()
+
+	// Budgeted, the same chain under another tag stands in 256 states no
+	// ask has seen. It interns one atom, its tag, and is refused on the way
+	// down — before the bottom state's Δ-model or any memo entry exists, so
+	// by the state nodes alone.
+	track(budget)
+	atoms, goals := cas.Interner().Len(), cas.Stats().Goals
+	if _, err := ask("a1[add: note(t1)]"); !errors.Is(err, topdown.ErrMemory) {
+		t.Fatalf("fresh chain under a %d-byte budget: err = %v, want ErrMemory", budget, err)
+	}
+	if n, g := cas.Interner().Len()-atoms, cas.Stats().Goals-goals; n > 1 || g >= depth {
+		t.Fatalf("the refused chain interned %d atoms and ran %d goals: the refusal does not show the state table's charge", n, g)
+	}
+	drop()
+
+	// A short branch fits. Asked again on warm states, everything it grows
+	// is explicit charges, and dropping the tables returns them all.
+	const short = "a250[add: note(t1)]"
+	if ok, err := ask(short); err != nil || ok {
+		t.Fatalf("%s = %v, %v; want false within the budget", short, ok, err)
+	}
+	drop()
+	if ok, err := ask(short); err != nil || ok {
+		t.Fatalf("%s again = %v, %v; want false within the budget", short, ok, err)
+	}
+	if g := mem.Grown(); g <= 0 {
+		t.Fatalf("a warm ask charged %d bytes; want its memo entries and Δ-models", g)
+	}
+	drop()
+	if g := mem.Grown(); g != 0 {
+		t.Fatalf("%d bytes still charged after ResetTable + DropCache", g)
 	}
 }

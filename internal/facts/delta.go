@@ -2,56 +2,38 @@ package facts
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
 // Delta is an immutable modification of a base database: a set of
 // hypothetically added atoms and a set of hypothetically deleted atoms
 // (always disjoint — the most recent operation on an atom wins). Adding
-// or deleting returns a new Delta; existing values are never mutated, so
-// Deltas can be shared freely across proof branches and used as
-// memoisation keys.
+// returns a new Delta; existing values are never mutated, so Deltas can be
+// shared freely across proof branches.
 //
 // Hypothetical deletion is the extension mentioned in the introduction of
 // the paper (data-complexity rises from PSPACE to EXPTIME); the core
 // PODS'89 fragment only ever adds.
 //
-// The canonical Key is a binary encoding of the sorted added ids, a
-// separator, and the sorted deleted ids, so two Deltas are equal as
-// modifications iff their Keys are equal — the tabling layer relies on
-// exact equality, not hashing, for soundness.
+// A Delta carries its sorted sets — transient data of the proof stack
+// that keeps Has a binary search — and, when a State built it, the
+// StateID that names it in the state table of the State's interner
+// (state.go). Identity is the id; the sets are never encoded into a key
+// on an evaluation path.
 type Delta struct {
 	ids  []AtomID // added: sorted, deduplicated; nil for none
 	dels []AtomID // deleted: sorted, deduplicated; nil for none
-	key  string   // canonical encoding
+	sid  StateID
 }
 
 // EmptyDelta is the delta of the unmodified database.
 var EmptyDelta = Delta{}
 
 // NewDelta builds an additions-only delta from the given ids (copied,
-// sorted, deduped).
+// sorted, deduped). Like every Delta built outside a State it is not
+// interned until a State over it is asked for its ID.
 func NewDelta(ids []AtomID) Delta {
-	if len(ids) == 0 {
-		return EmptyDelta
-	}
 	return Delta{}.AddAll(ids)
-}
-
-func normalize(ids []AtomID) []AtomID {
-	if len(ids) == 0 {
-		return nil
-	}
-	cp := append([]AtomID(nil), ids...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	w := 0
-	for i, id := range cp {
-		if i == 0 || id != cp[w-1] {
-			cp[w] = id
-			w++
-		}
-	}
-	return cp[:w]
 }
 
 // makeKey builds the canonical key: a 4-byte length prefix holding the
@@ -66,16 +48,12 @@ func makeKey(ids, dels []AtomID) string {
 		return ""
 	}
 	b := make([]byte, 0, 4*(1+len(ids)+len(dels)))
-	var enc [4]byte
-	binary.LittleEndian.PutUint32(enc[:], uint32(len(ids)))
-	b = append(b, enc[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
 	for _, id := range ids {
-		binary.LittleEndian.PutUint32(enc[:], uint32(id))
-		b = append(b, enc[:]...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(id))
 	}
 	for _, id := range dels {
-		binary.LittleEndian.PutUint32(enc[:], uint32(id))
-		b = append(b, enc[:]...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(id))
 	}
 	return string(b)
 }
@@ -83,11 +61,12 @@ func makeKey(ids, dels []AtomID) string {
 // Len reports the number of added atoms in the delta.
 func (d Delta) Len() int { return len(d.ids) }
 
-// NumDeleted reports the number of deleted atoms in the delta.
-func (d Delta) NumDeleted() int { return len(d.dels) }
-
-// Key returns the canonical key identifying the delta as a modification.
-func (d Delta) Key() string { return d.key }
+// Key returns the canonical key identifying the delta as a modification,
+// derived from its sets on every call: two Deltas are equal as
+// modifications iff their Keys are equal. It is the reference the
+// interned ids are tested against and what internal/ref keys on; the
+// engines key on State.ID.
+func (d Delta) Key() string { return makeKey(d.ids, d.dels) }
 
 // Has reports whether id is in the delta's added set.
 func (d Delta) Has(id AtomID) bool { return member(d.ids, id) }
@@ -95,14 +74,25 @@ func (d Delta) Has(id AtomID) bool { return member(d.ids, id) }
 // Deleted reports whether id is in the delta's deleted set.
 func (d Delta) Deleted(id AtomID) bool { return member(d.dels, id) }
 
+// member is a binary search written out so that it inlines into Has and
+// Deleted — every goal expansion and every join candidate asks both, and
+// on the empty set (no hypothetical deletions, the common case) the
+// inlined form is one compare where slices.BinarySearch is a call.
 func member(ids []AtomID, id AtomID) bool {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return i < len(ids) && ids[i] == id
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(ids) && ids[lo] == id
 }
 
 func insertSorted(ids []AtomID, id AtomID) []AtomID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
+	i, ok := slices.BinarySearch(ids, id)
+	if ok {
 		return ids
 	}
 	out := make([]AtomID, len(ids)+1)
@@ -113,8 +103,8 @@ func insertSorted(ids []AtomID, id AtomID) []AtomID {
 }
 
 func removeSorted(ids []AtomID, id AtomID) []AtomID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i >= len(ids) || ids[i] != id {
+	i, ok := slices.BinarySearch(ids, id)
+	if !ok {
 		return ids
 	}
 	out := make([]AtomID, 0, len(ids)-1)
@@ -126,43 +116,10 @@ func removeSorted(ids []AtomID, id AtomID) []AtomID {
 // of the same atom). If the result equals the receiver it is returned
 // unchanged.
 func (d Delta) Add(id AtomID) Delta {
-	if d.Has(id) && !d.Deleted(id) {
+	if d.Has(id) {
 		return d
 	}
-	ids := insertSorted(d.ids, id)
-	dels := removeSorted(d.dels, id)
-	return Delta{ids: ids, dels: dels, key: makeKey(ids, dels)}
-}
-
-// Del returns a delta extended with a deleted atom (clearing any addition
-// of the same atom).
-func (d Delta) Del(id AtomID) Delta {
-	if d.Deleted(id) && !d.Has(id) {
-		return d
-	}
-	dels := insertSorted(d.dels, id)
-	ids := removeSorted(d.ids, id)
-	return Delta{ids: ids, dels: dels, key: makeKey(ids, dels)}
-}
-
-// undelete removes id from the deleted set without touching the added
-// set (used by State.Add for base atoms).
-func (d Delta) undelete(id AtomID) Delta {
-	if !d.Deleted(id) {
-		return d
-	}
-	dels := removeSorted(d.dels, id)
-	return Delta{ids: d.ids, dels: dels, key: makeKey(d.ids, dels)}
-}
-
-// unadd removes id from the added set without touching the deleted set
-// (used by State.Del for non-base atoms).
-func (d Delta) unadd(id AtomID) Delta {
-	if !d.Has(id) {
-		return d
-	}
-	ids := removeSorted(d.ids, id)
-	return Delta{ids: ids, dels: d.dels, key: makeKey(ids, d.dels)}
+	return Delta{ids: insertSorted(d.ids, id), dels: removeSorted(d.dels, id), sid: uninterned}
 }
 
 // AddAll returns a delta extended with all the given added atoms.
@@ -174,102 +131,6 @@ func (d Delta) AddAll(ids []AtomID) Delta {
 	return out
 }
 
-// DelAll returns a delta extended with all the given deleted atoms.
-func (d Delta) DelAll(ids []AtomID) Delta {
-	out := d
-	for _, id := range ids {
-		out = out.Del(id)
-	}
-	return out
-}
-
 // IDs returns the added ids in sorted order. The returned slice must not
 // be modified.
 func (d Delta) IDs() []AtomID { return d.ids }
-
-// DeletedIDs returns the deleted ids in sorted order. The returned slice
-// must not be modified.
-func (d Delta) DeletedIDs() []AtomID { return d.dels }
-
-// Contains reports whether every added atom of other is also added in d
-// and every deleted atom of other is also deleted in d.
-func (d Delta) Contains(other Delta) bool {
-	for _, id := range other.ids {
-		if !d.Has(id) {
-			return false
-		}
-	}
-	for _, id := range other.dels {
-		if !d.Deleted(id) {
-			return false
-		}
-	}
-	return true
-}
-
-// State is a hypothetical database state: a base database plus a delta of
-// hypothetically added and deleted atoms. States are values; extending
-// the delta gives a new State.
-type State struct {
-	Base  *DB
-	Delta Delta
-}
-
-// NewState returns the state of the unmodified base database.
-func NewState(base *DB) State { return State{Base: base} }
-
-// Has reports whether the atom is visible in this state:
-// (base ∪ added) \ deleted.
-func (s State) Has(id AtomID) bool {
-	if s.Delta.Deleted(id) {
-		return false
-	}
-	return s.Delta.Has(id) || s.Base.Has(id)
-}
-
-// Add returns the state extended with a hypothetically inserted atom.
-//
-// The delta is kept canonical relative to the base (added ∩ base = ∅,
-// deleted ⊆ base): operations that do not change the visible set return
-// the state unchanged, so two states with equal visible sets always have
-// equal keys. Without this, a chain of adds and deletes would encode its
-// whole history into the key and the tabling layer would treat
-// semantically identical states as distinct.
-func (s State) Add(id AtomID) State {
-	if s.Has(id) {
-		return s // already visible: inserting changes nothing
-	}
-	if s.Base.Has(id) {
-		// Visible again once the deletion is retracted; the canonical
-		// delta never lists base atoms as added.
-		return State{Base: s.Base, Delta: s.Delta.undelete(id)}
-	}
-	return State{Base: s.Base, Delta: s.Delta.Add(id)}
-}
-
-// Del returns the state extended with a hypothetically deleted atom;
-// see Add for the canonicalisation rules.
-func (s State) Del(id AtomID) State {
-	if !s.Has(id) {
-		return s // already invisible: deleting changes nothing
-	}
-	if s.Base.Has(id) {
-		return State{Base: s.Base, Delta: s.Delta.Del(id)}
-	}
-	// A non-base atom disappears by dropping its addition; recording the
-	// deletion would bake evaluation history into the key.
-	return State{Base: s.Base, Delta: s.Delta.unadd(id)}
-}
-
-// AddAll returns the state extended with all the given atoms.
-func (s State) AddAll(ids []AtomID) State {
-	out := s
-	for _, id := range ids {
-		out = out.Add(id)
-	}
-	return out
-}
-
-// Key returns the canonical key of the state's delta. States over the same
-// base are equal iff their keys are equal.
-func (s State) Key() string { return s.Delta.Key() }

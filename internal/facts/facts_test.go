@@ -141,9 +141,6 @@ func TestDeltaBasics(t *testing.T) {
 	if other.Key() != d3.Key() {
 		t.Error("keys differ for equal sets")
 	}
-	if !d3.Contains(d1) || d1.Contains(d3) {
-		t.Error("Contains wrong")
-	}
 }
 
 // TestDeltaSetSemantics is a property test: a Delta built by any sequence

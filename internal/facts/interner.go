@@ -31,6 +31,11 @@ type Interner struct {
 	index map[string]AtomID
 	buf   []byte // scratch for key encoding
 	bytes int64  // approximate heap footprint of atoms + index
+
+	// states interns the hypothetical states built over this interner's
+	// atoms (state.go). It is private to this interner: Clone starts an
+	// empty one, so StateIDs never travel between engines.
+	states stateTable
 }
 
 // internEntryOverhead approximates the fixed heap cost of one interned
@@ -43,8 +48,9 @@ const internEntryOverhead = 64
 // NewInterner returns an empty interner over the given symbol table.
 func NewInterner(syms *symbols.Table) *Interner {
 	return &Interner{
-		syms:  syms,
-		index: make(map[string]AtomID),
+		syms:   syms,
+		index:  make(map[string]AtomID),
+		states: newStateTable(),
 	}
 }
 
@@ -84,10 +90,11 @@ func (in *Interner) ID(pred symbols.Pred, args []symbols.Const) AtomID {
 	return id
 }
 
-// MemBytes returns the interner's approximate heap footprint. Atoms are
-// never un-interned, so the value is monotone within one interner (but
-// resets to the substrate's footprint on Clone).
-func (in *Interner) MemBytes() int64 { return in.bytes }
+// MemBytes returns the interner's approximate heap footprint: its atoms
+// and the states interned over them. Neither is ever un-interned, so the
+// value is monotone within one interner (but resets to the substrate's
+// atoms on Clone).
+func (in *Interner) MemBytes() int64 { return in.bytes + in.states.memBytes() }
 
 // Lookup returns the id of pred(args...) if it has been interned.
 func (in *Interner) Lookup(pred symbols.Pred, args []symbols.Const) (AtomID, bool) {
@@ -106,16 +113,17 @@ func (in *Interner) Args(id AtomID) []symbols.Const { return in.atoms[id].args }
 // Len reports how many atoms have been interned.
 func (in *Interner) Len() int { return len(in.atoms) }
 
-// Clone returns an independent interner with the same atom/id assignment.
-// The per-atom argument slices are shared (they are immutable after
-// interning); the atoms slice and index map are copied, so interning into
-// either copy never affects the other.
+// Clone returns an independent interner with the same atom/id assignment
+// and no interned states. The per-atom argument slices are shared (they
+// are immutable after interning); the atoms slice and index map are
+// copied, so interning into either copy never affects the other.
 func (in *Interner) Clone() *Interner {
 	out := &Interner{
-		syms:  in.syms,
-		atoms: append([]groundAtom(nil), in.atoms...),
-		index: make(map[string]AtomID, len(in.index)),
-		bytes: in.bytes,
+		syms:   in.syms,
+		atoms:  append([]groundAtom(nil), in.atoms...),
+		index:  make(map[string]AtomID, len(in.index)),
+		bytes:  in.bytes,
+		states: newStateTable(),
 	}
 	for k, v := range in.index {
 		out.index[k] = v

@@ -1,0 +1,261 @@
+package facts
+
+import (
+	"math"
+	"slices"
+)
+
+// StateID names a hypothetical modification — a pair of (added, deleted)
+// atom sets — in the state table of one Interner. Within that interner two
+// states over the same base are the same modification iff their ids are
+// equal: ids are hash-consed, never hashes, so the tabling layers can key
+// on them and keep the exact equality their soundness rests on. Ids mean
+// nothing outside the interner that issued them (a Clone starts a fresh
+// table), and they name (adds, dels) sets rather than visible sets, so a
+// base-fact commit leaves every id exact.
+type StateID uint32
+
+const (
+	// EmptyStateID is the unmodified database, in every table.
+	EmptyStateID StateID = 0
+	// uninterned marks a non-empty Delta built outside any State (NewDelta,
+	// Delta.Add); State.ID interns it on demand.
+	uninterned StateID = math.MaxUint32
+)
+
+// stateNode is one interned state: its parent state plus one token the
+// parent lacks. hash is the XOR of the mixed hashes of the whole set's
+// tokens — order-independent, so extending a state is O(1) whatever order
+// its tokens arrived in. It only steers the lookup (32 bits are plenty for
+// that); equality is decided by the tokens themselves.
+type stateNode struct {
+	hash   uint32
+	parent StateID
+	token  uint32
+}
+
+// stateNodeBytes approximates the heap cost of one interned state: its
+// node, its share of the at most half-full slot array, and append slack.
+// Like internEntryOverhead it is a budget estimator, linear in the real
+// footprint.
+const stateNodeBytes = 32
+
+// A token is one element of a modification: an atom id and whether it is
+// added or deleted.
+func addToken(id AtomID) uint32 { return uint32(id) << 1 }
+func delToken(id AtomID) uint32 { return uint32(id)<<1 | 1 }
+
+// mixToken is the default token hash: the high half of the splitmix64
+// finaliser.
+func mixToken(tok uint32) uint32 {
+	x := uint64(tok) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return uint32((x ^ x>>31) >> 32)
+}
+
+// stateTable hash-conses modifications. A lookup probes an open-addressed
+// slot array by the set's hash and accepts a candidate only after checking
+// that it is the same set, so a hash collision costs a probe, never an
+// identity. It belongs to one Interner and, like it, is single-threaded.
+type stateTable struct {
+	nodes []stateNode // nodes[id]; nodes[0] is the empty state
+	slots []StateID   // power-of-two sized, at most half full; 0 = free
+	mix   func(uint32) uint32
+}
+
+func newStateTable() stateTable {
+	return stateTable{nodes: make([]stateNode, 1), mix: mixToken}
+}
+
+// memBytes is the table's approximate heap footprint.
+func (t *stateTable) memBytes() int64 { return stateNodeBytes * int64(len(t.nodes)-1) }
+
+// extend returns the id of the parent state plus one token it lacks. ids
+// and dels are the sorted sets of the extended state; a candidate reached
+// through another parent is verified against them.
+func (t *stateTable) extend(parent StateID, token uint32, ids, dels []AtomID) StateID {
+	h := t.nodes[parent].hash ^ t.mix(token)
+	if 2*len(t.nodes) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		c := t.slots[i]
+		if c == 0 {
+			id := StateID(len(t.nodes))
+			t.nodes = append(t.nodes, stateNode{hash: h, parent: parent, token: token})
+			t.slots[i] = id
+			return id
+		}
+		n := &t.nodes[c]
+		if n.hash == h && (n.parent == parent && n.token == token || t.same(c, ids, dels)) {
+			return c
+		}
+	}
+}
+
+// same reports whether state c is exactly the modification (ids, dels). A
+// chain lists each of its tokens once, so c is that set iff every token of
+// c is in it and there are as many of them.
+func (t *stateTable) same(c StateID, ids, dels []AtomID) bool {
+	n := 0
+	for ; c != EmptyStateID; c = t.nodes[c].parent {
+		tok := t.nodes[c].token
+		set := ids
+		if tok&1 != 0 {
+			set = dels
+		}
+		if !member(set, AtomID(tok>>1)) {
+			return false
+		}
+		n++
+	}
+	return n == len(ids)+len(dels)
+}
+
+// grow doubles the slot array and re-threads every node by its stored
+// hash.
+func (t *stateTable) grow() {
+	n := 2 * len(t.slots)
+	if n == 0 {
+		n = 16
+	}
+	t.slots = make([]StateID, n)
+	mask := uint32(n - 1)
+	for id := 1; id < len(t.nodes); id++ {
+		i := t.nodes[id].hash & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = StateID(id)
+	}
+}
+
+// intern returns the id of the modification with the given sorted sets,
+// building it token by token from the empty state. It is the path for
+// whatever a one-token extension cannot express: a state that lost a
+// token (hypothetical deletion retracting an addition, or the reverse)
+// and a Delta built outside any State.
+func (t *stateTable) intern(ids, dels []AtomID) StateID {
+	id := EmptyStateID
+	for i, a := range ids {
+		id = t.extend(id, addToken(a), ids[:i+1], nil)
+	}
+	for i, a := range dels {
+		id = t.extend(id, delToken(a), ids, dels[:i+1])
+	}
+	return id
+}
+
+// delta rebuilds the sorted sets of an interned state from its chain.
+func (t *stateTable) delta(id StateID) Delta {
+	d := Delta{sid: id}
+	for c := id; c != EmptyStateID; c = t.nodes[c].parent {
+		a := AtomID(t.nodes[c].token >> 1)
+		if t.nodes[c].token&1 != 0 {
+			d.dels = append(d.dels, a)
+		} else {
+			d.ids = append(d.ids, a)
+		}
+	}
+	slices.Sort(d.ids)
+	slices.Sort(d.dels)
+	return d
+}
+
+// State is a hypothetical database state: a base database plus a delta of
+// hypothetically added and deleted atoms. States are values; extending
+// the delta gives a new State. The Delta of a State must stay with bases
+// over the interner that built it — its id is that interner's.
+type State struct {
+	Base  *DB
+	Delta Delta
+}
+
+// NewState returns the state of the unmodified base database.
+func NewState(base *DB) State { return State{Base: base} }
+
+// StateAt returns the state a StateID of base's interner names. The sets
+// are rebuilt from the table, so this is for the places that hold states
+// by id across queries (cached Δ-models at commit time), not for proofs.
+func StateAt(base *DB, id StateID) State {
+	return State{Base: base, Delta: base.in.states.delta(id)}
+}
+
+// ID returns the state's identity within its base's interner. States over
+// the same base are equal iff their ids are equal.
+func (s State) ID() StateID {
+	if s.Delta.sid == uninterned {
+		return s.Base.in.states.intern(s.Delta.ids, s.Delta.dels)
+	}
+	return s.Delta.sid
+}
+
+// Has reports whether the atom is visible in this state:
+// (base ∪ added) \ deleted.
+func (s State) Has(id AtomID) bool {
+	if s.Delta.Deleted(id) {
+		return false
+	}
+	return s.Delta.Has(id) || s.Base.Has(id)
+}
+
+// Add returns the state extended with a hypothetically inserted atom.
+//
+// The delta is kept canonical relative to the base (added ∩ base = ∅,
+// deleted ⊆ base): operations that do not change the visible set return
+// the state unchanged, so two states with equal visible sets always have
+// equal ids. Without this, a chain of adds and deletes would encode its
+// whole history into the identity and the tabling layer would treat
+// semantically identical states as distinct.
+func (s State) Add(id AtomID) State {
+	if s.Has(id) {
+		return s // already visible: inserting changes nothing
+	}
+	if s.Base.Has(id) {
+		// Visible again once the deletion is retracted; the canonical
+		// delta never lists base atoms as added.
+		return s.rebuilt(s.Delta.ids, removeSorted(s.Delta.dels, id))
+	}
+	return s.extended(addToken(id), insertSorted(s.Delta.ids, id), s.Delta.dels)
+}
+
+// Del returns the state extended with a hypothetically deleted atom;
+// see Add for the canonicalisation rules.
+func (s State) Del(id AtomID) State {
+	if !s.Has(id) {
+		return s // already invisible: deleting changes nothing
+	}
+	if s.Base.Has(id) {
+		return s.extended(delToken(id), s.Delta.ids, insertSorted(s.Delta.dels, id))
+	}
+	// A non-base atom disappears by dropping its addition; recording the
+	// deletion would bake evaluation history into the identity.
+	return s.rebuilt(removeSorted(s.Delta.ids, id), s.Delta.dels)
+}
+
+// extended is s plus one token, given the sorted sets of the result.
+func (s State) extended(token uint32, ids, dels []AtomID) State {
+	sid := s.Base.in.states.extend(s.ID(), token, ids, dels)
+	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: sid}}
+}
+
+// rebuilt is the state with the given sorted sets, which are s's minus
+// one token.
+func (s State) rebuilt(ids, dels []AtomID) State {
+	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: s.Base.in.states.intern(ids, dels)}}
+}
+
+// AddAll returns the state extended with all the given atoms.
+func (s State) AddAll(ids []AtomID) State {
+	out := s
+	for _, id := range ids {
+		out = out.Add(id)
+	}
+	return out
+}
+
+// Key returns the canonical key of the state's delta, derived from its
+// sets on every call; evaluation keys on ID instead.
+func (s State) Key() string { return s.Delta.Key() }

@@ -283,3 +283,29 @@ func TestMemoryBudgetCountsTransientIndex(t *testing.T) {
 		t.Fatalf("cheap read after the refusals: status %d body %s", resp.StatusCode, body)
 	}
 }
+
+// TestMemoryBudgetCountsStateNodes: every hypothetical state a proof stands
+// in is interned, and the per-query budget sees the state table grow. A
+// depth-256 chain asked under a tag no earlier request used walks 256 fresh
+// states — 8 KB of state nodes before any memo entry — so under a 6 KB
+// budget it answers 422 "memory" on a cold interner (atoms trip it first)
+// and on a warm one alike, and the engine goes on serving reads that fit.
+// The uniform engine is the one with nothing else to trip on: it charges
+// memo entries as the proof unwinds, past the last budget poll, so with
+// string-keyed states the ninth chain answered 200.
+func TestMemoryBudgetCountsStateNodes(t *testing.T) {
+	const tags = 24
+	_, ts := newTestServer(t, workload.TaggedChainProgram(256, tags),
+		hypo.Options{Mode: hypo.ModeUniform, PoolSize: 1, MaxMemoryBytes: 6 << 10}, Config{})
+	cl := ts.Client()
+	for i := 0; i < tags; i++ {
+		resp, body := post(t, cl, ts.URL+"/v1/askunder", fmt.Sprintf(`{"query": "a1", "add": ["note(t%d)"]}`, i))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), `"kind":"memory"`) {
+			t.Fatalf("chain %d: status %d body %s (want 422 memory)", i, resp.StatusCode, body)
+		}
+	}
+	resp, body := post(t, cl, ts.URL+"/v1/askunder", `{"query": "a250", "add": ["note(t0)"]}`)
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"result":false`) {
+		t.Fatalf("short branch after the refusals: status %d body %s", resp.StatusCode, body)
+	}
+}

@@ -109,7 +109,7 @@ func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]
 	if st.Has(goal) {
 		return &Proof{Kind: ProofFact, Goal: e.in.Format(goal)}, nil
 	}
-	key := tableKey{goal, st.Key()}
+	key := tableKey{goal, st.ID()}
 	if onPath[key] {
 		return nil, nil
 	}
@@ -218,7 +218,7 @@ func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, s
 		return result, found, err
 	case ast.Negated:
 		var enumSlots, localSlots []int
-		for _, s := range premiseUnboundSlots(pr, binding) {
+		for _, s := range appendUnboundSlots(nil, pr, binding) {
 			if rule.PosVar[s] {
 				enumSlots = append(enumSlots, s)
 			} else {
@@ -265,7 +265,7 @@ func (e *Engine) forEachPremiseInstance(rule *ast.CRule, pr *ast.CPremise, bindi
 		}
 		return nil
 	}
-	slots := premiseUnboundSlots(pr, binding)
+	slots := appendUnboundSlots(nil, pr, binding)
 	return e.enumerate(slots, binding, leaf)
 }
 

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/facts"
@@ -220,14 +221,19 @@ type Engine struct {
 	goals *GoalBudget
 
 	stats Stats
+	args  []symbols.Const // scratch for grounding and ground-pattern lookups
 }
 
-// tableEntryBytes approximates the heap cost of one memo-table entry.
-func tableEntryBytes(k tableKey) int64 { return 64 + int64(len(k.state)) }
+// tableEntryBytes approximates the heap cost of one memo-table entry: an
+// 8-byte key, its value and its share of the map's spare slots. The state
+// the key names is charged where it lives, in the interner's state table.
+const tableEntryBytes = 32
 
+// tableKey is a (goal, hypothetical state) pair. Both halves are interned
+// ids of the engine's interner, so key equality is exact.
 type tableKey struct {
 	goal  facts.AtomID
-	state string
+	state facts.StateID
 }
 
 const maxFrame = math.MaxInt
@@ -331,9 +337,7 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // ResetTable clears the memo table.
 func (e *Engine) ResetTable() {
-	for k := range e.table {
-		e.mem.Add(-tableEntryBytes(k))
-	}
+	e.mem.Add(-tableEntryBytes * int64(len(e.table)))
 	e.table = make(map[tableKey]bool)
 }
 
@@ -343,15 +347,16 @@ func (e *Engine) ResetTable() {
 // extensions the commit cannot have changed. The state component of a
 // key needs no inspection — a hypothetical delta only narrows which base
 // atoms are visible, and visibility of non-cone predicates is unchanged;
-// keys whose delta mentions a committed atom are simply never asked
-// again (the canonical key for the new base differs), so stale entries
-// under them are unreachable, not wrong.
+// a state id names an (adds, dels) pair, not a visible set, so it stays
+// exact across the commit, and states whose delta mentions a committed
+// atom are simply never asked again (the canonical state for the new base
+// differs), so stale entries under them are unreachable, not wrong.
 func (e *Engine) PruneTable(cone map[symbols.Pred]bool) int {
 	n := 0
 	for k := range e.table {
 		if cone[e.in.Pred(k.goal)] {
 			delete(e.table, k)
-			e.mem.Add(-tableEntryBytes(k))
+			e.mem.Add(-tableEntryBytes)
 			n++
 		}
 	}
@@ -497,7 +502,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		// Extensional predicate: only state membership can make it true.
 		return false, maxFrame, nil
 	}
-	key := tableKey{goal, st.Key()}
+	key := tableKey{goal, st.ID()}
 	if !e.opts.NoTabling {
 		if v, ok := e.table[key]; ok {
 			e.stats.TableHits++
@@ -528,7 +533,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		if ok {
 			if !e.opts.NoTabling {
 				e.table[key] = true
-				e.mem.Add(tableEntryBytes(key))
+				e.mem.Add(tableEntryBytes)
 			}
 			return true, maxFrame, nil
 		}
@@ -536,7 +541,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	if !e.opts.NoTabling && minTouched >= depth {
 		// Clean failure: nothing above this frame was consulted.
 		e.table[key] = false
-		e.mem.Add(tableEntryBytes(key))
+		e.mem.Add(tableEntryBytes)
 	}
 	return false, minTouched, nil
 }
@@ -652,7 +657,7 @@ var errStop = fmt.Errorf("topdown: stop")
 // "ground substitution over dom(R, DB)"), and each ground instance is
 // proved recursively.
 func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
-	slots := premiseUnboundSlots(pr, binding)
+	slots := appendUnboundSlots(nil, pr, binding)
 	minTouched := maxFrame
 	proved := false
 
@@ -724,7 +729,7 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 // Examples 6 and 7 rely on (EVEN ← ~SELECT(x̄) fires when nothing is
 // selectable).
 func (e *Engine) evalNegated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
-	slots := premiseUnboundSlots(pr, binding)
+	slots := appendUnboundSlots(nil, pr, binding)
 	var enumSlots, localSlots []int
 	for _, s := range slots {
 		if rule.PosVar[s] {
@@ -836,45 +841,47 @@ func (e *Engine) negCheck(goal facts.AtomID, st facts.State) (bool, error) {
 
 // groundAtom interns a premise atom under a (fully binding) substitution.
 func (e *Engine) groundAtom(a ast.CAtom, binding []symbols.Const) facts.AtomID {
-	args := make([]symbols.Const, len(a.Args))
-	for i, t := range a.Args {
+	args := e.args[:0] // scratch: the interner copies what it keeps
+	for _, t := range a.Args {
 		if t.IsVar() {
 			v := binding[t.VarSlot()]
 			if v == unbound {
 				panic("topdown: grounding with unbound variable")
 			}
-			args[i] = v
+			args = append(args, v)
 		} else {
-			args[i] = t.ConstID()
+			args = append(args, t.ConstID())
 		}
 	}
+	e.args = args
 	return e.in.ID(a.Pred, args)
 }
 
-// premiseUnboundSlots returns the unbound variable slots of a premise
-// (atom plus adds), each once, in first-occurrence order.
-func premiseUnboundSlots(pr *ast.CPremise, binding []symbols.Const) []int {
-	var slots []int
-	seen := map[int]bool{}
-	note := func(a ast.CAtom) {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				s := t.VarSlot()
-				if binding[s] == unbound && !seen[s] {
-					seen[s] = true
-					slots = append(slots, s)
-				}
-			}
-		}
-	}
-	note(pr.Atom)
+// appendUnboundSlots appends to dst (empty on entry) the unbound variable
+// slots of a premise — atom, adds and dels — each once, in
+// first-occurrence order. A premise has a handful of variables, so
+// scanning dst is the dedupe.
+func appendUnboundSlots(dst []int, pr *ast.CPremise, binding []symbols.Const) []int {
+	dst = appendUnbound(dst, pr.Atom, binding)
 	for _, a := range pr.Adds {
-		note(a)
+		dst = appendUnbound(dst, a, binding)
 	}
 	for _, a := range pr.Dels {
-		note(a)
+		dst = appendUnbound(dst, a, binding)
 	}
-	return slots
+	return dst
+}
+
+func appendUnbound(dst []int, a ast.CAtom, binding []symbols.Const) []int {
+	for _, t := range a.Args {
+		if !t.IsVar() {
+			continue
+		}
+		if s := t.VarSlot(); binding[s] == unbound && !slices.Contains(dst, s) {
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 // matchState enumerates the atoms in the state (base plus delta) matching
@@ -884,6 +891,7 @@ func premiseUnboundSlots(pr *ast.CPremise, binding []symbols.Const) []int {
 func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts.State, yield func() error) error {
 	// Pick the most selective index: a bound argument position.
 	bestPos, bestVal := -1, unbound
+	args, ground := e.args[:0], true
 	for i, t := range pattern.Args {
 		var v symbols.Const
 		if t.IsVar() {
@@ -891,10 +899,21 @@ func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts
 		} else {
 			v = t.ConstID()
 		}
-		if v != unbound {
+		if v == unbound {
+			ground = false
+		} else if bestPos < 0 {
 			bestPos, bestVal = i, v
-			break
 		}
+		args = append(args, v)
+	}
+	e.args = args
+	if ground {
+		// Nothing to enumerate: a fully bound pattern is a membership test,
+		// not a walk over the candidates and every atom of the delta.
+		if id, ok := e.in.Lookup(pattern.Pred, args); ok && st.Has(id) {
+			return yield()
+		}
+		return nil
 	}
 	var candidates []facts.AtomID
 	if bestPos >= 0 {
@@ -981,7 +1000,8 @@ func (e *Engine) pickPremise(rule *ast.CRule, binding []symbols.Const, mask uint
 
 // premiseCost estimates the branching a premise introduces right now.
 func (e *Engine) premiseCost(pr *ast.CPremise, binding []symbols.Const, st facts.State) float64 {
-	unboundCount := len(premiseUnboundSlots(pr, binding))
+	var buf [8]int // keeps the planner's count off the heap
+	unboundCount := len(appendUnboundSlots(buf[:0], pr, binding))
 	domN := float64(len(e.dom))
 	if domN == 0 {
 		domN = 1

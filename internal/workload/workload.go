@@ -36,6 +36,21 @@ func ChainProgram(n int) string {
 	return b.String()
 }
 
+// TaggedChainProgram is ChainProgram(n) plus an inert extensional
+// predicate note/1 over the constants t0..t{tags-1}: asking a1 under the
+// one hypothetical add note(t_i) walks the whole chain in n states that no
+// ask under another tag stands in, so repeated asks never share a
+// hypothetical state or a memo entry.
+func TaggedChainProgram(n, tags int) string {
+	var b strings.Builder
+	b.WriteString(ChainProgram(n))
+	b.WriteString("seen :- note(X), tag(X).\n")
+	for i := 0; i < tags; i++ {
+		fmt.Fprintf(&b, "tag(t%d).\n", i)
+	}
+	return b.String()
+}
+
 // OrderLoopProgram builds Example 5: iterate over a stored linear order of
 // n elements, hypothetically adding marker(x) for each, then check that
 // every marker is present.
