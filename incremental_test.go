@@ -259,3 +259,113 @@ func TestCommitSubstrateSingleflight(t *testing.T) {
 		t.Errorf("substrate builds after one swap with %d concurrent leases = %d, want 1", k, got)
 	}
 }
+
+// TestCommitDropsDerivedChildren: a commit maintains only the empty
+// state's Δ-models in place; every model cached under a hypothetical state
+// — derived from its parent's or built from nothing — is dropped, counted
+// in Stats.IncDropped, and derived again on the next read. Whether the
+// commit is disjoint from a child's delta (an assert) or touches it (a
+// retract of the atom the child deletes), every answer under those states
+// must then equal a freshly built engine's at the new fact set.
+func TestCommitDropsDerivedChildren(t *testing.T) {
+	const src = `
+node(a). node(b). node(c). node(d). node(e).
+edge(a, b). edge(b, c).
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- edge(X, Z), reach(Z, Y).
+cut(X) :- node(X), ~reach(a, X).
+`
+	p := mustParse(t, src)
+	dom, _ := domainInfo(p, Options{})
+	e, err := New(p, Options{Mode: ModeCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := map[string]bool{}
+	for _, f := range p.src.Facts {
+		facts[f.String()] = true
+	}
+	children := [][]string{{"edge(c, d)"}, {"edge(d, e)"}, {"edge(c, d)", "edge(d, e)"}, {"edge(e, a)"}}
+	probe := func(e *Engine) string {
+		var sb strings.Builder
+		for _, adds := range children {
+			for _, q := range []string{"reach(a, e)", "cut(d)", "cut(e)"} {
+				ok, err := e.AskUnder(q, adds...)
+				if err != nil {
+					t.Fatalf("AskUnder(%s, %v): %v", q, adds, err)
+				}
+				fmt.Fprintf(&sb, "%s+%v: %v\n", q, adds, ok)
+			}
+		}
+		for _, q := range []string{"reach(a, Y)[del: edge(a, b)]", "cut(X)[add: edge(c, d)]", "reach(X, Y)"} {
+			bs, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("Query(%s): %v", q, err)
+			}
+			var rows []string
+			for _, b := range bs {
+				rows = append(rows, fmt.Sprint(b))
+			}
+			sort.Strings(rows)
+			fmt.Fprintf(&sb, "%s: %v\n", q, rows)
+		}
+		return sb.String()
+	}
+	cold := func() string {
+		var fs []string
+		for f := range facts {
+			fs = append(fs, f)
+		}
+		sort.Strings(fs)
+		ms, err := ParseMutations(fs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var atoms = p.src.Facts[:0:0]
+		for _, m := range ms {
+			atoms = append(atoms, m.Atom)
+		}
+		prog, err := p.withFacts(atoms, dom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce, err := New(prog, Options{Mode: ModeCascade})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return probe(ce)
+	}
+
+	probe(e) // caches the empty state's models and every child's
+	steps := []struct{ asserts, retracts []string }{
+		{[]string{"edge(e, c)"}, nil}, // disjoint from every child's delta
+		{nil, []string{"edge(a, b)"}}, // the atom one child deletes
+	}
+	for si, st := range steps {
+		before := e.Stats()
+		if err := e.ApplyDelta(st.asserts, st.retracts); err != nil {
+			t.Fatalf("step %d ApplyDelta: %v", si, err)
+		}
+		work := e.Stats().Sub(before)
+		// Every cached model was either maintained in place (an empty
+		// state's) or dropped; the children are all among the dropped.
+		cached := before.Materialisations - before.IncDropped
+		if work.IncDropped+work.IncStates != cached || work.IncDropped < int64(len(children)) {
+			t.Errorf("step %d: %d models cached, %d dropped, %d maintained; want every child (%d) dropped",
+				si, cached, work.IncDropped, work.IncStates, len(children))
+		}
+		for _, s := range st.asserts {
+			facts[s] = true
+		}
+		for _, s := range st.retracts {
+			delete(facts, s)
+		}
+		want := cold()
+		if got := probe(e); got != want {
+			t.Errorf("step %d: answers under the dropped states drifted from a fresh engine:\ngot:\n%s\nwant:\n%s", si, got, want)
+		}
+		if d := e.Stats().DerivedModels - before.DerivedModels; d == 0 {
+			t.Errorf("step %d: no child model was derived again after the commit", si)
+		}
+	}
+}

@@ -117,6 +117,7 @@ func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query stri
 		"max_depth":        int64(st.MaxDepth),
 		"states":           int64(st.TableSize),
 		"materialisations": st.Materialisations,
+		"derived_models":   st.DerivedModels,
 		"join_probes":      st.JoinProbes,
 	}, query, len(bs), want, err)
 }

@@ -8,9 +8,11 @@
 // fixpoint in order, building the perfect model of Δ_i and the state.
 // TEST⁰ routes hypothetical premises and lower-strata predicates to an
 // oracle (PROVE_Σ(i-1) in the cascade). Materialisations are cached per
-// hypothetical state. Each fixpoint is semi-naive over an index of the
-// atoms derived so far (join.go); incremental.go maintains cached models
-// across base-fact commits with the same joins.
+// hypothetical state, and a state's model is derived from its nearest
+// cached ancestor's where the added atoms allow, stored as an overlay on
+// it. Each fixpoint is semi-naive over an index of the atoms derived so
+// far (join.go); incremental.go maintains the empty state's model across
+// base-fact commits with the same joins.
 package bottomup
 
 import (
@@ -37,11 +39,14 @@ type Prover struct {
 	dom    []symbols.Const
 	oracle Oracle
 
-	rules    []*rule                   // the rules forming this Δ part, compiled
-	own      map[symbols.Pred]bool     // predicates defined by those rules
-	levels   [][]*rule                 // rules grouped by negation sub-stratum
-	cache    map[facts.StateID]atomSet // state -> materialised model
+	rules    []*rule                  // the rules forming this Δ part, compiled
+	own      map[symbols.Pred]bool    // predicates defined by those rules
+	levels   [][]*rule                // rules grouped by negation sub-stratum
+	level    map[symbols.Pred]int     // own predicate -> index of its level
+	deps     *premiseDeps             // what the movable premises depend on, computed on first use
+	cache    map[facts.StateID]*model // state -> materialised model
 	maxCache int
+	rootBusy bool // the empty state's model is being computed
 
 	// ctx is the cancellation source of the in-flight *Ctx call, or nil
 	// when the call is not cancellable; the join loop polls it every
@@ -57,8 +62,8 @@ type Prover struct {
 	// polls it at the same points as the context.
 	mem *topdown.MemTracker
 
-	// stats counts this prover's work (Materialisations, JoinProbes,
-	// IncStates, IncDropped) as plain integers; whoever owns the prover
+	// stats counts this prover's work (Materialisations, DerivedModels,
+	// JoinProbes, IncStates, IncDropped) as plain integers; whoever owns the prover
 	// reads them with Stats and does the metrics accounting, once per query.
 	stats topdown.Stats
 }
@@ -96,7 +101,8 @@ func New(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, rules []int, ora
 		dom:      dom,
 		oracle:   oracle,
 		own:      make(map[symbols.Pred]bool),
-		cache:    make(map[facts.StateID]atomSet),
+		level:    make(map[symbols.Pred]int),
+		cache:    make(map[facts.StateID]*model),
 		maxCache: 1 << 16,
 	}
 	for _, ri := range rules {
@@ -169,6 +175,9 @@ func (p *Prover) negationLevels() ([][]*rule, error) {
 			maxLvl = l
 		}
 	}
+	for q, l := range level {
+		p.level[q] = l - 1
+	}
 	out := make([][]*rule, maxLvl)
 	for _, cr := range p.rules {
 		l := level[cr.r.Head.Pred]
@@ -186,11 +195,11 @@ func (p *Prover) Holds(goal facts.AtomID, st facts.State) (bool, error) {
 	if st.Has(goal) {
 		return true, nil
 	}
-	m, err := p.Materialise(st)
+	m, err := p.materialise(st)
 	if err != nil {
 		return false, err
 	}
-	return m.has(goal), nil
+	return p.has(m, goal), nil
 }
 
 // HoldsCtx is Holds with cancellation: a materialisation in progress is
@@ -240,23 +249,35 @@ func (p *Prover) poll() error {
 	return nil
 }
 
-// Materialise computes (or returns the cached) perfect model of the Δ part
+// maxOverlayDepth is how many overlays a cached model may read through
+// before it is flattened into an atom set of its own.
+const maxOverlayDepth = 8
+
+// materialise computes (or returns the cached) perfect model of the Δ part
 // over the state, per the paper's PROVE_Δi main loop. Cached models are
-// held by state id alone; incremental maintenance (incremental.go)
-// rebuilds the state a model belongs to from the interner's table.
-func (p *Prover) Materialise(st facts.State) (atomSet, error) {
+// held by state id alone; a miss derives the model from an ancestor
+// state's when it can (derive), and incremental maintenance
+// (incremental.go) keeps the empty state's model exact across commits.
+func (p *Prover) materialise(st facts.State) (*model, error) {
 	key := st.ID()
-	if atoms, ok := p.cache[key]; ok {
-		return atoms, nil
+	if m, ok := p.cache[key]; ok {
+		return m, nil
 	}
 	p.stats.Materialisations++
 	m := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
-	err := p.fixpoint(st, m)
+	if key == facts.EmptyStateID {
+		p.rootBusy = true
+		defer func() { p.rootBusy = false }()
+	}
+	err := p.derive(st, m)
 	// The index goes with the materialisation, finished or aborted; the
 	// atoms stay charged only while a cache entry holds them.
-	p.mem.Add(-m.idxBytes)
+	p.dropIndex(m)
 	if err == nil && len(p.cache) < p.maxCache {
-		p.cache[key] = m.atoms
+		if m.depth > maxOverlayDepth {
+			p.flatten(m)
+		}
+		p.cache[key] = m
 		p.mem.Add(matEntryOverhead)
 	} else {
 		p.mem.Add(-matAtomBytes * int64(len(m.atoms)))
@@ -264,29 +285,195 @@ func (p *Prover) Materialise(st facts.State) (atomSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.atoms, nil
+	return m, nil
+}
+
+// Model returns the atoms of the perfect model of the Δ part over the
+// state, in no particular order.
+func (p *Prover) Model(st facts.State) ([]facts.AtomID, error) {
+	m, err := p.materialise(st)
+	if err != nil {
+		return nil, err
+	}
+	var out []facts.AtomID
+	p.each(m, func(id facts.AtomID) { out = append(out, id) })
+	return out, nil
+}
+
+// derive computes st's model into m: as an overlay on the model of the
+// nearest ancestor state with a cached one when the tokens between them
+// allow it (DESIGN §15), else from nothing.
+func (p *Prover) derive(st facts.State, m *model) error {
+	anc, grown, from, err := p.ancestor(st)
+	if err != nil {
+		return err
+	}
+	if anc == nil {
+		return p.fixpoint(st, m, 0, nil)
+	}
+	p.stats.DerivedModels++
+	m.parent, m.cut, m.depth = anc, from, anc.depth+1
+	return p.fixpoint(st, m, from, grown)
+}
+
+// ancestor walks st's parent links in the state table up to the nearest
+// state with a cached model — the empty state's, materialised now if it
+// is not cached — and returns that model, the atoms st adds over it, and
+// the first negation level those atoms can shrink. It returns a nil model
+// when st is computed from nothing: st is the empty state, a token on the
+// way deletes, or one makes every level recompute or reaches a premise
+// only a from-scratch evaluation answers (effect), or the empty state's
+// model is itself still being computed or finds no room in the cache.
+func (p *Prover) ancestor(st facts.State) (*model, []facts.AtomID, int, error) {
+	from := len(p.levels)
+	var grown []facts.AtomID
+	for id := st.ID(); id != facts.EmptyStateID; {
+		parent, atom, added := facts.StateParent(p.base, id)
+		eff := p.effect(p.in.Pred(atom))
+		if from = min(from, eff.from); !added || eff.cold || from == 0 {
+			return nil, nil, 0, nil
+		}
+		grown = append(grown, atom)
+		if m, ok := p.cache[parent]; ok {
+			return m, grown, from, nil
+		}
+		if parent == facts.EmptyStateID {
+			if p.rootBusy {
+				break // st is asked for while the empty state's model is built
+			}
+			root, err := p.materialise(facts.NewState(p.base))
+			if _, ok := p.cache[parent]; err != nil || !ok {
+				return nil, nil, 0, err // an uncached parent would keep an index nothing releases
+			}
+			return root, grown, from, nil
+		}
+		id = parent
+	}
+	return nil, nil, 0, nil
+}
+
+// effect is what adding an atom of one predicate to the state does to
+// the part's model. A level whose inputs only grow keeps its atoms and
+// gains what semi-naive rounds from the new ones derive; from is the
+// first level that can also lose atoms — one with a negated premise that
+// depends on the predicate — or len(levels) when none can. cold marks a
+// predicate whose additions the model is recomputed for from nothing: an
+// own predicate (the model never holds atoms of the state), or one an
+// oracle-answered or hypothetical premise depends on, whose answers at
+// the new state nothing here tracks.
+type effect struct {
+	from int
+	cold bool
+}
+
+// premiseDeps is what the part's premises that can move under a grown
+// state depend on, gathered once per prover.
+type premiseDeps struct {
+	negFrom map[symbols.Pred]int  // predicate -> first level negating a premise that depends on it
+	cold    map[symbols.Pred]bool // predicates an oracle-answered or hypothetical premise depends on
+	negAll  int                   // first level negating a premise that depends on everything
+	coldAll bool                  // an oracle-answered or hypothetical premise depends on everything
+}
+
+func (p *Prover) effect(q symbols.Pred) effect {
+	if p.deps == nil {
+		p.deps = p.premiseDeps()
+	}
+	d := p.deps
+	e := effect{from: d.negAll, cold: p.own[q] || d.coldAll || d.cold[q]}
+	if l, ok := d.negFrom[q]; ok {
+		e.from = min(e.from, l)
+	}
+	return e
+}
+
+func (p *Prover) premiseDeps() *premiseDeps {
+	d := &premiseDeps{negFrom: map[symbols.Pred]int{}, cold: map[symbols.Pred]bool{}, negAll: len(p.levels)}
+	for _, cr := range p.rules {
+		lvl := p.level[cr.r.Head.Pred]
+		for i := range cr.r.Body {
+			pr := &cr.r.Body[i]
+			neg := pr.Kind == ast.Negated
+			if !neg && pr.Kind == ast.Plain && !p.oracleOwned(pr.Atom.Pred) {
+				continue // grows with the state: propagation handles it
+			}
+			deps, all := p.dependsOn(pr.Atom.Pred)
+			switch {
+			case neg && all:
+				d.negAll = min(d.negAll, lvl)
+			case neg:
+				for q := range deps {
+					if l, ok := d.negFrom[q]; !ok || lvl < l {
+						d.negFrom[q] = lvl
+					}
+				}
+			case all:
+				d.coldAll = true
+			default:
+				for q := range deps {
+					d.cold[q] = true
+				}
+			}
+		}
+	}
+	return d
+}
+
+// dependsOn returns pred and every predicate its rules reach through
+// premises of any kind, and whether one of them is intensional with no
+// rule in the program: defined elsewhere — demand mode's programs hold
+// only the transformed rules — and so taken to depend on everything.
+func (p *Prover) dependsOn(pred symbols.Pred) (map[symbols.Pred]bool, bool) {
+	seen, all := map[symbols.Pred]bool{pred: true}, false
+	for stack := []symbols.Pred{pred}; len(stack) > 0; {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		rs := p.prog.ByHead[q]
+		all = all || (len(rs) == 0 && p.prog.IDB[q])
+		for _, ri := range rs {
+			for _, pr := range p.prog.Rules[ri].Body {
+				if !seen[pr.Atom.Pred] {
+					seen[pr.Atom.Pred] = true
+					stack = append(stack, pr.Atom.Pred)
+				}
+			}
+		}
+	}
+	return seen, all
 }
 
 // fixpoint builds the model level by level (the paper's LFP_i / T_i
-// procedures, semi-naively): one full pass of the level's rules, then
-// rounds that join each rule only through the atoms the previous round
-// derived. Only own-predicate premises of the level can be delta sources.
+// procedures, semi-naively). A level from on is computed afresh: one full
+// pass of its rules, then rounds that join each rule only through the
+// atoms the previous round derived. A level below from extends the
+// parent model m overlays: only its inputs grew — by the atoms in grown,
+// the state's over the parent's, and by what the levels below added — so
+// rounds seeded with those reach the level's new least fixpoint.
+//
+// Only own-predicate premises of the level can be delta sources.
 // Everything else a rule reads is fixed while the level runs — extensional
 // premises by the state, oracle-answered and hypothetical ones because
 // H-stratification defines them strictly below this part, negated ones
 // because they refer to completed lower levels — and so only filters the
 // join.
-func (p *Prover) fixpoint(st facts.State, m *model) error {
-	for _, lvl := range p.levels {
-		var frontier []facts.AtomID
-		derive := p.deriveInto(st, m, &frontier)
-		for _, r := range lvl {
-			if err := p.fullRule(r, st, m, derive); err != nil {
-				return err
+func (p *Prover) fixpoint(st facts.State, m *model, from int, grown []facts.AtomID) error {
+	for l, lvl := range p.levels {
+		frontier := grown
+		if l >= from {
+			frontier = nil
+			derive := p.deriveInto(st, m, &frontier)
+			for _, r := range lvl {
+				if err := p.fullRule(r, st, m, derive); err != nil {
+					return err
+				}
 			}
 		}
-		if err := p.propagate(lvl, st, m, frontier); err != nil {
+		added, err := p.propagate(lvl, st, m, frontier)
+		if err != nil {
 			return err
+		}
+		if l+1 < from {
+			grown = append(grown, added...)
 		}
 	}
 	return nil
@@ -296,7 +483,7 @@ func (p *Prover) fixpoint(st facts.State, m *model) error {
 // model or state join the model and are appended to *fresh.
 func (p *Prover) deriveInto(st facts.State, m *model, fresh *[]facts.AtomID) func(facts.AtomID) error {
 	return func(h facts.AtomID) error {
-		if !m.atoms.has(h) && !st.Has(h) {
+		if !p.has(m, h) && !st.Has(h) {
 			p.insert(m, h)
 			*fresh = append(*fresh, h)
 		}
@@ -307,26 +494,27 @@ func (p *Prover) deriveInto(st facts.State, m *model, fresh *[]facts.AtomID) fun
 // propagate runs semi-naive addition rounds over the rules to a fixpoint:
 // each round joins every rule with one premise pinned to a frontier atom
 // and re-runs the rerun rules in full; the heads new to the model form
-// the next frontier.
-func (p *Prover) propagate(rules []*rule, st facts.State, m *model, frontier []facts.AtomID) error {
+// the next frontier. It returns every atom it added, in order.
+func (p *Prover) propagate(rules []*rule, st facts.State, m *model, frontier []facts.AtomID) ([]facts.AtomID, error) {
+	var added []facts.AtomID
+	derive := p.deriveInto(st, m, &added)
 	for len(frontier) > 0 {
 		if err := p.poll(); err != nil {
-			return err
+			return nil, err
 		}
-		var next []facts.AtomID
-		derive := p.deriveInto(st, m, &next)
+		start := len(added)
 		if err := p.pinnedJoin(rules, st, m, frontier, derive); err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range rules {
 			if !r.rerun {
 				continue
 			}
 			if err := p.fullRule(r, st, m, derive); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		frontier = next
+		frontier = added[start:]
 	}
-	return nil
+	return added, nil
 }

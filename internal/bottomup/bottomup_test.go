@@ -14,9 +14,11 @@ import (
 	"hypodatalog/internal/topdown"
 )
 
-// build compiles a source program and creates a prover over ALL its rules
-// (a single Δ part), with an optional oracle. The unary predicates named
-// in below are marked as defined below the part: oracle-answered.
+// build compiles a source program and creates a prover over its rules (a
+// single Δ part), with an optional oracle. The unary predicates named in
+// below are marked as defined below the part: oracle-answered. Rules for
+// them stay in the program, outside the part, where they state what the
+// oracle's answers depend on.
 func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *ast.CProgram, *facts.DB) {
 	t.Helper()
 	prog, err := parser.Parse(src)
@@ -27,7 +29,9 @@ func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *
 	if err != nil {
 		t.Fatal(err)
 	}
+	isBelow := map[symbols.Pred]bool{}
 	for _, name := range below {
+		isBelow[cp.Syms.Pred(name, 1)] = true
 		cp.IDB[cp.Syms.Pred(name, 1)] = true
 	}
 	in := facts.NewInterner(cp.Syms)
@@ -35,9 +39,11 @@ func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *
 	for _, f := range cp.Facts {
 		base.Insert(in.InternGround(f))
 	}
-	rules := make([]int, len(cp.Rules))
-	for i := range rules {
-		rules[i] = i
+	var rules []int
+	for i := range cp.Rules {
+		if !isBelow[cp.Rules[i].Head.Pred] {
+			rules = append(rules, i)
+		}
 	}
 	p, err := New(cp, base, ref.Domain(cp), rules, oracle)
 	if err != nil {
@@ -330,14 +336,14 @@ func TestIndexChargedWhileLive(t *testing.T) {
 	mem := topdown.NewMemTracker(0)
 	p.SetMem(mem)
 	mem.Begin()
-	m, err := p.Materialise(st)
+	m, err := p.materialise(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 80 * 81 / 2; len(m) != want {
-		t.Fatalf("closure has %d atoms, want %d", len(m), want)
+	if want := 80 * 81 / 2; len(m.atoms) != want {
+		t.Fatalf("closure has %d atoms, want %d", len(m.atoms), want)
 	}
-	entry := matAtomBytes*int64(len(m)) + matEntryOverhead
+	entry := matAtomBytes*int64(len(m.atoms)) + matEntryOverhead
 	if g := mem.Grown(); g != entry {
 		t.Errorf("finished materialisation holds %d bytes, want the cache entry's %d (index released)", g, entry)
 	}
@@ -349,7 +355,7 @@ func TestIndexChargedWhileLive(t *testing.T) {
 	tight := topdown.NewMemTracker(2 * entry)
 	p.SetMem(tight)
 	tight.Begin()
-	if _, err := p.Materialise(ext); !errors.Is(err, topdown.ErrMemory) {
+	if _, err := p.materialise(ext); !errors.Is(err, topdown.ErrMemory) {
 		t.Fatalf("budget below atoms+index: err = %v, want ErrMemory", err)
 	}
 	if g := tight.Grown(); g != 0 || len(p.cache) != 1 {

@@ -184,25 +184,118 @@ func (g partGen) program() string {
 	return b.String()
 }
 
-func checkFixpointAgreement(t *testing.T, seed int64) {
+// coverage counts, over the states one program is asked under, the ways
+// their models were built.
+type coverage struct {
+	derived   int // derived from an ancestor's model
+	recompute int // derived, and a level negating a grown predicate recomputed
+	alias     int // derived over tokens no rule of the part reads
+	deletion  int // built from nothing: a token deletes
+	oracle    int // built from nothing: an oracle-answered premise in a token's cone
+	skipped   int // derived past an ancestor with no cached model
+}
+
+func (c *coverage) add(o coverage) {
+	c.derived += o.derived
+	c.recompute += o.recompute
+	c.alias += o.alias
+	c.deletion += o.deletion
+	c.oracle += o.oracle
+	c.skipped += o.skipped
+}
+
+// classify records how st's model is about to be built, reading the walk
+// materialise will take; the empty state's model must already be cached.
+func (cov *coverage) classify(p *Prover, st facts.State) {
+	if _, ok := p.cache[st.ID()]; ok || st.ID() == facts.EmptyStateID {
+		return
+	}
+	anc, grown, from, err := p.ancestor(st)
+	if err != nil {
+		return
+	}
+	if anc != nil {
+		cov.derived++
+		if len(grown) > 1 {
+			cov.skipped++
+		}
+		if from > 0 && from < len(p.levels) {
+			cov.recompute++
+		}
+		if p.unread(grown) {
+			cov.alias++
+		}
+		return
+	}
+	for id := st.ID(); id != facts.EmptyStateID; {
+		parent, atom, added := facts.StateParent(p.base, id)
+		if !added {
+			cov.deletion++
+			return
+		}
+		if q := p.in.Pred(atom); p.effect(q).cold && !p.own[q] {
+			cov.oracle++
+			return
+		}
+		id = parent
+	}
+}
+
+// unread reports whether no premise of the part depends on the predicate
+// of any of the atoms.
+func (p *Prover) unread(atoms []facts.AtomID) bool {
+	for _, cr := range p.rules {
+		for _, pr := range cr.r.Body {
+			deps, all := p.dependsOn(pr.Atom.Pred)
+			for _, id := range atoms {
+				if all || deps[p.in.Pred(id)] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// checkFixpointAgreement generates the part for seed and asks it under
+// its states. With eOnly, o has the rule o(X) :- e(X) outside the part
+// and the oracle answers by the goal and the e atoms the state holds —
+// what that rule says o depends on — so tokens outside e can be derived
+// over. Without, o has no rule and the oracle answers by the goal and the
+// whole state, so every token in o's cone is materialised from nothing
+// and the oracle is asked at exactly the states the core opens.
+func checkFixpointAgreement(t *testing.T, seed int64, eOnly bool) coverage {
 	g := partGen{rand.New(rand.NewSource(seed))}
 	src := g.program()
+	if eOnly {
+		src += "o(X) :- e(X).\n"
+	}
 	defer func() {
 		if t.Failed() {
-			t.Logf("seed %d program:\n%s", seed, src)
+			t.Logf("seed %d (eOnly %v) program:\n%s", seed, eOnly, src)
 		}
 	}()
-	// The oracle is a fixed pseudo-random relation over (goal, state).
 	var in *facts.Interner
+	var es []facts.AtomID
 	oracle := func(goal facts.AtomID, st facts.State) bool {
 		h := fnv.New32a()
-		fmt.Fprintf(h, "%d|%s|%s", seed, in.Format(goal), st.Key())
+		if !eOnly {
+			fmt.Fprintf(h, "%d|%s|%s", seed, in.Format(goal), st.Key())
+			return h.Sum32()%3 == 0
+		}
+		fmt.Fprintf(h, "%d|%s|", seed, in.Format(goal))
+		for _, e := range es {
+			fmt.Fprint(h, st.Has(e))
+		}
 		return h.Sum32()%3 == 0
 	}
 	p, cp, base := build(t, src, func(goal facts.AtomID, st facts.State) (bool, error) {
 		return oracle(goal, st), nil
 	}, "o")
 	in = base.Interner()
+	for _, k := range fuzzConsts {
+		es = append(es, in.ID(cp.Syms.Pred("e", 1), []symbols.Const{cp.Syms.Const(k)}))
+	}
 	if len(p.levels) < 2 {
 		t.Fatalf("generated part has %d negation levels, want >= 2", len(p.levels))
 	}
@@ -219,9 +312,10 @@ func checkFixpointAgreement(t *testing.T, seed int64) {
 		}
 		return in.ID(cp.Syms.Pred(a.Pred, len(args)), args)
 	}
-	states := []facts.State{facts.NewState(base)}
+	root := facts.NewState(base)
+	states := []facts.State{root}
 	for i := 0; i < 2; i++ {
-		st := facts.NewState(base)
+		st := root
 		for n := 1 + g.rng.Intn(3); n > 0; n-- {
 			st = st.Add(ground(g.pick("e", "f", "a", "c")))
 		}
@@ -230,37 +324,87 @@ func checkFixpointAgreement(t *testing.T, seed int64) {
 		}
 		states = append(states, st)
 	}
+	// An add-chain of one to three tokens. Its last state is always asked,
+	// each earlier one only sometimes, so a model is derived past a cached
+	// parent and past an uncached one.
+	st := root
+	for n := 1 + g.rng.Intn(3); n > 0; n-- {
+		if st = st.Add(ground(g.pick("e", "f", "f", "f"))); n == 1 || g.rng.Intn(2) == 0 {
+			states = append(states, st)
+		}
+	}
+	var cov coverage
 	for _, st := range states {
-		if _, err := p.Materialise(st); err != nil {
-			t.Fatalf("Materialise: %v", err)
+		cov.classify(p, st)
+		if _, err := p.materialise(st); err != nil {
+			t.Fatalf("materialise: %v", err)
 		}
 	}
 	// Every model the core cached — the asked states and the extended
-	// states its hypothetical premises opened — must be the reference's.
-	for sid, atoms := range p.cache {
+	// states its hypothetical premises opened, derived or not — must be
+	// the one a from-scratch fixpoint computes, and the reference's.
+	for sid, m := range p.cache {
 		st := facts.StateAt(base, sid)
+		got := atomSet{}
+		p.each(m, func(id facts.AtomID) { got[id] = struct{}{} })
+		cold := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
+		if err := p.fixpoint(st, cold, 0, nil); err != nil {
+			t.Fatalf("cold fixpoint: %v", err)
+		}
 		want := rf.model(st)
-		for id := range atoms {
+		for id := range got {
 			if !want[id] {
 				t.Errorf("state %q: core derives %s, reference does not", st.Key(), in.Format(id))
 			}
+			if !cold.atoms.has(id) {
+				t.Errorf("state %q: core derives %s, a cold fixpoint does not", st.Key(), in.Format(id))
+			}
 		}
 		for id := range want {
-			if !atoms.has(id) {
+			if !got.has(id) {
 				t.Errorf("state %q: reference derives %s, core does not", st.Key(), in.Format(id))
 			}
 		}
+		if len(cold.atoms) != len(got) {
+			t.Errorf("state %q: core has %d atoms, a cold fixpoint %d", st.Key(), len(got), len(cold.atoms))
+		}
 	}
+	return cov
 }
+
+// fuzzSeeds is the seed corpus FuzzFixpointAgreement starts from and
+// go test runs.
+const fuzzSeeds = 200
 
 // FuzzFixpointAgreement holds the semi-naive, indexed core to the naive
 // reference on random Δ parts: two or three negation levels; extensional,
 // own and oracle-answered premises; head variables the body never binds;
 // hypothetical premises that add and delete, on oracle and on own
-// targets; states with hypothetical additions and deletions.
+// targets; states with hypothetical additions and deletions, and add-chains
+// whose models are derived from an ancestor's. Each part runs twice: once
+// with an oracle that reads the whole state, once with one that reads
+// only the e atoms, so that derivation runs over oracle-reading parts.
 func FuzzFixpointAgreement(f *testing.F) {
-	for seed := int64(0); seed < 200; seed++ {
+	for seed := int64(0); seed < fuzzSeeds; seed++ {
 		f.Add(seed)
 	}
-	f.Fuzz(checkFixpointAgreement)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkFixpointAgreement(t, seed, false)
+		checkFixpointAgreement(t, seed, true)
+	})
+}
+
+// TestFixpointAgreementCoverage: the seed corpus reaches every way a
+// model is built — derived with a recomputed level, derived as an alias,
+// derived past an uncached ancestor, and from nothing because a token
+// deletes or reaches an oracle-answered premise.
+func TestFixpointAgreementCoverage(t *testing.T) {
+	var cov coverage
+	for seed := int64(0); seed < fuzzSeeds; seed++ {
+		cov.add(checkFixpointAgreement(t, seed, true))
+	}
+	t.Logf("%+v", cov)
+	if cov.recompute == 0 || cov.alias == 0 || cov.deletion == 0 || cov.oracle == 0 || cov.skipped == 0 {
+		t.Errorf("the seed corpus misses a way of building a model: %+v", cov)
+	}
 }

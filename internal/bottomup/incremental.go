@@ -5,8 +5,10 @@
 // only inside the *affected cone* — the predicates that can reach a
 // changed predicate in the dependency graph (depgraph.Cone). A Δ prover
 // whose own predicates are outside the cone keeps every cached model
-// untouched. An affected prover maintains its cached models in place when
-// the change is provably monotone from its point of view:
+// untouched. An affected prover drops the models of its hypothetical
+// states — a later read derives them again from the empty state's — and
+// maintains the empty state's model in place when the change is provably
+// monotone from its point of view:
 //
 //   - semi-naive addition: new derivations must use at least one changed
 //     atom, so rule bodies are joined with one premise pinned to a delta
@@ -38,23 +40,13 @@ import (
 	"hypodatalog/internal/symbols"
 )
 
-// maxIncStates bounds how many cached states one prover maintains in
-// place per commit; beyond it, updating every entry costs more than
-// letting queries rematerialise the few states they actually revisit.
-const maxIncStates = 64
-
 // Plan is the first (pre-mutation) phase of a two-phase commit against a
-// prover: the overdeletion sets computed while the shared base database
-// still holds its pre-commit contents. The caller mutates the base, then
-// runs ApplyPlan.
+// prover: the overdeletion set of the empty state's cached model, computed
+// while the shared base database still holds its pre-commit contents. The
+// caller mutates the base, then runs ApplyPlan.
 type Plan struct {
-	updates []*pendingUpdate
-}
-
-type pendingUpdate struct {
-	st    facts.State // the cached model's state; its Base is the prover's
-	atoms atomSet     // the cached model, updated in place
-	over  atomSet     // own atoms with some derivation through a removed atom
+	atoms atomSet // the empty state's model, updated in place
+	over  atomSet // own atoms with some derivation through a removed atom
 }
 
 // Affected reports whether a commit touching the cone can change this
@@ -97,9 +89,11 @@ func (p *Prover) incrementalOK(cone map[symbols.Pred]bool) bool {
 	return true
 }
 
-// drop deletes one cached model and returns its memory charges.
+// drop deletes one cached model and returns its memory charges: the
+// entry, the atoms it holds itself and any index it keeps.
 func (p *Prover) drop(id facts.StateID) {
-	p.mem.Add(-(matEntryOverhead + matAtomBytes*int64(len(p.cache[id]))))
+	m := p.cache[id]
+	p.mem.Add(-(matEntryOverhead + matAtomBytes*int64(len(m.atoms)) + m.idxBytes))
 	delete(p.cache, id)
 	p.stats.IncDropped++
 }
@@ -110,72 +104,68 @@ func (p *Prover) DropCache() {
 	for id := range p.cache {
 		p.drop(id)
 	}
-	p.cache = make(map[facts.StateID]atomSet) // the emptied buckets go too
+	p.cache = make(map[facts.StateID]*model) // the emptied buckets go too
 }
 
-// PlanDelta is phase one of a commit: decide, per cached state, whether
-// the model will be maintained in place, and compute the overdeletion
-// sets against the pre-commit base. It returns nil when there is nothing
-// to apply later — either the prover is unaffected (caches stay) or
-// maintenance is unsound/uneconomical (caches dropped).
+// PlanDelta is phase one of a commit. Only the empty state's model is
+// maintained in place: every hypothetical state's model is dropped, to be
+// derived again from the maintained one on demand, and the empty state's
+// overdeletion set is computed against the pre-commit base. It returns
+// nil when there is nothing to apply later — the prover is unaffected
+// (caches stay), has no model to maintain, or maintenance is unsound.
 func (p *Prover) PlanDelta(added, removed []facts.AtomID, cone map[symbols.Pred]bool) *Plan {
 	if !p.Affected(cone) {
 		return nil
 	}
-	if !p.incrementalOK(cone) || len(p.cache) > maxIncStates {
-		p.DropCache()
+	for id := range p.cache {
+		if id != facts.EmptyStateID {
+			p.drop(id)
+		}
+	}
+	root, ok := p.cache[facts.EmptyStateID]
+	if !ok {
 		return nil
 	}
-	plan := &Plan{}
-	for id, atoms := range p.cache {
-		// A state whose hypothetical delta mentions a committed atom is no
-		// longer canonical against the new base (added ∩ base must stay
-		// empty, deleted ⊆ base): the entry would be unreachable garbage,
-		// so drop it instead of maintaining it.
-		st := facts.StateAt(p.base, id)
-		if deltaTouches(st.Delta, added) || deltaTouches(st.Delta, removed) {
-			p.drop(id)
-			continue
-		}
-		over, err := p.overdelete(st, atoms, removed)
-		if err != nil {
-			// An oracle failure mid-plan: dropping the entry is always
-			// sound — the next query rematerialises and surfaces the error
-			// in its own context.
-			p.drop(id)
-			continue
-		}
-		plan.updates = append(plan.updates, &pendingUpdate{st: st, atoms: atoms, over: over})
+	if !p.incrementalOK(cone) {
+		p.drop(facts.EmptyStateID)
+		return nil
 	}
-	return plan
+	p.dropIndex(root) // the passes scan; the next derivation re-indexes
+	over, err := p.overdelete(facts.NewState(p.base), root.atoms, removed)
+	if err != nil {
+		// An oracle failure mid-plan: dropping the entry is always sound —
+		// the next query rematerialises and surfaces the error in its own
+		// context.
+		p.drop(facts.EmptyStateID)
+		return nil
+	}
+	return &Plan{atoms: root.atoms, over: over}
 }
 
 // ApplyPlan is phase two, run after the shared base database has been
 // mutated: remove the overdeleted atoms, rederive those still provable
 // from the survivors, and propagate rederivations plus the added base
-// atoms semi-naively to the new fixpoint. Errors never propagate — an
-// entry that fails mid-update is dropped, which degrades to lazy
+// atoms semi-naively to the new fixpoint. Errors never propagate — a
+// model that fails mid-update is dropped, which degrades to lazy
 // rematerialisation.
 func (p *Prover) ApplyPlan(plan *Plan, added []facts.AtomID) {
 	if plan == nil {
 		return
 	}
-	for _, u := range plan.updates {
-		if err := p.applyUpdate(u, added); err != nil {
-			p.drop(u.st.ID())
-			continue
-		}
-		p.stats.IncStates++
+	if err := p.applyUpdate(plan, added); err != nil {
+		p.drop(facts.EmptyStateID)
+		return
 	}
+	p.stats.IncStates++
 }
 
-func (p *Prover) applyUpdate(u *pendingUpdate, added []facts.AtomID) error {
+func (p *Prover) applyUpdate(u *Plan, added []facts.AtomID) error {
 	m := &model{atoms: u.atoms}
 	for id := range u.over {
 		delete(m.atoms, id)
 		p.mem.Add(-matAtomBytes)
 	}
-	st := u.st // its base holds post-commit facts now
+	st := facts.NewState(p.base) // post-commit facts now
 	var frontier []facts.AtomID
 	for id := range u.over {
 		ok, err := p.rederivable(id, st, m)
@@ -187,13 +177,12 @@ func (p *Prover) applyUpdate(u *pendingUpdate, added []facts.AtomID) error {
 			frontier = append(frontier, id)
 		}
 	}
-	// Added base atoms are visible in every maintained state (a state
-	// whose delta mentioned them was dropped in PlanDelta), so they seed
-	// the semi-naive rounds directly. The cone admits no negated premise
-	// that can move (incrementalOK), so the rounds run over every level's
-	// rules at once.
+	// Added base atoms seed the semi-naive rounds directly. The cone
+	// admits no negated premise that can move (incrementalOK), so the
+	// rounds run over every level's rules at once.
 	frontier = append(frontier, added...)
-	return p.propagate(p.rules, st, m, frontier)
+	_, err := p.propagate(p.rules, st, m, frontier)
+	return err
 }
 
 // overdelete computes the DRed overestimate for one cached state: every
@@ -272,6 +261,7 @@ func unifyHeadArgs(head ast.CAtom, goalArgs []symbols.Const, binding []symbols.C
 	return true
 }
 
+// deltaTouches reports whether the delta adds or deletes any of the atoms.
 func deltaTouches(d facts.Delta, ids []facts.AtomID) bool {
 	for _, id := range ids {
 		if d.Has(id) || d.Deleted(id) {

@@ -6,6 +6,7 @@ package bottomup
 
 import (
 	"fmt"
+	"slices"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/facts"
@@ -193,17 +194,28 @@ type indexKey struct {
 	val  symbols.Const
 }
 
-// model is a Δ-part model being computed or maintained. A cold
+// model is a Δ-part model being computed or maintained. A
 // materialisation indexes the atoms it derives by predicate and by
 // (predicate, position, value); the slices only grow, so a probe that
-// ranges over the slice it found sees a stable snapshot while the rule
-// it feeds keeps deriving. The index lives as long as the materialisation
-// does — a cached model is the atom set alone, and the commit-time passes
-// over one (index == nil) find candidates by scanning it.
+// ranges over the slice it found sees a stable snapshot while the rule it
+// feeds keeps deriving. That index lives as long as the materialisation
+// does: a cached model is its atom set, and indexed again only when a
+// derivation first probes it as a parent. The commit-time passes over the
+// empty state's model (index == nil) find candidates by scanning it.
+//
+// A model derived from an ancestor state's is an overlay on that model:
+// levels below cut read through to parent, and atoms holds only what the
+// state adds there plus the whole of every level from cut on. Cached
+// parents are never mutated while an overlay reads them (a commit drops
+// every overlay before it maintains the empty state's model in place).
 type model struct {
 	atoms    atomSet
 	index    map[indexKey][]facts.AtomID
 	idxBytes int64 // index footprint charged to the tracker so far
+
+	parent *model // nil for a model of its own
+	cut    int    // levels below cut read through to parent
+	depth  int    // overlays between this model and one of its own
 }
 
 // idxSlotBytes approximates one index slot — the 4-byte id with slice
@@ -214,9 +226,12 @@ const idxSlotBytes = 8
 func (p *Prover) insert(m *model, id facts.AtomID) {
 	m.atoms[id] = struct{}{}
 	p.mem.Add(matAtomBytes)
-	if m.index == nil {
-		return
+	if m.index != nil {
+		p.indexAtom(m, id)
 	}
+}
+
+func (p *Prover) indexAtom(m *model, id facts.AtomID) {
 	pred, args := p.in.Pred(id), p.in.Args(id)
 	all := indexKey{pred: pred, pos: -1}
 	m.index[all] = append(m.index[all], id)
@@ -227,6 +242,70 @@ func (p *Prover) insert(m *model, id facts.AtomID) {
 	n := idxSlotBytes * int64(1+len(args))
 	m.idxBytes += n
 	p.mem.Add(n)
+}
+
+// indexCached indexes a cached model a derivation probes as a parent, in
+// atom id order so that the derivation, and every counter, repeats.
+func (p *Prover) indexCached(m *model) {
+	ids := make([]facts.AtomID, 0, len(m.atoms))
+	for id := range m.atoms {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	m.index = make(map[indexKey][]facts.AtomID)
+	for _, id := range ids {
+		p.indexAtom(m, id)
+	}
+}
+
+func (p *Prover) dropIndex(m *model) {
+	p.mem.Add(-m.idxBytes)
+	m.index, m.idxBytes = nil, 0
+}
+
+// has reports whether an atom of an own predicate is in the model, read
+// through its overlays.
+func (p *Prover) has(m *model, id facts.AtomID) bool {
+	if m.atoms.has(id) {
+		return true
+	}
+	if m.parent == nil {
+		return false
+	}
+	lvl := p.level[p.in.Pred(id)]
+	for ; m.parent != nil && lvl < m.cut; m = m.parent {
+		if m.parent.atoms.has(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// each calls f on every atom of the model, read through its overlays.
+func (p *Prover) each(m *model, f func(facts.AtomID)) {
+	for cut := len(p.levels); m != nil; m = m.parent {
+		for id := range m.atoms {
+			if p.level[p.in.Pred(id)] < cut {
+				f(id)
+			}
+		}
+		cut = min(cut, m.cut)
+	}
+}
+
+// flatten gives an unindexed overlay the atoms it reads through, making
+// it a model of its own.
+func (p *Prover) flatten(m *model) {
+	var inherited []facts.AtomID
+	p.each(m.parent, func(id facts.AtomID) {
+		if p.level[p.in.Pred(id)] < m.cut {
+			inherited = append(inherited, id)
+		}
+	})
+	for _, id := range inherited {
+		p.insert(m, id)
+	}
+	m.parent, m.depth = nil, 0
 }
 
 const unbound symbols.Const = -1
@@ -366,15 +445,15 @@ func (p *Prover) askOracleOrModel(goal facts.AtomID, st, ext facts.State, m *mod
 	}
 	if p.own[p.in.Pred(goal)] {
 		if ext.ID() == st.ID() {
-			return m.atoms.has(goal), nil
+			return p.has(m, goal), nil
 		}
 		// H-stratification normally rules this out; fall back to a
 		// recursive materialisation of the extended state for generality.
-		em, err := p.Materialise(ext)
+		em, err := p.materialise(ext)
 		if err != nil {
 			return false, err
 		}
-		return em.has(goal), nil
+		return p.has(em, goal), nil
 	}
 	return p.askOracle(goal, ext)
 }
@@ -407,7 +486,7 @@ func (p *Prover) testAtom(goal facts.AtomID, st facts.State, m *model) (bool, er
 		return true, nil
 	}
 	if p.own[p.in.Pred(goal)] {
-		return m.atoms.has(goal), nil
+		return p.has(m, goal), nil
 	}
 	return p.askOracle(goal, st)
 }
@@ -464,18 +543,34 @@ func (p *Prover) match(s *step, binding []symbols.Const, st facts.State, m *mode
 	if s.kind != stepOwn {
 		return nil
 	}
-	// yield may grow the model; what it adds is the next round's frontier,
-	// so this probe reads a snapshot.
-	candidates = m.index[indexKey{pattern.Pred, s.pos, val}]
 	if m.index == nil {
+		candidates = nil
 		for id := range m.atoms {
 			if p.in.Pred(id) == pattern.Pred {
 				candidates = append(candidates, id)
 			}
 		}
+		return p.tryAll(pattern, s.binds, binding, candidates, yield)
 	}
+	// yield may grow the model; what it adds is the next round's frontier,
+	// so this probe reads a snapshot. An overlay's parents never grow.
+	key := indexKey{pattern.Pred, s.pos, val}
+	for {
+		if err := p.tryAll(pattern, s.binds, binding, m.index[key], yield); err != nil {
+			return err
+		}
+		if m.parent == nil || p.level[pattern.Pred] >= m.cut {
+			return nil
+		}
+		if m = m.parent; m.index == nil {
+			p.indexCached(m)
+		}
+	}
+}
+
+func (p *Prover) tryAll(pattern ast.CAtom, binds []int, binding []symbols.Const, candidates []facts.AtomID, yield func() error) error {
 	for _, id := range candidates {
-		if err := p.tryMatch(pattern, s.binds, binding, id, yield); err != nil {
+		if err := p.tryMatch(pattern, binds, binding, id, yield); err != nil {
 			return err
 		}
 	}

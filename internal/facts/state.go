@@ -183,6 +183,14 @@ func StateAt(base *DB, id StateID) State {
 	return State{Base: base, Delta: base.in.states.delta(id)}
 }
 
+// StateParent returns the state that id extends by one token in base's
+// interner, that token's atom, and whether the token adds it (false: it
+// deletes it). id must not be EmptyStateID.
+func StateParent(base *DB, id StateID) (parent StateID, atom AtomID, added bool) {
+	n := base.in.states.nodes[id]
+	return n.parent, AtomID(n.token >> 1), n.token&1 == 0
+}
+
 // ID returns the state's identity within its base's interner. States over
 // the same base are equal iff their ids are equal.
 func (s State) ID() StateID {

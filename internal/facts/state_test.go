@@ -70,6 +70,19 @@ func checkStateIntern(t *testing.T, ops []byte, mix func(uint32) uint32) {
 		if back := StateAt(db, sid); back.Key() != key || back.ID() != sid {
 			t.Fatalf("op %d: id %d rebuilds to %v/%v, want %v/%v", i, sid, back.Delta.ids, back.Delta.dels, st.Delta.ids, st.Delta.dels)
 		}
+		if sid != EmptyStateID {
+			// The parent is the state minus exactly the token StateParent names.
+			parent, atom, added := StateParent(db, sid)
+			d := StateAt(db, parent).Delta
+			if added {
+				d.ids = insertSorted(d.ids, atom)
+			} else {
+				d.dels = insertSorted(d.dels, atom)
+			}
+			if d.Key() != key {
+				t.Fatalf("op %d: id %d is parent %d plus %d (added %v), which is %v/%v", i, sid, parent, atom, added, d.ids, d.dels)
+			}
+		}
 	}
 	// Every state seen is charged (a rebuild may intern prefixes on its way
 	// that the walk never stood in, so the table can hold a few more).

@@ -87,13 +87,9 @@ func (e *Engine) Holds(goal facts.AtomID) (bool, error) {
 
 // Model returns the derived atoms, sorted. Base facts are not included.
 func (e *Engine) Model() ([]facts.AtomID, error) {
-	m, err := e.pv.Materialise(facts.NewState(e.base))
+	out, err := e.pv.Model(facts.NewState(e.base))
 	if err != nil {
 		return nil, err
-	}
-	out := make([]facts.AtomID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil

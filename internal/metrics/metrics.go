@@ -134,8 +134,10 @@ type Set struct {
 	TableHits      Counter
 
 	// Bottom-up Δ-part materialisations computed (cache misses) by the
-	// cascade's PROVE_Δ provers.
-	DeltaMaterialisations Counter
+	// cascade's PROVE_Δ provers, and the subset of them derived from a
+	// cached parent state's model rather than computed from nothing.
+	DeltaMaterialisations        Counter
+	DeltaMaterialisationsDerived Counter
 
 	// Pool traffic: engines handed out from the free list, engines
 	// returned, and engines constructed because the free list was empty.
@@ -319,75 +321,76 @@ func (s *Set) Name() string { return s.name }
 // the names used in the expvar export.
 func (s *Set) Snapshot() map[string]any {
 	out := map[string]any{
-		"queries_started":            s.QueriesStarted.Value(),
-		"queries_succeeded":          s.QueriesSucceeded.Value(),
-		"queries_failed":             s.QueriesFailed.Value(),
-		"queries_canceled":           s.QueriesCanceled.Value(),
-		"goal_expansions":            s.GoalExpansions.Value(),
-		"table_hits":                 s.TableHits.Value(),
-		"delta_materialisations":     s.DeltaMaterialisations.Value(),
-		"pool_gets":                  s.PoolGets.Value(),
-		"pool_puts":                  s.PoolPuts.Value(),
-		"pool_news":                  s.PoolNews.Value(),
-		"http_requests":              s.HTTPRequests.Value(),
-		"http_shed":                  s.HTTPShed.Value(),
-		"http_queued":                s.HTTPQueued.Value(),
-		"http_in_flight":             s.HTTPInFlight.Value(),
-		"live_commits":               s.LiveCommits.Value(),
-		"live_mutations":             s.LiveMutations.Value(),
-		"live_rejected":              s.LiveRejected.Value(),
-		"live_replayed":              s.LiveReplayed.Value(),
-		"live_rebuilds":              s.LiveRebuilds.Value(),
-		"live_compactions":           s.LiveCompactions.Value(),
-		"live_incremental_applies":   s.LiveIncrementalApplies.Value(),
-		"live_incremental_fallbacks": s.LiveIncrementalFallbacks.Value(),
-		"live_incremental_atoms":     s.LiveIncrementalAtoms.Value(),
-		"live_incremental_states":    s.LiveIncrementalStates.Value(),
-		"live_incremental_dropped":   s.LiveIncrementalDropped.Value(),
-		"live_substrate_builds":      s.LiveSubstrateBuilds.Value(),
-		"live_version":               s.LiveVersion.Value(),
-		"live_snapshot_age":          s.LiveSnapshotAge.Value(),
-		"live_readonly":              s.LiveReadOnly.Value(),
-		"magic_queries":              s.MagicQueries.Value(),
-		"magic_fallbacks":            s.MagicFallbacks.Value(),
-		"magic_transforms":           s.MagicTransforms.Value(),
-		"magic_invalidations":        s.MagicInvalidations.Value(),
-		"cache_hits":                 s.CacheHits.Value(),
-		"cache_misses":               s.CacheMisses.Value(),
-		"cache_coalesced":            s.CacheCoalesced.Value(),
-		"cache_evictions":            s.CacheEvictions.Value(),
-		"cache_bytes":                s.CacheBytes.Value(),
-		"cache_entries":              s.CacheEntries.Value(),
-		"cache_carried":              s.CacheCarried.Value(),
-		"repl_frames_sent":           s.ReplFramesSent.Value(),
-		"repl_snapshots_served":      s.ReplSnapshotsServed.Value(),
-		"repl_streams":               s.ReplStreams.Value(),
-		"repl_records_applied":       s.ReplRecordsApplied.Value(),
-		"repl_bootstraps":            s.ReplBootstraps.Value(),
-		"repl_reconnects":            s.ReplReconnects.Value(),
-		"repl_applied_version":       s.ReplAppliedVersion.Value(),
-		"repl_primary_version":       s.ReplPrimaryVersion.Value(),
-		"repl_lag":                   s.ReplLag.Value(),
-		"repl_connected":             s.ReplConnected.Value(),
-		"repl_proxied_writes":        s.ReplProxiedWrites.Value(),
-		"repl_min_version_waits":     s.ReplMinVersionWaits.Value(),
-		"repl_min_version_timeouts":  s.ReplMinVersionTimeouts.Value(),
-		"mem_query_aborts":           s.MemQueryAborts.Value(),
-		"mem_tenant_shed":            s.MemTenantShed.Value(),
-		"mem_pool_bytes":             s.MemPoolBytes.Value(),
-		"mem_cache_bytes":            s.MemCacheBytes.Value(),
-		"mem_engine_trims":           s.MemEngineTrims.Value(),
-		"disk_quota_shed":            s.DiskQuotaShed.Value(),
-		"disk_degraded_transient":    s.DiskDegradedTransient.Value(),
-		"disk_recovery_probes":       s.DiskRecoveryProbes.Value(),
-		"disk_recoveries":            s.DiskRecoveries.Value(),
-		"disk_bytes":                 s.DiskBytes.Value(),
-		"proxy_breaker_state":        s.ProxyBreakerState.Value(),
-		"proxy_breaker_opens":        s.ProxyBreakerOpens.Value(),
-		"proxy_retries":              s.ProxyRetries.Value(),
-		"proxy_fast_fails":           s.ProxyFastFails.Value(),
-		"query_latency_count":        s.QueryLatency.Count(),
-		"query_latency_sum":          s.QueryLatency.Sum(),
+		"queries_started":                s.QueriesStarted.Value(),
+		"queries_succeeded":              s.QueriesSucceeded.Value(),
+		"queries_failed":                 s.QueriesFailed.Value(),
+		"queries_canceled":               s.QueriesCanceled.Value(),
+		"goal_expansions":                s.GoalExpansions.Value(),
+		"table_hits":                     s.TableHits.Value(),
+		"delta_materialisations":         s.DeltaMaterialisations.Value(),
+		"delta_materialisations_derived": s.DeltaMaterialisationsDerived.Value(),
+		"pool_gets":                      s.PoolGets.Value(),
+		"pool_puts":                      s.PoolPuts.Value(),
+		"pool_news":                      s.PoolNews.Value(),
+		"http_requests":                  s.HTTPRequests.Value(),
+		"http_shed":                      s.HTTPShed.Value(),
+		"http_queued":                    s.HTTPQueued.Value(),
+		"http_in_flight":                 s.HTTPInFlight.Value(),
+		"live_commits":                   s.LiveCommits.Value(),
+		"live_mutations":                 s.LiveMutations.Value(),
+		"live_rejected":                  s.LiveRejected.Value(),
+		"live_replayed":                  s.LiveReplayed.Value(),
+		"live_rebuilds":                  s.LiveRebuilds.Value(),
+		"live_compactions":               s.LiveCompactions.Value(),
+		"live_incremental_applies":       s.LiveIncrementalApplies.Value(),
+		"live_incremental_fallbacks":     s.LiveIncrementalFallbacks.Value(),
+		"live_incremental_atoms":         s.LiveIncrementalAtoms.Value(),
+		"live_incremental_states":        s.LiveIncrementalStates.Value(),
+		"live_incremental_dropped":       s.LiveIncrementalDropped.Value(),
+		"live_substrate_builds":          s.LiveSubstrateBuilds.Value(),
+		"live_version":                   s.LiveVersion.Value(),
+		"live_snapshot_age":              s.LiveSnapshotAge.Value(),
+		"live_readonly":                  s.LiveReadOnly.Value(),
+		"magic_queries":                  s.MagicQueries.Value(),
+		"magic_fallbacks":                s.MagicFallbacks.Value(),
+		"magic_transforms":               s.MagicTransforms.Value(),
+		"magic_invalidations":            s.MagicInvalidations.Value(),
+		"cache_hits":                     s.CacheHits.Value(),
+		"cache_misses":                   s.CacheMisses.Value(),
+		"cache_coalesced":                s.CacheCoalesced.Value(),
+		"cache_evictions":                s.CacheEvictions.Value(),
+		"cache_bytes":                    s.CacheBytes.Value(),
+		"cache_entries":                  s.CacheEntries.Value(),
+		"cache_carried":                  s.CacheCarried.Value(),
+		"repl_frames_sent":               s.ReplFramesSent.Value(),
+		"repl_snapshots_served":          s.ReplSnapshotsServed.Value(),
+		"repl_streams":                   s.ReplStreams.Value(),
+		"repl_records_applied":           s.ReplRecordsApplied.Value(),
+		"repl_bootstraps":                s.ReplBootstraps.Value(),
+		"repl_reconnects":                s.ReplReconnects.Value(),
+		"repl_applied_version":           s.ReplAppliedVersion.Value(),
+		"repl_primary_version":           s.ReplPrimaryVersion.Value(),
+		"repl_lag":                       s.ReplLag.Value(),
+		"repl_connected":                 s.ReplConnected.Value(),
+		"repl_proxied_writes":            s.ReplProxiedWrites.Value(),
+		"repl_min_version_waits":         s.ReplMinVersionWaits.Value(),
+		"repl_min_version_timeouts":      s.ReplMinVersionTimeouts.Value(),
+		"mem_query_aborts":               s.MemQueryAborts.Value(),
+		"mem_tenant_shed":                s.MemTenantShed.Value(),
+		"mem_pool_bytes":                 s.MemPoolBytes.Value(),
+		"mem_cache_bytes":                s.MemCacheBytes.Value(),
+		"mem_engine_trims":               s.MemEngineTrims.Value(),
+		"disk_quota_shed":                s.DiskQuotaShed.Value(),
+		"disk_degraded_transient":        s.DiskDegradedTransient.Value(),
+		"disk_recovery_probes":           s.DiskRecoveryProbes.Value(),
+		"disk_recoveries":                s.DiskRecoveries.Value(),
+		"disk_bytes":                     s.DiskBytes.Value(),
+		"proxy_breaker_state":            s.ProxyBreakerState.Value(),
+		"proxy_breaker_opens":            s.ProxyBreakerOpens.Value(),
+		"proxy_retries":                  s.ProxyRetries.Value(),
+		"proxy_fast_fails":               s.ProxyFastFails.Value(),
+		"query_latency_count":            s.QueryLatency.Count(),
+		"query_latency_sum":              s.QueryLatency.Sum(),
 	}
 	bounds, counts := s.QueryLatency.Buckets()
 	buckets := make(map[string]int64, len(counts))

@@ -114,7 +114,7 @@ func TestSnapshotKeys(t *testing.T) {
 	snap := Snapshot()
 	for _, k := range []string{
 		"queries_started", "queries_succeeded", "queries_failed", "queries_canceled",
-		"goal_expansions", "table_hits", "delta_materialisations",
+		"goal_expansions", "table_hits", "delta_materialisations", "delta_materialisations_derived",
 		"pool_gets", "pool_puts", "pool_news",
 		"query_latency_count", "query_latency_sum", "query_latency_buckets",
 		"http_requests", "http_shed", "http_queued", "http_in_flight",

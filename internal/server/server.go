@@ -415,6 +415,8 @@ func (s *Server) wrap(endpoint string, named bool, h func(http.ResponseWriter, *
 				"enumerated", ri.stats.Enumerated,
 				"table_hits", ri.stats.TableHits,
 				"max_depth", ri.stats.MaxDepth,
+				"materialisations", ri.stats.Materialisations,
+				"derived_models", ri.stats.DerivedModels,
 				"data_version", ri.dataVersion,
 				"cache", ri.cache.String(),
 				"role", s.cfg.Role,

@@ -128,7 +128,7 @@ func ContextAbort(ctxErr error, stats Stats) *AbortError {
 const ctxCheckInterval = 256
 
 // Stats are evaluation counters, reset by ResetStats. They back the
-// Appendix A experiment (polynomial goal-sequence length). The last four
+// Appendix A experiment (polynomial goal-sequence length). The last five
 // are Δ-part work, counted by bottomup.Prover and carried here so one
 // snapshot describes a whole evaluator (a uniform engine, a cascade, a
 // demand wrapper); a top-down engine on its own leaves them zero.
@@ -143,6 +143,7 @@ type Stats struct {
 	MemBytes   int64 // tracked footprint growth since the query began
 
 	Materialisations int64 // Δ models computed (cache misses)
+	DerivedModels    int64 // the Materialisations built from a cached parent state's model
 	JoinProbes       int64 // candidate atoms the Δ-part joins tried to unify a premise with
 	IncStates        int64 // cached Δ models maintained in place by a commit
 	IncDropped       int64 // cached Δ models a commit dropped instead
@@ -174,6 +175,7 @@ func (s Stats) plus(o Stats, sign int64) Stats {
 	s.NegCalls += sign * o.NegCalls
 	s.MemBytes += sign * o.MemBytes
 	s.Materialisations += sign * o.Materialisations
+	s.DerivedModels += sign * o.DerivedModels
 	s.JoinProbes += sign * o.JoinProbes
 	s.IncStates += sign * o.IncStates
 	s.IncDropped += sign * o.IncDropped

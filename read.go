@@ -171,6 +171,7 @@ func (e *Engine) charge(work Stats) {
 	e.mets.GoalExpansions.Add(work.Goals)
 	e.mets.TableHits.Add(work.TableHits)
 	e.mets.DeltaMaterialisations.Add(work.Materialisations)
+	e.mets.DeltaMaterialisationsDerived.Add(work.DerivedModels)
 	e.mets.LiveIncrementalStates.Add(work.IncStates)
 	e.mets.LiveIncrementalDropped.Add(work.IncDropped)
 }
