@@ -293,11 +293,9 @@ func TestCacheMetamorphicUnderMutation(t *testing.T) {
 	metamorphicStorm(t, Options{PoolSize: 4, CacheBytes: 1 << 20})
 }
 
-// metamorphicStorm is the storm body, parameterised by pool options so
-// the same harness exercises demand-driven pools (see demand_test.go):
-// the cold replay engine is always a plain full-evaluation engine, so
-// for a DemandDriven pool the replay doubles as a mode-equivalence
-// check at every committed version.
+// metamorphicStorm is the storm body, parameterised by pool options: the
+// cold replay engine is always a plain cache-less engine, so the replay
+// checks every pool configuration at every committed version.
 func metamorphicStorm(t *testing.T, opts Options) {
 	nodes := []string{"n0", "n1", "n2", "n3", "n4"}
 	var rules strings.Builder

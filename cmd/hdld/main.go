@@ -26,10 +26,6 @@
 //	                repeated identical queries at one data version are
 //	                served from memory and concurrent identical misses
 //	                coalesce onto one evaluation (X-Hdl-Cache: hit|miss|coalesced)
-//	-demand         demand-driven (magic-set) evaluation: ground asks run
-//	                against a query-specific magic transform of the
-//	                program, computing only the cone of facts the bound
-//	                arguments demand (watch magic_* under /debug/vars)
 //	-timeout d      default per-request evaluation deadline (default 10s)
 //	-max-timeout d  clamp on request-supplied timeouts (default 60s)
 //	-max-body n     request body cap in bytes (default 1 MiB)
@@ -126,7 +122,6 @@ func run() int {
 	tenantMemQuota := flag.Int64("tenant-memory-quota", 0, "per-program memory ceiling in bytes (0 = unlimited)")
 	tenantDiskQuota := flag.Int64("tenant-disk-quota", 0, "per-program WAL+snapshot ceiling in bytes (0 = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "answer cache byte budget (0 = disabled)")
-	demand := flag.Bool("demand", false, "demand-driven (magic-set) evaluation for bound queries")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request evaluation deadline")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "clamp on request-supplied timeouts")
 	maxBody := flag.Int64("max-body", 1<<20, "request body cap in bytes")
@@ -179,7 +174,7 @@ func run() int {
 			return 1
 		}
 	}
-	opts := hypo.Options{MaxGoals: *maxGoals, MaxMemoryBytes: *maxMemory, PoolSize: *pool, CacheBytes: *cacheBytes, DemandDriven: *demand}
+	opts := hypo.Options{MaxGoals: *maxGoals, MaxMemoryBytes: *maxMemory, PoolSize: *pool, CacheBytes: *cacheBytes}
 	switch *mode {
 	case "auto":
 		opts.Mode = hypo.ModeAuto
@@ -310,7 +305,6 @@ func run() int {
 		MaxBodyBytes:   *maxBody,
 		Logger:         logger,
 		Role:           *role,
-		Demand:         *demand,
 		ReplPrimary:    mountPrimary,
 		ReplicaStatus:  replicaStatus,
 		PrimaryURL:     *primaryURL,
@@ -350,7 +344,6 @@ func run() int {
 		"pool", pl.Size(),
 		"linear", st.Linear,
 		"strata", st.Strata,
-		"demand", *demand,
 	)
 }
 

@@ -71,7 +71,6 @@ func runRegistry(logger *slog.Logger, dir, defaultName string, prog *hypo.Progra
 
 	srv, err := server.New(server.Config{
 		Registry:       reg,
-		Demand:         opts.DemandDriven,
 		DefaultTimeout: sc.timeout,
 		MaxTimeout:     sc.maxTimeout,
 		MaxBodyBytes:   sc.maxBody,

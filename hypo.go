@@ -59,7 +59,6 @@ import (
 	"hypodatalog/internal/depgraph"
 	"hypodatalog/internal/engine"
 	"hypodatalog/internal/facts"
-	"hypodatalog/internal/magic"
 	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
@@ -104,6 +103,11 @@ type Program struct {
 	strt *strat.Stratification // nil if not linearly stratifiable
 	serr error                 // why strt is nil
 
+	// graph returns the rules' dependency graph, which commit cones are
+	// computed against. It is built once, on first use, and depends only
+	// on the rules, so every data version derived by withFacts shares it.
+	graph func() *depgraph.Graph
+
 	// pinDom, when non-nil, overrides dom(R, DB) computation: every engine
 	// built from this Program enumerates exactly these constants. Live
 	// pools pin the domain at OpenLive so that all data versions of one
@@ -111,19 +115,6 @@ type Program struct {
 	// per version would let a retraction silently shrink the range of
 	// negation-as-failure between two queries.
 	pinDom []symbols.Const
-
-	// magicSet lazily holds the program's shared demand-pattern cache
-	// (the magic-sets transform, compiled once per queried predicate).
-	// Every demand-driven engine built from this Program shares it.
-	magicOnce sync.Once
-	magicSet  *magic.Set
-}
-
-// demand returns the program's shared magic-sets pattern cache, building
-// it on first use.
-func (p *Program) demand() *magic.Set {
-	p.magicOnce.Do(func() { p.magicSet = magic.NewSet(p.src, p.syms) })
-	return p.magicSet
 }
 
 // Parse parses, validates and compiles a program from source text.
@@ -170,6 +161,9 @@ func FromAST(p *ast.Program) (*Program, error) {
 	}
 	out := &Program{src: p, comp: cp, syms: syms}
 	out.strt, out.serr = strat.Stratify(p)
+	out.graph = sync.OnceValue(func() *depgraph.Graph {
+		return depgraph.Build(&ast.Program{Rules: p.Rules})
+	})
 	return out, nil
 }
 
@@ -221,7 +215,7 @@ func (p *Program) withFacts(fs []ast.Atom, pinDom []symbols.Const) (*Program, er
 		IDB:      p.comp.IDB,
 		MaxArity: maxAr,
 	}
-	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom}, nil
+	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, graph: p.graph}, nil
 }
 
 // AST returns the underlying syntax tree (after the section 3.1 rewrite).
@@ -308,8 +302,8 @@ type Options struct {
 	// *AbortError wrapping ErrBudget (0 = unlimited). The budget is per
 	// query and enforced in every mode: a cascade's PROVE_Σ engines draw on
 	// one shared allowance, so it bounds their sum. Δ-part work (bottom-up
-	// materialisation in the cascade and under DemandDriven) is not goal
-	// expansion; the query's deadline and MaxMemoryBytes bound it.
+	// materialisation in the cascade) is not goal expansion; the query's
+	// deadline and MaxMemoryBytes bound it.
 	MaxGoals int64
 	// MaxMemoryBytes aborts a query once it has grown the engine's
 	// tracked memory footprint (interner, base database, memo tables,
@@ -336,18 +330,6 @@ type Options struct {
 	// is part of the key); they expire lazily under LRU pressure. Zero
 	// disables caching. Ignored by New.
 	CacheBytes int64
-	// DemandDriven enables magic-sets demand-driven evaluation: ground
-	// goals on intensional predicates are answered by evaluating a
-	// demand-restricted rewrite of the program (adorned by the goal's
-	// bound arguments, seeded through the query state's hypothetical
-	// delta) instead of materialising whole strata. Goals the rewrite
-	// cannot restrict — free-argument patterns, predicates consulted
-	// under negation by their own cone — transparently fall back to full
-	// evaluation; answers are identical either way (the difftest fifth
-	// engine holds both modes to agreement). Answer-cache keys are
-	// namespaced per mode, so demand and full answers never share
-	// entries. Progress is visible in the magic_* expvars.
-	DemandDriven bool
 	// Metrics selects the metric set this engine (and any Pool, Live or
 	// cache built from these options) reports into. Nil means
 	// metrics.Default — the process-wide set published under the legacy
@@ -370,7 +352,6 @@ type Engine struct {
 	asker  engine.Asker
 	uni    *topdown.Engine // non-nil in uniform mode (for stats)
 	cas    *engine.Cascade // non-nil in cascade mode
-	dem    *engine.Demand  // non-nil when Options.DemandDriven
 	domSet map[symbols.Const]bool
 
 	// version is the data version of the program this engine was built
@@ -463,15 +444,7 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 	if len(cadd)+len(crem) == 0 {
 		return nil
 	}
-	// Demand-driven engines have magic rules installed beside the program;
-	// the cone must see their edges so commits that can move a demanded
-	// answer invalidate the demand caches (and prune the right tables).
-	g := depgraph.Build(e.prog.src)
-	if e.dem != nil {
-		g.Extend(e.dem.InstalledRules())
-	}
-	cone := coneFromGraph(g, e.prog.syms, seeds)
-	return e.applyDeltaCompiled(cadd, crem, cone)
+	return e.applyDeltaCompiled(cadd, crem, e.prog.coneOf(seeds))
 }
 
 // applyDeltaCompiled applies an effective, already-compiled base-fact
@@ -492,19 +465,10 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	// (models maintained, dropped, rematerialised) to this engine's set.
 	before := e.Stats()
 	defer func() { e.charge(e.Stats().Sub(before)) }()
-	var err error
 	if e.cas != nil {
-		err = e.cas.ApplyDelta(addIDs, remIDs, cone)
-	} else {
-		err = e.uni.ApplyDelta(addIDs, remIDs, cone)
+		return e.cas.ApplyDelta(addIDs, remIDs, cone)
 	}
-	if err != nil {
-		return err
-	}
-	if e.dem != nil {
-		e.dem.Invalidate(cone, addIDs, remIDs)
-	}
-	return nil
+	return e.uni.ApplyDelta(addIDs, remIDs, cone)
 }
 
 // compileDelta compiles effective surface-level delta atoms and collects
@@ -537,15 +501,14 @@ func compileDelta(added, removed []ast.Atom, syms *symbols.Table) (cadd, crem []
 	return cadd, crem, seeds, nil
 }
 
-// coneFromGraph translates the dependency-graph cone of the seed
-// predicates into interned predicates. Cone members never interned
-// (mentioned by no compiled rule or fact) are dropped — no evaluation
-// can reference them.
-func coneFromGraph(g *depgraph.Graph, syms *symbols.Table, seeds []ast.PredSig) map[symbols.Pred]bool {
-	sigCone := g.Cone(seeds)
+// coneOf translates the dependency-graph cone of the seed predicates into
+// interned predicates. Cone members never interned (mentioned by no
+// compiled rule or fact) are dropped — no evaluation can reference them.
+func (p *Program) coneOf(seeds []ast.PredSig) map[symbols.Pred]bool {
+	sigCone := p.graph().Cone(seeds)
 	cone := make(map[symbols.Pred]bool, len(sigCone))
 	for sig := range sigCone {
-		if pr, ok := syms.LookupPred(sig.Name, sig.Arity); ok {
+		if pr, ok := p.syms.LookupPred(sig.Name, sig.Arity); ok {
 			cone[pr] = true
 		}
 	}
@@ -625,13 +588,6 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 		e.cas, e.asker = cas, cas
 	default:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
-	}
-	if opts.DemandDriven {
-		// Ground goals go through the program's magic-transformed rewrite;
-		// everything else falls back to the wrapped engine.
-		e.dem = engine.NewDemand(e.asker, p.demand(), p.comp, e.mets)
-		e.dem.SetMem(e.mem)
-		e.asker = e.dem
 	}
 	return e, nil
 }
@@ -762,16 +718,13 @@ func (e *Engine) Explain(query string) (string, error) {
 
 // Stats reports evaluation counters summed over every component of the
 // evaluator: the uniform engine or the cascade's PROVE_Σ engines and
-// PROVE_Δ provers, plus the demand provers when DemandDriven.
+// PROVE_Δ provers.
 func (e *Engine) Stats() topdown.Stats {
 	var sum topdown.Stats
 	if e.uni != nil {
 		sum = e.uni.Stats()
 	} else {
 		sum = e.cas.Stats()
-	}
-	if e.dem != nil {
-		sum = sum.Add(e.dem.Stats())
 	}
 	// Every component shares one tracker, so the growth is read once, not
 	// summed per component.

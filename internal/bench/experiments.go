@@ -309,15 +309,13 @@ const (
 )
 
 // e8Evaluators are the columns of the E8 matrix: every evaluation
-// architecture a server can be started with (-mode × -demand).
+// architecture a server can be started with (-mode).
 var e8Evaluators = []struct {
 	name string
 	opts hypo.Options
 }{
 	{"uniform", hypo.Options{Mode: hypo.ModeUniform}},
 	{"cascade", hypo.Options{Mode: hypo.ModeCascade}},
-	{"cascade+demand", hypo.Options{Mode: hypo.ModeCascade, DemandDriven: true}},
-	{"uniform+demand", hypo.Options{Mode: hypo.ModeUniform, DemandDriven: true}},
 }
 
 // e8Matrix is the evaluator matrix: workload rows × evaluator columns,
@@ -325,8 +323,8 @@ var e8Evaluators = []struct {
 // Hamiltonian) are where the cascade mirrors the upper-bound proof of
 // Theorem 1 at a constant overhead; the closure rows are Δ-dominated and
 // are where the evaluators part ways — bound point queries favour a
-// goal-directed search or demand, refutation over a clique and the
-// non-linear rule are polynomial only bottom-up.
+// goal-directed search, refutation over a clique and the non-linear rule
+// are polynomial only bottom-up.
 func e8Matrix(s Sizes) ([]Case, error) {
 	var l caseList
 	row := func(name, src, query string, want int) {

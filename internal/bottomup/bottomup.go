@@ -421,8 +421,8 @@ func (p *Prover) premiseDeps() *premiseDeps {
 
 // dependsOn returns pred and every predicate its rules reach through
 // premises of any kind, and whether one of them is intensional with no
-// rule in the program: defined elsewhere — demand mode's programs hold
-// only the transformed rules — and so taken to depend on everything.
+// rule in the program: defined elsewhere, by the oracle alone, and so
+// taken to depend on everything.
 func (p *Prover) dependsOn(pred symbols.Pred) (map[symbols.Pred]bool, bool) {
 	seen, all := map[symbols.Pred]bool{pred: true}, false
 	for stack := []symbols.Pred{pred}; len(stack) > 0; {

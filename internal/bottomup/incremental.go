@@ -260,30 +260,3 @@ func unifyHeadArgs(head ast.CAtom, goalArgs []symbols.Const, binding []symbols.C
 	}
 	return true
 }
-
-// deltaTouches reports whether the delta adds or deletes any of the atoms.
-func deltaTouches(d facts.Delta, ids []facts.AtomID) bool {
-	for _, id := range ids {
-		if d.Has(id) || d.Deleted(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// DropTouching discards cached materialisations whose hypothetical delta
-// mentions any of the given atoms. After a commit, a state key built
-// over the old base may no longer be canonical for deltas that overlap
-// the committed atoms (an added atom is now in the base, a removed one
-// is gone), so such entries can never be looked up again — dropping them
-// releases their memory instead of leaking it. Entries whose delta is
-// disjoint from the commit are kept; callers use this only when the
-// commit's predicate cone provably cannot change the prover's derived
-// atoms (the demand-driven mode's out-of-cone case).
-func (p *Prover) DropTouching(added, removed []facts.AtomID) {
-	for id := range p.cache {
-		if d := facts.StateAt(p.base, id).Delta; deltaTouches(d, added) || deltaTouches(d, removed) {
-			p.drop(id)
-		}
-	}
-}

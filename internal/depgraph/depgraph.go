@@ -238,50 +238,3 @@ func (g *Graph) Cone(seeds []ast.PredSig) map[ast.PredSig]bool {
 	}
 	return cone
 }
-
-// Extend adds synthetic rules — ones not part of the graph's source
-// program — to an already-built graph. The demand-driven mode uses it so
-// that commit-cone computation sees the installed magic rules' edges: a
-// magic or supplementary predicate depends on the same base facts its
-// source rules consult, so a commit that can move those facts puts the
-// magic predicates inside the cone and their demand caches get
-// invalidated. Extension rules have no index in the owning program, so
-// RuleNode is left alone and their edges carry Rule: -1 (Cone never
-// reads Edge.Rule).
-func (g *Graph) Extend(rules []ast.Rule) {
-	node := func(a ast.Atom) int {
-		sig := ast.PredSig{Name: a.Pred, Arity: a.Arity()}
-		if i, ok := g.NodeOf[sig]; ok {
-			return i
-		}
-		i := len(g.Nodes)
-		g.Nodes = append(g.Nodes, sig)
-		g.NodeOf[sig] = i
-		g.Adj = append(g.Adj, nil)
-		g.Defined = append(g.Defined, false)
-		return i
-	}
-	for _, r := range rules {
-		h := node(r.Head)
-		g.Defined[h] = true
-		for _, pr := range r.Body {
-			var kind EdgeKind
-			switch pr.Kind {
-			case ast.Plain:
-				kind = Pos
-			case ast.Negated:
-				kind = Neg
-			case ast.Hyp, ast.NegHyp:
-				kind = Hyp
-			}
-			to := node(pr.Atom)
-			g.Adj[h] = append(g.Adj[h], Edge{To: to, Kind: kind, Rule: -1})
-			for _, a := range pr.Adds {
-				node(a)
-			}
-			for _, a := range pr.Dels {
-				node(a)
-			}
-		}
-	}
-}

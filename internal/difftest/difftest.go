@@ -2,12 +2,10 @@
 // other through the public API: the top-down tabled engine
 // (hypo.ModeUniform), the paper's PROVE_Σ/PROVE_Δ cascade
 // (hypo.ModeCascade, when the program is linearly stratifiable), the
-// naive Definition-3 reference interpreter (internal/ref), the
-// demand-driven magic-set rewrite (Options.DemandDriven, the fifth
-// engine — every Ask routes through a query-specific transformed
-// program), and — as a further implementation — engines mutated in
-// place through Engine.ApplyDelta, which must agree with a cold rebuild
-// at the post-batch fact set. Any disagreement on Ask, Query or
+// naive Definition-3 reference interpreter (internal/ref), and — as a
+// further implementation — engines mutated in place through
+// Engine.ApplyDelta, which must agree with a cold rebuild at the
+// post-batch fact set. Any disagreement on Ask, Query or
 // AskUnder is a bug in at least one of them.
 //
 // The existing fuzzers in internal/topdown and internal/engine compare
@@ -118,22 +116,12 @@ func Check(src string) error {
 		return fmt.Errorf("%w: ModeUniform construction: %v", ErrSkip, err)
 	}
 	engines["uniform"] = uni
-	dem, err := hypo.New(hp, hypo.Options{Mode: hypo.ModeUniform, DemandDriven: true, MaxGoals: maxGoalBudget})
-	if err != nil {
-		return fmt.Errorf("difftest: ModeUniform accepted but DemandDriven construction fails: %v\n%s", err, src)
-	}
-	engines["demand"] = dem
 	if hp.Stratification().Linear {
 		casc, err := hypo.New(hp, hypo.Options{Mode: hypo.ModeCascade, MaxGoals: maxGoalBudget})
 		if err != nil {
 			return fmt.Errorf("difftest: linearly stratifiable per Stratification() but ModeCascade fails: %v\n%s", err, src)
 		}
 		engines["cascade"] = casc
-		dcasc, err := hypo.New(hp, hypo.Options{Mode: hypo.ModeCascade, DemandDriven: true, MaxGoals: maxGoalBudget})
-		if err != nil {
-			return fmt.Errorf("difftest: ModeCascade accepted but DemandDriven construction fails: %v\n%s", err, src)
-		}
-		engines["demand-cascade"] = dcasc
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), checkDeadline)
@@ -148,136 +136,6 @@ func Check(src string) error {
 		return err
 	}
 	return checkIncremental(ctx, src, prog, cp, dom, hp)
-}
-
-// CheckDemand is the demand-focused variant of Check: it compares
-// evaluation modes against each other only — no reference interpreter —
-// so its whole budget goes to the magic-set rewrite. ModeUniform with
-// and without Options.DemandDriven (plus the cascade pair when the
-// program is linearly stratifiable) must agree on every bound ground
-// Ask of arity ≤ 2, on open Query binding sets, and on AskUnder with
-// pool/1 additions. Skipping the exponential reference interpreter lets
-// this path check programs Check would reject for reference-work cost.
-func CheckDemand(src string) error {
-	if len(src) > maxSrcBytes {
-		return fmt.Errorf("%w: source over %d bytes", ErrSkip, maxSrcBytes)
-	}
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return fmt.Errorf("%w: parse: %v", ErrSkip, err)
-	}
-	if errs := ast.Validate(prog); len(errs) > 0 {
-		return fmt.Errorf("%w: validate: %v", ErrSkip, errs[0])
-	}
-	if err := strat.CheckNegation(prog); err != nil {
-		return fmt.Errorf("%w: negation: %v", ErrSkip, err)
-	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
-	if err != nil {
-		return fmt.Errorf("%w: compile: %v", ErrSkip, err)
-	}
-	syms := cp.Syms
-	dom := ref.New(cp).Dom()
-	if len(dom) == 0 || len(dom) > maxDomain {
-		return fmt.Errorf("%w: domain size %d", ErrSkip, len(dom))
-	}
-	if groundQueries(syms, len(dom)) > maxGroundQs {
-		return fmt.Errorf("%w: too many ground queries", ErrSkip)
-	}
-	hp, err := hypo.Parse(src)
-	if err != nil {
-		return fmt.Errorf("difftest: internal parser accepts but hypo.Parse rejects: %v\n%s", err, src)
-	}
-	pairs := [][2]hypo.Options{{
-		{Mode: hypo.ModeUniform, MaxGoals: maxGoalBudget},
-		{Mode: hypo.ModeUniform, DemandDriven: true, MaxGoals: maxGoalBudget},
-	}}
-	if hp.Stratification().Linear {
-		pairs = append(pairs, [2]hypo.Options{
-			{Mode: hypo.ModeCascade, MaxGoals: maxGoalBudget},
-			{Mode: hypo.ModeCascade, DemandDriven: true, MaxGoals: maxGoalBudget},
-		})
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), checkDeadline)
-	defer cancel()
-	for _, pair := range pairs {
-		full, err := hypo.New(hp, pair[0])
-		if err != nil {
-			return fmt.Errorf("%w: full engine construction: %v", ErrSkip, err)
-		}
-		dd, err := hypo.New(hp, pair[1])
-		if err != nil {
-			return fmt.Errorf("difftest: full mode accepted but DemandDriven fails: %v\n%s", err, src)
-		}
-		mode := "uniform"
-		if pair[0].Mode == hypo.ModeCascade {
-			mode = "cascade"
-		}
-		err = eachGroundAtom(syms, dom, func(p symbols.Pred, args []symbols.Const) error {
-			q := atomString(syms, p, args)
-			want, err := full.AskCtx(ctx, q)
-			if err != nil {
-				return skipOrFail(mode, q, err, src)
-			}
-			got, err := dd.AskCtx(ctx, q)
-			if err != nil {
-				return skipOrFail("demand-"+mode, q, err, src)
-			}
-			if got != want {
-				return fmt.Errorf("difftest: Ask(%s): demand-%s=%v %s=%v\n%s", q, mode, got, mode, want, src)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for p := symbols.Pred(0); int(p) < syms.NumPreds(); p++ {
-			arity := syms.PredArity(p)
-			if arity < 1 || arity > 2 {
-				continue
-			}
-			q := syms.PredName(p) + "(X)"
-			if arity == 2 {
-				q = syms.PredName(p) + "(X, Y)"
-			}
-			wantBs, err := full.QueryCtx(ctx, q)
-			if err != nil {
-				return skipOrFail(mode, q, err, src)
-			}
-			gotBs, err := dd.QueryCtx(ctx, q)
-			if err != nil {
-				return skipOrFail("demand-"+mode, q, err, src)
-			}
-			if got, want := canonBindings(gotBs), canonBindings(wantBs); !equalStrings(got, want) {
-				return fmt.Errorf("difftest: Query(%s): demand-%s=%v %s=%v\n%s", q, mode, got, mode, want, src)
-			}
-		}
-		poolPred, ok := syms.LookupPred("pool", 1)
-		if !ok {
-			continue
-		}
-		add := atomString(syms, poolPred, []symbols.Const{dom[0]})
-		err = eachGroundAtom(syms, dom, func(p symbols.Pred, args []symbols.Const) error {
-			q := atomString(syms, p, args)
-			want, err := full.AskUnderCtx(ctx, q, add)
-			if err != nil {
-				return skipOrFail(mode, q, err, src)
-			}
-			got, err := dd.AskUnderCtx(ctx, q, add)
-			if err != nil {
-				return skipOrFail("demand-"+mode, q, err, src)
-			}
-			if got != want {
-				return fmt.Errorf("difftest: AskUnder(%s, add %s): demand-%s=%v %s=%v\n%s",
-					q, add, mode, got, mode, want, src)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // checkIncremental is the fourth implementation under test: engines
@@ -335,13 +193,6 @@ func checkIncremental(ctx context.Context, src string, prog *ast.Program, cp *as
 		return fmt.Errorf("%w: incremental ModeUniform construction: %v", ErrSkip, err)
 	}
 	incremental["incremental-uniform"] = uni
-	dopts := opts
-	dopts.DemandDriven = true
-	dem, err := hypo.New(hp, dopts)
-	if err != nil {
-		return fmt.Errorf("%w: incremental DemandDriven construction: %v", ErrSkip, err)
-	}
-	incremental["incremental-demand"] = dem
 	if hp.Stratification().Linear {
 		opts.Mode = hypo.ModeCascade
 		casc, err := hypo.New(hp, opts)

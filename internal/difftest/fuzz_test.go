@@ -36,17 +36,14 @@ lose :- not token(t1).
 token(t1).
 pool(t1).
 `,
-	// Bound point queries over binary linear recursion: the shape the
-	// demand-driven (magic-set) engine rewrites hardest, with a pool so
-	// demand is also seeded under hypothetical contexts.
+	// Bound point queries over binary linear recursion, with a pool so
+	// they are also asked under hypothetical contexts.
 	`edge(a, b). edge(b, c). edge(c, a).
 reach(X, Y) :- edge(X, Y).
 reach(X, Y) :- edge(X, Z), reach(Z, Y).
 pool(a).
 `,
-	// Negation over the closure: unreach falls out of reach's demand
-	// scope, so the demand engine mixes magic evaluation with full
-	// oracle answers in one query.
+	// Negation over the closure: unreach negates the recursive reach.
 	`edge(a, b). edge(b, c). node(a). node(b). node(c).
 reach(X, Y) :- edge(X, Y).
 reach(X, Y) :- edge(X, Z), reach(Z, Y).
@@ -96,10 +93,9 @@ func seedCorpus(tb testing.TB) []string {
 }
 
 // FuzzEngineAgreement mutates program source and asserts that ModeUniform,
-// ModeCascade (when linearly stratifiable), their demand-driven
-// (magic-set) variants and the reference interpreter agree on Ask, Query
-// and AskUnder for everything that parses. CI runs it for a bounded
-// wall-clock slice (see .github/workflows/ci.yml).
+// ModeCascade (when linearly stratifiable) and the reference interpreter
+// agree on Ask, Query and AskUnder for everything that parses. CI runs it
+// for a bounded wall-clock slice (see .github/workflows/ci.yml).
 func FuzzEngineAgreement(f *testing.F) {
 	for _, src := range seedCorpus(f) {
 		f.Add(src)
@@ -111,39 +107,12 @@ func FuzzEngineAgreement(f *testing.F) {
 	})
 }
 
-// FuzzDemandAgreement spends its whole budget on the demand-driven
-// engine: no reference interpreter, just full-mode versus DemandDriven
-// engines over every bound ground query, open query, and pool/1
-// AskUnder. CI splits the difftest fuzz budget between this target and
-// FuzzEngineAgreement.
-func FuzzDemandAgreement(f *testing.F) {
-	for _, src := range seedCorpus(f) {
-		f.Add(src)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		if err := CheckDemand(src); err != nil && !errors.Is(err, ErrSkip) {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestSeedAgreement runs every corpus seed through Check directly, so the
 // curated programs are verified on every plain `go test` run, not only
 // under `go test -fuzz`.
 func TestSeedAgreement(t *testing.T) {
 	for i, src := range seedCorpus(t) {
 		if err := Check(src); err != nil && !errors.Is(err, ErrSkip) {
-			t.Errorf("seed %d: %v", i, err)
-		}
-	}
-}
-
-// TestDemandSeedAgreement runs every corpus seed through CheckDemand on
-// plain `go test`, mirroring TestSeedAgreement for the demand-focused
-// fuzz target.
-func TestDemandSeedAgreement(t *testing.T) {
-	for i, src := range seedCorpus(t) {
-		if err := CheckDemand(src); err != nil && !errors.Is(err, ErrSkip) {
 			t.Errorf("seed %d: %v", i, err)
 		}
 	}

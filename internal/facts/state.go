@@ -177,8 +177,8 @@ type State struct {
 func NewState(base *DB) State { return State{Base: base} }
 
 // StateAt returns the state a StateID of base's interner names. The sets
-// are rebuilt from the table, so this is for the places that hold states
-// by id across queries (cached Δ-models at commit time), not for proofs.
+// are rebuilt from the table, so this is for code that holds states by id
+// and needs their contents back (the interning tests), not for proofs.
 func StateAt(base *DB, id StateID) State {
 	return State{Base: base, Delta: base.in.states.delta(id)}
 }

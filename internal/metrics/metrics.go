@@ -196,21 +196,6 @@ type Set struct {
 	LiveIncrementalDropped   Counter
 	LiveSubstrateBuilds      Counter
 
-	// Demand-driven (magic-sets) evaluation, Options.DemandDriven.
-	// MagicQueries counts ground goals answered through a magic-
-	// transformed program; MagicFallbacks goals on intensional predicates
-	// that had to fall back to full evaluation (degenerate transform —
-	// no demand restriction possible — or compile failure).
-	// MagicTransforms counts demand patterns installed on engines (one
-	// per engine per queried predicate; the transform itself is computed
-	// once per program and shared). MagicInvalidations counts demand
-	// caches dropped because a commit's predicate cone overlapped the
-	// pattern's transformed rules.
-	MagicQueries       Counter
-	MagicFallbacks     Counter
-	MagicTransforms    Counter
-	MagicInvalidations Counter
-
 	// Versioned answer cache (internal/cache). CacheHits counts reads
 	// served from a stored entry, CacheMisses reads that ran an
 	// evaluation, CacheCoalesced reads that waited on another caller's
@@ -351,10 +336,6 @@ func (s *Set) Snapshot() map[string]any {
 		"live_version":                   s.LiveVersion.Value(),
 		"live_snapshot_age":              s.LiveSnapshotAge.Value(),
 		"live_readonly":                  s.LiveReadOnly.Value(),
-		"magic_queries":                  s.MagicQueries.Value(),
-		"magic_fallbacks":                s.MagicFallbacks.Value(),
-		"magic_transforms":               s.MagicTransforms.Value(),
-		"magic_invalidations":            s.MagicInvalidations.Value(),
 		"cache_hits":                     s.CacheHits.Value(),
 		"cache_misses":                   s.CacheMisses.Value(),
 		"cache_coalesced":                s.CacheCoalesced.Value(),

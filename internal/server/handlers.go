@@ -536,9 +536,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Role != "" {
 		resp["role"] = s.cfg.Role
 	}
-	if s.cfg.Demand {
-		resp["demand"] = true
-	}
 	if degraded, cause := s.def.Degraded(); degraded {
 		resp["status"] = "degraded"
 		resp["reason"] = "read_only"

@@ -124,13 +124,6 @@ type Config struct {
 	// always concerns the default program only.
 	Role string
 
-	// Demand reports that the engines evaluate demand-driven
-	// (Options.DemandDriven): healthz carries a "demand": true field so
-	// operators can tell which mode answered, and /debug/vars grows the
-	// magic_* counters. Purely informational — the pool decides the
-	// evaluation mode, this only surfaces it.
-	Demand bool
-
 	// ReplPrimary, when set, mounts the replication endpoints
 	// (GET /v1/repl/snapshot and /v1/repl/stream) so followers can
 	// bootstrap and tail this node. Replication traffic bypasses

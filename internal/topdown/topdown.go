@@ -130,8 +130,8 @@ const ctxCheckInterval = 256
 // Stats are evaluation counters, reset by ResetStats. They back the
 // Appendix A experiment (polynomial goal-sequence length). The last five
 // are Δ-part work, counted by bottomup.Prover and carried here so one
-// snapshot describes a whole evaluator (a uniform engine, a cascade, a
-// demand wrapper); a top-down engine on its own leaves them zero.
+// snapshot describes a whole evaluator (a uniform engine or a cascade);
+// a top-down engine on its own leaves them zero.
 type Stats struct {
 	Goals      int64 // prove() entries
 	TableHits  int64

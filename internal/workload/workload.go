@@ -402,9 +402,8 @@ type FuzzOptions struct {
 	DelProb float64
 	// BinaryChainProb emits, with this probability, a binary edge/2
 	// relation plus a linearly recursive closure tc/2 over it, and lets
-	// rule bodies consult tc. Point queries over binary recursion are
-	// the shape the demand-driven (magic-set) rewrite transforms most
-	// aggressively, so this biases the differential corpus toward it.
+	// rule bodies consult tc, biasing the differential corpus toward
+	// point queries over binary recursion.
 	BinaryChainProb float64
 }
 
@@ -450,8 +449,8 @@ func RandomStratifiedProgram(rng *rand.Rand, o FuzzOptions) string {
 	}
 
 	// Optional binary layer: a random edge relation with its transitive
-	// closure, consulted from the unary rules below so demand for tc
-	// point queries flows out of every stratum.
+	// closure, consulted from the unary rules below so tc point queries
+	// are asked from every stratum.
 	binary := rng.Float64() < o.BinaryChainProb
 	if binary {
 		for s := 0; s < o.DomSize; s++ {

@@ -10,7 +10,6 @@ import (
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/cache"
-	"hypodatalog/internal/depgraph"
 	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/symbols"
 	"hypodatalog/internal/topdown"
@@ -123,11 +122,9 @@ type Pool struct {
 	// the two reads agree and the sum never drifts.
 	idleBytes atomic.Int64
 
-	// hmu guards the commit-delta history and the lazily-built dependency
-	// graph used to compute affected cones.
+	// hmu guards the commit-delta history.
 	hmu     sync.Mutex
 	history []commitDelta
-	graph   *depgraph.Graph
 }
 
 // NewPool builds an engine pool. It constructs one engine eagerly so that
@@ -206,7 +203,7 @@ func (pl *Pool) SetProgramDelta(p *Program, version uint64, added, removed []ast
 	)
 	if len(added)+len(removed) <= maxDeltaAtoms {
 		if cadd, crem, seeds, err := compileDelta(added, removed, p.syms); err == nil {
-			cone = pl.coneOf(seeds)
+			cone = pl.prog.coneOf(seeds)
 			pl.hmu.Lock()
 			from = pl.cur.Load().version
 			if version > from {
@@ -242,19 +239,6 @@ func (pl *Pool) SetProgramDelta(p *Program, version uint64, added, removed []ast
 		})
 	}
 	pl.SetProgram(p, version)
-}
-
-// coneOf computes the affected cone of the seed predicates against the
-// pool's dependency graph (built once — every data version shares the
-// seed program's rules, and facts contribute no edges).
-func (pl *Pool) coneOf(seeds []ast.PredSig) map[symbols.Pred]bool {
-	pl.hmu.Lock()
-	if pl.graph == nil {
-		pl.graph = depgraph.Build(pl.prog.src)
-	}
-	g := pl.graph
-	pl.hmu.Unlock()
-	return coneFromGraph(g, pl.prog.syms, seeds)
 }
 
 // deltasBetween returns the contiguous chain of recorded commit deltas
@@ -594,11 +578,8 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 			if err != nil {
 				return err
 			}
-			// Explain reads the uniform engine directly; demand wrapping
-			// would be dead weight on the throwaway (and proof trees must
-			// show the user's rules only).
 			opts := pl.opts
-			opts.Mode, opts.DemandDriven = ModeUniform, false
+			opts.Mode = ModeUniform
 			if e, err = assemble(cur.prog, opts, sub.clone()); err != nil {
 				return fmt.Errorf("hypo: building uniform engine for Explain: %w", err)
 			}

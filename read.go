@@ -229,12 +229,6 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 		return lease(CacheBypass, yield)
 	}
 	key := cache.Key{Version: pl.Version(), Query: r.key}
-	if pl.opts.DemandDriven {
-		// Demand answers equal full answers by construction, but the modes
-		// memoise through different machinery; disjoint entries mean a
-		// defect in one can never serve a wrong answer through the other.
-		key.Query = "d\x1f" + r.key
-	}
 	v, st, err := pl.cache.Do(ctx, key, func() (cache.Computed, error) {
 		var acc []Binding
 		err := lease(CacheMiss, func(b Binding) error {
