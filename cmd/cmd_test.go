@@ -267,6 +267,45 @@ func TestHdldServesAndDrains(t *testing.T) {
 	}
 }
 
+// TestHdldDebugAddr: -debug-addr serves the pprof index on a listener
+// of its own, logged like the main one; the API port does not serve it,
+// and the daemon still drains and exits 0.
+func TestHdldDebugAddr(t *testing.T) {
+	// The debug listener logs before the main one, so both addresses are
+	// known once "listening" is seen.
+	cmd, seen, logs, scanDone := startHdldAddrs(t, "-debug-addr", "127.0.0.1:0", "examples/programs/university.hdl")
+	defer cmd.Process.Kill()
+	debug, api := seen["debug listener"], seen["listening"]
+	if debug == "" || debug == api {
+		t.Fatalf("debug listener address %q (API %q)", debug, api)
+	}
+	for _, tc := range []struct {
+		addr string
+		want int
+	}{{debug, http.StatusOK}, {api, http.StatusNotFound}} {
+		resp, err := http.Get("http://" + tc.addr + "/debug/pprof/")
+		if err != nil {
+			t.Fatalf("GET %s/debug/pprof/: %v", tc.addr, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s/debug/pprof/ = %d, want %d", tc.addr, resp.StatusCode, tc.want)
+		}
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-scanDone:
+	case <-time.After(15 * time.Second):
+		t.Fatal("hdld did not exit within 15s of SIGTERM")
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("hdld exit after SIGTERM = %v; logs:\n%s", err, logs.String())
+	}
+}
+
 // TestHdlSnapshotOut round-trips a program through `hdl -snapshot-out`:
 // the written HDLSNAP file, loaded back with hypo.ReadSnapshot, must
 // reproduce the program — same rules, queries and facts — and answer its
@@ -333,6 +372,15 @@ func sortedLines(s string) string {
 // before cmd.Wait() so no tail log lines are lost.
 func startHdld(t *testing.T, extra ...string) (*exec.Cmd, string, *bytes.Buffer, chan struct{}) {
 	t.Helper()
+	cmd, addrs, logs, scanDone := startHdldAddrs(t, extra...)
+	return cmd, addrs["listening"], logs, scanDone
+}
+
+// startHdldAddrs is startHdld returning the "addr" of every log line
+// up to and including "listening", keyed by message, so listeners that
+// log before the main one can be found too.
+func startHdldAddrs(t *testing.T, extra ...string) (*exec.Cmd, map[string]string, *bytes.Buffer, chan struct{}) {
+	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-log", "json"}, extra...)
 	cmd := exec.Command(filepath.Join(binDir, "hdld"), args...)
 	cmd.Dir = ".."
@@ -345,30 +393,33 @@ func startHdld(t *testing.T, extra ...string) (*exec.Cmd, string, *bytes.Buffer,
 	}
 	logs := &bytes.Buffer{}
 	sc := bufio.NewScanner(io.TeeReader(stderr, logs))
-	addrCh := make(chan string, 1)
+	addrCh := make(chan map[string]string, 1)
 	scanDone := make(chan struct{})
 	go func() {
 		defer close(scanDone)
+		addrs := map[string]string{}
 		for sc.Scan() {
 			var line struct {
 				Msg  string `json:"msg"`
 				Addr string `json:"addr"`
 			}
-			if json.Unmarshal(sc.Bytes(), &line) == nil && line.Msg == "listening" {
-				select {
-				case addrCh <- line.Addr:
-				default:
-				}
+			if addrs == nil || json.Unmarshal(sc.Bytes(), &line) != nil || line.Addr == "" {
+				continue
+			}
+			addrs[line.Msg] = line.Addr
+			if line.Msg == "listening" {
+				addrCh <- addrs
+				addrs = nil // handed off; keep draining stderr
 			}
 		}
 	}()
 	select {
-	case addr := <-addrCh:
-		return cmd, addr, logs, scanDone
+	case addrs := <-addrCh:
+		return cmd, addrs, logs, scanDone
 	case <-time.After(10 * time.Second):
 		cmd.Process.Kill()
 		t.Fatalf("no listening line within 10s; logs:\n%s", logs.String())
-		return nil, "", nil, nil
+		return nil, nil, nil, nil
 	}
 }
 

@@ -9,6 +9,9 @@
 // Flags:
 //
 //	-addr a         listen address (default :8080; use 127.0.0.1:0 for an ephemeral port)
+//	-debug-addr a   serve the net/http/pprof profiles under /debug/pprof/
+//	                on this separate listener, never on -addr (default
+//	                empty = off); it closes with the drain
 //	-mode m         auto | uniform | cascade (default auto)
 //	-pool n         engine pool size = max concurrent evaluations (0 = GOMAXPROCS)
 //	-queue n        admission queue beyond the pool (0 = 4 × pool)
@@ -99,6 +102,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -114,6 +118,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
+	debugAddr := flag.String("debug-addr", "", "extra listener serving only net/http/pprof under /debug/pprof/ (empty = off)")
 	mode := flag.String("mode", "auto", "evaluation mode: auto | uniform | cascade")
 	pool := flag.Int("pool", 0, "engine pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue length (0 = 4 × pool)")
@@ -203,6 +208,7 @@ func run() int {
 		}
 		return runRegistry(logger, *programsDir, *defaultProgram, prog, src.String(), opts, registryServeConfig{
 			addr:           *addr,
+			debugAddr:      *debugAddr,
 			queue:          *queue,
 			timeout:        *timeout,
 			maxTimeout:     *maxTimeout,
@@ -340,7 +346,7 @@ func run() int {
 	}
 
 	st := prog.Stratification()
-	return serveLoop(logger, *addr, *drain, srv,
+	return serveLoop(logger, *addr, *debugAddr, *drain, srv,
 		"pool", pl.Size(),
 		"linear", st.Linear,
 		"strata", st.Strata,
@@ -351,8 +357,25 @@ func run() int {
 // the two-phase drain: BeginDrain (readyz fails, new requests 503),
 // wait out the grace period, then cancel the BaseContext so queries
 // still evaluating abort with ErrCanceled. Shared by the single-program
-// and -programs-dir modes.
-func serveLoop(logger *slog.Logger, addr string, drainGrace time.Duration, srv *server.Server, listenAttrs ...any) int {
+// and -programs-dir modes. A non-empty debugAddr opens the profiling
+// listener first; it closes when serveLoop returns, after the drain.
+func serveLoop(logger *slog.Logger, addr, debugAddr string, drainGrace time.Duration, srv *server.Server, listenAttrs ...any) int {
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			logger.Error("listen (debug)", "err", err)
+			return 1
+		}
+		ds := &http.Server{Handler: debugMux(), ReadHeaderTimeout: 10 * time.Second}
+		defer ds.Close()
+		go func() {
+			if err := ds.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				logger.Error("serve (debug)", "err", err)
+			}
+		}()
+		logger.Info("debug listener", "addr", dln.Addr().String())
+	}
+
 	// root is the BaseContext of every request: canceling it after the
 	// drain grace period force-aborts queries still evaluating.
 	root, cancelRoot := context.WithCancel(context.Background())
@@ -368,12 +391,14 @@ func serveLoop(logger *slog.Logger, addr string, drainGrace time.Duration, srv *
 		return 1
 	}
 
+	// Catch the signals before announcing the address: a SIGTERM sent as
+	// soon as "listening" is logged must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	logger.Info("listening", append([]any{"addr", ln.Addr().String()}, listenAttrs...)...)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		logger.Error("serve", "err", err)
@@ -399,4 +424,17 @@ func serveLoop(logger *slog.Logger, addr string, drainGrace time.Duration, srv *
 		logger.Info("exiting")
 		return 0
 	}
+}
+
+// debugMux serves the net/http/pprof handlers on a mux of its own.
+// Importing net/http/pprof also registers them on http.DefaultServeMux,
+// which no listener of this daemon serves.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

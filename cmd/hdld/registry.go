@@ -14,6 +14,7 @@ import (
 // rejected before this point.
 type registryServeConfig struct {
 	addr           string
+	debugAddr      string
 	queue          int
 	timeout        time.Duration
 	maxTimeout     time.Duration
@@ -81,7 +82,7 @@ func runRegistry(logger *slog.Logger, dir, defaultName string, prog *hypo.Progra
 		logger.Error("build server", "err", err)
 		return 1
 	}
-	return serveLoop(logger, sc.addr, sc.drain, srv,
+	return serveLoop(logger, sc.addr, sc.debugAddr, sc.drain, srv,
 		"programs", len(reg.List()),
 		"default", defaultName,
 		"pool", def.Pool().Size(),

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	hypo "hypodatalog"
@@ -119,12 +121,22 @@ func writeError(w http.ResponseWriter, status int, kind, msg string) {
 }
 
 // decode reads the size-capped JSON body into v, answering 413 for an
-// over-long body and 400 for anything else malformed.
+// over-long body and 400 for anything else malformed — including
+// anything but whitespace after the object, which would otherwise be
+// dropped unread (a second {"retract": ...} batch, say).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, ri *reqInfo, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil || !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			ri.outcome = "too_large"
@@ -287,7 +299,8 @@ func setCacheHeader(w http.ResponseWriter, st hypo.CacheStatus) {
 // per answer as it is proved, then a terminal {"done": true, "count": n}
 // line — or an {"error": ...} line if evaluation aborted after the
 // stream began. Errors before the first binding use a proper HTTP
-// status instead.
+// status instead. Lines go out as streamWriter flushes them: the first
+// at once, later ones at most streamFlushDelay after they were written.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
 	var req queryRequest
 	if !s.decode(w, r, ri, &req) {
@@ -300,8 +313,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	}
 	defer done()
 
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
+	sw := newStreamWriter(w)
+	// Deferred too so that a panic cannot leave an armed timer flushing
+	// a ResponseWriter whose handler has returned.
+	defer sw.stop()
+	enc := json.NewEncoder(sw)
 	n := 0
 	var info hypo.ReadInfo
 	// QueryEachInfoCtx guarantees DataVersion and Cache are set before
@@ -315,11 +331,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 			return fmt.Errorf("%w: %v", errClientWrite, err)
 		}
 		n++
-		if flusher != nil {
-			flusher.Flush()
-		}
 		return nil
 	})
+	// The terminal line is not flushed early: it leaves with whatever is
+	// still buffered when the handler returns.
+	sw.stop()
 	ri.bindings = n
 	ri.dataVersion = info.DataVersion
 	ri.stats = info.Stats
@@ -344,7 +360,100 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		setCacheHeader(w, info.Cache)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	_ = enc.Encode(doneLine{Done: true, Count: n, DataVersion: info.DataVersion})
+	if err := enc.Encode(doneLine{Done: true, Count: n, DataVersion: info.DataVersion}); err != nil {
+		// Writing or flushing the last bindings failed: the client left
+		// after the enumeration's final yield.
+		ri.outcome = "canceled"
+		ri.status = statusClientClosed
+	}
+}
+
+// streamFlushDelay bounds how long a streamed line waits in net/http's
+// buffer for company before it is flushed. It is far below what a
+// client notices and far above the microseconds a cache hit or a fast
+// enumeration takes to produce its whole answer, so those leave in two
+// writes instead of one per binding.
+const streamFlushDelay = 2 * time.Millisecond
+
+// streamWriter coalesces the flushes of one NDJSON stream. The first
+// line is flushed at once, so time to first binding does not wait on
+// the delay. A later line arms a one-shot timer if none is armed, and
+// the timer flushes whatever is buffered by then; net/http also writes
+// when its buffer fills, and when the handler returns. Writes and the
+// timer's flush hold mu, and once stop returns no flush touches the
+// ResponseWriter again, so the handler may return. Writes after stop
+// pass straight through, unflushed.
+//
+// A failed write or flush — the client went away — is recorded, and
+// every later Write returns it, so the enumeration stops at its next
+// binding as it did when each binding was flushed in place.
+type streamWriter struct {
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	delay time.Duration // streamFlushDelay; tests lengthen it
+
+	mu      sync.Mutex
+	timer   *time.Timer
+	started bool  // the first line has been written (and flushed)
+	pending bool  // a line is buffered and the timer is armed for it
+	stopped bool  // no flush happens any more
+	err     error // the first failed write or flush
+}
+
+func newStreamWriter(w http.ResponseWriter) *streamWriter {
+	return &streamWriter{w: w, rc: http.NewResponseController(w), delay: streamFlushDelay}
+}
+
+func (s *streamWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.w.Write(p)
+	if err != nil {
+		s.err = err
+		return n, err
+	}
+	switch {
+	case s.stopped || s.pending:
+	case !s.started:
+		s.started = true
+		s.flushLocked()
+	case s.timer == nil:
+		s.pending = true
+		s.timer = time.AfterFunc(s.delay, s.timedFlush)
+	default:
+		s.pending = true
+		s.timer.Reset(s.delay)
+	}
+	return n, nil
+}
+
+func (s *streamWriter) timedFlush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending && !s.stopped {
+		s.flushLocked()
+	}
+}
+
+func (s *streamWriter) flushLocked() {
+	s.pending = false
+	if err := s.rc.Flush(); err != nil && s.err == nil {
+		s.err = err
+	}
+}
+
+// stop ends flushing: after it returns, no timer will touch the
+// ResponseWriter. It is idempotent.
+func (s *streamWriter) stop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stopped = true
+	if s.timer != nil {
+		s.timer.Stop()
+	}
 }
 
 // handleBatch evaluates many queries on a single engine lease — one

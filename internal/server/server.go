@@ -495,8 +495,9 @@ func (s *Server) refuse(w http.ResponseWriter, ri *reqInfo, err error) {
 	}
 }
 
-// statusWriter records the status and whether anything was written, and
-// forwards Flush so NDJSON streams traverse it.
+// statusWriter records the status and whether anything was written.
+// Unwrap lets http.ResponseController reach net/http's own writer, whose
+// Flush reports a client that went away.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -519,8 +520,4 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

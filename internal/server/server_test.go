@@ -58,6 +58,15 @@ const hardEdges = 110
 // readable; pass a cfg.Logger to inspect them.
 func newTestServer(t *testing.T, src string, opts hypo.Options, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	s, ts := newUnstartedTestServer(t, src, opts, cfg)
+	ts.Start()
+	return s, ts
+}
+
+// newUnstartedTestServer is newTestServer before Start, for tests that
+// replace the listener.
+func newUnstartedTestServer(t *testing.T, src string, opts hypo.Options, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	prog, err := hypo.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +83,7 @@ func newTestServer(t *testing.T, src string, opts hypo.Options, cfg Config) (*Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		pool.Close()
@@ -239,8 +248,9 @@ func TestQueryGroundStreaming(t *testing.T) {
 }
 
 // TestErrorStatuses pins every failure surface to its distinct status.
+// The server has a live store so that /v1/facts reaches its decoder.
 func TestErrorStatuses(t *testing.T) {
-	_, ts := newTestServer(t, uniSrc, hypo.Options{}, Config{MaxBodyBytes: 512})
+	_, ts, lv := newLiveTestServerSrc(t, uniSrc, hypo.Options{}, Config{MaxBodyBytes: 512})
 	cl := ts.Client()
 	cases := []struct {
 		name, path, body string
@@ -259,6 +269,11 @@ func TestErrorStatuses(t *testing.T) {
 		{"empty batch", "/v1/batch", `{"queries": []}`, 400, "bad_request"},
 		{"query parse error", "/v1/query", `{"query": "???"}`, 400, "bad_request"},
 		{"query domain violation", "/v1/query", `{"query": "take(nobody, C)"}`, 400, "bad_request"},
+		// Anything after the object is refused, not ignored: a second
+		// facts batch must not be silently dropped.
+		{"trailing garbage", "/v1/ask", `{"query": "grad(tony)"} garbage`, 400, "bad_request"},
+		{"second facts batch", "/v1/facts",
+			`{"assert": ["take(mary, eng201)"]} {"retract": ["take(tony, his101)"]}`, 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,6 +285,9 @@ func TestErrorStatuses(t *testing.T) {
 				t.Errorf("missing kind %q: %s", tc.kind, body)
 			}
 		})
+	}
+	if v := lv.Version(); v != 0 {
+		t.Errorf("a refused facts body committed: version %d, want 0", v)
 	}
 
 	// Method and route errors come from the Go 1.22 mux.
