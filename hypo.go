@@ -107,6 +107,10 @@ type Program struct {
 	// computed against. It is built once, on first use, and depends only
 	// on the rules, so every data version derived by withFacts shares it.
 	graph func() *depgraph.Graph
+	// rel is the rules' relevance classes, which every engine's interner
+	// projects states onto. Like strt it is computed when the program is
+	// built, not per engine, and shared by every data version.
+	rel *facts.Relevance
 
 	// pinDom, when non-nil, overrides dom(R, DB) computation: every engine
 	// built from this Program enumerates exactly these constants. Live
@@ -164,6 +168,7 @@ func FromAST(p *ast.Program) (*Program, error) {
 	out.graph = sync.OnceValue(func() *depgraph.Graph {
 		return depgraph.Build(&ast.Program{Rules: p.Rules})
 	})
+	out.rel = facts.NewRelevance(cp)
 	return out, nil
 }
 
@@ -215,7 +220,7 @@ func (p *Program) withFacts(fs []ast.Atom, pinDom []symbols.Const) (*Program, er
 		IDB:      p.comp.IDB,
 		MaxArity: maxAr,
 	}
-	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, graph: p.graph}, nil
+	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, graph: p.graph, rel: p.rel}, nil
 }
 
 // AST returns the underlying syntax tree (after the section 3.1 rewrite).
@@ -534,6 +539,7 @@ type substrate struct {
 
 func buildSubstrate(p *Program) (*substrate, error) {
 	in := facts.NewInterner(p.syms)
+	in.SetRelevance(p.rel)
 	db := facts.NewDB(in)
 	for _, f := range p.comp.Facts {
 		if _, err := db.Insert(in.InternGround(f)); err != nil {

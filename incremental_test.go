@@ -15,6 +15,8 @@ import (
 // reach (semi-naive addition + DRed retraction, with cycles once edges
 // loop), negation over a cone predicate (memo pruning / cache drop), and
 // a hypothetical premise (always ineligible for in-place Δ maintenance).
+// sink shares no predicate with reach and unreached, so the cascade's Δ
+// part has two components, each maintained by its own prover.
 const incSrc = `
 node(a). node(b). node(c). node(d).
 edge(a, b). edge(b, c).
@@ -22,13 +24,14 @@ reach(X, Y) :- edge(X, Y).
 reach(X, Y) :- edge(X, Z), reach(Z, Y).
 unreached(X) :- node(X), ~reach(a, X).
 could(X) :- reach(a, X)[add: edge(c, d)].
+sink(X) :- node(X), ~edge(X, Y).
 `
 
 // probeAll renders a canonical answer sheet for the fixed probe set.
 func probeAll(t *testing.T, e *Engine) string {
 	t.Helper()
 	var sb strings.Builder
-	for _, q := range []string{"reach(X, Y)", "unreached(X)", "could(X)"} {
+	for _, q := range []string{"reach(X, Y)", "unreached(X)", "could(X)", "sink(X)"} {
 		bs, err := e.Query(q)
 		if err != nil {
 			t.Fatalf("Query(%s): %v", q, err)
@@ -49,7 +52,7 @@ func probeAll(t *testing.T, e *Engine) string {
 		sort.Strings(rows)
 		fmt.Fprintf(&sb, "%s: %s\n", q, strings.Join(rows, " "))
 	}
-	for _, q := range []string{"reach(a, d)", "reach(d, a)", "reach(b, c)", "unreached(d)"} {
+	for _, q := range []string{"reach(a, d)", "reach(d, a)", "reach(b, c)", "unreached(d)", "sink(c)"} {
 		ok, err := e.Ask(q)
 		if err != nil {
 			t.Fatalf("Ask(%s): %v", q, err)
@@ -57,11 +60,13 @@ func probeAll(t *testing.T, e *Engine) string {
 		fmt.Fprintf(&sb, "%s: %v\n", q, ok)
 	}
 	for _, adds := range [][]string{{"edge(c, d)"}, {"edge(d, a)", "edge(c, d)"}} {
-		ok, err := e.AskUnder("reach(a, d)", adds...)
-		if err != nil {
-			t.Fatalf("AskUnder(%v): %v", adds, err)
+		for _, q := range []string{"reach(a, d)", "sink(c)"} {
+			ok, err := e.AskUnder(q, adds...)
+			if err != nil {
+				t.Fatalf("AskUnder(%s, %v): %v", q, adds, err)
+			}
+			fmt.Fprintf(&sb, "%s+%v: %v\n", q, adds, ok)
 		}
-		fmt.Fprintf(&sb, "reach(a, d)+%v: %v\n", adds, ok)
 	}
 	return sb.String()
 }

@@ -110,8 +110,13 @@ func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query stri
 		return nil, err
 	}
 	bs, err := e.QueryCtx(ctx, query)
+	return settle(work(e), query, len(bs), want, err)
+}
+
+// work is the counter set of an engine's evaluation work.
+func work(e *hypo.Engine) Counters {
 	st := e.Stats()
-	return settle(Counters{
+	return Counters{
 		"goals":            st.Goals,
 		"table_hits":       st.TableHits,
 		"max_depth":        int64(st.MaxDepth),
@@ -119,7 +124,7 @@ func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query stri
 		"materialisations": st.Materialisations,
 		"derived_models":   st.DerivedModels,
 		"join_probes":      st.JoinProbes,
-	}, query, len(bs), want, err)
+	}
 }
 
 // settle turns how an evaluation ended into how its case ends.
@@ -556,6 +561,66 @@ func e15Alternation(s Sizes) ([]Case, error) {
 	return l.done()
 }
 
+// hypAsk is one askunder read: a ground query, its hypothetical adds and
+// its answer.
+type hypAsk struct {
+	query string
+	adds  []string
+	want  bool
+}
+
+// e16SharedRulebase runs Examples 4, 6 and 7–8 in one rulebase, as a
+// served program holds them, plus neven :- not even, which gives stratum
+// 2's Δ part two components (no :- not yes is the other). Each cell is one
+// cold engine. The work the per-example experiments cannot see shows here:
+//
+//   - neven: materialising all of Δ2 would run no's Hamiltonian search;
+//   - a1 under every b_i: materialising all of Δ1 would run the selectx
+//     and selecty rules beside the d chain a1 needs;
+//   - even-again: even under {copied(x0), b3}, then under
+//     {copied(x0), b7}. Parity cannot read a b_i, so the second ask is one
+//     table hit on the part of the state even reads.
+func e16SharedRulebase(Sizes) ([]Case, error) {
+	const chain, items = 16, 8
+	src := workload.ChainProgram(chain) + workload.ParityProgram(items) +
+		workload.HamiltonianProgram(workload.Clique(6)) + "neven :- not even.\n"
+	allB := make([]string, chain)
+	for i := range allB {
+		allB[i] = fmt.Sprintf("b%d", i+1)
+	}
+	rows := []struct {
+		name string
+		asks []hypAsk
+	}{
+		{"neven", []hypAsk{{"neven", nil, false}}},
+		{"a1-all-b", []hypAsk{{"a1", allB, true}}},
+		{"even-again", []hypAsk{{"even", []string{"copied(x0)", "b3"}, false}, {"even", []string{"copied(x0)", "b7"}, false}}},
+	}
+	var l caseList
+	prog := l.parse("shared", src)
+	for _, r := range rows {
+		for _, ev := range e8Evaluators {
+			l.add(r.name+"/"+ev.name, func() (Counters, error) {
+				e, err := hypo.New(prog, ev.opts)
+				if err != nil {
+					return nil, err
+				}
+				for _, a := range r.asks {
+					got, err := e.AskUnder(a.query, a.adds...)
+					if err != nil {
+						return nil, fmt.Errorf("%s under %v: %w", a.query, a.adds, err)
+					}
+					if got != a.want {
+						return nil, fmt.Errorf("%s under %v = %v, want %v", a.query, a.adds, got, a.want)
+					}
+				}
+				return work(e), nil
+			})
+		}
+	}
+	return l.done()
+}
+
 // All returns every experiment in id order.
 func All() []Experiment {
 	return []Experiment{
@@ -574,6 +639,7 @@ func All() []Experiment {
 		{"E13", "(extension): hypothetical deletions — token game", "each move is [add: token(Y)][del: token(X)]; states cycle, answers equal reachability.", e13Deletion},
 		{"E14", "(Theorem 2): constant-free machine compilation on unordered domains", "n! orders × n^2-step machines; n stays small by design.", e14GenericCompile},
 		{"E15", "(section 4 context): alternation via rule form (2) — the PSPACE fragment", "", e15Alternation},
+		{"E16", "(served rulebases): Examples 4, 6 and 7–8 sharing one rulebase", "chain n=16, parity over 8 items, Hamiltonian over a 6-clique plus an isolated node, and neven :- not even; each cell one cold engine.", e16SharedRulebase},
 		{"E18", "(replication): closure reads on replicas, min-version wait under churn", "one scenario per case; values are latencies of its inner operations.", e18Replication},
 		{"E19", "(multi-tenant): K co-resident programs under mixed traffic", "round-robin interleaved clients, one request in flight at a time.", e19MultiTenant},
 		{"E20", "(memory governance): a per-query byte budget, refusing vs paying", fmt.Sprintf("budget %d bytes; full = unbudgeted reach(X, Y), abort = the budgeted pool refusing it, cheap = edge(n0, Y) on that pool afterwards.", e20Budget), e20MemGovern},

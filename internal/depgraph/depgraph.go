@@ -8,6 +8,7 @@ package depgraph
 
 import (
 	"hypodatalog/internal/ast"
+	"hypodatalog/internal/symbols"
 )
 
 // EdgeKind is the occurrence kind that induced a dependency edge.
@@ -237,4 +238,37 @@ func (g *Graph) Cone(seeds []ast.PredSig) map[ast.PredSig]bool {
 		}
 	}
 	return cone
+}
+
+// OfCompiled builds the dependency graph of a compiled program's rules:
+// node i is the predicate symbols.Pred(i) of the program's symbol table,
+// and edges are premise occurrences as in Build.
+func OfCompiled(cp *ast.CProgram) *Graph {
+	n := cp.Syms.NumPreds()
+	g := &Graph{
+		Nodes:    make([]ast.PredSig, n),
+		NodeOf:   make(map[ast.PredSig]int, n),
+		Adj:      make([][]Edge, n),
+		Defined:  make([]bool, n),
+		RuleNode: make([]int, len(cp.Rules)),
+	}
+	for i := range g.Nodes {
+		sig := ast.PredSig{Name: cp.Syms.PredName(symbols.Pred(i)), Arity: cp.Syms.PredArity(symbols.Pred(i))}
+		g.Nodes[i], g.NodeOf[sig] = sig, i
+	}
+	for ri, r := range cp.Rules {
+		h := int(r.Head.Pred)
+		g.Defined[h], g.RuleNode[ri] = true, h
+		for _, pr := range r.Body {
+			kind := Pos
+			switch pr.Kind {
+			case ast.Negated:
+				kind = Neg
+			case ast.Hyp:
+				kind = Hyp
+			}
+			g.Adj[h] = append(g.Adj[h], Edge{To: int(pr.Atom.Pred), Kind: kind, Rule: ri})
+		}
+	}
+	return g
 }

@@ -64,8 +64,9 @@ const (
 //
 //   - Ask for every ground atom of arity ≤ 2 over the program's domain;
 //   - Query("p(X)") / Query("p(X, Y)") binding sets for those predicates;
-//   - AskUnder with hypothetical pool/1 additions, when the program
-//     declares pool/1 (the convention of workload.RandomStratifiedProgram).
+//   - AskUnder with hypothetical pool/1 and side/1 additions, when the
+//     program declares either (the convention of
+//     workload.RandomStratifiedProgram).
 //
 // It returns nil when all evaluators agree, an error wrapping ErrSkip
 // when the input is out of scope, and a descriptive disagreement error
@@ -488,26 +489,42 @@ func checkQuery(ctx context.Context, src string, syms *symbols.Table, dom []symb
 }
 
 // checkAskUnder compares every evaluator under hypothetical extensions of
-// the pool/1 relation — each single atom, plus one two-atom set. Programs
-// without pool/1 are vacuously fine (Ask already covered them).
+// the pool/1 and side/1 relations — each single atom, one two-atom set of
+// each pool, and sets mixing the two, so that a side atom some goals cannot
+// read sits in states beside pool atoms they can. Programs with neither
+// are vacuously fine (Ask already covered them).
 func checkAskUnder(ctx context.Context, src string, syms *symbols.Table, dom []symbols.Const, ip *ref.Interp, engines map[string]*hypo.Engine) error {
-	poolPred, ok := syms.LookupPred("pool", 1)
-	if !ok {
-		return nil
+	type atom struct {
+		pred symbols.Pred
+		arg  symbols.Const
 	}
-	var addSets [][]symbols.Const
-	for _, c := range dom {
-		addSets = append(addSets, []symbols.Const{c})
+	var pools []symbols.Pred
+	for _, name := range []string{"pool", "side"} {
+		if p, ok := syms.LookupPred(name, 1); ok {
+			pools = append(pools, p)
+		}
 	}
-	if len(dom) >= 2 {
-		addSets = append(addSets, []symbols.Const{dom[0], dom[1]})
+	var addSets [][]atom
+	for _, p := range pools {
+		for _, c := range dom {
+			addSets = append(addSets, []atom{{p, c}})
+		}
+		if len(dom) >= 2 {
+			addSets = append(addSets, []atom{{p, dom[0]}, {p, dom[1]}})
+		}
+	}
+	if len(pools) == 2 {
+		for _, c := range dom {
+			addSets = append(addSets, []atom{{pools[0], dom[0]}, {pools[1], c}})
+		}
 	}
 	for _, set := range addSets {
 		adds := make([]string, len(set))
 		stR := ip.EmptyState()
-		for i, c := range set {
-			adds[i] = atomString(syms, poolPred, []symbols.Const{c})
-			stR = stR.Add(ip.Interner().ID(poolPred, []symbols.Const{c}))
+		for i, a := range set {
+			args := []symbols.Const{a.arg}
+			adds[i] = atomString(syms, a.pred, args)
+			stR = stR.Add(ip.Interner().ID(a.pred, args))
 		}
 		err := eachGroundAtom(syms, dom, func(p symbols.Pred, args []symbols.Const) error {
 			q := atomString(syms, p, args)

@@ -78,10 +78,17 @@ func seedCorpus(tb testing.TB) []string {
 		out = append(out, string(data))
 	}
 
-	// Random stratified programs, with and without deletions.
+	// Random stratified programs, with and without deletions, and with a
+	// second pool only some predicates read.
 	for seed := 0; seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		out = append(out, workload.RandomStratifiedProgram(rng, workload.DefaultFuzz()))
+	}
+	sideOpts := workload.DefaultFuzz()
+	sideOpts.SidePool = true
+	for seed := 200; seed < 206; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		out = append(out, workload.RandomStratifiedProgram(rng, sideOpts))
 	}
 	delOpts := workload.DefaultFuzz()
 	delOpts.DelProb = 0.4
@@ -129,12 +136,17 @@ func TestRandomAgreement(t *testing.T) {
 	opts := workload.DefaultFuzz()
 	delOpts := workload.DefaultFuzz()
 	delOpts.DelProb = 0.35
+	sideOpts := workload.DefaultFuzz()
+	sideOpts.SidePool = true
 	skipped := 0
 	for seed := 0; seed < iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed + 7000)))
 		o := opts
-		if seed%3 == 0 {
+		switch seed % 3 {
+		case 0:
 			o = delOpts
+		case 1:
+			o = sideOpts
 		}
 		src := workload.RandomStratifiedProgram(rng, o)
 		err := Check(src)

@@ -7,8 +7,9 @@
 //     rulebase. Works for any program with stratified negation.
 //   - Cascade: the paper's PROVE_k, ..., PROVE_1 architecture (section
 //     5.2): one top-down PROVE_Σi engine per stratum's Σ part, one
-//     bottom-up PROVE_Δi materialiser per Δ part, each stratum using the
-//     one below as its oracle. Requires a linear stratification.
+//     bottom-up PROVE_Δi materialiser per connected component of each Δ
+//     part, each stratum using the one below as its oracle. Requires a
+//     linear stratification.
 //
 // Both satisfy the Asker interface; Solutions enumerates the answers of a
 // non-ground query over the domain.
@@ -64,7 +65,12 @@ type Cascade struct {
 	partOf    map[symbols.Pred]int // partition number; 0 = extensional
 	numStrata int
 	sigma     []*topdown.Engine // sigma[i]: PROVE_Σ(i+1)
-	delta     []*bottomup.Prover
+	// delta holds one PROVE_Δ prover per connected component of each Δ
+	// part (strat.Stratification.DeltaComps), in stratum order; deltaOf
+	// routes a Δ predicate to its component's prover, so a goal
+	// materialises only the rules it can read.
+	delta   []*bottomup.Prover
+	deltaOf map[symbols.Pred]*bottomup.Prover
 
 	// ctx is the cancellation source of the in-flight *Ctx call, or nil.
 	// The Σ engines and Δ provers pick it up on every routed subgoal, so
@@ -77,6 +83,7 @@ type Cascade struct {
 // stratification (from strat.Stratify on the same source program).
 func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const) (*Cascade, error) {
 	in := facts.NewInterner(cp.Syms)
+	in.SetRelevance(facts.NewRelevance(cp))
 	base := facts.NewDB(in)
 	for _, f := range cp.Facts {
 		if _, err := base.Insert(in.InternGround(f)); err != nil {
@@ -87,9 +94,10 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const) 
 }
 
 // NewCascadeWithBase builds the cascade over an existing base database
-// (and its interner); the program's facts are assumed to already be in
-// it. This lets pooled engines share a per-version fact substrate by
-// cloning instead of re-interning from scratch.
+// (and its interner, whose relevance classes must be the whole program's
+// or none); the program's facts are assumed to already be in it. This
+// lets pooled engines share a per-version fact substrate by cloning
+// instead of re-interning from scratch.
 func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, base *facts.DB) (*Cascade, error) {
 	c := &Cascade{
 		prog:      cp,
@@ -98,6 +106,7 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 		dom:       dom,
 		partOf:    make(map[symbols.Pred]int),
 		numStrata: s.NumStrata,
+		deltaOf:   make(map[symbols.Pred]*bottomup.Prover),
 	}
 	for sig, part := range s.Part {
 		p, ok := cp.Syms.LookupPred(sig.Name, sig.Arity)
@@ -109,7 +118,6 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 		}
 	}
 	c.sigma = make([]*topdown.Engine, s.NumStrata)
-	c.delta = make([]*bottomup.Prover, s.NumStrata)
 	for i := 1; i <= s.NumStrata; i++ {
 		i := i
 		var oracle bottomup.Oracle
@@ -118,11 +126,16 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 				return c.askAt(goal, st, 2*(i-1))
 			}
 		}
-		dp, err := bottomup.New(cp, base, dom, s.Delta[i-1], oracle)
-		if err != nil {
-			return nil, fmt.Errorf("engine: stratum %d Δ part: %w", i, err)
+		for _, comp := range s.DeltaComps[i-1] {
+			dp, err := bottomup.New(cp, base, dom, comp, oracle)
+			if err != nil {
+				return nil, fmt.Errorf("engine: stratum %d Δ part: %w", i, err)
+			}
+			c.delta = append(c.delta, dp)
+			for _, ri := range comp {
+				c.deltaOf[cp.Rules[ri].Head.Pred] = dp
+			}
 		}
-		c.delta[i-1] = dp
 
 		external := make(map[symbols.Pred]bool)
 		for p, part := range c.partOf {
@@ -173,8 +186,11 @@ func (c *Cascade) Dom() []symbols.Const { return c.dom }
 // Stats sums the work of every PROVE_Σ engine and PROVE_Δ prover.
 func (c *Cascade) Stats() topdown.Stats {
 	var sum topdown.Stats
-	for i := range c.sigma {
-		sum = sum.Add(c.sigma[i].Stats()).Add(c.delta[i].Stats())
+	for _, se := range c.sigma {
+		sum = sum.Add(se.Stats())
+	}
+	for _, dp := range c.delta {
+		sum = sum.Add(dp.Stats())
 	}
 	return sum
 }
@@ -231,8 +247,9 @@ func (c *Cascade) pushCtx(ctx context.Context) (func(), error) {
 // verbatim. The update is two-phase because DRed overdeletion must join
 // against the pre-commit database:
 //
-//  1. each Δ prover plans — per cached state, either drop the entry or
-//     compute its overdeletion set against the old base;
+//  1. each Δ prover (one per component of each Δ part) plans — per cached
+//     state, either drop the entry or compute its overdeletion set against
+//     the old base;
 //  2. the shared base database is mutated;
 //  3. Σ memo entries whose goal predicate is in the cone are pruned;
 //  4. each planned Δ entry is finished: overdeleted atoms are removed,
@@ -270,7 +287,8 @@ func (c *Cascade) askAt(goal facts.AtomID, st facts.State, maxPart int) (bool, e
 	if st.Has(goal) {
 		return true, nil
 	}
-	part, ok := c.partOf[c.in.Pred(goal)]
+	pred := c.in.Pred(goal)
+	part, ok := c.partOf[pred]
 	if !ok {
 		return false, nil // extensional and not in the state
 	}
@@ -278,11 +296,10 @@ func (c *Cascade) askAt(goal facts.AtomID, st facts.State, maxPart int) (bool, e
 		return false, fmt.Errorf("engine: goal %s at partition %d consulted from partition bound %d (stratification violation)",
 			c.in.Format(goal), part, maxPart)
 	}
-	stratum := (part + 1) / 2
 	if part%2 == 1 {
-		return c.delta[stratum-1].HoldsCtx(c.ctx, goal, st)
+		return c.deltaOf[pred].HoldsCtx(c.ctx, goal, st)
 	}
-	return c.sigma[stratum-1].AskCtx(c.ctx, goal, st)
+	return c.sigma[part/2-1].AskCtx(c.ctx, goal, st)
 }
 
 // AskPremise evaluates a ground premise against the cascade.

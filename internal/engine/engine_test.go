@@ -380,3 +380,47 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 		t.Fatalf("%d bytes still charged after ResetTable + DropCache", g)
 	}
 }
+
+// TestCascadeAsksOneComponent: a Δ part whose predicates fall into two
+// connected components gets one prover per component, and a goal of one
+// materialises that component alone. Here Δ2 holds no :- not yes and
+// neven :- not even; asking neven must not run the Hamiltonian search that
+// no's materialisation would ask the Σ oracle for, so it costs exactly the
+// Σ goals of asking even.
+func TestCascadeAsksOneComponent(t *testing.T) {
+	src := workload.ParityProgram(4) + workload.HamiltonianProgram(workload.Clique(4)) + "neven :- not even.\n"
+	ask := func(query string) (*Cascade, *ast.CProgram, bool) {
+		t.Helper()
+		_, cas, cp := buildBoth(t, src)
+		ok, err := cas.AskPremise(compileQuery(t, cp, query), cas.EmptyState())
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		return cas, cp, ok
+	}
+	cas, cp, holds := ask("neven")
+	if holds {
+		t.Fatal("neven holds over 4 items")
+	}
+	pred := func(name string) symbols.Pred {
+		p, ok := cp.Syms.LookupPred(name, 0)
+		if !ok {
+			t.Fatalf("no predicate %s", name)
+		}
+		return p
+	}
+	neven, no := cas.deltaOf[pred("neven")], cas.deltaOf[pred("no")]
+	if neven == nil || neven == no {
+		t.Fatalf("neven and no share a Δ prover (%p, %p); want one per component", neven, no)
+	}
+	if m := neven.Stats().Materialisations; m != 1 {
+		t.Errorf("neven's component materialised %d times, want 1", m)
+	}
+	if m := no.Stats().Materialisations; m != 0 {
+		t.Errorf("asking neven materialised no's component %d times, want 0", m)
+	}
+	even, _, _ := ask("even")
+	if got, want := cas.Stats().Goals, even.Stats().Goals; got != want {
+		t.Errorf("asking neven ran %d Σ goals, asking even %d", got, want)
+	}
+}

@@ -36,6 +36,9 @@ type Interner struct {
 	// atoms (state.go). It is private to this interner: Clone starts an
 	// empty one, so StateIDs never travel between engines.
 	states stateTable
+	// rel is the program's relevance classes (relevance.go), which the
+	// state table projects states onto; nil projects nothing.
+	rel *Relevance
 }
 
 // internEntryOverhead approximates the fixed heap cost of one interned
@@ -53,6 +56,11 @@ func NewInterner(syms *symbols.Table) *Interner {
 		states: newStateTable(),
 	}
 }
+
+// SetRelevance installs the relevance classes states are projected onto.
+// It must come before any state is interned: a state node records its
+// classes when it is created. Clone carries them.
+func (in *Interner) SetRelevance(r *Relevance) { in.rel = r }
 
 // Syms returns the symbol table the interner was built over.
 func (in *Interner) Syms() *symbols.Table { return in.syms }
@@ -91,9 +99,9 @@ func (in *Interner) ID(pred symbols.Pred, args []symbols.Const) AtomID {
 }
 
 // MemBytes returns the interner's approximate heap footprint: its atoms
-// and the states interned over them. Neither is ever un-interned, so the
-// value is monotone within one interner (but resets to the substrate's
-// atoms on Clone).
+// and the states interned over them, with their memoised projections.
+// None is ever un-interned, so the value is monotone within one interner
+// (but resets to the substrate's atoms on Clone).
 func (in *Interner) MemBytes() int64 { return in.bytes + in.states.memBytes() }
 
 // Lookup returns the id of pred(args...) if it has been interned.
@@ -124,6 +132,7 @@ func (in *Interner) Clone() *Interner {
 		index:  make(map[string]AtomID, len(in.index)),
 		bytes:  in.bytes,
 		states: newStateTable(),
+		rel:    in.rel,
 	}
 	for k, v := range in.index {
 		out.index[k] = v

@@ -3,6 +3,8 @@ package facts
 import (
 	"math"
 	"slices"
+
+	"hypodatalog/internal/symbols"
 )
 
 // StateID names a hypothetical modification — a pair of (added, deleted)
@@ -36,9 +38,13 @@ type stateNode struct {
 
 // stateNodeBytes approximates the heap cost of one interned state: its
 // node, its share of the at most half-full slot array, and append slack.
-// Like internEntryOverhead it is a budget estimator, linear in the real
+// projEntryBytes is the same estimate for one memoised projection. Like
+// internEntryOverhead they are budget estimators, linear in the real
 // footprint.
-const stateNodeBytes = 32
+const (
+	stateNodeBytes = 32
+	projEntryBytes = 32
+)
 
 // A token is one element of a modification: an atom id and whether it is
 // added or deleted.
@@ -62,18 +68,35 @@ type stateTable struct {
 	nodes []stateNode // nodes[id]; nodes[0] is the empty state
 	slots []StateID   // power-of-two sized, at most half full; 0 = free
 	mix   func(uint32) uint32
+
+	// classes[id] has bit c set when every token of state id is relevant
+	// to relevance class c (relevance.go), so that projecting the state
+	// onto c is the identity.
+	classes []uint8
+
+	// proj memoises the projections that are not the identity, by state
+	// and relevance class.
+	proj map[projKey]StateID
+}
+
+type projKey struct {
+	state StateID
+	class uint8
 }
 
 func newStateTable() stateTable {
-	return stateTable{nodes: make([]stateNode, 1), mix: mixToken}
+	return stateTable{nodes: make([]stateNode, 1), mix: mixToken, classes: []uint8{allClasses}, proj: map[projKey]StateID{}}
 }
 
 // memBytes is the table's approximate heap footprint.
-func (t *stateTable) memBytes() int64 { return stateNodeBytes * int64(len(t.nodes)-1) }
+func (t *stateTable) memBytes() int64 {
+	return stateNodeBytes*int64(len(t.nodes)-1) + projEntryBytes*int64(len(t.proj))
+}
 
 // extend returns the id of the parent state plus one token it lacks. ids
-// and dels are the sorted sets of the extended state; a candidate reached
-// through another parent is verified against them.
+// and dels are the sorted sets of the extended state, against which a
+// candidate reached through another parent is verified. When both are nil
+// they are rebuilt from the parent, and only if a candidate needs them.
 func (t *stateTable) extend(parent StateID, token uint32, ids, dels []AtomID) StateID {
 	h := t.nodes[parent].hash ^ t.mix(token)
 	if 2*len(t.nodes) > len(t.slots) {
@@ -89,7 +112,16 @@ func (t *stateTable) extend(parent StateID, token uint32, ids, dels []AtomID) St
 			return id
 		}
 		n := &t.nodes[c]
-		if n.hash == h && (n.parent == parent && n.token == token || t.same(c, ids, dels)) {
+		if n.hash != h {
+			continue
+		}
+		if n.parent == parent && n.token == token {
+			return c
+		}
+		if ids == nil && dels == nil {
+			ids, dels = t.delta(parent).with(token)
+		}
+		if t.same(c, ids, dels) {
 			return c
 		}
 	}
@@ -137,15 +169,58 @@ func (t *stateTable) grow() {
 // whatever a one-token extension cannot express: a state that lost a
 // token (hypothetical deletion retracting an addition, or the reverse)
 // and a Delta built outside any State.
-func (t *stateTable) intern(ids, dels []AtomID) StateID {
+func (in *Interner) intern(ids, dels []AtomID) StateID {
 	id := EmptyStateID
 	for i, a := range ids {
-		id = t.extend(id, addToken(a), ids[:i+1], nil)
+		id = in.extend(id, addToken(a), ids[:i+1], nil)
 	}
 	for i, a := range dels {
-		id = t.extend(id, delToken(a), ids, dels[:i+1])
+		id = in.extend(id, delToken(a), ids, dels[:i+1])
 	}
 	return id
+}
+
+// extend is stateTable.extend that also records a new state's class mask:
+// the parent's, less the classes its token is irrelevant to.
+func (in *Interner) extend(parent StateID, token uint32, ids, dels []AtomID) StateID {
+	t := &in.states
+	n := len(t.nodes)
+	id := t.extend(parent, token, ids, dels)
+	if len(t.nodes) > n {
+		t.classes = append(t.classes, t.classes[parent]&in.tokenClasses(token))
+	}
+	return id
+}
+
+// tokenClasses is the mask of the relevance classes a token is relevant to.
+func (in *Interner) tokenClasses(token uint32) uint8 {
+	if in.rel == nil {
+		return allClasses
+	}
+	return in.rel.tokenClasses(in.atoms[token>>1].pred)
+}
+
+// project returns the id of state id restricted to the tokens relevant to
+// class c. It is id itself when the node's mask says every token is, and
+// nothing is stored. Otherwise it is the projection of the parent,
+// extended by the node's token if that is relevant, memoised; so a chain
+// is walked once per class, and only up to its first identity ancestor.
+func (in *Interner) project(c uint8, id StateID) StateID {
+	t := &in.states
+	if t.classes[id]&(1<<c) != 0 {
+		return id
+	}
+	k := projKey{id, c}
+	if p, ok := t.proj[k]; ok {
+		return p
+	}
+	n := t.nodes[id]
+	p := in.project(c, n.parent)
+	if in.tokenClasses(n.token)&(1<<c) != 0 {
+		p = in.extend(p, n.token, nil, nil)
+	}
+	t.proj[k] = p
+	return p
 }
 
 // delta rebuilds the sorted sets of an interned state from its chain.
@@ -162,6 +237,15 @@ func (t *stateTable) delta(id StateID) Delta {
 	slices.Sort(d.ids)
 	slices.Sort(d.dels)
 	return d
+}
+
+// with returns the sorted sets of d plus one token.
+func (d Delta) with(token uint32) (ids, dels []AtomID) {
+	a := AtomID(token >> 1)
+	if token&1 != 0 {
+		return d.ids, insertSorted(d.dels, a)
+	}
+	return insertSorted(d.ids, a), d.dels
 }
 
 // State is a hypothetical database state: a base database plus a delta of
@@ -195,9 +279,21 @@ func StateParent(base *DB, id StateID) (parent StateID, atom AtomID, added bool)
 // the same base are equal iff their ids are equal.
 func (s State) ID() StateID {
 	if s.Delta.sid == uninterned {
-		return s.Base.in.states.intern(s.Delta.ids, s.Delta.dels)
+		return s.Base.in.intern(s.Delta.ids, s.Delta.dels)
 	}
 	return s.Delta.sid
+}
+
+// RelevantID returns the identity of the part of the state a goal of pred
+// can read: the state restricted to the tokens relevant to pred's
+// relevance class, or the whole state when pred has none. Provability of
+// such a goal is a function of this id, so it is an exact tabling key.
+func (s State) RelevantID(pred symbols.Pred) StateID {
+	id := s.ID()
+	if c, ok := s.Base.in.rel.class(pred); ok {
+		return s.Base.in.project(c, id)
+	}
+	return id
 }
 
 // Has reports whether the atom is visible in this state:
@@ -245,14 +341,14 @@ func (s State) Del(id AtomID) State {
 
 // extended is s plus one token, given the sorted sets of the result.
 func (s State) extended(token uint32, ids, dels []AtomID) State {
-	sid := s.Base.in.states.extend(s.ID(), token, ids, dels)
+	sid := s.Base.in.extend(s.ID(), token, ids, dels)
 	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: sid}}
 }
 
 // rebuilt is the state with the given sorted sets, which are s's minus
 // one token.
 func (s State) rebuilt(ids, dels []AtomID) State {
-	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: s.Base.in.states.intern(ids, dels)}}
+	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: s.Base.in.intern(ids, dels)}}
 }
 
 // AddAll returns the state extended with all the given atoms.

@@ -112,6 +112,20 @@ func waitVersion(t *testing.T, target *hypo.Live, v uint64, timeout time.Duratio
 	}
 }
 
+// waitApplied polls until the replica's status reports version v applied.
+// A test that then reads the status must wait on it, not on the store: the
+// store reaches v inside the apply, before the replica records that it did.
+func waitApplied(t *testing.T, rep *repl.Replica, v uint64, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for rep.Status().Applied < v {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica status stuck at %+v, want Applied >= %d", rep.Status(), v)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func assertEdge(t *testing.T, lv *hypo.Live, from, to string) uint64 {
 	t.Helper()
 	ms, err := hypo.ParseMutations([]string{fmt.Sprintf("edge(%s, %s)", from, to)}, nil)
@@ -154,8 +168,9 @@ func TestThreeNodeWriteThenRead(t *testing.T) {
 	v := assertEdge(t, primary, "b", "c")
 	v = assertEdge(t, primary, "c", "d")
 
+	reps := []*repl.Replica{rep1, rep2}
 	for i, r := range []*hypo.Live{r1, r2} {
-		waitVersion(t, r, v, 5*time.Second)
+		waitApplied(t, reps[i], v, 5*time.Second)
 		ok, err := r.Pool().Ask("reach(a, d)")
 		if err != nil || !ok {
 			t.Fatalf("replica %d: reach(a, d) = %v, %v; want true", i+1, ok, err)
@@ -164,7 +179,7 @@ func TestThreeNodeWriteThenRead(t *testing.T) {
 			t.Fatalf("replica %d facts diverge:\n got %v\nwant %v", i+1, got, want)
 		}
 	}
-	for i, rep := range []*repl.Replica{rep1, rep2} {
+	for i, rep := range reps {
 		st := rep.Status()
 		if !st.Ready || st.Applied != v {
 			t.Fatalf("replica %d status = %+v; want Ready at version %d", i+1, st, v)
@@ -190,7 +205,7 @@ func TestBootstrapFromSnapshot(t *testing.T) {
 	r := openNode(t, nil, 0)
 	defer r.Close()
 	rep := startReplica(t, srv.URL, r, nil)
-	waitVersion(t, r, v, 5*time.Second)
+	waitApplied(t, rep, v, 5*time.Second)
 
 	st := rep.Status()
 	if st.Bootstraps == 0 {
@@ -201,7 +216,7 @@ func TestBootstrapFromSnapshot(t *testing.T) {
 	}
 	// And the stream keeps the replica current after the jump.
 	v = assertEdge(t, primary, "f", "a")
-	waitVersion(t, r, v, 5*time.Second)
+	waitApplied(t, rep, v, 5*time.Second)
 }
 
 // TestRulesHashMismatch: a follower running different rules is refused

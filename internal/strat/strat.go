@@ -61,6 +61,11 @@ type Stratification struct {
 	// Delta[i] and Sigma[i] list the rule indexes in Δ_{i+1} and Σ_{i+1}.
 	Delta [][]int
 	Sigma [][]int
+	// DeltaComps[i] splits Delta[i] into the weakly connected components of
+	// Δ_{i+1}'s own predicates, linked by premises of any kind. No rule of
+	// one component reads a predicate another defines, so each can be
+	// materialised alone. Components are listed by their first rule.
+	DeltaComps [][][]int
 	// Comps are the mutual-recursion equivalence classes; CompOf maps each
 	// predicate to its class index.
 	Comps  [][]ast.PredSig
@@ -290,7 +295,47 @@ func relax(p *ast.Program, g *depgraph.Graph, cap int) (*Stratification, error) 
 			s.Sigma[stratum-1] = append(s.Sigma[stratum-1], ri)
 		}
 	}
+	s.DeltaComps = make([][][]int, s.NumStrata)
+	for i, rules := range s.Delta {
+		s.DeltaComps[i] = components(g, rules)
+	}
 	return s, nil
+}
+
+// components groups a Δ part's rules by the weakly connected component of
+// their head predicates, in order of each component's first rule.
+func components(g *depgraph.Graph, rules []int) [][]int {
+	root := map[int]int{} // union-find over the part's own predicates
+	for _, ri := range rules {
+		root[g.RuleNode[ri]] = g.RuleNode[ri]
+	}
+	find := func(x int) int {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
+	for h := range root {
+		for _, e := range g.Adj[h] {
+			if _, own := root[e.To]; own {
+				root[find(h)] = find(e.To)
+			}
+		}
+	}
+	var comps [][]int
+	index := map[int]int{}
+	for _, ri := range rules {
+		r := find(g.RuleNode[ri])
+		c, ok := index[r]
+		if !ok {
+			c = len(comps)
+			index[r] = c
+			comps = append(comps, nil)
+		}
+		comps[c] = append(comps[c], ri)
+	}
+	return comps
 }
 
 // violates reports whether the current partition of node's definition

@@ -232,7 +232,9 @@ type Engine struct {
 const tableEntryBytes = 32
 
 // tableKey is a (goal, hypothetical state) pair. Both halves are interned
-// ids of the engine's interner, so key equality is exact.
+// ids of the engine's interner, so key equality is exact. In the memo
+// table the state is the goal's relevant part of the state
+// (facts.State.RelevantID); on the proof stack it is the whole state.
 type tableKey struct {
 	goal  facts.AtomID
 	state facts.StateID
@@ -241,11 +243,13 @@ type tableKey struct {
 const maxFrame = math.MaxInt
 
 // New builds an engine over a compiled program. The base database is
-// populated from the program's facts; dom is the constant domain used when
-// the planner must enumerate (pass ref.Domain(cp) for the paper's
-// dom(R, DB)).
+// populated from the program's facts, over an interner that projects
+// states onto the program's relevance classes; dom is the constant domain
+// used when the planner must enumerate (pass ref.Domain(cp) for the
+// paper's dom(R, DB)).
 func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 	in := facts.NewInterner(cp.Syms)
+	in.SetRelevance(facts.NewRelevance(cp))
 	base := facts.NewDB(in)
 	for _, f := range cp.Facts {
 		// Compiled facts intern their predicate with their own arity, so a
@@ -268,7 +272,8 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 }
 
 // NewWithBase builds an engine sharing an existing base database (and its
-// interner). The program's facts are NOT re-inserted.
+// interner, with whatever relevance classes it projects onto). The
+// program's facts are NOT re-inserted.
 func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Options) *Engine {
 	e := &Engine{
 		prog:    cp,
@@ -504,19 +509,23 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		// Extensional predicate: only state membership can make it true.
 		return false, maxFrame, nil
 	}
-	key := tableKey{goal, st.ID()}
+	// The table keys on the part of the state the goal can read, which
+	// decides it (DESIGN §3); the on-stack check keys on the whole state.
+	var key tableKey
 	if !e.opts.NoTabling {
+		key = tableKey{goal, st.RelevantID(pred)}
 		if v, ok := e.table[key]; ok {
 			e.stats.TableHits++
 			return v, maxFrame, nil
 		}
 	}
-	if f, ok := e.onStack[key]; ok {
+	frame := tableKey{goal, st.ID()}
+	if f, ok := e.onStack[frame]; ok {
 		e.stats.LoopCuts++
 		return false, f, nil
 	}
-	e.onStack[key] = depth
-	defer delete(e.onStack, key)
+	e.onStack[frame] = depth
+	defer delete(e.onStack, frame)
 
 	minTouched := maxFrame
 	for _, ri := range e.prog.ByHead[pred] {

@@ -17,12 +17,15 @@ import (
 //	d :- b1, ..., bn.
 //
 // so a1 holds iff all n hypotheses accumulate.
-func ChainProgram(n int) string {
+func ChainProgram(n int) string { return chainProgram(n, "d") }
+
+// chainProgram is ChainProgram with the given body for a{n+1}.
+func chainProgram(n int, bottom string) string {
 	var b strings.Builder
 	for i := 1; i <= n; i++ {
 		fmt.Fprintf(&b, "a%d :- a%d[add: b%d].\n", i, i+1, i)
 	}
-	fmt.Fprintf(&b, "a%d :- d.\n", n+1)
+	fmt.Fprintf(&b, "a%d :- %s.\n", n+1, bottom)
 	// d holds iff all b1..bn accumulated, written as a chain so no rule
 	// body exceeds the engines' 64-premise limit.
 	b.WriteString("d :- d1.\n")
@@ -36,14 +39,16 @@ func ChainProgram(n int) string {
 	return b.String()
 }
 
-// TaggedChainProgram is ChainProgram(n) plus an inert extensional
-// predicate note/1 over the constants t0..t{tags-1}: asking a1 under the
-// one hypothetical add note(t_i) walks the whole chain in n states that no
-// ask under another tag stands in, so repeated asks never share a
-// hypothetical state or a memo entry.
+// TaggedChainProgram is ChainProgram(n) whose bottom also needs a tag,
+// a{n+1} :- d, seen, where seen holds when some note(t_i) over the
+// constants t0..t{tags-1} does: asking a1 under the one hypothetical add
+// note(t_i) walks the whole chain in n states that no ask under another
+// tag stands in. The tag is in a1's dependency cone, so repeated asks
+// share neither a hypothetical state nor a memo entry, even keyed on the
+// part of the state a goal can read.
 func TaggedChainProgram(n, tags int) string {
 	var b strings.Builder
-	b.WriteString(ChainProgram(n))
+	b.WriteString(chainProgram(n, "d, seen"))
 	b.WriteString("seen :- note(X), tag(X).\n")
 	for i := 0; i < tags; i++ {
 		fmt.Fprintf(&b, "tag(t%d).\n", i)
@@ -405,6 +410,12 @@ type FuzzOptions struct {
 	// rule bodies consult tc, biasing the differential corpus toward
 	// point queries over binary recursion.
 	BinaryChainProb float64
+	// SidePool adds a second hypothetical pool, side/1, that half the
+	// hypothetical premises add to but only the first predicate of each
+	// level reads: a side atom in a state is then irrelevant to the other
+	// predicates' proofs, so goals are tabled on states that differ from
+	// the ones they are asked in.
+	SidePool bool
 }
 
 // DefaultFuzz are bounds small enough for the naive reference interpreter.
@@ -427,8 +438,9 @@ func DefaultFuzz() FuzzOptions {
 //   - predicates are arranged in levels; negated premises may only mention
 //     strictly lower levels (so negation is stratified by construction);
 //     plain and hypothetical premises mention the same or lower levels;
-//   - hypothetical adds draw from a dedicated pool pool/1, which keeps the
-//     reachable state space small enough for the reference interpreter;
+//   - hypothetical adds draw from a dedicated pool pool/1 (and side/1 with
+//     SidePool), which keeps the reachable state space small enough for
+//     the reference interpreter;
 //   - extensional predicates e0../1 and the pool are filled randomly.
 //
 // The generated source parses, validates and passes strat.CheckNegation.
@@ -513,7 +525,11 @@ func RandomStratifiedProgram(rng *rand.Rand, o FuzzOptions) string {
 					case 3: // hypothetical premise adding/deleting pool atoms
 						l := rng.Intn(lvl + 1)
 						goal := atom(pred(l, rng.Intn(o.PredsPerLvl)), 1, 0.2)
-						mod := fmt.Sprintf("[add: %s]", atom("pool", 1, 0.3))
+						added := "pool"
+						if o.SidePool && rng.Intn(2) == 0 {
+							added = "side"
+						}
+						mod := fmt.Sprintf("[add: %s]", atom(added, 1, 0.3))
 						if o.DelProb > 0 && rng.Float64() < o.DelProb {
 							if rng.Intn(2) == 0 {
 								mod = fmt.Sprintf("[del: %s]", atom("pool", 1, 0.3))
@@ -523,7 +539,11 @@ func RandomStratifiedProgram(rng *rand.Rand, o FuzzOptions) string {
 						}
 						body = append(body, goal+mod)
 					case 4: // pool membership
-						body = append(body, atom("pool", 1, 0.3))
+						read := "pool"
+						if o.SidePool && pi == 0 && rng.Intn(2) == 0 {
+							read = "side"
+						}
+						body = append(body, atom(read, 1, 0.3))
 					}
 				}
 				fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(body, ", "))
