@@ -217,7 +217,7 @@ func TestPoolQueryEachYieldErrorWithCache(t *testing.T) {
 	sentinel := errors.New("stop after first")
 
 	seen := 0
-	err := pl.QueryEachCtx(ctx, "path(a, X)", func(b Binding) error {
+	_, err := pl.Read(ctx, Request{Kind: ReadQuery, Query: "path(a, X)"}, func(b Binding) error {
 		seen++
 		return sentinel
 	})
@@ -229,7 +229,7 @@ func TestPoolQueryEachYieldErrorWithCache(t *testing.T) {
 	}
 
 	// The aborted enumeration must not have cached its partial set.
-	bs, info, err := pl.QueryInfoCtx(ctx, "path(a, X)")
+	bs, info, err := collect(ctx, pl, Request{Kind: ReadQuery, Query: "path(a, X)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +241,12 @@ func TestPoolQueryEachYieldErrorWithCache(t *testing.T) {
 	}
 
 	// Now cached; the replay path must propagate yield errors too.
-	bs, info, err = pl.QueryInfoCtx(ctx, "path(a, X)")
+	bs, info, err = collect(ctx, pl, Request{Kind: ReadQuery, Query: "path(a, X)"})
 	if err != nil || info.Cache != CacheHit || len(bs) != 3 {
 		t.Fatalf("cached read: %v %v %v", bs, info.Cache, err)
 	}
 	seen = 0
-	err = pl.QueryEachCtx(ctx, "path(a, X)", func(b Binding) error {
+	_, err = pl.Read(ctx, Request{Kind: ReadQuery, Query: "path(a, X)"}, func(b Binding) error {
 		seen++
 		return sentinel
 	})
@@ -256,7 +256,7 @@ func TestPoolQueryEachYieldErrorWithCache(t *testing.T) {
 
 	// A yield error that happens to be a context error must also come
 	// back verbatim, not re-wrapped as this query's abort.
-	err = pl.QueryEachCtx(ctx, "path(a, X)", func(b Binding) error {
+	_, err = pl.Read(ctx, Request{Kind: ReadQuery, Query: "path(a, X)"}, func(b Binding) error {
 		return context.Canceled
 	})
 	if err != context.Canceled {
@@ -370,7 +370,7 @@ func metamorphicStorm(t *testing.T, opts Options) {
 					s.version = info.DataVersion
 				case 1:
 					s = sample{kind: "query", query: fmt.Sprintf("path(%s, X)", from)}
-					bs, info, err := pl.QueryInfoCtx(ctx, s.query)
+					bs, info, err := collect(ctx, pl, Request{Kind: ReadQuery, Query: s.query})
 					if err != nil {
 						continue
 					}

@@ -191,6 +191,70 @@ func TestHdlAbortExitsNonZero(t *testing.T) {
 	}
 }
 
+// TestHdlStatsArePerQuery: -stats prints each query's own work, so a
+// repeat of a query on the warm engine's memo table reports fewer goals
+// than its first evaluation, not the engine's running total.
+func TestHdlStatsArePerQuery(t *testing.T) {
+	// parity.hdl without its own "?-" queries, so the pair below runs cold
+	// and then warm.
+	src, err := os.ReadFile("../examples/programs/parity.hdl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rules []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "?-") {
+			rules = append(rules, line)
+		}
+	}
+	prog := filepath.Join(binDir, "parity-rules.hdl")
+	if err := os.WriteFile(prog, []byte(strings.Join(rules, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := run(t, "hdl", "-stats", "-mode", "uniform", "-q", "odd", "-q", "odd", prog)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	var goals []int
+	for _, line := range strings.Split(out, "\n") {
+		var g int
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "%% goals=%d", &g); err == nil {
+			goals = append(goals, g)
+		}
+	}
+	if len(goals) != 2 {
+		t.Fatalf("want 2 stats lines, got goals %v:\n%s", goals, out)
+	}
+	if first, second := goals[0], goals[1]; second >= first {
+		t.Errorf("repeated odd reports goals=%d after goals=%d: the stats are cumulative, not per query", second, first)
+	}
+}
+
+// TestExamplesRun builds and runs every examples/*/main.go. Each checks
+// its own answers and exits non-zero (log.Fatal) on a wrong one.
+func TestExamplesRun(t *testing.T) {
+	mains, err := filepath.Glob("../examples/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	for _, m := range mains {
+		name := filepath.Base(filepath.Dir(m))
+		t.Run(name, func(t *testing.T) {
+			bin := filepath.Join(binDir, "example-"+name)
+			build := exec.Command("go", "build", "-o", bin, "./examples/"+name)
+			build.Dir = ".."
+			if out, err := build.CombinedOutput(); err != nil {
+				t.Fatalf("build: %v\n%s", err, out)
+			}
+			cmd := exec.Command(bin)
+			cmd.Dir = ".."
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("run: %v\n%s", err, out)
+			}
+		})
+	}
+}
+
 // TestHdldServesAndDrains boots the daemon on an ephemeral port, asks it
 // a query over HTTP, then sends SIGTERM and expects a clean drain and
 // exit 0.

@@ -14,7 +14,9 @@
 //	-q query     evaluate this query (repeatable)
 //	-i           interactive prompt after file queries
 //	-mode m      auto | uniform | cascade (default auto)
-//	-stats       print per-query statistics and a final metrics dump
+//	-stats       print each query's own work (goals, table hits, loop cuts)
+//	             beside the engine's table size and depth, and a final
+//	             metrics dump
 //	-max n       abort a query after n goal expansions (0 = unlimited)
 //	-deadline d  abort each query after duration d, e.g. 500ms (0 = none)
 //	-snapshot-out FILE  compact the loaded program+facts into a HDLSNAP
@@ -207,7 +209,11 @@ func runQuery(eng *hypo.Engine, q string, stats bool, deadline time.Duration) (a
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	bs, err := eng.QueryCtx(ctx, q)
+	var bs []hypo.Binding
+	info, err := eng.Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: q}, func(b hypo.Binding) error {
+		bs = append(bs, b)
+		return nil
+	})
 	if err != nil {
 		var ae *hypo.AbortError
 		if errors.As(err, &ae) {
@@ -242,7 +248,8 @@ func runQuery(eng *hypo.Engine, q string, stats bool, deadline time.Duration) (a
 		}
 	}
 	if stats {
-		st := eng.Stats()
+		// The query's own work; table and depth are the engine's gauges.
+		st := info.Stats
 		fmt.Printf("   %% goals=%d table=%d hits=%d cuts=%d depth=%d\n",
 			st.Goals, st.TableSize, st.TableHits, st.LoopCuts, st.MaxDepth)
 	}

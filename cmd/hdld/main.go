@@ -112,6 +112,7 @@ import (
 	hypo "hypodatalog"
 	"hypodatalog/internal/repl"
 	"hypodatalog/internal/server"
+	"hypodatalog/internal/tenant"
 )
 
 func main() { os.Exit(run()) }
@@ -197,6 +198,10 @@ func run() int {
 		logger.Error("unknown role", "role", *role)
 		return 2
 	}
+	var reg *tenant.Registry
+	var listenAttrs []any
+	var mountPrimary *repl.Primary
+	var replicaStatus func() repl.Status
 	if *programsDir != "" {
 		if *role != "" {
 			logger.Error("-programs-dir is incompatible with -role: replication is single-program")
@@ -206,106 +211,140 @@ func run() int {
 			logger.Error("-programs-dir owns the per-tenant WAL/snapshot layout; drop -wal and -snapshot")
 			return 2
 		}
-		return runRegistry(logger, *programsDir, *defaultProgram, prog, src.String(), opts, registryServeConfig{
-			addr:           *addr,
-			debugAddr:      *debugAddr,
-			queue:          *queue,
-			timeout:        *timeout,
-			maxTimeout:     *maxTimeout,
-			maxBody:        *maxBody,
-			drain:          *drain,
-			snapshotEvery:  *snapshotEvery,
-			minVersionWait: *minVersionWait,
-			memQuota:       *tenantMemQuota,
-			diskQuota:      *tenantDiskQuota,
-		})
-	}
-	if *role == "replica" && (*wal == "" || *primaryURL == "") {
-		logger.Error("-role replica requires both -wal (local durable store) and -primary (who to tail)")
-		return 2
-	}
-	if *role == "primary" && *wal == "" {
-		logger.Error("-role primary requires -wal (followers tail the WAL)")
-		return 2
-	}
-
-	var pl *hypo.Pool
-	var lv *hypo.Live
-	if *wal != "" {
-		lv, err = hypo.OpenLive(prog, hypo.LiveConfig{
-			WALPath:       *wal,
-			SnapshotPath:  *snapshot,
-			SnapshotEvery: *snapshotEvery,
-			Logger:        logger,
-		}, opts)
-		if err != nil {
-			logger.Error("open live store", "err", err)
-			return 1
+		var code int
+		reg, code = openRegistry(logger, tenant.Config{
+			Dir:         *programsDir,
+			DefaultName: *defaultProgram,
+			Options:     opts,
+			LiveConfig:  hypo.LiveConfig{SnapshotEvery: *snapshotEvery},
+			MaxQueue:    *queue,
+			MemoryQuota: *tenantMemQuota,
+			DiskQuota:   *tenantDiskQuota,
+			Logger:      logger,
+		}, prog, src.String())
+		if reg == nil {
+			return code
 		}
-		// Close compacts (when -snapshot is set) so a clean restart
-		// replays nothing.
-		defer lv.Close()
-		rec := lv.Recovery()
-		logger.Info("live EDB recovered",
-			"wal", *wal,
-			"version", rec.Version,
-			"replayed", rec.Replayed,
-			"torn_bytes", rec.TornBytes,
-			"from_snapshot", rec.FromSnapshot,
-		)
-		pl = lv.Pool()
+		// Close compacts every tenant (snapshot paths are always configured
+		// in registry mode) so a clean restart replays nothing.
+		defer reg.Close()
+		listenAttrs = []any{
+			"programs", len(reg.List()),
+			"default", *defaultProgram,
+			"pool", reg.Default().Pool().Size(),
+		}
 	} else {
-		if *snapshot != "" {
-			logger.Warn("-snapshot has no effect without -wal; serving the program's facts read-only")
+		if *role == "replica" && (*wal == "" || *primaryURL == "") {
+			logger.Error("-role replica requires both -wal (local durable store) and -primary (who to tail)")
+			return 2
 		}
-		pl, err = hypo.NewPool(prog, opts)
-		if err != nil {
-			logger.Error("build pool", "err", err)
-			return 1
+		if *role == "primary" && *wal == "" {
+			logger.Error("-role primary requires -wal (followers tail the WAL)")
+			return 2
 		}
-		defer pl.Close()
-	}
 
-	// Any node with a live store can be tailed — a standalone or replica
-	// node serving the endpoints costs nothing until a follower connects,
-	// and makes promotion (point followers at a former replica) a pure
-	// config change.
-	var rp *repl.Primary
-	if lv != nil {
-		rp = repl.NewPrimary(repl.PrimaryConfig{
-			Source:    lv.Store(),
-			RulesHash: prog.RulesHash(),
-			Logger:    logger,
-		})
-	}
-
-	var replicaStatus func() repl.Status
-	if *role == "replica" {
-		rep, err := repl.Start(repl.ReplicaConfig{
-			Primary:   *primaryURL,
-			Target:    lv,
-			RulesHash: prog.RulesHash(),
-			Logger:    logger,
-		})
-		if err != nil {
-			logger.Error("start replication", "err", err)
-			return 1
+		var pl *hypo.Pool
+		var lv *hypo.Live
+		if *wal != "" {
+			lv, err = hypo.OpenLive(prog, hypo.LiveConfig{
+				WALPath:       *wal,
+				SnapshotPath:  *snapshot,
+				SnapshotEvery: *snapshotEvery,
+				Logger:        logger,
+			}, opts)
+			if err != nil {
+				logger.Error("open live store", "err", err)
+				return 1
+			}
+			// Close compacts (when -snapshot is set) so a clean restart
+			// replays nothing.
+			defer lv.Close()
+			rec := lv.Recovery()
+			logger.Info("live EDB recovered",
+				"wal", *wal,
+				"version", rec.Version,
+				"replayed", rec.Replayed,
+				"torn_bytes", rec.TornBytes,
+				"from_snapshot", rec.FromSnapshot,
+			)
+			pl = lv.Pool()
+		} else {
+			if *snapshot != "" {
+				logger.Warn("-snapshot has no effect without -wal; serving the program's facts read-only")
+			}
+			pl, err = hypo.NewPool(prog, opts)
+			if err != nil {
+				logger.Error("build pool", "err", err)
+				return 1
+			}
+			defer pl.Close()
 		}
-		defer rep.Close()
-		replicaStatus = rep.Status
-	}
 
-	mountPrimary := rp
-	if *replicateAddr != "" {
-		// Replication gets its own listener (own port, own firewall rules);
-		// the query listener then does not serve the repl endpoints.
-		mountPrimary = nil
+		// Any node with a live store can be tailed — a standalone or replica
+		// node serving the endpoints costs nothing until a follower
+		// connects, and makes promotion (point followers at a former
+		// replica) a pure config change.
+		var rp *repl.Primary
+		if lv != nil {
+			rp = repl.NewPrimary(repl.PrimaryConfig{
+				Source:    lv.Store(),
+				RulesHash: prog.RulesHash(),
+				Logger:    logger,
+			})
+		}
+
+		if *role == "replica" {
+			rep, err := repl.Start(repl.ReplicaConfig{
+				Primary:   *primaryURL,
+				Target:    lv,
+				RulesHash: prog.RulesHash(),
+				Logger:    logger,
+			})
+			if err != nil {
+				logger.Error("start replication", "err", err)
+				return 1
+			}
+			defer rep.Close()
+			replicaStatus = rep.Status
+		}
+
+		mountPrimary = rp
+		if *replicateAddr != "" {
+			// Replication gets its own listener (own port, own firewall
+			// rules); the query listener then does not serve the repl
+			// endpoints.
+			mountPrimary = nil
+			if rp == nil {
+				logger.Error("-replicate-addr requires -wal (there is no WAL to ship)")
+				return 2
+			}
+			rmux := http.NewServeMux()
+			rp.Mount(rmux)
+			rln, err := net.Listen("tcp", *replicateAddr)
+			if err != nil {
+				logger.Error("listen (replication)", "err", err)
+				return 1
+			}
+			rs := &http.Server{Handler: rmux, ReadHeaderTimeout: 10 * time.Second}
+			defer rs.Close()
+			go func() {
+				if err := rs.Serve(rln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+					logger.Error("serve (replication)", "err", err)
+				}
+			}()
+			logger.Info("replication listener", "addr", rln.Addr().String())
+		}
+
+		// One program is served as a registry with one tenant, the
+		// default, reporting into the process-wide "hypo" metrics.
+		reg = tenant.NewStatic("default", pl, lv, nil, *queue)
+		reg.Default().SetQuotas(*tenantMemQuota, *tenantDiskQuota)
+		st := prog.Stratification()
+		listenAttrs = []any{"pool", pl.Size(), "linear", st.Linear, "strata", st.Strata}
 	}
 
 	srv, err := server.New(server.Config{
-		Pool:           pl,
-		Live:           lv,
-		MaxQueue:       *queue,
+		Registry:       reg,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxBodyBytes:   *maxBody,
@@ -315,49 +354,18 @@ func run() int {
 		ReplicaStatus:  replicaStatus,
 		PrimaryURL:     *primaryURL,
 		MinVersionWait: *minVersionWait,
-		MemoryQuota:    *tenantMemQuota,
-		DiskQuota:      *tenantDiskQuota,
 	})
 	if err != nil {
 		logger.Error("build server", "err", err)
 		return 1
 	}
-
-	if *replicateAddr != "" {
-		if rp == nil {
-			logger.Error("-replicate-addr requires -wal (there is no WAL to ship)")
-			return 2
-		}
-		rmux := http.NewServeMux()
-		rp.Mount(rmux)
-		rln, err := net.Listen("tcp", *replicateAddr)
-		if err != nil {
-			logger.Error("listen (replication)", "err", err)
-			return 1
-		}
-		rs := &http.Server{Handler: rmux, ReadHeaderTimeout: 10 * time.Second}
-		defer rs.Close()
-		go func() {
-			if err := rs.Serve(rln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("serve (replication)", "err", err)
-			}
-		}()
-		logger.Info("replication listener", "addr", rln.Addr().String())
-	}
-
-	st := prog.Stratification()
-	return serveLoop(logger, *addr, *debugAddr, *drain, srv,
-		"pool", pl.Size(),
-		"linear", st.Linear,
-		"strata", st.Strata,
-	)
+	return serveLoop(logger, *addr, *debugAddr, *drain, srv, listenAttrs...)
 }
 
 // serveLoop runs the HTTP listener until SIGTERM/SIGINT, then executes
 // the two-phase drain: BeginDrain (readyz fails, new requests 503),
 // wait out the grace period, then cancel the BaseContext so queries
-// still evaluating abort with ErrCanceled. Shared by the single-program
-// and -programs-dir modes. A non-empty debugAddr opens the profiling
+// still evaluating abort with ErrCanceled. A non-empty debugAddr opens the profiling
 // listener first; it closes when serveLoop returns, after the drain.
 func serveLoop(logger *slog.Logger, addr, debugAddr string, drainGrace time.Duration, srv *server.Server, listenAttrs ...any) int {
 	if debugAddr != "" {

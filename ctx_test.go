@@ -52,10 +52,10 @@ func TestDeadlineHamiltonian(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := e.AskCtx(ctx, "yes")
+			_, err := ask(ctx, e, "yes")
 			elapsed := time.Since(start)
 			if !errors.Is(err, ErrDeadline) {
-				t.Fatalf("AskCtx = %v, want ErrDeadline", err)
+				t.Fatalf("ask = %v, want ErrDeadline", err)
 			}
 			if elapsed >= 500*time.Millisecond {
 				t.Errorf("abort took %v, want well under 500ms", elapsed)
@@ -83,15 +83,15 @@ func TestCancelPropagation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := e.AskCtx(ctx, "yes"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("AskCtx = %v, want ErrCanceled", err)
+	if _, err := ask(ctx, e, "yes"); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("ask = %v, want ErrCanceled", err)
 	}
 
 	// Pre-canceled contexts abort before any expansion.
 	pre, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := e.AskCtx(pre, "yes"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-canceled AskCtx = %v, want ErrCanceled", err)
+	if _, err := ask(pre, e, "yes"); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("pre-canceled ask = %v, want ErrCanceled", err)
 	}
 
 	// The abort must not wedge the engine.
@@ -102,24 +102,24 @@ func TestCancelPropagation(t *testing.T) {
 }
 
 // TestQueryCtxDeadline drives the deadline through the solution
-// enumerator (QueryCtx) rather than a single ground ask.
+// enumerator (a ReadQuery) rather than a single ground ask.
 func TestQueryCtxDeadline(t *testing.T) {
 	src := workload.HamiltonianProgram(hardHamiltonian(t))
 	e := mustEngine(t, src, Options{Mode: ModeUniform})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := e.QueryCtx(ctx, "yes"); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("QueryCtx = %v, want ErrDeadline", err)
+	if _, err := query(ctx, e, "yes"); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("query = %v, want ErrDeadline", err)
 	}
 }
 
-// TestAskUnderCtx checks the context path through AskUnder and that the
-// hypothetical extension still works under the *Ctx spelling.
+// TestAskUnderCtx checks the context path through a ReadAskUnder and
+// that the hypothetical extension still works under a context.
 func TestAskUnderCtx(t *testing.T) {
 	e := mustEngine(t, uniSrc, Options{})
-	ok, err := e.AskUnderCtx(context.Background(), "grad(mary)", "take(mary, eng201)")
+	ok, err := askUnder(context.Background(), e, "grad(mary)", "take(mary, eng201)")
 	if err != nil || !ok {
-		t.Fatalf("AskUnderCtx = %v, %v; want true, nil", ok, err)
+		t.Fatalf("askUnder = %v, %v; want true, nil", ok, err)
 	}
 }
 
@@ -198,11 +198,11 @@ func TestAutoModeStaysPolynomial(t *testing.T) {
 		t.Run(a.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			got, err := mustEngine(t, a.src, Options{MaxGoals: 100_000}).AskCtx(ctx, a.query)
+			got, err := ask(ctx, mustEngine(t, a.src, Options{MaxGoals: 100_000}), a.query)
 			if err != nil || got != a.want {
 				t.Errorf("default mode: %s = %v, %v; want %v without abort", a.query, got, err, a.want)
 			}
-			_, err = mustEngine(t, a.src, Options{Mode: ModeUniform, MaxGoals: 100_000}).AskCtx(ctx, a.query)
+			_, err = ask(ctx, mustEngine(t, a.src, Options{Mode: ModeUniform, MaxGoals: 100_000}), a.query)
 			if !errors.Is(err, ErrBudget) {
 				t.Errorf("ModeUniform: %s = %v, want ErrBudget (see the comment above if topdown learned SCC completion)", a.query, err)
 			}
@@ -254,13 +254,12 @@ func TestDomainCheckDoesNotIntern(t *testing.T) {
 	ctx := context.Background()
 	nop := func(Binding) error { return nil }
 	for name, read := range map[string]func(q string) error{
+		"Engine.Read":           func(q string) error { _, err := e.Read(ctx, Request{Kind: ReadQuery, Query: q}, nop); return err },
 		"Engine.Ask":            func(q string) error { _, err := e.Ask(q); return err },
 		"Engine.Query":          func(q string) error { _, err := e.Query(q); return err },
 		"Engine.QueryEach":      func(q string) error { return e.QueryEach(q, nop) },
-		"Pool.Ask":              func(q string) error { _, err := pl.Ask(q); return err },
-		"Pool.Query":            func(q string) error { _, err := pl.Query(q); return err },
-		"Pool.QueryInfoCtx":     func(q string) error { _, _, err := pl.QueryInfoCtx(ctx, q); return err },
-		"Pool.QueryEachCtx":     func(q string) error { return pl.QueryEachCtx(ctx, q, nop) },
+		"Pool.Read":             func(q string) error { _, err := pl.Read(ctx, Request{Kind: ReadQuery, Query: q}, nop); return err },
+		"Pool.AskInfoCtx":       func(q string) error { _, _, err := pl.AskInfoCtx(ctx, q); return err },
 		"Pool.QueryEachInfoCtx": func(q string) error { return pl.QueryEachInfoCtx(ctx, q, nil, nop) },
 	} {
 		for _, q := range []string{"grad(nosuchperson)", "not grad(nosuchperson)", "grad(tony)[add: take(tony, nosuchcourse)]"} {

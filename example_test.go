@@ -1,6 +1,7 @@
 package hypo_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -116,12 +117,17 @@ func ExampleNewPool() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Pools are safe to share across goroutines; each query gets its own
-	// engine from the free list.
+	// Pools are safe to share across goroutines; each read gets its own
+	// engine from the free list. A ground read yields one empty binding
+	// when it holds.
 	done := make(chan bool, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			ok, err := pool.Ask("q(a)")
+			ok := false
+			_, err := pool.Read(context.Background(), hypo.Request{Kind: hypo.ReadAsk, Query: "q(a)"}, func(hypo.Binding) error {
+				ok = true
+				return nil
+			})
 			done <- err == nil && ok
 		}()
 	}

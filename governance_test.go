@@ -130,7 +130,7 @@ func TestPoolMemoryAbortMidStream(t *testing.T) {
 	// The engine went back to the pool unpoisoned, and the cache still
 	// works for queries that fit the budget.
 	for i := 0; i < 2; i++ {
-		bs, inf, err := pl.QueryInfoCtx(context.Background(), "edge(X, Y)")
+		bs, inf, err := collect(context.Background(), pl, Request{Kind: ReadQuery, Query: "edge(X, Y)"})
 		if err != nil {
 			t.Fatalf("bounded query after aborts: %v", err)
 		}
@@ -161,7 +161,7 @@ func TestPoolMemBytesAndTrim(t *testing.T) {
 		t.Fatalf("MemBytes() = %d after trimming every idle engine, want 0", got)
 	}
 	// The pool rebuilds engines on demand after a trim.
-	if ok, err := pl.Ask("reach(n0, n2)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), pl, "reach(n0, n2)"); err != nil || !ok {
 		t.Fatalf("Ask after trim = %v, %v; want true", ok, err)
 	}
 }

@@ -16,6 +16,9 @@
 //	eng, err := hypo.New(prog, hypo.Options{})
 //	ok, err := eng.Ask("grad(mary)[add: take(mary, his101), take(mary, eng201)]")
 //
+// Every read is one method, Engine.Read or Pool.Read, of a Request; Ask,
+// Query and AskUnder are conveniences over it.
+//
 // # Syntax
 //
 // Programs are lists of clauses terminated by periods. Constants and
@@ -621,76 +624,49 @@ func domainInfo(p *Program, opts Options) ([]symbols.Const, map[symbols.Const]bo
 // Program returns the engine's program.
 func (e *Engine) Program() *Program { return e.prog }
 
-// Ask evaluates a ground query premise given in surface syntax, e.g.
-// "grad(tony)", "not yes", or "grad(s)[add: take(s, c1)]".
-func (e *Engine) Ask(query string) (bool, error) {
-	return e.AskCtx(context.Background(), query)
-}
-
-// AskCtx is Ask under a context: when ctx is canceled or its deadline
-// expires mid-evaluation, AskCtx returns an *AbortError wrapping
-// ErrCanceled or ErrDeadline within a bounded number of goal expansions.
-// An Engine is single-flight — the context governs the one running query.
-func (e *Engine) AskCtx(ctx context.Context, query string) (bool, error) {
-	return e.ask(ctx, readAsk, query, nil)
-}
-
 // Binding is one answer to a non-ground query: variable name to constant.
 type Binding map[string]string
 
-// Query evaluates a premise that may contain variables, returning all
-// bindings over dom(R, DB) that make it hold. A ground query returns one
-// empty binding if it holds and none otherwise.
-func (e *Engine) Query(query string) ([]Binding, error) {
-	return e.QueryCtx(context.Background(), query)
+// Ask is Read of a ground premise, e.g. "grad(tony)", "not yes" or
+// "grad(s)[add: take(s, c1)]", answered yes or no.
+func (e *Engine) Ask(query string) (ok bool, err error) {
+	_, err = e.Read(context.Background(), Request{Kind: ReadAsk, Query: query}, holds(&ok))
+	return ok, err
 }
 
-// QueryCtx is Query under a context; see AskCtx for abort semantics.
-func (e *Engine) QueryCtx(ctx context.Context, query string) ([]Binding, error) {
-	var out []Binding
-	if err := e.QueryEachCtx(ctx, query, collectInto(&out)); err != nil {
+// Query is Read of a premise that may contain variables, returning all
+// bindings over dom(R, DB) that make it hold. A ground query returns one
+// empty binding if it holds and none otherwise.
+func (e *Engine) Query(query string) (out []Binding, err error) {
+	if _, err = e.Read(context.Background(), Request{Kind: ReadQuery, Query: query}, collectInto(&out)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// QueryEach evaluates a premise like Query but streams each binding to
-// yield as it is found instead of materialising the answer set; see
-// QueryEachCtx.
+// QueryEach is Query streaming each binding to yield. It stays only
+// while benchmark/ladder.go calls it, and goes when the ladder does.
 func (e *Engine) QueryEach(query string, yield func(Binding) error) error {
-	return e.QueryEachCtx(context.Background(), query, yield)
+	_, err := e.Read(context.Background(), Request{Kind: ReadQuery, Query: query}, yield)
+	return err
 }
 
-// QueryEachCtx is the streaming form of QueryCtx: each binding is passed
-// to yield in enumeration order as soon as its proof succeeds, so answer
-// sets larger than memory can be forwarded incrementally. A non-nil
-// error from yield stops the enumeration and is returned verbatim;
-// evaluation aborts surface as *AbortError like QueryCtx.
-func (e *Engine) QueryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	return e.serve(ctx, readQuery, query, nil, yield)
-}
-
-// AskUnder evaluates a ground query in a database hypothetically extended
-// with the given ground atoms (surface syntax). This is the programmatic
-// form of nesting everything under one [add: ...].
-func (e *Engine) AskUnder(query string, added ...string) (bool, error) {
-	return e.AskUnderCtx(context.Background(), query, added...)
-}
-
-// AskUnderCtx is AskUnder under a context; see AskCtx for abort
-// semantics.
-func (e *Engine) AskUnderCtx(ctx context.Context, query string, added ...string) (bool, error) {
-	return e.ask(ctx, readAskUnder, query, added)
+// AskUnder is Ask in the database hypothetically extended with the given
+// ground atoms (surface syntax).
+func (e *Engine) AskUnder(query string, added ...string) (ok bool, err error) {
+	_, err = e.Read(context.Background(), Request{Kind: ReadAskUnder, Query: query, Add: added}, holds(&ok))
+	return ok, err
 }
 
 // Explain returns a rendered derivation tree for a provable ground query
-// (plain atoms only), or "" when the query does not hold. Only the
-// uniform engine supports explanations.
+// — a plain atom, or an atom under hypothetical adds and deletions such
+// as "grad(mary)[add: take(mary, eng201)]" — or "" when the query does
+// not hold. Only the uniform engine supports explanations.
 func (e *Engine) Explain(query string) (string, error) {
 	if e.uni == nil {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}
-	r, err := compileRead(readQuery, query, nil, e.prog.syms, e.domSet)
+	r, err := compileRead(Request{Kind: ReadQuery, Query: query}, e.prog.syms, e.domSet)
 	if err != nil {
 		return "", err
 	}

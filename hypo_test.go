@@ -2,6 +2,7 @@ package hypo
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -23,6 +24,37 @@ func mustEngine(t *testing.T, src string, opts Options) *Engine {
 		t.Fatalf("New: %v", err)
 	}
 	return e
+}
+
+// reader is the one read method Engine and Pool share.
+type reader interface {
+	Read(context.Context, Request, func(Binding) error) (ReadInfo, error)
+}
+
+// collect reads req from r and gathers its bindings (nil on error).
+func collect(ctx context.Context, r reader, req Request) ([]Binding, ReadInfo, error) {
+	var bs []Binding
+	info, err := r.Read(ctx, req, collectInto(&bs))
+	if err != nil {
+		return nil, info, err
+	}
+	return bs, info, nil
+}
+
+// ask, askUnder and query are the tests' call shapes over Read.
+func ask(ctx context.Context, r reader, q string) (bool, error) {
+	bs, _, err := collect(ctx, r, Request{Kind: ReadAsk, Query: q})
+	return len(bs) > 0, err
+}
+
+func askUnder(ctx context.Context, r reader, q string, added ...string) (bool, error) {
+	bs, _, err := collect(ctx, r, Request{Kind: ReadAskUnder, Query: q, Add: added})
+	return len(bs) > 0, err
+}
+
+func query(ctx context.Context, r reader, q string) ([]Binding, error) {
+	bs, _, err := collect(ctx, r, Request{Kind: ReadQuery, Query: q})
+	return bs, err
 }
 
 const uniSrc = `

@@ -179,7 +179,7 @@ func TestLiveIncrementalCatchUp(t *testing.T) {
 	l := openLive(t, Options{PoolSize: 1})
 	pl := l.Pool()
 	// Warm the single engine at version 0.
-	if ok, err := pl.Ask("reach(a, b)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), pl, "reach(a, b)"); err != nil || !ok {
 		t.Fatalf("warmup: %v, %v", ok, err)
 	}
 	rebuilds := metrics.Default.LiveRebuilds.Value()
@@ -193,7 +193,7 @@ func TestLiveIncrementalCatchUp(t *testing.T) {
 	}
 	// The idle engine is two versions stale: one lease must chain both
 	// deltas.
-	if ok, err := pl.Ask("reach(b, a)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), pl, "reach(b, a)"); err != nil || !ok {
 		t.Fatalf("reach(b, a) after commits = %v, %v", ok, err)
 	}
 	if _, err := l.Apply(mutations(t, nil, []string{"edge(a, b)"})); err != nil {
@@ -202,10 +202,10 @@ func TestLiveIncrementalCatchUp(t *testing.T) {
 	// With edge(a, b) retracted, a no longer reaches b (the only remaining
 	// edges are b->c and c->a), but b still reaches a — the DRed path must
 	// delete exactly the reach facts that lost support.
-	if ok, err := pl.Ask("reach(b, a)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), pl, "reach(b, a)"); err != nil || !ok {
 		t.Fatalf("reach(b, a) after retraction = %v, %v", ok, err)
 	}
-	if ok, _ := pl.Ask("reach(a, b)"); ok {
+	if ok, _ := ask(context.Background(), pl, "reach(a, b)"); ok {
 		t.Fatal("reach(a, b) survived retracting edge(a, b)")
 	}
 

@@ -109,8 +109,15 @@ func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query stri
 	if err != nil {
 		return nil, err
 	}
-	bs, err := e.QueryCtx(ctx, query)
-	return settle(work(e), query, len(bs), want, err)
+	n := 0
+	_, err = e.Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: query}, func(hypo.Binding) error { n++; return nil })
+	return settle(work(e), query, n, want, err)
+}
+
+// poolAnswers reads query from a pool and counts its answers.
+func poolAnswers(pl *hypo.Pool, query string) (n int, err error) {
+	_, err = pl.Read(context.Background(), hypo.Request{Kind: hypo.ReadQuery, Query: query}, func(hypo.Binding) error { n++; return nil })
+	return n, err
 }
 
 // work is the counter set of an engine's evaluation work.

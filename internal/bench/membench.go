@@ -47,14 +47,14 @@ func e20MemGovern(s Sizes) ([]Case, error) {
 					return nil, err
 				}
 				start := time.Now()
-				bs, err := pl.Query("reach(X, Y)")
+				closure, err := poolAnswers(pl, "reach(X, Y)")
 				d := time.Since(start)
 				pl.Close()
 				if err != nil {
 					return nil, fmt.Errorf("E20: unbudgeted closure: %w", err)
 				}
-				if want := n * (n + 1) / 2; len(bs) != want {
-					return nil, fmt.Errorf("E20: closure size %d, want %d", len(bs), want)
+				if want := n * (n + 1) / 2; closure != want {
+					return nil, fmt.Errorf("E20: closure size %d, want %d", closure, want)
 				}
 				if rep == 0 || d < full {
 					full = d
@@ -66,7 +66,7 @@ func e20MemGovern(s Sizes) ([]Case, error) {
 					return nil, err
 				}
 				start = time.Now()
-				_, err = bpl.Query("reach(X, Y)")
+				_, err = poolAnswers(bpl, "reach(X, Y)")
 				d = time.Since(start)
 				if !errors.Is(err, hypo.ErrMemory) {
 					bpl.Close()
@@ -78,11 +78,11 @@ func e20MemGovern(s Sizes) ([]Case, error) {
 				// The refused pool still serves queries that fit.
 				for i := 0; i < 8; i++ {
 					start = time.Now()
-					bs, err := bpl.Query("edge(n0, Y)")
+					answers, err := poolAnswers(bpl, "edge(n0, Y)")
 					cheap = append(cheap, time.Since(start))
-					if err != nil || len(bs) != 1 {
+					if err != nil || answers != 1 {
 						bpl.Close()
-						return nil, fmt.Errorf("E20: cheap query after abort = %d answers, %v", len(bs), err)
+						return nil, fmt.Errorf("E20: cheap query after abort = %d answers, %v", answers, err)
 					}
 				}
 				bpl.Close()

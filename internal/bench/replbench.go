@@ -117,7 +117,7 @@ func e18Replication(s Sizes) ([]Case, error) {
 			// Warm each replica's memo tables once so the read phase measures
 			// steady-state reads, not first-touch compilation.
 			for _, lv := range nodes {
-				if _, err := lv.Pool().Query(closure); err != nil {
+				if _, err := poolAnswers(lv.Pool(), closure); err != nil {
 					return nil, err
 				}
 			}
@@ -125,7 +125,7 @@ func e18Replication(s Sizes) ([]Case, error) {
 			for _, lv := range nodes {
 				for r := 0; r < readsPerReplica; r++ {
 					rs := time.Now()
-					if _, err := lv.Pool().Query(closure); err != nil {
+					if _, err := poolAnswers(lv.Pool(), closure); err != nil {
 						return nil, err
 					}
 					reads = append(reads, time.Since(rs))

@@ -62,7 +62,7 @@ func e19MultiTenant(s Sizes) ([]Case, error) {
 				}
 				// Warm the memo tables so the measured phase sees
 				// steady-state reads, not first-touch compilation.
-				if _, err := tn.Pool().Query("reach(X, Y)"); err != nil {
+				if _, err := poolAnswers(tn.Pool(), "reach(X, Y)"); err != nil {
 					return nil, err
 				}
 				tenants[i] = tn
@@ -77,7 +77,7 @@ func e19MultiTenant(s Sizes) ([]Case, error) {
 					}
 					if o.Query != "" {
 						start := time.Now()
-						_, err = tn.Pool().Query(o.Query)
+						_, err = poolAnswers(tn.Pool(), o.Query)
 						reads[i] = append(reads[i], time.Since(start))
 					} else if ms, perr := hypo.ParseMutations(o.Assert, o.Retract); perr != nil {
 						err = perr

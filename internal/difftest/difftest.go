@@ -240,12 +240,12 @@ func checkIncremental(ctx context.Context, src string, prog *ast.Program, cp *as
 	batch := fmt.Sprintf("assert %v retract %v", asserts, retracts)
 	err = eachGroundAtom(syms, dom, func(p symbols.Pred, args []symbols.Const) error {
 		q := atomString(syms, p, args)
-		want, err := cold.AskCtx(ctx, q)
+		want, err := ask(ctx, cold, q)
 		if err != nil {
 			return skipOrFail("cold-rebuild", q, err, src)
 		}
 		for name, e := range incremental {
-			got, err := e.AskCtx(ctx, q)
+			got, err := ask(ctx, e, q)
 			if err != nil {
 				return skipOrFail(name, q, err, src)
 			}
@@ -268,13 +268,13 @@ func checkIncremental(ctx context.Context, src string, prog *ast.Program, cp *as
 		if arity == 2 {
 			q = syms.PredName(p) + "(X, Y)"
 		}
-		wantBs, err := cold.QueryCtx(ctx, q)
+		wantBs, err := query(ctx, cold, q)
 		if err != nil {
 			return skipOrFail("cold-rebuild", q, err, src)
 		}
 		want := canonBindings(wantBs)
 		for name, e := range incremental {
-			bs, err := e.QueryCtx(ctx, q)
+			bs, err := query(ctx, e, q)
 			if err != nil {
 				return skipOrFail(name, q, err, src)
 			}
@@ -293,12 +293,12 @@ func checkIncremental(ctx context.Context, src string, prog *ast.Program, cp *as
 	add := atomString(syms, poolPred, []symbols.Const{dom[0]})
 	return eachGroundAtom(syms, dom, func(p symbols.Pred, args []symbols.Const) error {
 		q := atomString(syms, p, args)
-		want, err := cold.AskUnderCtx(ctx, q, add)
+		want, err := ask(ctx, cold, q, add)
 		if err != nil {
 			return skipOrFail("cold-rebuild", q, err, src)
 		}
 		for name, e := range incremental {
-			got, err := e.AskUnderCtx(ctx, q, add)
+			got, err := ask(ctx, e, q, add)
 			if err != nil {
 				return skipOrFail(name, q, err, src)
 			}
@@ -422,6 +422,29 @@ func eachGroundAtom(syms *symbols.Table, dom []symbols.Const, fn func(p symbols.
 	return nil
 }
 
+// ask decides a ground read on e: a plain Ask, or an AskUnder when adds
+// are given.
+func ask(ctx context.Context, e *hypo.Engine, q string, adds ...string) (ok bool, err error) {
+	kind := hypo.ReadAsk
+	if len(adds) > 0 {
+		kind = hypo.ReadAskUnder
+	}
+	_, err = e.Read(ctx, hypo.Request{Kind: kind, Query: q, Add: adds}, func(hypo.Binding) error {
+		ok = true
+		return nil
+	})
+	return ok, err
+}
+
+// query collects every binding of a read on e.
+func query(ctx context.Context, e *hypo.Engine, q string) (bs []hypo.Binding, err error) {
+	_, err = e.Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: q}, func(b hypo.Binding) error {
+		bs = append(bs, b)
+		return nil
+	})
+	return bs, err
+}
+
 // skipOrFail wraps an evaluation error: budget or deadline exhaustion
 // makes the whole input out of scope, anything else is a real failure.
 func skipOrFail(name, q string, err error, src string) error {
@@ -436,7 +459,7 @@ func checkAsk(ctx context.Context, src string, syms *symbols.Table, dom []symbol
 		q := atomString(syms, p, args)
 		want := ip.Holds(ip.Interner().ID(p, args), ip.EmptyState())
 		for name, e := range engines {
-			got, err := e.AskCtx(ctx, q)
+			got, err := ask(ctx, e, q)
 			if err != nil {
 				return skipOrFail(name, q, err, src)
 			}
@@ -475,7 +498,7 @@ func checkQuery(ctx context.Context, src string, syms *symbols.Table, dom []symb
 		}
 		sort.Strings(want)
 		for name, e := range engines {
-			bs, err := e.QueryCtx(ctx, q)
+			bs, err := query(ctx, e, q)
 			if err != nil {
 				return skipOrFail(name, q, err, src)
 			}
@@ -530,7 +553,7 @@ func checkAskUnder(ctx context.Context, src string, syms *symbols.Table, dom []s
 			q := atomString(syms, p, args)
 			want := ip.Holds(ip.Interner().ID(p, args), stR)
 			for name, e := range engines {
-				got, err := e.AskUnderCtx(ctx, q, adds...)
+				got, err := ask(ctx, e, q, adds...)
 				if err != nil {
 					return skipOrFail(name, q, err, src)
 				}

@@ -4,6 +4,7 @@ package repl_test
 // serving the repl endpoints, with replica hypo.Lives tailing it.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -171,7 +172,11 @@ func TestThreeNodeWriteThenRead(t *testing.T) {
 	reps := []*repl.Replica{rep1, rep2}
 	for i, r := range []*hypo.Live{r1, r2} {
 		waitApplied(t, reps[i], v, 5*time.Second)
-		ok, err := r.Pool().Ask("reach(a, d)")
+		ok := false
+		_, err := r.Pool().Read(context.Background(), hypo.Request{Kind: hypo.ReadAsk, Query: "reach(a, d)"}, func(hypo.Binding) error {
+			ok = true
+			return nil
+		})
 		if err != nil || !ok {
 			t.Fatalf("replica %d: reach(a, d) = %v, %v; want true", i+1, ok, err)
 		}

@@ -36,12 +36,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration, mets *metrics.Set) *breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now, mets: mets}
 }
 

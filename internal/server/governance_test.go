@@ -28,9 +28,9 @@ import (
 // cache) exceeds its memory quota refuses new work with 503 over_memory
 // and a Retry-After, before consuming an evaluation slot.
 func TestOverMemoryShed(t *testing.T) {
-	_, ts := newTestServer(t, uniSrc,
-		hypo.Options{PoolSize: 1, CacheBytes: 1 << 20},
-		Config{MemoryQuota: 1})
+	s, ts := newTestServer(t, uniSrc,
+		hypo.Options{PoolSize: 1, CacheBytes: 1 << 20}, Config{})
+	s.def.SetQuotas(1, 0)
 	cl := ts.Client()
 
 	// First request: the only footprint is the idle engine, which the
@@ -57,7 +57,8 @@ func TestOverMemoryShed(t *testing.T) {
 // disk quota refuses writes with 503 over_disk; reads are untouched,
 // and raising the quota re-enables writes with no other intervention.
 func TestOverDiskShed(t *testing.T) {
-	s, ts, _ := newLiveTestServer(t, hypo.Options{}, Config{DiskQuota: 1})
+	s, ts, _ := newLiveTestServer(t, hypo.Options{}, Config{})
+	s.def.SetQuotas(0, 1)
 	cl := ts.Client()
 
 	resp, body := post(t, cl, ts.URL+"/v1/facts", `{"assert": ["edge(b, c)"]}`)
@@ -157,12 +158,11 @@ func TestProxyBreakerFastFailAndRecovery(t *testing.T) {
 	_, primaryTS, primaryLive := newLiveTestServer(t, hypo.Options{}, Config{})
 	mets := metrics.NewSet("test_breaker_e2e")
 	replica, replicaTS, _ := newLiveTestServer(t, hypo.Options{}, Config{
-		Role:                  "replica",
-		PrimaryURL:            primaryTS.URL,
-		ProxyBreakerThreshold: 1,
-		ProxyBreakerCooldown:  time.Minute,
-		Metrics:               mets,
+		Role:       "replica",
+		PrimaryURL: primaryTS.URL,
+		Metrics:    mets,
 	})
+	replica.proxyBr = newBreaker(1, time.Minute, mets)
 	cl := replicaTS.Client()
 
 	// Trip the breaker (threshold 1, so one recorded transport failure
@@ -211,14 +211,13 @@ func TestProxyBreakerOpensOnDeadPrimary(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	mets := metrics.NewSet("test_breaker_dead")
-	_, replicaTS, _ := newLiveTestServer(t, hypo.Options{}, Config{
-		Role:                  "replica",
-		PrimaryURL:            dead.URL,
-		ProxyBreakerThreshold: 1,
-		ProxyBreakerCooldown:  time.Minute,
-		ProxyRetries:          -1, // no retry: one dial failure per request
-		Metrics:               mets,
+	replica, replicaTS, _ := newLiveTestServer(t, hypo.Options{}, Config{
+		Role:       "replica",
+		PrimaryURL: dead.URL,
+		Metrics:    mets,
 	})
+	replica.proxyBr = newBreaker(1, time.Minute, mets)
+	replica.proxyRetries = 0 // one dial failure per request
 	cl := replicaTS.Client()
 
 	// First write pays the dial and gets the transport-level 502...

@@ -243,11 +243,15 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, 
 	ri.query = req.Query
 	if len(req.Add) > 0 {
 		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", `"add" is for /v1/askunder`)
+		writeError(w, http.StatusBadRequest, "bad_request", errAddNotAskUnder)
 		return
 	}
 	s.answerAsk(w, r, ri, t, req)
 }
+
+// errAddNotAskUnder refuses outer adds on an ask or query, on its own
+// endpoint and as a batch item alike.
+const errAddNotAskUnder = `"add" is for /v1/askunder`
 
 func (s *Server) handleAskUnder(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
 	var req askRequest
@@ -259,23 +263,25 @@ func (s *Server) handleAskUnder(w http.ResponseWriter, r *http.Request, ri *reqI
 }
 
 // answerAsk evaluates a ground ask (optionally under hypothetical adds)
-// and answers {"result": bool}. It goes through the pool's Info methods
-// so the answer cache sits above the engine lease: a hit or coalesced
-// read still takes an admission slot (it is HTTP work) but no engine.
+// and answers {"result": bool}. It reads through the pool so the answer
+// cache sits above the engine lease: a hit or coalesced read still takes
+// an admission slot (it is HTTP work) but no engine.
 func (s *Server) answerAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant, req askRequest) {
 	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
 	if !ok {
 		return
 	}
 	defer done()
-	var result bool
-	var info hypo.ReadInfo
-	var err error
+	// An askunder without adds is a plain ask, and shares its cache entry.
+	read := hypo.Request{Kind: hypo.ReadAsk, Query: req.Query}
 	if len(req.Add) > 0 {
-		result, info, err = t.Pool().AskUnderInfoCtx(ctx, req.Query, req.Add...)
-	} else {
-		result, info, err = t.Pool().AskInfoCtx(ctx, req.Query)
+		read = hypo.Request{Kind: hypo.ReadAskUnder, Query: req.Query, Add: req.Add}
 	}
+	var result bool
+	info, err := t.Pool().Read(ctx, read, func(hypo.Binding) error {
+		result = true
+		return nil
+	})
 	ri.dataVersion = info.DataVersion
 	ri.stats = info.Stats
 	ri.cache = info.Cache
@@ -320,9 +326,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	enc := json.NewEncoder(sw)
 	n := 0
 	var info hypo.ReadInfo
-	// QueryEachInfoCtx guarantees DataVersion and Cache are set before
-	// the first yield, so the headers can go out ahead of the stream.
-	err := t.Pool().QueryEachInfoCtx(ctx, req.Query, &info, func(b hypo.Binding) error {
+	// Read sets info's DataVersion and Cache before the first yield, so
+	// the headers can go out ahead of the stream.
+	_, err := t.Pool().Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: req.Query, Info: &info}, func(b hypo.Binding) error {
 		if n == 0 {
 			setCacheHeader(w, info.Cache)
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -472,10 +478,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		writeError(w, http.StatusBadRequest, "bad_request", `"queries" must be non-empty`)
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
+	if len(req.Queries) > s.maxBatch {
 		ri.outcome = "bad_request"
 		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.cfg.MaxBatch))
+			fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.maxBatch))
 		return
 	}
 	ri.query = req.Queries[0].Query
@@ -516,6 +522,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	writeJSON(w, batchResponse{Results: results, DataVersion: ri.dataVersion})
 }
 
+// batchKinds maps a batch item's kind to its read.
+var batchKinds = map[string]hypo.ReadKind{"ask": hypo.ReadAsk, "askunder": hypo.ReadAskUnder, "query": hypo.ReadQuery}
+
 // evalBatchItem runs one batch entry on the leased engine. Item-level
 // problems (bad query, unknown kind, budget) land in the result; an
 // abort is also returned so the batch stops.
@@ -526,22 +535,25 @@ func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchRe
 	}
 	var res batchResult
 	var err error
-	switch kind {
-	case "ask":
-		var ok bool
-		ok, err = e.AskCtx(ctx, item.Query)
-		res.Result = &ok
-	case "askunder":
-		var ok bool
-		ok, err = e.AskUnderCtx(ctx, item.Query, item.Add...)
-		res.Result = &ok
-	case "query":
-		res.Bindings, err = e.QueryCtx(ctx, item.Query)
-		if res.Bindings == nil {
-			res.Bindings = []hypo.Binding{}
-		}
-	default:
+	rk, known := batchKinds[kind]
+	switch {
+	case !known:
 		err = fmt.Errorf("unknown kind %q (want ask, query or askunder)", kind)
+	case rk != hypo.ReadAskUnder && len(item.Add) > 0:
+		err = errors.New(errAddNotAskUnder)
+	case rk == hypo.ReadQuery:
+		res.Bindings = []hypo.Binding{}
+		_, err = e.Read(ctx, hypo.Request{Kind: rk, Query: item.Query}, func(b hypo.Binding) error {
+			res.Bindings = append(res.Bindings, b)
+			return nil
+		})
+	default:
+		ok := false
+		_, err = e.Read(ctx, hypo.Request{Kind: rk, Query: item.Query, Add: item.Add}, func(hypo.Binding) error {
+			ok = true
+			return nil
+		})
+		res.Result = &ok
 	}
 	if err != nil {
 		res = batchResult{}
@@ -585,7 +597,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		// eventual compaction) keep working, so the right client move is
 		// to retract or wait for compaction, then retry.
 		ri.outcome = "over_disk"
-		w.Header().Set("Retry-After", s.retryAfterSecs())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, "over_disk", err.Error())
 		return
 	}

@@ -354,31 +354,36 @@ func TestDegradedReadOnlyServing(t *testing.T) {
 // in-flight ask must echo the dataVersion of the flight that actually
 // computed the answer — not its own admission-time version — and must
 // carry the X-Hdl-Cache: coalesced header. The race is forced: both
-// callers are admitted while the data is at version 0, the pool's only
-// engine is held hostage so the flight leader blocks on its lease, a
-// commit bumps the version to 1, and only then is the engine released —
-// so the flight evaluates at version 1 and both answers are valid only
+// callers are admitted while the data is at version 0, the pool's
+// engines are held hostage so the flight leader blocks on its lease, a
+// commit bumps the version to 1, and only then are the engines released
+// — so the flight evaluates at version 1 and both answers are valid only
 // there.
 func TestCoalescedAskSurvivesCommitRace(t *testing.T) {
-	// MaxConcurrent must exceed the pool size, or the second caller waits
-	// in HTTP admission instead of reaching the cache flight.
+	// Admission has one slot per engine, so with two engines both callers
+	// are admitted and reach the cache flight — as long as the test holds
+	// both engines, the leader blocks on its lease.
+	const engines = 2
 	_, ts, lv := newLiveTestServer(t,
-		hypo.Options{PoolSize: 1, CacheBytes: 1 << 20},
-		Config{MaxConcurrent: 4})
+		hypo.Options{PoolSize: engines, CacheBytes: 1 << 20}, Config{})
 	cl := ts.Client()
 	pl := lv.Pool()
 
 	hold := make(chan struct{})
-	held := make(chan struct{})
-	doDone := make(chan error, 1)
-	go func() {
-		doDone <- pl.Do(context.Background(), func(e *hypo.Engine) error {
-			close(held)
-			<-hold
-			return nil
-		})
-	}()
-	<-held
+	held := make(chan struct{}, engines)
+	doDone := make(chan error, engines)
+	for i := 0; i < engines; i++ {
+		go func() {
+			doDone <- pl.Do(context.Background(), func(e *hypo.Engine) error {
+				held <- struct{}{}
+				<-hold
+				return nil
+			})
+		}()
+	}
+	for i := 0; i < engines; i++ {
+		<-held
+	}
 
 	type res struct {
 		status int
@@ -401,8 +406,10 @@ func TestCoalescedAskSurvivesCommitRace(t *testing.T) {
 		t.Fatalf("facts: status %d body %s", resp.StatusCode, body)
 	}
 	close(hold)
-	if err := <-doDone; err != nil {
-		t.Fatal(err)
+	for i := 0; i < engines; i++ {
+		if err := <-doDone; err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var caches []string

@@ -66,8 +66,7 @@ func (s *Server) gateMinVersion(ctx context.Context, w http.ResponseWriter, r *h
 // primary.
 func (s *Server) refuseStale(w http.ResponseWriter, ri *reqInfo, t *tenant.Tenant, min uint64) {
 	ri.outcome = "stale"
-	retry := strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
-	w.Header().Set("Retry-After", retry)
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set("X-Hdl-Version", strconv.FormatUint(t.Version(), 10))
 	writeError(w, http.StatusServiceUnavailable, "stale",
 		fmt.Sprintf("data version %d not yet replicated here (at %d); retry or read the primary", min, t.Version()))
@@ -81,11 +80,11 @@ func (s *Server) refuseStale(w http.ResponseWriter, ri *reqInfo, t *tenant.Tenan
 // The forward is governed by the proxy circuit breaker: while the
 // primary is deemed dead, writes fail fast with 503 primary_unreachable
 // + Retry-After instead of each burning a dial timeout. Every attempt
-// runs under its own deadline (ProxyAttemptTimeout, clamped by the
+// runs under its own deadline (proxyAttemptTimeout, clamped by the
 // inbound request's context, which still bounds the whole exchange),
 // and dial-level failures — where the request provably never reached
 // the primary, so a retry cannot double-commit — are retried with
-// jittered exponential backoff up to ProxyRetries times.
+// jittered exponential backoff up to proxyRetries times.
 func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -98,7 +97,7 @@ func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	if !proceed {
 		s.mets.ProxyFastFails.Inc()
 		ri.outcome = "primary_unreachable"
-		w.Header().Set("Retry-After", s.retryAfterSecs())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, "primary_unreachable",
 			"primary is unreachable (circuit open); retry later or write to the primary directly")
 		return
@@ -108,12 +107,12 @@ func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	var cancel context.CancelFunc
 	for attempt := 0; ; attempt++ {
 		resp, cancel, err = s.proxyAttempt(r, url, body)
-		if err == nil || attempt >= s.cfg.ProxyRetries ||
+		if err == nil || attempt >= s.proxyRetries ||
 			!requestNotSent(err) || r.Context().Err() != nil {
 			break
 		}
 		s.mets.ProxyRetries.Inc()
-		d := s.cfg.ProxyBackoff << attempt
+		d := proxyBackoff << attempt
 		d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1)) // jitter in [d/2, d]
 		select {
 		case <-time.After(d):
@@ -149,14 +148,14 @@ func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 // deadline. On success the caller must run cancel only after it has
 // drained the response body (cancelling the context aborts the read).
 func (s *Server) proxyAttempt(r *http.Request, url string, body []byte) (*http.Response, context.CancelFunc, error) {
-	actx, cancel := context.WithTimeout(r.Context(), s.cfg.ProxyAttemptTimeout)
+	actx, cancel := context.WithTimeout(r.Context(), proxyAttemptTimeout)
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		cancel()
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.cfg.ProxyClient.Do(req)
+	resp, err := proxyClient.Do(req)
 	if err != nil {
 		cancel()
 		return nil, nil, err
@@ -175,10 +174,4 @@ func requestNotSent(err error) bool {
 		return true
 	}
 	return errors.Is(err, syscall.ECONNREFUSED)
-}
-
-// retryAfterSecs renders Config.RetryAfter as a whole-seconds header
-// value (rounded up).
-func (s *Server) retryAfterSecs() string {
-	return strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 }

@@ -29,8 +29,9 @@
 //
 // # Admission control
 //
-// Admission is per tenant: at most MaxConcurrent requests evaluate at
-// once per program, with up to MaxQueue more waiting for a slot.
+// Admission is per tenant: at most one request per pool engine evaluates
+// at once per program, with up to the registry's queue length more
+// waiting for a slot (hdld -queue; default four times the pool size).
 // Anything beyond that is shed immediately with 429 + Retry-After. One
 // tenant saturating its queue cannot shed or slow another — each
 // tenant's slots, queue, cache budget and metric set are private.
@@ -68,34 +69,23 @@ import (
 // logged.
 const statusClientClosed = 499
 
-// Config parameterises a Server. Provide either Registry (multi-tenant)
-// or Pool/Live (legacy single program, wrapped into a static registry).
+// Config parameterises a Server. Provide Registry, the programs to
+// serve; cmd/hdld builds a one-tenant static registry
+// (tenant.NewStatic) for a single program. Admission width, queue
+// length and quotas are the registry's: one evaluation slot per pool
+// engine, per tenant.
 type Config struct {
-	// Registry holds the programs this server serves. When set it must
-	// already contain its default tenant; Pool and Live are ignored.
+	// Registry holds the programs this server serves. It must already
+	// contain its default tenant.
 	Registry *tenant.Registry
 
-	// Pool evaluates the queries of a single-program server (ignored
-	// when Registry is set). Size it to the number of truly concurrent
-	// evaluations the host should run (engines are memory-heavy: each
-	// holds its own interner and memo tables).
+	// Pool and Live, when Registry is nil, are wrapped into a static
+	// registry with the default queue and no quotas. Live, when set,
+	// enables POST /v1/facts and must be the Live whose Pool is Pool.
+	// They stay only while benchmark/ladder.go builds its server this
+	// way, and go when the ladder does.
 	Pool *hypo.Pool
-
-	// Live, when set, enables POST /v1/facts: runtime mutation of the
-	// base EDB with WAL durability. It must be the Live whose Pool is the
-	// Pool above. When nil the endpoint answers 501. Ignored when
-	// Registry is set.
 	Live *hypo.Live
-
-	// MaxConcurrent bounds simultaneous evaluations per tenant (static
-	// registry only; a dynamic registry carries its own quota config).
-	// Default: Pool.Size().
-	MaxConcurrent int
-
-	// MaxQueue bounds requests waiting for an evaluation slot per
-	// tenant; beyond it requests are shed with 429. Default:
-	// 4 × MaxConcurrent.
-	MaxQueue int
 
 	// DefaultTimeout is the per-request evaluation deadline when the
 	// request has no "timeout" field. Default: 10s.
@@ -106,14 +96,6 @@ type Config struct {
 
 	// MaxBodyBytes caps the request body. Default: 1 MiB.
 	MaxBodyBytes int64
-
-	// MaxBatch caps the number of queries in one /v1/batch request.
-	// Default: 256.
-	MaxBatch int
-
-	// RetryAfter is the Retry-After hint attached to 429 and 503
-	// responses. Default: 1s.
-	RetryAfter time.Duration
 
 	// Logger receives structured access and error logs. Default:
 	// slog.Default().
@@ -147,48 +129,39 @@ type Config struct {
 	// 503 kind "stale". Default: 2s.
 	MinVersionWait time.Duration
 
-	// ProxyClient issues proxied write requests; nil means a default
-	// client.
-	ProxyClient *http.Client
-
-	// ProxyAttemptTimeout bounds each individual forwarded-write attempt
-	// to the primary (the inbound request's own deadline still bounds the
-	// whole exchange). Default: 5s.
-	ProxyAttemptTimeout time.Duration
-
-	// ProxyRetries is how many extra attempts a proxied write gets after
-	// a dial-level failure (where the request provably never reached the
-	// primary, so retrying cannot double-commit). Default: 2; set
-	// negative to disable retries.
-	ProxyRetries int
-
-	// ProxyBackoff is the base delay between proxy retries; attempt n
-	// waits a jittered ProxyBackoff<<n. Default: 100ms.
-	ProxyBackoff time.Duration
-
-	// ProxyBreakerThreshold is how many consecutive proxied-write
-	// transport failures open the circuit breaker. Default: 5.
-	ProxyBreakerThreshold int
-
-	// ProxyBreakerCooldown is how long an open breaker fast-fails writes
-	// before letting a half-open probe through. Default: 5s.
-	ProxyBreakerCooldown time.Duration
-
-	// MemoryQuota caps the static default tenant's tracked memory
-	// footprint (idle engines + answer cache); past it, requests are shed
-	// with 503 over_memory after idle-engine trimming. 0 = unlimited.
-	// Ignored when Registry is set (use tenant.Config.MemoryQuota).
-	MemoryQuota int64
-
-	// DiskQuota caps the static default tenant's WAL + snapshot bytes;
-	// past it, writes are refused with 503 over_disk (reads keep
-	// serving). 0 = unlimited. Ignored when Registry is set.
-	DiskQuota int64
-
 	// Metrics is the metric set server-level counters (and the static
-	// default tenant) report into; nil means metrics.Default.
+	// registry built from Pool/Live) report into; nil means
+	// metrics.Default.
 	Metrics *metrics.Set
 }
+
+// Fixed serving limits.
+const (
+	// maxBatch caps the number of queries in one /v1/batch request.
+	maxBatch = 256
+	// retryAfter is the Retry-After hint, in whole seconds, on 429 and
+	// 503 responses.
+	retryAfter = "1"
+	// proxyAttemptTimeout bounds each forwarded-write attempt to the
+	// primary; the inbound request's own deadline still bounds the whole
+	// exchange.
+	proxyAttemptTimeout = 5 * time.Second
+	// proxyRetries is how many extra attempts a proxied write gets after
+	// a dial-level failure, where the request provably never reached the
+	// primary, so retrying cannot double-commit.
+	proxyRetries = 2
+	// proxyBackoff is the base delay between proxy retries; attempt n
+	// waits a jittered proxyBackoff<<n.
+	proxyBackoff = 100 * time.Millisecond
+	// proxyBreakerThreshold consecutive proxied-write transport failures
+	// open the circuit breaker, which then fast-fails writes for
+	// proxyBreakerCooldown before letting a half-open probe through.
+	proxyBreakerThreshold = 5
+	proxyBreakerCooldown  = 5 * time.Second
+)
+
+// proxyClient sends the proxied writes of every server.
+var proxyClient = &http.Client{Timeout: 30 * time.Second}
 
 // Server is the HTTP query server. Create it with New, mount Handler on
 // an http.Server, and call BeginDrain when shutting down.
@@ -203,6 +176,11 @@ type Server struct {
 	// proxyBr circuit-breaks the replica→primary write proxy; always
 	// built (it is inert on nodes that never proxy).
 	proxyBr *breaker
+
+	// maxBatch and proxyRetries start at the package constants; in-package
+	// tests lower them.
+	maxBatch     int
+	proxyRetries int
 
 	draining atomic.Bool
 }
@@ -221,43 +199,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	if cfg.MinVersionWait <= 0 {
 		cfg.MinVersionWait = 2 * time.Second
 	}
-	if cfg.ProxyClient == nil {
-		cfg.ProxyClient = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.ProxyAttemptTimeout <= 0 {
-		cfg.ProxyAttemptTimeout = 5 * time.Second
-	}
-	if cfg.ProxyRetries < 0 {
-		cfg.ProxyRetries = 0
-	} else if cfg.ProxyRetries == 0 {
-		cfg.ProxyRetries = 2
-	}
-	if cfg.ProxyBackoff <= 0 {
-		cfg.ProxyBackoff = 100 * time.Millisecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.Default
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		// Legacy single-program config: wrap the pool/live as a static
-		// registry whose only tenant is the default.
-		reg = tenant.NewStatic("default", cfg.Pool, cfg.Live, cfg.Metrics, cfg.MaxConcurrent, cfg.MaxQueue)
-		if cfg.MemoryQuota > 0 || cfg.DiskQuota > 0 {
-			reg.Default().SetQuotas(cfg.MemoryQuota, cfg.DiskQuota)
-		}
+		reg = tenant.NewStatic("default", cfg.Pool, cfg.Live, cfg.Metrics, 0)
 	}
 	def := reg.Default()
 	if def == nil {
@@ -271,7 +224,10 @@ func New(cfg Config) (*Server, error) {
 		mets:    cfg.Metrics,
 		reg:     reg,
 		def:     def,
-		proxyBr: newBreaker(cfg.ProxyBreakerThreshold, cfg.ProxyBreakerCooldown, cfg.Metrics),
+		proxyBr: newBreaker(proxyBreakerThreshold, proxyBreakerCooldown, cfg.Metrics),
+
+		maxBatch:     maxBatch,
+		proxyRetries: proxyRetries,
 	}
 	// Un-prefixed routes alias the default program.
 	s.mux.HandleFunc("POST /v1/ask", s.wrap("ask", false, s.handleAsk))
@@ -469,7 +425,7 @@ func (s *Server) wrapAdmin(endpoint string, h func(http.ResponseWriter, *http.Re
 
 // refuse writes the response for an admission failure.
 func (s *Server) refuse(w http.ResponseWriter, ri *reqInfo, err error) {
-	retry := strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
+	retry := retryAfter
 	switch {
 	case errors.Is(err, errShed):
 		ri.outcome = "shed"

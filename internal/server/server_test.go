@@ -91,6 +91,33 @@ func newUnstartedTestServer(t *testing.T, src string, opts hypo.Options, cfg Con
 	return s, ts
 }
 
+// newQueueTestServer is newTestServer over a static registry whose
+// admission queue holds queue requests, as hdld -queue builds it.
+func newQueueTestServer(t *testing.T, src string, opts hypo.Options, queue int) (*Server, *httptest.Server) {
+	t.Helper()
+	prog, err := hypo.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := hypo.NewPool(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Registry: tenant.NewStatic("default", pool, nil, nil, queue),
+		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		pool.Close()
+	})
+	return s, ts
+}
+
 // post sends a JSON body and returns the response and its bytes.
 func post(t *testing.T, client *http.Client, url string, body string) (*http.Response, []byte) {
 	t.Helper()
@@ -344,8 +371,7 @@ func TestDeadlineAndBudgetStatuses(t *testing.T) {
 // requests with 429 + Retry-After immediately, and no goroutines may
 // outlive the burst.
 func TestLoadShed(t *testing.T) {
-	_, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 1},
-		Config{MaxConcurrent: 1, MaxQueue: 1})
+	_, ts := newQueueTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 1}, 1)
 	cl := ts.Client()
 	shedBefore := metrics.Default.HTTPShed.Value()
 	before := runtime.NumGoroutine()
@@ -406,8 +432,7 @@ func TestLoadShed(t *testing.T) {
 // checks nothing leaked.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	src := uniSrc + workload.ParityProgram(6) + hardSrc
-	_, ts := newTestServer(t, src, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 4},
-		Config{MaxConcurrent: 4, MaxQueue: 256})
+	_, ts := newQueueTestServer(t, src, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 4}, 256)
 	cl := ts.Client()
 	before := runtime.NumGoroutine()
 
@@ -463,8 +488,8 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 // queued requests are refused with 503, and the in-flight query runs to
 // its own completion rather than being killed.
 func TestGracefulDrain(t *testing.T) {
-	s, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 1},
-		Config{MaxConcurrent: 1, MaxQueue: 4})
+	// One slot (the pool's one engine) and the default queue of 4.
+	s, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 1}, Config{})
 	cl := ts.Client()
 
 	type result struct {
@@ -559,8 +584,10 @@ func TestPanicRecovery(t *testing.T) {
 // TestBatchSingleLease covers mixed batch items, per-item errors that do
 // not fail the batch, and an abort that skips the rest.
 func TestBatchSingleLease(t *testing.T) {
-	_, ts := newTestServer(t, uniSrc+hardSrc,
-		hypo.Options{Mode: hypo.ModeUniform, NoTabling: true}, Config{MaxBatch: 8})
+	s, ts := newUnstartedTestServer(t, uniSrc+hardSrc,
+		hypo.Options{Mode: hypo.ModeUniform, NoTabling: true}, Config{})
+	s.maxBatch = 8
+	ts.Start()
 	cl := ts.Client()
 
 	resp, body := post(t, cl, ts.URL+"/v1/batch", `{"queries": [
@@ -632,6 +659,42 @@ func TestBatchSingleLease(t *testing.T) {
 		`{"queries": [`+strings.Join(queries, ",")+`]}`)
 	if resp.StatusCode != 400 {
 		t.Errorf("oversized batch = %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
+// TestBatchRefusesAddOffAskUnder: outer adds belong to askunder only. A
+// batch ask or query item carrying "add" is an item-level bad_request
+// with the message /v1/ask gives — never an answer that silently
+// ignores the add.
+func TestBatchRefusesAddOffAskUnder(t *testing.T) {
+	_, ts := newTestServer(t, uniSrc, hypo.Options{}, Config{})
+	cl := ts.Client()
+
+	resp, body := post(t, cl, ts.URL+"/v1/ask", `{"query": "grad(mary)", "add": ["take(mary, eng201)"]}`)
+	var single errorLine
+	if resp.StatusCode != 400 || json.Unmarshal(body, &single) != nil {
+		t.Fatalf("/v1/ask with add: status %d body %s", resp.StatusCode, body)
+	}
+
+	resp, body = post(t, cl, ts.URL+"/v1/batch", `{"queries": [
+		{"kind": "ask", "query": "grad(mary)", "add": ["take(mary, eng201)"]},
+		{"kind": "query", "query": "grad(S)", "add": ["take(mary, eng201)"]},
+		{"kind": "askunder", "query": "grad(mary)", "add": ["take(mary, eng201)"]}
+	]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 3 {
+		t.Fatalf("results %s (%v)", body, err)
+	}
+	for i, res := range br.Results[:2] {
+		if res.Error == nil || *res.Error != single.Error || res.Result != nil || res.Bindings != nil {
+			t.Errorf("item %d = %s, want the /v1/ask refusal %+v", i, body, single.Error)
+		}
+	}
+	if r := br.Results[2]; r.Result == nil || !*r.Result {
+		t.Errorf("askunder item = %s, want true", body)
 	}
 }
 

@@ -196,7 +196,11 @@ func TestQueryStreamCoalescesWrites(t *testing.T) {
 
 	// Evaluating in-process fills the cache, so the request below is the
 	// replay of a set already in memory.
-	bs, err := s.def.Pool().QueryCtx(context.Background(), "edge(X, Y)")
+	var bs []hypo.Binding
+	_, err := s.def.Pool().Read(context.Background(), hypo.Request{Kind: hypo.ReadQuery, Query: "edge(X, Y)"}, func(b hypo.Binding) error {
+		bs = append(bs, b)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

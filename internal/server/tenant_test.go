@@ -316,9 +316,8 @@ func TestExplainEndpoint(t *testing.T) {
 // cache.
 func TestTenantIsolationE2E(t *testing.T) {
 	_, ts, reg := newRegistryServer(t, tenant.Config{
-		Options:       hypo.Options{PoolSize: 1, Mode: hypo.ModeUniform, NoTabling: true, CacheBytes: 1 << 14},
-		MaxConcurrent: 1,
-		MaxQueue:      1,
+		Options:  hypo.Options{PoolSize: 1, Mode: hypo.ModeUniform, NoTabling: true, CacheBytes: 1 << 14},
+		MaxQueue: 1,
 	}, Config{})
 	cl := ts.Client()
 

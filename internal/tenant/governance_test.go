@@ -33,7 +33,7 @@ func TestMemoryQuotaTrimsBeforeShedding(t *testing.T) {
 	}
 	// Warm the pool so idle engines carry memo state and the answer
 	// cache holds an entry.
-	if _, err := tn.Pool().Query("grad(S)"); err != nil {
+	if _, err := tn.Pool().Read(context.Background(), hypo.Request{Kind: hypo.ReadQuery, Query: "grad(S)"}, func(hypo.Binding) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if tn.Pool().MemBytes() <= 0 {

@@ -51,12 +51,9 @@ type Config struct {
 	// and derived per tenant.
 	LiveConfig hypo.LiveConfig
 
-	// MaxConcurrent bounds simultaneous evaluations per tenant.
-	// Default: the tenant's pool size.
-	MaxConcurrent int
-
 	// MaxQueue bounds requests waiting for a slot per tenant; beyond it
-	// requests are shed. Default: 4 × MaxConcurrent.
+	// requests are shed. A tenant has one evaluation slot per engine of
+	// its pool (Options.PoolSize). Default: 4 × the pool size.
 	MaxQueue int
 
 	// MemoryQuota bounds each tenant's tracked memory footprint (idle
@@ -151,9 +148,11 @@ func Open(cfg Config) (*Registry, error) {
 }
 
 // NewStatic wraps one pre-built pool (and optional live store) as a
-// registry whose only tenant is the default. It backs legacy
-// single-program server configs; Create and Delete fail with ErrStatic.
-func NewStatic(name string, pool *hypo.Pool, live *hypo.Live, mets *metrics.Set, maxConcurrent, maxQueue int) *Registry {
+// registry whose only tenant is the default, with one evaluation slot
+// per pool engine and up to maxQueue requests waiting for one (0 = 4 ×
+// the pool size). It is how a single-program server is served; Create
+// and Delete fail with ErrStatic. A nil mets means metrics.Default.
+func NewStatic(name string, pool *hypo.Pool, live *hypo.Live, mets *metrics.Set, maxQueue int) *Registry {
 	if name == "" {
 		name = "default"
 	}
@@ -164,7 +163,7 @@ func NewStatic(name string, pool *hypo.Pool, live *hypo.Live, mets *metrics.Set,
 		static:  true,
 		defName: name,
 		log:     slog.Default(),
-		tenants: map[string]*Tenant{name: newTenant(name, "", "", 0, pool, live, mets, maxConcurrent, maxQueue)},
+		tenants: map[string]*Tenant{name: newTenant(name, "", "", 0, pool, live, mets, maxQueue)},
 	}
 	register(r)
 	return r
@@ -283,7 +282,7 @@ func (r *Registry) openTenant(name, source string) (*Tenant, error) {
 		return nil, err
 	}
 	t := newTenant(name, dir, source, prog.RulesHash(), lv.Pool(), lv,
-		mets, r.cfg.MaxConcurrent, r.cfg.MaxQueue)
+		mets, r.cfg.MaxQueue)
 	t.SetQuotas(r.cfg.MemoryQuota, r.cfg.DiskQuota)
 	return t, nil
 }

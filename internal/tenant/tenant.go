@@ -12,8 +12,8 @@
 // directory of per-tenant state dirs — <dir>/<name>/{program.hdl,
 // wal.log, snapshot.hdlsnap} — and supports runtime Create/Delete with
 // the server's two-phase drain. A static registry (NewStatic) wraps one
-// pre-built Pool/Live as the default tenant for legacy single-program
-// configs; admin operations on it fail with ErrStatic.
+// pre-built Pool/Live as the default tenant of a single-program server;
+// admin operations on it fail with ErrStatic.
 package tenant
 
 import (
@@ -89,12 +89,13 @@ type Tenant struct {
 	diskQuota atomic.Int64
 }
 
-func newTenant(name, dir, source string, rulesHash uint64, pool *hypo.Pool, live *hypo.Live, mets *metrics.Set, maxConcurrent, maxQueue int) *Tenant {
-	if maxConcurrent <= 0 {
-		maxConcurrent = pool.Size()
-	}
+// newTenant builds a tenant whose admission width is its pool's size: a
+// request admitted beyond it would only wait for an engine in the pool
+// instead of in the bounded, sheddable queue. maxQueue <= 0 means four
+// times that width.
+func newTenant(name, dir, source string, rulesHash uint64, pool *hypo.Pool, live *hypo.Live, mets *metrics.Set, maxQueue int) *Tenant {
 	if maxQueue <= 0 {
-		maxQueue = 4 * maxConcurrent
+		maxQueue = 4 * pool.Size()
 	}
 	return &Tenant{
 		name:      name,
@@ -104,7 +105,7 @@ func newTenant(name, dir, source string, rulesHash uint64, pool *hypo.Pool, live
 		pool:      pool,
 		live:      live,
 		mets:      mets,
-		sem:       make(chan struct{}, maxConcurrent),
+		sem:       make(chan struct{}, pool.Size()),
 		maxQueue:  int64(maxQueue),
 		drainCh:   make(chan struct{}),
 	}

@@ -15,6 +15,15 @@ import (
 	"hypodatalog/internal/workload"
 )
 
+// ask decides a ground read on the pool.
+func ask(pl *hypo.Pool, query string) (ok bool, err error) {
+	_, err = pl.Read(context.Background(), hypo.Request{Kind: hypo.ReadAsk, Query: query}, func(hypo.Binding) error {
+		ok = true
+		return nil
+	})
+	return ok, err
+}
+
 const uniSrc = `
 take(tony, his101).
 take(tony, eng201).
@@ -84,7 +93,7 @@ func TestCreateGetDelete(t *testing.T) {
 	}
 
 	// The tenant answers queries through its own pool.
-	ok, err := tn.Pool().Ask("grad(tony)")
+	ok, err := ask(tn.Pool(), "grad(tony)")
 	if err != nil || !ok {
 		t.Fatalf("Ask through tenant pool = %v, %v", ok, err)
 	}
@@ -164,11 +173,11 @@ func TestBootRecovery(t *testing.T) {
 	if uni2.Version() != wantV {
 		t.Errorf("recovered uni version = %d, want %d", uni2.Version(), wantV)
 	}
-	if ok, err := uni2.Pool().Ask("grad(mary)"); err != nil || !ok {
+	if ok, err := ask(uni2.Pool(), "grad(mary)"); err != nil || !ok {
 		t.Errorf("recovered write lost: grad(mary) = %v, %v", ok, err)
 	}
 	par, _ := r2.Get("parity")
-	if ok, err := par.Pool().Ask("even"); err != nil || !ok {
+	if ok, err := ask(par.Pool(), "even"); err != nil || !ok {
 		t.Errorf("recovered parity: even = %v, %v", ok, err)
 	}
 }
@@ -196,7 +205,7 @@ func TestStaticRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	r := NewStatic("default", pool, nil, nil, 0, 0)
+	r := NewStatic("default", pool, nil, nil, 0)
 	defer r.Close()
 	if !r.Static() || r.Default() == nil || r.Default().Pool() != pool {
 		t.Fatalf("static registry malformed")
@@ -258,12 +267,11 @@ func TestAdmitQuota(t *testing.T) {
 func TestAdmitShedsBeyondQueue(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(Config{
-		Dir:           dir,
-		Options:       hypo.Options{PoolSize: 1},
-		LiveConfig:    hypo.LiveConfig{NoSync: true},
-		MaxConcurrent: 1,
-		MaxQueue:      1,
-		Logger:        quiet(),
+		Dir:        dir,
+		Options:    hypo.Options{PoolSize: 1},
+		LiveConfig: hypo.LiveConfig{NoSync: true},
+		MaxQueue:   1,
+		Logger:     quiet(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +369,7 @@ func TestMetricsIsolationAndSnapshot(t *testing.T) {
 	if a.Metrics().Name() != "hypo_ma" {
 		t.Errorf("tenant metric set name = %q", a.Metrics().Name())
 	}
-	if _, err := a.Pool().Ask("grad(tony)"); err != nil {
+	if _, err := ask(a.Pool(), "grad(tony)"); err != nil {
 		t.Fatal(err)
 	}
 	if a.Metrics().QueriesStarted.Value() == 0 {
@@ -404,7 +412,7 @@ func TestDeltaWorkChargedToItsTenant(t *testing.T) {
 
 	ask := func(want bool) {
 		t.Helper()
-		if got, err := busy.Pool().Ask("reach(n0, n6)"); err != nil || got != want {
+		if got, err := ask(busy.Pool(), "reach(n0, n6)"); err != nil || got != want {
 			t.Fatalf("reach(n0, n6) = %v, %v; want %v", got, err, want)
 		}
 	}

@@ -57,7 +57,7 @@ func mutations(t *testing.T, asserts, retracts []string) []live.Mutation {
 func TestLiveApplyVisibleToNextQuery(t *testing.T) {
 	l := openLive(t, Options{})
 	pl := l.Pool()
-	if ok, err := pl.Ask("reach(b, c)"); err != nil || ok {
+	if ok, err := ask(context.Background(), pl, "reach(b, c)"); err != nil || ok {
 		t.Fatalf("reach(b, c) before assert = %v, %v", ok, err)
 	}
 	info, err := l.Apply(mutations(t, []string{"edge(b, c)"}, nil))
@@ -70,14 +70,14 @@ func TestLiveApplyVisibleToNextQuery(t *testing.T) {
 	if pl.Version() != 1 {
 		t.Fatalf("pool version = %d, want 1", pl.Version())
 	}
-	if ok, err := pl.Ask("reach(b, c)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), pl, "reach(b, c)"); err != nil || !ok {
 		t.Fatalf("reach(b, c) after assert = %v, %v", ok, err)
 	}
 	// Rules fire over the new base: light(on)? still needs flag(on).
 	if _, err := l.Apply(mutations(t, nil, []string{"edge(b, c)"})); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := pl.Ask("reach(b, c)"); ok {
+	if ok, _ := ask(context.Background(), pl, "reach(b, c)"); ok {
 		t.Fatal("reach(b, c) survived retraction")
 	}
 }
@@ -168,7 +168,7 @@ func TestLiveApplyValidation(t *testing.T) {
 	if _, err := l.Apply(append(ms, bad...)); err == nil {
 		t.Fatal("mixed batch committed")
 	}
-	if ok, _ := l.Pool().Ask("reach(b, c)"); ok {
+	if ok, _ := ask(context.Background(), l.Pool(), "reach(b, c)"); ok {
 		t.Fatal("rejected batch partially applied")
 	}
 }
@@ -180,7 +180,7 @@ func TestLiveExtraDomainAssert(t *testing.T) {
 	if _, err := l.Apply(mutations(t, []string{"edge(c, d)"}, nil)); err != nil {
 		t.Fatalf("Apply with ExtraDomain constant: %v", err)
 	}
-	ok, err := l.Pool().Ask("reach(c, d)")
+	ok, err := ask(context.Background(), l.Pool(), "reach(c, d)")
 	if err != nil || !ok {
 		t.Fatalf("reach(c, d) = %v, %v", ok, err)
 	}
@@ -221,10 +221,10 @@ func TestLiveRecovery(t *testing.T) {
 	if v := r.Version(); v != 2 {
 		t.Fatalf("recovered version = %d, want 2", v)
 	}
-	if ok, err := r.Pool().Ask("reach(a, d)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), r.Pool(), "reach(a, d)"); err != nil || !ok {
 		t.Fatalf("reach(a, d) after recovery = %v, %v", ok, err)
 	}
-	if ok, _ := r.Pool().Ask("light(off)"); ok {
+	if ok, _ := ask(context.Background(), r.Pool(), "light(off)"); ok {
 		t.Fatal("retracted flag(off) resurrected by recovery")
 	}
 	// And the recovered constant is assertable again.
@@ -326,7 +326,7 @@ func TestLiveConcurrentReadWrite(t *testing.T) {
 		t.Fatalf("final version = %d, want %d", v, commits)
 	}
 	// Ended on a retract (even count): light(on) is off.
-	if ok, err := pl.Ask("light(on)"); err != nil || ok {
+	if ok, err := ask(context.Background(), pl, "light(on)"); err != nil || ok {
 		t.Fatalf("final light(on) = %v, %v", ok, err)
 	}
 }
@@ -382,7 +382,7 @@ func TestLiveNoVersionSkewUnderCompactionLatency(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := pl.Ask("reach(a, b)"); err != nil {
+			if _, err := ask(context.Background(), pl, "reach(a, b)"); err != nil {
 				errCh <- fmt.Errorf("reader: %w", err)
 				return
 			}

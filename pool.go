@@ -475,24 +475,11 @@ func (pl *Pool) TrimMemory(target int64) int {
 	return dropped
 }
 
-// Ask evaluates a ground query premise; see Engine.Ask.
-func (pl *Pool) Ask(query string) (bool, error) {
-	return pl.AskCtx(context.Background(), query)
-}
-
-// AskCtx is Ask under a context; see Engine.AskCtx. The context also
-// bounds the wait for a free engine.
-func (pl *Pool) AskCtx(ctx context.Context, query string) (bool, error) {
-	ok, _, err := pl.AskInfoCtx(ctx, query)
-	return ok, err
-}
-
-// AskInfoCtx is AskCtx additionally reporting how the read was served:
-// the data version the answer is valid at, whether the answer cache was
-// hit, missed, coalesced onto another caller's identical in-flight
-// evaluation, or bypassed, and the evaluation work this call performed.
-func (pl *Pool) AskInfoCtx(ctx context.Context, query string) (bool, ReadInfo, error) {
-	return pl.ask(ctx, readAsk, query, nil)
+// AskInfoCtx is Read of a ground premise answered yes or no. It stays
+// only while benchmark/ladder.go calls it, and goes when the ladder does.
+func (pl *Pool) AskInfoCtx(ctx context.Context, query string) (ok bool, info ReadInfo, err error) {
+	info, err = pl.Read(ctx, Request{Kind: ReadAsk, Query: query}, holds(&ok))
+	return ok, info, err
 }
 
 // Do leases an engine, calls fn with it, and returns the engine to the
@@ -502,7 +489,7 @@ func (pl *Pool) AskInfoCtx(ctx context.Context, query string) (bool, ReadInfo, e
 // not interleave with other traffic, or per-query Stats deltas via
 // Engine.Stats). The engine must not be retained or used after fn
 // returns. The context bounds only the wait for a free engine; pass it
-// to the Engine's *Ctx methods inside fn to bound evaluation too.
+// to Engine.Read inside fn to bound evaluation too.
 func (pl *Pool) Do(ctx context.Context, fn func(*Engine) error) error {
 	e, err := pl.get(ctx)
 	if err != nil {
@@ -512,48 +499,12 @@ func (pl *Pool) Do(ctx context.Context, fn func(*Engine) error) error {
 	return fn(e)
 }
 
-// Query evaluates a premise that may contain variables; see Engine.Query.
-func (pl *Pool) Query(query string) ([]Binding, error) {
-	return pl.QueryCtx(context.Background(), query)
-}
-
-// QueryCtx is Query under a context; see AskCtx.
-func (pl *Pool) QueryCtx(ctx context.Context, query string) ([]Binding, error) {
-	bs, _, err := pl.QueryInfoCtx(ctx, query)
-	return bs, err
-}
-
-// QueryInfoCtx is QueryCtx additionally reporting how the read was
-// served; see AskInfoCtx.
-func (pl *Pool) QueryInfoCtx(ctx context.Context, query string) ([]Binding, ReadInfo, error) {
-	var out []Binding
-	var info ReadInfo
-	if err := pl.QueryEachInfoCtx(ctx, query, &info, collectInto(&out)); err != nil {
-		return nil, info, err
-	}
-	return out, info, nil
-}
-
-// QueryEachCtx is the streaming form of QueryCtx: bindings are passed to
-// yield one at a time as their proofs succeed, and a non-nil error from
-// yield stops the enumeration and is returned verbatim. Compilation
-// still happens before an engine is leased. With the answer cache
-// enabled a miss streams each binding as it is proved while also
-// materialising the set for later hits, which replay in the original
-// enumeration order.
-func (pl *Pool) QueryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	return pl.QueryEachInfoCtx(ctx, query, nil, yield)
-}
-
-// QueryEachInfoCtx is QueryEachCtx additionally reporting how the read
-// was served. info is filled in two phases: DataVersion and Cache are
-// set before the first yield call (so a streaming caller can surface
-// them in response headers), Stats when QueryEachInfoCtx returns.
+// QueryEachInfoCtx is Read of a premise that may contain variables,
+// filling info as Request.Info describes. It stays only while
+// benchmark/ladder.go calls it, and goes when the ladder does.
 func (pl *Pool) QueryEachInfoCtx(ctx context.Context, query string, info *ReadInfo, yield func(Binding) error) error {
-	if info == nil {
-		info = &ReadInfo{}
-	}
-	return pl.serve(ctx, readQuery, query, nil, info, yield)
+	_, err := pl.Read(ctx, Request{Kind: ReadQuery, Query: query, Info: info}, yield)
+	return err
 }
 
 // ExplainCtx returns a rendered derivation tree for a provable ground
@@ -595,22 +546,10 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 	return out, info, err
 }
 
-// AskUnder evaluates a ground query in a hypothetically extended
-// database; see Engine.AskUnder.
-func (pl *Pool) AskUnder(query string, added ...string) (bool, error) {
-	return pl.AskUnderCtx(context.Background(), query, added...)
-}
-
-// AskUnderCtx is AskUnder under a context; see AskCtx.
-func (pl *Pool) AskUnderCtx(ctx context.Context, query string, added ...string) (bool, error) {
-	ok, _, err := pl.AskUnderInfoCtx(ctx, query, added...)
-	return ok, err
-}
-
-// AskUnderInfoCtx is AskUnderCtx additionally reporting how the read was
-// served; see AskInfoCtx. The cache key sorts the added atoms, so the
-// same hypothetical state reached in a different add order shares one
-// entry.
-func (pl *Pool) AskUnderInfoCtx(ctx context.Context, query string, added ...string) (bool, ReadInfo, error) {
-	return pl.ask(ctx, readAskUnder, query, added)
+// AskUnderInfoCtx is Read of a ground premise under outer adds,
+// answered yes or no. It stays only while benchmark/ladder.go calls it,
+// and goes when the ladder does.
+func (pl *Pool) AskUnderInfoCtx(ctx context.Context, query string, added ...string) (ok bool, info ReadInfo, err error) {
+	info, err = pl.Read(ctx, Request{Kind: ReadAskUnder, Query: query, Add: added}, holds(&ok))
+	return ok, info, err
 }

@@ -18,21 +18,21 @@ func TestPoolBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.Ask("grad(tony)")
+	got, err := ask(context.Background(), pool, "grad(tony)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got {
 		t.Error("grad(tony) false via pool")
 	}
-	bs, err := pool.Query("grad(S)[add: take(S, C)]")
+	bs, err := query(context.Background(), pool, "grad(S)[add: take(S, C)]")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bs) == 0 {
 		t.Error("no bindings via pool")
 	}
-	if _, err := pool.Ask("grad(S)"); err == nil {
+	if _, err := ask(context.Background(), pool, "grad(S)"); err == nil {
 		t.Error("non-ground Ask accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestPoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				qc := queries[(g+i)%len(queries)]
-				got, err := pool.Ask(qc.q)
+				got, err := ask(context.Background(), pool, qc.q)
 				if err != nil {
 					errs <- err
 					return
@@ -112,7 +112,7 @@ func TestPoolBounded(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := pool.Ask("grad(tony)"); err != nil {
+				if _, err := ask(context.Background(), pool, "grad(tony)"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -144,23 +144,23 @@ func TestPoolMixedCancel(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				switch (g + i) % 4 {
 				case 0: // cheap ground ask
-					if ok, err := pool.Ask("node(v0)"); err != nil || !ok {
+					if ok, err := ask(context.Background(), pool, "node(v0)"); err != nil || !ok {
 						t.Errorf("Ask(node(v0)) = %v, %v", ok, err)
 					}
 				case 1: // binding query
-					if bs, err := pool.Query("edge(v0, X)"); err != nil || len(bs) == 0 {
+					if bs, err := query(context.Background(), pool, "edge(v0, X)"); err != nil || len(bs) == 0 {
 						t.Errorf("Query(edge(v0, X)) = %d rows, %v", len(bs), err)
 					}
 				case 2: // hypothetical extension
-					if ok, err := pool.AskUnder("edge(v11, v0)", "edge(v11, v0)"); err != nil || !ok {
+					if ok, err := askUnder(context.Background(), pool, "edge(v11, v0)", "edge(v11, v0)"); err != nil || !ok {
 						t.Errorf("AskUnder = %v, %v", ok, err)
 					}
 				case 3: // intractable, canceled mid-flight
 					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-					_, err := pool.AskCtx(ctx, "yes")
+					_, err := ask(ctx, pool, "yes")
 					cancel()
 					if err != nil && !errors.Is(err, ErrDeadline) && !errors.Is(err, ErrCanceled) {
-						t.Errorf("deadline AskCtx = %v, want ErrDeadline", err)
+						t.Errorf("deadline ask = %v, want ErrDeadline", err)
 					}
 				}
 			}
@@ -183,11 +183,11 @@ func TestPoolMetricsConsistent(t *testing.T) {
 	gets := metrics.Default.PoolGets.Value()
 	puts := metrics.Default.PoolPuts.Value()
 
-	pool.Ask("node(v0)") // succeeds
-	pool.Ask("node(")    // parse error: fails without consuming an engine
-	pool.Query("edge(v0, X)")
+	ask(context.Background(), pool, "node(v0)") // succeeds
+	ask(context.Background(), pool, "node(")    // parse error: fails without consuming an engine
+	query(context.Background(), pool, "edge(v0, X)")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	pool.AskCtx(ctx, "yes") // canceled
+	ask(ctx, pool, "yes") // canceled
 	cancel()
 
 	if ds, dd := metrics.Default.QueriesStarted.Value()-started,
@@ -215,19 +215,19 @@ func TestPoolBlockedGetHonorsContext(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		pool.AskCtx(busy, "yes")
+		ask(busy, pool, "yes")
 	}()
 	// Give the busy query a moment to take the engine, then try to lease.
 	time.Sleep(20 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := pool.AskCtx(ctx, "node(v0)"); !errors.Is(err, ErrDeadline) {
-		t.Errorf("blocked AskCtx = %v, want ErrDeadline", err)
+	if _, err := ask(ctx, pool, "node(v0)"); !errors.Is(err, ErrDeadline) {
+		t.Errorf("blocked ask = %v, want ErrDeadline", err)
 	}
 	stopBusy()
 	wg.Wait()
 	// The pool must still work.
-	if ok, err := pool.Ask("node(v0)"); err != nil || !ok {
+	if ok, err := ask(context.Background(), pool, "node(v0)"); err != nil || !ok {
 		t.Fatalf("Ask after contention = %v, %v", ok, err)
 	}
 }
@@ -257,7 +257,7 @@ func TestPoolClose(t *testing.T) {
 	blocked := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := pool.Ask("grad(tony)")
+		_, err := ask(context.Background(), pool, "grad(tony)")
 		blocked <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let Ask block on the free list
@@ -281,14 +281,14 @@ func TestPoolClose(t *testing.T) {
 		t.Errorf("after Close: created=%d free=%d, want 0 and 0", created, free)
 	}
 	// Every query surface fails fast now, and Close stays idempotent.
-	if _, err := pool.Ask("grad(tony)"); !errors.Is(err, ErrPoolClosed) {
+	if _, err := ask(context.Background(), pool, "grad(tony)"); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Ask after Close = %v, want ErrPoolClosed", err)
 	}
-	if _, err := pool.Query("grad(S)"); !errors.Is(err, ErrPoolClosed) {
+	if _, err := query(context.Background(), pool, "grad(S)"); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Query after Close = %v, want ErrPoolClosed", err)
 	}
-	if err := pool.QueryEachCtx(context.Background(), "grad(S)", func(Binding) error { return nil }); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("QueryEachCtx after Close = %v, want ErrPoolClosed", err)
+	if _, err := pool.Read(context.Background(), Request{Kind: ReadQuery, Query: "grad(S)"}, func(Binding) error { return nil }); !errors.Is(err, ErrPoolClosed) {
+		t.Errorf("streaming Read after Close = %v, want ErrPoolClosed", err)
 	}
 	if err := pool.Close(); err != nil {
 		t.Errorf("second Close = %v", err)
@@ -314,7 +314,7 @@ func TestPoolDoPanicReturnsEngine(t *testing.T) {
 	// With PoolSize 1, this deadlocks unless the engine was returned.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if ok, err := pool.AskCtx(ctx, "grad(tony)"); err != nil || !ok {
+	if ok, err := ask(ctx, pool, "grad(tony)"); err != nil || !ok {
 		t.Fatalf("Ask after panic = %v, %v; engine was not returned", ok, err)
 	}
 }
@@ -327,12 +327,12 @@ func TestPoolQueryEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pool.Query("take(S, C)")
+	want, err := query(context.Background(), pool, "take(S, C)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Binding
-	if err := pool.QueryEachCtx(context.Background(), "take(S, C)", func(b Binding) error {
+	if _, err := pool.Read(context.Background(), Request{Kind: ReadQuery, Query: "take(S, C)"}, func(b Binding) error {
 		got = append(got, b)
 		return nil
 	}); err != nil {
@@ -353,7 +353,7 @@ func TestPoolQueryEach(t *testing.T) {
 	}
 	// A ground provable query yields exactly one empty binding.
 	n := 0
-	if err := pool.QueryEachCtx(context.Background(), "grad(tony)", func(b Binding) error {
+	if _, err := pool.Read(context.Background(), Request{Kind: ReadQuery, Query: "grad(tony)"}, func(b Binding) error {
 		n++
 		if len(b) != 0 {
 			t.Errorf("ground query yielded non-empty binding %v", b)
@@ -365,7 +365,7 @@ func TestPoolQueryEach(t *testing.T) {
 	// A yield error aborts the enumeration and comes back verbatim.
 	sentinel := errors.New("stop here")
 	calls := 0
-	if err := pool.QueryEachCtx(context.Background(), "take(S, C)", func(Binding) error {
+	if _, err := pool.Read(context.Background(), Request{Kind: ReadQuery, Query: "take(S, C)"}, func(Binding) error {
 		calls++
 		return sentinel
 	}); !errors.Is(err, sentinel) {

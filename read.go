@@ -18,10 +18,9 @@ import (
 )
 
 // The one read path. Definition 3 of the paper has a single judgement,
-// R, DB+{B̄} ⊢ ψσ; Ask, Query, QueryEach and AskUnder are that judgement
-// with zero-or-more bindings σ and zero-or-more outer adds B̄. Every
-// public read method on Engine and Pool is a wrapper over three
-// functions:
+// R, DB+{B̄} ⊢ ψσ; a Request is that judgement with zero-or-more bindings
+// σ and zero-or-more outer adds B̄, and Engine.Read and Pool.Read are its
+// only two entry points. Both are built on three functions:
 //
 //   - compileRead: parse, validate read-only, then intern. Nothing a
 //     rejected read mentions reaches the shared symbol table.
@@ -30,30 +29,54 @@ import (
 //   - (*Pool).read: data-version pinning, the answer cache above the
 //     lease, the lease itself, per-query measurement and replay.
 
-// readKind selects the judgement's shape. Its value is the first byte of
+// ReadKind selects the judgement's shape. Its value is the first byte of
 // the read's answer-cache key.
-type readKind byte
+type ReadKind byte
 
 const (
-	readAsk      readKind = 'a' // ground premise, no outer adds
-	readQuery    readKind = 'q' // premise may carry variables
-	readAskUnder readKind = 'u' // ground premise under outer adds
+	// ReadAsk decides a ground premise: one empty binding when it holds,
+	// none otherwise.
+	ReadAsk ReadKind = 'a'
+	// ReadQuery enumerates every binding of the premise's variables over
+	// dom(R, DB) that makes it hold; a ground premise reads like ReadAsk.
+	ReadQuery ReadKind = 'q'
+	// ReadAskUnder decides a ground premise in the database
+	// hypothetically extended with Request.Add — the programmatic form of
+	// nesting everything under one [add: ...].
+	ReadAskUnder ReadKind = 'u'
 )
 
-func (k readKind) String() string {
+func (k ReadKind) String() string {
 	switch k {
-	case readAsk:
+	case ReadAsk:
 		return "Ask"
-	case readAskUnder:
+	case ReadAskUnder:
 		return "AskUnder"
-	default:
+	case ReadQuery:
 		return "Query"
+	default:
+		return fmt.Sprintf("ReadKind(%d)", byte(k))
 	}
+}
+
+// Request is one read: a premise in surface syntax, e.g. "grad(tony)",
+// "not yes", "grad(S)[add: take(S, c1)]", of the given kind.
+type Request struct {
+	Kind  ReadKind
+	Query string
+	// Add holds the outer hypothetical adds, ground atoms in surface
+	// syntax. Only ReadAskUnder takes them.
+	Add []string
+	// Info, when non-nil, is filled in two phases as the read runs:
+	// DataVersion and Cache before the first yield (so a streaming
+	// caller can send them ahead of the bindings), Stats on return. Read
+	// returns the same value.
+	Info *ReadInfo
 }
 
 // compiledRead is one read, validated and interned.
 type compiledRead struct {
-	kind    readKind
+	kind    ReadKind
 	premise ast.CPremise
 	names   []string    // variable name per solution slot; empty when ground
 	adds    []ast.CAtom // outer hypothetical adds (AskUnder)
@@ -75,7 +98,14 @@ type compiledRead struct {
 // symbol lookups, and only then interns it. A stream of bad reads against
 // one Program therefore cannot leak interned garbage into every engine
 // sharing its symbol table.
-func compileRead(kind readKind, query string, added []string, syms *symbols.Table, domSet map[symbols.Const]bool) (*compiledRead, error) {
+func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool) (*compiledRead, error) {
+	kind, added := req.Kind, req.Add
+	switch {
+	case kind != ReadAsk && kind != ReadQuery && kind != ReadAskUnder:
+		return nil, fmt.Errorf("hypo: unknown read kind %v", kind)
+	case kind != ReadAskUnder && len(added) > 0:
+		return nil, fmt.Errorf("hypo: %s takes no outer adds; use AskUnder", kind)
+	}
 	adds := make([]ast.Atom, len(added))
 	sorted := make([]string, len(added))
 	for i, src := range added {
@@ -91,19 +121,19 @@ func compileRead(kind readKind, query string, added []string, syms *symbols.Tabl
 		}
 		adds[i], sorted[i] = a, a.String()
 	}
-	pr, err := parser.ParsePremise(query)
+	pr, err := parser.ParsePremise(req.Query)
 	if err != nil {
 		return nil, err
 	}
 	if err := checkQueryDomain(pr, syms, domSet); err != nil {
 		return nil, err
 	}
-	if kind != readQuery && len(pr.Vars(nil)) > 0 {
-		return nil, fmt.Errorf("hypo: %s needs a ground query; use Query for %q", kind, query)
+	if kind != ReadQuery && len(pr.Vars(nil)) > 0 {
+		return nil, fmt.Errorf("hypo: %s needs a ground query; use Query for %q", kind, req.Query)
 	}
 
 	r := &compiledRead{kind: kind, key: string(kind) + "\x1f" + pr.String()}
-	if kind == readAskUnder {
+	if kind == ReadAskUnder {
 		sort.Strings(sorted)
 		r.key += "\x1f" + strings.Join(sorted, "\x1f")
 	}
@@ -176,22 +206,37 @@ func (e *Engine) charge(work Stats) {
 	e.mets.LiveIncrementalDropped.Add(work.IncDropped)
 }
 
-// serve is every Engine read method: one metrics window around compile
-// and a measured eval.
-func (e *Engine) serve(ctx context.Context, kind readKind, query string, added []string, yield func(Binding) error) error {
+// Read decides req on this engine, streaming each binding to yield in
+// enumeration order as soon as its proof succeeds; a ground read yields
+// one empty binding when it holds and none otherwise. A non-nil error
+// from yield stops the enumeration and is returned verbatim. When ctx is
+// canceled or its deadline expires mid-evaluation, Read returns an
+// *AbortError wrapping ErrCanceled or ErrDeadline within a bounded number
+// of goal expansions. An Engine is single-flight — the context governs
+// the one running read. The ReadInfo carries the engine's data version,
+// CacheBypass, and the evaluation work this read performed.
+func (e *Engine) Read(ctx context.Context, req Request, yield func(Binding) error) (ReadInfo, error) {
+	info := req.Info
+	if info == nil {
+		info = new(ReadInfo)
+	}
+	*info = ReadInfo{DataVersion: e.version, Cache: CacheBypass}
 	fin := trackQuery(e.mets)
-	r, err := compileRead(kind, query, added, e.prog.syms, e.domSet)
+	r, err := compileRead(req, e.prog.syms, e.domSet)
 	if err == nil {
-		_, err = e.measured(func() error { return e.eval(ctx, r, yield) })
+		info.Stats, err = e.measured(func() error { return e.eval(ctx, r, yield) })
 	}
 	fin(err)
-	return err
+	return *info, err
 }
 
-// ask is serve for the ground kinds: the answer is whether eval yielded.
-func (e *Engine) ask(ctx context.Context, kind readKind, query string, added []string) (ok bool, err error) {
-	err = e.serve(ctx, kind, query, added, func(Binding) error { ok = true; return nil })
-	return ok, err
+// holds is the yield of a ground read whose caller wants only the
+// answer: it records that a binding arrived.
+func holds(ok *bool) func(Binding) error {
+	return func(Binding) error {
+		*ok = true
+		return nil
+	}
 }
 
 // collectInto is the yield that materialises a binding stream.
@@ -239,7 +284,7 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 			return cache.Computed{}, err
 		}
 		bytes := int64(boolAnswerBytes)
-		if r.kind == readQuery {
+		if r.kind == ReadQuery {
 			bytes = bindingsBytes(acc)
 		}
 		return cache.Computed{
@@ -270,25 +315,30 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 	return nil
 }
 
-// serve is every Pool read method: one metrics window around compile and
-// read. Compiling (and interning into the shared, concurrency-safe symbol
-// table) comes first so a malformed query never occupies — or blocks
-// waiting for — an evaluation slot.
-func (pl *Pool) serve(ctx context.Context, kind readKind, query string, added []string, info *ReadInfo, yield func(Binding) error) error {
+// Read is Engine.Read served from the pool: the context also bounds the
+// wait for a free engine, and the read is compiled (interning into the
+// shared, concurrency-safe symbol table) before it draws one, so a
+// malformed read never occupies — or blocks waiting for — an evaluation
+// slot. With the answer cache enabled a miss streams each binding as it
+// is proved while materialising the set for later hits, which replay in
+// the original enumeration order and lease no engine. The ReadInfo says
+// how the read was served: the data version the answer is valid at,
+// whether the cache was hit, missed, coalesced onto another caller's
+// identical in-flight evaluation, or bypassed, and the evaluation work
+// this call performed.
+func (pl *Pool) Read(ctx context.Context, req Request, yield func(Binding) error) (ReadInfo, error) {
+	info := req.Info
+	if info == nil {
+		info = new(ReadInfo)
+	}
+	*info = ReadInfo{}
 	fin := trackQuery(pl.mets)
-	r, err := compileRead(kind, query, added, pl.prog.syms, pl.domSet)
+	r, err := compileRead(req, pl.prog.syms, pl.domSet)
 	if err == nil {
 		err = pl.read(ctx, r, info, yield)
 	}
 	fin(err)
-	return err
-}
-
-// ask is serve for the ground kinds: the answer is whether the read
-// yielded.
-func (pl *Pool) ask(ctx context.Context, kind readKind, query string, added []string) (ok bool, info ReadInfo, err error) {
-	err = pl.serve(ctx, kind, query, added, &info, func(Binding) error { ok = true; return nil })
-	return ok, info, err
+	return *info, err
 }
 
 // trackQuery opens a metrics window for one top-level query; the

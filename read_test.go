@@ -10,13 +10,15 @@ import (
 	"hypodatalog/internal/metrics"
 )
 
-// readSurface is one public read wrapper, normalised for the conformance
-// table: a ground answer is reported as one empty binding when true and
-// none when false, exactly as the core represents it.
+// readSurface is Read of one kind, or one of the shims kept over it,
+// normalised for the conformance table: a ground answer is reported as
+// one empty binding when true and none when false, exactly as the core
+// represents it.
 type readSurface struct {
 	name    string
-	kind    readKind
-	ctx     bool // takes a context
+	kind    ReadKind
+	pool    bool // served by the pool (sees its version and cache)
+	read    bool // Read itself: takes a context and any outer adds
 	streams bool // takes a yield
 	call    func(ctx context.Context, query string, adds []string, yield func(Binding) error) ([]Binding, *ReadInfo, error)
 }
@@ -28,118 +30,85 @@ func fromBool(ok bool, info *ReadInfo, err error) ([]Binding, *ReadInfo, error) 
 	return nil, info, err
 }
 
+// readSurfaces is r.Read of every kind.
+func readSurfaces(name string, r reader, pool bool) []readSurface {
+	var out []readSurface
+	for _, k := range []ReadKind{ReadAsk, ReadAskUnder, ReadQuery} {
+		k := k
+		out = append(out, readSurface{name + "/" + k.String(), k, pool, true, true, func(ctx context.Context, q string, adds []string, yield func(Binding) error) ([]Binding, *ReadInfo, error) {
+			info, err := r.Read(ctx, Request{Kind: k, Query: q, Add: adds}, yield)
+			return nil, &info, err
+		}})
+	}
+	return out
+}
+
 func engineSurfaces(e *Engine) []readSurface {
 	type y = func(Binding) error
-	return []readSurface{
-		{"Engine.Ask", readAsk, false, false, func(_ context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
+	return append(readSurfaces("Engine.Read", e, false),
+		readSurface{"Engine.Ask", ReadAsk, false, false, false, func(_ context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
 			ok, err := e.Ask(q)
 			return fromBool(ok, nil, err)
 		}},
-		{"Engine.AskCtx", readAsk, true, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			ok, err := e.AskCtx(ctx, q)
-			return fromBool(ok, nil, err)
-		}},
-		{"Engine.AskUnder", readAskUnder, false, false, func(_ context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
+		readSurface{"Engine.AskUnder", ReadAskUnder, false, false, false, func(_ context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
 			ok, err := e.AskUnder(q, adds...)
 			return fromBool(ok, nil, err)
 		}},
-		{"Engine.AskUnderCtx", readAskUnder, true, false, func(ctx context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
-			ok, err := e.AskUnderCtx(ctx, q, adds...)
-			return fromBool(ok, nil, err)
-		}},
-		{"Engine.Query", readQuery, false, false, func(_ context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
+		readSurface{"Engine.Query", ReadQuery, false, false, false, func(_ context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
 			bs, err := e.Query(q)
 			return bs, nil, err
 		}},
-		{"Engine.QueryCtx", readQuery, true, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			bs, err := e.QueryCtx(ctx, q)
-			return bs, nil, err
-		}},
-		{"Engine.QueryEach", readQuery, false, true, func(_ context.Context, q string, _ []string, yield y) ([]Binding, *ReadInfo, error) {
+		readSurface{"Engine.QueryEach", ReadQuery, false, false, true, func(_ context.Context, q string, _ []string, yield y) ([]Binding, *ReadInfo, error) {
 			return nil, nil, e.QueryEach(q, yield)
 		}},
-		{"Engine.QueryEachCtx", readQuery, true, true, func(ctx context.Context, q string, _ []string, yield y) ([]Binding, *ReadInfo, error) {
-			return nil, nil, e.QueryEachCtx(ctx, q, yield)
-		}},
-	}
+	)
 }
 
 func poolSurfaces(pl *Pool) []readSurface {
 	type y = func(Binding) error
-	return []readSurface{
-		{"Pool.Ask", readAsk, false, false, func(_ context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			ok, err := pl.Ask(q)
-			return fromBool(ok, nil, err)
-		}},
-		{"Pool.AskCtx", readAsk, true, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			ok, err := pl.AskCtx(ctx, q)
-			return fromBool(ok, nil, err)
-		}},
-		{"Pool.AskInfoCtx", readAsk, true, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
+	return append(readSurfaces("Pool.Read", pl, true),
+		readSurface{"Pool.AskInfoCtx", ReadAsk, true, false, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
 			ok, info, err := pl.AskInfoCtx(ctx, q)
 			return fromBool(ok, &info, err)
 		}},
-		{"Pool.AskUnder", readAskUnder, false, false, func(_ context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
-			ok, err := pl.AskUnder(q, adds...)
-			return fromBool(ok, nil, err)
-		}},
-		{"Pool.AskUnderCtx", readAskUnder, true, false, func(ctx context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
-			ok, err := pl.AskUnderCtx(ctx, q, adds...)
-			return fromBool(ok, nil, err)
-		}},
-		{"Pool.AskUnderInfoCtx", readAskUnder, true, false, func(ctx context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
+		readSurface{"Pool.AskUnderInfoCtx", ReadAskUnder, true, false, false, func(ctx context.Context, q string, adds []string, _ y) ([]Binding, *ReadInfo, error) {
 			ok, info, err := pl.AskUnderInfoCtx(ctx, q, adds...)
 			return fromBool(ok, &info, err)
 		}},
-		{"Pool.Query", readQuery, false, false, func(_ context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			bs, err := pl.Query(q)
-			return bs, nil, err
-		}},
-		{"Pool.QueryCtx", readQuery, true, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			bs, err := pl.QueryCtx(ctx, q)
-			return bs, nil, err
-		}},
-		{"Pool.QueryInfoCtx", readQuery, true, false, func(ctx context.Context, q string, _ []string, _ y) ([]Binding, *ReadInfo, error) {
-			bs, info, err := pl.QueryInfoCtx(ctx, q)
-			return bs, &info, err
-		}},
-		{"Pool.QueryEachCtx", readQuery, true, true, func(ctx context.Context, q string, _ []string, yield y) ([]Binding, *ReadInfo, error) {
-			return nil, nil, pl.QueryEachCtx(ctx, q, yield)
-		}},
-		{"Pool.QueryEachInfoCtx", readQuery, true, true, func(ctx context.Context, q string, _ []string, yield y) ([]Binding, *ReadInfo, error) {
+		readSurface{"Pool.QueryEachInfoCtx", ReadQuery, true, false, true, func(ctx context.Context, q string, _ []string, yield y) ([]Binding, *ReadInfo, error) {
 			info := new(ReadInfo)
 			return nil, info, pl.QueryEachInfoCtx(ctx, q, info, yield)
 		}},
-	}
+	)
 }
 
-// TestReadSurfaceConformance runs every public read wrapper on Engine and
-// Pool — cache off and on — over one fixture and holds
-// them to one contract: identical answers, identical error classes,
+// TestReadSurfaceConformance runs Read of every kind on Engine and Pool,
+// and every shim kept over it — cache off and on — over one fixture and
+// holds them to one contract: identical answers, identical error classes,
 // ReadInfo filled before the first yield, nothing interned by a rejected
 // read, and a balanced metrics window per call.
 func TestReadSurfaceConformance(t *testing.T) {
 	const poolVersion = 7 // non-zero, so an unset ReadInfo.DataVersion shows
 
 	type read struct {
-		kind  readKind
+		kind  ReadKind
 		query string
 		adds  []string
 		want  string // bindingSet rendering
 	}
 	reads := []read{
-		{readAsk, "grad(tony)", nil, ""},
-		{readAsk, "grad(mary)", nil, "none"},
-		{readAsk, "grad(mary)[add: take(mary, eng201)]", nil, ""},
-		{readAsk, "not grad(mary)", nil, ""},
-		{readAskUnder, "grad(mary)", []string{"take(mary, eng201)"}, ""},
-		{readAskUnder, "grad(mary)", nil, "none"},
-		{readAskUnder, "grad(tony)", []string{"take(mary, eng201)", "take(mary, his101)"}, ""},
-		{readQuery, "grad(S)", nil, "S=tony"},
-		{readQuery, "take(S, C)", nil, "C=eng201,S=tony|C=his101,S=mary|C=his101,S=tony"},
-		{readQuery, "grad(S)[add: take(S, eng201)]", nil, "S=mary|S=tony"},
-		{readQuery, "grad(tony)", nil, ""},
-		{readQuery, "grad(mary)", nil, "none"},
+		{ReadAsk, "grad(tony)", nil, ""},
+		{ReadAsk, "grad(mary)", nil, "none"},
+		{ReadAsk, "grad(mary)[add: take(mary, eng201)]", nil, ""},
+		{ReadAsk, "not grad(mary)", nil, ""},
+		{ReadAskUnder, "grad(mary)", []string{"take(mary, eng201)"}, ""},
+		{ReadAskUnder, "grad(mary)", nil, "none"},
+		{ReadAskUnder, "grad(tony)", []string{"take(mary, eng201)", "take(mary, his101)"}, ""},
+		{ReadQuery, "grad(S)", nil, "S=tony"},
+		{ReadQuery, "take(S, C)", nil, "C=eng201,S=tony|C=his101,S=mary|C=his101,S=tony"},
+		{ReadQuery, "grad(S)[add: take(S, eng201)]", nil, "S=mary|S=tony"},
+		{ReadQuery, "grad(tony)", nil, ""},
+		{ReadQuery, "grad(mary)", nil, "none"},
 	}
 	render := func(bs []Binding) string {
 		if len(bs) == 0 {
@@ -199,13 +168,17 @@ func TestReadSurfaceConformance(t *testing.T) {
 						if info == nil {
 							continue
 						}
-						if info.DataVersion != poolVersion {
-							t.Errorf("%s(%q): DataVersion %d, want %d", s.name, rd.query, info.DataVersion, poolVersion)
+						wantVersion := uint64(0) // a standalone engine's
+						if s.pool {
+							wantVersion = poolVersion
 						}
-						if cacheBytes == 0 && info.Cache != CacheBypass {
+						if info.DataVersion != wantVersion {
+							t.Errorf("%s(%q): DataVersion %d, want %d", s.name, rd.query, info.DataVersion, wantVersion)
+						}
+						if (cacheBytes == 0 || !s.pool) && info.Cache != CacheBypass {
 							t.Errorf("%s(%q): cache status %v without a cache", s.name, rd.query, info.Cache)
 						}
-						if cacheBytes > 0 && round == 1 && info.Cache != CacheHit {
+						if cacheBytes > 0 && s.pool && round == 1 && info.Cache != CacheHit {
 							t.Errorf("%s(%q): repeat served %v, want hit", s.name, rd.query, info.Cache)
 						}
 					}
@@ -218,7 +191,7 @@ func TestReadSurfaceConformance(t *testing.T) {
 				var info ReadInfo
 				seen := 0
 				calls++
-				err := pl.QueryEachInfoCtx(ctx, "take(tony, C)", &info, func(Binding) error {
+				got, err := pl.Read(ctx, Request{Kind: ReadQuery, Query: "take(tony, C)", Info: &info}, func(Binding) error {
 					seen++
 					want := CacheBypass
 					if cacheBytes > 0 {
@@ -231,7 +204,10 @@ func TestReadSurfaceConformance(t *testing.T) {
 					return nil
 				})
 				if err != nil || seen != 2 {
-					t.Fatalf("QueryEachInfoCtx: %d bindings, err %v", seen, err)
+					t.Fatalf("Read with Info: %d bindings, err %v", seen, err)
+				}
+				if got != info {
+					t.Errorf("Read returned %+v, filled Info with %+v", got, info)
 				}
 			}
 
@@ -251,12 +227,14 @@ func TestReadSurfaceConformance(t *testing.T) {
 				{"out-of-domain", "fresh3(S)[add: take(S, ghost4)]", nil, "q", "outside dom(R, DB)"},
 				{"out-of-domain add", "grad(tony)", []string{"fresh4(tony)", "take(ghost5, his101)"}, "u", "outside dom(R, DB)"},
 				{"non-ground add", "grad(tony)", []string{"fresh5(S)"}, "u", "is not ground"},
+				{"adds off AskUnder", "grad(tony)", []string{"take(mary, eng201)"}, "aq", "takes no outer adds"},
+				{"variables under adds", "grad(S)", []string{"take(mary, eng201)"}, "q", "takes no outer adds"},
 			}
 			for _, rj := range rejected {
 				first := ""
 				for _, s := range surfaces {
-					if !strings.ContainsRune(rj.kinds, rune(s.kind)) {
-						continue
+					if !strings.ContainsRune(rj.kinds, rune(s.kind)) || rj.adds != nil && s.kind != ReadAskUnder && !s.read {
+						continue // a shim without adds cannot express the row
 					}
 					_, _, err := call(ctx, s, rj.query, rj.adds, nil)
 					var ae *AbortError
@@ -288,8 +266,8 @@ func TestReadSurfaceConformance(t *testing.T) {
 			dead, cancel := context.WithCancel(ctx)
 			cancel()
 			for _, s := range surfaces {
-				if !s.ctx {
-					continue
+				if !s.read && !s.pool {
+					continue // no context
 				}
 				_, _, err := call(dead, s, uncached, nil, nil)
 				var ae *AbortError
@@ -304,7 +282,7 @@ func TestReadSurfaceConformance(t *testing.T) {
 			// answer follows.
 			for _, sentinel := range []error{errors.New("stop"), context.Canceled} {
 				for _, s := range surfaces {
-					if !s.streams {
+					if !s.streams || s.kind != ReadQuery {
 						continue
 					}
 					seen := 0
