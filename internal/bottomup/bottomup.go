@@ -55,6 +55,13 @@ type Prover struct {
 	steps int64
 	args  []symbols.Const // ground's scratch
 
+	// added is the sorted added set of the state addedOf read last, and
+	// addedID that state's id: a materialisation matches premises against
+	// one state thousands of times, so it takes the set once rather than
+	// merging the state's runs and tail on every match.
+	addedID facts.StateID
+	added   []facts.AtomID
+
 	// mem is the shared footprint tracker of the enclosing cascade (via
 	// SetMem); nil disables accounting and the budget. Derived atoms, the
 	// index over them while a materialisation runs, and cached

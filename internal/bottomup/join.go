@@ -507,6 +507,19 @@ func (p *Prover) enumThen(slots []int, binding []symbols.Const, leaf func() erro
 	return nil
 }
 
+// addedOf returns the state's added atoms in ascending order. The slice
+// is kept by state id for the next call and never written again, so a
+// scan of it stays valid while the scan's own yield matches other states.
+func (p *Prover) addedOf(st facts.State) []facts.AtomID {
+	if st.Delta.Len() == 0 {
+		return nil
+	}
+	if id := st.ID(); id != p.addedID {
+		p.addedID, p.added = id, st.Delta.IDs()
+	}
+	return p.added
+}
+
 // match enumerates the bindings of a plain premise: from the state (base
 // indexes minus hypothetical deletions, plus hypothetical additions) and,
 // for an own predicate, from the model.
@@ -532,7 +545,7 @@ func (p *Prover) match(s *step, binding []symbols.Const, st facts.State, m *mode
 			return err
 		}
 	}
-	for _, id := range st.Delta.IDs() {
+	for _, id := range p.addedOf(st) {
 		if p.in.Pred(id) != pattern.Pred || p.base.Has(id) {
 			continue
 		}

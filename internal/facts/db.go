@@ -2,7 +2,8 @@ package facts
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"hypodatalog/internal/symbols"
 )
@@ -19,23 +20,24 @@ type indexKey struct {
 // Insert and Remove must not race with reads.
 type DB struct {
 	in     *Interner
-	set    map[AtomID]struct{}
+	bits   []uint64 // membership, one bit per AtomID: ids are dense
+	n      int      // atoms in the set
 	byPred map[symbols.Pred][]AtomID
 	index  map[indexKey][]AtomID
 	bytes  int64 // approximate heap footprint of the indexes
 }
 
-// dbAtomBytes approximates the indexing cost of one atom: the set entry,
-// the byPred slot, and one index entry (key + slot) per argument
-// position. Like the interner's accounting it is an estimator for budget
+// dbAtomBytes approximates the indexing cost of one atom: the byPred
+// slot, allocator slack, and one index entry (key + slot) per argument
+// position. The membership bitset is charged by its length (MemBytes).
+// Like the interner's accounting it is an estimator for budget
 // enforcement, linear in the real footprint.
-func dbAtomBytes(nargs int) int64 { return 48 + 32*int64(nargs) }
+func dbAtomBytes(nargs int) int64 { return 32 + 32*int64(nargs) }
 
 // NewDB returns an empty database over the interner.
 func NewDB(in *Interner) *DB {
 	return &DB{
 		in:     in,
-		set:    make(map[AtomID]struct{}),
 		byPred: make(map[symbols.Pred][]AtomID),
 		index:  make(map[indexKey][]AtomID),
 	}
@@ -61,10 +63,14 @@ func (db *DB) Insert(id AtomID) (bool, error) {
 
 // insert indexes an atom already known to be arity-consistent.
 func (db *DB) insert(id AtomID) bool {
-	if _, ok := db.set[id]; ok {
+	if db.Has(id) {
 		return false
 	}
-	db.set[id] = struct{}{}
+	for int(id)>>6 >= len(db.bits) {
+		db.bits = append(db.bits, 0)
+	}
+	db.bits[id>>6] |= 1 << (id & 63)
+	db.n++
 	pred := db.in.Pred(id)
 	db.byPred[pred] = append(db.byPred[pred], id)
 	for pos, val := range db.in.Args(id) {
@@ -75,9 +81,10 @@ func (db *DB) insert(id AtomID) bool {
 	return true
 }
 
-// MemBytes returns the database's approximate heap footprint (excluding
-// the interner's, reported separately by Interner.MemBytes).
-func (db *DB) MemBytes() int64 { return db.bytes }
+// MemBytes returns the database's approximate heap footprint, its
+// membership bitset included (excluding the interner's, reported
+// separately by Interner.MemBytes).
+func (db *DB) MemBytes() int64 { return db.bytes + 8*int64(len(db.bits)) }
 
 // Remove deletes an atom from the database, unindexing it. It reports
 // whether the atom was present. The filtered index slices are freshly
@@ -85,10 +92,11 @@ func (db *DB) MemBytes() int64 { return db.bytes }
 // arrays copy-on-write (see Clone), so an in-place shift would corrupt a
 // sibling's view of the same array.
 func (db *DB) Remove(id AtomID) bool {
-	if _, ok := db.set[id]; !ok {
+	if !db.Has(id) {
 		return false
 	}
-	delete(db.set, id)
+	db.bits[id>>6] &^= 1 << (id & 63)
+	db.n--
 	pred := db.in.Pred(id)
 	db.byPred[pred] = withoutID(db.byPred[pred], id)
 	if len(db.byPred[pred]) == 0 {
@@ -118,12 +126,12 @@ func withoutID(s []AtomID, id AtomID) []AtomID {
 
 // Has reports whether the atom is in the base database.
 func (db *DB) Has(id AtomID) bool {
-	_, ok := db.set[id]
-	return ok
+	w := uint(id) >> 6
+	return w < uint(len(db.bits)) && db.bits[w]&(1<<(id&63)) != 0
 }
 
 // Len reports the number of atoms in the database.
-func (db *DB) Len() int { return len(db.set) }
+func (db *DB) Len() int { return db.n }
 
 // ByPred returns the atoms with the given predicate. The returned slice
 // must not be modified.
@@ -139,11 +147,12 @@ func (db *DB) ByPredArg(p symbols.Pred, pos int, val symbols.Const) []AtomID {
 // All returns every atom id in the database, sorted. The slice is freshly
 // allocated.
 func (db *DB) All() []AtomID {
-	out := make([]AtomID, 0, len(db.set))
-	for id := range db.set {
-		out = append(out, id)
+	out := make([]AtomID, 0, db.n)
+	for w, word := range db.bits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, AtomID(w<<6+bits.TrailingZeros64(word)))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -163,13 +172,11 @@ func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 func (db *DB) CloneFor(in *Interner) *DB {
 	out := &DB{
 		in:     in,
-		set:    make(map[AtomID]struct{}, len(db.set)),
+		bits:   slices.Clone(db.bits),
+		n:      db.n,
 		byPred: make(map[symbols.Pred][]AtomID, len(db.byPred)),
 		index:  make(map[indexKey][]AtomID, len(db.index)),
 		bytes:  db.bytes,
-	}
-	for id := range db.set {
-		out.set[id] = struct{}{}
 	}
 	for p, s := range db.byPred {
 		out.byPred[p] = s[:len(s):len(s)]

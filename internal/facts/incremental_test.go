@@ -17,18 +17,18 @@ func TestDeltaKeyCollisionRegression(t *testing.T) {
 		// adds [1,12] vs [11,2] — same digits, different split.
 		{NewDelta([]AtomID{1, 12}), NewDelta([]AtomID{11, 2})},
 		// add-vs-del boundary: {adds: 1,2} vs {adds: 1, dels: 2}.
-		{NewDelta([]AtomID{1, 2}), Delta{ids: []AtomID{1}, dels: []AtomID{2}}},
+		{NewDelta([]AtomID{1, 2}), sortedDelta([]AtomID{1}, []AtomID{2})},
 		// boundary at zero adds: {adds: 1} vs {dels: 1}.
-		{NewDelta([]AtomID{1}), Delta{dels: []AtomID{1}}},
+		{NewDelta([]AtomID{1}), sortedDelta(nil, []AtomID{1})},
 		// all ids to one side vs split across both.
-		{NewDelta([]AtomID{1, 2, 3}), Delta{ids: []AtomID{1, 2}, dels: []AtomID{3}}},
+		{NewDelta([]AtomID{1, 2, 3}), sortedDelta([]AtomID{1, 2}, []AtomID{3})},
 		// zero id at the boundary vs in the del section.
-		{NewDelta([]AtomID{0}), Delta{dels: []AtomID{0}}},
+		{NewDelta([]AtomID{0}), sortedDelta(nil, []AtomID{0})},
 	}
 	for i, c := range cases {
 		if c.a.Key() == c.b.Key() {
 			t.Errorf("case %d: deltas %v/%v and %v/%v share key %q",
-				i, c.a.ids, c.a.dels, c.b.ids, c.b.dels, c.a.Key())
+				i, c.a.IDs(), c.a.dels, c.b.IDs(), c.b.dels, c.a.Key())
 		}
 	}
 	// Same modification reached in any op order keys identically.

@@ -6,6 +6,7 @@ package facts
 
 import (
 	"encoding/binary"
+	"maps"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/symbols"
@@ -28,9 +29,10 @@ type groundAtom struct {
 type Interner struct {
 	syms  *symbols.Table
 	atoms []groundAtom
-	index map[string]AtomID
-	buf   []byte // scratch for key encoding
-	bytes int64  // approximate heap footprint of atoms + index
+	index map[string]AtomID // atoms of two or more arguments
+	small map[uint64]AtomID // nullary and unary atoms, by smallKey
+	buf   []byte            // scratch for key encoding
+	bytes int64             // approximate heap footprint of atoms + indexes
 
 	// states interns the hypothetical states built over this interner's
 	// atoms (state.go). It is private to this interner: Clone starts an
@@ -53,6 +55,7 @@ func NewInterner(syms *symbols.Table) *Interner {
 	return &Interner{
 		syms:   syms,
 		index:  make(map[string]AtomID),
+		small:  make(map[uint64]AtomID),
 		states: newStateTable(),
 	}
 }
@@ -80,11 +83,20 @@ func (in *Interner) encodeKey(pred symbols.Pred, args []symbols.Const) []byte {
 	return b
 }
 
+// smallKey packs a nullary or unary atom into one word, so the goals most
+// programs are made of are found without building a string key: the
+// predicate, a bit for arity one, and the argument.
+func smallKey(pred symbols.Pred, args []symbols.Const) uint64 {
+	if len(args) == 0 {
+		return uint64(uint32(pred)) << 33
+	}
+	return uint64(uint32(pred))<<33 | 1<<32 | uint64(uint32(args[0]))
+}
+
 // ID interns the ground atom pred(args...) and returns its id. The args
 // slice is copied on first interning.
 func (in *Interner) ID(pred symbols.Pred, args []symbols.Const) AtomID {
-	key := in.encodeKey(pred, args)
-	if id, ok := in.index[string(key)]; ok {
+	if id, ok := in.Lookup(pred, args); ok {
 		return id
 	}
 	id := AtomID(len(in.atoms))
@@ -93,21 +105,33 @@ func (in *Interner) ID(pred symbols.Pred, args []symbols.Const) AtomID {
 		stored.args = append([]symbols.Const(nil), args...)
 	}
 	in.atoms = append(in.atoms, stored)
-	in.index[string(key)] = id
-	in.bytes += int64(len(key)) + 8*int64(len(args)) + internEntryOverhead
+	keyBytes := int64(8)
+	if len(args) < 2 {
+		in.small[smallKey(pred, args)] = id
+	} else {
+		key := in.encodeKey(pred, args)
+		in.index[string(key)] = id
+		keyBytes = int64(len(key))
+	}
+	in.bytes += keyBytes + 8*int64(len(args)) + internEntryOverhead
 	return id
 }
 
 // MemBytes returns the interner's approximate heap footprint: its atoms
-// and the states interned over them, with their memoised projections.
+// with their entries in whichever index holds them (an 8-byte word key in
+// small, the byte key in index), and the states interned over them, with
+// their memoised projections.
 // None is ever un-interned, so the value is monotone within one interner
 // (but resets to the substrate's atoms on Clone).
 func (in *Interner) MemBytes() int64 { return in.bytes + in.states.memBytes() }
 
 // Lookup returns the id of pred(args...) if it has been interned.
 func (in *Interner) Lookup(pred symbols.Pred, args []symbols.Const) (AtomID, bool) {
-	key := in.encodeKey(pred, args)
-	id, ok := in.index[string(key)]
+	if len(args) < 2 {
+		id, ok := in.small[smallKey(pred, args)]
+		return id, ok
+	}
+	id, ok := in.index[string(in.encodeKey(pred, args))]
 	return id, ok
 }
 
@@ -123,21 +147,18 @@ func (in *Interner) Len() int { return len(in.atoms) }
 
 // Clone returns an independent interner with the same atom/id assignment
 // and no interned states. The per-atom argument slices are shared (they
-// are immutable after interning); the atoms slice and index map are
+// are immutable after interning); the atoms slice and index maps are
 // copied, so interning into either copy never affects the other.
 func (in *Interner) Clone() *Interner {
-	out := &Interner{
+	return &Interner{
 		syms:   in.syms,
 		atoms:  append([]groundAtom(nil), in.atoms...),
-		index:  make(map[string]AtomID, len(in.index)),
+		index:  maps.Clone(in.index),
+		small:  maps.Clone(in.small),
 		bytes:  in.bytes,
 		states: newStateTable(),
 		rel:    in.rel,
 	}
-	for k, v := range in.index {
-		out.index[k] = v
-	}
-	return out
 }
 
 // InternGround interns a ground compiled atom. It panics if the atom

@@ -93,11 +93,11 @@ func (t *stateTable) memBytes() int64 {
 	return stateNodeBytes*int64(len(t.nodes)-1) + projEntryBytes*int64(len(t.proj))
 }
 
-// extend returns the id of the parent state plus one token it lacks. ids
-// and dels are the sorted sets of the extended state, against which a
-// candidate reached through another parent is verified. When both are nil
-// they are rebuilt from the parent, and only if a candidate needs them.
-func (t *stateTable) extend(parent StateID, token uint32, ids, dels []AtomID) StateID {
+// extend returns the id of the parent state plus one token it lacks. want
+// is the parent's Delta, against which a candidate reached through another
+// parent is verified; when it is nil it is rebuilt from the parent's chain,
+// and only if a candidate needs it.
+func (t *stateTable) extend(parent StateID, token uint32, want *Delta) StateID {
 	h := t.nodes[parent].hash ^ t.mix(token)
 	if 2*len(t.nodes) > len(t.slots) {
 		t.grow()
@@ -118,32 +118,52 @@ func (t *stateTable) extend(parent StateID, token uint32, ids, dels []AtomID) St
 		if n.parent == parent && n.token == token {
 			return c
 		}
-		if ids == nil && dels == nil {
-			ids, dels = t.delta(parent).with(token)
+		if want == nil {
+			d := t.delta(parent)
+			want = &d
 		}
-		if t.same(c, ids, dels) {
+		if t.same(c, want, token) {
 			return c
 		}
 	}
 }
 
-// same reports whether state c is exactly the modification (ids, dels). A
-// chain lists each of its tokens once, so c is that set iff every token of
-// c is in it and there are as many of them.
-func (t *stateTable) same(c StateID, ids, dels []AtomID) bool {
+// same reports whether state c is exactly the modification want plus
+// token. A chain lists each of its tokens once, so c is that set iff every
+// token of c is in it and there are as many of them.
+func (t *stateTable) same(c StateID, want *Delta, token uint32) bool {
 	n := 0
 	for ; c != EmptyStateID; c = t.nodes[c].parent {
 		tok := t.nodes[c].token
-		set := ids
-		if tok&1 != 0 {
-			set = dels
+		var ok bool
+		switch {
+		case tok == token:
+			ok = true
+		case tok&1 != 0:
+			ok = want.Deleted(AtomID(tok >> 1))
+		default:
+			ok = want.Has(AtomID(tok >> 1))
 		}
-		if !member(set, AtomID(tok>>1)) {
+		if !ok {
 			return false
 		}
 		n++
 	}
-	return n == len(ids)+len(dels)
+	return n == int(want.n)+len(want.dels)+1
+}
+
+// inChain reports whether one of the newest n nodes of id's chain carries
+// token.
+func (t *stateTable) inChain(id StateID, n int32, token uint32) bool {
+	nodes := t.nodes
+	for ; n > 0; n-- {
+		nd := &nodes[id]
+		if nd.token == token {
+			return true
+		}
+		id = nd.parent
+	}
+	return false
 }
 
 // grow doubles the slot array and re-threads every node by its stored
@@ -172,20 +192,22 @@ func (t *stateTable) grow() {
 func (in *Interner) intern(ids, dels []AtomID) StateID {
 	id := EmptyStateID
 	for i, a := range ids {
-		id = in.extend(id, addToken(a), ids[:i+1], nil)
+		prefix := sortedDelta(ids[:i], nil)
+		id = in.extend(id, addToken(a), &prefix)
 	}
 	for i, a := range dels {
-		id = in.extend(id, delToken(a), ids, dels[:i+1])
+		prefix := sortedDelta(ids, dels[:i])
+		id = in.extend(id, delToken(a), &prefix)
 	}
 	return id
 }
 
 // extend is stateTable.extend that also records a new state's class mask:
 // the parent's, less the classes its token is irrelevant to.
-func (in *Interner) extend(parent StateID, token uint32, ids, dels []AtomID) StateID {
+func (in *Interner) extend(parent StateID, token uint32, want *Delta) StateID {
 	t := &in.states
 	n := len(t.nodes)
-	id := t.extend(parent, token, ids, dels)
+	id := t.extend(parent, token, want)
 	if len(t.nodes) > n {
 		t.classes = append(t.classes, t.classes[parent]&in.tokenClasses(token))
 	}
@@ -217,7 +239,7 @@ func (in *Interner) project(c uint8, id StateID) StateID {
 	n := t.nodes[id]
 	p := in.project(c, n.parent)
 	if in.tokenClasses(n.token)&(1<<c) != 0 {
-		p = in.extend(p, n.token, nil, nil)
+		p = in.extend(p, n.token, nil)
 	}
 	t.proj[k] = p
 	return p
@@ -225,27 +247,20 @@ func (in *Interner) project(c uint8, id StateID) StateID {
 
 // delta rebuilds the sorted sets of an interned state from its chain.
 func (t *stateTable) delta(id StateID) Delta {
-	d := Delta{sid: id}
+	var ids, dels []AtomID
 	for c := id; c != EmptyStateID; c = t.nodes[c].parent {
 		a := AtomID(t.nodes[c].token >> 1)
 		if t.nodes[c].token&1 != 0 {
-			d.dels = append(d.dels, a)
+			dels = append(dels, a)
 		} else {
-			d.ids = append(d.ids, a)
+			ids = append(ids, a)
 		}
 	}
-	slices.Sort(d.ids)
-	slices.Sort(d.dels)
+	slices.Sort(ids)
+	slices.Sort(dels)
+	d := sortedDelta(ids, dels)
+	d.sid = id
 	return d
-}
-
-// with returns the sorted sets of d plus one token.
-func (d Delta) with(token uint32) (ids, dels []AtomID) {
-	a := AtomID(token >> 1)
-	if token&1 != 0 {
-		return d.ids, insertSorted(d.dels, a)
-	}
-	return insertSorted(d.ids, a), d.dels
 }
 
 // State is a hypothetical database state: a base database plus a delta of
@@ -279,7 +294,7 @@ func StateParent(base *DB, id StateID) (parent StateID, atom AtomID, added bool)
 // the same base are equal iff their ids are equal.
 func (s State) ID() StateID {
 	if s.Delta.sid == uninterned {
-		return s.Base.in.intern(s.Delta.ids, s.Delta.dels)
+		return s.Base.in.intern(s.Delta.IDs(), s.Delta.dels)
 	}
 	return s.Delta.sid
 }
@@ -302,7 +317,7 @@ func (s State) Has(id AtomID) bool {
 	if s.Delta.Deleted(id) {
 		return false
 	}
-	return s.Delta.Has(id) || s.Base.Has(id)
+	return s.Base.Has(id) || s.Delta.Has(id)
 }
 
 // Add returns the state extended with a hypothetically inserted atom.
@@ -313,6 +328,9 @@ func (s State) Has(id AtomID) bool {
 // equal ids. Without this, a chain of adds and deletes would encode its
 // whole history into the identity and the tabling layer would treat
 // semantically identical states as distinct.
+//
+// The new atom joins the tail, which the new state reads from its own
+// chain; nothing is copied until the tail is full.
 func (s State) Add(id AtomID) State {
 	if s.Has(id) {
 		return s // already visible: inserting changes nothing
@@ -320,9 +338,25 @@ func (s State) Add(id AtomID) State {
 	if s.Base.Has(id) {
 		// Visible again once the deletion is retracted; the canonical
 		// delta never lists base atoms as added.
-		return s.rebuilt(s.Delta.ids, removeSorted(s.Delta.dels, id))
+		return s.rebuilt(s.Delta.IDs(), removeSorted(s.Delta.dels, id))
 	}
-	return s.extended(addToken(id), insertSorted(s.Delta.ids, id), s.Delta.dels)
+	parent := s.ID()
+	tok := addToken(id)
+	t := &s.Base.in.states
+	sid := s.Base.in.extend(parent, tok, &s.Delta)
+	d := s.Delta
+	if n := t.nodes[sid]; d.tail < tailMax && n.parent == parent && n.token == tok {
+		d.tail++
+		d.n++
+		d.tab = t
+	} else {
+		// A full tail becomes a run. So does the tail of a state whose
+		// id was first interned through another parent: that chain does
+		// not list this tail.
+		d = d.flushed(id)
+	}
+	d.sid = sid
+	return State{Base: s.Base, Delta: d}
 }
 
 // Del returns the state extended with a hypothetically deleted atom;
@@ -332,23 +366,25 @@ func (s State) Del(id AtomID) State {
 		return s // already invisible: deleting changes nothing
 	}
 	if s.Base.Has(id) {
-		return s.extended(delToken(id), s.Delta.ids, insertSorted(s.Delta.dels, id))
+		// The chain gains a deletion above the tail, so the tail becomes
+		// a run first.
+		d := s.Delta.flushed(NoAtom)
+		parent := s.ID()
+		d.sid = s.Base.in.extend(parent, delToken(id), &d)
+		d.dels = insertSorted(d.dels, id)
+		return State{Base: s.Base, Delta: d}
 	}
 	// A non-base atom disappears by dropping its addition; recording the
 	// deletion would bake evaluation history into the identity.
-	return s.rebuilt(removeSorted(s.Delta.ids, id), s.Delta.dels)
-}
-
-// extended is s plus one token, given the sorted sets of the result.
-func (s State) extended(token uint32, ids, dels []AtomID) State {
-	sid := s.Base.in.extend(s.ID(), token, ids, dels)
-	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: sid}}
+	return s.rebuilt(removeSorted(s.Delta.IDs(), id), s.Delta.dels)
 }
 
 // rebuilt is the state with the given sorted sets, which are s's minus
 // one token.
 func (s State) rebuilt(ids, dels []AtomID) State {
-	return State{Base: s.Base, Delta: Delta{ids: ids, dels: dels, sid: s.Base.in.intern(ids, dels)}}
+	d := sortedDelta(ids, dels)
+	d.sid = s.Base.in.intern(ids, dels)
+	return State{Base: s.Base, Delta: d}
 }
 
 // AddAll returns the state extended with all the given atoms.

@@ -1,7 +1,10 @@
 package facts
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"hypodatalog/internal/symbols"
@@ -49,7 +52,7 @@ func checkStateIntern(t *testing.T, ops []byte, mix func(uint32) uint32) {
 		}
 		key, sid := st.Key(), st.ID()
 		if want, ok := byKey[key]; ok && want != sid {
-			t.Fatalf("op %d: sets %v/%v interned as %d, earlier as %d", i, st.Delta.ids, st.Delta.dels, sid, want)
+			t.Fatalf("op %d: sets %v/%v interned as %d, earlier as %d", i, st.Delta.IDs(), st.Delta.dels, sid, want)
 		}
 		if other, ok := byID[sid]; ok && other != key {
 			t.Fatalf("op %d: id %d names both %q and %q", i, sid, other, key)
@@ -68,19 +71,20 @@ func checkStateIntern(t *testing.T, ops []byte, mix func(uint32) uint32) {
 		}
 		byVisible[visible] = sid
 		if back := StateAt(db, sid); back.Key() != key || back.ID() != sid {
-			t.Fatalf("op %d: id %d rebuilds to %v/%v, want %v/%v", i, sid, back.Delta.ids, back.Delta.dels, st.Delta.ids, st.Delta.dels)
+			t.Fatalf("op %d: id %d rebuilds to %v/%v, want %v/%v", i, sid, back.Delta.IDs(), back.Delta.dels, st.Delta.IDs(), st.Delta.dels)
 		}
 		if sid != EmptyStateID {
 			// The parent is the state minus exactly the token StateParent names.
 			parent, atom, added := StateParent(db, sid)
-			d := StateAt(db, parent).Delta
+			p := StateAt(db, parent).Delta
+			ids, dels := p.IDs(), p.dels
 			if added {
-				d.ids = insertSorted(d.ids, atom)
+				ids = insertSorted(ids, atom)
 			} else {
-				d.dels = insertSorted(d.dels, atom)
+				dels = insertSorted(dels, atom)
 			}
-			if d.Key() != key {
-				t.Fatalf("op %d: id %d is parent %d plus %d (added %v), which is %v/%v", i, sid, parent, atom, added, d.ids, d.dels)
+			if makeKey(ids, dels) != key {
+				t.Fatalf("op %d: id %d is parent %d plus %d (added %v), which is %v/%v", i, sid, parent, atom, added, ids, dels)
 			}
 		}
 	}
@@ -228,16 +232,16 @@ func checkStateProject(t *testing.T, ops []byte, mix func(uint32) uint32) {
 		name(i, sid, st.Key())
 		for c, g := range goals {
 			stored := len(in.states.proj)
-			ids, dels := filter(st.Delta.ids, c), filter(st.Delta.dels, c)
+			ids, dels := filter(st.Delta.IDs(), c), filter(st.Delta.dels, c)
 			got := st.RelevantID(g)
 			if want := in.intern(ids, dels); got != want {
-				t.Fatalf("op %d: class %d projects %v/%v to %d, want %d (%v/%v)", i, c, st.Delta.ids, st.Delta.dels, got, want, ids, dels)
+				t.Fatalf("op %d: class %d projects %v/%v to %d, want %d (%v/%v)", i, c, st.Delta.IDs(), st.Delta.dels, got, want, ids, dels)
 			}
 			name(i, got, makeKey(ids, dels))
 			if again := in.project(uint8(c), got); again != got {
 				t.Fatalf("op %d: class %d projection %d projects again to %d", i, c, got, again)
 			}
-			if len(ids)+len(dels) == len(st.Delta.ids)+len(st.Delta.dels) {
+			if len(ids)+len(dels) == len(st.Delta.IDs())+len(st.Delta.dels) {
 				if got != sid || len(in.states.proj) != stored {
 					t.Fatalf("op %d: class %d reads every token of %d, yet projects to %d storing %d entries", i, c, sid, got, len(in.states.proj)-stored)
 				}
@@ -278,5 +282,242 @@ func TestStateProjectSurvivesHashCollisions(t *testing.T) {
 		s := make([]byte, 96)
 		rng.Read(s)
 		checkStateProject(t, s, constant)
+	}
+}
+
+// checkStateHas drives State.Add/Del from an op string over 24 atoms,
+// every fourth a base fact, and holds every state reached to a plain set
+// model of its (adds, dels): Has and Deleted per atom, Len, the ascending
+// walk of Added, Key, and an ID that equal keys share and different keys
+// do not. Each op byte picks an atom (low six bits), add or delete (bit 7)
+// and whether to restart from the empty state first (bit 6). Eighteen
+// non-base atoms are enough for chains two tails long, so the tail, its
+// flush into runs, run merges, and deletions above runs all occur.
+func checkStateHas(t *testing.T, ops []byte) {
+	in, db, syms := newTestDB()
+	p := syms.Pred("a", 1)
+	atoms := make([]AtomID, 24)
+	for i := range atoms {
+		atoms[i] = in.ID(p, []symbols.Const{syms.Const(string(rune('a' + i)))})
+		if i%4 == 3 {
+			db.Insert(atoms[i])
+		}
+	}
+	byKey := map[string]StateID{"": EmptyStateID}
+	byID := map[StateID]string{EmptyStateID: ""}
+	adds, dels := map[AtomID]bool{}, map[AtomID]bool{}
+	st := NewState(db)
+	for i, op := range ops {
+		if op&0x40 != 0 {
+			st = NewState(db)
+			clear(adds)
+			clear(dels)
+		}
+		id, del := atoms[int(op&0x3f)%len(atoms)], op&0x80 != 0
+		visible := (db.Has(id) && !dels[id]) || adds[id]
+		switch {
+		case del && visible && db.Has(id):
+			dels[id] = true
+		case del && visible:
+			delete(adds, id)
+		case !del && !visible && db.Has(id):
+			delete(dels, id)
+		case !del && !visible:
+			adds[id] = true
+		}
+		if del {
+			st = st.Del(id)
+		} else {
+			st = st.Add(id)
+		}
+
+		var wantAdds, wantDels []AtomID
+		for _, a := range atoms {
+			if got, want := st.Has(a), (db.Has(a) && !dels[a]) || adds[a]; got != want {
+				t.Fatalf("op %d: Has(%d) = %v, want %v", i, a, got, want)
+			}
+			if st.Delta.Has(a) != adds[a] || st.Delta.Deleted(a) != dels[a] {
+				t.Fatalf("op %d: atom %d added %v deleted %v, want %v %v", i, a, st.Delta.Has(a), st.Delta.Deleted(a), adds[a], dels[a])
+			}
+			if adds[a] {
+				wantAdds = append(wantAdds, a)
+			}
+			if dels[a] {
+				wantDels = append(wantDels, a)
+			}
+		}
+		if st.Delta.Len() != len(wantAdds) {
+			t.Fatalf("op %d: Len = %d, want %d", i, st.Delta.Len(), len(wantAdds))
+		}
+		var walked []AtomID
+		for it := st.Delta.Added(); ; {
+			a, ok := it.Next()
+			if !ok {
+				break
+			}
+			walked = append(walked, a)
+		}
+		if !slices.Equal(walked, wantAdds) {
+			t.Fatalf("op %d: Added walks %v, want %v", i, walked, wantAdds)
+		}
+		key, sid := st.Key(), st.ID()
+		if key != makeKey(wantAdds, wantDels) {
+			t.Fatalf("op %d: Key names %q, want %v/%v", i, key, wantAdds, wantDels)
+		}
+		if want, ok := byKey[key]; ok && want != sid {
+			t.Fatalf("op %d: %v/%v interned as %d, earlier as %d", i, wantAdds, wantDels, sid, want)
+		}
+		if other, ok := byID[sid]; ok && other != key {
+			t.Fatalf("op %d: id %d names both %q and %q", i, sid, other, key)
+		}
+		byKey[key], byID[sid] = sid, key
+	}
+}
+
+// stateHasSeeds walk chains past the tail bound and re-reach their states
+// through other parents.
+var stateHasSeeds = [][]byte{
+	// 0..9 in order, then 9 first: the second walk's tail is flushed at
+	// its ninth atom, and its tenth add reaches the state the first walk
+	// interned through another parent, whose chain does not list the
+	// second walk's atoms.
+	{0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 0x40 | 12, 0, 1, 2, 4, 5, 6, 8, 9, 10},
+	// Twenty adds, then deletions of base atoms and of added ones.
+	{0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 20, 21, 22, 0x83, 0x87, 5, 0x80, 0x8c, 7, 0x89, 23},
+	// Two walks of one set in opposite orders, with no-op adds between.
+	{22, 21, 20, 18, 17, 16, 14, 13, 12, 10, 9, 3, 8, 6, 5, 0x40 | 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 20, 21, 22},
+}
+
+// FuzzStateHas holds the shared-run-plus-tail representation of added
+// sets to a plain set model on arbitrary interleavings of State.Add and
+// State.Del; the seed corpus runs under plain `go test`.
+func FuzzStateHas(f *testing.F) {
+	for _, s := range append(stateHasSeeds, stateInternSeeds...) {
+		f.Add(s)
+	}
+	rng := rand.New(rand.NewSource(1989))
+	for i := 0; i < 32; i++ {
+		s := make([]byte, 96)
+		rng.Read(s)
+		for j := range s {
+			if j%32 != 0 {
+				s[j] &^= 0x40 // fewer restarts: longer chains
+			}
+		}
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { checkStateHas(t, ops) })
+}
+
+// chainAddBytes is the heap a walk of State.Add along an n-atom chain
+// allocates once the chain's states are interned, averaged over a few
+// walks: what the added sets cost, the state table's growth aside.
+func chainAddBytes(n int) uint64 {
+	in, db, syms := newTestDB()
+	p := syms.Pred("c", 1)
+	atoms := make([]AtomID, n)
+	for i := range atoms {
+		atoms[i] = in.ID(p, []symbols.Const{syms.Const(fmt.Sprint(i))})
+	}
+	walk := func() State { return NewState(db).AddAll(atoms) }
+	walk()
+	const walks = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < walks; i++ {
+		walk()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / walks
+}
+
+// TestStateAddChainBytes pins that a chain of hypothetical adds shares its
+// added sets: doubling the chain from 256 to 512 atoms must not quadruple
+// the bytes State.Add allocates, as copying the whole sorted set on every
+// add did (140 KB → 559 KB); runs merged as a binary counter copy each
+// atom O(log n) times (7 KB → 19 KB).
+func TestStateAddChainBytes(t *testing.T) {
+	b256, b512 := chainAddBytes(256), chainAddBytes(512)
+	if b512 > 3*b256 || b512 > 32<<10 {
+		t.Fatalf("a 512-atom chain allocates %d B, a 256-atom one %d B: want under 3× and 32 KB", b512, b256)
+	}
+}
+
+// TestStateScanAllocatesNothing: reading a state whose added set has runs
+// and a tail — Has, Deleted, Len and the Added walk — allocates nothing.
+func TestStateScanAllocatesNothing(t *testing.T) {
+	in, db, syms := newTestDB()
+	p := syms.Pred("c", 1)
+	st := NewState(db)
+	for i := 0; i < 4*(tailMax+1)+3; i++ {
+		st = st.Add(in.ID(p, []symbols.Const{syms.Const(fmt.Sprint(i))}))
+	}
+	if st.Delta.tail == 0 || st.Delta.runs == nil || st.Delta.runs.older == nil {
+		t.Fatalf("state has tail %d and runs %v: want a tail and two runs", st.Delta.tail, st.Delta.runs)
+	}
+	probe := in.ID(p, []symbols.Const{syms.Const("0")})
+	var sum AtomID
+	allocs := testing.AllocsPerRun(100, func() {
+		if !st.Has(probe) || st.Delta.Deleted(probe) || st.Delta.Len() == 0 {
+			t.Fatal("probe not visible")
+		}
+		for it := st.Delta.Added(); ; {
+			id, ok := it.Next()
+			if !ok {
+				break
+			}
+			sum += id
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Has and an Added walk allocate %v times per run, want 0", allocs)
+	}
+}
+
+// TestStateAddedManyRuns: a state of 795 atoms added in shuffled order
+// holds five runs (495, 189, 72, 27 and 9 atoms), more than Added keeps
+// cursors for, and a tail; it still walks its added set in ascending
+// order and answers Has for every atom.
+func TestStateAddedManyRuns(t *testing.T) {
+	in, db, syms := newTestDB()
+	p := syms.Pred("c", 1)
+	const n = 795
+	atoms := make([]AtomID, n+3)
+	for i := range atoms {
+		atoms[i] = in.ID(p, []symbols.Const{syms.Const(fmt.Sprint(i))})
+	}
+	absent := atoms[n:]
+	atoms = atoms[:n]
+	rand.New(rand.NewSource(1989)).Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+	st := NewState(db).AddAll(atoms)
+	runs := 0
+	for r := st.Delta.runs; r != nil; r = r.older {
+		runs++
+	}
+	if runs <= cursors || st.Delta.tail == 0 {
+		t.Fatalf("state has %d runs and tail %d: want more than %d runs and a tail", runs, st.Delta.tail, cursors)
+	}
+	want := slices.Clone(atoms)
+	slices.Sort(want)
+	var walked []AtomID
+	for it := st.Delta.Added(); ; {
+		a, ok := it.Next()
+		if !ok {
+			break
+		}
+		walked = append(walked, a)
+	}
+	if !slices.Equal(walked, want) {
+		t.Fatalf("Added walks %d atoms, want the %d sorted", len(walked), len(want))
+	}
+	for _, a := range atoms {
+		if !st.Has(a) {
+			t.Fatalf("Has(%d) = false for an added atom", a)
+		}
+	}
+	for _, a := range absent {
+		if st.Has(a) {
+			t.Fatalf("Has(%d) = true for an atom never added", a)
+		}
 	}
 }

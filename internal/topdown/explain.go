@@ -117,7 +117,7 @@ func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]
 	defer delete(onPath, key)
 
 	pred := e.in.Pred(goal)
-	for _, ri := range e.prog.ByHead[pred] {
+	for _, ri := range e.rules(pred) {
 		rule := &e.prog.Rules[ri]
 		binding := newBinding(rule.NumVars)
 		if !unifyHead(rule.Head, e.in.Args(goal), binding) {

@@ -207,8 +207,17 @@ type Engine struct {
 	dom  []symbols.Const
 	opts Options
 
+	// kinds and byHead are the program's per-predicate facts, indexed by
+	// Pred and built once (indexPreds): every goal reads its kind and its
+	// rules without a map probe. A predicate past their end, interned
+	// after the engine was built, is extensional and has no rules.
+	kinds  []predKind
+	byHead [][]int
+
 	table   map[tableKey]bool
 	onStack map[tableKey]int
+	// spare holds emptied on-stack sets for negation regions to reuse.
+	spare []map[tableKey]int
 
 	// ctx is the cancellation source of the in-flight *Ctx call, or nil
 	// when the call is not cancellable; prove polls it every
@@ -242,6 +251,15 @@ type tableKey struct {
 
 const maxFrame = math.MaxInt
 
+// predKind is how the engine answers a goal of a predicate.
+type predKind uint8
+
+const (
+	extensional predKind = iota // state membership alone
+	intensional                 // the engine's own rules
+	external                    // Options.Resolver
+)
+
 // New builds an engine over a compiled program. The base database is
 // populated from the program's facts, over an interner that projects
 // states onto the program's relevance classes; dom is the constant domain
@@ -267,6 +285,7 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 		table:   make(map[tableKey]bool),
 		onStack: make(map[tableKey]int),
 	}
+	e.indexPreds()
 	e.initBudgets()
 	return e
 }
@@ -284,8 +303,47 @@ func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Opt
 		table:   make(map[tableKey]bool),
 		onStack: make(map[tableKey]int),
 	}
+	e.indexPreds()
 	e.initBudgets()
 	return e
+}
+
+// indexPreds builds the per-predicate tables from the program's rule
+// index and Options.ExternalIDB. A predicate with rules here is
+// intensional even if ExternalIDB lists it.
+func (e *Engine) indexPreds() {
+	n := e.prog.Syms.NumPreds()
+	e.kinds = make([]predKind, n)
+	e.byHead = make([][]int, n)
+	for p, ok := range e.opts.ExternalIDB {
+		if ok {
+			e.kinds[p] = external
+		}
+	}
+	for p, rules := range e.prog.ByHead {
+		e.byHead[p] = rules
+	}
+	for p, ok := range e.prog.IDB {
+		if ok {
+			e.kinds[p] = intensional
+		}
+	}
+}
+
+// kind returns how goals of p are answered.
+func (e *Engine) kind(p symbols.Pred) predKind {
+	if int(p) < len(e.kinds) {
+		return e.kinds[p]
+	}
+	return extensional
+}
+
+// rules returns the indexes of the rules whose head predicate is p.
+func (e *Engine) rules(p symbols.Pred) []int {
+	if int(p) < len(e.byHead) {
+		return e.byHead[p]
+	}
+	return nil
 }
 
 // initBudgets builds the standalone allowance and tracker Options.MaxGoals
@@ -501,8 +559,8 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		return true, maxFrame, nil
 	}
 	pred := e.in.Pred(goal)
-	if !e.prog.IDB[pred] {
-		if e.opts.Resolver != nil && e.opts.ExternalIDB[pred] {
+	if k := e.kind(pred); k != intensional {
+		if k == external && e.opts.Resolver != nil {
 			ok, err := e.opts.Resolver(goal, st)
 			return ok, maxFrame, err
 		}
@@ -528,7 +586,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	defer delete(e.onStack, frame)
 
 	minTouched := maxFrame
-	for _, ri := range e.prog.ByHead[pred] {
+	for _, ri := range e.rules(pred) {
 		rule := &e.prog.Rules[ri]
 		binding := newBinding(rule.NumVars)
 		if !unifyHead(rule.Head, e.in.Args(goal), binding) {
@@ -560,7 +618,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 // isExtensional reports whether a predicate is neither defined by this
 // engine's rules nor owned by the resolver.
 func (e *Engine) isExtensional(p symbols.Pred) bool {
-	return !e.prog.IDB[p] && !e.opts.ExternalIDB[p]
+	return e.kind(p) == extensional
 }
 
 // unbound marks an unbound variable slot.
@@ -841,11 +899,22 @@ func (e *Engine) negHolds(atom ast.CAtom, binding []symbols.Const, localSlots []
 // Stratification guarantees the goal's predicate is strictly below every
 // in-progress frame's predicate, so the nested proof cannot consult them;
 // its result is unconditional.
+//
+// The region's on-stack set is empty when the proof returns (every frame
+// removes itself), so it is kept for a later region to reuse instead of
+// being allocated per region.
 func (e *Engine) negCheck(goal facts.AtomID, st facts.State) (bool, error) {
 	e.stats.NegCalls++
 	savedStack := e.onStack
-	e.onStack = make(map[tableKey]int)
+	if n := len(e.spare); n > 0 {
+		e.onStack, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		e.onStack = make(map[tableKey]int)
+	}
 	ok, _, err := e.prove(goal, st, 0)
+	if len(e.onStack) == 0 {
+		e.spare = append(e.spare, e.onStack)
+	}
 	e.onStack = savedStack
 	return ok, err
 }
@@ -972,7 +1041,11 @@ func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts
 		}
 	}
 	// Delta atoms of this predicate (deltas are small; scan them).
-	for _, id := range st.Delta.IDs() {
+	for it := st.Delta.Added(); ; {
+		id, ok := it.Next()
+		if !ok {
+			break
+		}
 		if e.in.Pred(id) != pattern.Pred {
 			continue
 		}

@@ -450,3 +450,31 @@ func checkAllAtoms(t *testing.T, cp *ast.CProgram, ip *ref.Interp, e *Engine) {
 		rec(0)
 	}
 }
+
+// TestMatchStateScanAllocatesNothing: matching an extensional premise
+// walks the state's added atoms where they lie, in its runs and its tail,
+// and allocates nothing for it — the walk must neither copy the added set
+// nor move its iterator to the heap. The premise's predicate has no fact
+// in the base or the delta, so every added atom is visited and none bound.
+func TestMatchStateScanAllocatesNothing(t *testing.T) {
+	e, cp := newEngine(t, "p(X) :- q(X).\nt(X) :- s(X).\n", Options{})
+	s, ok := cp.Syms.LookupPred("s", 1)
+	if !ok {
+		t.Fatal("no predicate s/1")
+	}
+	st := e.EmptyState()
+	for i := 0; i < 30; i++ {
+		st = st.Add(e.in.ID(s, []symbols.Const{cp.Syms.Const(fmt.Sprint("c", i))}))
+	}
+	rule := &cp.Rules[cp.ByHead[cp.Rules[0].Head.Pred][0]]
+	binding := newBinding(rule.NumVars)
+	yield := func() error { return errors.New("q has no atom to match") }
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.matchState(rule.Body[0].Atom, binding, st, yield); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("matchState over a %d-atom delta allocates %v times per call, want 0", st.Delta.Len(), allocs)
+	}
+}
