@@ -4,12 +4,21 @@
 //
 // Usage:
 //
-//	hdlbench [-run E1,E7] [-smoke] [-json BENCH_core.json]
+//	hdlbench [-run E1,E7] [-smoke] [-json BENCH_core.json] [-compare old.json]
 //
 // With -json the typed results (ns/op, B/op, allocs/op and the work
 // counters of every case) are also written to the given file. The
 // committed BENCH_core.json is a full default-size run; internal/bench's
 // test holds every smoke case's counters to it exactly.
+//
+// With -compare the run is also held against an earlier results file:
+// hdlbench prints each experiment's median new/old ratios of ns, B and
+// allocs per op over the cases both share, and exits non-zero if any work
+// counter of a shared case differs. So
+//
+//	hdlbench -json new.json -compare BENCH_core.json
+//
+// is the check that a change moved time and memory but not work.
 package main
 
 import (
@@ -30,6 +39,7 @@ func main() {
 	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	smoke := fs.Bool("smoke", false, "use the small sweep sizes the tests run")
 	jsonOut := fs.String("json", "", "also write the typed results to this file as JSON")
+	compare := fs.String("compare", "", "hold the results to an earlier -json file: median ratios, and exit 1 if a shared case's work counters differ")
 	_ = fs.Parse(os.Args[1:]) // ExitOnError
 
 	// testing.Benchmark reads -test.benchtime. A tenth of a second is
@@ -54,6 +64,18 @@ func main() {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "hdlbench: "+format+"\n", args...)
 		failed = true
+	}
+	// Read the baseline first: -json may overwrite the file it names.
+	var baseline []bench.Result
+	if *compare != "" {
+		data, err := os.ReadFile(*compare)
+		if err == nil {
+			err = json.Unmarshal(data, &baseline)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hdlbench: -compare %s: %v\n", *compare, err)
+			os.Exit(2)
+		}
 	}
 	results := []bench.Result{}
 	for _, ex := range bench.All() {
@@ -83,6 +105,13 @@ func main() {
 		}
 		if err != nil {
 			fail("writing %s: %v", *jsonOut, err)
+		}
+	}
+	if *compare != "" {
+		table, diffs := bench.Compare(baseline, results)
+		fmt.Print(table)
+		for _, d := range diffs {
+			fail("%v (against %s)", d, *compare)
 		}
 	}
 	if failed {

@@ -183,3 +183,42 @@ func TestChainStateBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(e)
 }
+
+// TestCompare: shared cases give per-experiment median ratios, cases on
+// one side only are counted and otherwise ignored, and a shared case
+// whose work counters moved is reported by name.
+func TestCompare(t *testing.T) {
+	old := []Result{
+		{Experiment: "E1", Case: "n=1", NsPerOp: 100, BytesPerOp: 10, AllocsPerOp: 0, Counters: Counters{"goals": 4}},
+		{Experiment: "E1", Case: "n=2", NsPerOp: 200, BytesPerOp: 20, AllocsPerOp: 2, Counters: Counters{"goals": 6}},
+		{Experiment: "E1", Case: "n=3", NsPerOp: 400, BytesPerOp: 40, AllocsPerOp: 4, Counters: Counters{"goals": 8}},
+		{Experiment: "E2", Case: "gone", NsPerOp: 1, Counters: Counters{"goals": 1}},
+	}
+	cur := []Result{
+		{Experiment: "E1", Case: "n=1", NsPerOp: 50, BytesPerOp: 10, AllocsPerOp: 0, Counters: Counters{"goals": 4}},
+		{Experiment: "E1", Case: "n=2", NsPerOp: 150, BytesPerOp: 10, AllocsPerOp: 1, Counters: Counters{"goals": 6}},
+		{Experiment: "E1", Case: "n=3", NsPerOp: 400, BytesPerOp: 40, AllocsPerOp: 4, Counters: Counters{"goals": 8}},
+		{Experiment: "E3", Case: "new", NsPerOp: 1, Counters: Counters{"goals": 1}},
+	}
+	table, diffs := Compare(old, cur)
+	if len(diffs) != 0 {
+		t.Fatalf("identical counters reported as diffs: %v", diffs)
+	}
+	for _, want := range []string{
+		"3 shared cases, 1 only in this run, 1 only in the baseline",
+		"E1         3    0.75    1.00       1.00",
+		"work counters: identical in all 3 shared cases",
+	} {
+		if !strings.Contains(table, want) {
+			t.Errorf("table lacks %q:\n%s", want, table)
+		}
+	}
+	if strings.Contains(table, "E2") || strings.Contains(table, "E3") {
+		t.Errorf("unshared experiments in the table:\n%s", table)
+	}
+
+	cur[1].Counters = Counters{"goals": 7}
+	if _, diffs := Compare(old, cur); len(diffs) != 1 || !strings.Contains(diffs[0].Error(), `E1/n=2: counter "goals" = 7, want 6`) {
+		t.Fatalf("moved counter: diffs = %v", diffs)
+	}
+}

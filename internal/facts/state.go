@@ -73,6 +73,10 @@ type stateTable struct {
 	// to relevance class c (relevance.go), so that projecting the state
 	// onto c is the identity.
 	classes []uint8
+	// preds[id] is the predicate summary of state id: bit predBit(p) is set
+	// for the predicate p of every token, added or deleted, so a clear bit
+	// proves the state holds no token of p (State.MayMention).
+	preds []uint16
 
 	// proj memoises the projections that are not the identity, by state
 	// and relevance class.
@@ -85,8 +89,13 @@ type projKey struct {
 }
 
 func newStateTable() stateTable {
-	return stateTable{nodes: make([]stateNode, 1), mix: mixToken, classes: []uint8{allClasses}, proj: map[projKey]StateID{}}
+	return stateTable{nodes: make([]stateNode, 1), mix: mixToken, classes: []uint8{allClasses}, preds: []uint16{0}, proj: map[projKey]StateID{}}
 }
+
+// predBit is the bit of a state's predicate summary that stands for
+// predicates p, p+16, p+32, …: a summary may admit a predicate it does not
+// hold, never miss one it does.
+func predBit(p symbols.Pred) uint16 { return 1 << (uint32(p) % 16) }
 
 // memBytes is the table's approximate heap footprint.
 func (t *stateTable) memBytes() int64 {
@@ -202,14 +211,16 @@ func (in *Interner) intern(ids, dels []AtomID) StateID {
 	return id
 }
 
-// extend is stateTable.extend that also records a new state's class mask:
-// the parent's, less the classes its token is irrelevant to.
+// extend is stateTable.extend that also records a new state's class mask
+// — the parent's, less the classes its token is irrelevant to — and its
+// predicate summary, the parent's plus its token's predicate.
 func (in *Interner) extend(parent StateID, token uint32, want *Delta) StateID {
 	t := &in.states
 	n := len(t.nodes)
 	id := t.extend(parent, token, want)
 	if len(t.nodes) > n {
 		t.classes = append(t.classes, t.classes[parent]&in.tokenClasses(token))
+		t.preds = append(t.preds, t.preds[parent]|predBit(in.atoms[token>>1].pred))
 	}
 	return id
 }
@@ -309,6 +320,18 @@ func (s State) RelevantID(pred symbols.Pred) StateID {
 		return s.Base.in.project(c, id)
 	}
 	return id
+}
+
+// MayMention reports whether the state's delta may add or delete an atom of
+// pred. False is exact: no token of pred is in the delta, so the state
+// holds exactly the base's atoms of pred. True may be a false positive (a
+// summary bit is shared by every sixteenth predicate), and a Delta built
+// outside any State always answers true.
+func (s State) MayMention(pred symbols.Pred) bool {
+	if s.Delta.sid == uninterned {
+		return true
+	}
+	return s.Base.in.states.preds[s.Delta.sid]&predBit(pred) != 0
 }
 
 // Has reports whether the atom is visible in this state:

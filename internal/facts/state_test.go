@@ -409,6 +409,101 @@ func FuzzStateHas(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) { checkStateHas(t, ops) })
 }
 
+// checkStatePreds drives State.Add/Del from an op string, as checkStateHas
+// does, over 24 atoms of 20 predicates (so r0 and r16 share a summary bit,
+// and r1 and r17, …), every fourth a base fact, under a relevance of three
+// classes that keep different predicates' tokens. It holds the predicate
+// summary of every state reached, and of its projection onto each class,
+// to the tokens the state's chain lists: it admits the predicate of every
+// added or deleted token, and it is exactly the union of their bits, so
+// that it does rule predicates out. Restarts reach one set through another
+// parent, deletions of base atoms build deletion chains, and the
+// projections are states interned by filtering.
+func checkStatePreds(t *testing.T, ops []byte) {
+	in, db, syms := newTestDB()
+	goals := []symbols.Pred{syms.Pred("g0", 0), syms.Pred("g1", 0), syms.Pred("g2", 0)}
+	preds := make([]symbols.Pred, 20)
+	for i := range preds {
+		preds[i] = syms.Pred(fmt.Sprint("r", i), 1)
+	}
+	rel := &Relevance{classOf: make([]uint8, syms.NumPreds()), tokens: make([]uint8, syms.NumPreds())}
+	for c, g := range goals {
+		rel.classOf[g] = uint8(c + 1)
+	}
+	for i, p := range preds {
+		rel.tokens[p] = []uint8{1, 2, 4, 1 | 2, 2 | 4, allClasses}[i%6]
+	}
+	in.SetRelevance(rel)
+	atoms := make([]AtomID, 24)
+	for i := range atoms {
+		atoms[i] = in.ID(preds[i%len(preds)], []symbols.Const{syms.Const(string(rune('a' + i)))})
+		if i%4 == 3 {
+			db.Insert(atoms[i])
+		}
+	}
+	check := func(i int, st State) {
+		var want uint16
+		for id := st.ID(); id != EmptyStateID; {
+			parent, atom, _ := StateParent(db, id)
+			if p := in.Pred(atom); !st.MayMention(p) {
+				t.Fatalf("op %d: state %d holds a token of %s, but its summary misses it", i, st.ID(), syms.PredName(p))
+			}
+			want |= predBit(in.Pred(atom))
+			id = parent
+		}
+		for _, p := range preds {
+			if got := st.MayMention(p); got != (want&predBit(p) != 0) {
+				t.Fatalf("op %d: state %d MayMention(%s) = %v, want %v", i, st.ID(), syms.PredName(p), got, !got)
+			}
+		}
+	}
+	st := NewState(db)
+	for i, op := range ops {
+		if op&0x40 != 0 {
+			st = NewState(db)
+		}
+		if id := atoms[int(op&0x3f)%len(atoms)]; op&0x80 != 0 {
+			st = st.Del(id)
+		} else {
+			st = st.Add(id)
+		}
+		check(i, st)
+		for _, g := range goals {
+			check(i, StateAt(db, st.RelevantID(g)))
+		}
+	}
+}
+
+// FuzzStatePreds holds the predicate summary to the tokens of every state
+// and projection on arbitrary interleavings of State.Add and State.Del;
+// the seed corpus runs under plain `go test`.
+func FuzzStatePreds(f *testing.F) {
+	for _, s := range append(stateHasSeeds, stateInternSeeds...) {
+		f.Add(s)
+	}
+	rng := rand.New(rand.NewSource(1989))
+	for i := 0; i < 32; i++ {
+		s := make([]byte, 96)
+		rng.Read(s)
+		f.Add(s)
+	}
+	f.Fuzz(checkStatePreds)
+}
+
+// TestStatePredsOfUninterned: a Delta built outside any State carries no
+// summary, so it admits every predicate; the empty state admits none.
+func TestStatePredsOfUninterned(t *testing.T) {
+	in, db, syms := newTestDB()
+	p, q := syms.Pred("p", 1), syms.Pred("q", 1)
+	a := in.ID(p, []symbols.Const{syms.Const("a")})
+	if st := NewState(db); st.MayMention(p) || st.MayMention(q) {
+		t.Fatal("the empty state admits a predicate")
+	}
+	if st := (State{Base: db, Delta: NewDelta([]AtomID{a})}); !st.MayMention(p) || !st.MayMention(q) {
+		t.Fatal("an uninterned delta rules a predicate out")
+	}
+}
+
 // chainAddBytes is the heap a walk of State.Add along an n-atom chain
 // allocates once the chain's states are interned, averaged over a few
 // walks: what the added sets cost, the state table's growth aside.

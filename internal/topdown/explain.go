@@ -98,22 +98,22 @@ func (e *Engine) Explain(goal facts.AtomID, st facts.State) (*Proof, error) {
 	if !ok {
 		return nil, nil
 	}
-	seen := map[tableKey]bool{}
+	seen := map[tableKey]struct{}{}
 	return e.explain(goal, st, seen)
 }
 
 // explain reconstructs one derivation, guarding against cyclic
 // reconstruction with an on-path set (a provable goal always has an
 // acyclic derivation, so skipping on-path repeats is safe).
-func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]bool) (*Proof, error) {
+func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]struct{}) (*Proof, error) {
 	if st.Has(goal) {
 		return &Proof{Kind: ProofFact, Goal: e.in.Format(goal)}, nil
 	}
 	key := tableKey{goal, st.ID()}
-	if onPath[key] {
+	if _, ok := onPath[key]; ok {
 		return nil, nil
 	}
-	onPath[key] = true
+	onPath[key] = struct{}{}
 	defer delete(onPath, key)
 
 	pred := e.in.Pred(goal)
@@ -142,7 +142,7 @@ func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]
 // explainBody finds a satisfying instantiation of the premises from index
 // pi on (in source order — explanations favour readability over the
 // planner's ordering) and returns their sub-proofs.
-func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, st facts.State, onPath map[tableKey]bool) ([]*Proof, bool, error) {
+func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, st facts.State, onPath map[tableKey]struct{}) ([]*Proof, bool, error) {
 	if pi == len(rule.Body) {
 		return nil, true, nil
 	}

@@ -214,7 +214,7 @@ type Engine struct {
 	kinds  []predKind
 	byHead [][]int
 
-	table   map[tableKey]bool
+	table   memo
 	onStack map[tableKey]int
 	// spare holds emptied on-stack sets for negation regions to reuse.
 	spare []map[tableKey]int
@@ -234,11 +234,6 @@ type Engine struct {
 	stats Stats
 	args  []symbols.Const // scratch for grounding and ground-pattern lookups
 }
-
-// tableEntryBytes approximates the heap cost of one memo-table entry: an
-// 8-byte key, its value and its share of the map's spare slots. The state
-// the key names is charged where it lives, in the interner's state table.
-const tableEntryBytes = 32
 
 // tableKey is a (goal, hypothetical state) pair. Both halves are interned
 // ids of the engine's interner, so key equality is exact. In the memo
@@ -282,7 +277,6 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 		base:    base,
 		dom:     dom,
 		opts:    opts,
-		table:   make(map[tableKey]bool),
 		onStack: make(map[tableKey]int),
 	}
 	e.indexPreds()
@@ -300,7 +294,6 @@ func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Opt
 		base:    base,
 		dom:     dom,
 		opts:    opts,
-		table:   make(map[tableKey]bool),
 		onStack: make(map[tableKey]int),
 	}
 	e.indexPreds()
@@ -392,7 +385,7 @@ func (e *Engine) Dom() []symbols.Const { return e.dom }
 // Stats returns a snapshot of the evaluation counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.TableSize = len(e.table)
+	s.TableSize = e.table.n
 	s.MemBytes = e.mem.Grown()
 	return s
 }
@@ -402,8 +395,8 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // ResetTable clears the memo table.
 func (e *Engine) ResetTable() {
-	e.mem.Add(-tableEntryBytes * int64(len(e.table)))
-	e.table = make(map[tableKey]bool)
+	e.mem.Add(-e.table.memBytes())
+	e.table = memo{}
 }
 
 // PruneTable drops every memo entry whose goal predicate lies in the
@@ -417,14 +410,8 @@ func (e *Engine) ResetTable() {
 // atom are simply never asked again (the canonical state for the new base
 // differs), so stale entries under them are unreachable, not wrong.
 func (e *Engine) PruneTable(cone map[symbols.Pred]bool) int {
-	n := 0
-	for k := range e.table {
-		if cone[e.in.Pred(k.goal)] {
-			delete(e.table, k)
-			e.mem.Add(-tableEntryBytes)
-			n++
-		}
-	}
+	n, freed := e.table.prune(func(goal facts.AtomID) bool { return cone[e.in.Pred(goal)] })
+	e.mem.Add(-freed)
 	return n
 }
 
@@ -572,7 +559,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	var key tableKey
 	if !e.opts.NoTabling {
 		key = tableKey{goal, st.RelevantID(pred)}
-		if v, ok := e.table[key]; ok {
+		if v, ok := e.table.get(key); ok {
 			e.stats.TableHits++
 			return v, maxFrame, nil
 		}
@@ -601,16 +588,14 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		}
 		if ok {
 			if !e.opts.NoTabling {
-				e.table[key] = true
-				e.mem.Add(tableEntryBytes)
+				e.mem.Add(e.table.put(key, true))
 			}
 			return true, maxFrame, nil
 		}
 	}
 	if !e.opts.NoTabling && minTouched >= depth {
 		// Clean failure: nothing above this frame was consulted.
-		e.table[key] = false
-		e.mem.Add(tableEntryBytes)
+		e.mem.Add(e.table.put(key, false))
 	}
 	return false, minTouched, nil
 }
@@ -1001,9 +986,12 @@ func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts
 	} else {
 		candidates = e.base.ByPred(pattern.Pred)
 	}
+	// bound holds the slots one candidate binds, on the stack for any usual
+	// arity; each candidate unbinds them before the next is tried.
+	var bound [8]int
 	tryMatch := func(id facts.AtomID) error {
 		args := e.in.Args(id)
-		var boundHere []int
+		boundHere := bound[:0]
 		ok := true
 		for i, t := range pattern.Args {
 			if t.IsVar() {
@@ -1040,7 +1028,11 @@ func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts
 			return err
 		}
 	}
-	// Delta atoms of this predicate (deltas are small; scan them).
+	// Delta atoms of this predicate (deltas are small; scan them), unless
+	// the state's predicate summary shows it adds none.
+	if !st.MayMention(pattern.Pred) {
+		return nil
+	}
 	for it := st.Delta.Added(); ; {
 		id, ok := it.Next()
 		if !ok {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hypodatalog/internal/ast"
+	"hypodatalog/internal/facts"
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/strat"
@@ -477,4 +478,113 @@ func TestMatchStateScanAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("matchState over a %d-atom delta allocates %v times per call, want 0", st.Delta.Len(), allocs)
 	}
+}
+
+// TestMatchStateBindAllocatesNothing: matching a pattern with an unbound
+// variable binds it for each candidate on the stack, walking the state's
+// added atoms where they lie, and allocates nothing per match. The delta
+// holds twelve q atoms among thirty s atoms, so the walk passes atoms of
+// another predicate and binds X twelve times.
+func TestMatchStateBindAllocatesNothing(t *testing.T) {
+	e, cp := newEngine(t, "p(X) :- q(X).\nt(X) :- s(X).\n", Options{})
+	q, _ := cp.Syms.LookupPred("q", 1)
+	s, _ := cp.Syms.LookupPred("s", 1)
+	st := e.EmptyState()
+	for i := 0; i < 30; i++ {
+		st = st.Add(e.in.ID(s, []symbols.Const{cp.Syms.Const(fmt.Sprint("c", i))}))
+		if i%5 < 2 {
+			st = st.Add(e.in.ID(q, []symbols.Const{cp.Syms.Const(fmt.Sprint("d", i))}))
+		}
+	}
+	rule := &cp.Rules[cp.ByHead[cp.Rules[0].Head.Pred][0]]
+	binding := newBinding(rule.NumVars)
+	matches := 0
+	yield := func() error {
+		if binding[0] == unbound {
+			return errors.New("match left X unbound")
+		}
+		matches++
+		return nil
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		matches = 0
+		if err := e.matchState(rule.Body[0].Atom, binding, st, yield); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if matches != 12 || binding[0] != unbound {
+		t.Fatalf("matchState bound X %d times (left %d), want 12 and unbound after", matches, binding[0])
+	}
+	if allocs != 0 {
+		t.Fatalf("matchState binding %d matches allocates %v times per call, want 0", matches, allocs)
+	}
+}
+
+// orderSrc is Example 5's loop over a stored linear order, cut after e5:
+// next(e5, e9) is not a fact, so oap(e1) holds only in a state that adds
+// it. marker and next are both extensional, and the loop's states carry
+// marker atoms beside whatever was added.
+const orderSrc = `oa :- first(X), oap(X)[add: marker(X)].
+oap(X) :- next(X, Y), oap(Y)[add: marker(Y)].
+oap(X) :- last(X).
+first(e1).
+next(e1, e2). next(e2, e3). next(e3, e4). next(e4, e5).
+last(e9).
+`
+
+// TestMatchStateFindsAddedBaseAtom: a hypothetical state that adds an atom
+// of a base extensional predicate — next(e5, e9), beside next's stored
+// facts — is matched by a pattern over it, whether the added atom is the
+// state's only token or sits among marker tokens, added before them or
+// after (the later walk reaches the state the earlier one interned,
+// through another parent); a state whose tokens are all markers matches
+// next's stored facts alone. The order loop then answers through it.
+func TestMatchStateFindsAddedBaseAtom(t *testing.T) {
+	e, cp := newEngine(t, orderSrc, Options{})
+	next, _ := cp.Syms.LookupPred("next", 2)
+	marker, _ := cp.Syms.LookupPred("marker", 1)
+	c := cp.Syms.Const
+	added := e.in.ID(next, []symbols.Const{c("e5"), c("e9")})
+	var markerIDs []facts.AtomID
+	for _, x := range []string{"e1", "e2", "e3", "e4", "e5", "e9"} {
+		markerIDs = append(markerIDs, e.in.ID(marker, []symbols.Const{c(x)}))
+	}
+	var rule *ast.CRule // oap(X) :- next(X, Y), …
+	for i := range cp.Rules {
+		if r := &cp.Rules[i]; r.Body[0].Atom.Pred == next {
+			rule = r
+		}
+	}
+	pattern := rule.Body[0].Atom
+	// Built in this order: the next-first walk interns the set the
+	// markers-first walk then finds.
+	for _, tc := range []struct {
+		name string
+		st   facts.State
+		want int // matches of next(X, Y)
+	}{
+		{"alone", e.EmptyState().Add(added), 5},
+		{"before markers", e.EmptyState().Add(added).AddAll(markerIDs), 5},
+		{"after markers", e.EmptyState().AddAll(markerIDs).Add(added), 5},
+		{"markers only", e.EmptyState().AddAll(markerIDs), 4},
+	} {
+		binding := newBinding(rule.NumVars)
+		found, n := false, 0
+		err := e.matchState(pattern, binding, tc.st, func() error {
+			n++
+			found = found || (binding[0] == c("e5") && binding[1] == c("e9"))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.want || found != (tc.want == 5) {
+			t.Errorf("%s: next(X, Y) matched %d atoms (next(e5, e9) among them: %v), want %d", tc.name, n, found, tc.want)
+		}
+	}
+
+	expect(t, e, cp, "oa", false)
+	expect(t, e, cp, "oap(e5)[add: next(e5, e9)]", true)
+	expect(t, e, cp, "oa[add: next(e5, e9)]", true)
+	expect(t, e, cp, "oap(e4)[add: marker(e4), marker(e5), next(e5, e9), marker(e9)]", true)
 }
