@@ -100,15 +100,17 @@ type Stats = topdown.Stats
 
 // Program is a parsed, validated, compiled hypothetical Datalog program.
 type Program struct {
-	src  *ast.Program
-	comp *ast.CProgram
+	src  *ast.Program  // as the user wrote it
+	comp *ast.CProgram // src after ast.RewriteNegation, compiled
 	syms *symbols.Table
 	strt *strat.Stratification // nil if not linearly stratifiable
 	serr error                 // why strt is nil
 
-	// graph returns the rules' dependency graph, which commit cones are
-	// computed against. It is built once, on first use, and depends only
-	// on the rules, so every data version derived by withFacts shares it.
+	// graph returns the dependency graph of the rewritten rules, which
+	// commit cones are computed against: an auxiliary predicate is then in
+	// the cone of what its premise reads, and a commit prunes its memo
+	// entries too. It is built once, on first use, and depends only on the
+	// rules, so every data version derived by withFacts shares it.
 	graph func() *depgraph.Graph
 	// rel is the rules' relevance classes, which every engine's interner
 	// projects states onto. Like strt it is computed when the program is
@@ -125,8 +127,9 @@ type Program struct {
 }
 
 // Parse parses, validates and compiles a program from source text.
-// Negated-hypothetical premises (~A[add:B]) are rewritten away using the
-// paper's section 3.1 transformation. Recursion through negation is an
+// Negated-hypothetical premises (~A[add:B]) and negations with a variable
+// of their own are evaluated through the paper's section 3.1
+// transformation (see FromAST). Recursion through negation is an
 // error; failing to be *linearly* stratifiable is not (the program is
 // still evaluable, just without a Σ_k^P complexity bound or cascade
 // support).
@@ -147,29 +150,33 @@ func ParseFile(path string) (*Program, error) {
 	return FromAST(p)
 }
 
-// FromAST builds a Program from an already-constructed AST. The AST is
-// modified in place by the negated-hypothetical rewrite.
+// FromAST builds a Program from an already-constructed AST, which it does
+// not modify. The engines run the program the section 3.1 rewrite makes
+// of it (ast.RewriteNegation): validation, stratification, compilation,
+// relevance and the graph commit cones are cut from all see the
+// rewritten rules, and String, AST, WriteSnapshot and RulesHash the
+// user's.
 func FromAST(p *ast.Program) (*Program, error) {
-	ast.RewriteNegHyp(p)
-	if errs := ast.Validate(p); len(errs) > 0 {
+	rw := ast.RewriteNegation(p)
+	if errs := ast.Validate(rw); len(errs) > 0 {
 		msgs := make([]string, len(errs))
 		for i, e := range errs {
 			msgs[i] = e.Error()
 		}
 		return nil, errors.New(strings.Join(msgs, "; "))
 	}
-	if err := strat.CheckNegation(p); err != nil {
+	if err := strat.CheckNegation(rw); err != nil {
 		return nil, err
 	}
 	syms := symbols.NewTable()
-	cp, err := ast.Compile(p, syms)
+	cp, err := ast.Compile(rw, syms)
 	if err != nil {
 		return nil, err
 	}
 	out := &Program{src: p, comp: cp, syms: syms}
-	out.strt, out.serr = strat.Stratify(p)
+	out.strt, out.serr = strat.Stratify(rw)
 	out.graph = sync.OnceValue(func() *depgraph.Graph {
-		return depgraph.Build(&ast.Program{Rules: p.Rules})
+		return depgraph.Build(&ast.Program{Rules: rw.Rules})
 	})
 	out.rel = facts.NewRelevance(cp)
 	return out, nil
@@ -226,7 +233,8 @@ func (p *Program) withFacts(fs []ast.Atom, pinDom []symbols.Const) (*Program, er
 	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, graph: p.graph, rel: p.rel}, nil
 }
 
-// AST returns the underlying syntax tree (after the section 3.1 rewrite).
+// AST returns the program's syntax tree as the user wrote it, before the
+// section 3.1 rewrite the engines run.
 func (p *Program) AST() *ast.Program { return p.src }
 
 // RulesHash is a fingerprint of the program's rule set (canonical text,

@@ -150,6 +150,99 @@ func TestEngineApplyDeltaMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestEngineApplyDeltaParity is TestEngineApplyDeltaMatchesRebuild over
+// Example 6, whose rule even :- not selectx(X) runs as a negated
+// auxiliary predicate defined by selectx. A commit to item must prune
+// that predicate's memo entries and cached models too, so the cone is
+// cut from the rules the engines run, not from the rules as written.
+func TestEngineApplyDeltaParity(t *testing.T) {
+	p := mustParse(t, `
+even :- selectx(X), odd[add: copied(X)].
+odd :- selectx(X), even[add: copied(X)].
+even :- not selectx(X).
+selectx(X) :- item(X), not copied(X).
+item(x1). item(x2). item(x3).
+copied(x4).
+`)
+	dom, _ := domainInfo(p, Options{})
+	probe := func(e *Engine) string {
+		var sb strings.Builder
+		for _, adds := range [][]string{nil, {"copied(x1)"}, {"copied(x2)", "copied(x3)"}, {"item(x4)"}} {
+			for _, q := range []string{"even", "odd"} {
+				ok, err := e.AskUnder(q, adds...)
+				if err != nil {
+					t.Fatalf("AskUnder(%s, %v): %v", q, adds, err)
+				}
+				fmt.Fprintf(&sb, "%s+%v: %v\n", q, adds, ok)
+			}
+		}
+		return sb.String()
+	}
+	var inc []*Engine
+	for _, mode := range []Mode{ModeUniform, ModeCascade} {
+		e, err := New(p, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe(e) // warm every memo and model the commits must prune
+		inc = append(inc, e)
+	}
+	facts := map[string]bool{}
+	for _, f := range p.src.Facts {
+		facts[f.String()] = true
+	}
+	steps := []struct {
+		asserts, retracts []string
+	}{
+		{[]string{"item(x4)"}, nil},                         // the copied item: nothing selectable changes
+		{nil, []string{"copied(x4)"}},                       // x4 becomes selectable
+		{nil, []string{"item(x1)", "item(x2)", "item(x3)"}}, // one item left
+		{nil, []string{"item(x4)"}},                         // none: even by the negation alone
+		{[]string{"item(x2)", "copied(x2)"}, nil},           // an item already copied
+		{[]string{"item(x1)"}, []string{"copied(x2)"}},      // mixed batch
+	}
+	for si, st := range steps {
+		for _, e := range inc {
+			if err := e.ApplyDelta(st.asserts, st.retracts); err != nil {
+				t.Fatalf("step %d ApplyDelta: %v", si, err)
+			}
+		}
+		for _, s := range st.asserts {
+			facts[s] = true
+		}
+		for _, s := range st.retracts {
+			delete(facts, s)
+		}
+		var fs []string
+		for f := range facts {
+			fs = append(fs, f)
+		}
+		sort.Strings(fs)
+		ms, err := ParseMutations(fs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var atoms = p.src.Facts[:0:0]
+		for _, m := range ms {
+			atoms = append(atoms, m.Atom)
+		}
+		coldProg, err := p.withFacts(atoms, dom)
+		if err != nil {
+			t.Fatalf("step %d withFacts: %v", si, err)
+		}
+		cold, err := New(coldProg, Options{Mode: ModeUniform})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := probe(cold)
+		for i, e := range inc {
+			if got := probe(e); got != want {
+				t.Errorf("step %d, mode %d drifted from cold rebuild:\ngot:\n%s\nwant:\n%s", si, i+1, got, want)
+			}
+		}
+	}
+}
+
 func TestEngineApplyDeltaValidation(t *testing.T) {
 	p := mustParse(t, incSrc)
 	e, err := New(p, Options{})

@@ -1,8 +1,8 @@
 // Package ast defines the abstract syntax of hypothetical Datalog programs:
 // terms, atoms, rule premises (plain, negated, and hypothetical), rules, and
-// whole programs. It also provides validation, the negated-hypothetical
-// rewrite of section 3.1 of the paper, and compilation into the interned
-// form consumed by the evaluation engines.
+// whole programs. It also provides validation, the negation rewrite of
+// section 3.1 of the paper, and compilation into the interned form
+// consumed by the evaluation engines.
 //
 // The syntax follows Bonner (PODS 1989): a rule is
 //
@@ -156,7 +156,7 @@ func (a Atom) Equal(b Atom) bool {
 }
 
 // PremiseKind distinguishes the three premise forms of Definition 1 plus
-// the negated-hypothetical form that the paper's section 3.1 rewrites away.
+// the negated-hypothetical form that the paper's section 3.1 rewrites.
 type PremiseKind int
 
 const (
@@ -166,8 +166,9 @@ const (
 	Negated
 	// Hyp is a hypothetical premise B[add: C1,...,Cm].
 	Hyp
-	// NegHyp is ~B[add: C1,...,Cm]. The inference system does not accept
-	// it directly; RewriteNegHyp eliminates it per section 3.1.
+	// NegHyp is ~B[add: C1,...,Cm]. internal/ref evaluates it as written;
+	// for the engines RewriteNegation turns it into a negated auxiliary
+	// predicate, per section 3.1.
 	NegHyp
 )
 

@@ -74,9 +74,9 @@ func TestValidateCatchesProblems(t *testing.T) {
 	p := &Program{
 		Facts: []Atom{NewAtom("p", Var("X"))}, // non-ground fact
 		Rules: []Rule{
-			{Head: NewAtom("q"), Body: []Premise{{Kind: NegHyp, Atom: NewAtom("r"), Adds: []Atom{NewAtom("w")}}}},
-			{Head: NewAtom("s"), Body: []Premise{{Kind: Hyp, Atom: NewAtom("r")}}}, // no adds
-			{Head: NewAtom("p", Const("a"), Const("b"))},                           // arity clash with p/1
+			{Head: NewAtom("q"), Body: []Premise{{Kind: NegHyp, Atom: NewAtom("r")}}}, // no adds
+			{Head: NewAtom("s"), Body: []Premise{{Kind: Hyp, Atom: NewAtom("r")}}},    // no adds
+			{Head: NewAtom("p", Const("a"), Const("b"))},                              // arity clash with p/1
 		},
 	}
 	errs := Validate(p)
@@ -91,33 +91,88 @@ func TestRewriteNegHyp(t *testing.T) {
 			Head: NewAtom("q", Var("X")),
 			Body: []Premise{
 				PlainP(NewAtom("p", Var("X"))),
-				{Kind: NegHyp, Atom: NewAtom("r", Var("X")), Adds: []Atom{NewAtom("w", Var("X"))}},
+				{Kind: NegHyp, Atom: NewAtom("r", Var("X"), Var("Y")), Adds: []Atom{NewAtom("w", Var("X"))}},
 			},
 		}},
 	}
-	n := RewriteNegHyp(p)
-	if n != 1 {
-		t.Fatalf("rewrote %d premises", n)
+	before := p.String()
+	rw := RewriteNegation(p)
+	if p.String() != before {
+		t.Errorf("input modified:\n%s", p)
 	}
-	if len(p.Rules) != 2 {
-		t.Fatalf("rules = %d", len(p.Rules))
+	if len(rw.Rules) != 2 {
+		t.Fatalf("rules = %d", len(rw.Rules))
 	}
-	// Original premise became a plain negation of the aux predicate.
-	pr := p.Rules[0].Body[1]
-	if pr.Kind != Negated || !strings.HasPrefix(pr.Atom.Pred, "neghyp_aux") {
+	// The premise became a plain negation of the aux predicate, over the
+	// variables that occur positively elsewhere: X, not Y.
+	pr := rw.Rules[0].Body[1]
+	if pr.Kind != Negated || !IsAux(pr.Atom.Pred) || len(pr.Atom.Args) != 1 || pr.Atom.Args[0] != Var("X") {
 		t.Errorf("rewritten premise = %v", pr)
 	}
-	// New rule defines the aux predicate with the hypothetical body.
-	aux := p.Rules[1]
-	if aux.Head.Pred != pr.Atom.Pred || aux.Body[0].Kind != Hyp {
+	// The aux rule keeps the hypothetical body, Y free in it.
+	aux := rw.Rules[1]
+	if !aux.Head.Equal(pr.Atom) || aux.Body[0].Kind != Hyp || aux.Body[0].String() != "r(X, Y)[add: w(X)]" {
 		t.Errorf("aux rule = %v", aux)
 	}
-	if len(Validate(p)) != 0 {
-		t.Errorf("rewritten program invalid: %v", Validate(p))
+	if errs := Validate(rw); len(errs) != 0 {
+		t.Errorf("rewritten program invalid: %v", errs)
 	}
 	// Idempotent.
-	if RewriteNegHyp(p) != 0 {
-		t.Error("second rewrite found premises")
+	if again := RewriteNegation(rw); again.String() != rw.String() {
+		t.Errorf("second rewrite changed the program:\n%s", again)
+	}
+}
+
+func TestRewriteNegationLocalVariable(t *testing.T) {
+	p := &Program{
+		Rules: []Rule{
+			{ // Example 6: Y is local to the negation.
+				Head: NewAtom("even"),
+				Body: []Premise{NegP(NewAtom("selectx", Var("Y")))},
+			},
+			{ // Every variable of the negation is bound elsewhere: kept.
+				Head: NewAtom("q", Var("X")),
+				Body: []Premise{PlainP(NewAtom("p", Var("X"))), NegP(NewAtom("r", Var("X")))},
+			},
+			{ // X is shared, Z local: the aux predicate keeps X.
+				Head: NewAtom("s", Var("X")),
+				Body: []Premise{PlainP(NewAtom("p", Var("X"))), NegP(NewAtom("t", Var("X"), Var("Z")))},
+			},
+		},
+	}
+	rw := RewriteNegation(p)
+	if len(rw.Rules) != 5 {
+		t.Fatalf("rules = %d:\n%s", len(rw.Rules), rw)
+	}
+	if &rw.Rules[1].Body[0] != &p.Rules[1].Body[0] {
+		t.Error("a rule the rewrite leaves alone was copied")
+	}
+	even, s := rw.Rules[0].Body[0], rw.Rules[2].Body[1]
+	if even.Kind != Negated || !IsAux(even.Atom.Pred) || len(even.Atom.Args) != 0 {
+		t.Errorf("even's premise = %v", even)
+	}
+	if s.Kind != Negated || !IsAux(s.Atom.Pred) || len(s.Atom.Args) != 1 || s.Atom.Args[0] != Var("X") {
+		t.Errorf("s's premise = %v", s)
+	}
+	for i, want := range []string{"selectx(Y)", "t(X, Z)"} {
+		aux := rw.Rules[3+i]
+		if aux.Body[0].Kind != Plain || aux.Body[0].String() != want {
+			t.Errorf("aux rule %d = %v, want body %s", i, aux, want)
+		}
+	}
+	cp, err := Compile(rw, symbols.NewTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.CheckRewritten(); err != nil {
+		t.Errorf("rewritten program: %v", err)
+	}
+	raw, err := Compile(p, symbols.NewTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.CheckRewritten() == nil {
+		t.Error("CheckRewritten accepts a negation-local variable")
 	}
 }
 

@@ -73,7 +73,8 @@ type CRule struct {
 	// premises are quantified inside the negation: ~B(x) with x occurring
 	// nowhere else reads "no instance of B is provable", which is what
 	// Examples 6 and 7 of the paper require (the rule EVEN ← ~SELECT(x̄)
-	// must fire exactly when nothing is selectable).
+	// must fire exactly when nothing is selectable). RewriteNegation
+	// leaves no such variable; internal/ref quantifies it itself.
 	PosVar []bool
 }
 
@@ -94,8 +95,9 @@ type CProgram struct {
 }
 
 // Compile interns a validated program into syms. Facts must be ground and
-// NegHyp premises must have been rewritten away; Compile reports an error
-// otherwise rather than producing an engine-visible inconsistency.
+// queries must not be negated-hypothetical; Compile reports an error
+// otherwise. Rules may keep what RewriteNegation rewrites: internal/ref
+// evaluates them as written, and the engines refuse them (CheckRewritten).
 func Compile(p *Program, syms *symbols.Table) (*CProgram, error) {
 	cp := &CProgram{
 		Syms:   syms,
@@ -186,9 +188,6 @@ func compileRule(r Rule, syms *symbols.Table) (CRule, error) {
 		if err != nil {
 			return CRule{}, err
 		}
-		if cpr.Kind == NegHyp {
-			return CRule{}, fmt.Errorf("ast: rule at line %d: negated hypothetical premise %s; run RewriteNegHyp first", r.Line, pr)
-		}
 		cr.Body = append(cr.Body, cpr)
 	}
 	cr.NumVars = len(names)
@@ -218,6 +217,38 @@ func compileRule(r Rule, syms *symbols.Table) (CRule, error) {
 		}
 	}
 	return cr, nil
+}
+
+// CheckRewritten reports the first rule premise RewriteNegation would
+// rewrite: a negated hypothetical, or a negation with a variable that
+// occurs positively nowhere in its rule. The engines test every negated
+// premise ground, so they refuse such a program rather than answer it
+// with the wrong quantifier.
+func (cp *CProgram) CheckRewritten() error {
+	for i := range cp.Rules {
+		if err := cp.Rules[i].CheckRewritten(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckRewritten is CProgram.CheckRewritten for one rule.
+func (r *CRule) CheckRewritten() error {
+	for _, pr := range r.Body {
+		switch pr.Kind {
+		case NegHyp:
+			return fmt.Errorf("ast: rule at line %d: negated hypothetical premise; run RewriteNegation first", r.Line)
+		case Negated:
+			for _, t := range pr.Atom.Args {
+				if t.IsVar() && !r.PosVar[t.VarSlot()] {
+					return fmt.Errorf("ast: rule at line %d: variable %s occurs only under negation; run RewriteNegation first",
+						r.Line, r.VarNames[t.VarSlot()])
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // CompilePremise interns a standalone premise (typically a query). vars

@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -24,8 +25,6 @@ func (e *ValidateError) Error() string {
 // system of the paper assumes:
 //
 //   - facts must be ground;
-//   - negated-hypothetical premises ~A[add:B] are not part of the inference
-//     system (section 3.1) — RewriteNegHyp removes them;
 //   - predicate symbols must be used with a consistent arity (this is
 //     already enforced by treating name/arity as the identity, but mixed
 //     arities are usually typos, so they are reported);
@@ -44,13 +43,6 @@ func Validate(p *Program) []error {
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		for _, pr := range r.Body {
-			if pr.Kind == NegHyp {
-				errs = append(errs, &ValidateError{
-					Rule: r, Line: r.Line,
-					Msg: fmt.Sprintf("negated hypothetical premise %s is not allowed; "+
-						"introduce an auxiliary predicate (see RewriteNegHyp)", pr),
-				})
-			}
 			if (pr.Kind == Hyp || pr.Kind == NegHyp) && len(pr.Adds)+len(pr.Dels) == 0 {
 				errs = append(errs, &ValidateError{
 					Rule: r, Line: r.Line,
@@ -104,52 +96,81 @@ func checkArities(p *Program) []error {
 	return errs
 }
 
-// RewriteNegHyp eliminates negated-hypothetical premises using the
-// transformation from section 3.1 of the paper: a premise ~A[add: B̄] in a
-// rule is replaced by ~C(x̄) for a fresh predicate C, and a new rule
+// auxMark is in the name of every auxiliary predicate RewriteNegation
+// makes. It is not valid UTF-8 and the lexer decodes its input, so no
+// lexed name contains it: no user predicate collides with an auxiliary and
+// no query names one.
+const auxMark = "\xff"
+
+// IsAux reports whether a predicate name is one RewriteNegation made.
+func IsAux(pred string) bool { return strings.Contains(pred, auxMark) }
+
+// RewriteNegation returns p with every negated premise that the engines
+// do not test ground rewritten by the device of section 3.1. Such a
+// premise is either negated-hypothetical, ~A[add: B̄], or has a variable
+// that occurs in no head, plain premise or hypothetical premise of its
+// rule: Definition 3 reads ~A(Y), with Y nowhere else, as "no Y makes A(Y)
+// provable". The premise becomes ~C(V̄) for a fresh predicate C, where V̄
+// are its variables that occur positively elsewhere in the rule, and the
+// rule
 //
-//	C(x̄) ← A[add: B̄]
+//	C(V̄) ← A[add: B̄]    (or C(V̄) ← A)
 //
-// is appended, where x̄ are the variables of the original premise. The
-// transformation preserves the answers of the program (tested in
-// engine tests). It returns the number of premises rewritten.
-func RewriteNegHyp(p *Program) int {
-	used := map[string]bool{}
-	for _, s := range p.Predicates() {
-		used[s.Name] = true
-	}
-	fresh := func() string {
-		for i := 1; ; i++ {
-			name := fmt.Sprintf("neghyp_aux%d", i)
-			if !used[name] {
-				used[name] = true
-				return name
-			}
-		}
-	}
-	count := 0
-	var newRules []Rule
-	for i := range p.Rules {
-		r := &p.Rules[i]
-		for j := range r.Body {
-			pr := &r.Body[j]
-			if pr.Kind != NegHyp {
+// is appended. C(V̄) holds iff some instance of the premise's own
+// variables makes A provable, so ~C(V̄) is the user's premise with every
+// variable ground. The input is not modified; the output shares the
+// rules, facts and queries the rewrite leaves alone. The rewrite is
+// idempotent: no premise it writes needs it again.
+func RewriteNegation(p *Program) *Program {
+	out := &Program{Rules: make([]Rule, 0, len(p.Rules)), Facts: p.Facts, Queries: p.Queries}
+	var aux []Rule
+	for _, r := range p.Rules {
+		pos := positiveVars(r)
+		var body []Premise // r.Body, copied on its first rewrite
+		for j, pr := range r.Body {
+			vars := pr.Vars(nil)
+			local := slices.ContainsFunc(vars, func(v string) bool { return !pos[v] })
+			if !(pr.Kind == NegHyp || pr.Kind == Negated && local) {
 				continue
 			}
-			count++
-			vars := pr.Vars(nil)
-			args := make([]Term, len(vars))
-			for k, v := range vars {
-				args[k] = Var(v)
+			if body == nil {
+				body = slices.Clone(r.Body)
 			}
-			aux := fresh()
-			newRules = append(newRules, Rule{
-				Head: Atom{Pred: aux, Args: args},
-				Body: []Premise{{Kind: Hyp, Atom: pr.Atom, Adds: pr.Adds, Dels: pr.Dels}},
-			})
-			*pr = Premise{Kind: Negated, Atom: Atom{Pred: aux, Args: args}}
+			var args []Term
+			for _, v := range vars {
+				if pos[v] {
+					args = append(args, Var(v))
+				}
+			}
+			head := Atom{Pred: fmt.Sprintf("neg%s%d", auxMark, len(aux)+1), Args: args}
+			kind := Plain
+			if pr.Kind == NegHyp {
+				kind = Hyp
+			}
+			aux = append(aux, Rule{Head: head, Body: []Premise{{Kind: kind, Atom: pr.Atom, Adds: pr.Adds, Dels: pr.Dels}}, Line: r.Line})
+			body[j] = NegP(head)
+		}
+		if body != nil {
+			r.Body = body
+		}
+		out.Rules = append(out.Rules, r)
+	}
+	out.Rules = append(out.Rules, aux...)
+	return out
+}
+
+// positiveVars returns the variables of a rule that occur in its head, a
+// plain premise or a hypothetical premise.
+func positiveVars(r Rule) map[string]bool {
+	vs := r.Head.Vars(nil)
+	for _, pr := range r.Body {
+		if pr.Kind == Plain || pr.Kind == Hyp {
+			vs = pr.Vars(vs)
 		}
 	}
-	p.Rules = append(p.Rules, newRules...)
-	return count
+	pos := make(map[string]bool, len(vs))
+	for _, v := range vs {
+		pos[v] = true
+	}
+	return pos
 }

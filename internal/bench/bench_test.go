@@ -222,3 +222,22 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("moved counter: diffs = %v", diffs)
 	}
 }
+
+// TestParityProveGoals pins E3's uniform cost exactly: proving the true
+// parity of n items takes n² + 5n + 2 goals, the auxiliary goal that
+// even's base rule negates (DESIGN §3, "Negation") included.
+func TestParityProveGoals(t *testing.T) {
+	for n := 2; n <= 12; n++ {
+		cases, err := e3Parity(Sizes{Parity: []int{n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cases[0].Run() // prove/n=n
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(n*n + 5*n + 2); got["goals"] != want {
+			t.Errorf("E3 prove/n=%d took %d goals, want n² + 5n + 2 = %d", n, got["goals"], want)
+		}
+	}
+}

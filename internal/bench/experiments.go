@@ -419,7 +419,7 @@ func e10Horn(s Sizes) ([]Case, error) {
 	return l.done()
 }
 
-// e11Rewrite: a negated hypothetical premise, rewritten away by Parse
+// e11Rewrite: a negated hypothetical premise, which Parse rewrites
 // (section 3.1), answers as the hand-written auxiliary predicate does.
 func e11Rewrite(Sizes) ([]Case, error) {
 	const (

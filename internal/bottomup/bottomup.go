@@ -113,6 +113,11 @@ func New(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, rules []int, ora
 		maxCache: 1 << 16,
 	}
 	for _, ri := range rules {
+		// A negated premise is tested ground (testAtom): a variable of its
+		// own would be read under the wrong quantifier.
+		if err := cp.Rules[ri].CheckRewritten(); err != nil {
+			return nil, fmt.Errorf("bottomup: %w", err)
+		}
 		p.own[cp.Rules[ri].Head.Pred] = true
 	}
 	// Plans depend on the whole own set (it decides which premises match

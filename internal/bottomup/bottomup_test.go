@@ -25,7 +25,7 @@ func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +232,22 @@ func TestMaterialisationCachePerState(t *testing.T) {
 	}
 	if len(p.cache) != 2 {
 		t.Errorf("cache entries = %d, want 2", len(p.cache))
+	}
+}
+
+func TestNewRefusesUnrewrittenNegation(t *testing.T) {
+	for _, src := range []string{"empty :- not q(X).\n", "p :- not q(a)[add: w(a)].\n"} {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := ast.Compile(prog, symbols.NewTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cp, facts.NewDB(facts.NewInterner(cp.Syms)), ref.Domain(cp), []int{0}, nil); err == nil {
+			t.Errorf("New accepts %q before the negation rewrite", src)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ type step struct {
 	pr    *ast.CPremise
 	kind  stepKind
 	binds []int // slots unbound on entry that the step binds: by matching (own, ext) or by ranging over the domain
-	local []int // stepNeg: unbound slots with no positive occurrence, quantified inside the negation
 	pos   int   // stepOwn, stepExt: the first argument bound on entry — the index position probed — or -1
 }
 
@@ -104,14 +103,7 @@ func (p *Prover) compilePlan(r *ast.CRule, skip int, pre ...ast.CAtom) plan {
 		switch {
 		case pr.Kind == ast.Negated:
 			s.kind = stepNeg
-			for _, v := range unboundIn(bound, pr.Atom) {
-				if r.PosVar[v] {
-					s.binds = append(s.binds, v)
-				} else {
-					s.local = append(s.local, v)
-				}
-			}
-			bind(s.binds)
+			s.binds = bind(unboundIn(bound, pr.Atom))
 		case pr.Kind == ast.Hyp:
 			s.kind = stepHyp
 			s.binds = bind(unboundIn(bound, append(append([]ast.CAtom{pr.Atom}, pr.Adds...), pr.Dels...)...))
@@ -413,8 +405,8 @@ func (p *Prover) joinAt(pl *plan, binding []symbols.Const, pi int, st facts.Stat
 		})
 	default:
 		return p.enumThen(s.binds, binding, func() error {
-			found, err := p.negInstance(pr.Atom, binding, s.local, st, m)
-			return holds(!found, err)
+			ok, err := p.testAtom(p.ground(pr.Atom, binding), st, m)
+			return holds(!ok, err)
 		})
 	}
 }
@@ -459,26 +451,6 @@ func (p *Prover) askOracleOrModel(goal facts.AtomID, st, ext facts.State, m *mod
 }
 
 var errStop = fmt.Errorf("bottomup: stop")
-
-// negInstance reports whether some instantiation of localSlots makes the
-// atom derivable (state, model, or oracle).
-func (p *Prover) negInstance(a ast.CAtom, binding []symbols.Const, localSlots []int, st facts.State, m *model) (bool, error) {
-	found := false
-	err := p.enumThen(localSlots, binding, func() error {
-		ok, err := p.testAtom(p.ground(a, binding), st, m)
-		if err == nil && ok {
-			found, err = true, errStop
-		}
-		return err
-	})
-	for _, s := range localSlots {
-		binding[s] = unbound
-	}
-	if err != nil && err != errStop {
-		return false, err
-	}
-	return found, nil
-}
 
 // testAtom is TEST⁰ for a ground atom: state, then own model, then oracle.
 func (p *Prover) testAtom(goal facts.AtomID, st facts.State, m *model) (bool, error) {

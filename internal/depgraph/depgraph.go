@@ -14,11 +14,14 @@ import (
 // EdgeKind is the occurrence kind that induced a dependency edge.
 type EdgeKind int
 
-// Edge kinds, per Definition 4.
+// Edge kinds, per Definition 4, plus the negated hypothetical that
+// section 3.1 rewrites into a negative edge to an auxiliary predicate with
+// a hypothetical edge to B.
 const (
-	Pos EdgeKind = iota // B(x̄) occurs as a plain premise
-	Neg                 // ~B(x̄)
-	Hyp                 // B(x̄)[add: ...]
+	Pos    EdgeKind = iota // B(x̄) occurs as a plain premise
+	Neg                    // ~B(x̄)
+	Hyp                    // B(x̄)[add: ...]
+	NegHyp                 // ~B(x̄)[add: ...]
 )
 
 func (k EdgeKind) String() string {
@@ -29,8 +32,27 @@ func (k EdgeKind) String() string {
 		return "negative"
 	case Hyp:
 		return "hypothetical"
+	case NegHyp:
+		return "negated-hypothetical"
 	default:
 		return "?"
+	}
+}
+
+// Negative reports whether the edge passes through a negation.
+func (k EdgeKind) Negative() bool { return k == Neg || k == NegHyp }
+
+// kindOf is the edge kind a premise of the given kind induces.
+func kindOf(k ast.PremiseKind) EdgeKind {
+	switch k {
+	case ast.Negated:
+		return Neg
+	case ast.Hyp:
+		return Hyp
+	case ast.NegHyp:
+		return NegHyp
+	default:
+		return Pos
 	}
 }
 
@@ -87,17 +109,8 @@ func Build(p *ast.Program) *Graph {
 		g.Defined[h] = true
 		g.RuleNode[ri] = h
 		for _, pr := range r.Body {
-			var kind EdgeKind
-			switch pr.Kind {
-			case ast.Plain:
-				kind = Pos
-			case ast.Negated:
-				kind = Neg
-			case ast.Hyp, ast.NegHyp:
-				kind = Hyp
-			}
 			to := node(pr.Atom)
-			g.Adj[h] = append(g.Adj[h], Edge{To: to, Kind: kind, Rule: ri})
+			g.Adj[h] = append(g.Adj[h], Edge{To: to, Kind: kindOf(pr.Kind), Rule: ri})
 			for _, a := range pr.Adds {
 				node(a) // ensure added predicates have nodes; no edge
 			}
@@ -260,14 +273,7 @@ func OfCompiled(cp *ast.CProgram) *Graph {
 		h := int(r.Head.Pred)
 		g.Defined[h], g.RuleNode[ri] = true, h
 		for _, pr := range r.Body {
-			kind := Pos
-			switch pr.Kind {
-			case ast.Negated:
-				kind = Neg
-			case ast.Hyp:
-				kind = Hyp
-			}
-			g.Adj[h] = append(g.Adj[h], Edge{To: int(pr.Atom.Pred), Kind: kind, Rule: ri})
+			g.Adj[h] = append(g.Adj[h], Edge{To: int(pr.Atom.Pred), Kind: kindOf(pr.Kind), Rule: ri})
 		}
 	}
 	return g

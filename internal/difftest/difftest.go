@@ -2,11 +2,12 @@
 // other through the public API: the top-down tabled engine
 // (hypo.ModeUniform), the paper's PROVE_Σ/PROVE_Δ cascade
 // (hypo.ModeCascade, when the program is linearly stratifiable), the
-// naive Definition-3 reference interpreter (internal/ref), and — as a
-// further implementation — engines mutated in place through
+// naive Definition-3 reference interpreter (internal/ref, which reads the
+// program as written, before the negation rewrite the engines run), and —
+// as a further implementation — engines mutated in place through
 // Engine.ApplyDelta, which must agree with a cold rebuild at the
-// post-batch fact set. Any disagreement on Ask, Query or
-// AskUnder is a bug in at least one of them.
+// post-batch fact set. Any disagreement on Ask, Query or AskUnder is a
+// bug in at least one of them.
 //
 // The existing fuzzers in internal/topdown and internal/engine compare
 // the evaluators below the public surface — on interned atom IDs, with

@@ -22,7 +22,7 @@ func buildBoth(t *testing.T, src string) (*topdown.Engine, *Cascade, *ast.CProgr
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	ast.RewriteNegHyp(prog)
+	prog = ast.RewriteNegation(prog)
 	s, err := strat.Stratify(prog)
 	if err != nil {
 		t.Fatalf("stratify: %v", err)
@@ -149,6 +149,7 @@ func TestCascadeAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prog = ast.RewriteNegation(prog)
 		s, err := strat.Stratify(prog)
 		if err != nil {
 			continue // fuzz can produce non-linear programs; skip those
@@ -209,6 +210,7 @@ func TestCascadeDeletionFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prog = ast.RewriteNegation(prog)
 		s, err := strat.Stratify(prog)
 		if err != nil {
 			continue

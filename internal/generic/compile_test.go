@@ -41,7 +41,7 @@ func askGenericYes(t *testing.T, rules, facts string) bool {
 	if err := strat.CheckNegation(prog); err != nil {
 		t.Fatalf("negation: %v", err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}

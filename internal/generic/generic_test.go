@@ -25,7 +25,7 @@ func askYes(t *testing.T, src string) bool {
 	if err := strat.CheckNegation(prog); err != nil {
 		t.Fatalf("negation: %v", err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}

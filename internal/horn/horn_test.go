@@ -15,7 +15,7 @@ func build(t *testing.T, src string) (*Engine, *ast.CProgram) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestRejectsHypothetical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRejectsRecursionThroughNegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRejectsNonRangeRestricted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}

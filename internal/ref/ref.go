@@ -12,6 +12,12 @@
 // Negated premises always refer to strictly lower levels, whose values are
 // final when read.
 //
+// Negated premises are read as written: a variable that occurs only in
+// negated premises is quantified inside its negation, and a negated
+// hypothetical ~A[add: B] is A's failure in the state B makes. The engines
+// run the program section 3.1's rewrite makes of both (ast.RewriteNegation);
+// this package shares nothing with that rewrite.
+//
 // It exists as the specification against which the real engines are
 // differentially tested; it is exponential and must only be used on small
 // programs. Programs must be free of recursion through negation (run
@@ -393,28 +399,32 @@ func (ip *Interp) bodyHolds(r *ast.CRule, binding []symbols.Const, st facts.Stat
 			if !ip.atomHoldsAt(ip.ground(pr.Atom, binding), st, g) {
 				return false
 			}
-		case ast.Negated:
+		case ast.Negated, ast.NegHyp:
 			// Stratification guarantees the negated predicate's SCC is
 			// strictly below the current level, so its value is final.
 			// Variables occurring only in negated premises are quantified
 			// inside the negation.
-			if ip.negInstanceHolds(pr.Atom, binding, st, g) {
+			if ip.negInstanceHolds(pr, binding, st, g) {
 				return false
 			}
 		case ast.Hyp:
-			next := st
-			for _, a := range pr.Adds {
-				next = next.Add(ip.ground(a, binding))
-			}
-			for _, a := range pr.Dels {
-				next = next.Del(ip.ground(a, binding))
-			}
-			if !ip.atomHoldsAt(ip.ground(pr.Atom, binding), next, g) {
+			if !ip.atomHoldsAt(ip.ground(pr.Atom, binding), ip.extend(pr, binding, st), g) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// extend applies a premise's hypothetical additions and deletions to st.
+func (ip *Interp) extend(pr *ast.CPremise, binding []symbols.Const, st facts.State) facts.State {
+	for _, a := range pr.Adds {
+		st = st.Add(ip.ground(a, binding))
+	}
+	for _, a := range pr.Dels {
+		st = st.Del(ip.ground(a, binding))
+	}
+	return st
 }
 
 // atomHoldsAt checks a ground atom in an arbitrary state, against the
@@ -448,17 +458,20 @@ func (ip *Interp) atomHoldsAt(gid facts.AtomID, st facts.State, g *levelGroup) b
 	return false
 }
 
-// negInstanceHolds reports whether some instantiation of the atom's
-// unbound (negation-local) variables is derivable.
-func (ip *Interp) negInstanceHolds(a ast.CAtom, binding []symbols.Const, st facts.State, g *levelGroup) bool {
+// negInstanceHolds reports whether some instantiation of the premise's
+// unbound (negation-local) variables makes it derivable: its atom, in the
+// state its additions and deletions make.
+func (ip *Interp) negInstanceHolds(pr *ast.CPremise, binding []symbols.Const, st facts.State, g *levelGroup) bool {
 	var local []int
 	seen := map[int]bool{}
-	for _, t := range a.Args {
-		if t.IsVar() {
-			s := t.VarSlot()
-			if binding[s] == unboundC && !seen[s] {
-				seen[s] = true
-				local = append(local, s)
+	for _, a := range append(append([]ast.CAtom{pr.Atom}, pr.Adds...), pr.Dels...) {
+		for _, t := range a.Args {
+			if t.IsVar() {
+				s := t.VarSlot()
+				if binding[s] == unboundC && !seen[s] {
+					seen[s] = true
+					local = append(local, s)
+				}
 			}
 		}
 	}
@@ -469,7 +482,7 @@ func (ip *Interp) negInstanceHolds(a ast.CAtom, binding []symbols.Const, st fact
 			return
 		}
 		if i == len(local) {
-			if ip.atomHoldsAt(ip.ground(a, binding), st, g) {
+			if ip.atomHoldsAt(ip.ground(pr.Atom, binding), ip.extend(pr, binding, st), g) {
 				found = true
 			}
 			return

@@ -104,7 +104,7 @@ func CheckNegation(p *ast.Program) error {
 	comps, compOf := g.SCCs()
 	for from, edges := range g.Adj {
 		for _, e := range edges {
-			if e.Kind == depgraph.Neg && compOf[e.To] == compOf[from] {
+			if e.Kind.Negative() && compOf[e.To] == compOf[from] {
 				return &NotStratifiableError{
 					Reason: "recursion through negation",
 					Preds:  compSigs(g, comps[compOf[from]]),
@@ -120,7 +120,7 @@ func check(p *ast.Program, g *depgraph.Graph, comps [][]int, compOf []int) error
 	// Test 1: recursion through negation — a negative edge inside an SCC.
 	for from, edges := range g.Adj {
 		for _, e := range edges {
-			if e.Kind == depgraph.Neg && compOf[e.To] == compOf[from] {
+			if e.Kind.Negative() && compOf[e.To] == compOf[from] {
 				return &NotStratifiableError{
 					Reason: "recursion through negation",
 					Preds:  compSigs(g, comps[compOf[from]]),
@@ -240,6 +240,7 @@ func maxPartsBound(g *depgraph.Graph) int {
 //	positive occurrence:      h >= b
 //	negative occurrence:      h >= b, and if h is even then h > b
 //	hypothetical occurrence:  h >= b, and if h is odd  then h > b
+//	negated hypothetical:     h > b rounded up to even
 //
 // (Negation inside an odd partition is permitted because Definition 9
 // separately requires each Δ_i to have stratified negation, which test 1
@@ -358,6 +359,13 @@ func violates(g *depgraph.Graph, part []int, node int) bool {
 			}
 		case depgraph.Hyp:
 			if h < b || (h%2 == 1 && h == b) {
+				return true
+			}
+		case depgraph.NegHyp:
+			// The two conditions composed, as section 3.1's auxiliary
+			// predicate sees them: it sits at the least even partition
+			// at or above b, and h negates it.
+			if h <= b+b%2 {
 				return true
 			}
 		}

@@ -292,3 +292,25 @@ func TestIterationsPolynomial(t *testing.T) {
 		}
 	}
 }
+
+// TestNegatedHypotheticalStratifiesAsRewritten: ~A[add:B] is analysed as
+// section 3.1's rewrite reads it, a negation of a hypothetical query, so
+// negating a Σ_1 query takes a second stratum, and negating one's own
+// hypothetical is recursion through negation.
+func TestNegatedHypotheticalStratifiesAsRewritten(t *testing.T) {
+	for _, src := range []string{
+		"q :- not r[add: w].\nr :- w, e.\n",
+		"q :- not aux.\naux :- r[add: w].\nr :- w, e.\n",
+	} {
+		s, err := Stratify(parse(t, src))
+		if err != nil {
+			t.Fatalf("Stratify(%q): %v", src, err)
+		}
+		if s.NumStrata != 2 || s.Part[ast.PredSig{Name: "q"}] != 3 {
+			t.Errorf("%q: %d strata, q in partition %d; want 2 strata, q in 3", src, s.NumStrata, s.Part[ast.PredSig{Name: "q"}])
+		}
+	}
+	if err := CheckNegation(parse(t, "p :- not p[add: q].\n")); err == nil {
+		t.Error("recursion through a negated hypothetical accepted")
+	}
+}

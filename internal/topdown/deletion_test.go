@@ -98,7 +98,7 @@ func TestFuzzDeletionsAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		cp, err := ast.Compile(prog, symbols.NewTable())
+		cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package topdown
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -30,8 +31,9 @@ const (
 // Proof is one node of a derivation tree for R, DB+Δ ⊢ A.
 type Proof struct {
 	Kind ProofKind
-	// Goal is the proven atom (for ProofNegation, the failed atom pattern
-	// rendered ground when possible).
+	// Goal is the proven atom (for ProofNegation, the negated premise as
+	// written, without its "not", and with the variables bound outside it
+	// rendered ground).
 	Goal string
 	// Rule is the instantiated rule head :- body for ProofRule nodes.
 	Rule string
@@ -217,26 +219,12 @@ func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, s
 		})
 		return result, found, err
 	case ast.Negated:
-		var enumSlots, localSlots []int
-		for _, s := range appendUnboundSlots(nil, pr, binding) {
-			if rule.PosVar[s] {
-				enumSlots = append(enumSlots, s)
-			} else {
-				localSlots = append(localSlots, s)
-			}
-		}
-		err := e.enumerate(enumSlots, binding, func() (bool, error) {
-			holds, err := e.negHolds(pr.Atom, binding, localSlots, st)
-			if err != nil {
+		err := e.forEachPremiseInstance(rule, pr, binding, st, func() (bool, error) {
+			holds, err := e.negCheck(e.groundAtom(pr.Atom, binding), st)
+			if err != nil || holds {
 				return false, err
 			}
-			if holds {
-				return false, nil
-			}
-			return tryRest(&Proof{
-				Kind: ProofNegation,
-				Goal: e.formatPattern(pr.Atom, binding, rule.VarNames),
-			})
+			return tryRest(&Proof{Kind: ProofNegation, Goal: e.formatNegated(pr, binding, rule.VarNames)})
 		})
 		return result, found, err
 	default:
@@ -249,21 +237,17 @@ func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, s
 // domain otherwise, until leaf returns true.
 func (e *Engine) forEachPremiseInstance(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, st facts.State, leaf func() (bool, error)) error {
 	if pr.Kind == ast.Plain && e.isExtensional(pr.Atom.Pred) {
-		stop := fmt.Errorf("stop")
 		err := e.matchState(pr.Atom, binding, st, func() error {
 			done, err := leaf()
-			if err != nil {
-				return err
+			if err == nil && done {
+				err = errStop
 			}
-			if done {
-				return stop
-			}
-			return nil
-		})
-		if err != nil && err.Error() != "stop" {
 			return err
+		})
+		if errors.Is(err, errStop) {
+			return nil
 		}
-		return nil
+		return err
 	}
 	slots := appendUnboundSlots(nil, pr, binding)
 	return e.enumerate(slots, binding, leaf)
@@ -307,32 +291,50 @@ func (e *Engine) formatRuleInstance(rule *ast.CRule, binding []symbols.Const) st
 			}
 			pr := &rule.Body[i]
 			if pr.Kind == ast.Negated {
-				b.WriteString("not ")
-			}
-			b.WriteString(e.formatPattern(pr.Atom, binding, rule.VarNames))
-			if pr.Kind == ast.Hyp {
-				if len(pr.Adds) > 0 {
-					b.WriteString("[add: ")
-					for j, a := range pr.Adds {
-						if j > 0 {
-							b.WriteString(", ")
-						}
-						b.WriteString(e.formatPattern(a, binding, rule.VarNames))
-					}
-					b.WriteString("]")
-				}
-				if len(pr.Dels) > 0 {
-					b.WriteString("[del: ")
-					for j, a := range pr.Dels {
-						if j > 0 {
-							b.WriteString(", ")
-						}
-						b.WriteString(e.formatPattern(a, binding, rule.VarNames))
-					}
-					b.WriteString("]")
-				}
+				b.WriteString("not " + e.formatNegated(pr, binding, rule.VarNames))
+			} else {
+				b.WriteString(e.formatPremise(pr, binding, rule.VarNames))
 			}
 		}
+	}
+	return b.String()
+}
+
+// formatNegated renders the premise a negation ~A was written as, without
+// its "not". For an auxiliary A of the negation rewrite that is the aux
+// rule's single premise, under the binding A's arguments give its head.
+func (e *Engine) formatNegated(pr *ast.CPremise, binding []symbols.Const, varNames []string) string {
+	if !ast.IsAux(e.prog.Syms.PredName(pr.Atom.Pred)) {
+		return e.formatPattern(pr.Atom, binding, varNames)
+	}
+	aux := &e.prog.Rules[e.rules(pr.Atom.Pred)[0]]
+	auxBinding := newBinding(aux.NumVars)
+	for i, t := range aux.Head.Args { // variables on both sides
+		auxBinding[t.VarSlot()] = binding[pr.Atom.Args[i].VarSlot()]
+	}
+	return e.formatPremise(&aux.Body[0], auxBinding, aux.VarNames)
+}
+
+// formatPremise renders a plain or hypothetical premise under a partial
+// binding.
+func (e *Engine) formatPremise(pr *ast.CPremise, binding []symbols.Const, varNames []string) string {
+	var b strings.Builder
+	b.WriteString(e.formatPattern(pr.Atom, binding, varNames))
+	for _, mod := range []struct {
+		label string
+		atoms []ast.CAtom
+	}{{"[add: ", pr.Adds}, {"[del: ", pr.Dels}} {
+		if len(mod.atoms) == 0 {
+			continue
+		}
+		b.WriteString(mod.label)
+		for j, a := range mod.atoms {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(e.formatPattern(a, binding, varNames))
+		}
+		b.WriteString("]")
 	}
 	return b.String()
 }

@@ -168,3 +168,28 @@ func TestExplainHamiltonianWitness(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainRendersRewrittenNegations: a negation the rewrite turned
+// into an auxiliary predicate is shown as the user wrote it, in the rule
+// instance and in the negation leaf, with the variables bound outside it
+// filled in and its own left as written.
+func TestExplainRendersRewrittenNegations(t *testing.T) {
+	e, _ := newEngine(t, `
+		p(a).
+		q(X) :- p(X), not r(X, Y)[add: w(Y)], not s(X, Z).
+		r(X, Y) :- w(Y), blocked.
+		s(X, X) :- blocked.
+	`, Options{})
+	proof := explainGoal(t, e, "q", 1, "a")
+	if proof == nil {
+		t.Fatal("q(a) has no proof")
+	}
+	want := `q(a)  [rule q(a) :- p(a), not r(a, Y)[add: w(Y)], not s(a, Z)]
+  p(a)  [fact]
+  not r(a, Y)[add: w(Y)]  [no instance provable]
+  not s(a, Z)  [no instance provable]
+`
+	if got := proof.String(); got != want {
+		t.Errorf("got:\n%swant:\n%s", got, want)
+	}
+}

@@ -38,7 +38,7 @@ func TestFuzzAgainstReference(t *testing.T) {
 		if err := strat.CheckNegation(prog); err != nil {
 			t.Fatalf("seed %d: generated program has recursion through negation: %v\n%s", seed, err, src)
 		}
-		cp, err := ast.Compile(prog, symbols.NewTable())
+		cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
@@ -95,7 +95,7 @@ func TestFuzzHypotheticalStates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cp, err := ast.Compile(prog, symbols.NewTable())
+		cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -39,7 +39,7 @@ func TestMonotonicityProperty(t *testing.T) {
 			return false
 		}
 		stripNegation(prog)
-		cp, err := ast.Compile(prog, symbols.NewTable())
+		cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 		if err != nil {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestDeterminismProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cp, err := ast.Compile(prog, symbols.NewTable())
+		cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 		if err != nil {
 			return false
 		}
@@ -140,7 +140,7 @@ func TestStateOrderIrrelevance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cp, err := ast.Compile(prog, symbols.NewTable())
+		cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 		if err != nil {
 			return false
 		}

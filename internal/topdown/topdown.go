@@ -271,23 +271,19 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 			panic(err)
 		}
 	}
-	e := &Engine{
-		prog:    cp,
-		in:      in,
-		base:    base,
-		dom:     dom,
-		opts:    opts,
-		onStack: make(map[tableKey]int),
-	}
-	e.indexPreds()
-	e.initBudgets()
-	return e
+	return NewWithBase(cp, base, dom, opts)
 }
 
 // NewWithBase builds an engine sharing an existing base database (and its
 // interner, with whatever relevance classes it projects onto). The
-// program's facts are NOT re-inserted.
+// program's facts are NOT re-inserted. Both constructors panic on a
+// program ast.RewriteNegation has not rewritten: the engine tests every
+// negated premise ground and would answer one with a variable of its own
+// under the wrong quantifier.
 func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Options) *Engine {
+	if err := cp.CheckRewritten(); err != nil {
+		panic(err)
+	}
 	e := &Engine{
 		prog:    cp,
 		in:      base.Interner(),
@@ -658,20 +654,11 @@ func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64,
 
 	// Enumerate any unbound variables the premise needs, then evaluate it
 	// and recurse on the remaining premises.
-	switch pr.Kind {
-	case ast.Plain:
-		if e.isExtensional(pr.Atom.Pred) {
-			// Extensional: matching the state is complete.
-			return e.evalEDBPremise(rule, pr, binding, rest, st, depth)
-		}
-		return e.evalEnumerated(rule, pr, binding, rest, st, depth)
-	case ast.Negated:
-		return e.evalNegated(rule, pr, binding, rest, st, depth)
-	case ast.Hyp:
-		return e.evalEnumerated(rule, pr, binding, rest, st, depth)
-	default:
-		return false, maxFrame, fmt.Errorf("topdown: premise kind %v in compiled rule", pr.Kind)
+	if pr.Kind == ast.Plain && e.isExtensional(pr.Atom.Pred) {
+		// Extensional: matching the state is complete.
+		return e.evalEDBPremise(rule, pr, binding, rest, st, depth)
 	}
+	return e.evalEnumerated(rule, pr, binding, rest, st, depth)
 }
 
 // evalEDBPremise matches an extensional premise against the state, which
@@ -706,10 +693,11 @@ func (e *Engine) evalEDBPremise(rule *ast.CRule, pr *ast.CPremise, binding []sym
 // errStop is an internal sentinel to stop match enumeration early.
 var errStop = fmt.Errorf("topdown: stop")
 
-// evalEnumerated handles intensional plain premises and hypothetical
+// evalEnumerated handles intensional plain, hypothetical and negated
 // premises: unbound variables range over the domain (Definition 3's
 // "ground substitution over dom(R, DB)"), and each ground instance is
-// proved recursively.
+// proved recursively — a negated one in a region of its own (negCheck).
+// The negation rewrite leaves no variable that only a negation binds.
 func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
 	slots := appendUnboundSlots(nil, pr, binding)
 	minTouched := maxFrame
@@ -728,17 +716,7 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 			binding[slots[i]] = unbound
 			return nil
 		}
-		next := st
-		if pr.Kind == ast.Hyp {
-			for _, a := range pr.Adds {
-				next = next.Add(e.groundAtom(a, binding))
-			}
-			for _, a := range pr.Dels {
-				next = next.Del(e.groundAtom(a, binding))
-			}
-		}
-		goal := e.groundAtom(pr.Atom, binding)
-		res, touched, err := e.prove(goal, next, depth)
+		res, touched, err := e.instanceHolds(pr, binding, st, depth)
 		if err != nil {
 			return err
 		}
@@ -775,109 +753,22 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 	return true, maxFrame, nil
 }
 
-// evalNegated evaluates ~A. Unbound variables that occur positively
-// elsewhere in the rule are enumerated over the domain (outer existential,
-// per Definition 3); variables occurring only in negated premises are
-// quantified inside the negation — ~A(x) with negation-local x holds iff
-// no instantiation of x makes A provable. This is the reading the paper's
-// Examples 6 and 7 rely on (EVEN ← ~SELECT(x̄) fires when nothing is
-// selectable).
-func (e *Engine) evalNegated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
-	slots := appendUnboundSlots(nil, pr, binding)
-	var enumSlots, localSlots []int
-	for _, s := range slots {
-		if rule.PosVar[s] {
-			enumSlots = append(enumSlots, s)
-		} else {
-			localSlots = append(localSlots, s)
+// instanceHolds proves the ground instance of a plain, hypothetical or
+// negated premise under binding; a negated one in a region of its own.
+func (e *Engine) instanceHolds(pr *ast.CPremise, binding []symbols.Const, st facts.State, depth int) (bool, int, error) {
+	switch pr.Kind {
+	case ast.Negated:
+		held, err := e.negCheck(e.groundAtom(pr.Atom, binding), st)
+		return !held, maxFrame, err
+	case ast.Hyp:
+		for _, a := range pr.Adds {
+			st = st.Add(e.groundAtom(a, binding))
+		}
+		for _, a := range pr.Dels {
+			st = st.Del(e.groundAtom(a, binding))
 		}
 	}
-	minTouched := maxFrame
-	proved := false
-
-	var tryGround func(i int) error
-	tryGround = func(i int) error {
-		if i < len(enumSlots) {
-			for _, c := range e.dom {
-				e.stats.Enumerated++
-				binding[enumSlots[i]] = c
-				if err := tryGround(i + 1); err != nil {
-					return err
-				}
-			}
-			binding[enumSlots[i]] = unbound
-			return nil
-		}
-		holds, err := e.negHolds(pr.Atom, binding, localSlots, st)
-		if err != nil {
-			return err
-		}
-		if holds {
-			return nil // some instance of A is provable; ~A fails here
-		}
-		res, touched, err := e.evalBody(rule, binding, rest, st, depth)
-		if err != nil {
-			return err
-		}
-		if touched < minTouched {
-			minTouched = touched
-		}
-		if res {
-			proved = true
-			return errStop
-		}
-		return nil
-	}
-	err := tryGround(0)
-	if err != nil && err != errStop {
-		return false, maxFrame, err
-	}
-	if !proved {
-		for _, s := range slots {
-			binding[s] = unbound
-		}
-		return false, minTouched, nil
-	}
-	return true, maxFrame, nil
-}
-
-// negHolds reports whether some instantiation of the negation-local slots
-// makes the atom provable in the state.
-func (e *Engine) negHolds(atom ast.CAtom, binding []symbols.Const, localSlots []int, st facts.State) (bool, error) {
-	if len(localSlots) == 0 {
-		return e.negCheck(e.groundAtom(atom, binding), st)
-	}
-	found := false
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(localSlots) {
-			ok, err := e.negCheck(e.groundAtom(atom, binding), st)
-			if err != nil {
-				return err
-			}
-			if ok {
-				found = true
-				return errStop
-			}
-			return nil
-		}
-		for _, c := range e.dom {
-			e.stats.Enumerated++
-			binding[localSlots[i]] = c
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := rec(0)
-	for _, s := range localSlots {
-		binding[s] = unbound
-	}
-	if err != nil && err != errStop {
-		return false, err
-	}
-	return found, nil
+	return e.prove(e.groundAtom(pr.Atom, binding), st, depth)
 }
 
 // negCheck decides R, DB+Δ ⊢ A for a negated premise in a fresh region.

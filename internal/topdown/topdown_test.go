@@ -22,7 +22,7 @@ func compileSrc(t *testing.T, src string) *ast.CProgram {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	ast.RewriteNegHyp(prog)
+	prog = ast.RewriteNegation(prog)
 	if errs := ast.Validate(prog); len(errs) > 0 {
 		t.Fatalf("validate: %v", errs[0])
 	}
@@ -587,4 +587,29 @@ func TestMatchStateFindsAddedBaseAtom(t *testing.T) {
 	expect(t, e, cp, "oap(e5)[add: next(e5, e9)]", true)
 	expect(t, e, cp, "oa[add: next(e5, e9)]", true)
 	expect(t, e, cp, "oap(e4)[add: marker(e4), marker(e5), next(e5, e9), marker(e9)]", true)
+}
+
+// TestNewRefusesUnrewrittenNegation: the engine tests every negated
+// premise ground, so a program that still has a negation with a variable
+// of its own, or a negated hypothetical, is refused, not answered under
+// the wrong quantifier.
+func TestNewRefusesUnrewrittenNegation(t *testing.T) {
+	for _, src := range []string{"empty :- not q(X).\n", "p :- not q(a)[add: w(a)].\n"} {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := ast.Compile(prog, symbols.NewTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepts %q before the negation rewrite", src)
+				}
+			}()
+			New(cp, ref.Domain(cp), Options{})
+		}()
+	}
 }

@@ -72,7 +72,7 @@ func compileAlternating(t *testing.T, m *AMachine, input string, n int, wantNonL
 	} else if err != nil {
 		t.Fatalf("stratify: %v", err)
 	}
-	cp, err := ast.Compile(prog, symbols.NewTable())
+	cp, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}

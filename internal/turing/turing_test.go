@@ -124,6 +124,7 @@ func compileEncoding(t *testing.T, m *Machine, input string, n int) (*ast.CProgr
 	if errs := ast.Validate(prog); len(errs) > 0 {
 		t.Fatalf("encoding invalid: %v", errs[0])
 	}
+	prog = ast.RewriteNegation(prog)
 	s, err := strat.Stratify(prog)
 	if err != nil {
 		t.Fatalf("encoding not linearly stratifiable: %v", err)

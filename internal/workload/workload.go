@@ -436,7 +436,8 @@ func DefaultFuzz() FuzzOptions {
 // premises and stratified negation:
 //
 //   - predicates are arranged in levels; negated premises may only mention
-//     strictly lower levels (so negation is stratified by construction);
+//     strictly lower levels (so negation is stratified by construction),
+//     and some are negated-hypothetical, ~p(..)[add: pool(..)];
 //     plain and hypothetical premises mention the same or lower levels;
 //   - hypothetical adds draw from a dedicated pool pool/1 (and side/1 with
 //     SidePool), which keeps the reachable state space small enough for
@@ -517,11 +518,15 @@ func RandomStratifiedProgram(rng *rand.Rand, o FuzzOptions) string {
 						l := rng.Intn(lvl + 1)
 						body = append(body, atom(pred(l, rng.Intn(o.PredsPerLvl)), 1, 0.2))
 					case 2: // negated strictly-lower atom (or EDB at level 0)
-						if lvl == 0 {
-							body = append(body, "not "+atom(fmt.Sprintf("e%d", rng.Intn(2)), 1, 0.3))
-						} else {
-							body = append(body, "not "+atom(pred(rng.Intn(lvl), rng.Intn(o.PredsPerLvl)), 1, 0.3))
+						neg := "not " + atom(fmt.Sprintf("e%d", rng.Intn(2)), 1, 0.3)
+						if lvl > 0 {
+							neg = "not " + atom(pred(rng.Intn(lvl), rng.Intn(o.PredsPerLvl)), 1, 0.3)
 						}
+						// Sometimes negated-hypothetical; Z occurs nowhere else.
+						if rng.Intn(4) == 0 {
+							neg += fmt.Sprintf("[add: pool(%s)]", []string{"X", "Y", "Z", domConst()}[rng.Intn(4)])
+						}
+						body = append(body, neg)
 					case 3: // hypothetical premise adding/deleting pool atoms
 						l := rng.Intn(lvl + 1)
 						goal := atom(pred(l, rng.Intn(o.PredsPerLvl)), 1, 0.2)
