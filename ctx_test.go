@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,28 +78,36 @@ func TestDeadlineHamiltonian(t *testing.T) {
 // correctly afterwards.
 func TestCancelPropagation(t *testing.T) {
 	src := workload.HamiltonianProgram(hardHamiltonian(t))
-	e := mustEngine(t, src, Options{Mode: ModeUniform})
+	for _, mode := range []Mode{ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			e := mustEngine(t, src, Options{Mode: mode})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := ask(ctx, e, "yes"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ask = %v, want ErrCanceled", err)
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				cancel()
+			}()
+			if _, err := ask(ctx, e, "yes"); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("ask = %v, want ErrCanceled", err)
+			}
 
-	// Pre-canceled contexts abort before any expansion.
-	pre, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if _, err := ask(pre, e, "yes"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-canceled ask = %v, want ErrCanceled", err)
-	}
+			// Pre-canceled contexts abort before any expansion.
+			pre, cancel2 := context.WithCancel(context.Background())
+			cancel2()
+			_, info, err := collect(pre, e, Request{Kind: ReadAsk, Query: "yes"})
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("pre-canceled ask = %v, want ErrCanceled", err)
+			}
+			if info.Stats.Goals != 0 {
+				t.Errorf("pre-canceled ask expanded %d goals, want 0", info.Stats.Goals)
+			}
 
-	// The abort must not wedge the engine.
-	got, err := e.Ask("node(v0)")
-	if err != nil || !got {
-		t.Fatalf("Ask after abort = %v, %v; want true, nil", got, err)
+			// The abort must not wedge the engine.
+			got, err := e.Ask("node(v0)")
+			if err != nil || !got {
+				t.Fatalf("Ask after abort = %v, %v; want true, nil", got, err)
+			}
+		})
 	}
 }
 
@@ -105,11 +115,77 @@ func TestCancelPropagation(t *testing.T) {
 // enumerator (a ReadQuery) rather than a single ground ask.
 func TestQueryCtxDeadline(t *testing.T) {
 	src := workload.HamiltonianProgram(hardHamiltonian(t))
-	e := mustEngine(t, src, Options{Mode: ModeUniform})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	for _, mode := range []Mode{ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			e := mustEngine(t, src, Options{Mode: mode})
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if _, err := query(ctx, e, "yes"); !errors.Is(err, ErrDeadline) {
+				t.Fatalf("query = %v, want ErrDeadline", err)
+			}
+		})
+	}
+}
+
+// TestExplainCtxDeadline: an explanation is a proof search like any read,
+// so the request's deadline bounds it, not only the wait for an engine.
+// Explanations run on a uniform engine — a cascade pool builds a
+// throwaway one — and NoTabling keeps the search running past the
+// deadline there.
+func TestExplainCtxDeadline(t *testing.T) {
+	src := workload.HamiltonianProgram(hardHamiltonian(t))
+	for _, mode := range []Mode{ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			pl, err := NewPool(mustParse(t, src), Options{Mode: mode, NoTabling: true, PoolSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, _, err = pl.ExplainCtx(ctx, "yes")
+			if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
+				t.Errorf("explain took %v, want well under 500ms", elapsed)
+			}
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("ExplainCtx = %v, want ErrDeadline", err)
+			}
+		})
+	}
+}
+
+// TestCancellableReadAllocs: a served read always carries a cancellable
+// context, and it must cost no more than context.Background() — one read
+// begins the engine's Budget once, whatever number of subgoals the
+// cascade routes. A cold cascade is built for every read, and the fewest
+// allocations of a few reads is compared.
+func TestCancellableReadAllocs(t *testing.T) {
+	prog := mustParse(t, workload.ParityProgram(16))
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := query(ctx, e, "yes"); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("query = %v, want ErrDeadline", err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(ctx context.Context) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			e, err := New(prog, Options{Mode: ModeCascade})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = e.Read(ctx, Request{Kind: ReadAsk, Query: "even"}, func(Binding) error { return nil })
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	bg, cc := allocs(context.Background()), allocs(ctx)
+	if cc > bg+2 {
+		t.Errorf("a cold cascade read allocates %d times under a cancellable context, %d under Background; want at most 2 more", cc, bg)
 	}
 }
 

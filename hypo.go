@@ -366,8 +366,7 @@ func (o Options) metricSet() *metrics.Set {
 type Engine struct {
 	prog   *Program
 	asker  engine.Asker
-	uni    *topdown.Engine // non-nil in uniform mode (for stats)
-	cas    *engine.Cascade // non-nil in cascade mode
+	uni    *topdown.Engine // non-nil in uniform mode (for Explain)
 	domSet map[symbols.Const]bool
 
 	// version is the data version of the program this engine was built
@@ -380,21 +379,18 @@ type Engine struct {
 	// to metrics.Default).
 	mets *metrics.Set
 
-	// mem tracks the engine's approximate heap footprint and enforces
-	// Options.MaxMemoryBytes per query. Always non-nil for engines built
-	// by assemble; shared by every component of a cascade.
-	mem *topdown.MemTracker
-
-	// goals enforces Options.MaxGoals per query (nil = unlimited); shared
-	// by every Σ engine of a cascade.
-	goals *topdown.GoalBudget
+	// budget is the evaluator's per-query limits, given to every component
+	// when assemble builds them and begun by measured: the query's context,
+	// Options.MaxGoals, and a meter of the engine's approximate heap
+	// footprint enforcing Options.MaxMemoryBytes.
+	budget *topdown.Budget
 }
 
 // MemBytes returns the engine's tracked heap footprint: interner, base
 // database, memo tables and cached Δ materialisations. It is an
 // estimator (linear in the real footprint), the quantity per-tenant
 // memory quotas account idle pooled engines at.
-func (e *Engine) MemBytes() int64 { return e.mem.Current() }
+func (e *Engine) MemBytes() int64 { return e.budget.Mem.Current() }
 
 // newMemTracker assembles the per-engine footprint tracker: explicit
 // charges land in it directly, and the substrate counters are polled as
@@ -481,10 +477,7 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	// (models maintained, dropped, rematerialised) to this engine's set.
 	before := e.Stats()
 	defer func() { e.charge(e.Stats().Sub(before)) }()
-	if e.cas != nil {
-		return e.cas.ApplyDelta(addIDs, remIDs, cone)
-	}
-	return e.uni.ApplyDelta(addIDs, remIDs, cone)
+	return e.asker.ApplyDelta(addIDs, remIDs, cone)
 }
 
 // compileDelta compiles effective surface-level delta atoms and collects
@@ -575,10 +568,7 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 		prog:   p,
 		domSet: domSet,
 		mets:   opts.metricSet(),
-		mem:    newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db),
-	}
-	if opts.MaxGoals > 0 {
-		e.goals = &topdown.GoalBudget{Max: opts.MaxGoals}
+		budget: &topdown.Budget{Max: opts.MaxGoals, Mem: newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db)},
 	}
 	mode := opts.Mode
 	if mode == ModeAuto {
@@ -589,20 +579,17 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 	}
 	switch mode {
 	case ModeUniform:
-		e.uni = topdown.NewWithBase(p.comp, sub.db, dom, topdown.Options{NoTabling: opts.NoTabling})
-		e.uni.SetMem(e.mem)
-		e.uni.SetGoals(e.goals)
+		e.uni = topdown.NewWithBase(p.comp, sub.db, dom, topdown.Options{NoTabling: opts.NoTabling}, e.budget)
 		e.asker = e.uni
 	case ModeCascade:
 		if p.strt == nil {
 			return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
 		}
-		cas, err := engine.NewCascadeWithBase(p.comp, p.strt, dom, sub.db)
+		cas, err := engine.NewCascadeWithBase(p.comp, p.strt, dom, sub.db, e.budget)
 		if err != nil {
 			return nil, err
 		}
-		cas.SetBudgets(e.mem, e.goals)
-		e.cas, e.asker = cas, cas
+		e.asker = cas
 	default:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
 	}
@@ -681,22 +668,14 @@ func (e *Engine) Explain(query string) (string, error) {
 	if len(r.names) > 0 {
 		return "", fmt.Errorf("hypo: Explain needs a ground query")
 	}
-	pr := r.premise
-	st := e.uni.EmptyState()
-	switch pr.Kind {
-	case ast.Plain:
-		// proceed below
-	case ast.Hyp:
-		for _, a := range pr.Adds {
-			st = st.Add(e.uni.Interner().InternGround(a))
-		}
-		for _, a := range pr.Dels {
-			st = st.Del(e.uni.Interner().InternGround(a))
-		}
-	default:
+	if k := r.premise.Kind; k != ast.Plain && k != ast.Hyp {
 		return "", fmt.Errorf("hypo: Explain supports plain and hypothetical queries")
 	}
-	proof, err := e.uni.Explain(e.uni.Interner().InternGround(pr.Atom), st)
+	goal, st, err := engine.PremiseGoal(e.uni.Interner(), r.premise, e.uni.EmptyState())
+	if err != nil {
+		return "", err
+	}
+	proof, err := e.uni.Explain(goal, st)
 	if err != nil {
 		return "", err
 	}
@@ -710,15 +689,10 @@ func (e *Engine) Explain(query string) (string, error) {
 // evaluator: the uniform engine or the cascade's PROVE_Σ engines and
 // PROVE_Δ provers.
 func (e *Engine) Stats() topdown.Stats {
-	var sum topdown.Stats
-	if e.uni != nil {
-		sum = e.uni.Stats()
-	} else {
-		sum = e.cas.Stats()
-	}
-	// Every component shares one tracker, so the growth is read once, not
+	sum := e.asker.Stats()
+	// Every component shares one meter, so the growth is read once, not
 	// summed per component.
-	sum.MemBytes = e.mem.Grown()
+	sum.MemBytes = e.budget.Mem.Grown()
 	return sum
 }
 

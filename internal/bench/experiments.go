@@ -447,13 +447,13 @@ func e12Ablation(s Sizes) ([]Case, error) {
 			name string
 			opts topdown.Options
 		}{
-			{"full", topdown.Options{MaxGoals: e8Budget}},
-			{"no-tabling", topdown.Options{MaxGoals: e8Budget, NoTabling: true}},
-			{"no-planner", topdown.Options{MaxGoals: e8Budget, NoPlanner: true}},
+			{"full", topdown.Options{}},
+			{"no-tabling", topdown.Options{NoTabling: true}},
+			{"no-planner", topdown.Options{NoPlanner: true}},
 		} {
 			l.add(name+"/"+cfg.name, func() (Counters, error) {
 				cp := prog.Compiled()
-				e := topdown.New(cp, ref.Domain(cp), cfg.opts)
+				e := topdown.New(cp, ref.Domain(cp), cfg.opts, &topdown.Budget{Max: e8Budget})
 				p, _ := cp.Syms.LookupPred(query, 0)
 				got, err := e.Ask(e.Interner().ID(p, nil), e.EmptyState())
 				st := e.Stats()

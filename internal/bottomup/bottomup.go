@@ -16,7 +16,6 @@
 package bottomup
 
 import (
-	"context"
 	"fmt"
 
 	"hypodatalog/internal/ast"
@@ -48,12 +47,7 @@ type Prover struct {
 	maxCache int
 	rootBusy bool // the empty state's model is being computed
 
-	// ctx is the cancellation source of the in-flight *Ctx call, or nil
-	// when the call is not cancellable; the join loop polls it every
-	// ctxCheckInterval steps and the fixpoint loop once per round.
-	ctx   context.Context
-	steps int64
-	args  []symbols.Const // ground's scratch
+	args []symbols.Const // ground's scratch
 
 	// added is the sorted added set of the state addedOf read last, and
 	// addedID that state's id: a materialisation matches premises against
@@ -62,21 +56,17 @@ type Prover struct {
 	addedID facts.StateID
 	added   []facts.AtomID
 
-	// mem is the shared footprint tracker of the enclosing cascade (via
-	// SetMem); nil disables accounting and the budget. Derived atoms, the
-	// index over them while a materialisation runs, and cached
-	// materialisations are charged into it as they grow, and the join loop
-	// polls it at the same points as the context.
-	mem *topdown.MemTracker
+	// budget is the enclosing evaluator's per-query limits: every join
+	// step ticks it, and derived atoms, the index over them while a
+	// materialisation runs, and cached materialisations are charged to its
+	// memory meter as they grow.
+	budget *topdown.Budget
 
 	// stats counts this prover's work (Materialisations, DerivedModels,
 	// JoinProbes, IncStates, IncDropped) as plain integers; whoever owns the prover
 	// reads them with Stats and does the metrics accounting, once per query.
 	stats topdown.Stats
 }
-
-// ctxCheckInterval is how many join steps pass between context polls.
-const ctxCheckInterval = 1024
 
 // matAtomBytes approximates the heap cost of one derived atom in a
 // materialised model; matEntryOverhead the fixed cost of one cache entry
@@ -86,9 +76,6 @@ const (
 	matAtomBytes     = 16
 	matEntryOverhead = 64
 )
-
-// SetMem installs the cascade's shared footprint tracker.
-func (p *Prover) SetMem(t *topdown.MemTracker) { p.mem = t }
 
 // Stats returns the prover's Δ-part work counters.
 func (p *Prover) Stats() topdown.Stats { return p.stats }
@@ -100,13 +87,18 @@ func (s atomSet) has(id facts.AtomID) bool { _, ok := s[id]; return ok }
 // New builds a Δ prover over a subset of the program's rules. oracle may
 // be nil when the Δ part is self-contained (stratum 1 with no
 // hypothetical premises); it is then an error for evaluation to need it.
-func New(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, rules []int, oracle Oracle) (*Prover, error) {
+// A nil budget sets no limits.
+func New(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, rules []int, oracle Oracle, b *topdown.Budget) (*Prover, error) {
+	if b == nil {
+		b = new(topdown.Budget)
+	}
 	p := &Prover{
 		prog:     cp,
 		in:       base.Interner(),
 		base:     base,
 		dom:      dom,
 		oracle:   oracle,
+		budget:   b,
 		own:      make(map[symbols.Pred]bool),
 		level:    make(map[symbols.Pred]int),
 		cache:    make(map[facts.StateID]*model),
@@ -202,7 +194,8 @@ func (p *Prover) negationLevels() ([][]*rule, error) {
 func (p *Prover) Owns(pred symbols.Pred) bool { return p.own[pred] }
 
 // Holds reports whether the goal atom is in the perfect model of the Δ
-// part over the state (or in the state itself).
+// part over the state (or in the state itself). A materialisation the
+// budget aborts is not cached.
 func (p *Prover) Holds(goal facts.AtomID, st facts.State) (bool, error) {
 	if st.Has(goal) {
 		return true, nil
@@ -212,53 +205,6 @@ func (p *Prover) Holds(goal facts.AtomID, st facts.State) (bool, error) {
 		return false, err
 	}
 	return p.has(m, goal), nil
-}
-
-// HoldsCtx is Holds with cancellation: a materialisation in progress is
-// aborted with topdown.ErrCanceled / topdown.ErrDeadline (wrapped in a
-// *topdown.AbortError) when ctx is canceled. Aborted materialisations are
-// not cached.
-func (p *Prover) HoldsCtx(ctx context.Context, goal facts.AtomID, st facts.State) (bool, error) {
-	restore, err := p.pushCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	if restore != nil {
-		defer restore()
-	}
-	return p.Holds(goal, st)
-}
-
-// pushCtx installs ctx as the prover's cancellation source for one public
-// call; nil or never-cancellable contexts disable polling (and return a
-// nil restore, keeping that path allocation-free).
-func (p *Prover) pushCtx(ctx context.Context) (func(), error) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, topdown.ContextAbort(err, topdown.Stats{})
-	}
-	saved := p.ctx
-	p.ctx = ctx
-	return func() { p.ctx = saved }, nil
-}
-
-// poll checks the installed context, then the shared memory budget.
-func (p *Prover) poll() error {
-	if p.ctx != nil {
-		if err := p.ctx.Err(); err != nil {
-			return topdown.ContextAbort(err, topdown.Stats{})
-		}
-	}
-	if p.mem.Over() {
-		return &topdown.AbortError{
-			Reason: topdown.ErrMemory,
-			Limit:  p.mem.Max(),
-			Stats:  topdown.Stats{MemBytes: p.mem.Grown()},
-		}
-	}
-	return nil
 }
 
 // maxOverlayDepth is how many overlays a cached model may read through
@@ -290,9 +236,9 @@ func (p *Prover) materialise(st facts.State) (*model, error) {
 			p.flatten(m)
 		}
 		p.cache[key] = m
-		p.mem.Add(matEntryOverhead)
+		p.budget.Mem.Add(matEntryOverhead)
 	} else {
-		p.mem.Add(-matAtomBytes * int64(len(m.atoms)))
+		p.budget.Mem.Add(-matAtomBytes * int64(len(m.atoms)))
 	}
 	if err != nil {
 		return nil, err
@@ -492,12 +438,16 @@ func (p *Prover) fixpoint(st facts.State, m *model, from int, grown []facts.Atom
 }
 
 // deriveInto is the head sink of an addition pass: heads not yet in the
-// model or state join the model and are appended to *fresh.
+// model or state join the model and are appended to *fresh. Each one
+// grows the footprint, so it checks the budget's memory ceiling.
 func (p *Prover) deriveInto(st facts.State, m *model, fresh *[]facts.AtomID) func(facts.AtomID) error {
 	return func(h facts.AtomID) error {
 		if !p.has(m, h) && !st.Has(h) {
 			p.insert(m, h)
 			*fresh = append(*fresh, h)
+			if ae := p.budget.OverMem(); ae != nil {
+				return ae
+			}
 		}
 		return nil
 	}
@@ -511,9 +461,6 @@ func (p *Prover) propagate(rules []*rule, st facts.State, m *model, frontier []f
 	var added []facts.AtomID
 	derive := p.deriveInto(st, m, &added)
 	for len(frontier) > 0 {
-		if err := p.poll(); err != nil {
-			return nil, err
-		}
 		start := len(added)
 		if err := p.pinnedJoin(rules, st, m, frontier, derive); err != nil {
 			return nil, err

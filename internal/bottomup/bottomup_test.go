@@ -45,7 +45,7 @@ func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *
 			rules = append(rules, i)
 		}
 	}
-	p, err := New(cp, base, ref.Domain(cp), rules, oracle)
+	p, err := New(cp, base, ref.Domain(cp), rules, oracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRecursionThroughNegationRejected(t *testing.T) {
 	}
 	in := facts.NewInterner(cp.Syms)
 	base := facts.NewDB(in)
-	if _, err := New(cp, base, nil, []int{0, 1}, nil); err == nil {
+	if _, err := New(cp, base, nil, []int{0, 1}, nil, nil); err == nil {
 		t.Error("expected rejection")
 	}
 }
@@ -167,7 +167,7 @@ func TestOracleCalls(t *testing.T) {
 		}
 		return false, nil
 	}
-	p, err := New(cp, base, ref.Domain(cp), []int{0, 1}, oracle)
+	p, err := New(cp, base, ref.Domain(cp), []int{0, 1}, oracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMissingOracleIsError(t *testing.T) {
 	for _, f := range cp.Facts {
 		base.Insert(in.InternGround(f))
 	}
-	p, err := New(cp, base, ref.Domain(cp), []int{0}, nil)
+	p, err := New(cp, base, ref.Domain(cp), []int{0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestNewRefusesUnrewrittenNegation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New(cp, facts.NewDB(facts.NewInterner(cp.Syms)), ref.Domain(cp), []int{0}, nil); err == nil {
+		if _, err := New(cp, facts.NewDB(facts.NewInterner(cp.Syms)), ref.Domain(cp), []int{0}, nil, nil); err == nil {
 			t.Errorf("New accepts %q before the negation rewrite", src)
 		}
 	}
@@ -317,10 +317,12 @@ func TestAbortedMaterialisationLeavesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _, base := build(t, closureSrc(n), tc.oracle, "live")
 			mem := topdown.NewMemTracker(tc.max)
-			p.SetMem(mem)
-			mem.Begin()
+			p.budget.Mem = mem
+			if err := p.budget.Begin(tc.ctx); err != nil {
+				t.Fatal(err)
+			}
 			goal := base.Interner().ID(p.rules[0].r.Head.Pred, []symbols.Const{0, 1})
-			_, err := p.HoldsCtx(tc.ctx, goal, facts.NewState(base))
+			_, err := p.Holds(goal, facts.NewState(base))
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
@@ -350,7 +352,7 @@ func TestIndexChargedWhileLive(t *testing.T) {
 	in := base.Interner()
 	st := facts.NewState(base)
 	mem := topdown.NewMemTracker(0)
-	p.SetMem(mem)
+	p.budget.Mem = mem
 	mem.Begin()
 	m, err := p.materialise(st)
 	if err != nil {
@@ -369,12 +371,37 @@ func TestIndexChargedWhileLive(t *testing.T) {
 	edge := p.rules[0].r.Body[0].Atom.Pred
 	ext := st.Add(in.ID(edge, []symbols.Const{in.Args(base.ByPred(edge)[0])[0], in.Args(base.ByPred(edge)[5])[1]}))
 	tight := topdown.NewMemTracker(2 * entry)
-	p.SetMem(tight)
+	p.budget.Mem = tight
 	tight.Begin()
 	if _, err := p.materialise(ext); !errors.Is(err, topdown.ErrMemory) {
 		t.Fatalf("budget below atoms+index: err = %v, want ErrMemory", err)
 	}
 	if g := tight.Grown(); g != 0 || len(p.cache) != 1 {
 		t.Errorf("after the refusal: %d bytes charged, %d cache entries; want 0 and 1", g, len(p.cache))
+	}
+}
+
+// TestCancelEndsWithQuery: a Budget polls its context only between Begin
+// and End. A materialisation after End — a commit's maintenance runs
+// between queries — goes to the end although the last query's context
+// has since been canceled, and a new query under that context stops
+// before any work.
+func TestCancelEndsWithQuery(t *testing.T) {
+	p, _, base := build(t, closureSrc(80), alwaysLive, "live")
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := p.budget.Begin(ctx); err != nil {
+		t.Fatal(err)
+	}
+	p.budget.End()
+	cancel()
+	goal := base.Interner().ID(p.rules[0].r.Head.Pred, []symbols.Const{0, 1})
+	if _, err := p.Holds(goal, facts.NewState(base)); err != nil {
+		t.Fatalf("materialisation after End = %v; the ended query's context is still polled", err)
+	}
+	if p.stats.JoinProbes < 1000 {
+		t.Fatalf("the materialisation probed %d candidates: too few join steps for a poll", p.stats.JoinProbes)
+	}
+	if err := p.budget.Begin(ctx); !errors.Is(err, topdown.ErrCanceled) {
+		t.Fatalf("Begin under a canceled context = %v, want ErrCanceled", err)
 	}
 }

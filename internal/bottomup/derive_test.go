@@ -104,7 +104,7 @@ func TestDerivedChildCharges(t *testing.T) {
 	g := workload.RandomDigraph(rand.New(rand.NewSource(1)), 32, 0.06)
 	p, _, base := build(t, whatifSrc(g), nil)
 	mem := topdown.NewMemTracker(0)
-	p.SetMem(mem)
+	p.budget.Mem = mem
 	mem.Begin()
 	root := facts.NewState(base)
 	rm, err := p.materialise(root)
@@ -231,7 +231,7 @@ func TestOverlayChainFlattens(t *testing.T) {
 	g := workload.RandomDigraph(rand.New(rand.NewSource(3)), 24, 0.06)
 	p, _, base := build(t, whatifSrc(g), nil)
 	mem := topdown.NewMemTracker(0)
-	p.SetMem(mem)
+	p.budget.Mem = mem
 	mem.Begin()
 	st := facts.NewState(base)
 	if _, err := p.materialise(st); err != nil {
@@ -268,7 +268,7 @@ func TestOverlayChainFlattens(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.dropIndex(want)
-		p.mem.Add(-matAtomBytes * int64(len(want.atoms)))
+		p.budget.Mem.Add(-matAtomBytes * int64(len(want.atoms)))
 		n := 0
 		p.each(m, func(id facts.AtomID) {
 			if n++; !want.atoms.has(id) {

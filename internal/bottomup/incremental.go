@@ -93,7 +93,7 @@ func (p *Prover) incrementalOK(cone map[symbols.Pred]bool) bool {
 // entry, the atoms it holds itself and any index it keeps.
 func (p *Prover) drop(id facts.StateID) {
 	m := p.cache[id]
-	p.mem.Add(-(matEntryOverhead + matAtomBytes*int64(len(m.atoms)) + m.idxBytes))
+	p.budget.Mem.Add(-(matEntryOverhead + matAtomBytes*int64(len(m.atoms)) + m.idxBytes))
 	delete(p.cache, id)
 	p.stats.IncDropped++
 }
@@ -163,7 +163,7 @@ func (p *Prover) applyUpdate(u *Plan, added []facts.AtomID) error {
 	m := &model{atoms: u.atoms}
 	for id := range u.over {
 		delete(m.atoms, id)
-		p.mem.Add(-matAtomBytes)
+		p.budget.Mem.Add(-matAtomBytes)
 	}
 	st := facts.NewState(p.base) // post-commit facts now
 	var frontier []facts.AtomID

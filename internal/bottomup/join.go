@@ -217,7 +217,7 @@ const idxSlotBytes = 8
 
 func (p *Prover) insert(m *model, id facts.AtomID) {
 	m.atoms[id] = struct{}{}
-	p.mem.Add(matAtomBytes)
+	p.budget.Mem.Add(matAtomBytes)
 	if m.index != nil {
 		p.indexAtom(m, id)
 	}
@@ -233,7 +233,7 @@ func (p *Prover) indexAtom(m *model, id facts.AtomID) {
 	}
 	n := idxSlotBytes * int64(1+len(args))
 	m.idxBytes += n
-	p.mem.Add(n)
+	p.budget.Mem.Add(n)
 }
 
 // indexCached indexes a cached model a derivation probes as a parent, in
@@ -251,7 +251,7 @@ func (p *Prover) indexCached(m *model) {
 }
 
 func (p *Prover) dropIndex(m *model) {
-	p.mem.Add(-m.idxBytes)
+	p.budget.Mem.Add(-m.idxBytes)
 	m.index, m.idxBytes = nil, 0
 }
 
@@ -361,11 +361,8 @@ func (p *Prover) deriveHeads(r *ast.CRule, free []int, binding []symbols.Const, 
 }
 
 func (p *Prover) joinAt(pl *plan, binding []symbols.Const, pi int, st facts.State, m *model, yield func() error) error {
-	p.steps++
-	if p.steps%ctxCheckInterval == 0 {
-		if err := p.poll(); err != nil {
-			return err
-		}
+	if ae := p.budget.Tick(); ae != nil {
+		return ae
 	}
 	if pi == len(pl.steps) {
 		return yield()

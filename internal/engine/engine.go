@@ -11,12 +11,15 @@
 //     part, each stratum using the one below as its oracle. Requires a
 //     linear stratification.
 //
-// Both satisfy the Asker interface; Solutions enumerates the answers of a
-// non-ground query over the domain.
+// Both satisfy the Asker interface and are built around one
+// topdown.Budget, which every component of a cascade shares: the caller
+// begins it once per query with the query's context, and the goal
+// allowance, the memory meter and the cancellation poll then bound the
+// whole evaluator. AskPremise decides a ground premise on either, and
+// Solutions enumerates the answers of a non-ground one over the domain.
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"hypodatalog/internal/ast"
@@ -28,31 +31,24 @@ import (
 )
 
 // Asker is the query interface shared by the uniform engine and the
-// cascade.
+// cascade. Its limits are not part of it: they are the Budget the
+// evaluator was built with.
 type Asker interface {
 	// Ask reports whether the interned ground atom is derivable in the
-	// state: R, DB+Δ ⊢ A.
+	// state: R, DB+Δ ⊢ A. It aborts with a *topdown.AbortError when the
+	// evaluator's Budget runs out or its query's context is done.
 	Ask(goal facts.AtomID, st facts.State) (bool, error)
-	// AskCtx is Ask with cancellation: evaluation aborts with an error
-	// wrapping topdown.ErrCanceled or topdown.ErrDeadline when ctx is
-	// canceled mid-proof.
-	AskCtx(ctx context.Context, goal facts.AtomID, st facts.State) (bool, error)
-	// AskPremise evaluates a ground premise (plain, negated or
-	// hypothetical).
-	AskPremise(p ast.CPremise, st facts.State) (bool, error)
-	// AskPremiseCtx is AskPremise with cancellation; see AskCtx.
-	AskPremiseCtx(ctx context.Context, p ast.CPremise, st facts.State) (bool, error)
+	// ApplyDelta applies a commit's effective base-fact delta in place,
+	// keeping what lies outside cone, the commit's affected cone.
+	ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred]bool) error
+	// Stats sums the evaluation counters of every component.
+	Stats() topdown.Stats
 	// Interner gives access to the ground-atom interner.
 	Interner() *facts.Interner
 	// EmptyState is the state of the unmodified base database.
 	EmptyState() facts.State
 	// Dom is the constant domain dom(R, DB).
 	Dom() []symbols.Const
-}
-
-// NewUniform builds the uniform top-down engine for a compiled program.
-func NewUniform(cp *ast.CProgram, dom []symbols.Const, opts topdown.Options) *topdown.Engine {
-	return topdown.New(cp, dom, opts)
 }
 
 // Cascade is the stratified PROVE cascade of section 5.2.
@@ -71,17 +67,12 @@ type Cascade struct {
 	// materialises only the rules it can read.
 	delta   []*bottomup.Prover
 	deltaOf map[symbols.Pred]*bottomup.Prover
-
-	// ctx is the cancellation source of the in-flight *Ctx call, or nil.
-	// The Σ engines and Δ provers pick it up on every routed subgoal, so
-	// one context covers the whole cascade. A Cascade is not safe for
-	// concurrent use.
-	ctx context.Context
 }
 
 // NewCascade builds the cascade from a compiled program and its linear
-// stratification (from strat.Stratify on the same source program).
-func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const) (*Cascade, error) {
+// stratification (from strat.Stratify on the same source program). Every
+// component draws on b; a nil b sets no limits.
+func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, b *topdown.Budget) (*Cascade, error) {
 	in := facts.NewInterner(cp.Syms)
 	in.SetRelevance(facts.NewRelevance(cp))
 	base := facts.NewDB(in)
@@ -90,7 +81,7 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const) 
 			return nil, err
 		}
 	}
-	return NewCascadeWithBase(cp, s, dom, base)
+	return NewCascadeWithBase(cp, s, dom, base, b)
 }
 
 // NewCascadeWithBase builds the cascade over an existing base database
@@ -98,7 +89,16 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const) 
 // or none); the program's facts are assumed to already be in it. This
 // lets pooled engines share a per-version fact substrate by cloning
 // instead of re-interning from scratch.
-func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, base *facts.DB) (*Cascade, error) {
+//
+// Every PROVE_Σ engine and PROVE_Δ prover is built around b, so the goal
+// allowance bounds the Σ engines' sum and one memory meter takes every
+// component's charges. The meter's substrate sources (the shared interner
+// and database) are the caller's to register, once. Δ-part work is not
+// goal expansion: the meter and the query's context are what bound it.
+func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, base *facts.DB, b *topdown.Budget) (*Cascade, error) {
+	if b == nil {
+		b = new(topdown.Budget)
+	}
 	c := &Cascade{
 		prog:      cp,
 		in:        base.Interner(),
@@ -127,7 +127,7 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 			}
 		}
 		for _, comp := range s.DeltaComps[i-1] {
-			dp, err := bottomup.New(cp, base, dom, comp, oracle)
+			dp, err := bottomup.New(cp, base, dom, comp, oracle, b)
 			if err != nil {
 				return nil, fmt.Errorf("engine: stratum %d Δ part: %w", i, err)
 			}
@@ -148,27 +148,9 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 				return c.askAt(goal, st, 2*i-1)
 			},
 			ExternalIDB: external,
-		})
+		}, b)
 	}
 	return c, nil
-}
-
-// SetBudgets installs the per-query budgets the whole cascade shares: one
-// footprint tracker into every Σ engine and Δ prover, and one goal
-// allowance (nil = unlimited) into every Σ engine, so the goal budget
-// bounds their sum. The components share a single interner and base
-// database, so the tracker's sources are registered once by the caller,
-// not per component; the components only charge their private
-// memo/materialisation state into it. Δ-part work is not goal expansion:
-// the tracker and the caller's deadline are what bound it.
-func (c *Cascade) SetBudgets(t *topdown.MemTracker, goals *topdown.GoalBudget) {
-	for _, se := range c.sigma {
-		se.SetMem(t)
-		se.SetGoals(goals)
-	}
-	for _, dp := range c.delta {
-		dp.SetMem(t)
-	}
 }
 
 // Interner returns the cascade's ground-atom interner.
@@ -198,46 +180,6 @@ func (c *Cascade) Stats() topdown.Stats {
 // Ask reports whether the goal is derivable in the state.
 func (c *Cascade) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	return c.askAt(goal, st, 2*c.numStrata)
-}
-
-// AskCtx is Ask with cancellation: every Σ engine and Δ prover the query
-// is routed through polls ctx and aborts with an error wrapping
-// topdown.ErrCanceled or topdown.ErrDeadline.
-func (c *Cascade) AskCtx(ctx context.Context, goal facts.AtomID, st facts.State) (bool, error) {
-	restore, err := c.pushCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	if restore != nil {
-		defer restore()
-	}
-	return c.askAt(goal, st, 2*c.numStrata)
-}
-
-// AskPremiseCtx is AskPremise with cancellation; see AskCtx.
-func (c *Cascade) AskPremiseCtx(ctx context.Context, p ast.CPremise, st facts.State) (bool, error) {
-	restore, err := c.pushCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	if restore != nil {
-		defer restore()
-	}
-	return c.AskPremise(p, st)
-}
-
-// pushCtx installs ctx for the duration of one public call; nil or
-// never-cancellable contexts disable polling and return a nil restore.
-func (c *Cascade) pushCtx(ctx context.Context) (func(), error) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, topdown.ContextAbort(err, topdown.Stats{})
-	}
-	saved := c.ctx
-	c.ctx = ctx
-	return func() { c.ctx = saved }, nil
 }
 
 // ApplyDelta applies a commit's effective base-fact delta to the cascade
@@ -297,40 +239,48 @@ func (c *Cascade) askAt(goal facts.AtomID, st facts.State, maxPart int) (bool, e
 			c.in.Format(goal), part, maxPart)
 	}
 	if part%2 == 1 {
-		return c.deltaOf[pred].HoldsCtx(c.ctx, goal, st)
+		return c.deltaOf[pred].Holds(goal, st)
 	}
-	return c.sigma[part/2-1].AskCtx(c.ctx, goal, st)
+	return c.sigma[part/2-1].Ask(goal, st)
 }
 
-// AskPremise evaluates a ground premise against the cascade.
-func (c *Cascade) AskPremise(p ast.CPremise, st facts.State) (bool, error) {
+// AskPremise decides a ground premise — plain, negated or hypothetical —
+// on a: R, DB+Δ ⊢ ψ.
+func AskPremise(a Asker, p ast.CPremise, st facts.State) (bool, error) {
+	goal, st, err := PremiseGoal(a.Interner(), p, st)
+	if err != nil {
+		return false, err
+	}
+	ok, err := a.Ask(goal, st)
+	return ok != (p.Kind == ast.Negated), err
+}
+
+// PremiseGoal is the goal a ground premise asks and the state it asks it
+// in: the premise's atom, in st extended by its adds and dels. A negated
+// premise asks its atom in st, to be read negated.
+func PremiseGoal(in *facts.Interner, p ast.CPremise, st facts.State) (facts.AtomID, facts.State, error) {
+	if p.Kind != ast.Plain && p.Kind != ast.Negated && p.Kind != ast.Hyp {
+		return 0, st, fmt.Errorf("engine: unsupported premise kind %v", p.Kind)
+	}
+	nonGround := func(a ast.CAtom) error {
+		return fmt.Errorf("engine: premise atom %s is not ground", ast.FormatCAtom(a, in.Syms(), nil))
+	}
 	if !p.Atom.IsGround() {
-		return false, fmt.Errorf("engine: AskPremise requires a ground premise")
+		return 0, st, nonGround(p.Atom)
 	}
-	switch p.Kind {
-	case ast.Plain:
-		return c.Ask(c.in.InternGround(p.Atom), st)
-	case ast.Negated:
-		ok, err := c.Ask(c.in.InternGround(p.Atom), st)
-		return !ok, err
-	case ast.Hyp:
-		next := st
-		for _, a := range p.Adds {
-			if !a.IsGround() {
-				return false, fmt.Errorf("engine: non-ground hypothetical add")
-			}
-			next = next.Add(c.in.InternGround(a))
+	for _, a := range p.Adds {
+		if !a.IsGround() {
+			return 0, st, nonGround(a)
 		}
-		for _, a := range p.Dels {
-			if !a.IsGround() {
-				return false, fmt.Errorf("engine: non-ground hypothetical del")
-			}
-			next = next.Del(c.in.InternGround(a))
-		}
-		return c.Ask(c.in.InternGround(p.Atom), next)
-	default:
-		return false, fmt.Errorf("engine: unsupported premise kind %v", p.Kind)
+		st = st.Add(in.InternGround(a))
 	}
+	for _, a := range p.Dels {
+		if !a.IsGround() {
+			return 0, st, nonGround(a)
+		}
+		st = st.Del(in.InternGround(a))
+	}
+	return in.InternGround(p.Atom), st, nil
 }
 
 // Solution is one answer to a non-ground query: the values bound to its
@@ -338,72 +288,36 @@ func (c *Cascade) AskPremise(p ast.CPremise, st facts.State) (bool, error) {
 type Solution []symbols.Const
 
 // Solutions enumerates the answers of a (possibly non-ground) premise by
-// instantiating its variables over the domain and asking the engine. The
+// instantiating its variables over the domain and asking a, passing each
+// to yield as soon as its proof succeeds; nothing is accumulated, so an
+// answer set larger than memory can be forwarded incrementally. The
 // variable slots are numbered by first occurrence; numVars is the size of
-// the premise's binding space (from ast.CompilePremise's names).
-func Solutions(a Asker, p ast.CPremise, numVars int, st facts.State) ([]Solution, error) {
-	return SolutionsCtx(context.Background(), a, p, numVars, st)
-}
-
-// SolutionsCtx is Solutions with cancellation: both the domain
-// enumeration and each per-instance proof poll ctx, so even queries whose
-// cost is dominated by the dom^numVars instantiation loop abort promptly
-// with an error wrapping topdown.ErrCanceled or topdown.ErrDeadline.
-func SolutionsCtx(ctx context.Context, a Asker, p ast.CPremise, numVars int, st facts.State) ([]Solution, error) {
-	var out []Solution
-	err := SolutionsEachCtx(ctx, a, p, numVars, st, func(s Solution) error {
-		out = append(out, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SolutionsEachCtx is SolutionsCtx with streaming delivery: each solution
-// is passed to yield as soon as its proof succeeds, and nothing is
-// accumulated, so an answer set larger than memory can be forwarded
-// incrementally (e.g. onto a network connection). The yielded slice is
-// owned by the callee. A non-nil error from yield stops the enumeration
-// and is returned verbatim, so callers can distinguish their own
-// delivery failures from evaluation aborts.
-func SolutionsEachCtx(ctx context.Context, a Asker, p ast.CPremise, numVars int, st facts.State, yield func(Solution) error) error {
+// the premise's binding space (from ast.CompilePremise's names). Every
+// instantiation ticks b, a's Budget, so a query whose cost is the
+// dom^numVars loop itself still aborts promptly. The yielded slice is
+// owned by the callee; a non-nil error from yield stops the enumeration
+// and is returned verbatim.
+func Solutions(a Asker, b *topdown.Budget, p ast.CPremise, numVars int, st facts.State, yield func(Solution) error) error {
 	if numVars == 0 {
-		ok, err := a.AskPremiseCtx(ctx, p, st)
-		if err != nil {
+		ok, err := AskPremise(a, p, st)
+		if err != nil || !ok {
 			return err
 		}
-		if ok {
-			return yield(Solution{})
-		}
-		return nil
+		return yield(Solution{})
 	}
-	cancellable := ctx != nil && ctx.Done() != nil
 	dom := a.Dom()
 	binding := make([]symbols.Const, numVars)
-	var tried int64
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == numVars {
-			tried++
-			if cancellable && tried%ctxCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return topdown.ContextAbort(err, topdown.Stats{})
-				}
+			if ae := b.Tick(); ae != nil {
+				return ae
 			}
-			g, err := groundPremise(p, binding)
-			if err != nil {
+			ok, err := AskPremise(a, groundPremise(p, binding), st)
+			if err != nil || !ok {
 				return err
 			}
-			ok, err := a.AskPremiseCtx(ctx, g, st)
-			if err != nil {
-				return err
-			}
-			if ok {
-				return yield(append(Solution(nil), binding...))
-			}
-			return nil
+			return yield(append(Solution(nil), binding...))
 		}
 		for _, c := range dom {
 			binding[i] = c
@@ -416,12 +330,8 @@ func SolutionsEachCtx(ctx context.Context, a Asker, p ast.CPremise, numVars int,
 	return rec(0)
 }
 
-// ctxCheckInterval is how many query instantiations pass between context
-// polls in SolutionsCtx.
-const ctxCheckInterval = 256
-
 // groundPremise substitutes binding into a premise.
-func groundPremise(p ast.CPremise, binding []symbols.Const) (ast.CPremise, error) {
+func groundPremise(p ast.CPremise, binding []symbols.Const) ast.CPremise {
 	g := ast.CPremise{Kind: p.Kind, Atom: groundCAtom(p.Atom, binding)}
 	for _, a := range p.Adds {
 		g.Adds = append(g.Adds, groundCAtom(a, binding))
@@ -429,7 +339,7 @@ func groundPremise(p ast.CPremise, binding []symbols.Const) (ast.CPremise, error
 	for _, a := range p.Dels {
 		g.Dels = append(g.Dels, groundCAtom(a, binding))
 	}
-	return g, nil
+	return g
 }
 
 func groundCAtom(a ast.CAtom, binding []symbols.Const) ast.CAtom {

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/parser"
@@ -17,6 +19,12 @@ import (
 // buildBoth compiles a linearly stratifiable program and returns the
 // uniform engine and the cascade over it.
 func buildBoth(t *testing.T, src string) (*topdown.Engine, *Cascade, *ast.CProgram) {
+	t.Helper()
+	return buildBothWith(t, src, nil)
+}
+
+// buildBothWith is buildBoth with the cascade built around the budget b.
+func buildBothWith(t *testing.T, src string, b *topdown.Budget) (*topdown.Engine, *Cascade, *ast.CProgram) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -32,8 +40,8 @@ func buildBoth(t *testing.T, src string) (*topdown.Engine, *Cascade, *ast.CProgr
 		t.Fatalf("compile: %v", err)
 	}
 	dom := ref.Domain(cp)
-	uni := NewUniform(cp, dom, topdown.Options{})
-	cas, err := NewCascade(cp, s, dom)
+	uni := topdown.New(cp, dom, topdown.Options{}, nil)
+	cas, err := NewCascade(cp, s, dom, b)
 	if err != nil {
 		t.Fatalf("cascade: %v", err)
 	}
@@ -59,11 +67,11 @@ func compileQuery(t *testing.T, cp *ast.CProgram, query string) ast.CPremise {
 func askBoth(t *testing.T, uni *topdown.Engine, cas *Cascade, cp *ast.CProgram, query string) bool {
 	t.Helper()
 	cpr := compileQuery(t, cp, query)
-	u, err := uni.AskPremise(cpr, uni.EmptyState())
+	u, err := AskPremise(uni, cpr, uni.EmptyState())
 	if err != nil {
 		t.Fatalf("uniform %q: %v", query, err)
 	}
-	c, err := cas.AskPremise(cpr, cas.EmptyState())
+	c, err := AskPremise(cas, cpr, cas.EmptyState())
 	if err != nil {
 		t.Fatalf("cascade %q: %v", query, err)
 	}
@@ -161,8 +169,8 @@ func TestCascadeAgainstReference(t *testing.T) {
 		}
 		dom := ref.Domain(cp)
 		ip := ref.New(cp)
-		uni := NewUniform(cp, dom, topdown.Options{MaxGoals: 5_000_000})
-		cas, err := NewCascade(cp, s, dom)
+		uni := topdown.New(cp, dom, topdown.Options{}, &topdown.Budget{Max: 5_000_000})
+		cas, err := NewCascade(cp, s, dom, nil)
 		if err != nil {
 			t.Fatalf("seed %d: cascade: %v\n%s", seed, err, src)
 		}
@@ -222,8 +230,8 @@ func TestCascadeDeletionFuzz(t *testing.T) {
 		}
 		dom := ref.Domain(cp)
 		ip := ref.New(cp)
-		uni := NewUniform(cp, dom, topdown.Options{MaxGoals: 5_000_000})
-		cas, err := NewCascade(cp, s, dom)
+		uni := topdown.New(cp, dom, topdown.Options{}, &topdown.Budget{Max: 5_000_000})
+		cas, err := NewCascade(cp, s, dom, nil)
 		if err != nil {
 			t.Fatalf("seed %d: cascade: %v\n%s", seed, err, src)
 		}
@@ -273,13 +281,13 @@ func TestSolutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []Asker{uni, cas} {
-		sols, err := Solutions(a, cpr, len(names), a.EmptyState())
+		got := map[string]bool{}
+		err := Solutions(a, nil, cpr, len(names), a.EmptyState(), func(s Solution) error {
+			got[cp.Syms.ConstName(s[0])] = true
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		got := map[string]bool{}
-		for _, s := range sols {
-			got[cp.Syms.ConstName(s[0])] = true
 		}
 		// Example 2's shape: everyone who could graduate with one more
 		// course — tony (already can) and mary (his101 + hypothetical
@@ -299,7 +307,11 @@ func TestSolutionsGroundQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := Solutions(uni, cpr, len(names), uni.EmptyState())
+	var sols []Solution
+	err = Solutions(uni, nil, cpr, len(names), uni.EmptyState(), func(s Solution) error {
+		sols = append(sols, s)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,19 +328,20 @@ func TestSolutionsGroundQuery(t *testing.T) {
 // Δ-models — come back exactly when their tables are dropped.
 func TestStateNodesChargedAndReleased(t *testing.T) {
 	const depth, budget = 256, 6 << 10 // the chain's 256 state nodes alone outgrow 6 KiB
-	_, cas, cp := buildBoth(t, workload.TaggedChainProgram(depth, 2))
+	b := new(topdown.Budget)
+	_, cas, cp := buildBothWith(t, workload.TaggedChainProgram(depth, 2), b)
 	var mem *topdown.MemTracker
 	track := func(max int64) {
 		mem = topdown.NewMemTracker(max)
 		mem.AddSource(cas.Interner().MemBytes)
 		mem.AddSource(cas.Base().MemBytes)
-		cas.SetBudgets(mem, nil)
+		b.Mem = mem
 	}
 	ask := func(query string) (bool, error) {
 		t.Helper()
 		cpr := compileQuery(t, cp, query)
 		mem.Begin()
-		return cas.AskPremise(cpr, cas.EmptyState())
+		return AskPremise(cas, cpr, cas.EmptyState())
 	}
 	drop := func() {
 		for _, se := range cas.sigma {
@@ -394,7 +407,7 @@ func TestCascadeAsksOneComponent(t *testing.T) {
 	ask := func(query string) (*Cascade, *ast.CProgram, bool) {
 		t.Helper()
 		_, cas, cp := buildBoth(t, src)
-		ok, err := cas.AskPremise(compileQuery(t, cp, query), cas.EmptyState())
+		ok, err := AskPremise(cas, compileQuery(t, cp, query), cas.EmptyState())
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
@@ -424,5 +437,52 @@ func TestCascadeAsksOneComponent(t *testing.T) {
 	even, _, _ := ask("even")
 	if got, want := cas.Stats().Goals, even.Stats().Goals; got != want {
 		t.Errorf("asking neven ran %d Σ goals, asking even %d", got, want)
+	}
+}
+
+// TestCascadeDeadline: every component of a cascade draws on the Budget
+// it was built with, so one Begin bounds the whole query. A Hamiltonian
+// refutation over a complete 11-node core — Σ search and Δ
+// materialisations alike — stops at its deadline, asked as a ground
+// premise or enumerated by Solutions, and the Budget serves the next
+// query unharmed.
+func TestCascadeDeadline(t *testing.T) {
+	g := workload.Digraph{N: 12} // v11 is isolated: there is no Hamiltonian path
+	for i := 0; i < 11; i++ {
+		for j := 0; j < 11; j++ {
+			if i != j {
+				g.Edges = append(g.Edges, [2]int{i, j})
+			}
+		}
+	}
+	b := new(topdown.Budget)
+	_, cas, cp := buildBothWith(t, workload.HamiltonianProgram(g), b)
+	yes, open := compileQuery(t, cp, "yes"), compileQuery(t, cp, "path(X)[add: pnode(X)]")
+	for name, read := range map[string]func() error{
+		"AskPremise": func() error { _, err := AskPremise(cas, yes, cas.EmptyState()); return err },
+		"Solutions": func() error {
+			return Solutions(cas, b, open, 1, cas.EmptyState(), func(Solution) error { return nil })
+		},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		err := b.Begin(ctx)
+		if err == nil {
+			err = read()
+		}
+		b.End()
+		cancel()
+		if !errors.Is(err, topdown.ErrDeadline) {
+			t.Fatalf("%s = %v, want ErrDeadline", name, err)
+		}
+		if d := time.Since(start); d >= 500*time.Millisecond {
+			t.Errorf("%s aborted after %v, want well under 500ms", name, d)
+		}
+	}
+	if err := b.Begin(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := AskPremise(cas, compileQuery(t, cp, "node(v0)"), cas.EmptyState()); err != nil || !ok {
+		t.Fatalf("node(v0) after the aborts = %v, %v; want true", ok, err)
 	}
 }

@@ -45,7 +45,7 @@ func askGenericYes(t *testing.T, rules, facts string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := topdown.New(cp, ref.Domain(cp), topdown.Options{MaxGoals: 500_000_000})
+	e := topdown.New(cp, ref.Domain(cp), topdown.Options{}, &topdown.Budget{Max: 500_000_000})
 	p, ok := cp.Syms.LookupPred("yes", 0)
 	if !ok {
 		t.Fatal("no yes/0")

@@ -29,7 +29,7 @@ func askYes(t *testing.T, src string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := topdown.New(cp, ref.Domain(cp), topdown.Options{MaxGoals: 50_000_000})
+	e := topdown.New(cp, ref.Domain(cp), topdown.Options{}, &topdown.Budget{Max: 50_000_000})
 	p, ok := cp.Syms.LookupPred("yes", 0)
 	if !ok {
 		t.Fatal("no yes predicate")

@@ -66,7 +66,7 @@ func New(cp *ast.CProgram) (*Engine, error) {
 	}
 	// Every rule is in the one Δ part, so nothing is defined below it and
 	// no oracle is needed.
-	pv, err := bottomup.New(cp, base, ref.Domain(cp), rules, nil)
+	pv, err := bottomup.New(cp, base, ref.Domain(cp), rules, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("horn: %w", err)
 	}

@@ -338,7 +338,7 @@ func TestErrorStatuses(t *testing.T) {
 func TestDeadlineAndBudgetStatuses(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		_, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true}, Config{})
-		for _, path := range []string{"/v1/ask", "/v1/query"} {
+		for _, path := range []string{"/v1/ask", "/v1/query", "/v1/explain"} {
 			resp, body := post(t, ts.Client(), ts.URL+path, `{"query": "yes", "timeout": "60ms"}`)
 			if resp.StatusCode != http.StatusGatewayTimeout {
 				t.Errorf("%s status %d, want 504: %s", path, resp.StatusCode, body)

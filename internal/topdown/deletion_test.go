@@ -60,11 +60,13 @@ func TestDeletionCycleTerminates(t *testing.T) {
 	// Moving a token around a cycle revisits states; the (goal, state)
 	// loop check must terminate and answer reachability correctly.
 	g := workload.Digraph{N: 4, Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}}}
-	e, cp := newEngine(t, workload.TokenGameProgram(g, 0, 2), Options{MaxGoals: 1_000_000})
+	cp := compileSrc(t, workload.TokenGameProgram(g, 0, 2))
+	e := New(cp, ref.Domain(cp), Options{}, &Budget{Max: 1_000_000})
 	expect(t, e, cp, "goal", true)
 	// Node 3 is unreachable.
 	g2 := workload.Digraph{N: 4, Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}}}
-	e2, cp2 := newEngine(t, workload.TokenGameProgram(g2, 0, 3), Options{MaxGoals: 1_000_000})
+	cp2 := compileSrc(t, workload.TokenGameProgram(g2, 0, 3))
+	e2 := New(cp2, ref.Domain(cp2), Options{}, &Budget{Max: 1_000_000})
 	expect(t, e2, cp2, "goal", false)
 }
 
@@ -75,7 +77,8 @@ func TestTokenGameMatchesReachability(t *testing.T) {
 		g := workload.RandomDigraph(rng, n, 0.3)
 		target := rng.Intn(n)
 		want := workload.Reachable(g, 0, target)
-		e, cp := newEngine(t, workload.TokenGameProgram(g, 0, target), Options{MaxGoals: 5_000_000})
+		cp := compileSrc(t, workload.TokenGameProgram(g, 0, target))
+		e := New(cp, ref.Domain(cp), Options{}, &Budget{Max: 5_000_000})
 		if got := ask(t, e, cp, "goal"); got != want {
 			t.Errorf("seed %d: goal=%v reachable=%v (n=%d target=%d)", seed, got, want, n, target)
 		}
@@ -105,8 +108,8 @@ func TestFuzzDeletionsAgainstReference(t *testing.T) {
 		ip := ref.New(cp)
 		dom := ip.Dom()
 		engines := map[string]*Engine{
-			"tabled":   New(cp, dom, Options{MaxGoals: 5_000_000}),
-			"untabled": New(cp, dom, Options{NoTabling: true, MaxGoals: 2_000_000}),
+			"tabled":   New(cp, dom, Options{}, &Budget{Max: 5_000_000}),
+			"untabled": New(cp, dom, Options{NoTabling: true}, &Budget{Max: 2_000_000}),
 		}
 		for p := symbols.Pred(0); int(p) < cp.Syms.NumPreds(); p++ {
 			if cp.Syms.PredArity(p) != 1 {

@@ -45,9 +45,9 @@ func TestFuzzAgainstReference(t *testing.T) {
 		ip := ref.New(cp)
 		dom := ip.Dom()
 		engines := map[string]*Engine{
-			"tabled":    New(cp, dom, Options{MaxGoals: 5_000_000}),
-			"untabled":  New(cp, dom, Options{NoTabling: true, MaxGoals: 5_000_000}),
-			"noplanner": New(cp, dom, Options{NoPlanner: true, MaxGoals: 5_000_000}),
+			"tabled":    New(cp, dom, Options{}, &Budget{Max: 5_000_000}),
+			"untabled":  New(cp, dom, Options{NoTabling: true}, &Budget{Max: 5_000_000}),
+			"noplanner": New(cp, dom, Options{NoPlanner: true}, &Budget{Max: 5_000_000}),
 		}
 		for p := symbols.Pred(0); int(p) < cp.Syms.NumPreds(); p++ {
 			arity := cp.Syms.PredArity(p)
@@ -101,7 +101,7 @@ func TestFuzzHypotheticalStates(t *testing.T) {
 		}
 		ip := ref.New(cp)
 		dom := ip.Dom()
-		e := New(cp, dom, Options{MaxGoals: 5_000_000})
+		e := New(cp, dom, Options{}, &Budget{Max: 5_000_000})
 
 		poolPred, ok := cp.Syms.LookupPred("pool", 1)
 		if !ok {

@@ -106,7 +106,7 @@ func FuzzMemo(f *testing.F) {
 func TestEngineTableSizeCountsEntries(t *testing.T) {
 	e, cp := newEngine(t, paritySrc(4), Options{})
 	mem := NewMemTracker(0)
-	e.SetMem(mem)
+	e.budget.Mem = mem
 	mem.Begin()
 	expect(t, e, cp, "even", true)
 	if got, want := e.Stats().TableSize, e.table.n; got != want || got == 0 {

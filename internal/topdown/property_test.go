@@ -47,7 +47,7 @@ func TestMonotonicityProperty(t *testing.T) {
 		if len(dom) == 0 {
 			return true
 		}
-		e := New(cp, dom, Options{MaxGoals: 2_000_000})
+		e := New(cp, dom, Options{}, &Budget{Max: 2_000_000})
 
 		// Pick a random unary atom to add hypothetically.
 		poolPred, ok := cp.Syms.LookupPred("pool", 1)
@@ -103,8 +103,8 @@ func TestDeterminismProperty(t *testing.T) {
 			return false
 		}
 		dom := ref.Domain(cp)
-		e1 := New(cp, dom, Options{MaxGoals: 2_000_000})
-		e2 := New(cp, dom, Options{MaxGoals: 2_000_000})
+		e1 := New(cp, dom, Options{}, &Budget{Max: 2_000_000})
+		e2 := New(cp, dom, Options{}, &Budget{Max: 2_000_000})
 		for p := symbols.Pred(0); int(p) < cp.Syms.NumPreds(); p++ {
 			if cp.Syms.PredArity(p) != 1 {
 				continue
@@ -148,7 +148,7 @@ func TestStateOrderIrrelevance(t *testing.T) {
 		if len(dom) < 2 {
 			return true
 		}
-		e := New(cp, dom, Options{MaxGoals: 2_000_000})
+		e := New(cp, dom, Options{}, &Budget{Max: 2_000_000})
 		poolPred, ok := cp.Syms.LookupPred("pool", 1)
 		if !ok {
 			return true

@@ -57,24 +57,13 @@ type Options struct {
 	// NoPlanner evaluates rule bodies strictly left to right, enumerating
 	// unbound variables over the domain as encountered.
 	NoPlanner bool
-	// MaxGoals aborts evaluation after exactly this many goal expansions
-	// with an *AbortError wrapping ErrBudget (the error reports the limit
-	// and a Stats snapshot). Zero means no limit. Engines embedded in a
-	// cascade draw on one shared allowance installed with SetGoals instead.
-	MaxGoals int64
-	// MaxMemoryBytes aborts evaluation once the query has grown the
-	// engine's tracked footprint (memo table, interner, base database) by
-	// more than this many bytes, with an *AbortError wrapping ErrMemory.
-	// Zero means no limit. Engines embedded in a cascade share one
-	// tracker installed with SetMem instead.
-	MaxMemoryBytes int64
 }
 
 // Sentinel causes for aborted evaluations. The error returned by the
 // engine wraps one of these in an *AbortError carrying a Stats snapshot,
 // so both errors.Is(err, ErrDeadline) and errors.As(err, &abortErr) work.
 var (
-	// ErrBudget is returned when Options.MaxGoals is exhausted.
+	// ErrBudget is returned when a Budget's goal allowance is exhausted.
 	ErrBudget = errors.New("topdown: goal budget exhausted")
 	// ErrCanceled is returned when the caller's context is canceled
 	// mid-evaluation.
@@ -82,8 +71,8 @@ var (
 	// ErrDeadline is returned when the caller's context deadline expires
 	// mid-evaluation.
 	ErrDeadline = errors.New("topdown: evaluation deadline exceeded")
-	// ErrMemory is returned when Options.MaxMemoryBytes (or the memory
-	// tracker installed with SetMem) is exhausted.
+	// ErrMemory is returned when a query grows a Budget's memory meter
+	// past its ceiling.
 	ErrMemory = errors.New("topdown: memory budget exhausted")
 )
 
@@ -93,8 +82,8 @@ var (
 type AbortError struct {
 	// Reason is ErrBudget, ErrCanceled, ErrDeadline, or ErrMemory.
 	Reason error
-	// Limit is the configured Options.MaxGoals for budget aborts, or the
-	// configured byte ceiling for memory aborts; 0 otherwise.
+	// Limit is the goal allowance (Budget.Max) for budget aborts, or the
+	// byte ceiling for memory aborts; 0 otherwise.
 	Limit int64
 	// Stats is the engine's counters at the moment of the abort.
 	Stats Stats
@@ -122,10 +111,6 @@ func ContextAbort(ctxErr error, stats Stats) *AbortError {
 	}
 	return &AbortError{Reason: reason, Stats: stats}
 }
-
-// ctxCheckInterval is how many goal expansions pass between context
-// polls. Powers of two keep the hot-path check a mask-and-branch.
-const ctxCheckInterval = 256
 
 // Stats are evaluation counters, reset by ResetStats. They back the
 // Appendix A experiment (polynomial goal-sequence length). The last five
@@ -182,22 +167,6 @@ func (s Stats) plus(o Stats, sign int64) Stats {
 	return s
 }
 
-// GoalBudget is a goal-expansion allowance. A standalone engine owns one
-// (Options.MaxGoals); the Σ engines of a cascade share one (SetGoals), so
-// the budget bounds their sum.
-type GoalBudget struct {
-	Max   int64
-	Spent int64
-}
-
-// Begin starts a new query's allowance. Like MemTracker's methods it is
-// nil-safe: no budget, nothing to reset.
-func (b *GoalBudget) Begin() {
-	if b != nil {
-		b.Spent = 0
-	}
-}
-
 // Engine proves ground goals against hypothetical states.
 // An Engine is not safe for concurrent use.
 type Engine struct {
@@ -219,17 +188,10 @@ type Engine struct {
 	// spare holds emptied on-stack sets for negation regions to reuse.
 	spare []map[tableKey]int
 
-	// ctx is the cancellation source of the in-flight *Ctx call, or nil
-	// when the call is not cancellable; prove polls it every
-	// ctxCheckInterval goal expansions.
-	ctx context.Context
-
-	// mem is the footprint tracker enforcing MaxMemoryBytes; nil disables
-	// both accounting and the ceiling.
-	mem *MemTracker
-
-	// goals is the allowance enforcing MaxGoals; nil means unlimited.
-	goals *GoalBudget
+	// budget is the evaluator's per-query limits, shared with the other
+	// components of a cascade; prove charges every goal expansion to it and
+	// the memo table's footprint to its meter.
+	budget *Budget
 
 	stats Stats
 	args  []symbols.Const // scratch for grounding and ground-pattern lookups
@@ -259,8 +221,8 @@ const (
 // populated from the program's facts, over an interner that projects
 // states onto the program's relevance classes; dom is the constant domain
 // used when the planner must enumerate (pass ref.Domain(cp) for the
-// paper's dom(R, DB)).
-func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
+// paper's dom(R, DB)). A nil budget sets no limits.
+func New(cp *ast.CProgram, dom []symbols.Const, opts Options, b *Budget) *Engine {
 	in := facts.NewInterner(cp.Syms)
 	in.SetRelevance(facts.NewRelevance(cp))
 	base := facts.NewDB(in)
@@ -271,7 +233,7 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 			panic(err)
 		}
 	}
-	return NewWithBase(cp, base, dom, opts)
+	return NewWithBase(cp, base, dom, opts, b)
 }
 
 // NewWithBase builds an engine sharing an existing base database (and its
@@ -280,9 +242,12 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options) *Engine {
 // program ast.RewriteNegation has not rewritten: the engine tests every
 // negated premise ground and would answer one with a variable of its own
 // under the wrong quantifier.
-func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Options) *Engine {
+func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Options, b *Budget) *Engine {
 	if err := cp.CheckRewritten(); err != nil {
 		panic(err)
+	}
+	if b == nil {
+		b = new(Budget)
 	}
 	e := &Engine{
 		prog:    cp,
@@ -290,10 +255,10 @@ func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Opt
 		base:    base,
 		dom:     dom,
 		opts:    opts,
+		budget:  b,
 		onStack: make(map[tableKey]int),
 	}
 	e.indexPreds()
-	e.initBudgets()
 	return e
 }
 
@@ -335,37 +300,6 @@ func (e *Engine) rules(p symbols.Pred) []int {
 	return nil
 }
 
-// initBudgets builds the standalone allowance and tracker Options.MaxGoals
-// and Options.MaxMemoryBytes ask for. Engines assembled into a cascade
-// get shared ones via SetGoals and SetMem instead (the cascade's
-// components share one interner and database, so per-engine sources would
-// double-count them).
-func (e *Engine) initBudgets() {
-	if e.opts.MaxGoals > 0 {
-		e.goals = &GoalBudget{Max: e.opts.MaxGoals}
-	}
-	if e.opts.MaxMemoryBytes <= 0 {
-		return
-	}
-	t := NewMemTracker(e.opts.MaxMemoryBytes)
-	t.AddSource(e.in.MemBytes)
-	t.AddSource(e.base.MemBytes)
-	t.Begin()
-	e.mem = t
-}
-
-// SetMem installs a footprint tracker (replacing any standalone one).
-// The engine charges its memo table into it and polls it at the same
-// points as the goal budget. Passing nil disables accounting.
-func (e *Engine) SetMem(t *MemTracker) { e.mem = t }
-
-// Mem returns the engine's footprint tracker, or nil.
-func (e *Engine) Mem() *MemTracker { return e.mem }
-
-// SetGoals installs a goal allowance (replacing any standalone one); nil
-// lifts the limit.
-func (e *Engine) SetGoals(b *GoalBudget) { e.goals = b }
-
 // Base returns the engine's base database.
 func (e *Engine) Base() *facts.DB { return e.base }
 
@@ -382,7 +316,7 @@ func (e *Engine) Dom() []symbols.Const { return e.dom }
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.TableSize = e.table.n
-	s.MemBytes = e.mem.Grown()
+	s.MemBytes = e.budget.Mem.Grown()
 	return s
 }
 
@@ -391,7 +325,7 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // ResetTable clears the memo table.
 func (e *Engine) ResetTable() {
-	e.mem.Add(-e.table.memBytes())
+	e.budget.Mem.Add(-e.table.memBytes())
 	e.table = memo{}
 }
 
@@ -407,7 +341,7 @@ func (e *Engine) ResetTable() {
 // differs), so stale entries under them are unreachable, not wrong.
 func (e *Engine) PruneTable(cone map[symbols.Pred]bool) int {
 	n, freed := e.table.prune(func(goal facts.AtomID) bool { return cone[e.in.Pred(goal)] })
-	e.mem.Add(-freed)
+	e.budget.Mem.Add(-freed)
 	return n
 }
 
@@ -429,112 +363,22 @@ func (e *Engine) ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred
 }
 
 // Ask reports whether the interned ground atom is derivable in the state:
-// R, DB+Δ ⊢ A.
+// R, DB+Δ ⊢ A. It aborts with an *AbortError carrying a Stats snapshot
+// when the engine's Budget runs out or its query's context is done.
 func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	ok, _, err := e.prove(goal, st, 0)
 	return ok, err
-}
-
-// AskCtx is Ask with cancellation: the proof is aborted with ErrCanceled
-// or ErrDeadline (wrapped in an *AbortError carrying a Stats snapshot)
-// when ctx is canceled. The poll happens every ctxCheckInterval goal
-// expansions, so abort latency is bounded by a few hundred expansions.
-func (e *Engine) AskCtx(ctx context.Context, goal facts.AtomID, st facts.State) (bool, error) {
-	restore, err := e.pushCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	if restore != nil {
-		defer restore()
-	}
-	ok, _, err := e.prove(goal, st, 0)
-	return ok, err
-}
-
-// pushCtx installs ctx as the engine's cancellation source for the
-// duration of one public call, returning a restore closure. A nil or
-// never-cancellable context disables polling entirely and returns a nil
-// restore, keeping the uncancellable path allocation-free (the cascade
-// routes every subgoal through here).
-func (e *Engine) pushCtx(ctx context.Context) (func(), error) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ContextAbort(err, e.Stats())
-	}
-	saved := e.ctx
-	e.ctx = ctx
-	return func() { e.ctx = saved }, nil
-}
-
-// AskPremiseCtx is AskPremise with cancellation; see AskCtx.
-func (e *Engine) AskPremiseCtx(ctx context.Context, p ast.CPremise, st facts.State) (bool, error) {
-	restore, err := e.pushCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	if restore != nil {
-		defer restore()
-	}
-	return e.AskPremise(p, st)
-}
-
-// AskPremise evaluates a ground compiled premise (plain, negated, or
-// hypothetical) in the state.
-func (e *Engine) AskPremise(p ast.CPremise, st facts.State) (bool, error) {
-	if !p.Atom.IsGround() {
-		return false, fmt.Errorf("topdown: AskPremise requires a ground premise, got %s",
-			ast.FormatCAtom(p.Atom, e.prog.Syms, nil))
-	}
-	switch p.Kind {
-	case ast.Plain:
-		return e.Ask(e.in.InternGround(p.Atom), st)
-	case ast.Negated:
-		ok, err := e.Ask(e.in.InternGround(p.Atom), st)
-		return !ok, err
-	case ast.Hyp:
-		next := st
-		for _, a := range p.Adds {
-			if !a.IsGround() {
-				return false, fmt.Errorf("topdown: non-ground hypothetical add %s",
-					ast.FormatCAtom(a, e.prog.Syms, nil))
-			}
-			next = next.Add(e.in.InternGround(a))
-		}
-		for _, a := range p.Dels {
-			if !a.IsGround() {
-				return false, fmt.Errorf("topdown: non-ground hypothetical del %s",
-					ast.FormatCAtom(a, e.prog.Syms, nil))
-			}
-			next = next.Del(e.in.InternGround(a))
-		}
-		return e.Ask(e.in.InternGround(p.Atom), next)
-	default:
-		return false, fmt.Errorf("topdown: unsupported premise kind %v", p.Kind)
-	}
 }
 
 // prove implements the tabled DFS. depth doubles as this goal's frame
 // index; the second result is the minimum frame index of any in-progress
 // ancestor the (failed) subtree consulted, or maxFrame when untouched.
 func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int, error) {
-	if b := e.goals; b != nil {
-		if b.Spent >= b.Max {
-			// Checked before counting, so exactly Max expansions run.
-			return false, maxFrame, &AbortError{Reason: ErrBudget, Limit: b.Max, Stats: e.Stats()}
-		}
-		b.Spent++
-	}
-	if e.mem.Over() {
-		return false, maxFrame, &AbortError{Reason: ErrMemory, Limit: e.mem.Max(), Stats: e.Stats()}
+	if ae := e.budget.Goal(); ae != nil {
+		ae.Stats = e.Stats()
+		return false, maxFrame, ae
 	}
 	e.stats.Goals++
-	if e.ctx != nil && e.stats.Goals%ctxCheckInterval == 0 {
-		if err := e.ctx.Err(); err != nil {
-			return false, maxFrame, ContextAbort(err, e.Stats())
-		}
-	}
 	if depth > e.stats.MaxDepth {
 		e.stats.MaxDepth = depth
 	}
@@ -584,14 +428,14 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		}
 		if ok {
 			if !e.opts.NoTabling {
-				e.mem.Add(e.table.put(key, true))
+				e.budget.Mem.Add(e.table.put(key, true))
 			}
 			return true, maxFrame, nil
 		}
 	}
 	if !e.opts.NoTabling && minTouched >= depth {
 		// Clean failure: nothing above this frame was consulted.
-		e.mem.Add(e.table.put(key, false))
+		e.budget.Mem.Add(e.table.put(key, false))
 	}
 	return false, minTouched, nil
 }

@@ -40,7 +40,7 @@ func compileSrc(t *testing.T, src string) *ast.CProgram {
 func newEngine(t *testing.T, src string, opts Options) (*Engine, *ast.CProgram) {
 	t.Helper()
 	cp := compileSrc(t, src)
-	return New(cp, ref.Domain(cp), opts), cp
+	return New(cp, ref.Domain(cp), opts, nil), cp
 }
 
 // ask evaluates a premise given in surface syntax, e.g.
@@ -60,11 +60,35 @@ func ask(t *testing.T, e *Engine, cp *ast.CProgram, query string) bool {
 	if len(names) > 0 {
 		t.Fatalf("query %q is not ground", query)
 	}
-	ok, err := e.AskPremise(cpr, e.EmptyState())
+	ok, err := askPremise(e, cpr, e.EmptyState())
 	if err != nil {
 		t.Fatalf("ask %q: %v", query, err)
 	}
 	return ok
+}
+
+// askPremise decides a ground premise as engine.AskPremise does (this
+// package's tests cannot import it): the premise's atom, in the state
+// extended by its adds and dels, read negated for a negated premise.
+func askPremise(e *Engine, p ast.CPremise, st facts.State) (bool, error) {
+	for _, a := range p.Adds {
+		st = st.Add(e.in.InternGround(a))
+	}
+	for _, a := range p.Dels {
+		st = st.Del(e.in.InternGround(a))
+	}
+	ok, err := e.Ask(e.in.InternGround(p.Atom), st)
+	return ok != (p.Kind == ast.Negated), err
+}
+
+// askCtx asks a ground premise as one query under ctx, beginning and
+// ending the engine's Budget b around it as a query's owner does.
+func askCtx(ctx context.Context, b *Budget, e *Engine, p ast.CPremise) (bool, error) {
+	if err := b.Begin(ctx); err != nil {
+		return false, err
+	}
+	defer b.End()
+	return askPremise(e, p, e.EmptyState())
 }
 
 func expect(t *testing.T, e *Engine, cp *ast.CProgram, query string, want bool) {
@@ -279,7 +303,8 @@ func TestNoPlannerMatches(t *testing.T) {
 }
 
 func TestGoalBudget(t *testing.T) {
-	e, cp := newEngine(t, paritySrc(6), Options{MaxGoals: 5})
+	cp := compileSrc(t, paritySrc(6))
+	e := New(cp, ref.Domain(cp), Options{}, &Budget{Max: 5})
 	pr, err := parser.ParsePremise("even")
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +315,7 @@ func TestGoalBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.AskPremise(cpr, e.EmptyState())
+	_, err = askPremise(e, cpr, e.EmptyState())
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -301,7 +326,7 @@ func TestGoalBudget(t *testing.T) {
 	if ae.Limit != 5 {
 		t.Errorf("AbortError.Limit = %d, want 5", ae.Limit)
 	}
-	// The budget is exact: exactly MaxGoals expansions ran.
+	// The budget is exact: exactly Max expansions ran.
 	if ae.Stats.Goals != 5 || e.Stats().Goals != 5 {
 		t.Errorf("goals = %d (snapshot %d), want exactly 5", e.Stats().Goals, ae.Stats.Goals)
 	}
@@ -313,7 +338,9 @@ func TestGoalBudget(t *testing.T) {
 func TestContextCancel(t *testing.T) {
 	// "even" over 9 items is false, so the untabled search is exhaustive
 	// (factorial): plenty of goal expansions for the poll to notice.
-	e, cp := newEngine(t, paritySrc(9), Options{NoTabling: true})
+	b := new(Budget)
+	cp := compileSrc(t, paritySrc(9))
+	e := New(cp, ref.Domain(cp), Options{NoTabling: true}, b)
 	pr, err := parser.ParsePremise("even")
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +352,7 @@ func TestContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = e.AskPremiseCtx(ctx, cpr, e.EmptyState())
+	_, err = askCtx(ctx, b, e, cpr)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled: err = %v, want ErrCanceled", err)
 	}
@@ -340,7 +367,7 @@ func TestContextCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, err = e.AskPremiseCtx(ctx, cpr, e.EmptyState())
+	_, err = askCtx(ctx, b, e, cpr)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-flight: err = %v, want ErrCanceled", err)
 	}
@@ -352,7 +379,9 @@ func TestContextCancel(t *testing.T) {
 
 // TestContextDeadline checks ErrDeadline on an expired deadline.
 func TestContextDeadline(t *testing.T) {
-	e, cp := newEngine(t, paritySrc(9), Options{NoTabling: true})
+	b := new(Budget)
+	cp := compileSrc(t, paritySrc(9))
+	e := New(cp, ref.Domain(cp), Options{NoTabling: true}, b)
 	pr, err := parser.ParsePremise("even")
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +393,7 @@ func TestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = e.AskPremiseCtx(ctx, cpr, e.EmptyState())
+	_, err = askCtx(ctx, b, e, cpr)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -411,7 +440,7 @@ func TestAgainstReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cp := compileSrc(t, src)
 			ip := ref.New(cp)
-			e := New(cp, ref.Domain(cp), Options{})
+			e := New(cp, ref.Domain(cp), Options{}, nil)
 			checkAllAtoms(t, cp, ip, e)
 		})
 	}
@@ -609,7 +638,7 @@ func TestNewRefusesUnrewrittenNegation(t *testing.T) {
 					t.Errorf("New accepts %q before the negation rewrite", src)
 				}
 			}()
-			New(cp, ref.Domain(cp), Options{})
+			New(cp, ref.Domain(cp), Options{}, nil)
 		}()
 	}
 }

@@ -93,7 +93,7 @@ func TestAlternatingEncodingMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			cp := compileAlternating(t, m, in, n, true)
-			e := topdown.New(cp, ref.Domain(cp), topdown.Options{MaxGoals: 100_000_000})
+			e := topdown.New(cp, ref.Domain(cp), topdown.Options{}, &topdown.Budget{Max: 100_000_000})
 			p, ok := cp.Syms.LookupPred("accept", 0)
 			if !ok {
 				t.Fatal("no accept/0")
@@ -158,7 +158,7 @@ func TestVacuousUniversal(t *testing.T) {
 			t.Errorf("simulator vacuous(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 		cp := compileAlternating(t, m, tc.in, n, false)
-		e := topdown.New(cp, ref.Domain(cp), topdown.Options{})
+		e := topdown.New(cp, ref.Domain(cp), topdown.Options{}, nil)
 		p, _ := cp.Syms.LookupPred("accept", 0)
 		enc, err := e.Ask(e.Interner().ID(p, nil), e.EmptyState())
 		if err != nil {

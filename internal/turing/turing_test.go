@@ -187,7 +187,7 @@ func TestEncodingRulesInputIndependent(t *testing.T) {
 // askAccept evaluates the 0-ary accept goal of an encoding.
 func askAccept(t *testing.T, cp *ast.CProgram) bool {
 	t.Helper()
-	e := topdown.New(cp, ref.Domain(cp), topdown.Options{MaxGoals: 50_000_000})
+	e := topdown.New(cp, ref.Domain(cp), topdown.Options{}, &topdown.Budget{Max: 50_000_000})
 	p, ok := cp.Syms.LookupPred("accept", 0)
 	if !ok {
 		t.Fatal("encoding has no accept predicate")

@@ -515,8 +515,10 @@ func (pl *Pool) QueryEachInfoCtx(ctx context.Context, query string, info *ReadIn
 // engine is built from the current version's fact substrate (an
 // explanation is a diagnostic read — one extra engine build is the price
 // of a proof tree, not a hot-path cost). Answers bypass the cache: the
-// proof tree, not the boolean, is the product. ctx bounds the wait for a
-// free engine; the proof search itself is bounded by Options.MaxGoals.
+// proof tree, not the boolean, is the product. ctx bounds both the wait
+// for a free engine and the proof search, like a Read's: a search past
+// the deadline aborts with ErrDeadline (ErrCanceled on cancellation), and
+// Options.MaxGoals and MaxMemoryBytes bound it as they bound a query.
 func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info ReadInfo, err error) {
 	fin := trackQuery(pl.mets)
 	// The lease is kept even when a throwaway engine does the work, for
@@ -536,7 +538,7 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 			}
 			info.DataVersion = cur.version
 		}
-		info.Stats, err = e.measured(func() (err error) {
+		info.Stats, err = e.measured(ctx, func() (err error) {
 			out, err = e.Explain(query)
 			return err
 		})

@@ -156,12 +156,12 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 // binding if it holds and none otherwise. It never touches the shared
 // symbol table. A non-nil error from yield stops the enumeration and is
 // returned verbatim.
-func (e *Engine) eval(ctx context.Context, r *compiledRead, yield func(Binding) error) error {
+func (e *Engine) eval(r *compiledRead, yield func(Binding) error) error {
 	st := e.asker.EmptyState()
 	for _, ca := range r.adds {
 		st = st.Add(e.asker.Interner().InternGround(ca))
 	}
-	return engine.SolutionsEachCtx(ctx, e.asker, r.premise, len(r.names), st, func(s engine.Solution) error {
+	return engine.Solutions(e.asker, e.budget, r.premise, len(r.names), st, func(s engine.Solution) error {
 		b := make(Binding, len(r.names))
 		for slot, name := range r.names {
 			b[name] = e.prog.syms.ConstName(s[slot])
@@ -170,18 +170,22 @@ func (e *Engine) eval(ctx context.Context, r *compiledRead, yield func(Binding) 
 	})
 }
 
-// measured runs fn as one query on the engine: the memory and goal
-// budgets start afresh, the evaluation-work delta is charged to the
-// engine's metric set and returned, and an abort — raised by one Σ engine
-// of several, or where no top-down stats were at hand (a Δ prover, the
-// solution enumerator) — reports the whole engine's summed counters. Hot
+// measured runs fn as one query on the engine. It is the one place a
+// query begins: the engine's Budget starts afresh under ctx — a context
+// already done runs nothing — and every component polls it until fn
+// returns. The evaluation-work delta is charged to the engine's metric
+// set and returned, and an abort — raised by one Σ engine of several, or
+// where no top-down stats were at hand (a Δ prover, the solution
+// enumerator) — reports the whole engine's summed counters. Hot
 // evaluation loops never touch the metrics package: all accounting
 // happens here and in applyDeltaCompiled, once per query or commit.
-func (e *Engine) measured(fn func() error) (Stats, error) {
-	e.mem.Begin()
-	e.goals.Begin()
+func (e *Engine) measured(ctx context.Context, fn func() error) (Stats, error) {
+	err := e.budget.Begin(ctx)
+	defer e.budget.End()
 	before := e.Stats()
-	err := fn()
+	if err == nil {
+		err = fn()
+	}
 	after := e.Stats()
 	work := after.Sub(before)
 	e.charge(work)
@@ -224,7 +228,7 @@ func (e *Engine) Read(ctx context.Context, req Request, yield func(Binding) erro
 	fin := trackQuery(e.mets)
 	r, err := compileRead(req, e.prog.syms, e.domSet)
 	if err == nil {
-		info.Stats, err = e.measured(func() error { return e.eval(ctx, r, yield) })
+		info.Stats, err = e.measured(ctx, func() error { return e.eval(r, yield) })
 	}
 	fin(err)
 	return *info, err
@@ -266,7 +270,7 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 	lease := func(status CacheStatus, sink func(Binding) error) error {
 		return pl.Do(ctx, func(e *Engine) (err error) {
 			info.DataVersion, info.Cache = e.version, status
-			info.Stats, err = e.measured(func() error { return e.eval(ctx, r, sink) })
+			info.Stats, err = e.measured(ctx, func() error { return e.eval(r, sink) })
 			return err
 		})
 	}
