@@ -112,8 +112,9 @@ type Program struct {
 	// entries too. It is built once, on first use, and depends only on the
 	// rules, so every data version derived by withFacts shares it.
 	graph func() *depgraph.Graph
-	// rel is the rules' relevance classes, which every engine's interner
-	// projects states onto. Like strt it is computed when the program is
+	// rel is the rules' keying stage — the relevance classes every
+	// engine's interner projects states onto and the must-add sets it
+	// normalises them by. Like strt it is computed when the program is
 	// built, not per engine, and shared by every data version.
 	rel *facts.Relevance
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -188,7 +189,45 @@ func e1HypChain(s Sizes) ([]Case, error) {
 	for _, n := range s.Chain {
 		l.ask(fmt.Sprintf("n=%d", n), workload.ChainProgram(n), uniform, "a1", true)
 	}
+	e1OuterAdds(s, &l)
 	return l.done()
+}
+
+// e1OuterAdds asks the n = 256 chain the way a server is asked it: 200
+// seeded asks of a1–a3, each under one to three outer b adds, half of
+// them carrying b1..b{j-1}, which makes a_j hold. One engine per mode
+// answers all of them. Every b_i with i ≥ j is an atom a_j's proof adds
+// itself, so a_j is proved in the outer state less those (DESIGN §3,
+// "Must-add keys"), and the asks share the chain's states instead of each
+// walking a fresh one.
+func e1OuterAdds(s Sizes, l *caseList) {
+	const n, asks = 256, 200
+	rng := rngFor(s, 1, n)
+	list := make([]hypAsk, asks)
+	for i := range list {
+		j, k := 1+rng.Intn(3), 1+rng.Intn(3)
+		var idx []int
+		for p := 0; p < (j-1)*rng.Intn(2) && p < k; p++ {
+			idx = append(idx, p)
+		}
+		for len(idx) < k {
+			if v := rng.Intn(n); !slices.Contains(idx, v) {
+				idx = append(idx, v)
+			}
+		}
+		a := hypAsk{query: fmt.Sprintf("a%d", j), want: true}
+		for _, v := range idx {
+			a.adds = append(a.adds, fmt.Sprintf("b%d", v+1))
+		}
+		for p := 0; p < j-1; p++ {
+			a.want = a.want && slices.Contains(idx, p)
+		}
+		list[i] = a
+	}
+	prog := l.parse("outer-adds", workload.ChainProgram(n))
+	for _, ev := range e8Evaluators {
+		l.add("outer-adds/"+ev.name, func() (Counters, error) { return askAll(prog, ev.opts, list) })
+	}
 }
 
 func e2OrderLoop(s Sizes) ([]Case, error) {
@@ -607,25 +646,29 @@ func e16SharedRulebase(Sizes) ([]Case, error) {
 	prog := l.parse("shared", src)
 	for _, r := range rows {
 		for _, ev := range e8Evaluators {
-			l.add(r.name+"/"+ev.name, func() (Counters, error) {
-				e, err := hypo.New(prog, ev.opts)
-				if err != nil {
-					return nil, err
-				}
-				for _, a := range r.asks {
-					got, err := e.AskUnder(a.query, a.adds...)
-					if err != nil {
-						return nil, fmt.Errorf("%s under %v: %w", a.query, a.adds, err)
-					}
-					if got != a.want {
-						return nil, fmt.Errorf("%s under %v = %v, want %v", a.query, a.adds, got, a.want)
-					}
-				}
-				return work(e), nil
-			})
+			l.add(r.name+"/"+ev.name, func() (Counters, error) { return askAll(prog, ev.opts, r.asks) })
 		}
 	}
 	return l.done()
+}
+
+// askAll answers asks in order on one cold engine, checks each answer and
+// reports the engine's work.
+func askAll(prog *hypo.Program, opts hypo.Options, asks []hypAsk) (Counters, error) {
+	e, err := hypo.New(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range asks {
+		got, err := e.AskUnder(a.query, a.adds...)
+		if err != nil {
+			return nil, fmt.Errorf("%s under %v: %w", a.query, a.adds, err)
+		}
+		if got != a.want {
+			return nil, fmt.Errorf("%s under %v = %v, want %v", a.query, a.adds, got, a.want)
+		}
+	}
+	return work(e), nil
 }
 
 // All returns every experiment in id order.

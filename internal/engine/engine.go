@@ -85,8 +85,9 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, 
 }
 
 // NewCascadeWithBase builds the cascade over an existing base database
-// (and its interner, whose relevance classes must be the whole program's
-// or none); the program's facts are assumed to already be in it. This
+// (and its interner, whose keying stage — relevance classes and must-add
+// sets — must be the whole program's or none); the program's facts are
+// assumed to already be in it. This
 // lets pooled engines share a per-version fact substrate by cloning
 // instead of re-interning from scratch.
 //

@@ -5,7 +5,6 @@
 package facts
 
 import (
-	"encoding/binary"
 	"maps"
 
 	"hypodatalog/internal/ast"
@@ -38,8 +37,9 @@ type Interner struct {
 	// atoms (state.go). It is private to this interner: Clone starts an
 	// empty one, so StateIDs never travel between engines.
 	states stateTable
-	// rel is the program's relevance classes (relevance.go), which the
-	// state table projects states onto; nil projects nothing.
+	// rel is the program's keying stage (relevance.go): the relevance
+	// classes the state table projects states onto and the must-add sets
+	// states are normalised by; nil does neither.
 	rel *Relevance
 }
 
@@ -60,9 +60,10 @@ func NewInterner(syms *symbols.Table) *Interner {
 	}
 }
 
-// SetRelevance installs the relevance classes states are projected onto.
+// SetRelevance installs the program's keying stage: the relevance classes
+// states are projected onto and the must-add sets they are normalised by.
 // It must come before any state is interned: a state node records its
-// classes when it is created. Clone carries them.
+// classes when it is created. Clone carries it.
 func (in *Interner) SetRelevance(r *Relevance) { in.rel = r }
 
 // Syms returns the symbol table the interner was built over.
@@ -71,16 +72,8 @@ func (in *Interner) Syms() *symbols.Table { return in.syms }
 // encodeKey packs pred and args into in.buf and returns it. The result is
 // only valid until the next call.
 func (in *Interner) encodeKey(pred symbols.Pred, args []symbols.Const) []byte {
-	need := 4 * (1 + len(args))
-	if cap(in.buf) < need {
-		in.buf = make([]byte, need)
-	}
-	b := in.buf[:need]
-	binary.LittleEndian.PutUint32(b[0:], uint32(pred))
-	for i, a := range args {
-		binary.LittleEndian.PutUint32(b[4*(i+1):], uint32(a))
-	}
-	return b
+	in.buf = appendAtomKey(in.buf[:0], pred, args)
+	return in.buf
 }
 
 // smallKey packs a nullary or unary atom into one word, so the goals most

@@ -8,7 +8,11 @@ import (
 	"hypodatalog/internal/symbols"
 )
 
-// Relevance groups a program's goal predicates by the part of a
+// Relevance is a program's keying stage: what the Σ memo may leave out
+// of the state a goal is asked in. It holds two derivations, both
+// functions of the rules alone.
+//
+// Relevance classes group the goal predicates by the part of a
 // hypothetical state their proofs can read. Whether R, DB+Δ ⊢ A holds
 // depends only on the atoms of predicates in A's dependency cone, so a
 // table keyed by (A, the state restricted to that cone) is exact; the
@@ -33,11 +37,37 @@ import (
 // whose cone covers all of T, or one whose class is past the cap keys on
 // its whole state.
 //
-// A Relevance depends only on the rules, is built once per program and is
-// read-only afterwards, so engines on many goroutines share it.
+// Must-add sets name the atoms a goal is certain to add before it reads
+// them. U is the set of ground atoms that rule [add:] lists add to
+// extensional predicates, and M(p) ⊆ U is the greatest solution of: M(p)
+// is the intersection, over p's rules, of the intersection over each
+// rule's premises of
+//
+//   - ground(T) ∪ M(q) for q[add: T];
+//   - M(q) for an intensional q or ~q;
+//   - ∅ for an extensional premise, and for any premise with a [del:] or
+//     whose cone holds one.
+//
+// Then R, DB+S ⊢ p iff R, DB+(S ∪ X) ⊢ p for every X ⊆ M(p) (DESIGN §3,
+// "Must-add keys"), so an asked goal of p is proved, tabled and kept on
+// the proof stack in S less the members of M(p) (State.Normalised). A
+// subgoal's state may still hold members of its own set: that key is
+// exact too, only not shared with the normalised one. Example 4's
+// a_i :- a_{i+1}[add: b_i] gives M(a_i) = {b_i..b_n}. Intensional atoms
+// stay out of U because adding one can make the goal itself visible. The
+// sets are computed only for goals with a hypothetical premise in their
+// cone; every other goal has M = ∅, which is always sound.
+//
+// A Relevance is built once per program and is read-only afterwards, so
+// engines on many goroutines share it.
 type Relevance struct {
 	classOf []uint8 // by predicate: 1 + its goals' class, or 0 for the whole state
 	tokens  []uint8 // by predicate: the classes a token of it is relevant to
+
+	u     []ast.CAtom      // U, by bit
+	uBit  map[string]int32 // an atom of U by its interner key (appendAtomKey), to its bit
+	uPred []bool           // by predicate: U holds an atom of it
+	must  [][]uint64       // by predicate: M(p) as a bit set over U; nil for ∅
 }
 
 // maxClasses is the width of a state's class mask: one byte a state, kept
@@ -47,10 +77,12 @@ const maxClasses = 8
 // allClasses is the mask of a token relevant to every class.
 const allClasses = ^uint8(0)
 
-// NewRelevance computes the relevance classes of a compiled program's
-// goal predicates: one pass over the condensation of its dependency
-// graph, each predicate's cone kept as a bit set over T. It returns nil
-// when every goal reads every token a state can hold.
+// NewRelevance computes a compiled program's keying stage: one pass over
+// the condensation of its dependency graph computes each predicate's cone
+// as a bit set over T, and the must-add sets of the predicates with a
+// hypothetical premise in their cone as bit sets over U, iterating only
+// inside a strongly connected component. It returns nil when every goal
+// reads every token a state can hold and no must-add set is non-empty.
 func NewRelevance(cp *ast.CProgram) *Relevance {
 	n := cp.Syms.NumPreds()
 	inT := make([]bool, n)
@@ -79,11 +111,13 @@ func NewRelevance(cp *ast.CProgram) *Relevance {
 	words := (size + 63) / 64
 
 	// Strongly connected components arrive callees first, so every edge
-	// out of a component reaches a cone already computed.
+	// out of a component reaches a cone and a must-add set already
+	// computed.
 	g := depgraph.OfCompiled(cp)
 	comps, _ := g.SCCs()
 	cone := make([][]uint64, n)
 	hyp := make([]bool, n) // a hypothetical premise is in the cone
+	ms := newMustSets(cp)
 	for _, comp := range comps {
 		set, h := make([]uint64, words), false
 		for _, v := range comp {
@@ -100,9 +134,13 @@ func NewRelevance(cp *ast.CProgram) *Relevance {
 		for _, v := range comp {
 			cone[v], hyp[v] = set, h
 		}
+		ms.component(comp, h)
 	}
 
-	r := &Relevance{classOf: make([]uint8, n), tokens: make([]uint8, n)}
+	r := &Relevance{
+		classOf: make([]uint8, n), tokens: make([]uint8, n),
+		u: ms.u, uBit: ms.uBit, uPred: ms.uPred, must: ms.must,
+	}
 	var sets [][]uint64
 	index := map[string]int{}
 	for p := range cone {
@@ -121,7 +159,7 @@ func NewRelevance(cp *ast.CProgram) *Relevance {
 		}
 		r.classOf[p] = uint8(c + 1)
 	}
-	if len(sets) == 0 {
+	if len(sets) == 0 && !ms.any {
 		return nil
 	}
 	for p := range cone {

@@ -218,8 +218,8 @@ const (
 )
 
 // New builds an engine over a compiled program. The base database is
-// populated from the program's facts, over an interner that projects
-// states onto the program's relevance classes; dom is the constant domain
+// populated from the program's facts, over an interner keyed by the
+// program's relevance classes and must-add sets; dom is the constant domain
 // used when the planner must enumerate (pass ref.Domain(cp) for the
 // paper's dom(R, DB)). A nil budget sets no limits.
 func New(cp *ast.CProgram, dom []symbols.Const, opts Options, b *Budget) *Engine {
@@ -237,7 +237,7 @@ func New(cp *ast.CProgram, dom []symbols.Const, opts Options, b *Budget) *Engine
 }
 
 // NewWithBase builds an engine sharing an existing base database (and its
-// interner, with whatever relevance classes it projects onto). The
+// interner, whose keying stage must be the whole program's or none). The
 // program's facts are NOT re-inserted. Both constructors panic on a
 // program ast.RewriteNegation has not rewritten: the engine tests every
 // negated premise ground and would answer one with a variable of its own
@@ -366,13 +366,17 @@ func (e *Engine) ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred
 // R, DB+Δ ⊢ A. It aborts with an *AbortError carrying a Stats snapshot
 // when the engine's Budget runs out or its query's context is done.
 func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
-	ok, _, err := e.prove(goal, st, 0)
+	ok, _, err := e.prove(goal, st.Normalised(e.in.Pred(goal)), 0)
 	return ok, err
 }
 
 // prove implements the tabled DFS. depth doubles as this goal's frame
 // index; the second result is the minimum frame index of any in-progress
 // ancestor the (failed) subtree consulted, or maxFrame when untouched.
+// Ask normalises the entry goal's state (facts.State.Normalised); a
+// premise's state is the rule's state plus its adds, which may still hold
+// members of the premise goal's must-add set. Either is an exact key
+// (DESIGN §3, "Must-add keys"): un-normalised, it is only unshared.
 func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int, error) {
 	if ae := e.budget.Goal(); ae != nil {
 		ae.Stats = e.Stats()
