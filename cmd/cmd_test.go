@@ -88,6 +88,26 @@ func TestHdlExplain(t *testing.T) {
 	}
 }
 
+// TestHdlExplainRefusesCascade: -explain runs on the uniform engine, so
+// an explicit -mode cascade beside it is refused with exit 2 instead of
+// being silently replaced, while -mode auto resolves to uniform.
+func TestHdlExplainRefusesCascade(t *testing.T) {
+	out, code := run(t, "hdl", "-explain", "-mode", "cascade", "examples/programs/parity.hdl")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "-explain") || !strings.Contains(out, "-mode cascade") {
+		t.Errorf("message does not name the conflict:\n%s", out)
+	}
+	out, code = run(t, "hdl", "-explain", "-mode", "auto", "examples/programs/parity.hdl")
+	if code != 0 {
+		t.Fatalf("-mode auto: exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "under add:") {
+		t.Errorf("-mode auto: missing derivation tree:\n%s", out)
+	}
+}
+
 func TestHdlModes(t *testing.T) {
 	for _, mode := range []string{"auto", "uniform", "cascade"} {
 		out, code := run(t, "hdl", "-mode", mode, "examples/programs/hamiltonian.hdl")

@@ -96,7 +96,15 @@ func main() {
 	}
 	opts := hypo.Options{MaxGoals: *maxGoals}
 	if *explain {
-		*mode = "uniform"
+		// Explanations come from the uniform engine: auto resolves to it,
+		// an explicit cascade is a conflict rather than a silent switch.
+		if *mode == "cascade" {
+			fmt.Fprintln(os.Stderr, "hdl: -explain needs uniform evaluation; it cannot be combined with -mode cascade")
+			os.Exit(2)
+		}
+		if *mode == "auto" {
+			*mode = "uniform"
+		}
 	}
 	switch *mode {
 	case "auto":

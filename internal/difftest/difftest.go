@@ -7,7 +7,9 @@
 // as a further implementation — engines mutated in place through
 // Engine.ApplyDelta, which must agree with a cold rebuild at the
 // post-batch fact set. Any disagreement on Ask, Query or AskUnder is a
-// bug in at least one of them.
+// bug in at least one of them, and so is a uniform-engine Explain that
+// returns a tree for a query the reference refutes, or none for one it
+// proves.
 //
 // The existing fuzzers in internal/topdown and internal/engine compare
 // the evaluators below the public surface — on interned atom IDs, with
@@ -67,7 +69,9 @@ const (
 //   - Query("p(X)") / Query("p(X, Y)") binding sets for those predicates;
 //   - AskUnder with hypothetical pool/1 and side/1 additions, when the
 //     program declares either (the convention of
-//     workload.RandomStratifiedProgram).
+//     workload.RandomStratifiedProgram);
+//   - Explain on the uniform engine for every one of those ground asks and
+//     AskUnders: a tree iff the query holds, rooted at the asked atom.
 //
 // It returns nil when all evaluators agree, an error wrapping ErrSkip
 // when the input is out of scope, and a descriptive disagreement error
@@ -468,8 +472,30 @@ func checkAsk(ctx context.Context, src string, syms *symbols.Table, dom []symbol
 				return fmt.Errorf("difftest: Ask(%s): %s=%v ref=%v\n%s", q, name, got, want, src)
 			}
 		}
-		return nil
+		return checkExplain(engines["uniform"], q, nil, want, src)
 	})
+}
+
+// checkExplain is the explanation oracle: the uniform engine's Explain of
+// q, under adds when given, returns a tree iff the reference says q holds,
+// and the tree's root is q itself. It runs after q's asks, on their warm
+// memo table; the goal budget bounds it.
+func checkExplain(uni *hypo.Engine, q string, adds []string, want bool, src string) error {
+	query := q
+	if len(adds) > 0 {
+		query += "[add: " + strings.Join(adds, ", ") + "]"
+	}
+	tree, err := uni.Explain(query)
+	if err != nil {
+		return skipOrFail("uniform Explain", query, err, src)
+	}
+	if got := tree != ""; got != want {
+		return fmt.Errorf("difftest: Explain(%s): tree=%v ref=%v\n%s", query, got, want, src)
+	}
+	if want && !strings.HasPrefix(tree, q+"  [") {
+		return fmt.Errorf("difftest: Explain(%s) is not rooted at %s:\n%s\n%s", query, q, tree, src)
+	}
+	return nil
 }
 
 func checkQuery(ctx context.Context, src string, syms *symbols.Table, dom []symbols.Const, ip *ref.Interp, engines map[string]*hypo.Engine) error {
@@ -563,7 +589,7 @@ func checkAskUnder(ctx context.Context, src string, syms *symbols.Table, dom []s
 						q, adds, name, got, want, src)
 				}
 			}
-			return nil
+			return checkExplain(engines["uniform"], q, adds, want, src)
 		})
 		if err != nil {
 			return err

@@ -1,7 +1,6 @@
 package topdown
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -94,19 +93,19 @@ func (p *Proof) Size() int {
 // explaining after asking is cheap.
 func (e *Engine) Explain(goal facts.AtomID, st facts.State) (*Proof, error) {
 	ok, err := e.Ask(goal, st)
-	if err != nil {
+	if err != nil || !ok {
 		return nil, err
 	}
-	if !ok {
-		return nil, nil
-	}
 	seen := map[tableKey]struct{}{}
-	return e.explain(goal, st, seen)
+	return e.explain(goal, st.Normalised(e.in.Pred(goal)), seen)
 }
 
-// explain reconstructs one derivation, guarding against cyclic
-// reconstruction with an on-path set (a provable goal always has an
-// acyclic derivation, so skipping on-path repeats is safe).
+// explain reconstructs one derivation through prove's own body evaluation:
+// evalBody offers each rule instance that holds, in the planner's order, to
+// a continuation that builds its sub-proofs. An on-path set guards against
+// cyclic reconstruction; an instance whose sub-proof would repeat an
+// on-path goal is rejected and the enumeration moves on (a provable goal
+// always has an acyclic derivation, so this stays complete).
 func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]struct{}) (*Proof, error) {
 	if st.Has(goal) {
 		return &Proof{Kind: ProofFact, Goal: e.in.Format(goal)}, nil
@@ -118,164 +117,70 @@ func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]
 	onPath[key] = struct{}{}
 	defer delete(onPath, key)
 
-	pred := e.in.Pred(goal)
-	for _, ri := range e.rules(pred) {
+	for _, ri := range e.rules(e.in.Pred(goal)) {
 		rule := &e.prog.Rules[ri]
 		binding := newBinding(rule.NumVars)
 		if !unifyHead(rule.Head, e.in.Args(goal), binding) {
 			continue
 		}
-		children, ok, err := e.explainBody(rule, binding, 0, st, onPath)
+		var proof *Proof
+		ok, _, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, 0, func() (bool, error) {
+			children, ok, err := e.explainInstance(rule, binding, st, onPath)
+			if ok {
+				proof = &Proof{
+					Kind:     ProofRule,
+					Goal:     e.in.Format(goal),
+					Rule:     e.formatRuleInstance(rule, binding),
+					Children: children,
+				}
+			}
+			return ok, err
+		})
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			return &Proof{
-				Kind:     ProofRule,
-				Goal:     e.in.Format(goal),
-				Rule:     e.formatRuleInstance(rule, binding),
-				Children: children,
-			}, nil
+			return proof, nil
 		}
 	}
 	return nil, nil
 }
 
-// explainBody finds a satisfying instantiation of the premises from index
-// pi on (in source order — explanations favour readability over the
-// planner's ordering) and returns their sub-proofs.
-func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, st facts.State, onPath map[tableKey]struct{}) ([]*Proof, bool, error) {
-	if pi == len(rule.Body) {
-		return nil, true, nil
-	}
-	pr := &rule.Body[pi]
-	var result []*Proof
-	found := false
-
-	tryRest := func(node *Proof) (bool, error) {
-		children, ok, err := e.explainBody(rule, binding, pi+1, st, onPath)
-		if err != nil {
-			return false, err
+// explainInstance builds, in source order, the sub-proofs of a rule body
+// that holds under the ground binding: a fact, negation or rule node per
+// plain or negated premise, a hypothesis frame per hypothetical one. It
+// reports false when some premise has no derivation off the path.
+func (e *Engine) explainInstance(rule *ast.CRule, binding []symbols.Const, st facts.State, onPath map[tableKey]struct{}) ([]*Proof, bool, error) {
+	children := make([]*Proof, 0, len(rule.Body))
+	for i := range rule.Body {
+		pr := &rule.Body[i]
+		if pr.Kind == ast.Negated {
+			children = append(children, &Proof{Kind: ProofNegation, Goal: e.formatNegated(pr, binding, rule.VarNames)})
+			continue
 		}
-		if !ok {
-			return false, nil
+		next := st
+		var added, deleted []string
+		for _, a := range pr.Adds {
+			id := e.groundAtom(a, binding)
+			next = next.Add(id)
+			added = append(added, e.in.Format(id))
 		}
-		result = append([]*Proof{node}, children...)
-		found = true
-		return true, nil
-	}
-
-	switch pr.Kind {
-	case ast.Plain:
-		err := e.forEachPremiseInstance(rule, pr, binding, st, func() (bool, error) {
-			goal := e.groundAtom(pr.Atom, binding)
-			ok, err := e.Ask(goal, st)
-			if err != nil || !ok {
-				return false, err
-			}
-			sub, err := e.explain(goal, st, onPath)
-			if err != nil {
-				return false, err
-			}
-			if sub == nil {
-				return false, nil
-			}
-			return tryRest(sub)
-		})
-		return result, found, err
-	case ast.Hyp:
-		err := e.forEachPremiseInstance(rule, pr, binding, st, func() (bool, error) {
-			next := st
-			var added, deleted []string
-			for _, a := range pr.Adds {
-				id := e.groundAtom(a, binding)
-				next = next.Add(id)
-				added = append(added, e.in.Format(id))
-			}
-			for _, a := range pr.Dels {
-				id := e.groundAtom(a, binding)
-				next = next.Del(id)
-				deleted = append(deleted, e.in.Format(id))
-			}
-			goal := e.groundAtom(pr.Atom, binding)
-			ok, err := e.Ask(goal, next)
-			if err != nil || !ok {
-				return false, err
-			}
-			sub, err := e.explain(goal, next, onPath)
-			if err != nil {
-				return false, err
-			}
-			if sub == nil {
-				return false, nil
-			}
-			return tryRest(&Proof{
-				Kind:     ProofHyp,
-				Goal:     e.in.Format(goal),
-				Added:    added,
-				Deleted:  deleted,
-				Children: []*Proof{sub},
-			})
-		})
-		return result, found, err
-	case ast.Negated:
-		err := e.forEachPremiseInstance(rule, pr, binding, st, func() (bool, error) {
-			holds, err := e.negCheck(e.groundAtom(pr.Atom, binding), st)
-			if err != nil || holds {
-				return false, err
-			}
-			return tryRest(&Proof{Kind: ProofNegation, Goal: e.formatNegated(pr, binding, rule.VarNames)})
-		})
-		return result, found, err
-	default:
-		return nil, false, fmt.Errorf("topdown: explain: premise kind %v", pr.Kind)
-	}
-}
-
-// forEachPremiseInstance enumerates instantiations of a premise's unbound
-// variables, preferring state matches for extensional atoms and the
-// domain otherwise, until leaf returns true.
-func (e *Engine) forEachPremiseInstance(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, st facts.State, leaf func() (bool, error)) error {
-	if pr.Kind == ast.Plain && e.isExtensional(pr.Atom.Pred) {
-		err := e.matchState(pr.Atom, binding, st, func() error {
-			done, err := leaf()
-			if err == nil && done {
-				err = errStop
-			}
-			return err
-		})
-		if errors.Is(err, errStop) {
-			return nil
+		for _, a := range pr.Dels {
+			id := e.groundAtom(a, binding)
+			next = next.Del(id)
+			deleted = append(deleted, e.in.Format(id))
 		}
-		return err
-	}
-	slots := appendUnboundSlots(nil, pr, binding)
-	return e.enumerate(slots, binding, leaf)
-}
-
-// enumerate binds slots over the domain until leaf returns true; the
-// successful binding is left in place, failures are restored.
-func (e *Engine) enumerate(slots []int, binding []symbols.Const, leaf func() (bool, error)) error {
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		if i == len(slots) {
-			return leaf()
+		goal := e.groundAtom(pr.Atom, binding)
+		sub, err := e.explain(goal, next, onPath)
+		if sub == nil || err != nil {
+			return nil, false, err
 		}
-		for _, c := range e.dom {
-			binding[slots[i]] = c
-			done, err := rec(i + 1)
-			if err != nil {
-				return false, err
-			}
-			if done {
-				return true, nil
-			}
+		if pr.Kind == ast.Hyp {
+			sub = &Proof{Kind: ProofHyp, Goal: e.in.Format(goal), Added: added, Deleted: deleted, Children: []*Proof{sub}}
 		}
-		binding[slots[i]] = unbound
-		return false, nil
+		children = append(children, sub)
 	}
-	_, err := rec(0)
-	return err
+	return children, true, nil
 }
 
 // formatRuleInstance renders a rule with its current (possibly partial)

@@ -1,9 +1,12 @@
 package topdown
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"hypodatalog/internal/facts"
 	"hypodatalog/internal/symbols"
 	"hypodatalog/internal/workload"
 )
@@ -120,35 +123,162 @@ func TestExplainUnprovableIsNil(t *testing.T) {
 	}
 }
 
-// TestExplainAgreesWithAsk: on the example workloads, Explain returns a
-// tree iff Ask returns true, and the tree's root goal is the asked atom.
+// TestExplainAgreesWithAsk: on the example workloads — alone, sharing
+// E16's rulebase, and a cyclic transitive closure — with and without the
+// planner, Explain returns a tree iff Ask returns true for every ground
+// atom of arity ≤ 2, and the tree's root goal is the asked atom.
 func TestExplainAgreesWithAsk(t *testing.T) {
-	sources := []string{
-		workload.ParityProgram(3),
-		workload.ChainProgram(4),
-		workload.HamiltonianProgram(workload.Digraph{N: 3, Edges: [][2]int{{0, 1}, {1, 2}}}),
+	sources := map[string]string{
+		"parity":      workload.ParityProgram(3),
+		"chain":       workload.ChainProgram(4),
+		"hamiltonian": workload.HamiltonianProgram(workload.Digraph{N: 3, Edges: [][2]int{{0, 1}, {1, 2}}}),
+		"shared": workload.ChainProgram(16) + workload.ParityProgram(8) +
+			workload.HamiltonianProgram(workload.Clique(6)) + "neven :- not even.\n",
+		"cyclic-tc": `
+			edge(a, b). edge(b, c). edge(c, a). edge(c, d).
+			tc(X, Y) :- edge(X, Y).
+			tc(X, Y) :- tc(X, Z), tc(Z, Y).
+		`,
 	}
-	for _, src := range sources {
-		e, cp := newEngine(t, src, Options{})
-		for p := symbols.Pred(0); int(p) < cp.Syms.NumPreds(); p++ {
-			if cp.Syms.PredArity(p) != 0 {
-				continue
+	for _, opts := range []Options{{}, {NoPlanner: true}} {
+		for name, src := range sources {
+			e, _ := newEngine(t, src, opts)
+			proved := 0
+			forEachGroundAtom(e, func(id facts.AtomID) {
+				ok, err := e.Ask(id, e.EmptyState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				proof, err := e.Explain(id, e.EmptyState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				goal := e.Interner().Format(id)
+				if (proof != nil) != ok {
+					t.Errorf("%s %+v %s: ask=%v explain=%v", name, opts, goal, ok, proof != nil)
+				}
+				if proof == nil {
+					return
+				}
+				proved++
+				if proof.Goal != goal {
+					t.Errorf("%s %+v: root goal %q for %s", name, opts, proof.Goal, goal)
+				}
+			})
+			if proved == 0 {
+				t.Errorf("%s %+v: nothing explained", name, opts)
 			}
-			id := e.Interner().ID(p, nil)
-			ok, err := e.Ask(id, e.EmptyState())
-			if err != nil {
-				t.Fatal(err)
+		}
+	}
+}
+
+// forEachGroundAtom calls fn with every ground atom of arity ≤ 2 over the
+// engine's domain.
+func forEachGroundAtom(e *Engine, fn func(facts.AtomID)) {
+	syms := e.prog.Syms
+	for p := symbols.Pred(0); int(p) < syms.NumPreds(); p++ {
+		switch syms.PredArity(p) {
+		case 0:
+			fn(e.Interner().ID(p, nil))
+		case 1:
+			for _, c := range e.Dom() {
+				fn(e.Interner().ID(p, []symbols.Const{c}))
 			}
-			proof, err := e.Explain(id, e.EmptyState())
-			if err != nil {
-				t.Fatal(err)
+		case 2:
+			for _, c1 := range e.Dom() {
+				for _, c2 := range e.Dom() {
+					fn(e.Interner().ID(p, []symbols.Const{c1, c2}))
+				}
 			}
-			if (proof != nil) != ok {
-				t.Errorf("%s: ask=%v explain=%v", cp.Syms.PredName(p), ok, proof != nil)
-			}
-			if proof != nil && !strings.HasPrefix(proof.Goal, cp.Syms.PredName(p)) {
-				t.Errorf("root goal %q for %s", proof.Goal, cp.Syms.PredName(p))
-			}
+		}
+	}
+}
+
+// TestExplainFollowsProveSearch: an explanation is found by prove's own
+// body evaluation, so the planner that binds Y and W from e/1 before the
+// intensional r2/3 keeps explaining q2(a) as cheap as asking it. A search
+// of its own in source order would try every |dom|² instance of r2 first.
+func TestExplainFollowsProveSearch(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 200; i++ { // ahead of c in the domain's order
+		fmt.Fprintf(&src, "filler(k%d).\n", i)
+	}
+	src.WriteString(`
+		q2(X) :- r2(X, Y, W), e(Y), e(W).
+		r2(X, Y, W) :- s(X, Y, W).
+		s(a, c, c).
+		e(c).
+	`)
+	e, cp := newEngine(t, src.String(), Options{})
+	q2, _ := cp.Syms.LookupPred("q2", 1)
+	a, _ := cp.Syms.LookupConst("a")
+	goal := e.Interner().ID(q2, []symbols.Const{a})
+
+	ok, err := e.Ask(goal, e.EmptyState())
+	if err != nil || !ok {
+		t.Fatalf("Ask(q2(a)) = %v, %v", ok, err)
+	}
+	askGoals := e.Stats().Goals
+	proof, err := e.Explain(goal, e.EmptyState())
+	if err != nil || proof == nil {
+		t.Fatalf("Explain(q2(a)) = %v, %v", proof, err)
+	}
+	if spent := e.Stats().Goals - askGoals; spent > 3*askGoals {
+		t.Errorf("Explain spent %d goals, Ask %d", spent, askGoals)
+	}
+	if !strings.Contains(proof.String(), "s(a, c, c)  [fact]") {
+		t.Errorf("proof:\n%s", proof)
+	}
+}
+
+// TestExplainSkipsCyclicFirstInstance: the first instance of g's rule the
+// engine's search offers, Y = a, holds, but h(a)'s only derivation goes
+// back through g. Rejecting it sends the enumeration on to Y = b, whose
+// derivation is acyclic; accepting the first instance given would leave g
+// unexplained.
+func TestExplainSkipsCyclicFirstInstance(t *testing.T) {
+	src := `
+		g :- e(Y), h(Y).
+		h(a) :- g.
+		h(b) :- f(b).
+		e(a). e(b). f(b).
+	`
+	for _, opts := range []Options{{}, {NoPlanner: true}} {
+		e, cp := newEngine(t, src, opts)
+		gp, _ := cp.Syms.LookupPred("g", 0)
+		goal := e.Interner().ID(gp, nil)
+		if ok, err := e.Ask(goal, e.EmptyState()); err != nil || !ok {
+			t.Fatalf("Ask(g) = %v, %v", ok, err)
+		}
+
+		// The instances the search offers, in its own order.
+		rule := &e.prog.Rules[e.rules(gp)[0]]
+		var offered []string
+		binding := newBinding(rule.NumVars)
+		if _, _, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), e.EmptyState(), 0, func() (bool, error) {
+			offered = append(offered, e.formatRuleInstance(rule, binding))
+			return false, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"g :- e(a), h(a)", "g :- e(b), h(b)"}; !slices.Equal(offered, want) {
+			t.Fatalf("%+v: instances offered %q, want %q", opts, offered, want)
+		}
+
+		proof, err := e.Explain(goal, e.EmptyState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proof == nil {
+			t.Fatalf("%+v: no proof of g", opts)
+		}
+		want := `g  [rule g :- e(b), h(b)]
+  e(b)  [fact]
+  h(b)  [rule h(b) :- f(b)]
+    f(b)  [fact]
+`
+		if got := proof.String(); got != want {
+			t.Errorf("%+v: got:\n%swant:\n%s", opts, got, want)
 		}
 	}
 }

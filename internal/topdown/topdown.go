@@ -423,7 +423,7 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		if !unifyHead(rule.Head, e.in.Args(goal), binding) {
 			continue
 		}
-		ok, touched, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, depth+1)
+		ok, touched, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, depth+1, nil)
 		if err != nil {
 			return false, maxFrame, err
 		}
@@ -490,11 +490,22 @@ func fullMask(n int) uint64 {
 	return (uint64(1) << n) - 1
 }
 
+// bodyCont is called when every premise of a rule body holds under the
+// now-ground binding; it accepts the instance (true) or rejects it, and a
+// rejection sends the enumeration on to the body's next instance.
+type bodyCont func() (bool, error)
+
 // evalBody proves the premises indicated by mask under binding, choosing
-// the next premise with the planner. Returns (proved, minTouchedFrame).
-func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64, st facts.State, depth int) (bool, int, error) {
+// the next premise with the planner. A nil k accepts the first instance
+// that holds — prove's path; Explain passes one that builds the
+// instance's derivation. Returns (proved, minTouchedFrame).
+func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	if mask == 0 {
-		return true, maxFrame, nil
+		if k == nil {
+			return true, maxFrame, nil
+		}
+		ok, err := k()
+		return ok, maxFrame, err
 	}
 	idx := e.pickPremise(rule, binding, mask, st)
 	pr := &rule.Body[idx]
@@ -504,19 +515,19 @@ func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64,
 	// and recurse on the remaining premises.
 	if pr.Kind == ast.Plain && e.isExtensional(pr.Atom.Pred) {
 		// Extensional: matching the state is complete.
-		return e.evalEDBPremise(rule, pr, binding, rest, st, depth)
+		return e.evalEDBPremise(rule, pr, binding, rest, st, depth, k)
 	}
-	return e.evalEnumerated(rule, pr, binding, rest, st, depth)
+	return e.evalEnumerated(rule, pr, binding, rest, st, depth, k)
 }
 
 // evalEDBPremise matches an extensional premise against the state, which
 // is complete because extensional predicates have no rules. Each match
 // extends the binding.
-func (e *Engine) evalEDBPremise(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
+func (e *Engine) evalEDBPremise(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	minTouched := maxFrame
 	ok := false
 	err := e.matchState(pr.Atom, binding, st, func() error {
-		res, touched, err := e.evalBody(rule, binding, rest, st, depth)
+		res, touched, err := e.evalBody(rule, binding, rest, st, depth, k)
 		if err != nil {
 			return err
 		}
@@ -546,7 +557,7 @@ var errStop = fmt.Errorf("topdown: stop")
 // "ground substitution over dom(R, DB)"), and each ground instance is
 // proved recursively — a negated one in a region of its own (negCheck).
 // The negation rewrite leaves no variable that only a negation binds.
-func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
+func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	slots := appendUnboundSlots(nil, pr, binding)
 	minTouched := maxFrame
 	proved := false
@@ -574,7 +585,7 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 		if !res {
 			return nil
 		}
-		res2, touched2, err := e.evalBody(rule, binding, rest, st, depth)
+		res2, touched2, err := e.evalBody(rule, binding, rest, st, depth, k)
 		if err != nil {
 			return err
 		}
