@@ -468,11 +468,11 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	in := e.asker.Interner()
 	addIDs := make([]facts.AtomID, len(added))
 	for i, ca := range added {
-		addIDs[i] = in.InternGround(ca)
+		addIDs[i] = in.Ground(ca, nil)
 	}
 	remIDs := make([]facts.AtomID, len(removed))
 	for i, ca := range removed {
-		remIDs[i] = in.InternGround(ca)
+		remIDs[i] = in.Ground(ca, nil)
 	}
 	// Maintenance is evaluator work like a query's: charge what it did
 	// (models maintained, dropped, rematerialised) to this engine's set.
@@ -543,15 +543,11 @@ type substrate struct {
 }
 
 func buildSubstrate(p *Program) (*substrate, error) {
-	in := facts.NewInterner(p.syms)
-	in.SetRelevance(p.rel)
-	db := facts.NewDB(in)
-	for _, f := range p.comp.Facts {
-		if _, err := db.Insert(in.InternGround(f)); err != nil {
-			return nil, err
-		}
+	db, err := facts.Load(p.comp, p.rel)
+	if err != nil {
+		return nil, err
 	}
-	return &substrate{in: in, db: db}, nil
+	return &substrate{in: db.Interner(), db: db}, nil
 }
 
 // clone copies the substrate keeping its atom-id assignment, so deltas
@@ -672,11 +668,7 @@ func (e *Engine) Explain(query string) (string, error) {
 	if k := r.premise.Kind; k != ast.Plain && k != ast.Hyp {
 		return "", fmt.Errorf("hypo: Explain supports plain and hypothetical queries")
 	}
-	goal, st, err := engine.PremiseGoal(e.uni.Interner(), r.premise, e.uni.EmptyState())
-	if err != nil {
-		return "", err
-	}
-	proof, err := e.uni.Explain(goal, st)
+	proof, err := e.uni.Explain(e.uni.Interner().Instance(&r.premise, nil, e.uni.EmptyState()))
 	if err != nil {
 		return "", err
 	}

@@ -51,6 +51,62 @@ func (a CAtom) IsGround() bool {
 	return true
 }
 
+// Unbound marks a binding slot no constant is bound to yet. A binding is
+// a rule's (or query's) variable slots, indexed by CTerm.VarSlot.
+const Unbound symbols.Const = -1
+
+// NewBinding returns a binding of n slots, all Unbound.
+func NewBinding(n int) []symbols.Const {
+	b := make([]symbols.Const, n)
+	for i := range b {
+		b[i] = Unbound
+	}
+	return b
+}
+
+// Unify matches pattern against the ground arguments args, binding the
+// pattern's unbound slots. It fails on a constant mismatch or on a slot
+// already bound — before the call or by an earlier argument — to another
+// constant. Slots it bound stay bound either way: the caller unbinds the
+// ones that were unbound on entry.
+func Unify(pattern CAtom, args []symbols.Const, binding []symbols.Const) bool {
+	for i, t := range pattern.Args {
+		if !t.IsVar() {
+			if t.ConstID() != args[i] {
+				return false
+			}
+		} else if s := t.VarSlot(); binding[s] == Unbound {
+			binding[s] = args[i]
+		} else if binding[s] != args[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Assign ranges slots over dom, calling leaf under every assignment, the
+// last slot varying fastest: Definition 3's ground substitutions over
+// dom(R, DB). A non-nil error from leaf stops the ranging and is
+// returned. The slots are Unbound again on return; tried counts the
+// values bound, at every slot.
+func Assign(slots []int, dom []symbols.Const, binding []symbols.Const, leaf func() error) (tried int, err error) {
+	if len(slots) == 0 {
+		return 0, leaf()
+	}
+	s := slots[0]
+	for _, c := range dom {
+		binding[s] = c
+		n, err := Assign(slots[1:], dom, binding, leaf)
+		tried += 1 + n
+		if err != nil {
+			binding[s] = Unbound
+			return tried, err
+		}
+	}
+	binding[s] = Unbound
+	return tried, nil
+}
+
 // CPremise is an interned premise.
 type CPremise struct {
 	Kind PremiseKind

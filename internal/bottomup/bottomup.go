@@ -47,8 +47,6 @@ type Prover struct {
 	maxCache int
 	rootBusy bool // the empty state's model is being computed
 
-	args []symbols.Const // ground's scratch
-
 	// added is the sorted added set of the state addedOf read last, and
 	// addedID that state's id: a materialisation matches premises against
 	// one state thousands of times, so it takes the set once rather than
@@ -189,9 +187,6 @@ func (p *Prover) negationLevels() ([][]*rule, error) {
 	}
 	return out, nil
 }
-
-// Owns reports whether the prover's Δ part defines the predicate.
-func (p *Prover) Owns(pred symbols.Pred) bool { return p.own[pred] }
 
 // Holds reports whether the goal atom is in the perfect model of the Δ
 // part over the state (or in the state itself). A materialisation the

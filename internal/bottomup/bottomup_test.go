@@ -34,11 +34,7 @@ func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *
 		isBelow[cp.Syms.Pred(name, 1)] = true
 		cp.IDB[cp.Syms.Pred(name, 1)] = true
 	}
-	in := facts.NewInterner(cp.Syms)
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
-		base.Insert(in.InternGround(f))
-	}
+	base, _ := facts.Load(cp, nil)
 	var rules []int
 	for i := range cp.Rules {
 		if !isBelow[cp.Rules[i].Head.Pred] {
@@ -149,11 +145,8 @@ func TestOracleCalls(t *testing.T) {
 	hPred := cp.Syms.Pred("h", 1)
 	cp.IDB[qPred] = true
 	cp.IDB[sPred] = true
-	in := facts.NewInterner(cp.Syms)
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
-		base.Insert(in.InternGround(f))
-	}
+	base, _ := facts.Load(cp, nil)
+	in := base.Interner()
 	oracleCalls := 0
 	oracle := func(goal facts.AtomID, st facts.State) (bool, error) {
 		oracleCalls++
@@ -192,11 +185,8 @@ func TestMissingOracleIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.IDB[cp.Syms.Pred("q", 1)] = true // q intensional, no oracle
-	in := facts.NewInterner(cp.Syms)
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
-		base.Insert(in.InternGround(f))
-	}
+	base, _ := facts.Load(cp, nil)
+	in := base.Interner()
 	p, err := New(cp, base, ref.Domain(cp), []int{0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)

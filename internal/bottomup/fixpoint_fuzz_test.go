@@ -55,24 +55,24 @@ func (rf *reference) model(st facts.State) map[facts.AtomID]bool {
 		for changed := true; changed; {
 			changed = false
 			for _, cr := range lvl {
-				r, b := cr.r, newUnbound(cr.r.NumVars)
+				r, b := cr.r, ast.NewBinding(cr.r.NumVars)
 				forAll(p.dom, unboundIn(negate(r.PosVar), r.Head, bodyAtoms(r)), b, func() {
 					for i := range r.Body {
 						pr := &r.Body[i]
 						ext := st
 						for _, a := range pr.Adds {
-							ext = ext.Add(p.ground(a, b))
+							ext = ext.Add(p.in.Ground(a, b))
 						}
 						for _, a := range pr.Dels {
-							ext = ext.Del(p.ground(a, b))
+							ext = ext.Del(p.in.Ground(a, b))
 						}
 						ok := false // some instance of the premise atom holds
-						forAll(p.dom, unboundIn(r.PosVar, pr.Atom), b, func() { ok = ok || holds(p.ground(pr.Atom, b), ext) })
+						forAll(p.dom, unboundIn(r.PosVar, pr.Atom), b, func() { ok = ok || holds(p.in.Ground(pr.Atom, b), ext) })
 						if ok == (pr.Kind == ast.Negated) {
 							return
 						}
 					}
-					if h := p.ground(r.Head, b); !m[h] && !st.Has(h) {
+					if h := p.in.Ground(r.Head, b); !m[h] && !st.Has(h) {
 						m[h], changed = true, true
 					}
 				})

@@ -222,8 +222,8 @@ func (p *Prover) rederivable(goal facts.AtomID, st facts.State, m *model) (bool,
 		if cr.r.Head.Pred != gp {
 			continue
 		}
-		binding := newUnbound(cr.r.NumVars)
-		if !unifyHeadArgs(cr.r.Head, gargs, binding) {
+		binding := ast.NewBinding(cr.r.NumVars)
+		if !ast.Unify(cr.r.Head, gargs, binding) {
 			continue
 		}
 		found := false
@@ -239,24 +239,4 @@ func (p *Prover) rederivable(goal facts.AtomID, st facts.State, m *model) (bool,
 		}
 	}
 	return false, nil
-}
-
-// unifyHeadArgs matches a rule head against ground goal arguments,
-// extending binding; fails on constant mismatch or a repeated head
-// variable bound to two different constants.
-func unifyHeadArgs(head ast.CAtom, goalArgs []symbols.Const, binding []symbols.Const) bool {
-	for i, t := range head.Args {
-		g := goalArgs[i]
-		if t.IsVar() {
-			s := t.VarSlot()
-			if binding[s] == unbound {
-				binding[s] = g
-			} else if binding[s] != g {
-				return false
-			}
-		} else if t.ConstID() != g {
-			return false
-		}
-	}
-	return true
 }

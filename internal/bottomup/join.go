@@ -300,20 +300,10 @@ func (p *Prover) flatten(m *model) {
 	m.parent, m.depth = nil, 0
 }
 
-const unbound symbols.Const = -1
-
-func newUnbound(n int) []symbols.Const {
-	b := make([]symbols.Const, n)
-	for i := range b {
-		b[i] = unbound
-	}
-	return b
-}
-
 // fullRule yields every head instance the rule derives from the state
 // and the model as they stand.
 func (p *Prover) fullRule(r *rule, st facts.State, m *model, yield func(facts.AtomID) error) error {
-	binding := newUnbound(r.r.NumVars)
+	binding := ast.NewBinding(r.r.NumVars)
 	return p.joinAt(&r.full, binding, 0, st, m, func() error {
 		return p.deriveHeads(r.r, r.full.free, binding, yield)
 	})
@@ -336,7 +326,7 @@ func (p *Prover) pinnedJoin(rules []*rule, st facts.State, m *model, frontier []
 			if len(seeds) == 0 {
 				continue
 			}
-			binding := newUnbound(r.r.NumVars)
+			binding := ast.NewBinding(r.r.NumVars)
 			body := func() error {
 				return p.joinAt(&pn.rest, binding, 0, st, m, func() error {
 					return p.deriveHeads(r.r, pn.rest.free, binding, yield)
@@ -355,9 +345,10 @@ func (p *Prover) pinnedJoin(rules []*rule, st facts.State, m *model, frontier []
 // deriveHeads grounds the rule head under the binding, ranging the head
 // variables the body left unbound over the whole domain (Definition 3).
 func (p *Prover) deriveHeads(r *ast.CRule, free []int, binding []symbols.Const, yield func(facts.AtomID) error) error {
-	return p.enumThen(free, binding, func() error {
-		return yield(p.ground(r.Head, binding))
+	_, err := ast.Assign(free, p.dom, binding, func() error {
+		return yield(p.in.Ground(r.Head, binding))
 	})
+	return err
 }
 
 func (p *Prover) joinAt(pl *plan, binding []symbols.Const, pi int, st facts.State, m *model, yield func() error) error {
@@ -384,28 +375,23 @@ func (p *Prover) joinAt(pl *plan, binding []symbols.Const, pi int, st facts.Stat
 		}
 		return next()
 	}
+	var leaf func() error
 	switch s.kind {
 	case stepBelow:
-		return p.enumThen(s.binds, binding, func() error {
-			return holds(p.askOracle(p.ground(pr.Atom, binding), st))
-		})
+		leaf = func() error { return holds(p.askOracle(p.in.Ground(pr.Atom, binding), st)) }
 	case stepHyp:
-		return p.enumThen(s.binds, binding, func() error {
-			ext := st
-			for _, a := range pr.Adds {
-				ext = ext.Add(p.ground(a, binding))
-			}
-			for _, a := range pr.Dels {
-				ext = ext.Del(p.ground(a, binding))
-			}
-			return holds(p.askOracleOrModel(p.ground(pr.Atom, binding), st, ext, m))
-		})
+		leaf = func() error {
+			goal, ext := p.in.Instance(pr, binding, st)
+			return holds(p.askOracleOrModel(goal, st, ext, m))
+		}
 	default:
-		return p.enumThen(s.binds, binding, func() error {
-			ok, err := p.testAtom(p.ground(pr.Atom, binding), st, m)
+		leaf = func() error {
+			ok, err := p.testAtom(p.in.Ground(pr.Atom, binding), st, m)
 			return holds(!ok, err)
-		})
+		}
 	}
+	_, err := ast.Assign(s.binds, p.dom, binding, leaf)
+	return err
 }
 
 // askOracle answers a goal defined below the Δ part.
@@ -458,22 +444,6 @@ func (p *Prover) testAtom(goal facts.AtomID, st facts.State, m *model) (bool, er
 		return p.has(m, goal), nil
 	}
 	return p.askOracle(goal, st)
-}
-
-// enumThen ranges the slots over the domain, running leaf under every
-// assignment.
-func (p *Prover) enumThen(slots []int, binding []symbols.Const, leaf func() error) error {
-	if len(slots) == 0 {
-		return leaf()
-	}
-	for _, c := range p.dom {
-		binding[slots[0]] = c
-		if err := p.enumThen(slots[1:], binding, leaf); err != nil {
-			return err
-		}
-	}
-	binding[slots[0]] = unbound
-	return nil
 }
 
 // addedOf returns the state's added atoms in ascending order. The slice
@@ -564,43 +534,12 @@ func (p *Prover) tryAll(pattern ast.CAtom, binds []int, binding []symbols.Const,
 // are again on return.
 func (p *Prover) tryMatch(pattern ast.CAtom, binds []int, binding []symbols.Const, id facts.AtomID, yield func() error) error {
 	p.stats.JoinProbes++
-	args := p.in.Args(id)
-	ok := true
-	for i, t := range pattern.Args {
-		if !t.IsVar() {
-			ok = t.ConstID() == args[i]
-		} else if s := t.VarSlot(); binding[s] == unbound {
-			binding[s] = args[i]
-		} else {
-			ok = binding[s] == args[i]
-		}
-		if !ok {
-			break
-		}
-	}
 	var err error
-	if ok {
+	if ast.Unify(pattern, p.in.Args(id), binding) {
 		err = yield()
 	}
 	for _, s := range binds {
-		binding[s] = unbound
+		binding[s] = ast.Unbound
 	}
 	return err
-}
-
-func (p *Prover) ground(a ast.CAtom, binding []symbols.Const) facts.AtomID {
-	args := p.args[:0] // scratch: the interner copies what it keeps
-	for _, t := range a.Args {
-		if t.IsVar() {
-			v := binding[t.VarSlot()]
-			if v == unbound {
-				panic("bottomup: grounding with unbound variable")
-			}
-			args = append(args, v)
-		} else {
-			args = append(args, t.ConstID())
-		}
-	}
-	p.args = args
-	return p.in.ID(a.Pred, args)
 }

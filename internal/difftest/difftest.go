@@ -66,7 +66,8 @@ const (
 // Check parses src and asserts that every evaluator agrees on:
 //
 //   - Ask for every ground atom of arity ≤ 2 over the program's domain;
-//   - Query("p(X)") / Query("p(X, Y)") binding sets for those predicates;
+//   - Query binding sets for those predicates: p(X) or p(X, Y), not p(X),
+//     p(X, X), p(c, Y) and, with pool/1, p(X)[add: pool(X)] (checkQuery);
 //   - AskUnder with hypothetical pool/1 and side/1 additions, when the
 //     program declares either (the convention of
 //     workload.RandomStratifiedProgram);
@@ -403,23 +404,30 @@ func atomString(syms *symbols.Table, p symbols.Pred, args []symbols.Const) strin
 // eachGroundAtom calls fn for every ground atom of arity ≤ 2 over dom.
 func eachGroundAtom(syms *symbols.Table, dom []symbols.Const, fn func(p symbols.Pred, args []symbols.Const) error) error {
 	for p := symbols.Pred(0); int(p) < syms.NumPreds(); p++ {
-		switch syms.PredArity(p) {
-		case 0:
-			if err := fn(p, nil); err != nil {
+		if err := eachTuple(dom, syms.PredArity(p), func(args []symbols.Const) error { return fn(p, args) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eachTuple calls fn for every tuple over dom of the given arity, none
+// past 2.
+func eachTuple(dom []symbols.Const, arity int, fn func(args []symbols.Const) error) error {
+	switch arity {
+	case 0:
+		return fn(nil)
+	case 1:
+		for _, c := range dom {
+			if err := fn([]symbols.Const{c}); err != nil {
 				return err
 			}
-		case 1:
-			for _, c := range dom {
-				if err := fn(p, []symbols.Const{c}); err != nil {
+		}
+	case 2:
+		for _, c1 := range dom {
+			for _, c2 := range dom {
+				if err := fn([]symbols.Const{c1, c2}); err != nil {
 					return err
-				}
-			}
-		case 2:
-			for _, c1 := range dom {
-				for _, c2 := range dom {
-					if err := fn(p, []symbols.Const{c1, c2}); err != nil {
-						return err
-					}
 				}
 			}
 		}
@@ -498,40 +506,78 @@ func checkExplain(uni *hypo.Engine, q string, adds []string, want bool, src stri
 	return nil
 }
 
+// openRead is one open read of a predicate p and how the reference
+// answers it: over the ground tuples of p that in admits (nil admits
+// all), an instance is an answer when ref decides p(args) as not neg —
+// under pool(args[0]) when pool is set — and it binds the variable
+// names[i] to args[i] ("" names none).
+type openRead struct {
+	q     string
+	names []string
+	in    func(args []symbols.Const) bool
+	neg   bool
+	pool  bool
+}
+
+// checkQuery compares every evaluator with the reference on open reads of
+// each predicate p of arity 1 or 2: p(X) or p(X, Y), its negation, and the
+// shapes that bind inside an instance — p(X, X), p(c, Y) with c the first
+// domain constant, and p(X)[add: pool(X)] (p(X, Y)[add: pool(X)]) when the
+// program declares pool/1.
 func checkQuery(ctx context.Context, src string, syms *symbols.Table, dom []symbols.Const, ip *ref.Interp, engines map[string]*hypo.Engine) error {
+	pool, hasPool := syms.LookupPred("pool", 1)
 	for p := symbols.Pred(0); int(p) < syms.NumPreds(); p++ {
 		arity := syms.PredArity(p)
 		if arity < 1 || arity > 2 {
 			continue
 		}
-		var q string
-		var want []string
-		if arity == 1 {
-			q = syms.PredName(p) + "(X)"
-			for _, c := range dom {
-				if ip.Holds(ip.Interner().ID(p, []symbols.Const{c}), ip.EmptyState()) {
-					want = append(want, "X="+syms.ConstName(c))
+		pred, vars := syms.PredName(p), []string{"X", "Y"}[:arity]
+		open := pred + "(" + strings.Join(vars, ", ") + ")"
+		reads := []openRead{
+			{q: open, names: vars},
+			{q: "not " + open, names: vars, neg: true},
+		}
+		if arity == 2 {
+			reads = append(reads,
+				openRead{q: pred + "(X, X)", names: []string{"X", ""},
+					in: func(args []symbols.Const) bool { return args[0] == args[1] }},
+				openRead{q: pred + "(" + syms.ConstName(dom[0]) + ", Y)", names: []string{"", "Y"},
+					in: func(args []symbols.Const) bool { return args[0] == dom[0] }})
+		}
+		if hasPool {
+			reads = append(reads, openRead{q: open + "[add: pool(X)]", names: vars, pool: true})
+		}
+		for _, r := range reads {
+			var want []string
+			_ = eachTuple(dom, arity, func(args []symbols.Const) error {
+				if r.in != nil && !r.in(args) {
+					return nil
 				}
-			}
-		} else {
-			q = syms.PredName(p) + "(X, Y)"
-			for _, c1 := range dom {
-				for _, c2 := range dom {
-					if ip.Holds(ip.Interner().ID(p, []symbols.Const{c1, c2}), ip.EmptyState()) {
-						want = append(want, "X="+syms.ConstName(c1)+",Y="+syms.ConstName(c2))
+				st := ip.EmptyState()
+				if r.pool {
+					st = st.Add(ip.Interner().ID(pool, args[:1]))
+				}
+				if ip.Holds(ip.Interner().ID(p, args), st) == r.neg {
+					return nil
+				}
+				var b []string
+				for i, v := range r.names {
+					if v != "" {
+						b = append(b, v+"="+syms.ConstName(args[i]))
 					}
 				}
-			}
-		}
-		sort.Strings(want)
-		for name, e := range engines {
-			bs, err := query(ctx, e, q)
-			if err != nil {
-				return skipOrFail(name, q, err, src)
-			}
-			got := canonBindings(bs)
-			if !equalStrings(got, want) {
-				return fmt.Errorf("difftest: Query(%s): %s=%v ref=%v\n%s", q, name, got, want, src)
+				want = append(want, strings.Join(b, ","))
+				return nil
+			})
+			sort.Strings(want)
+			for name, e := range engines {
+				bs, err := query(ctx, e, r.q)
+				if err != nil {
+					return skipOrFail(name, r.q, err, src)
+				}
+				if got := canonBindings(bs); !equalStrings(got, want) {
+					return fmt.Errorf("difftest: Query(%s): %s=%v ref=%v\n%s", r.q, name, got, want, src)
+				}
 			}
 		}
 	}

@@ -177,7 +177,7 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 		if err != nil {
 			panic(err)
 		}
-		return ip.Interner().InternGround(c.Atom)
+		return ip.Interner().Ground(c.Atom, nil)
 	}
 	refHolds := func(goal string, adds []string) bool {
 		st := ip.EmptyState()

@@ -15,8 +15,8 @@
 // topdown.Budget, which every component of a cascade shares: the caller
 // begins it once per query with the query's context, and the goal
 // allowance, the memory meter and the cancellation poll then bound the
-// whole evaluator. AskPremise decides a ground premise on either, and
-// Solutions enumerates the answers of a non-ground one over the domain.
+// whole evaluator. AskPremise decides a premise instance on either, and
+// Solutions enumerates the answers of a non-ground premise over the domain.
 package engine
 
 import (
@@ -73,13 +73,9 @@ type Cascade struct {
 // stratification (from strat.Stratify on the same source program). Every
 // component draws on b; a nil b sets no limits.
 func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, b *topdown.Budget) (*Cascade, error) {
-	in := facts.NewInterner(cp.Syms)
-	in.SetRelevance(facts.NewRelevance(cp))
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
-		if _, err := base.Insert(in.InternGround(f)); err != nil {
-			return nil, err
-		}
+	base, err := facts.Load(cp, facts.NewRelevance(cp))
+	if err != nil {
+		return nil, err
 	}
 	return NewCascadeWithBase(cp, s, dom, base, b)
 }
@@ -245,43 +241,11 @@ func (c *Cascade) askAt(goal facts.AtomID, st facts.State, maxPart int) (bool, e
 	return c.sigma[part/2-1].Ask(goal, st)
 }
 
-// AskPremise decides a ground premise — plain, negated or hypothetical —
-// on a: R, DB+Δ ⊢ ψ.
-func AskPremise(a Asker, p ast.CPremise, st facts.State) (bool, error) {
-	goal, st, err := PremiseGoal(a.Interner(), p, st)
-	if err != nil {
-		return false, err
-	}
-	ok, err := a.Ask(goal, st)
+// AskPremise decides the instance of a plain, negated or hypothetical
+// premise under binding (nil for a ground premise) on a: R, DB+Δ ⊢ ψ.
+func AskPremise(a Asker, p ast.CPremise, binding []symbols.Const, st facts.State) (bool, error) {
+	ok, err := a.Ask(a.Interner().Instance(&p, binding, st))
 	return ok != (p.Kind == ast.Negated), err
-}
-
-// PremiseGoal is the goal a ground premise asks and the state it asks it
-// in: the premise's atom, in st extended by its adds and dels. A negated
-// premise asks its atom in st, to be read negated.
-func PremiseGoal(in *facts.Interner, p ast.CPremise, st facts.State) (facts.AtomID, facts.State, error) {
-	if p.Kind != ast.Plain && p.Kind != ast.Negated && p.Kind != ast.Hyp {
-		return 0, st, fmt.Errorf("engine: unsupported premise kind %v", p.Kind)
-	}
-	nonGround := func(a ast.CAtom) error {
-		return fmt.Errorf("engine: premise atom %s is not ground", ast.FormatCAtom(a, in.Syms(), nil))
-	}
-	if !p.Atom.IsGround() {
-		return 0, st, nonGround(p.Atom)
-	}
-	for _, a := range p.Adds {
-		if !a.IsGround() {
-			return 0, st, nonGround(a)
-		}
-		st = st.Add(in.InternGround(a))
-	}
-	for _, a := range p.Dels {
-		if !a.IsGround() {
-			return 0, st, nonGround(a)
-		}
-		st = st.Del(in.InternGround(a))
-	}
-	return in.InternGround(p.Atom), st, nil
 }
 
 // Solution is one answer to a non-ground query: the values bound to its
@@ -299,61 +263,20 @@ type Solution []symbols.Const
 // owned by the callee; a non-nil error from yield stops the enumeration
 // and is returned verbatim.
 func Solutions(a Asker, b *topdown.Budget, p ast.CPremise, numVars int, st facts.State, yield func(Solution) error) error {
-	if numVars == 0 {
-		ok, err := AskPremise(a, p, st)
+	binding := ast.NewBinding(numVars)
+	slots := make([]int, numVars)
+	for i := range slots {
+		slots[i] = i
+	}
+	_, err := ast.Assign(slots, a.Dom(), binding, func() error {
+		if ae := b.Tick(); ae != nil {
+			return ae
+		}
+		ok, err := AskPremise(a, p, binding, st)
 		if err != nil || !ok {
 			return err
 		}
-		return yield(Solution{})
-	}
-	dom := a.Dom()
-	binding := make([]symbols.Const, numVars)
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == numVars {
-			if ae := b.Tick(); ae != nil {
-				return ae
-			}
-			ok, err := AskPremise(a, groundPremise(p, binding), st)
-			if err != nil || !ok {
-				return err
-			}
-			return yield(append(Solution(nil), binding...))
-		}
-		for _, c := range dom {
-			binding[i] = c
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
-}
-
-// groundPremise substitutes binding into a premise.
-func groundPremise(p ast.CPremise, binding []symbols.Const) ast.CPremise {
-	g := ast.CPremise{Kind: p.Kind, Atom: groundCAtom(p.Atom, binding)}
-	for _, a := range p.Adds {
-		g.Adds = append(g.Adds, groundCAtom(a, binding))
-	}
-	for _, a := range p.Dels {
-		g.Dels = append(g.Dels, groundCAtom(a, binding))
-	}
-	return g
-}
-
-func groundCAtom(a ast.CAtom, binding []symbols.Const) ast.CAtom {
-	out := ast.CAtom{Pred: a.Pred}
-	if len(a.Args) > 0 {
-		out.Args = make([]ast.CTerm, len(a.Args))
-	}
-	for i, t := range a.Args {
-		if t.IsVar() {
-			out.Args[i] = ast.CConst(binding[t.VarSlot()])
-		} else {
-			out.Args[i] = t
-		}
-	}
-	return out
+		return yield(append(Solution{}, binding...))
+	})
+	return err
 }

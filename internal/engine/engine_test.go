@@ -67,11 +67,11 @@ func compileQuery(t *testing.T, cp *ast.CProgram, query string) ast.CPremise {
 func askBoth(t *testing.T, uni *topdown.Engine, cas *Cascade, cp *ast.CProgram, query string) bool {
 	t.Helper()
 	cpr := compileQuery(t, cp, query)
-	u, err := AskPremise(uni, cpr, uni.EmptyState())
+	u, err := AskPremise(uni, cpr, nil, uni.EmptyState())
 	if err != nil {
 		t.Fatalf("uniform %q: %v", query, err)
 	}
-	c, err := AskPremise(cas, cpr, cas.EmptyState())
+	c, err := AskPremise(cas, cpr, nil, cas.EmptyState())
 	if err != nil {
 		t.Fatalf("cascade %q: %v", query, err)
 	}
@@ -341,7 +341,7 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 		t.Helper()
 		cpr := compileQuery(t, cp, query)
 		mem.Begin()
-		return AskPremise(cas, cpr, cas.EmptyState())
+		return AskPremise(cas, cpr, nil, cas.EmptyState())
 	}
 	drop := func() {
 		for _, se := range cas.sigma {
@@ -407,7 +407,7 @@ func TestCascadeAsksOneComponent(t *testing.T) {
 	ask := func(query string) (*Cascade, *ast.CProgram, bool) {
 		t.Helper()
 		_, cas, cp := buildBoth(t, src)
-		ok, err := AskPremise(cas, compileQuery(t, cp, query), cas.EmptyState())
+		ok, err := AskPremise(cas, compileQuery(t, cp, query), nil, cas.EmptyState())
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
@@ -459,7 +459,7 @@ func TestCascadeDeadline(t *testing.T) {
 	_, cas, cp := buildBothWith(t, workload.HamiltonianProgram(g), b)
 	yes, open := compileQuery(t, cp, "yes"), compileQuery(t, cp, "path(X)[add: pnode(X)]")
 	for name, read := range map[string]func() error{
-		"AskPremise": func() error { _, err := AskPremise(cas, yes, cas.EmptyState()); return err },
+		"AskPremise": func() error { _, err := AskPremise(cas, yes, nil, cas.EmptyState()); return err },
 		"Solutions": func() error {
 			return Solutions(cas, b, open, 1, cas.EmptyState(), func(Solution) error { return nil })
 		},
@@ -482,7 +482,7 @@ func TestCascadeDeadline(t *testing.T) {
 	if err := b.Begin(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := AskPremise(cas, compileQuery(t, cp, "node(v0)"), cas.EmptyState()); err != nil || !ok {
+	if ok, err := AskPremise(cas, compileQuery(t, cp, "node(v0)"), nil, cas.EmptyState()); err != nil || !ok {
 		t.Fatalf("node(v0) after the aborts = %v, %v; want true", ok, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"hypodatalog/internal/ast"
 	"hypodatalog/internal/symbols"
 )
 
@@ -41,6 +42,21 @@ func NewDB(in *Interner) *DB {
 		byPred: make(map[symbols.Pred][]AtomID),
 		index:  make(map[indexKey][]AtomID),
 	}
+}
+
+// Load interns a compiled program's facts into a fresh base database over
+// a new interner keyed by rel, the program's keying stage (nil keys
+// nothing). It fails on a fact whose arity disagrees with its predicate's.
+func Load(cp *ast.CProgram, rel *Relevance) (*DB, error) {
+	in := NewInterner(cp.Syms)
+	in.SetRelevance(rel)
+	db := NewDB(in)
+	for _, f := range cp.Facts {
+		if _, err := db.Insert(in.Ground(f, nil)); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
 }
 
 // Interner returns the interner backing the database.

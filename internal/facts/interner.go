@@ -31,6 +31,7 @@ type Interner struct {
 	index map[string]AtomID // atoms of two or more arguments
 	small map[uint64]AtomID // nullary and unary atoms, by smallKey
 	buf   []byte            // scratch for key encoding
+	args  []symbols.Const   // scratch for Ground
 	bytes int64             // approximate heap footprint of atoms + indexes
 
 	// states interns the hypothetical states built over this interner's
@@ -154,14 +155,37 @@ func (in *Interner) Clone() *Interner {
 	}
 }
 
-// InternGround interns a ground compiled atom. It panics if the atom
-// contains variables (callers ground atoms before interning).
-func (in *Interner) InternGround(a ast.CAtom) AtomID {
-	args := make([]symbols.Const, len(a.Args))
-	for i, t := range a.Args {
-		args[i] = t.ConstID()
+// Ground interns atom a under binding, which binds every variable of a
+// (nil for a ground atom). It panics on an unbound variable: callers
+// ground a premise only once its instance is chosen.
+func (in *Interner) Ground(a ast.CAtom, binding []symbols.Const) AtomID {
+	args := in.args[:0] // scratch: ID copies what it keeps
+	for _, t := range a.Args {
+		if !t.IsVar() {
+			args = append(args, t.ConstID())
+		} else if v := binding[t.VarSlot()]; v != ast.Unbound {
+			args = append(args, v)
+		} else {
+			panic("facts: grounding with an unbound variable")
+		}
 	}
+	in.args = args
 	return in.ID(a.Pred, args)
+}
+
+// Instance is the goal a premise instance asks and the state it asks it
+// in: the premise's atom under binding, in st extended by its adds and
+// then its dels. It grounds adds, dels and the atom in that order, which
+// fixes the ids they intern. A negated premise asks its atom in st, to be
+// read negated.
+func (in *Interner) Instance(p *ast.CPremise, binding []symbols.Const, st State) (AtomID, State) {
+	for _, a := range p.Adds {
+		st = st.Add(in.Ground(a, binding))
+	}
+	for _, a := range p.Dels {
+		st = st.Del(in.Ground(a, binding))
+	}
+	return in.Ground(p.Atom, binding), st
 }
 
 // Format renders an interned atom using the symbol table.

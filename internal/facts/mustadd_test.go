@@ -185,12 +185,11 @@ n :- f.
 // without allocating.
 func TestStateNormalised(t *testing.T) {
 	cp := compileRewritten(t, workload.ChainProgram(4)+"b1.\n")
-	in := NewInterner(cp.Syms)
-	in.SetRelevance(NewRelevance(cp))
-	db := NewDB(in)
-	for _, f := range cp.Facts {
-		db.Insert(in.InternGround(f))
+	db, err := Load(cp, NewRelevance(cp))
+	if err != nil {
+		t.Fatal(err)
 	}
+	in := db.Interner()
 	atom := func(name string) AtomID { return in.ID(cp.Syms.Pred(name, 0), nil) }
 	b := []AtomID{atom("b1"), atom("b2"), atom("b3"), atom("b4")}
 	pool := []AtomID{b[1], b[2], b[3], atom("note")}

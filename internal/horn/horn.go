@@ -57,12 +57,9 @@ func New(cp *ast.CProgram) (*Engine, error) {
 			}
 		}
 	}
-	in := facts.NewInterner(cp.Syms)
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
-		if _, err := base.Insert(in.InternGround(f)); err != nil {
-			return nil, err
-		}
+	base, err := facts.Load(cp, nil)
+	if err != nil {
+		return nil, err
 	}
 	// Every rule is in the one Δ part, so nothing is defined below it and
 	// no oracle is needed.
@@ -70,7 +67,7 @@ func New(cp *ast.CProgram) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("horn: %w", err)
 	}
-	return &Engine{in: in, base: base, pv: pv}, nil
+	return &Engine{in: base.Interner(), base: base, pv: pv}, nil
 }
 
 // Interner returns the engine's ground-atom interner.

@@ -21,6 +21,7 @@ package metrics
 import (
 	"expvar"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,37 +124,37 @@ type Set struct {
 	// succeeded (evaluated to an answer, true or false), failed (parse,
 	// domain, configuration or budget error), or canceled (the caller's
 	// context was canceled or its deadline expired mid-evaluation).
-	QueriesStarted   Counter
-	QueriesSucceeded Counter
-	QueriesFailed    Counter
-	QueriesCanceled  Counter
+	QueriesStarted   Counter `expvar:"queries_started"`
+	QueriesSucceeded Counter `expvar:"queries_succeeded"`
+	QueriesFailed    Counter `expvar:"queries_failed"`
+	QueriesCanceled  Counter `expvar:"queries_canceled"`
 
 	// Evaluation work, accumulated from per-engine stats deltas after
 	// each query: top-down goal expansions and memo-table hits.
-	GoalExpansions Counter
-	TableHits      Counter
+	GoalExpansions Counter `expvar:"goal_expansions"`
+	TableHits      Counter `expvar:"table_hits"`
 
 	// Bottom-up Δ-part materialisations computed (cache misses) by the
 	// cascade's PROVE_Δ provers, and the subset of them derived from a
 	// cached parent state's model rather than computed from nothing.
-	DeltaMaterialisations        Counter
-	DeltaMaterialisationsDerived Counter
+	DeltaMaterialisations        Counter `expvar:"delta_materialisations"`
+	DeltaMaterialisationsDerived Counter `expvar:"delta_materialisations_derived"`
 
 	// Pool traffic: engines handed out from the free list, engines
 	// returned, and engines constructed because the free list was empty.
-	PoolGets Counter
-	PoolPuts Counter
-	PoolNews Counter
+	PoolGets Counter `expvar:"pool_gets"`
+	PoolPuts Counter `expvar:"pool_puts"`
+	PoolNews Counter `expvar:"pool_news"`
 
 	// HTTP serving layer (internal/server). HTTPRequests counts every
 	// request that reached an API handler; HTTPShed counts requests
 	// refused with 429 because the admission queue was full; HTTPQueued
 	// and HTTPInFlight are the instantaneous number of requests waiting
 	// for an evaluation slot and holding one.
-	HTTPRequests Counter
-	HTTPShed     Counter
-	HTTPQueued   Gauge
-	HTTPInFlight Gauge
+	HTTPRequests Counter `expvar:"http_requests"`
+	HTTPShed     Counter `expvar:"http_shed"`
+	HTTPQueued   Gauge   `expvar:"http_queued"`
+	HTTPInFlight Gauge   `expvar:"http_in_flight"`
 
 	// Live EDB (hypo.Live / internal/live). LiveCommits counts committed
 	// mutation batches, LiveMutations the individual mutations inside
@@ -167,15 +168,15 @@ type Set struct {
 	// unrecoverable I/O error (queries keep serving the last committed
 	// version; mutations are refused until restart) — the gauge to alert
 	// on.
-	LiveCommits     Counter
-	LiveMutations   Counter
-	LiveRejected    Counter
-	LiveReplayed    Counter
-	LiveRebuilds    Counter
-	LiveCompactions Counter
-	LiveVersion     Gauge
-	LiveSnapshotAge Gauge
-	LiveReadOnly    Gauge
+	LiveCommits     Counter `expvar:"live_commits"`
+	LiveMutations   Counter `expvar:"live_mutations"`
+	LiveRejected    Counter `expvar:"live_rejected"`
+	LiveReplayed    Counter `expvar:"live_replayed"`
+	LiveRebuilds    Counter `expvar:"live_rebuilds"`
+	LiveCompactions Counter `expvar:"live_compactions"`
+	LiveVersion     Gauge   `expvar:"live_version"`
+	LiveSnapshotAge Gauge   `expvar:"live_snapshot_age"`
+	LiveReadOnly    Gauge   `expvar:"live_readonly"`
 
 	// Incremental maintenance on the commit path. A stale pooled engine
 	// normally catches up to the current data version by replaying the
@@ -189,12 +190,12 @@ type Set struct {
 	// LiveIncrementalStates counts cached Δ-part materialisations
 	// maintained in place and LiveIncrementalDropped the cached states (or
 	// memo entries' worth of them) discarded to lazy recomputation.
-	LiveIncrementalApplies   Counter
-	LiveIncrementalFallbacks Counter
-	LiveIncrementalAtoms     Counter
-	LiveIncrementalStates    Counter
-	LiveIncrementalDropped   Counter
-	LiveSubstrateBuilds      Counter
+	LiveIncrementalApplies   Counter `expvar:"live_incremental_applies"`
+	LiveIncrementalFallbacks Counter `expvar:"live_incremental_fallbacks"`
+	LiveIncrementalAtoms     Counter `expvar:"live_incremental_atoms"`
+	LiveIncrementalStates    Counter `expvar:"live_incremental_states"`
+	LiveIncrementalDropped   Counter `expvar:"live_incremental_dropped"`
+	LiveSubstrateBuilds      Counter `expvar:"live_substrate_builds"`
 
 	// Versioned answer cache (internal/cache). CacheHits counts reads
 	// served from a stored entry, CacheMisses reads that ran an
@@ -204,18 +205,18 @@ type Set struct {
 	// budget (or by explicit invalidation); CacheBytes and CacheEntries
 	// are the instantaneous totals across every cache reporting into this
 	// set.
-	CacheHits      Counter
-	CacheMisses    Counter
-	CacheCoalesced Counter
-	CacheEvictions Counter
-	CacheBytes     Gauge
-	CacheEntries   Gauge
+	CacheHits      Counter `expvar:"cache_hits"`
+	CacheMisses    Counter `expvar:"cache_misses"`
+	CacheCoalesced Counter `expvar:"cache_coalesced"`
+	CacheEvictions Counter `expvar:"cache_evictions"`
+	CacheBytes     Gauge   `expvar:"cache_bytes"`
+	CacheEntries   Gauge   `expvar:"cache_entries"`
 
 	// CacheCarried counts entries carried forward across a commit because
 	// the commit's recorded predicate cone could not have changed their
 	// answer (cone-aware retention; without it every version bump expires
 	// the whole cache).
-	CacheCarried Counter
+	CacheCarried Counter `expvar:"cache_carried"`
 
 	// WAL-shipping replication (internal/repl). Primary side:
 	// ReplFramesSent counts record/heartbeat/gone frames written to
@@ -231,19 +232,19 @@ type Set struct {
 	// replica forwarded to the primary, ReplMinVersionWaits reads that had
 	// to wait for the store to reach X-Hdl-Min-Version, and
 	// ReplMinVersionTimeouts the waits that expired into a 503.
-	ReplFramesSent         Counter
-	ReplSnapshotsServed    Counter
-	ReplStreams            Gauge
-	ReplRecordsApplied     Counter
-	ReplBootstraps         Counter
-	ReplReconnects         Counter
-	ReplAppliedVersion     Gauge
-	ReplPrimaryVersion     Gauge
-	ReplLag                Gauge
-	ReplConnected          Gauge
-	ReplProxiedWrites      Counter
-	ReplMinVersionWaits    Counter
-	ReplMinVersionTimeouts Counter
+	ReplFramesSent         Counter `expvar:"repl_frames_sent"`
+	ReplSnapshotsServed    Counter `expvar:"repl_snapshots_served"`
+	ReplStreams            Gauge   `expvar:"repl_streams"`
+	ReplRecordsApplied     Counter `expvar:"repl_records_applied"`
+	ReplBootstraps         Counter `expvar:"repl_bootstraps"`
+	ReplReconnects         Counter `expvar:"repl_reconnects"`
+	ReplAppliedVersion     Gauge   `expvar:"repl_applied_version"`
+	ReplPrimaryVersion     Gauge   `expvar:"repl_primary_version"`
+	ReplLag                Gauge   `expvar:"repl_lag"`
+	ReplConnected          Gauge   `expvar:"repl_connected"`
+	ReplProxiedWrites      Counter `expvar:"repl_proxied_writes"`
+	ReplMinVersionWaits    Counter `expvar:"repl_min_version_waits"`
+	ReplMinVersionTimeouts Counter `expvar:"repl_min_version_timeouts"`
 
 	// Memory governance. MemQueryAborts counts queries aborted because
 	// their per-query growth exceeded Options.MaxMemoryBytes (surfaced to
@@ -253,11 +254,11 @@ type Set struct {
 	// MemPoolBytes and MemCacheBytes are the instantaneous tracked
 	// footprints of the instance's idle engines and its answer cache;
 	// MemEngineTrims counts idle engines dropped by quota-pressure trims.
-	MemQueryAborts Counter
-	MemTenantShed  Counter
-	MemPoolBytes   Gauge
-	MemCacheBytes  Gauge
-	MemEngineTrims Counter
+	MemQueryAborts Counter `expvar:"mem_query_aborts"`
+	MemTenantShed  Counter `expvar:"mem_tenant_shed"`
+	MemPoolBytes   Gauge   `expvar:"mem_pool_bytes"`
+	MemCacheBytes  Gauge   `expvar:"mem_cache_bytes"`
+	MemEngineTrims Counter `expvar:"mem_engine_trims"`
 
 	// Disk governance. DiskQuotaShed counts mutation batches refused with
 	// 503 over_disk because the tenant's on-disk footprint (WAL + snapshot)
@@ -267,11 +268,11 @@ type Set struct {
 	// DiskRecoveryProbes counts background probe attempts while degraded;
 	// DiskRecoveries counts successful re-enables of the write path.
 	// DiskBytes is the instantaneous on-disk footprint (WAL + snapshots).
-	DiskQuotaShed         Counter
-	DiskDegradedTransient Counter
-	DiskRecoveryProbes    Counter
-	DiskRecoveries        Counter
-	DiskBytes             Gauge
+	DiskQuotaShed         Counter `expvar:"disk_quota_shed"`
+	DiskDegradedTransient Counter `expvar:"disk_degraded_transient"`
+	DiskRecoveryProbes    Counter `expvar:"disk_recovery_probes"`
+	DiskRecoveries        Counter `expvar:"disk_recoveries"`
+	DiskBytes             Gauge   `expvar:"disk_bytes"`
 
 	// Replica→primary write-proxy circuit breaker. ProxyBreakerState is
 	// the current state (0 closed, 1 half-open, 2 open); ProxyBreakerOpens
@@ -279,10 +280,10 @@ type Set struct {
 	// retry attempts after a retryable failure, ProxyFastFails requests
 	// answered 503 primary_unreachable without touching the network
 	// because the breaker was open.
-	ProxyBreakerState Gauge
-	ProxyBreakerOpens Counter
-	ProxyRetries      Counter
-	ProxyFastFails    Counter
+	ProxyBreakerState Gauge   `expvar:"proxy_breaker_state"`
+	ProxyBreakerOpens Counter `expvar:"proxy_breaker_opens"`
+	ProxyRetries      Counter `expvar:"proxy_retries"`
+	ProxyFastFails    Counter `expvar:"proxy_fast_fails"`
 
 	// QueryLatency buckets wall-clock seconds per query, 100µs to 10s.
 	QueryLatency *Histogram
@@ -302,77 +303,43 @@ func NewSet(name string) *Set {
 // Name returns the expvar name the set registers under.
 func (s *Set) Name() string { return s.name }
 
+// valuer is what Counter and Gauge share: the reading Snapshot exports.
+type valuer interface{ Value() int64 }
+
+// exported lists Set's Counter and Gauge fields by index, each with the
+// expvar key its tag declares. A field without a key is a build mistake:
+// the package panics at init rather than export the set without it.
+var exported = func() (out []exportedField) {
+	set := reflect.TypeFor[Set]()
+	for i := range set.NumField() {
+		f := set.Field(i)
+		if !reflect.PointerTo(f.Type).Implements(reflect.TypeFor[valuer]()) {
+			continue
+		}
+		key := f.Tag.Get("expvar")
+		if key == "" {
+			panic("metrics: Set." + f.Name + " has no expvar key")
+		}
+		out = append(out, exportedField{key, i})
+	}
+	return out
+}()
+
+type exportedField struct {
+	key   string
+	index int
+}
+
 // Snapshot returns the current value of every metric in the set, keyed by
 // the names used in the expvar export.
 func (s *Set) Snapshot() map[string]any {
-	out := map[string]any{
-		"queries_started":                s.QueriesStarted.Value(),
-		"queries_succeeded":              s.QueriesSucceeded.Value(),
-		"queries_failed":                 s.QueriesFailed.Value(),
-		"queries_canceled":               s.QueriesCanceled.Value(),
-		"goal_expansions":                s.GoalExpansions.Value(),
-		"table_hits":                     s.TableHits.Value(),
-		"delta_materialisations":         s.DeltaMaterialisations.Value(),
-		"delta_materialisations_derived": s.DeltaMaterialisationsDerived.Value(),
-		"pool_gets":                      s.PoolGets.Value(),
-		"pool_puts":                      s.PoolPuts.Value(),
-		"pool_news":                      s.PoolNews.Value(),
-		"http_requests":                  s.HTTPRequests.Value(),
-		"http_shed":                      s.HTTPShed.Value(),
-		"http_queued":                    s.HTTPQueued.Value(),
-		"http_in_flight":                 s.HTTPInFlight.Value(),
-		"live_commits":                   s.LiveCommits.Value(),
-		"live_mutations":                 s.LiveMutations.Value(),
-		"live_rejected":                  s.LiveRejected.Value(),
-		"live_replayed":                  s.LiveReplayed.Value(),
-		"live_rebuilds":                  s.LiveRebuilds.Value(),
-		"live_compactions":               s.LiveCompactions.Value(),
-		"live_incremental_applies":       s.LiveIncrementalApplies.Value(),
-		"live_incremental_fallbacks":     s.LiveIncrementalFallbacks.Value(),
-		"live_incremental_atoms":         s.LiveIncrementalAtoms.Value(),
-		"live_incremental_states":        s.LiveIncrementalStates.Value(),
-		"live_incremental_dropped":       s.LiveIncrementalDropped.Value(),
-		"live_substrate_builds":          s.LiveSubstrateBuilds.Value(),
-		"live_version":                   s.LiveVersion.Value(),
-		"live_snapshot_age":              s.LiveSnapshotAge.Value(),
-		"live_readonly":                  s.LiveReadOnly.Value(),
-		"cache_hits":                     s.CacheHits.Value(),
-		"cache_misses":                   s.CacheMisses.Value(),
-		"cache_coalesced":                s.CacheCoalesced.Value(),
-		"cache_evictions":                s.CacheEvictions.Value(),
-		"cache_bytes":                    s.CacheBytes.Value(),
-		"cache_entries":                  s.CacheEntries.Value(),
-		"cache_carried":                  s.CacheCarried.Value(),
-		"repl_frames_sent":               s.ReplFramesSent.Value(),
-		"repl_snapshots_served":          s.ReplSnapshotsServed.Value(),
-		"repl_streams":                   s.ReplStreams.Value(),
-		"repl_records_applied":           s.ReplRecordsApplied.Value(),
-		"repl_bootstraps":                s.ReplBootstraps.Value(),
-		"repl_reconnects":                s.ReplReconnects.Value(),
-		"repl_applied_version":           s.ReplAppliedVersion.Value(),
-		"repl_primary_version":           s.ReplPrimaryVersion.Value(),
-		"repl_lag":                       s.ReplLag.Value(),
-		"repl_connected":                 s.ReplConnected.Value(),
-		"repl_proxied_writes":            s.ReplProxiedWrites.Value(),
-		"repl_min_version_waits":         s.ReplMinVersionWaits.Value(),
-		"repl_min_version_timeouts":      s.ReplMinVersionTimeouts.Value(),
-		"mem_query_aborts":               s.MemQueryAborts.Value(),
-		"mem_tenant_shed":                s.MemTenantShed.Value(),
-		"mem_pool_bytes":                 s.MemPoolBytes.Value(),
-		"mem_cache_bytes":                s.MemCacheBytes.Value(),
-		"mem_engine_trims":               s.MemEngineTrims.Value(),
-		"disk_quota_shed":                s.DiskQuotaShed.Value(),
-		"disk_degraded_transient":        s.DiskDegradedTransient.Value(),
-		"disk_recovery_probes":           s.DiskRecoveryProbes.Value(),
-		"disk_recoveries":                s.DiskRecoveries.Value(),
-		"disk_bytes":                     s.DiskBytes.Value(),
-		"proxy_breaker_state":            s.ProxyBreakerState.Value(),
-		"proxy_breaker_opens":            s.ProxyBreakerOpens.Value(),
-		"proxy_retries":                  s.ProxyRetries.Value(),
-		"proxy_fast_fails":               s.ProxyFastFails.Value(),
-		"query_latency_count":            s.QueryLatency.Count(),
-		"query_latency_sum":              s.QueryLatency.Sum(),
+	out := make(map[string]any, len(exported)+3)
+	v := reflect.ValueOf(s).Elem()
+	for _, f := range exported {
+		out[f.key] = v.Field(f.index).Addr().Interface().(valuer).Value()
 	}
+	out["query_latency_count"] = s.QueryLatency.Count()
+	out["query_latency_sum"] = s.QueryLatency.Sum()
 	bounds, counts := s.QueryLatency.Buckets()
 	buckets := make(map[string]int64, len(counts))
 	for i, n := range counts {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -110,18 +111,49 @@ func TestExpvarExport(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeys pins the export: a snapshot holds exactly these keys,
+// and every Counter and Gauge field of Set is exported under one of them
+// (the other three keys are QueryLatency's).
 func TestSnapshotKeys(t *testing.T) {
-	snap := Snapshot()
-	for _, k := range []string{
+	want := []string{
 		"queries_started", "queries_succeeded", "queries_failed", "queries_canceled",
 		"goal_expansions", "table_hits", "delta_materialisations", "delta_materialisations_derived",
 		"pool_gets", "pool_puts", "pool_news",
-		"query_latency_count", "query_latency_sum", "query_latency_buckets",
 		"http_requests", "http_shed", "http_queued", "http_in_flight",
-	} {
+		"live_commits", "live_mutations", "live_rejected", "live_replayed", "live_rebuilds",
+		"live_compactions", "live_incremental_applies", "live_incremental_fallbacks",
+		"live_incremental_atoms", "live_incremental_states", "live_incremental_dropped",
+		"live_substrate_builds", "live_version", "live_snapshot_age", "live_readonly",
+		"cache_hits", "cache_misses", "cache_coalesced", "cache_evictions", "cache_bytes",
+		"cache_entries", "cache_carried",
+		"repl_frames_sent", "repl_snapshots_served", "repl_streams", "repl_records_applied",
+		"repl_bootstraps", "repl_reconnects", "repl_applied_version", "repl_primary_version",
+		"repl_lag", "repl_connected", "repl_proxied_writes", "repl_min_version_waits",
+		"repl_min_version_timeouts",
+		"mem_query_aborts", "mem_tenant_shed", "mem_pool_bytes", "mem_cache_bytes", "mem_engine_trims",
+		"disk_quota_shed", "disk_degraded_transient", "disk_recovery_probes", "disk_recoveries", "disk_bytes",
+		"proxy_breaker_state", "proxy_breaker_opens", "proxy_retries", "proxy_fast_fails",
+		"query_latency_count", "query_latency_sum", "query_latency_buckets",
+	}
+	snap := NewSet("hypo_keys").Snapshot()
+	for _, k := range want {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("Snapshot missing %q", k)
 		}
+	}
+	if len(snap) != len(want) {
+		t.Errorf("Snapshot has %d keys, want %d", len(snap), len(want))
+	}
+	set := reflect.TypeFor[Set]()
+	counter, gauge := reflect.TypeFor[Counter](), reflect.TypeFor[Gauge]()
+	n := 0
+	for i := 0; i < set.NumField(); i++ {
+		if ft := set.Field(i).Type; ft == counter || ft == gauge {
+			n++
+		}
+	}
+	if n+3 != len(want) {
+		t.Errorf("Set has %d Counter and Gauge fields; with QueryLatency's 3 keys that is %d keys, want %d", n, n+3, len(want))
 	}
 }
 

@@ -63,20 +63,19 @@ func (s atomSet) has(id facts.AtomID) bool { _, ok := s[id]; return ok }
 // mention fresh symbols.
 func New(cp *ast.CProgram, extraDom ...symbols.Const) *Interp {
 	in := facts.NewInterner(cp.Syms)
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
-		// Compiled facts intern their predicate with their own arity, so a
-		// mismatch here means a corrupted CProgram — unrecoverable.
-		if _, err := base.Insert(in.InternGround(f)); err != nil {
-			panic(err)
-		}
-	}
 	ip := &Interp{
 		prog:  cp,
 		in:    in,
-		base:  base,
+		base:  facts.NewDB(in),
 		dom:   Domain(cp, extraDom...),
 		final: make(map[cellKey]atomSet),
+	}
+	for _, f := range cp.Facts {
+		// Compiled facts intern their predicate with their own arity, so a
+		// mismatch here means a corrupted CProgram — unrecoverable.
+		if _, err := ip.base.Insert(ip.ground(f, nil)); err != nil {
+			panic(err)
+		}
 	}
 	ip.computeSCCs()
 	return ip
@@ -242,7 +241,7 @@ func (ip *Interp) Holds(goal facts.AtomID, st facts.State) bool {
 
 // HoldsPremise evaluates a ground compiled premise in a state.
 func (ip *Interp) HoldsPremise(p ast.CPremise, st facts.State) bool {
-	goal := ip.in.InternGround(p.Atom)
+	goal := ip.ground(p.Atom, nil)
 	switch p.Kind {
 	case ast.Plain:
 		return ip.Holds(goal, st)
@@ -251,10 +250,10 @@ func (ip *Interp) HoldsPremise(p ast.CPremise, st facts.State) bool {
 	case ast.Hyp:
 		next := st
 		for _, a := range p.Adds {
-			next = next.Add(ip.in.InternGround(a))
+			next = next.Add(ip.ground(a, nil))
 		}
 		for _, a := range p.Dels {
-			next = next.Del(ip.in.InternGround(a))
+			next = next.Del(ip.ground(a, nil))
 		}
 		return ip.Holds(goal, next)
 	default:

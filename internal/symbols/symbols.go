@@ -151,13 +151,6 @@ func (t *Table) NumPreds() int {
 	return len(t.preds)
 }
 
-// NumConsts reports how many constants have been interned.
-func (t *Table) NumConsts() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.consts)
-}
-
 // Consts returns the ids of all interned constants, in interning order.
 // The returned slice is freshly allocated.
 func (t *Table) Consts() []Const {

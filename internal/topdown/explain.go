@@ -119,8 +119,8 @@ func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]
 
 	for _, ri := range e.rules(e.in.Pred(goal)) {
 		rule := &e.prog.Rules[ri]
-		binding := newBinding(rule.NumVars)
-		if !unifyHead(rule.Head, e.in.Args(goal), binding) {
+		binding := ast.NewBinding(rule.NumVars)
+		if !ast.Unify(rule.Head, e.in.Args(goal), binding) {
 			continue
 		}
 		var proof *Proof
@@ -158,25 +158,14 @@ func (e *Engine) explainInstance(rule *ast.CRule, binding []symbols.Const, st fa
 			children = append(children, &Proof{Kind: ProofNegation, Goal: e.formatNegated(pr, binding, rule.VarNames)})
 			continue
 		}
-		next := st
-		var added, deleted []string
-		for _, a := range pr.Adds {
-			id := e.groundAtom(a, binding)
-			next = next.Add(id)
-			added = append(added, e.in.Format(id))
-		}
-		for _, a := range pr.Dels {
-			id := e.groundAtom(a, binding)
-			next = next.Del(id)
-			deleted = append(deleted, e.in.Format(id))
-		}
-		goal := e.groundAtom(pr.Atom, binding)
+		goal, next := e.in.Instance(pr, binding, st)
 		sub, err := e.explain(goal, next, onPath)
 		if sub == nil || err != nil {
 			return nil, false, err
 		}
 		if pr.Kind == ast.Hyp {
-			sub = &Proof{Kind: ProofHyp, Goal: e.in.Format(goal), Added: added, Deleted: deleted, Children: []*Proof{sub}}
+			sub = &Proof{Kind: ProofHyp, Goal: e.in.Format(goal), Added: e.formatAtoms(pr.Adds, binding),
+				Deleted: e.formatAtoms(pr.Dels, binding), Children: []*Proof{sub}}
 		}
 		children = append(children, sub)
 	}
@@ -213,7 +202,7 @@ func (e *Engine) formatNegated(pr *ast.CPremise, binding []symbols.Const, varNam
 		return e.formatPattern(pr.Atom, binding, varNames)
 	}
 	aux := &e.prog.Rules[e.rules(pr.Atom.Pred)[0]]
-	auxBinding := newBinding(aux.NumVars)
+	auxBinding := ast.NewBinding(aux.NumVars)
 	for i, t := range aux.Head.Args { // variables on both sides
 		auxBinding[t.VarSlot()] = binding[pr.Atom.Args[i].VarSlot()]
 	}
@@ -244,6 +233,15 @@ func (e *Engine) formatPremise(pr *ast.CPremise, binding []symbols.Const, varNam
 	return b.String()
 }
 
+// formatAtoms renders ground instances of atoms, nil for none.
+func (e *Engine) formatAtoms(atoms []ast.CAtom, binding []symbols.Const) []string {
+	var out []string
+	for _, a := range atoms {
+		out = append(out, e.formatPattern(a, binding, nil))
+	}
+	return out
+}
+
 // formatPattern renders an atom under a partial binding: bound slots show
 // their constants, unbound slots their variable names.
 func (e *Engine) formatPattern(a ast.CAtom, binding []symbols.Const, varNames []string) string {
@@ -261,7 +259,7 @@ func (e *Engine) formatPattern(a ast.CAtom, binding []symbols.Const, varNames []
 		switch {
 		case !t.IsVar():
 			b.WriteString(syms.ConstName(t.ConstID()))
-		case binding[t.VarSlot()] != unbound:
+		case binding[t.VarSlot()] != ast.Unbound:
 			b.WriteString(syms.ConstName(binding[t.VarSlot()]))
 		default:
 			b.WriteString(varNames[t.VarSlot()])

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypodatalog/internal/ast"
 	"hypodatalog/internal/facts"
 	"hypodatalog/internal/symbols"
 	"hypodatalog/internal/workload"
@@ -254,7 +255,7 @@ func TestExplainSkipsCyclicFirstInstance(t *testing.T) {
 		// The instances the search offers, in its own order.
 		rule := &e.prog.Rules[e.rules(gp)[0]]
 		var offered []string
-		binding := newBinding(rule.NumVars)
+		binding := ast.NewBinding(rule.NumVars)
 		if _, _, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), e.EmptyState(), 0, func() (bool, error) {
 			offered = append(offered, e.formatRuleInstance(rule, binding))
 			return false, nil

@@ -194,7 +194,7 @@ type Engine struct {
 	budget *Budget
 
 	stats Stats
-	args  []symbols.Const // scratch for grounding and ground-pattern lookups
+	args  []symbols.Const // scratch for matchState's lookups
 }
 
 // tableKey is a (goal, hypothetical state) pair. Both halves are interned
@@ -223,15 +223,11 @@ const (
 // used when the planner must enumerate (pass ref.Domain(cp) for the
 // paper's dom(R, DB)). A nil budget sets no limits.
 func New(cp *ast.CProgram, dom []symbols.Const, opts Options, b *Budget) *Engine {
-	in := facts.NewInterner(cp.Syms)
-	in.SetRelevance(facts.NewRelevance(cp))
-	base := facts.NewDB(in)
-	for _, f := range cp.Facts {
+	base, err := facts.Load(cp, facts.NewRelevance(cp))
+	if err != nil {
 		// Compiled facts intern their predicate with their own arity, so a
 		// mismatch here means a corrupted CProgram — unrecoverable.
-		if _, err := base.Insert(in.InternGround(f)); err != nil {
-			panic(err)
-		}
+		panic(err)
 	}
 	return NewWithBase(cp, base, dom, opts, b)
 }
@@ -419,8 +415,8 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	minTouched := maxFrame
 	for _, ri := range e.rules(pred) {
 		rule := &e.prog.Rules[ri]
-		binding := newBinding(rule.NumVars)
-		if !unifyHead(rule.Head, e.in.Args(goal), binding) {
+		binding := ast.NewBinding(rule.NumVars)
+		if !ast.Unify(rule.Head, e.in.Args(goal), binding) {
 			continue
 		}
 		ok, touched, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, depth+1, nil)
@@ -448,37 +444,6 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 // engine's rules nor owned by the resolver.
 func (e *Engine) isExtensional(p symbols.Pred) bool {
 	return e.kind(p) == extensional
-}
-
-// unbound marks an unbound variable slot.
-const unbound symbols.Const = -1
-
-func newBinding(n int) []symbols.Const {
-	b := make([]symbols.Const, n)
-	for i := range b {
-		b[i] = unbound
-	}
-	return b
-}
-
-// unifyHead matches a rule head against ground goal arguments, extending
-// binding. It reports failure on constant mismatch or conflicting variable
-// bindings (repeated head variables).
-func unifyHead(head ast.CAtom, goalArgs []symbols.Const, binding []symbols.Const) bool {
-	for i, t := range head.Args {
-		g := goalArgs[i]
-		if t.IsVar() {
-			s := t.VarSlot()
-			if binding[s] == unbound {
-				binding[s] = g
-			} else if binding[s] != g {
-				return false
-			}
-		} else if t.ConstID() != g {
-			return false
-		}
-	}
-	return true
 }
 
 // fullMask returns a bitmask with the low n bits set (bodies are capped at
@@ -558,76 +523,39 @@ var errStop = fmt.Errorf("topdown: stop")
 // proved recursively — a negated one in a region of its own (negCheck).
 // The negation rewrite leaves no variable that only a negation binds.
 func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
-	slots := appendUnboundSlots(nil, pr, binding)
 	minTouched := maxFrame
-	proved := false
-
-	var tryGround func(i int) error
-	tryGround = func(i int) error {
-		if i < len(slots) {
-			for _, c := range e.dom {
-				e.stats.Enumerated++
-				binding[slots[i]] = c
-				if err := tryGround(i + 1); err != nil {
-					return err
-				}
-			}
-			binding[slots[i]] = unbound
-			return nil
-		}
+	tried, err := ast.Assign(appendUnboundSlots(nil, pr, binding), e.dom, binding, func() error {
 		res, touched, err := e.instanceHolds(pr, binding, st, depth)
-		if err != nil {
+		if err != nil || !res {
+			minTouched = min(minTouched, touched)
 			return err
 		}
-		if touched < minTouched {
-			minTouched = touched
+		res, touched2, err := e.evalBody(rule, binding, rest, st, depth, k)
+		minTouched = min(minTouched, touched, touched2)
+		if err == nil && res {
+			err = errStop
 		}
-		if !res {
-			return nil
-		}
-		res2, touched2, err := e.evalBody(rule, binding, rest, st, depth, k)
-		if err != nil {
-			return err
-		}
-		if touched2 < minTouched {
-			minTouched = touched2
-		}
-		if res2 {
-			proved = true
-			return errStop
-		}
-		return nil
-	}
-	err := tryGround(0)
-	if err != nil && err != errStop {
-		return false, maxFrame, err
-	}
-	// Restore slots bound during a successful early stop.
-	if !proved {
-		for _, s := range slots {
-			binding[s] = unbound
-		}
+		return err
+	})
+	e.stats.Enumerated += int64(tried)
+	switch err {
+	case nil:
 		return false, minTouched, nil
+	case errStop:
+		return true, maxFrame, nil
 	}
-	return true, maxFrame, nil
+	return false, maxFrame, err
 }
 
 // instanceHolds proves the ground instance of a plain, hypothetical or
 // negated premise under binding; a negated one in a region of its own.
 func (e *Engine) instanceHolds(pr *ast.CPremise, binding []symbols.Const, st facts.State, depth int) (bool, int, error) {
-	switch pr.Kind {
-	case ast.Negated:
-		held, err := e.negCheck(e.groundAtom(pr.Atom, binding), st)
+	goal, st := e.in.Instance(pr, binding, st)
+	if pr.Kind == ast.Negated {
+		held, err := e.negCheck(goal, st)
 		return !held, maxFrame, err
-	case ast.Hyp:
-		for _, a := range pr.Adds {
-			st = st.Add(e.groundAtom(a, binding))
-		}
-		for _, a := range pr.Dels {
-			st = st.Del(e.groundAtom(a, binding))
-		}
 	}
-	return e.prove(e.groundAtom(pr.Atom, binding), st, depth)
+	return e.prove(goal, st, depth)
 }
 
 // negCheck decides R, DB+Δ ⊢ A for a negated premise in a fresh region.
@@ -654,24 +582,6 @@ func (e *Engine) negCheck(goal facts.AtomID, st facts.State) (bool, error) {
 	return ok, err
 }
 
-// groundAtom interns a premise atom under a (fully binding) substitution.
-func (e *Engine) groundAtom(a ast.CAtom, binding []symbols.Const) facts.AtomID {
-	args := e.args[:0] // scratch: the interner copies what it keeps
-	for _, t := range a.Args {
-		if t.IsVar() {
-			v := binding[t.VarSlot()]
-			if v == unbound {
-				panic("topdown: grounding with unbound variable")
-			}
-			args = append(args, v)
-		} else {
-			args = append(args, t.ConstID())
-		}
-	}
-	e.args = args
-	return e.in.ID(a.Pred, args)
-}
-
 // appendUnboundSlots appends to dst (empty on entry) the unbound variable
 // slots of a premise — atom, adds and dels — each once, in
 // first-occurrence order. A premise has a handful of variables, so
@@ -692,7 +602,7 @@ func appendUnbound(dst []int, a ast.CAtom, binding []symbols.Const) []int {
 		if !t.IsVar() {
 			continue
 		}
-		if s := t.VarSlot(); binding[s] == unbound && !slices.Contains(dst, s) {
+		if s := t.VarSlot(); binding[s] == ast.Unbound && !slices.Contains(dst, s) {
 			dst = append(dst, s)
 		}
 	}
@@ -704,25 +614,27 @@ func appendUnbound(dst []int, a ast.CAtom, binding []symbols.Const) []int {
 // extended for each match and restoring it afterwards. Used only for
 // extensional predicates, where the state is the complete extension.
 func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts.State, yield func() error) error {
-	// Pick the most selective index: a bound argument position.
-	bestPos, bestVal := -1, unbound
-	args, ground := e.args[:0], true
+	// Pick the most selective index: a bound argument position. free
+	// holds the slots a candidate binds (a repeated variable twice), on
+	// the stack for any usual arity; each candidate unbinds them before
+	// the next is tried.
+	bestPos, bestVal := -1, ast.Unbound
+	var buf [8]int
+	args, free := e.args[:0], buf[:0]
 	for i, t := range pattern.Args {
 		var v symbols.Const
-		if t.IsVar() {
-			v = binding[t.VarSlot()]
-		} else {
+		if !t.IsVar() {
 			v = t.ConstID()
+		} else if v = binding[t.VarSlot()]; v == ast.Unbound {
+			free = append(free, t.VarSlot())
 		}
-		if v == unbound {
-			ground = false
-		} else if bestPos < 0 {
+		if v != ast.Unbound && bestPos < 0 {
 			bestPos, bestVal = i, v
 		}
 		args = append(args, v)
 	}
 	e.args = args
-	if ground {
+	if len(free) == 0 {
 		// Nothing to enumerate: a fully bound pattern is a membership test,
 		// not a walk over the candidates and every atom of the delta.
 		if id, ok := e.in.Lookup(pattern.Pred, args); ok && st.Has(id) {
@@ -736,37 +648,13 @@ func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts
 	} else {
 		candidates = e.base.ByPred(pattern.Pred)
 	}
-	// bound holds the slots one candidate binds, on the stack for any usual
-	// arity; each candidate unbinds them before the next is tried.
-	var bound [8]int
 	tryMatch := func(id facts.AtomID) error {
-		args := e.in.Args(id)
-		boundHere := bound[:0]
-		ok := true
-		for i, t := range pattern.Args {
-			if t.IsVar() {
-				s := t.VarSlot()
-				switch binding[s] {
-				case unbound:
-					binding[s] = args[i]
-					boundHere = append(boundHere, s)
-				case args[i]:
-				default:
-					ok = false
-				}
-			} else if t.ConstID() != args[i] {
-				ok = false
-			}
-			if !ok {
-				break
-			}
-		}
 		var err error
-		if ok {
+		if ast.Unify(pattern, e.in.Args(id), binding) {
 			err = yield()
 		}
-		for _, s := range boundHere {
-			binding[s] = unbound
+		for _, s := range free {
+			binding[s] = ast.Unbound
 		}
 		return err
 	}
@@ -847,7 +735,7 @@ func (e *Engine) premiseCost(pr *ast.CPremise, binding []symbols.Const, st facts
 				} else {
 					v = t.ConstID()
 				}
-				if v != unbound {
+				if v != ast.Unbound {
 					m := len(e.base.ByPredArg(pr.Atom.Pred, i, v)) + st.Delta.Len()
 					if m < n {
 						n = m

@@ -71,13 +71,7 @@ func ask(t *testing.T, e *Engine, cp *ast.CProgram, query string) bool {
 // package's tests cannot import it): the premise's atom, in the state
 // extended by its adds and dels, read negated for a negated premise.
 func askPremise(e *Engine, p ast.CPremise, st facts.State) (bool, error) {
-	for _, a := range p.Adds {
-		st = st.Add(e.in.InternGround(a))
-	}
-	for _, a := range p.Dels {
-		st = st.Del(e.in.InternGround(a))
-	}
-	ok, err := e.Ask(e.in.InternGround(p.Atom), st)
+	ok, err := e.Ask(e.in.Instance(&p, nil, st))
 	return ok != (p.Kind == ast.Negated), err
 }
 
@@ -497,7 +491,7 @@ func TestMatchStateScanAllocatesNothing(t *testing.T) {
 		st = st.Add(e.in.ID(s, []symbols.Const{cp.Syms.Const(fmt.Sprint("c", i))}))
 	}
 	rule := &cp.Rules[cp.ByHead[cp.Rules[0].Head.Pred][0]]
-	binding := newBinding(rule.NumVars)
+	binding := ast.NewBinding(rule.NumVars)
 	yield := func() error { return errors.New("q has no atom to match") }
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := e.matchState(rule.Body[0].Atom, binding, st, yield); err != nil {
@@ -526,10 +520,10 @@ func TestMatchStateBindAllocatesNothing(t *testing.T) {
 		}
 	}
 	rule := &cp.Rules[cp.ByHead[cp.Rules[0].Head.Pred][0]]
-	binding := newBinding(rule.NumVars)
+	binding := ast.NewBinding(rule.NumVars)
 	matches := 0
 	yield := func() error {
-		if binding[0] == unbound {
+		if binding[0] == ast.Unbound {
 			return errors.New("match left X unbound")
 		}
 		matches++
@@ -541,7 +535,7 @@ func TestMatchStateBindAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if matches != 12 || binding[0] != unbound {
+	if matches != 12 || binding[0] != ast.Unbound {
 		t.Fatalf("matchState bound X %d times (left %d), want 12 and unbound after", matches, binding[0])
 	}
 	if allocs != 0 {
@@ -597,7 +591,7 @@ func TestMatchStateFindsAddedBaseAtom(t *testing.T) {
 		{"after markers", e.EmptyState().AddAll(markerIDs).Add(added), 5},
 		{"markers only", e.EmptyState().AddAll(markerIDs), 4},
 	} {
-		binding := newBinding(rule.NumVars)
+		binding := ast.NewBinding(rule.NumVars)
 		found, n := false, 0
 		err := e.matchState(pattern, binding, tc.st, func() error {
 			n++

@@ -128,6 +128,9 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 	if err := checkQueryDomain(pr, syms, domSet); err != nil {
 		return nil, err
 	}
+	if pr.Kind == ast.NegHyp {
+		return nil, fmt.Errorf("hypo: query %s: negated hypotheticals are not supported", pr)
+	}
 	if kind != ReadQuery && len(pr.Vars(nil)) > 0 {
 		return nil, fmt.Errorf("hypo: %s needs a ground query; use Query for %q", kind, req.Query)
 	}
@@ -159,7 +162,7 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 func (e *Engine) eval(r *compiledRead, yield func(Binding) error) error {
 	st := e.asker.EmptyState()
 	for _, ca := range r.adds {
-		st = st.Add(e.asker.Interner().InternGround(ca))
+		st = st.Add(e.asker.Interner().Ground(ca, nil))
 	}
 	return engine.Solutions(e.asker, e.budget, r.premise, len(r.names), st, func(s engine.Solution) error {
 		b := make(Binding, len(r.names))

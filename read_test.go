@@ -227,6 +227,7 @@ func TestReadSurfaceConformance(t *testing.T) {
 				{"out-of-domain", "fresh3(S)[add: take(S, ghost4)]", nil, "q", "outside dom(R, DB)"},
 				{"out-of-domain add", "grad(tony)", []string{"fresh4(tony)", "take(ghost5, his101)"}, "u", "outside dom(R, DB)"},
 				{"non-ground add", "grad(tony)", []string{"fresh5(S)"}, "u", "is not ground"},
+				{"negated hypothetical", "not grad(tony)[add: take(tony, eng201)]", nil, "aqu", "negated hypotheticals are not supported"},
 				{"adds off AskUnder", "grad(tony)", []string{"take(mary, eng201)"}, "aq", "takes no outer adds"},
 				{"variables under adds", "grad(S)", []string{"take(mary, eng201)"}, "q", "takes no outer adds"},
 			}
