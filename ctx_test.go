@@ -223,7 +223,8 @@ func TestBudgetAbortError(t *testing.T) {
 // TestBudgetEveryMode: the goal budget used to be read by the uniform
 // engine only, and ModeAuto picks the cascade for every linearly
 // stratified program, so by default it bounded nothing. It is also per
-// query: a warm engine's earlier work never counts against a later ask.
+// query: a warm engine's earlier work never counts against a later ask,
+// and an abort on it reports that ask's work, not the engine's lifetime.
 func TestBudgetEveryMode(t *testing.T) {
 	src := workload.ParityProgram(8)
 	for _, mode := range []Mode{ModeAuto, ModeUniform, ModeCascade} {
@@ -248,6 +249,66 @@ func TestBudgetEveryMode(t *testing.T) {
 			}
 			if g := e.Stats().Goals; g <= 100 {
 				t.Fatalf("eight asks spent %d goals in total: the loop above proves nothing", g)
+			}
+			// odd over eight items is false: refuting it takes thousands of
+			// goals even on this warm engine.
+			if _, err := e.Ask("odd"); !errors.Is(err, ErrBudget) || !errors.As(err, &ae) {
+				t.Fatalf("odd on the warm engine = %v, want ErrBudget", err)
+			}
+			if ae.Stats.Goals != 100 {
+				t.Errorf("the abort reports %d goals, want exactly this ask's 100", ae.Stats.Goals)
+			}
+		})
+	}
+}
+
+// TestBudgetLedgerAddsUp: every read reports its own share of the
+// evaluator's ledger, so on one engine the reads' ReadInfo.Stats and an
+// abort's AbortError.Stats sum to the change in Engine.Stats. The reads
+// cover a ground ask, an open query, an askunder whose Δ model the
+// cascade derives from the empty state's, and an ask past MaxGoals.
+func TestBudgetLedgerAddsUp(t *testing.T) {
+	src := workload.ParityProgram(8) + `
+		reach(X, Y) :- e(X, Y).
+		reach(X, Y) :- e(X, Z), reach(Z, Y).
+		e(a, b). e(b, c). e(d, d).
+	`
+	reads := []Request{
+		{Kind: ReadAsk, Query: "even"},
+		{Kind: ReadQuery, Query: "selectx(X)"},
+		{Kind: ReadAskUnder, Query: "reach(a, d)", Add: []string{"e(c, d)"}},
+		{Kind: ReadAsk, Query: "odd"}, // thousands of goals: aborts
+	}
+	counters := func(s Stats) [6]int64 {
+		return [6]int64{s.Goals, s.TableHits, s.Enumerated, s.Materialisations, s.DerivedModels, s.JoinProbes}
+	}
+	for _, mode := range []Mode{ModeAuto, ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			e := mustEngine(t, src, Options{Mode: mode, MaxGoals: 1000})
+			before := e.Stats()
+			var sum [6]int64
+			for i, req := range reads {
+				info, err := e.Read(context.Background(), req, func(Binding) error { return nil })
+				work := info.Stats
+				var ae *AbortError
+				switch {
+				case i < len(reads)-1 && err != nil:
+					t.Fatalf("%s: %v", req.Query, err)
+				case i == len(reads)-1:
+					if !errors.As(err, &ae) {
+						t.Fatalf("%s under MaxGoals 1000 = %v, want an abort", req.Query, err)
+					}
+					work = ae.Stats
+				}
+				for j, n := range counters(work) {
+					sum[j] += n
+				}
+			}
+			if got := counters(e.Stats().Sub(before)); got != sum {
+				t.Errorf("the engine's ledger moved by %v (goals, hits, enumerated, materialisations, derived, probes); its reads report %v", got, sum)
+			}
+			if mode != ModeUniform && sum[4] == 0 {
+				t.Error("no read derived a Δ model: the askunder does not cover the cascade's derived materialisations")
 			}
 		})
 	}

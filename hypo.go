@@ -88,9 +88,9 @@ var (
 	ErrMemory = topdown.ErrMemory
 )
 
-// AbortError wraps ErrBudget, ErrCanceled or ErrDeadline with the
-// configured limit (for ErrBudget) and a Stats snapshot of the work done
-// before the abort.
+// AbortError wraps ErrBudget, ErrCanceled, ErrDeadline or ErrMemory with
+// the configured limit (for ErrBudget and ErrMemory) and a Stats snapshot
+// of the work the aborted query did before the abort.
 type AbortError = topdown.AbortError
 
 // Stats is the evaluation-work snapshot reported by Engine.Stats and
@@ -678,15 +678,13 @@ func (e *Engine) Explain(query string) (string, error) {
 	return proof.String(), nil
 }
 
-// Stats reports evaluation counters summed over every component of the
-// evaluator: the uniform engine or the cascade's PROVE_Σ engines and
-// PROVE_Δ provers.
+// Stats reports the evaluator's ledger: the work of the uniform engine or
+// of every PROVE_Σ engine and PROVE_Δ prover of the cascade since the
+// engine was built, with MemBytes the current query's footprint growth.
 func (e *Engine) Stats() topdown.Stats {
-	sum := e.asker.Stats()
-	// Every component shares one meter, so the growth is read once, not
-	// summed per component.
-	sum.MemBytes = e.budget.Mem.Grown()
-	return sum
+	s := e.budget.Stats
+	s.MemBytes = e.budget.Mem.Grown()
+	return s
 }
 
 // checkQueryDomain rejects queries mentioning constants outside

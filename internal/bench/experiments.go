@@ -101,18 +101,18 @@ var uniform = hypo.Options{Mode: hypo.ModeUniform}
 
 // eval is the cold operation most cases measure: a fresh engine, one
 // query, the number of answers checked (1 or 0 for a ground query), the
-// engine's work reported. Running out of Options.MaxGoals is a result —
-// the cell reports aborted=1 beside the counters it got to, which the
-// exact budget makes deterministic. Running out of time is an error: no
-// counter of such a run repeats.
-func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query string, want int) (Counters, error) {
+// engine's work reported (by report; work for most cases). Running out of
+// Options.MaxGoals is a result — the cell reports aborted=1 beside the
+// counters it got to, which the exact budget makes deterministic. Running
+// out of time is an error: no counter of such a run repeats.
+func eval(ctx context.Context, prog *hypo.Program, opts hypo.Options, query string, want int, report func(*hypo.Engine) Counters) (Counters, error) {
 	e, err := hypo.New(prog, opts)
 	if err != nil {
 		return nil, err
 	}
 	n := 0
 	_, err = e.Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: query}, func(hypo.Binding) error { n++; return nil })
-	return settle(work(e), query, n, want, err)
+	return settle(report(e), query, n, want, err)
 }
 
 // poolAnswers reads query from a pool and counts its answers.
@@ -179,7 +179,7 @@ func (l *caseList) parse(name, src string) *hypo.Program {
 // ask adds a case asking a ground query of src cold.
 func (l *caseList) ask(name, src string, opts hypo.Options, query string, want bool) {
 	prog := l.parse(name, src)
-	l.add(name, func() (Counters, error) { return eval(context.Background(), prog, opts, query, count(want)) })
+	l.add(name, func() (Counters, error) { return eval(context.Background(), prog, opts, query, count(want), work) })
 }
 
 func (l *caseList) done() ([]Case, error) { return l.cases, l.err }
@@ -386,7 +386,7 @@ func e8Matrix(s Sizes) ([]Case, error) {
 			l.add(name+"/"+ev.name, func() (Counters, error) {
 				ctx, cancel := context.WithTimeout(context.Background(), e8Deadline)
 				defer cancel()
-				return eval(ctx, prog, opts, query, want)
+				return eval(ctx, prog, opts, query, want, work)
 			})
 		}
 	}
@@ -411,7 +411,33 @@ func e8Matrix(s Sizes) ([]Case, error) {
 	for _, n := range s.NonLin {
 		row(fmt.Sprintf("nonlinear/n=%d", n), workload.ClosureProgram(workload.Chain(n), workload.NonLinear), fmt.Sprintf("reach(n0, n%d)", n), 1)
 	}
+	e8OpenReads(&l)
 	return l.done()
+}
+
+// e8OpenReads are the open reads of a 3-edge cycle padded to 200
+// constants. A read ranges its variables over dom(R, DB), so edge(X, Y)
+// tries 200 + 200² bindings for its 3 answers and edge(c0, Y) 200 for 1,
+// which the enumerated counter shows beside the goals (ROADMAP item 17).
+func e8OpenReads(l *caseList) {
+	src := "edge(c0, c1).\nedge(c1, c2).\nedge(c2, c0).\n"
+	for i := 3; i < 200; i++ {
+		src += fmt.Sprintf("pad(c%d).\n", i)
+	}
+	prog := l.parse("open-read", src)
+	sweep := func(e *hypo.Engine) Counters {
+		return Counters{"goals": e.Stats().Goals, "enumerated": e.Stats().Enumerated}
+	}
+	for _, r := range []struct {
+		name, query string
+		want        int
+	}{{"XY", "edge(X, Y)", 3}, {"c0Y", "edge(c0, Y)", 1}} {
+		for _, ev := range e8Evaluators {
+			l.add("open-read/"+r.name+"/"+ev.name, func() (Counters, error) {
+				return eval(context.Background(), prog, ev.opts, r.query, r.want, sweep)
+			})
+		}
+	}
 }
 
 // e9HypOrder: the section 6 construction asserts every linear order
@@ -492,10 +518,11 @@ func e12Ablation(s Sizes) ([]Case, error) {
 		} {
 			l.add(name+"/"+cfg.name, func() (Counters, error) {
 				cp := prog.Compiled()
-				e := topdown.New(cp, ref.Domain(cp), cfg.opts, &topdown.Budget{Max: e8Budget})
+				b := &topdown.Budget{Max: e8Budget}
+				e := topdown.New(cp, ref.Domain(cp), cfg.opts, b)
 				p, _ := cp.Syms.LookupPred(query, 0)
 				got, err := e.Ask(e.Interner().ID(p, nil), e.EmptyState())
-				st := e.Stats()
+				st := b.Stats
 				return settle(Counters{"goals": st.Goals, "table_hits": st.TableHits, "enumerated": st.Enumerated},
 					query, count(got), count(want), err)
 			})

@@ -54,16 +54,13 @@ type Prover struct {
 	addedID facts.StateID
 	added   []facts.AtomID
 
-	// budget is the enclosing evaluator's per-query limits: every join
-	// step ticks it, and derived atoms, the index over them while a
-	// materialisation runs, and cached materialisations are charged to its
-	// memory meter as they grow.
+	// budget is the enclosing evaluator's per-query limits and ledger:
+	// every join step ticks it, the prover's work (Materialisations,
+	// DerivedModels, JoinProbes, IncStates, IncDropped) counts into its
+	// Stats, and derived atoms, the index over them while a materialisation
+	// runs, and cached materialisations are charged to its memory meter as
+	// they grow.
 	budget *topdown.Budget
-
-	// stats counts this prover's work (Materialisations, DerivedModels,
-	// JoinProbes, IncStates, IncDropped) as plain integers; whoever owns the prover
-	// reads them with Stats and does the metrics accounting, once per query.
-	stats topdown.Stats
 }
 
 // matAtomBytes approximates the heap cost of one derived atom in a
@@ -74,9 +71,6 @@ const (
 	matAtomBytes     = 16
 	matEntryOverhead = 64
 )
-
-// Stats returns the prover's Δ-part work counters.
-func (p *Prover) Stats() topdown.Stats { return p.stats }
 
 type atomSet map[facts.AtomID]struct{}
 
@@ -216,7 +210,7 @@ func (p *Prover) materialise(st facts.State) (*model, error) {
 	if m, ok := p.cache[key]; ok {
 		return m, nil
 	}
-	p.stats.Materialisations++
+	p.budget.Stats.Materialisations++
 	m := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
 	if key == facts.EmptyStateID {
 		p.rootBusy = true
@@ -264,7 +258,7 @@ func (p *Prover) derive(st facts.State, m *model) error {
 	if anc == nil {
 		return p.fixpoint(st, m, 0, nil)
 	}
-	p.stats.DerivedModels++
+	p.budget.Stats.DerivedModels++
 	m.parent, m.cut, m.depth = anc, from, anc.depth+1
 	return p.fixpoint(st, m, from, grown)
 }

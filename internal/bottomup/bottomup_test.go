@@ -316,8 +316,8 @@ func TestAbortedMaterialisationLeavesNothing(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
-			if p.stats.JoinProbes < 100 {
-				t.Errorf("aborted after %d probes: the materialisation never got going", p.stats.JoinProbes)
+			if p.budget.Stats.JoinProbes < 100 {
+				t.Errorf("aborted after %d probes: the materialisation never got going", p.budget.Stats.JoinProbes)
 			}
 			if len(p.cache) != 0 {
 				t.Errorf("aborted materialisation left %d cache entries", len(p.cache))
@@ -388,8 +388,8 @@ func TestCancelEndsWithQuery(t *testing.T) {
 	if _, err := p.Holds(goal, facts.NewState(base)); err != nil {
 		t.Fatalf("materialisation after End = %v; the ended query's context is still polled", err)
 	}
-	if p.stats.JoinProbes < 1000 {
-		t.Fatalf("the materialisation probed %d candidates: too few join steps for a poll", p.stats.JoinProbes)
+	if p.budget.Stats.JoinProbes < 1000 {
+		t.Fatalf("the materialisation probed %d candidates: too few join steps for a poll", p.budget.Stats.JoinProbes)
 	}
 	if err := p.budget.Begin(ctx); !errors.Is(err, topdown.ErrCanceled) {
 		t.Fatalf("Begin under a canceled context = %v, want ErrCanceled", err)

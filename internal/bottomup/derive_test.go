@@ -61,23 +61,23 @@ func TestDerivedChildProbes(t *testing.T) {
 				continue
 			}
 			child := root.Add(atomOf(base, "edge", fmt.Sprintf("v%d", u), fmt.Sprintf("v%d", v)))
-			before := p.stats
+			before := p.budget.Stats
 			m, err := p.materialise(child)
 			if err != nil {
 				t.Fatal(err)
 			}
-			work := p.stats.Sub(before)
+			work := p.budget.Stats.Sub(before)
 			if work.Materialisations != 1 || work.DerivedModels != 1 {
 				t.Fatalf("edge v%d→v%d: %d materialisations, %d derived; want 1 and 1", u, v, work.Materialisations, work.DerivedModels)
 			}
 			derived += work.JoinProbes
 
-			before = p.stats
+			before = p.budget.Stats
 			want := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
 			if err := p.fixpoint(child, want, 0, nil); err != nil {
 				t.Fatal(err)
 			}
-			cold += p.stats.JoinProbes - before.JoinProbes
+			cold += p.budget.Stats.JoinProbes - before.JoinProbes
 			n := 0
 			p.each(m, func(id facts.AtomID) {
 				if n++; !want.atoms.has(id) {

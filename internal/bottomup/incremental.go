@@ -95,7 +95,7 @@ func (p *Prover) drop(id facts.StateID) {
 	m := p.cache[id]
 	p.budget.Mem.Add(-(matEntryOverhead + matAtomBytes*int64(len(m.atoms)) + m.idxBytes))
 	delete(p.cache, id)
-	p.stats.IncDropped++
+	p.budget.Stats.IncDropped++
 }
 
 // DropCache discards every cached materialisation; queries recompute
@@ -156,7 +156,7 @@ func (p *Prover) ApplyPlan(plan *Plan, added []facts.AtomID) {
 		p.drop(facts.EmptyStateID)
 		return
 	}
-	p.stats.IncStates++
+	p.budget.Stats.IncStates++
 }
 
 func (p *Prover) applyUpdate(u *Plan, added []facts.AtomID) error {

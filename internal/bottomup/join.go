@@ -533,7 +533,7 @@ func (p *Prover) tryAll(pattern ast.CAtom, binds []int, binding []symbols.Const,
 // success. binds are the pattern's slots that were unbound on entry; they
 // are again on return.
 func (p *Prover) tryMatch(pattern ast.CAtom, binds []int, binding []symbols.Const, id facts.AtomID, yield func() error) error {
-	p.stats.JoinProbes++
+	p.budget.Stats.JoinProbes++
 	var err error
 	if ast.Unify(pattern, p.in.Args(id), binding) {
 		err = yield()

@@ -31,8 +31,8 @@ import (
 )
 
 // Asker is the query interface shared by the uniform engine and the
-// cascade. Its limits are not part of it: they are the Budget the
-// evaluator was built with.
+// cascade. Its limits and its work ledger are not part of it: they are
+// the Budget the evaluator was built with.
 type Asker interface {
 	// Ask reports whether the interned ground atom is derivable in the
 	// state: R, DB+Δ ⊢ A. It aborts with a *topdown.AbortError when the
@@ -41,8 +41,6 @@ type Asker interface {
 	// ApplyDelta applies a commit's effective base-fact delta in place,
 	// keeping what lies outside cone, the commit's affected cone.
 	ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred]bool) error
-	// Stats sums the evaluation counters of every component.
-	Stats() topdown.Stats
 	// Interner gives access to the ground-atom interner.
 	Interner() *facts.Interner
 	// EmptyState is the state of the unmodified base database.
@@ -162,18 +160,6 @@ func (c *Cascade) EmptyState() facts.State { return facts.NewState(c.base) }
 // Dom returns the enumeration domain.
 func (c *Cascade) Dom() []symbols.Const { return c.dom }
 
-// Stats sums the work of every PROVE_Σ engine and PROVE_Δ prover.
-func (c *Cascade) Stats() topdown.Stats {
-	var sum topdown.Stats
-	for _, se := range c.sigma {
-		sum = sum.Add(se.Stats())
-	}
-	for _, dp := range c.delta {
-		sum = sum.Add(dp.Stats())
-	}
-	return sum
-}
-
 // Ask reports whether the goal is derivable in the state.
 func (c *Cascade) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	return c.askAt(goal, st, 2*c.numStrata)
@@ -259,16 +245,17 @@ type Solution []symbols.Const
 // variable slots are numbered by first occurrence; numVars is the size of
 // the premise's binding space (from ast.CompilePremise's names). Every
 // instantiation ticks b, a's Budget, so a query whose cost is the
-// dom^numVars loop itself still aborts promptly. The yielded slice is
-// owned by the callee; a non-nil error from yield stops the enumeration
-// and is returned verbatim.
+// dom^numVars loop itself still aborts promptly, and the domain bindings
+// tried count into its ledger's Enumerated. The yielded slice is owned by
+// the callee; a non-nil error from yield stops the enumeration and is
+// returned verbatim.
 func Solutions(a Asker, b *topdown.Budget, p ast.CPremise, numVars int, st facts.State, yield func(Solution) error) error {
 	binding := ast.NewBinding(numVars)
 	slots := make([]int, numVars)
 	for i := range slots {
 		slots[i] = i
 	}
-	_, err := ast.Assign(slots, a.Dom(), binding, func() error {
+	tried, err := ast.Assign(slots, a.Dom(), binding, func() error {
 		if ae := b.Tick(); ae != nil {
 			return ae
 		}
@@ -278,5 +265,6 @@ func Solutions(a Asker, b *topdown.Budget, p ast.CPremise, numVars int, st facts
 		}
 		return yield(append(Solution{}, binding...))
 	})
+	b.Stats.Enumerated += int64(tried)
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hypodatalog/internal/ast"
+	"hypodatalog/internal/bottomup"
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/strat"
@@ -282,7 +283,7 @@ func TestSolutions(t *testing.T) {
 	}
 	for _, a := range []Asker{uni, cas} {
 		got := map[string]bool{}
-		err := Solutions(a, nil, cpr, len(names), a.EmptyState(), func(s Solution) error {
+		err := Solutions(a, new(topdown.Budget), cpr, len(names), a.EmptyState(), func(s Solution) error {
 			got[cp.Syms.ConstName(s[0])] = true
 			return nil
 		})
@@ -308,7 +309,7 @@ func TestSolutionsGroundQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sols []Solution
-	err = Solutions(uni, nil, cpr, len(names), uni.EmptyState(), func(s Solution) error {
+	err = Solutions(uni, new(topdown.Budget), cpr, len(names), uni.EmptyState(), func(s Solution) error {
 		sols = append(sols, s)
 		return nil
 	})
@@ -368,11 +369,11 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 	// down — before the bottom state's Δ-model or any memo entry exists, so
 	// by the state nodes alone.
 	track(budget)
-	atoms, goals := cas.Interner().Len(), cas.Stats().Goals
+	atoms, goals := cas.Interner().Len(), b.Stats.Goals
 	if _, err := ask("a1[add: note(t1)]"); !errors.Is(err, topdown.ErrMemory) {
 		t.Fatalf("fresh chain under a %d-byte budget: err = %v, want ErrMemory", budget, err)
 	}
-	if n, g := cas.Interner().Len()-atoms, cas.Stats().Goals-goals; n > 1 || g >= depth {
+	if n, g := cas.Interner().Len()-atoms, b.Stats.Goals-goals; n > 1 || g >= depth {
 		t.Fatalf("the refused chain interned %d atoms and ran %d goals: the refusal does not show the state table's charge", n, g)
 	}
 	drop()
@@ -401,19 +402,21 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 // materialises that component alone. Here Δ2 holds no :- not yes and
 // neven :- not even; asking neven must not run the Hamiltonian search that
 // no's materialisation would ask the Σ oracle for, so it costs exactly the
-// Σ goals of asking even.
+// Σ goals of asking even. Each ask runs on a cascade of its own, so its
+// Budget's ledger holds that ask's work alone.
 func TestCascadeAsksOneComponent(t *testing.T) {
 	src := workload.ParityProgram(4) + workload.HamiltonianProgram(workload.Clique(4)) + "neven :- not even.\n"
-	ask := func(query string) (*Cascade, *ast.CProgram, bool) {
+	ask := func(query string) (*Cascade, *topdown.Budget, *ast.CProgram, bool) {
 		t.Helper()
-		_, cas, cp := buildBoth(t, src)
+		b := new(topdown.Budget)
+		_, cas, cp := buildBothWith(t, src, b)
 		ok, err := AskPremise(cas, compileQuery(t, cp, query), nil, cas.EmptyState())
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
-		return cas, cp, ok
+		return cas, b, cp, ok
 	}
-	cas, cp, holds := ask("neven")
+	cas, b, cp, holds := ask("neven")
 	if holds {
 		t.Fatal("neven holds over 4 items")
 	}
@@ -428,15 +431,29 @@ func TestCascadeAsksOneComponent(t *testing.T) {
 	if neven == nil || neven == no {
 		t.Fatalf("neven and no share a Δ prover (%p, %p); want one per component", neven, no)
 	}
-	if m := neven.Stats().Materialisations; m != 1 {
-		t.Errorf("neven's component materialised %d times, want 1", m)
-	}
-	if m := no.Stats().Materialisations; m != 0 {
-		t.Errorf("asking neven materialised no's component %d times, want 0", m)
-	}
-	even, _, _ := ask("even")
-	if got, want := cas.Stats().Goals, even.Stats().Goals; got != want {
+	_, even, _, _ := ask("even")
+	if got, want := b.Stats.Goals, even.Stats.Goals; got != want {
 		t.Errorf("asking neven ran %d Σ goals, asking even %d", got, want)
+	}
+	if got, want := b.Stats.Materialisations, even.Stats.Materialisations+1; got != want {
+		t.Errorf("asking neven materialised %d times, asking even %d: want neven's one more", got, want-1)
+	}
+	// The one materialisation was neven's: asked for the empty state's
+	// model now, neven's component answers from its cache and no's
+	// materialises.
+	materialises := func(dp *bottomup.Prover) int64 {
+		t.Helper()
+		before := b.Stats.Materialisations
+		if _, err := dp.Model(cas.EmptyState()); err != nil {
+			t.Fatal(err)
+		}
+		return b.Stats.Materialisations - before
+	}
+	if m := materialises(neven); m != 0 {
+		t.Errorf("neven's component materialised again (%d): asking neven did not cache its model", m)
+	}
+	if m := materialises(no); m == 0 {
+		t.Error("no's component answered from its cache: asking neven materialised it")
 	}
 }
 

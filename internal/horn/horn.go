@@ -17,6 +17,7 @@ import (
 	"hypodatalog/internal/bottomup"
 	"hypodatalog/internal/facts"
 	"hypodatalog/internal/ref"
+	"hypodatalog/internal/topdown"
 )
 
 // Engine evaluates a Horn program bottom-up and answers membership in its
@@ -25,6 +26,7 @@ type Engine struct {
 	in   *facts.Interner
 	base *facts.DB
 	pv   *bottomup.Prover
+	b    *topdown.Budget // no limits; its ledger counts the joins' work
 }
 
 // New builds an engine over a compiled program. It returns an error if the
@@ -63,18 +65,19 @@ func New(cp *ast.CProgram) (*Engine, error) {
 	}
 	// Every rule is in the one Δ part, so nothing is defined below it and
 	// no oracle is needed.
-	pv, err := bottomup.New(cp, base, ref.Domain(cp), rules, nil, nil)
+	b := new(topdown.Budget)
+	pv, err := bottomup.New(cp, base, ref.Domain(cp), rules, nil, b)
 	if err != nil {
 		return nil, fmt.Errorf("horn: %w", err)
 	}
-	return &Engine{in: base.Interner(), base: base, pv: pv}, nil
+	return &Engine{in: base.Interner(), base: base, pv: pv, b: b}, nil
 }
 
 // Interner returns the engine's ground-atom interner.
 func (e *Engine) Interner() *facts.Interner { return e.in }
 
 // JoinProbes reports how many candidate atoms the joins have inspected.
-func (e *Engine) JoinProbes() int64 { return e.pv.Stats().JoinProbes }
+func (e *Engine) JoinProbes() int64 { return e.b.Stats.JoinProbes }
 
 // Holds reports whether an interned atom is a base fact or in the perfect
 // model (computed on first use).

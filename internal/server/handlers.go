@@ -219,13 +219,9 @@ func classify(err error) (status int, kind string, write bool) {
 	}
 }
 
-// evalError answers a failed evaluation, folding the abort's partial
-// work snapshot into the access log.
+// evalError answers a failed evaluation. The access log already holds the
+// read's work, which an aborted read reports as its AbortError does.
 func (s *Server) evalError(w http.ResponseWriter, ri *reqInfo, err error) {
-	var ae *hypo.AbortError
-	if errors.As(err, &ae) && ri.stats == (hypo.Stats{}) {
-		ri.stats = ae.Stats
-	}
 	status, kind, write := classify(err)
 	ri.outcome = kind
 	if !write {

@@ -2,23 +2,26 @@ package topdown
 
 import "context"
 
-// Budget is one evaluator's per-query limits: the query's context, its
-// goal allowance and its memory meter. An evaluator — a uniform engine,
-// or every PROVE_Σ engine and PROVE_Δ prover of a cascade — is built
-// around one Budget, and each query begins it afresh (Begin), so the
-// limits bound the whole evaluator's work, not one component's.
+// Budget is one evaluator's per-query limits — the query's context, its
+// goal allowance and its memory meter — and its work ledger. An evaluator
+// — a uniform engine, or every PROVE_Σ engine and PROVE_Δ prover of a
+// cascade — is built around one Budget and each query begins it afresh
+// (Begin), so both describe the whole evaluator, not one component.
 //
 // Like the engines, a Budget is confined to its evaluator and is not safe
 // for concurrent use.
 type Budget struct {
 	// Max is how many goal expansions one query may run; 0 means no limit.
 	Max int64
-	// Spent is how many goal expansions the current query has run.
-	Spent int64
 	// Mem is the evaluator's footprint meter; nil disables accounting and
 	// the memory ceiling.
 	Mem *MemTracker
+	// Stats is the ledger: every component counts its work into it, over
+	// the evaluator's lifetime. Its MemBytes stays zero; Work reads the
+	// growth off the meter.
+	Stats Stats
 
+	begun Stats           // the ledger when the current query began
 	ctx   context.Context // the query's, or nil when it cannot be canceled
 	ticks int64
 }
@@ -27,19 +30,20 @@ type Budget struct {
 // of two keeps the check a mask-and-branch.
 const ctxCheckInterval = 256
 
-// Begin starts a query: the goal allowance and the memory meter start
-// afresh, and ctx is polled until End. A context that is already done
-// aborts the query before any work, with an *AbortError wrapping
-// ErrCanceled or ErrDeadline.
+// Begin starts a query: the ledger's reading is recorded as its starting
+// point, so the goal allowance and the memory meter start afresh, and ctx
+// is polled until End. A context that is already done aborts the query
+// before any work, with an *AbortError wrapping ErrCanceled or
+// ErrDeadline.
 func (b *Budget) Begin(ctx context.Context) error {
-	b.Spent = 0
+	b.begun = b.Stats
 	b.Mem.Begin()
 	b.ctx = nil
 	if ctx == nil || ctx.Done() == nil {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
-		return ContextAbort(err, Stats{})
+		return ContextAbort(err)
 	}
 	b.ctx = ctx
 	return nil
@@ -49,18 +53,25 @@ func (b *Budget) Begin(ctx context.Context) error {
 // commit's maintenance, polls no context.
 func (b *Budget) End() { b.ctx = nil }
 
-// Goal charges one goal expansion. Exactly Max run: the next one aborts
-// with ErrBudget before it is counted. Then the memory ceiling is checked
-// and the expansion ticks.
+// Goal admits one goal expansion, which the caller then counts into the
+// ledger. Exactly Max run in a query: the next one aborts with ErrBudget.
+// Then the memory ceiling is checked and the expansion ticks.
 func (b *Budget) Goal() *AbortError {
-	if b.Max > 0 && b.Spent >= b.Max {
+	if b.Max > 0 && b.Stats.Goals-b.begun.Goals >= b.Max {
 		return &AbortError{Reason: ErrBudget, Limit: b.Max}
 	}
-	b.Spent++
 	if ae := b.OverMem(); ae != nil {
 		return ae
 	}
 	return b.Tick()
+}
+
+// Work returns the current query's work: the ledger less its reading at
+// Begin, with MemBytes the meter's growth since Begin.
+func (b *Budget) Work() Stats {
+	s := b.Stats.Sub(b.begun)
+	s.MemBytes = b.Mem.Grown()
+	return s
 }
 
 // Tick counts one step of the query's work — a goal expansion, a Δ-part
@@ -75,7 +86,7 @@ func (b *Budget) Tick() *AbortError {
 		return nil
 	}
 	if err := b.ctx.Err(); err != nil {
-		return ContextAbort(err, Stats{})
+		return ContextAbort(err)
 	}
 	return nil
 }

@@ -219,12 +219,12 @@ func TestExplainFollowsProveSearch(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Ask(q2(a)) = %v, %v", ok, err)
 	}
-	askGoals := e.Stats().Goals
+	askGoals := e.budget.Stats.Goals
 	proof, err := e.Explain(goal, e.EmptyState())
 	if err != nil || proof == nil {
 		t.Fatalf("Explain(q2(a)) = %v, %v", proof, err)
 	}
-	if spent := e.Stats().Goals - askGoals; spent > 3*askGoals {
+	if spent := e.budget.Stats.Goals - askGoals; spent > 3*askGoals {
 		t.Errorf("Explain spent %d goals, Ask %d", spent, askGoals)
 	}
 	if !strings.Contains(proof.String(), "s(a, c, c)  [fact]") {

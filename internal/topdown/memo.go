@@ -19,7 +19,6 @@ type memo struct {
 	pages    []*memoPage     // by state >> pageBits; nil until a slot in it is written
 	overflow map[uint64]bool // entries beside a full slot, by packKey
 	npages   int             // allocated pages
-	n        int             // entries: full slots plus overflow
 }
 
 const (
@@ -73,8 +72,9 @@ func (m *memo) get(k tableKey) (val, ok bool) {
 }
 
 // put stores the result for k, replacing any earlier one, and returns the
-// bytes it allocated: a page on its first touch, an overflow entry.
-func (m *memo) put(k tableKey, val bool) (grown int64) {
+// entries it added (0 or 1) and the bytes it allocated: a page on its
+// first touch, an overflow entry.
+func (m *memo) put(k tableKey, val bool) (added int, grown int64) {
 	p := int(k.state >> pageBits)
 	if p >= len(m.pages) {
 		m.pages = append(m.pages, make([]*memoPage, p+1-len(m.pages))...)
@@ -88,7 +88,7 @@ func (m *memo) put(k tableKey, val bool) (grown int64) {
 	switch {
 	case !s.full:
 		*s = memoSlot{goal: k.goal, full: true, val: val}
-		m.n++
+		added = 1
 	case s.goal == k.goal:
 		s.val = val
 	default:
@@ -98,11 +98,11 @@ func (m *memo) put(k tableKey, val bool) (grown int64) {
 		n := len(m.overflow)
 		m.overflow[packKey(k)] = val
 		if len(m.overflow) > n {
-			m.n++
+			added = 1
 			grown += overflowEntryBytes
 		}
 	}
-	return grown
+	return added, grown
 }
 
 // prune deletes every entry whose goal drop selects and returns how many
@@ -139,7 +139,6 @@ func (m *memo) prune(drop func(goal facts.AtomID) bool) (n int, freed int64) {
 			}
 		}
 	}
-	m.n -= n
 	return n, before - m.memBytes()
 }
 

@@ -25,7 +25,7 @@ var memoStates = []facts.StateID{0, 1, 2, 3, pageSize - 1, pageSize, pageSize + 
 func checkMemo(t *testing.T, ops []byte) {
 	var m memo
 	model := map[tableKey]bool{}
-	charged := int64(0)
+	charged, n := int64(0), 0
 	for i := 0; i+2 < len(ops); i += 3 {
 		k := tableKey{goal: facts.AtomID(ops[i+1] % 8), state: memoStates[int(ops[i+2])%len(memoStates)]}
 		switch ops[i] % 4 {
@@ -36,11 +36,13 @@ func checkMemo(t *testing.T, ops []byte) {
 			}
 		case 1:
 			v := ops[i]&4 != 0
-			charged += m.put(k, v)
+			added, grown := m.put(k, v)
+			n += added
+			charged += grown
 			model[k] = v
 		case 2:
 			pred := facts.AtomID(ops[i+2] % 4)
-			n, freed := m.prune(func(g facts.AtomID) bool { return g%4 == pred })
+			dropped, freed := m.prune(func(g facts.AtomID) bool { return g%4 == pred })
 			want := 0
 			for mk := range model {
 				if mk.goal%4 == pred {
@@ -48,17 +50,19 @@ func checkMemo(t *testing.T, ops []byte) {
 					want++
 				}
 			}
-			if n != want {
-				t.Fatalf("op %d: prune of predicate %d dropped %d entries, want %d", i/3, pred, n, want)
+			if dropped != want {
+				t.Fatalf("op %d: prune of predicate %d dropped %d entries, want %d", i/3, pred, dropped, want)
 			}
+			n -= dropped
 			charged -= freed
 		case 3:
 			charged -= m.memBytes()
+			n -= memoSize(&m)
 			m = memo{}
 			clear(model)
 		}
-		if m.n != len(model) {
-			t.Fatalf("op %d: table holds %d entries, want %d", i/3, m.n, len(model))
+		if n != len(model) || memoSize(&m) != len(model) {
+			t.Fatalf("op %d: put and prune counted %d entries, the table holds %d, want %d", i/3, n, memoSize(&m), len(model))
 		}
 		if want := pageBytes*int64(m.npages) + overflowEntryBytes*int64(len(m.overflow)); charged != want || m.memBytes() != want {
 			t.Fatalf("op %d: charged %d bytes, memBytes %d, want %d for %d pages and %d overflow entries", i/3, charged, m.memBytes(), want, m.npages, len(m.overflow))
@@ -69,6 +73,22 @@ func checkMemo(t *testing.T, ops []byte) {
 			}
 		}
 	}
+}
+
+// memoSize counts a table's entries: full slots plus overflow.
+func memoSize(m *memo) int {
+	n := len(m.overflow)
+	for _, pg := range m.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if pg[i].full {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // memoSeeds exercise what the slot table adds to a map.
@@ -101,22 +121,23 @@ func FuzzMemo(f *testing.F) {
 	f.Fuzz(checkMemo)
 }
 
-// TestEngineTableSizeCountsEntries: Stats().TableSize counts memo entries,
-// not slots or pages, and ResetTable returns every byte the table charged.
+// TestEngineTableSizeCountsEntries: the ledger's TableSize counts memo
+// entries, not slots or pages, and ResetTable returns every entry and
+// every byte the table charged.
 func TestEngineTableSizeCountsEntries(t *testing.T) {
 	e, cp := newEngine(t, paritySrc(4), Options{})
 	mem := NewMemTracker(0)
 	e.budget.Mem = mem
 	mem.Begin()
 	expect(t, e, cp, "even", true)
-	if got, want := e.Stats().TableSize, e.table.n; got != want || got == 0 {
+	if got, want := e.budget.Stats.TableSize, memoSize(&e.table); got != want || got == 0 {
 		t.Fatalf("TableSize = %d, want the %d entries", got, want)
 	}
 	if got, want := mem.Grown(), e.table.memBytes(); got != want {
 		t.Fatalf("tracker grew %d bytes, want the table's %d", got, want)
 	}
 	e.ResetTable()
-	if s, g := e.Stats().TableSize, mem.Grown(); s != 0 || g != 0 {
+	if s, g := e.budget.Stats.TableSize, mem.Grown(); s != 0 || g != 0 {
 		t.Fatalf("after ResetTable: TableSize %d, %d bytes still charged", s, g)
 	}
 }

@@ -85,7 +85,7 @@ type AbortError struct {
 	// Limit is the goal allowance (Budget.Max) for budget aborts, or the
 	// byte ceiling for memory aborts; 0 otherwise.
 	Limit int64
-	// Stats is the engine's counters at the moment of the abort.
+	// Stats is the aborted query's work (Budget.Work), set by its caller.
 	Stats Stats
 }
 
@@ -104,25 +104,25 @@ func (e *AbortError) Unwrap() error { return e.Reason }
 // ContextAbort wraps a context error (context.Canceled or
 // context.DeadlineExceeded) as an *AbortError with the corresponding
 // sentinel reason. Shared by every evaluation layer that polls a context.
-func ContextAbort(ctxErr error, stats Stats) *AbortError {
+func ContextAbort(ctxErr error) *AbortError {
 	reason := ErrCanceled
 	if errors.Is(ctxErr, context.DeadlineExceeded) {
 		reason = ErrDeadline
 	}
-	return &AbortError{Reason: reason, Stats: stats}
+	return &AbortError{Reason: reason}
 }
 
-// Stats are evaluation counters, reset by ResetStats. They back the
-// Appendix A experiment (polynomial goal-sequence length). The last five
-// are Δ-part work, counted by bottomup.Prover and carried here so one
-// snapshot describes a whole evaluator (a uniform engine or a cascade);
-// a top-down engine on its own leaves them zero.
+// Stats are evaluation counters, kept once per evaluator (a uniform engine
+// or a cascade) in its Budget's ledger, which every top-down engine and Δ
+// prover of it counts into. They back the Appendix A experiment (polynomial
+// goal-sequence length). The last five are Δ-part work, counted by
+// bottomup.Prover; a top-down engine on its own leaves them zero.
 type Stats struct {
 	Goals      int64 // prove() entries
 	TableHits  int64
 	LoopCuts   int64 // on-stack hits
 	MaxDepth   int   // deepest proof stack
-	TableSize  int   // entries currently in the table
+	TableSize  int   // entries currently in the memo tables
 	Enumerated int64 // domain bindings tried by the planner
 	NegCalls   int64 // nested negation regions started
 	MemBytes   int64 // tracked footprint growth since the query began
@@ -135,35 +135,20 @@ type Stats struct {
 }
 
 // Sub returns the evaluation work between an earlier snapshot of the same
-// engine and s: counters are differenced, the MaxDepth and TableSize
+// ledger and s: counters are differenced, the MaxDepth and TableSize
 // gauges keep s's reading.
 func (s Stats) Sub(before Stats) Stats {
-	return s.plus(before, -1)
-}
-
-// Add returns the combined work of two evaluator components: counters are
-// summed (TableSize too — the tables are disjoint), MaxDepth is the
-// deeper of the two.
-func (s Stats) Add(o Stats) Stats {
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-	s.TableSize += o.TableSize
-	return s.plus(o, 1)
-}
-
-func (s Stats) plus(o Stats, sign int64) Stats {
-	s.Goals += sign * o.Goals
-	s.TableHits += sign * o.TableHits
-	s.LoopCuts += sign * o.LoopCuts
-	s.Enumerated += sign * o.Enumerated
-	s.NegCalls += sign * o.NegCalls
-	s.MemBytes += sign * o.MemBytes
-	s.Materialisations += sign * o.Materialisations
-	s.DerivedModels += sign * o.DerivedModels
-	s.JoinProbes += sign * o.JoinProbes
-	s.IncStates += sign * o.IncStates
-	s.IncDropped += sign * o.IncDropped
+	s.Goals -= before.Goals
+	s.TableHits -= before.TableHits
+	s.LoopCuts -= before.LoopCuts
+	s.Enumerated -= before.Enumerated
+	s.NegCalls -= before.NegCalls
+	s.MemBytes -= before.MemBytes
+	s.Materialisations -= before.Materialisations
+	s.DerivedModels -= before.DerivedModels
+	s.JoinProbes -= before.JoinProbes
+	s.IncStates -= before.IncStates
+	s.IncDropped -= before.IncDropped
 	return s
 }
 
@@ -188,13 +173,12 @@ type Engine struct {
 	// spare holds emptied on-stack sets for negation regions to reuse.
 	spare []map[tableKey]int
 
-	// budget is the evaluator's per-query limits, shared with the other
-	// components of a cascade; prove charges every goal expansion to it and
-	// the memo table's footprint to its meter.
+	// budget is the evaluator's per-query limits and ledger, shared with
+	// the other components of a cascade; prove charges every goal expansion
+	// and its counters to it and the memo table's footprint to its meter.
 	budget *Budget
 
-	stats Stats
-	args  []symbols.Const // scratch for matchState's lookups
+	args []symbols.Const // scratch for matchState's lookups
 }
 
 // tableKey is a (goal, hypothetical state) pair. Both halves are interned
@@ -308,21 +292,20 @@ func (e *Engine) Interner() *facts.Interner { return e.in }
 // Dom returns the engine's enumeration domain.
 func (e *Engine) Dom() []symbols.Const { return e.dom }
 
-// Stats returns a snapshot of the evaluation counters.
-func (e *Engine) Stats() Stats {
-	s := e.stats
-	s.TableSize = e.table.n
-	s.MemBytes = e.budget.Mem.Grown()
-	return s
-}
-
-// ResetStats zeroes the counters (the table is kept).
-func (e *Engine) ResetStats() { e.stats = Stats{} }
-
 // ResetTable clears the memo table.
 func (e *Engine) ResetTable() {
 	e.budget.Mem.Add(-e.table.memBytes())
+	n, _ := e.table.prune(func(facts.AtomID) bool { return true })
+	e.budget.Stats.TableSize -= n
 	e.table = memo{}
+}
+
+// store tables a goal's result, counting a new entry into the ledger's
+// TableSize and the bytes it took into the meter.
+func (e *Engine) store(key tableKey, val bool) {
+	added, grown := e.table.put(key, val)
+	e.budget.Stats.TableSize += added
+	e.budget.Mem.Add(grown)
 }
 
 // PruneTable drops every memo entry whose goal predicate lies in the
@@ -337,6 +320,7 @@ func (e *Engine) ResetTable() {
 // differs), so stale entries under them are unreachable, not wrong.
 func (e *Engine) PruneTable(cone map[symbols.Pred]bool) int {
 	n, freed := e.table.prune(func(goal facts.AtomID) bool { return cone[e.in.Pred(goal)] })
+	e.budget.Stats.TableSize -= n
 	e.budget.Mem.Add(-freed)
 	return n
 }
@@ -359,8 +343,8 @@ func (e *Engine) ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred
 }
 
 // Ask reports whether the interned ground atom is derivable in the state:
-// R, DB+Δ ⊢ A. It aborts with an *AbortError carrying a Stats snapshot
-// when the engine's Budget runs out or its query's context is done.
+// R, DB+Δ ⊢ A. It aborts with an *AbortError when the engine's Budget
+// runs out or its query's context is done.
 func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	ok, _, err := e.prove(goal, st.Normalised(e.in.Pred(goal)), 0)
 	return ok, err
@@ -375,12 +359,11 @@ func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 // (DESIGN §3, "Must-add keys"): un-normalised, it is only unshared.
 func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int, error) {
 	if ae := e.budget.Goal(); ae != nil {
-		ae.Stats = e.Stats()
 		return false, maxFrame, ae
 	}
-	e.stats.Goals++
-	if depth > e.stats.MaxDepth {
-		e.stats.MaxDepth = depth
+	e.budget.Stats.Goals++
+	if depth > e.budget.Stats.MaxDepth {
+		e.budget.Stats.MaxDepth = depth
 	}
 	if st.Has(goal) {
 		return true, maxFrame, nil
@@ -400,13 +383,13 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	if !e.opts.NoTabling {
 		key = tableKey{goal, st.RelevantID(pred)}
 		if v, ok := e.table.get(key); ok {
-			e.stats.TableHits++
+			e.budget.Stats.TableHits++
 			return v, maxFrame, nil
 		}
 	}
 	frame := tableKey{goal, st.ID()}
 	if f, ok := e.onStack[frame]; ok {
-		e.stats.LoopCuts++
+		e.budget.Stats.LoopCuts++
 		return false, f, nil
 	}
 	e.onStack[frame] = depth
@@ -428,14 +411,14 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		}
 		if ok {
 			if !e.opts.NoTabling {
-				e.budget.Mem.Add(e.table.put(key, true))
+				e.store(key, true)
 			}
 			return true, maxFrame, nil
 		}
 	}
 	if !e.opts.NoTabling && minTouched >= depth {
 		// Clean failure: nothing above this frame was consulted.
-		e.budget.Mem.Add(e.table.put(key, false))
+		e.store(key, false)
 	}
 	return false, minTouched, nil
 }
@@ -537,7 +520,7 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 		}
 		return err
 	})
-	e.stats.Enumerated += int64(tried)
+	e.budget.Stats.Enumerated += int64(tried)
 	switch err {
 	case nil:
 		return false, minTouched, nil
@@ -567,7 +550,7 @@ func (e *Engine) instanceHolds(pr *ast.CPremise, binding []symbols.Const, st fac
 // removes itself), so it is kept for a later region to reuse instead of
 // being allocated per region.
 func (e *Engine) negCheck(goal facts.AtomID, st facts.State) (bool, error) {
-	e.stats.NegCalls++
+	e.budget.Stats.NegCalls++
 	savedStack := e.onStack
 	if n := len(e.spare); n > 0 {
 		e.onStack, e.spare = e.spare[n-1], e.spare[:n-1]

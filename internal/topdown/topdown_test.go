@@ -257,18 +257,17 @@ func TestExample7Hamiltonian(t *testing.T) {
 func TestStatsAndTable(t *testing.T) {
 	e, cp := newEngine(t, paritySrc(4), Options{})
 	expect(t, e, cp, "even", true)
-	s := e.Stats()
+	s := e.budget.Stats
 	if s.Goals == 0 || s.MaxDepth == 0 {
 		t.Errorf("stats not collected: %+v", s)
 	}
 	// Second ask should hit the table.
-	e.ResetStats()
 	expect(t, e, cp, "even", true)
-	if e.Stats().TableHits == 0 {
-		t.Errorf("expected table hits on repeat query, got %+v", e.Stats())
+	if work := e.budget.Stats.Sub(s); work.TableHits == 0 {
+		t.Errorf("expected table hits on repeat query, got %+v", work)
 	}
 	e.ResetTable()
-	if e.Stats().TableSize != 0 {
+	if e.budget.Stats.TableSize != 0 {
 		t.Errorf("table not cleared")
 	}
 }
@@ -320,9 +319,10 @@ func TestGoalBudget(t *testing.T) {
 	if ae.Limit != 5 {
 		t.Errorf("AbortError.Limit = %d, want 5", ae.Limit)
 	}
-	// The budget is exact: exactly Max expansions ran.
-	if ae.Stats.Goals != 5 || e.Stats().Goals != 5 {
-		t.Errorf("goals = %d (snapshot %d), want exactly 5", e.Stats().Goals, ae.Stats.Goals)
+	// The budget is exact: exactly Max expansions ran, and the ledger
+	// counts them all.
+	if g := e.budget.Stats.Goals; g != 5 {
+		t.Errorf("goals = %d, want exactly 5", g)
 	}
 }
 
@@ -350,7 +350,7 @@ func TestContextCancel(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled: err = %v, want ErrCanceled", err)
 	}
-	if g := e.Stats().Goals; g != 0 {
+	if g := b.Stats.Goals; g != 0 {
 		t.Errorf("pre-canceled context still expanded %d goals", g)
 	}
 
@@ -366,8 +366,8 @@ func TestContextCancel(t *testing.T) {
 		t.Fatalf("mid-flight: err = %v, want ErrCanceled", err)
 	}
 	var ae *AbortError
-	if !errors.As(err, &ae) || ae.Stats.Goals == 0 {
-		t.Errorf("abort should carry a non-zero stats snapshot, got %+v", err)
+	if !errors.As(err, &ae) || b.Work().Goals == 0 {
+		t.Errorf("abort should come mid-evaluation, after goals in the ledger; got %+v, %+v", err, b.Work())
 	}
 }
 

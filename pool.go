@@ -349,7 +349,7 @@ func (pl *Pool) get(ctx context.Context) (*Engine, error) {
 	case <-pl.closing:
 		return nil, ErrPoolClosed
 	case <-ctx.Done():
-		return nil, topdown.ContextAbort(ctx.Err(), topdown.Stats{})
+		return nil, topdown.ContextAbort(ctx.Err())
 	}
 }
 
@@ -486,9 +486,9 @@ func (pl *Pool) AskInfoCtx(ctx context.Context, query string) (ok bool, info Rea
 // pool — even if fn panics (the panic is re-raised after the engine is
 // back on the free list). It is the escape hatch for callers that need
 // several operations on one lease (e.g. a batch of queries that should
-// not interleave with other traffic, or per-query Stats deltas via
-// Engine.Stats). The engine must not be retained or used after fn
-// returns. The context bounds only the wait for a free engine; pass it
+// not interleave with other traffic, or the work of several reads
+// together as the change in Engine.Stats, the engine's ledger). The
+// engine must not be retained or used after fn returns. The context bounds only the wait for a free engine; pass it
 // to Engine.Read inside fn to bound evaluation too.
 func (pl *Pool) Do(ctx context.Context, fn func(*Engine) error) error {
 	e, err := pl.get(ctx)

@@ -176,29 +176,27 @@ func (e *Engine) eval(r *compiledRead, yield func(Binding) error) error {
 // measured runs fn as one query on the engine. It is the one place a
 // query begins: the engine's Budget starts afresh under ctx — a context
 // already done runs nothing — and every component polls it until fn
-// returns. The evaluation-work delta is charged to the engine's metric
-// set and returned, and an abort — raised by one Σ engine of several, or
-// where no top-down stats were at hand (a Δ prover, the solution
-// enumerator) — reports the whole engine's summed counters. Hot
-// evaluation loops never touch the metrics package: all accounting
-// happens here and in applyDeltaCompiled, once per query or commit.
+// returns. The query's work, read off the Budget's ledger, is charged to
+// the engine's metric set and returned, and it is what an abort — raised
+// by any component — reports. Hot evaluation loops never touch the
+// metrics package: all accounting happens here and in
+// applyDeltaCompiled, once per query or commit.
 func (e *Engine) measured(ctx context.Context, fn func() error) (Stats, error) {
 	err := e.budget.Begin(ctx)
 	defer e.budget.End()
-	before := e.Stats()
 	if err == nil {
 		err = fn()
 	}
-	after := e.Stats()
-	work := after.Sub(before)
+	work := e.budget.Work()
 	e.charge(work)
 	var ae *AbortError
 	if errors.As(err, &ae) {
 		// Keep a memory abort's own reading of the growth that tripped it.
-		if mem := ae.Stats.MemBytes; mem != 0 {
-			after.MemBytes = mem
+		mem := ae.Stats.MemBytes
+		ae.Stats = work
+		if mem != 0 {
+			ae.Stats.MemBytes = mem
 		}
-		ae.Stats = after
 	}
 	return work, err
 }
@@ -305,7 +303,7 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 	case errors.As(err, &we):
 		// The caller's context ended while it waited on another caller's
 		// evaluation: report it like every other ctx-bounded wait.
-		return topdown.ContextAbort(we.Err, Stats{})
+		return topdown.ContextAbort(we.Err)
 	case err != nil || st == cache.Miss:
 		return err // a miss's yield already saw every binding
 	}
