@@ -262,6 +262,29 @@ func TestBudgetEveryMode(t *testing.T) {
 	}
 }
 
+// TestExplainBeginsItsBudget: Explain is a query of its own. Its goals
+// count against a fresh allowance, not what the previous read left: on a
+// chain whose AskUnder spends 82 of 100 goals, refuting a2 — 42 goals —
+// still runs to its answer.
+func TestExplainBeginsItsBudget(t *testing.T) {
+	e := mustEngine(t, workload.ChainProgram(40), Options{Mode: ModeUniform, MaxGoals: 100})
+	before := e.Stats().Goals
+	if _, err := e.AskUnder("a1", "b1"); err != nil {
+		t.Fatalf("AskUnder: %v", err)
+	}
+	asked := e.Stats().Goals
+	tree, err := e.Explain("a2")
+	if err != nil {
+		t.Fatalf("Explain after a %d-goal read = %v, want its answer within its own 100 goals", asked-before, err)
+	}
+	if tree != "" {
+		t.Errorf("Explain(a2) = %q, want no proof: b1 is not in the base", tree)
+	}
+	if g := e.Stats().Goals - asked; g != 42 {
+		t.Errorf("Explain(a2) spent %d goals, want 42", g)
+	}
+}
+
 // TestBudgetLedgerAddsUp: every read reports its own share of the
 // evaluator's ledger, so on one engine the reads' ReadInfo.Stats and an
 // abort's AbortError.Stats sum to the change in Engine.Stats. The reads

@@ -653,8 +653,19 @@ func (e *Engine) AskUnder(query string, added ...string) (ok bool, err error) {
 // Explain returns a rendered derivation tree for a provable ground query
 // — a plain atom, or an atom under hypothetical adds and deletions such
 // as "grad(mary)[add: take(mary, eng201)]" — or "" when the query does
-// not hold. Only the uniform engine supports explanations.
-func (e *Engine) Explain(query string) (string, error) {
+// not hold. Only the uniform engine supports explanations. It runs as one
+// query, under the engine's Options.MaxGoals and MaxMemoryBytes.
+func (e *Engine) Explain(query string) (out string, err error) {
+	_, err = e.measured(context.Background(), func() (err error) {
+		out, err = e.explain(query)
+		return err
+	})
+	return out, err
+}
+
+// explain is Explain's body, run by Explain and Pool.ExplainCtx inside
+// measured.
+func (e *Engine) explain(query string) (string, error) {
 	if e.uni == nil {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}

@@ -416,9 +416,10 @@ func e8Matrix(s Sizes) ([]Case, error) {
 }
 
 // e8OpenReads are the open reads of a 3-edge cycle padded to 200
-// constants. A read ranges its variables over dom(R, DB), so edge(X, Y)
-// tries 200 + 200² bindings for its 3 answers and edge(c0, Y) 200 for 1,
-// which the enumerated counter shows beside the goals (ROADMAP item 17).
+// constants. An extensional read matches the state, so the enumerated
+// counter and the goals stay 0; ranging its variables over dom(R, DB)
+// would try 200 + 200² bindings for edge(X, Y)'s 3 answers and 200 for
+// edge(c0, Y)'s 1 (ROADMAP item 17).
 func e8OpenReads(l *caseList) {
 	src := "edge(c0, c1).\nedge(c1, c2).\nedge(c2, c0).\n"
 	for i := 3; i < 200; i++ {

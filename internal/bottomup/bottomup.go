@@ -47,13 +47,6 @@ type Prover struct {
 	maxCache int
 	rootBusy bool // the empty state's model is being computed
 
-	// added is the sorted added set of the state addedOf read last, and
-	// addedID that state's id: a materialisation matches premises against
-	// one state thousands of times, so it takes the set once rather than
-	// merging the state's runs and tail on every match.
-	addedID facts.StateID
-	added   []facts.AtomID
-
 	// budget is the enclosing evaluator's per-query limits and ledger:
 	// every join step ticks it, the prover's work (Materialisations,
 	// DerivedModels, JoinProbes, IncStates, IncDropped) counts into its
@@ -211,7 +204,7 @@ func (p *Prover) materialise(st facts.State) (*model, error) {
 		return m, nil
 	}
 	p.budget.Stats.Materialisations++
-	m := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
+	m := &model{atoms: atomSet{}, index: make(facts.Index)}
 	if key == facts.EmptyStateID {
 		p.rootBusy = true
 		defer func() { p.rootBusy = false }()

@@ -73,7 +73,7 @@ func TestDerivedChildProbes(t *testing.T) {
 			derived += work.JoinProbes
 
 			before = p.budget.Stats
-			want := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
+			want := &model{atoms: atomSet{}, index: make(facts.Index)}
 			if err := p.fixpoint(child, want, 0, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestDerivedLevelAboveGrows(t *testing.T) {
 			if m.parent != rm || m.cut != len(p.levels) {
 				t.Fatalf("edge v%d→v%d: parent %p, cut %d; want derived from the empty state's, cut %d (every level propagates)", u, v, m.parent, m.cut, len(p.levels))
 			}
-			want := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
+			want := &model{atoms: atomSet{}, index: make(facts.Index)}
 			if err := p.fixpoint(child, want, 0, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestOverlayChainFlattens(t *testing.T) {
 			depth++
 		}
 
-		want := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
+		want := &model{atoms: atomSet{}, index: make(facts.Index)}
 		if err := p.fixpoint(st, want, 0, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -347,7 +347,7 @@ func checkFixpointAgreement(t *testing.T, seed int64, eOnly bool) coverage {
 		st := facts.StateAt(base, sid)
 		got := atomSet{}
 		p.each(m, func(id facts.AtomID) { got[id] = struct{}{} })
-		cold := &model{atoms: atomSet{}, index: make(map[indexKey][]facts.AtomID)}
+		cold := &model{atoms: atomSet{}, index: make(facts.Index)}
 		if err := p.fixpoint(st, cold, 0, nil); err != nil {
 			t.Fatalf("cold fixpoint: %v", err)
 		}

@@ -31,7 +31,6 @@ type step struct {
 	pr    *ast.CPremise
 	kind  stepKind
 	binds []int // slots unbound on entry that the step binds: by matching (own, ext) or by ranging over the domain
-	pos   int   // stepOwn, stepExt: the first argument bound on entry — the index position probed — or -1
 }
 
 // plan is a rule body in evaluation order, given what is bound before it
@@ -45,9 +44,8 @@ type plan struct {
 // pin is one way of driving a rule from a frontier: the premise matched
 // against a frontier atom first, then the rest of the body.
 type pin struct {
-	atom  ast.CAtom
-	binds []int
-	rest  plan
+	atom ast.CAtom
+	rest plan
 }
 
 // rule is a Δ rule with its plans.
@@ -72,11 +70,7 @@ func (p *Prover) compileRule(r *ast.CRule) *rule {
 		case pr.Kind == ast.Hyp && p.own[pr.Atom.Pred]:
 			cr.rerun = true
 		case pr.Kind == ast.Plain && !p.oracleOwned(pr.Atom.Pred):
-			cr.pins = append(cr.pins, pin{
-				atom:  pr.Atom,
-				binds: unboundIn(make([]bool, r.NumVars), pr.Atom),
-				rest:  p.compilePlan(r, bi, pr.Atom),
-			})
+			cr.pins = append(cr.pins, pin{atom: pr.Atom, rest: p.compilePlan(r, bi, pr.Atom)})
 		}
 	}
 	return cr
@@ -99,30 +93,20 @@ func (p *Prover) compilePlan(r *ast.CRule, skip int, pre ...ast.CAtom) plan {
 			continue
 		}
 		pr := &r.Body[bi]
-		s := step{pr: pr, pos: -1}
+		s, atoms := step{pr: pr}, []ast.CAtom{pr.Atom}
 		switch {
 		case pr.Kind == ast.Negated:
 			s.kind = stepNeg
-			s.binds = bind(unboundIn(bound, pr.Atom))
 		case pr.Kind == ast.Hyp:
-			s.kind = stepHyp
-			s.binds = bind(unboundIn(bound, append(append([]ast.CAtom{pr.Atom}, pr.Adds...), pr.Dels...)...))
+			s.kind, atoms = stepHyp, append(append(atoms, pr.Adds...), pr.Dels...)
 		case p.oracleOwned(pr.Atom.Pred):
 			s.kind = stepBelow
-			s.binds = bind(unboundIn(bound, pr.Atom))
+		case p.own[pr.Atom.Pred]:
+			s.kind = stepOwn
 		default:
 			s.kind = stepExt
-			if p.own[pr.Atom.Pred] {
-				s.kind = stepOwn
-			}
-			for i, t := range pr.Atom.Args {
-				if !t.IsVar() || bound[t.VarSlot()] {
-					s.pos = i
-					break
-				}
-			}
-			s.binds = bind(unboundIn(bound, pr.Atom))
 		}
+		s.binds = bind(unboundIn(bound, atoms...))
 		pl.steps = append(pl.steps, s)
 	}
 	pl.free = unboundIn(bound, r.Head)
@@ -161,7 +145,7 @@ func unboundIn(bound []bool, atoms ...ast.CAtom) []int {
 	var slots []int
 	for _, a := range atoms {
 		for _, t := range a.Args {
-			if t.IsVar() && !bound[t.VarSlot()] && !contains(slots, t.VarSlot()) {
+			if t.IsVar() && !bound[t.VarSlot()] && !slices.Contains(slots, t.VarSlot()) {
 				slots = append(slots, t.VarSlot())
 			}
 		}
@@ -169,31 +153,14 @@ func unboundIn(bound []bool, atoms ...ast.CAtom) []int {
 	return slots
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// indexKey names one candidate list: the atoms of pred whose argument at
-// pos is val, or (pos -1, val 0) every atom of pred.
-type indexKey struct {
-	pred symbols.Pred
-	pos  int
-	val  symbols.Const
-}
-
 // model is a Δ-part model being computed or maintained. A
-// materialisation indexes the atoms it derives by predicate and by
-// (predicate, position, value); the slices only grow, so a probe that
-// ranges over the slice it found sees a stable snapshot while the rule it
-// feeds keeps deriving. That index lives as long as the materialisation
-// does: a cached model is its atom set, and indexed again only when a
-// derivation first probes it as a parent. The commit-time passes over the
-// empty state's model (index == nil) find candidates by scanning it.
+// materialisation indexes the atoms it derives in a facts.Index, whose
+// lists only grow, so a probe that ranges over the list it found sees a
+// stable snapshot while the rule it feeds keeps deriving. That index
+// lives as long as the materialisation does: a cached model is its atom
+// set, and indexed again only when a derivation first probes it as a
+// parent. The commit-time passes over the empty state's model
+// (index == nil) find candidates by scanning it.
 //
 // A model derived from an ancestor state's is an overlay on that model:
 // levels below cut read through to parent, and atoms holds only what the
@@ -202,7 +169,7 @@ type indexKey struct {
 // every overlay before it maintains the empty state's model in place).
 type model struct {
 	atoms    atomSet
-	index    map[indexKey][]facts.AtomID
+	index    facts.Index
 	idxBytes int64 // index footprint charged to the tracker so far
 
 	parent *model // nil for a model of its own
@@ -224,14 +191,8 @@ func (p *Prover) insert(m *model, id facts.AtomID) {
 }
 
 func (p *Prover) indexAtom(m *model, id facts.AtomID) {
-	pred, args := p.in.Pred(id), p.in.Args(id)
-	all := indexKey{pred: pred, pos: -1}
-	m.index[all] = append(m.index[all], id)
-	for pos, val := range args {
-		k := indexKey{pred, pos, val}
-		m.index[k] = append(m.index[k], id)
-	}
-	n := idxSlotBytes * int64(1+len(args))
+	m.index.Add(p.in, id)
+	n := idxSlotBytes * int64(1+len(p.in.Args(id)))
 	m.idxBytes += n
 	p.budget.Mem.Add(n)
 }
@@ -244,7 +205,7 @@ func (p *Prover) indexCached(m *model) {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	m.index = make(map[indexKey][]facts.AtomID)
+	m.index = make(facts.Index)
 	for _, id := range ids {
 		p.indexAtom(m, id)
 	}
@@ -327,15 +288,14 @@ func (p *Prover) pinnedJoin(rules []*rule, st facts.State, m *model, frontier []
 				continue
 			}
 			binding := ast.NewBinding(r.r.NumVars)
-			body := func() error {
+			n, err := facts.MatchList(p.in, seeds, pn.atom, binding, func() error {
 				return p.joinAt(&pn.rest, binding, 0, st, m, func() error {
 					return p.deriveHeads(r.r, pn.rest.free, binding, yield)
 				})
-			}
-			for _, fa := range seeds {
-				if err := p.tryMatch(pn.atom, pn.binds, binding, fa, body); err != nil {
-					return err
-				}
+			})
+			p.budget.Stats.JoinProbes += int64(n)
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -446,100 +406,37 @@ func (p *Prover) testAtom(goal facts.AtomID, st facts.State, m *model) (bool, er
 	return p.askOracle(goal, st)
 }
 
-// addedOf returns the state's added atoms in ascending order. The slice
-// is kept by state id for the next call and never written again, so a
-// scan of it stays valid while the scan's own yield matches other states.
-func (p *Prover) addedOf(st facts.State) []facts.AtomID {
-	if st.Delta.Len() == 0 {
-		return nil
-	}
-	if id := st.ID(); id != p.addedID {
-		p.addedID, p.added = id, st.Delta.IDs()
-	}
-	return p.added
-}
-
-// match enumerates the bindings of a plain premise: from the state (base
-// indexes minus hypothetical deletions, plus hypothetical additions) and,
-// for an own predicate, from the model.
+// match enumerates the bindings of a plain premise: from the state
+// (facts.Match) and, for an own predicate, from the model, read through
+// its overlays. Every candidate tried counts as a join probe.
 func (p *Prover) match(s *step, binding []symbols.Const, st facts.State, m *model, yield func() error) error {
 	pattern := s.pr.Atom
-	var val symbols.Const
-	var candidates []facts.AtomID
-	if s.pos >= 0 {
-		if t := pattern.Args[s.pos]; t.IsVar() {
-			val = binding[t.VarSlot()]
-		} else {
-			val = t.ConstID()
-		}
-		candidates = p.base.ByPredArg(pattern.Pred, s.pos, val)
-	} else {
-		candidates = p.base.ByPred(pattern.Pred)
-	}
-	for _, id := range candidates {
-		if st.Delta.Deleted(id) {
-			continue
-		}
-		if err := p.tryMatch(pattern, s.binds, binding, id, yield); err != nil {
-			return err
-		}
-	}
-	for _, id := range p.addedOf(st) {
-		if p.in.Pred(id) != pattern.Pred || p.base.Has(id) {
-			continue
-		}
-		if err := p.tryMatch(pattern, s.binds, binding, id, yield); err != nil {
-			return err
-		}
-	}
-	if s.kind != stepOwn {
-		return nil
+	n, err := facts.Match(st, pattern, binding, yield)
+	p.budget.Stats.JoinProbes += int64(n)
+	if err != nil || s.kind != stepOwn {
+		return err
 	}
 	if m.index == nil {
-		candidates = nil
+		var candidates []facts.AtomID
 		for id := range m.atoms {
 			if p.in.Pred(id) == pattern.Pred {
 				candidates = append(candidates, id)
 			}
 		}
-		return p.tryAll(pattern, s.binds, binding, candidates, yield)
+		n, err = facts.MatchList(p.in, candidates, pattern, binding, yield)
+		p.budget.Stats.JoinProbes += int64(n)
+		return err
 	}
 	// yield may grow the model; what it adds is the next round's frontier,
 	// so this probe reads a snapshot. An overlay's parents never grow.
-	key := indexKey{pattern.Pred, s.pos, val}
 	for {
-		if err := p.tryAll(pattern, s.binds, binding, m.index[key], yield); err != nil {
+		n, err = m.index.Match(p.in, pattern, binding, yield)
+		p.budget.Stats.JoinProbes += int64(n)
+		if err != nil || m.parent == nil || p.level[pattern.Pred] >= m.cut {
 			return err
-		}
-		if m.parent == nil || p.level[pattern.Pred] >= m.cut {
-			return nil
 		}
 		if m = m.parent; m.index == nil {
 			p.indexCached(m)
 		}
 	}
-}
-
-func (p *Prover) tryAll(pattern ast.CAtom, binds []int, binding []symbols.Const, candidates []facts.AtomID, yield func() error) error {
-	for _, id := range candidates {
-		if err := p.tryMatch(pattern, binds, binding, id, yield); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tryMatch unifies the pattern with one candidate atom and yields on
-// success. binds are the pattern's slots that were unbound on entry; they
-// are again on return.
-func (p *Prover) tryMatch(pattern ast.CAtom, binds []int, binding []symbols.Const, id facts.AtomID, yield func() error) error {
-	p.budget.Stats.JoinProbes++
-	var err error
-	if ast.Unify(pattern, p.in.Args(id), binding) {
-		err = yield()
-	}
-	for _, s := range binds {
-		binding[s] = ast.Unbound
-	}
-	return err
 }

@@ -16,11 +16,15 @@
 // begins it once per query with the query's context, and the goal
 // allowance, the memory meter and the cancellation poll then bound the
 // whole evaluator. AskPremise decides a premise instance on either, and
-// Solutions enumerates the answers of a non-ground premise over the domain.
+// Solutions enumerates the answers of a non-ground premise: an open read
+// of a predicate the program does not define matches the state
+// (facts.Match), and every other read ranges its variables over the
+// domain.
 package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/bottomup"
@@ -47,6 +51,9 @@ type Asker interface {
 	EmptyState() facts.State
 	// Dom is the constant domain dom(R, DB).
 	Dom() []symbols.Const
+	// Extensional reports whether the evaluator has no rules for pred: a
+	// goal of it holds exactly when the state has it.
+	Extensional(pred symbols.Pred) bool
 }
 
 // Cascade is the stratified PROVE cascade of section 5.2.
@@ -160,6 +167,12 @@ func (c *Cascade) EmptyState() facts.State { return facts.NewState(c.base) }
 // Dom returns the enumeration domain.
 func (c *Cascade) Dom() []symbols.Const { return c.dom }
 
+// Extensional reports whether the program does not define pred.
+func (c *Cascade) Extensional(pred symbols.Pred) bool {
+	_, ok := c.partOf[pred]
+	return !ok
+}
+
 // Ask reports whether the goal is derivable in the state.
 func (c *Cascade) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	return c.askAt(goal, st, 2*c.numStrata)
@@ -238,19 +251,32 @@ func AskPremise(a Asker, p ast.CPremise, binding []symbols.Const, st facts.State
 // variables, in slot order.
 type Solution []symbols.Const
 
-// Solutions enumerates the answers of a (possibly non-ground) premise by
-// instantiating its variables over the domain and asking a, passing each
-// to yield as soon as its proof succeeds; nothing is accumulated, so an
-// answer set larger than memory can be forwarded incrementally. The
-// variable slots are numbered by first occurrence; numVars is the size of
-// the premise's binding space (from ast.CompilePremise's names). Every
-// instantiation ticks b, a's Budget, so a query whose cost is the
-// dom^numVars loop itself still aborts promptly, and the domain bindings
-// tried count into its ledger's Enumerated. The yielded slice is owned by
-// the callee; a non-nil error from yield stops the enumeration and is
-// returned verbatim.
+// Solutions enumerates the answers of a (possibly non-ground) premise,
+// passing each to yield as soon as it is found; nothing is accumulated,
+// so an answer set larger than memory can be forwarded incrementally.
+// The variable slots are numbered by first occurrence; numVars is the
+// size of the premise's binding space (from ast.CompilePremise's names).
+// The yielded slice is owned by the callee; a non-nil error from yield
+// stops the enumeration and is returned verbatim.
+//
+// An open read of a predicate a does not define — plain, or hypothetical
+// with ground adds and dels — matches the state it is asked in
+// (facts.Match), asks no goal and streams its bindings in the state's
+// index order. Every other read ranges its variables over the domain in
+// dom order and asks a each instance; the bindings tried count into b's
+// Enumerated. Every answer and every domain binding ticks b, a's Budget,
+// so a read whose cost is the enumeration itself still aborts promptly.
 func Solutions(a Asker, b *topdown.Budget, p ast.CPremise, numVars int, st facts.State, yield func(Solution) error) error {
 	binding := ast.NewBinding(numVars)
+	if numVars > 0 && matchable(a, &p) {
+		_, err := facts.Match(a.Interner().Under(&p, nil, st), p.Atom, binding, func() error {
+			if ae := b.Tick(); ae != nil {
+				return ae
+			}
+			return yield(append(Solution{}, binding...))
+		})
+		return err
+	}
 	slots := make([]int, numVars)
 	for i := range slots {
 		slots[i] = i
@@ -267,4 +293,13 @@ func Solutions(a Asker, b *topdown.Budget, p ast.CPremise, numVars int, st facts
 	})
 	b.Stats.Enumerated += int64(tried)
 	return err
+}
+
+// matchable reports whether a premise's answers are the state's atoms
+// matching it: a plain or hypothetical premise over a predicate a does not
+// define, whose adds and dels are ground.
+func matchable(a Asker, p *ast.CPremise) bool {
+	open := func(h ast.CAtom) bool { return !h.IsGround() }
+	return (p.Kind == ast.Plain || p.Kind == ast.Hyp) && a.Extensional(p.Atom.Pred) &&
+		!slices.ContainsFunc(p.Adds, open) && !slices.ContainsFunc(p.Dels, open)
 }

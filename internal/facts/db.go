@@ -9,40 +9,27 @@ import (
 	"hypodatalog/internal/symbols"
 )
 
-type indexKey struct {
-	pred symbols.Pred
-	pos  int
-	val  symbols.Const
-}
-
-// DB is the base (extensional) database: a set of interned ground atoms
-// with a per-predicate list and per-argument hash indexes. A DB is built
-// (or incrementally mutated) single-threaded and then read concurrently;
+// DB is the base (extensional) database: a set of interned ground atoms,
+// a membership bitset beside an Index of them. A DB is built (or
+// incrementally mutated) single-threaded and then read concurrently;
 // Insert and Remove must not race with reads.
 type DB struct {
-	in     *Interner
-	bits   []uint64 // membership, one bit per AtomID: ids are dense
-	n      int      // atoms in the set
-	byPred map[symbols.Pred][]AtomID
-	index  map[indexKey][]AtomID
-	bytes  int64 // approximate heap footprint of the indexes
+	in    *Interner
+	bits  []uint64 // membership, one bit per AtomID: ids are dense
+	n     int      // atoms in the set
+	idx   Index
+	bytes int64 // approximate heap footprint of the index
 }
 
-// dbAtomBytes approximates the indexing cost of one atom: the byPred
-// slot, allocator slack, and one index entry (key + slot) per argument
+// dbAtomBytes approximates the indexing cost of one atom: its predicate
+// list slot, allocator slack, and one index entry (key + slot) per argument
 // position. The membership bitset is charged by its length (MemBytes).
 // Like the interner's accounting it is an estimator for budget
 // enforcement, linear in the real footprint.
 func dbAtomBytes(nargs int) int64 { return 32 + 32*int64(nargs) }
 
 // NewDB returns an empty database over the interner.
-func NewDB(in *Interner) *DB {
-	return &DB{
-		in:     in,
-		byPred: make(map[symbols.Pred][]AtomID),
-		index:  make(map[indexKey][]AtomID),
-	}
-}
+func NewDB(in *Interner) *DB { return &DB{in: in, idx: make(Index)} }
 
 // Load interns a compiled program's facts into a fresh base database over
 // a new interner keyed by rel, the program's keying stage (nil keys
@@ -87,12 +74,7 @@ func (db *DB) insert(id AtomID) bool {
 	}
 	db.bits[id>>6] |= 1 << (id & 63)
 	db.n++
-	pred := db.in.Pred(id)
-	db.byPred[pred] = append(db.byPred[pred], id)
-	for pos, val := range db.in.Args(id) {
-		k := indexKey{pred, pos, val}
-		db.index[k] = append(db.index[k], id)
-	}
+	db.idx.Add(db.in, id)
 	db.bytes += dbAtomBytes(len(db.in.Args(id)))
 	return true
 }
@@ -103,9 +85,9 @@ func (db *DB) insert(id AtomID) bool {
 func (db *DB) MemBytes() int64 { return db.bytes + 8*int64(len(db.bits)) }
 
 // Remove deletes an atom from the database, unindexing it. It reports
-// whether the atom was present. The filtered index slices are freshly
-// allocated rather than compacted in place: clones share slice backing
-// arrays copy-on-write (see Clone), so an in-place shift would corrupt a
+// whether the atom was present. The index lists it leaves are freshly
+// allocated rather than compacted in place: clones share them
+// copy-on-write (see Clone), so an in-place shift would corrupt a
 // sibling's view of the same array.
 func (db *DB) Remove(id AtomID) bool {
 	if !db.Has(id) {
@@ -113,31 +95,9 @@ func (db *DB) Remove(id AtomID) bool {
 	}
 	db.bits[id>>6] &^= 1 << (id & 63)
 	db.n--
-	pred := db.in.Pred(id)
-	db.byPred[pred] = withoutID(db.byPred[pred], id)
-	if len(db.byPred[pred]) == 0 {
-		delete(db.byPred, pred)
-	}
-	for pos, val := range db.in.Args(id) {
-		k := indexKey{pred, pos, val}
-		db.index[k] = withoutID(db.index[k], id)
-		if len(db.index[k]) == 0 {
-			delete(db.index, k)
-		}
-	}
+	db.idx.Remove(db.in, id)
 	db.bytes -= dbAtomBytes(len(db.in.Args(id)))
 	return true
-}
-
-// withoutID returns s minus id in a fresh slice (never mutating s).
-func withoutID(s []AtomID, id AtomID) []AtomID {
-	out := make([]AtomID, 0, len(s)-1)
-	for _, v := range s {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Has reports whether the atom is in the base database.
@@ -151,13 +111,12 @@ func (db *DB) Len() int { return db.n }
 
 // ByPred returns the atoms with the given predicate. The returned slice
 // must not be modified.
-func (db *DB) ByPred(p symbols.Pred) []AtomID { return db.byPred[p] }
+func (db *DB) ByPred(p symbols.Pred) []AtomID { return db.idx.ByPred(p) }
 
 // ByPredArg returns the atoms with predicate p whose argument at position
-// pos equals val, using the hash index. The returned slice must not be
-// modified.
+// pos equals val. The returned slice must not be modified.
 func (db *DB) ByPredArg(p symbols.Pred, pos int, val symbols.Const) []AtomID {
-	return db.index[indexKey{p, pos, val}]
+	return db.idx.ByPredArg(p, pos, val)
 }
 
 // All returns every atom id in the database, sorted. The slice is freshly
@@ -173,11 +132,9 @@ func (db *DB) All() []AtomID {
 }
 
 // Clone returns an independent copy of the database sharing the interner.
-// The index slices are shared copy-on-write: each is capacity-clipped so
-// an Insert on either copy reallocates instead of appending into the
-// shared backing array, and Remove always builds a fresh slice. This
-// makes cloning O(entries) map copies with no per-atom re-indexing — the
-// path pool engines take when stamping a fresh engine from a shared
+// The index lists are shared copy-on-write (Index.Clone), which makes
+// cloning O(entries) map copies with no per-atom re-indexing — the path
+// pool engines take when stamping a fresh engine from a shared
 // per-version substrate.
 func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 
@@ -186,19 +143,11 @@ func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 // pooled engine gets a fully private interner+database pair cloned from
 // a shared per-version substrate.
 func (db *DB) CloneFor(in *Interner) *DB {
-	out := &DB{
-		in:     in,
-		bits:   slices.Clone(db.bits),
-		n:      db.n,
-		byPred: make(map[symbols.Pred][]AtomID, len(db.byPred)),
-		index:  make(map[indexKey][]AtomID, len(db.index)),
-		bytes:  db.bytes,
+	return &DB{
+		in:    in,
+		bits:  slices.Clone(db.bits),
+		n:     db.n,
+		idx:   db.idx.Clone(),
+		bytes: db.bytes,
 	}
-	for p, s := range db.byPred {
-		out.byPred[p] = s[:len(s):len(s)]
-	}
-	for k, s := range db.index {
-		out.index[k] = s[:len(s):len(s)]
-	}
-	return out
 }

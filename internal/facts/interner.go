@@ -174,18 +174,24 @@ func (in *Interner) Ground(a ast.CAtom, binding []symbols.Const) AtomID {
 }
 
 // Instance is the goal a premise instance asks and the state it asks it
-// in: the premise's atom under binding, in st extended by its adds and
-// then its dels. It grounds adds, dels and the atom in that order, which
-// fixes the ids they intern. A negated premise asks its atom in st, to be
-// read negated.
+// in: the premise's atom under binding, in Under's state. It grounds adds,
+// dels and the atom in that order, which fixes the ids they intern. A
+// negated premise asks its atom in st, to be read negated.
 func (in *Interner) Instance(p *ast.CPremise, binding []symbols.Const, st State) (AtomID, State) {
+	st = in.Under(p, binding, st)
+	return in.Ground(p.Atom, binding), st
+}
+
+// Under is the state a premise instance is asked in: st extended by the
+// premise's adds and then its dels, grounded under binding.
+func (in *Interner) Under(p *ast.CPremise, binding []symbols.Const, st State) State {
 	for _, a := range p.Adds {
 		st = st.Add(in.Ground(a, binding))
 	}
 	for _, a := range p.Dels {
 		st = st.Del(in.Ground(a, binding))
 	}
-	return in.Ground(p.Atom, binding), st
+	return st
 }
 
 // Format renders an interned atom using the symbol table.

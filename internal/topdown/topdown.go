@@ -177,8 +177,6 @@ type Engine struct {
 	// the other components of a cascade; prove charges every goal expansion
 	// and its counters to it and the memo table's footprint to its meter.
 	budget *Budget
-
-	args []symbols.Const // scratch for matchState's lookups
 }
 
 // tableKey is a (goal, hypothetical state) pair. Both halves are interned
@@ -423,9 +421,10 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	return false, minTouched, nil
 }
 
-// isExtensional reports whether a predicate is neither defined by this
-// engine's rules nor owned by the resolver.
-func (e *Engine) isExtensional(p symbols.Pred) bool {
+// Extensional reports whether a predicate is neither defined by this
+// engine's rules nor owned by the resolver: a goal of it holds exactly
+// when the state has it.
+func (e *Engine) Extensional(p symbols.Pred) bool {
 	return e.kind(p) == extensional
 }
 
@@ -461,7 +460,7 @@ func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64,
 
 	// Enumerate any unbound variables the premise needs, then evaluate it
 	// and recurse on the remaining premises.
-	if pr.Kind == ast.Plain && e.isExtensional(pr.Atom.Pred) {
+	if pr.Kind == ast.Plain && e.Extensional(pr.Atom.Pred) {
 		// Extensional: matching the state is complete.
 		return e.evalEDBPremise(rule, pr, binding, rest, st, depth, k)
 	}
@@ -473,28 +472,21 @@ func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64,
 // extends the binding.
 func (e *Engine) evalEDBPremise(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	minTouched := maxFrame
-	ok := false
-	err := e.matchState(pr.Atom, binding, st, func() error {
+	_, err := facts.Match(st, pr.Atom, binding, func() error {
 		res, touched, err := e.evalBody(rule, binding, rest, st, depth, k)
-		if err != nil {
-			return err
+		minTouched = min(minTouched, touched)
+		if err == nil && res {
+			err = errStop
 		}
-		if touched < minTouched {
-			minTouched = touched
-		}
-		if res {
-			ok = true
-			return errStop
-		}
-		return nil
+		return err
 	})
-	if err != nil && err != errStop {
-		return false, maxFrame, err
-	}
-	if ok {
+	switch err {
+	case nil:
+		return false, minTouched, nil
+	case errStop:
 		return true, maxFrame, nil
 	}
-	return false, minTouched, nil
+	return false, maxFrame, err
 }
 
 // errStop is an internal sentinel to stop match enumeration early.
@@ -592,86 +584,6 @@ func appendUnbound(dst []int, a ast.CAtom, binding []symbols.Const) []int {
 	return dst
 }
 
-// matchState enumerates the atoms in the state (base plus delta) matching
-// the pattern under the current binding, invoking yield with the binding
-// extended for each match and restoring it afterwards. Used only for
-// extensional predicates, where the state is the complete extension.
-func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts.State, yield func() error) error {
-	// Pick the most selective index: a bound argument position. free
-	// holds the slots a candidate binds (a repeated variable twice), on
-	// the stack for any usual arity; each candidate unbinds them before
-	// the next is tried.
-	bestPos, bestVal := -1, ast.Unbound
-	var buf [8]int
-	args, free := e.args[:0], buf[:0]
-	for i, t := range pattern.Args {
-		var v symbols.Const
-		if !t.IsVar() {
-			v = t.ConstID()
-		} else if v = binding[t.VarSlot()]; v == ast.Unbound {
-			free = append(free, t.VarSlot())
-		}
-		if v != ast.Unbound && bestPos < 0 {
-			bestPos, bestVal = i, v
-		}
-		args = append(args, v)
-	}
-	e.args = args
-	if len(free) == 0 {
-		// Nothing to enumerate: a fully bound pattern is a membership test,
-		// not a walk over the candidates and every atom of the delta.
-		if id, ok := e.in.Lookup(pattern.Pred, args); ok && st.Has(id) {
-			return yield()
-		}
-		return nil
-	}
-	var candidates []facts.AtomID
-	if bestPos >= 0 {
-		candidates = e.base.ByPredArg(pattern.Pred, bestPos, bestVal)
-	} else {
-		candidates = e.base.ByPred(pattern.Pred)
-	}
-	tryMatch := func(id facts.AtomID) error {
-		var err error
-		if ast.Unify(pattern, e.in.Args(id), binding) {
-			err = yield()
-		}
-		for _, s := range free {
-			binding[s] = ast.Unbound
-		}
-		return err
-	}
-	for _, id := range candidates {
-		if st.Delta.Deleted(id) {
-			continue // hypothetically deleted
-		}
-		if err := tryMatch(id); err != nil {
-			return err
-		}
-	}
-	// Delta atoms of this predicate (deltas are small; scan them), unless
-	// the state's predicate summary shows it adds none.
-	if !st.MayMention(pattern.Pred) {
-		return nil
-	}
-	for it := st.Delta.Added(); ; {
-		id, ok := it.Next()
-		if !ok {
-			break
-		}
-		if e.in.Pred(id) != pattern.Pred {
-			continue
-		}
-		if e.base.Has(id) {
-			continue // already seen via the base scan
-		}
-		if err := tryMatch(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pickPremise chooses the next premise to evaluate from mask: the one with
 // the lowest estimated cost given the current binding.
 func (e *Engine) pickPremise(rule *ast.CRule, binding []symbols.Const, mask uint64, st facts.State) int {
@@ -705,7 +617,7 @@ func (e *Engine) premiseCost(pr *ast.CPremise, binding []symbols.Const, st facts
 	}
 	switch pr.Kind {
 	case ast.Plain:
-		if e.isExtensional(pr.Atom.Pred) {
+		if e.Extensional(pr.Atom.Pred) {
 			if unboundCount == 0 {
 				return 0
 			}

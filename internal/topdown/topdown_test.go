@@ -494,12 +494,12 @@ func TestMatchStateScanAllocatesNothing(t *testing.T) {
 	binding := ast.NewBinding(rule.NumVars)
 	yield := func() error { return errors.New("q has no atom to match") }
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := e.matchState(rule.Body[0].Atom, binding, st, yield); err != nil {
+		if _, err := facts.Match(st, rule.Body[0].Atom, binding, yield); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("matchState over a %d-atom delta allocates %v times per call, want 0", st.Delta.Len(), allocs)
+		t.Fatalf("Match over a %d-atom delta allocates %v times per call, want 0", st.Delta.Len(), allocs)
 	}
 }
 
@@ -531,15 +531,15 @@ func TestMatchStateBindAllocatesNothing(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		matches = 0
-		if err := e.matchState(rule.Body[0].Atom, binding, st, yield); err != nil {
+		if _, err := facts.Match(st, rule.Body[0].Atom, binding, yield); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if matches != 12 || binding[0] != ast.Unbound {
-		t.Fatalf("matchState bound X %d times (left %d), want 12 and unbound after", matches, binding[0])
+		t.Fatalf("Match bound X %d times (left %d), want 12 and unbound after", matches, binding[0])
 	}
 	if allocs != 0 {
-		t.Fatalf("matchState binding %d matches allocates %v times per call, want 0", matches, allocs)
+		t.Fatalf("Match binding %d matches allocates %v times per call, want 0", matches, allocs)
 	}
 }
 
@@ -593,7 +593,7 @@ func TestMatchStateFindsAddedBaseAtom(t *testing.T) {
 	} {
 		binding := ast.NewBinding(rule.NumVars)
 		found, n := false, 0
-		err := e.matchState(pattern, binding, tc.st, func() error {
+		_, err := facts.Match(tc.st, pattern, binding, func() error {
 			n++
 			found = found || (binding[0] == c("e5") && binding[1] == c("e9"))
 			return nil

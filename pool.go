@@ -488,8 +488,9 @@ func (pl *Pool) AskInfoCtx(ctx context.Context, query string) (ok bool, info Rea
 // several operations on one lease (e.g. a batch of queries that should
 // not interleave with other traffic, or the work of several reads
 // together as the change in Engine.Stats, the engine's ledger). The
-// engine must not be retained or used after fn returns. The context bounds only the wait for a free engine; pass it
-// to Engine.Read inside fn to bound evaluation too.
+// engine must not be retained or used after fn returns. The context
+// bounds only the wait for a free engine; pass it to Engine.Read inside
+// fn to bound evaluation too.
 func (pl *Pool) Do(ctx context.Context, fn func(*Engine) error) error {
 	e, err := pl.get(ctx)
 	if err != nil {
@@ -539,7 +540,7 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 			info.DataVersion = cur.version
 		}
 		info.Stats, err = e.measured(ctx, func() (err error) {
-			out, err = e.Explain(query)
+			out, err = e.explain(query)
 			return err
 		})
 		return err

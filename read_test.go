@@ -309,3 +309,43 @@ func TestReadSurfaceConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenReadsMatch: an open read of a predicate the program does not
+// define takes its bindings from the state's matching atoms, in every
+// mode, plain or under ground adds. On E8's padded cycle — three edges
+// among 200 constants — edge(X, Y) used to try 40,200 domain bindings
+// (40,000 goals under uniform) for its three answers; it now tries none
+// and asks no goal.
+func TestOpenReadsMatch(t *testing.T) {
+	src := "edge(c0, c1).\nedge(c1, c2).\nedge(c2, c0).\n"
+	for i := 3; i < 200; i++ {
+		src += fmt.Sprintf("pad(c%d).\n", i)
+	}
+	prog := mustParse(t, src)
+	for _, mode := range []struct {
+		name string
+		Mode
+	}{{"auto", ModeAuto}, {"uniform", ModeUniform}, {"cascade", ModeCascade}} {
+		e, err := New(prog, Options{Mode: mode.Mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range []struct{ query, want string }{
+			{"edge(X, Y)", "X=c0,Y=c1|X=c1,Y=c2|X=c2,Y=c0"},
+			{"edge(c0, Y)[add: edge(c0, c5)]", "Y=c1|Y=c5"},
+		} {
+			var got []Binding
+			info, err := e.Read(context.Background(), Request{Kind: ReadQuery, Query: rd.query}, collectInto(&got))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", mode.name, rd.query, err)
+			}
+			if s := bindingSet(got); s != rd.want {
+				t.Errorf("%s: %s = %s, want %s", mode.name, rd.query, s, rd.want)
+			}
+			if info.Stats.Enumerated != 0 || info.Stats.Goals != 0 {
+				t.Errorf("%s: %s enumerated %d bindings and asked %d goals, want 0 and 0",
+					mode.name, rd.query, info.Stats.Enumerated, info.Stats.Goals)
+			}
+		}
+	}
+}
