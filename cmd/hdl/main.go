@@ -256,7 +256,7 @@ func runQuery(eng *hypo.Engine, q string, stats bool, deadline time.Duration) (a
 		}
 	}
 	if stats {
-		// The query's own work; table and depth are the engine's gauges.
+		// The query's own work and depth; table is the engine's gauge.
 		st := info.Stats
 		fmt.Printf("   %% goals=%d table=%d hits=%d cuts=%d depth=%d\n",
 			st.Goals, st.TableSize, st.TableHits, st.LoopCuts, st.MaxDepth)

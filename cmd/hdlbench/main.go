@@ -12,13 +12,16 @@
 // test holds every smoke case's counters to it exactly.
 //
 // With -compare the run is also held against an earlier results file:
-// hdlbench prints each experiment's median new/old ratios of ns, B and
-// allocs per op over the cases both share, and exits non-zero if any work
+// hdlbench prints each experiment's median new/old ratios of B and allocs
+// per op over the cases both share, and exits non-zero if any work
 // counter of a shared case differs. So
 //
 //	hdlbench -json new.json -compare BENCH_core.json
 //
-// is the check that a change moved time and memory but not work.
+// is the check that a change moved memory but not work. It prints no
+// ns/op ratio: one run of each side swings too far on a shared host to
+// read, so timing needs repeated, interleaved runs (medians and quartiles
+// per case); -json still records every case's ns/op for them.
 package main
 
 import (
@@ -39,7 +42,7 @@ func main() {
 	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	smoke := fs.Bool("smoke", false, "use the small sweep sizes the tests run")
 	jsonOut := fs.String("json", "", "also write the typed results to this file as JSON")
-	compare := fs.String("compare", "", "hold the results to an earlier -json file: median ratios, and exit 1 if a shared case's work counters differ")
+	compare := fs.String("compare", "", "hold the results to an earlier -json file: median B and allocs ratios, and exit 1 if a shared case's work counters differ")
 	_ = fs.Parse(os.Args[1:]) // ExitOnError
 
 	// testing.Benchmark reads -test.benchtime. A tenth of a second is

@@ -365,10 +365,10 @@ func (o Options) metricSet() *metrics.Set {
 
 // Engine answers queries against a program.
 type Engine struct {
-	prog   *Program
-	asker  engine.Asker
-	uni    *topdown.Engine // non-nil in uniform mode (for Explain)
-	domSet map[symbols.Const]bool
+	prog    *Program
+	ev      *engine.Cascade // the evaluator; one stratum in uniform mode
+	uniform bool            // built in ModeUniform, which Explain needs
+	domSet  map[symbols.Const]bool
 
 	// version is the data version of the program this engine was built
 	// against; set by Pool on engines serving a live program, zero
@@ -436,8 +436,7 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 			return err
 		}
 	}
-	base := e.asker.EmptyState().Base
-	in := e.asker.Interner()
+	base, in := e.ev.Base(), e.ev.Interner()
 	added, removed := effectiveDelta(ms, func(a ast.Atom) bool {
 		ca, cerr := compileGroundAtom(a, e.prog.syms)
 		if cerr != nil {
@@ -465,7 +464,7 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 // and must be discarded (Pool rebuilds; the public ApplyDelta surfaces
 // the error).
 func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols.Pred]bool) error {
-	in := e.asker.Interner()
+	in := e.ev.Interner()
 	addIDs := make([]facts.AtomID, len(added))
 	for i, ca := range added {
 		addIDs[i] = in.Ground(ca, nil)
@@ -478,7 +477,7 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	// (models maintained, dropped, rematerialised) to this engine's set.
 	before := e.Stats()
 	defer func() { e.charge(e.Stats().Sub(before)) }()
-	return e.asker.ApplyDelta(addIDs, remIDs, cone)
+	return e.ev.ApplyDelta(addIDs, remIDs, cone)
 }
 
 // compileDelta compiles effective surface-level delta atoms and collects
@@ -558,15 +557,9 @@ func (s *substrate) clone() *substrate {
 }
 
 // assemble is the one engine constructor: it builds the evaluator the
-// options select over a substrate the engine takes ownership of.
+// options select — the cascade, or its one-stratum form, the uniform
+// evaluator NoTabling reaches — over a substrate the engine takes over.
 func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
-	dom, domSet := domainInfo(p, opts)
-	e := &Engine{
-		prog:   p,
-		domSet: domSet,
-		mets:   opts.metricSet(),
-		budget: &topdown.Budget{Max: opts.MaxGoals, Mem: newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db)},
-	}
 	mode := opts.Mode
 	if mode == ModeAuto {
 		mode = ModeUniform
@@ -574,21 +567,26 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 			mode = ModeCascade
 		}
 	}
-	switch mode {
-	case ModeUniform:
-		e.uni = topdown.NewWithBase(p.comp, sub.db, dom, topdown.Options{NoTabling: opts.NoTabling}, e.budget)
-		e.asker = e.uni
-	case ModeCascade:
-		if p.strt == nil {
-			return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
-		}
-		cas, err := engine.NewCascadeWithBase(p.comp, p.strt, dom, sub.db, e.budget)
-		if err != nil {
-			return nil, err
-		}
-		e.asker = cas
-	default:
+	s, noTabling := p.strt, false
+	switch {
+	case mode == ModeUniform:
+		s, noTabling = nil, opts.NoTabling
+	case mode != ModeCascade:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
+	case s == nil:
+		return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
+	}
+	dom, domSet := domainInfo(p, opts)
+	e := &Engine{
+		prog:    p,
+		uniform: s == nil,
+		domSet:  domSet,
+		mets:    opts.metricSet(),
+		budget:  &topdown.Budget{Max: opts.MaxGoals, Mem: newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db)},
+	}
+	var err error
+	if e.ev, err = engine.NewCascadeWithBase(p.comp, s, dom, sub.db, noTabling, e.budget); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -666,20 +664,21 @@ func (e *Engine) Explain(query string) (out string, err error) {
 // explain is Explain's body, run by Explain and Pool.ExplainCtx inside
 // measured.
 func (e *Engine) explain(query string) (string, error) {
-	if e.uni == nil {
+	if !e.uniform {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}
 	r, err := compileRead(Request{Kind: ReadQuery, Query: query}, e.prog.syms, e.domSet)
 	if err != nil {
 		return "", err
 	}
-	if len(r.names) > 0 {
+	if r.body.NumVars > 0 {
 		return "", fmt.Errorf("hypo: Explain needs a ground query")
 	}
-	if k := r.premise.Kind; k != ast.Plain && k != ast.Hyp {
+	pr := &r.body.Body[0]
+	if pr.Kind != ast.Plain && pr.Kind != ast.Hyp {
 		return "", fmt.Errorf("hypo: Explain supports plain and hypothetical queries")
 	}
-	proof, err := e.uni.Explain(e.uni.Interner().Instance(&r.premise, nil, e.uni.EmptyState()))
+	proof, err := e.ev.Explain(e.ev.Interner().Instance(pr, nil, e.ev.EmptyState()))
 	if err != nil {
 		return "", err
 	}

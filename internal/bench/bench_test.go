@@ -206,7 +206,7 @@ func TestCompare(t *testing.T) {
 	}
 	for _, want := range []string{
 		"3 shared cases, 1 only in this run, 1 only in the baseline",
-		"E1         3    0.75    1.00       1.00",
+		"E1         3    1.00       1.00",
 		"work counters: identical in all 3 shared cases",
 	} {
 		if !strings.Contains(table, want) {
@@ -215,6 +215,9 @@ func TestCompare(t *testing.T) {
 	}
 	if strings.Contains(table, "E2") || strings.Contains(table, "E3") {
 		t.Errorf("unshared experiments in the table:\n%s", table)
+	}
+	if strings.Contains(table, "ns/op") {
+		t.Errorf("the table prints a one-run ns/op ratio:\n%s", table)
 	}
 
 	cur[1].Counters = Counters{"goals": 7}

@@ -8,15 +8,17 @@ import (
 
 // Compare holds one run's results against an earlier run's (a committed
 // BENCH_core.json) case by case. It returns a table of each experiment's
-// median new/old ratios of ns, bytes and allocations per op over the cases
+// median new/old ratios of bytes and allocations per op over the cases
 // both runs share, and one error line for every shared case whose work
-// counters differ: time may move between runs, work may not.
+// counters differ: time may move between runs, work may not. It prints no
+// ns/op ratio: one run of each side on a shared host swings far past any
+// change worth measuring, so timing needs repeated, interleaved runs.
 func Compare(old, cur []Result) (table string, diffs []error) {
 	before := map[string]Result{}
 	for _, r := range old {
 		before[r.Experiment+"/"+r.Case] = r
 	}
-	type ratios struct{ ns, bytes, allocs []float64 }
+	type ratios struct{ bytes, allocs []float64 }
 	byExp := map[string]*ratios{}
 	var order []string
 	shared := 0
@@ -35,7 +37,6 @@ func Compare(old, cur []Result) (table string, diffs []error) {
 			byExp[r.Experiment] = x
 			order = append(order, r.Experiment)
 		}
-		x.ns = appendRatio(x.ns, r.NsPerOp, o.NsPerOp)
 		x.bytes = appendRatio(x.bytes, float64(r.BytesPerOp), float64(o.BytesPerOp))
 		x.allocs = appendRatio(x.allocs, float64(r.AllocsPerOp), float64(o.AllocsPerOp))
 	}
@@ -43,10 +44,10 @@ func Compare(old, cur []Result) (table string, diffs []error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== compare: %d shared cases, %d only in this run, %d only in the baseline; median new/old ==\n",
 		shared, len(cur)-shared, len(old)-shared)
-	fmt.Fprintf(&b, "%-5s  %5s  %6s  %6s  %9s\n", "exp", "cases", "ns/op", "B/op", "allocs/op")
+	fmt.Fprintf(&b, "%-5s  %5s  %6s  %9s\n", "exp", "cases", "B/op", "allocs/op")
 	for _, id := range order {
 		x := byExp[id]
-		fmt.Fprintf(&b, "%-5s  %5d  %6s  %6s  %9s\n", id, len(x.ns), median(x.ns), median(x.bytes), median(x.allocs))
+		fmt.Fprintf(&b, "%-5s  %5d  %6s  %9s\n", id, len(x.allocs), median(x.bytes), median(x.allocs))
 	}
 	if len(diffs) == 0 {
 		fmt.Fprintf(&b, "work counters: identical in all %d shared cases\n", shared)

@@ -3,7 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,14 +21,14 @@ import (
 )
 
 // buildBoth compiles a linearly stratifiable program and returns the
-// uniform engine and the cascade over it.
-func buildBoth(t *testing.T, src string) (*topdown.Engine, *Cascade, *ast.CProgram) {
+// uniform evaluator (the one-stratum cascade) and the cascade over it.
+func buildBoth(t *testing.T, src string) (*Cascade, *Cascade, *ast.CProgram) {
 	t.Helper()
 	return buildBothWith(t, src, nil)
 }
 
 // buildBothWith is buildBoth with the cascade built around the budget b.
-func buildBothWith(t *testing.T, src string, b *topdown.Budget) (*topdown.Engine, *Cascade, *ast.CProgram) {
+func buildBothWith(t *testing.T, src string, b *topdown.Budget) (*Cascade, *Cascade, *ast.CProgram) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -41,7 +44,10 @@ func buildBothWith(t *testing.T, src string, b *topdown.Budget) (*topdown.Engine
 		t.Fatalf("compile: %v", err)
 	}
 	dom := ref.Domain(cp)
-	uni := topdown.New(cp, dom, topdown.Options{}, nil)
+	uni, err := NewCascade(cp, nil, dom, nil)
+	if err != nil {
+		t.Fatalf("uniform: %v", err)
+	}
 	cas, err := NewCascade(cp, s, dom, b)
 	if err != nil {
 		t.Fatalf("cascade: %v", err)
@@ -49,9 +55,9 @@ func buildBothWith(t *testing.T, src string, b *topdown.Budget) (*topdown.Engine
 	return uni, cas, cp
 }
 
-// compileQuery compiles a ground query premise against the program's
-// symbols.
-func compileQuery(t *testing.T, cp *ast.CProgram, query string) ast.CPremise {
+// compileQuery compiles a query premise against the program's symbols
+// into the one-premise body a read runs.
+func compileQuery(t *testing.T, cp *ast.CProgram, query string) *ast.CRule {
 	t.Helper()
 	pr, err := parser.ParsePremise(query)
 	if err != nil {
@@ -62,17 +68,28 @@ func compileQuery(t *testing.T, cp *ast.CProgram, query string) ast.CPremise {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cpr
+	return &ast.CRule{Body: []ast.CPremise{cpr}, NumVars: len(names), VarNames: names}
 }
 
-func askBoth(t *testing.T, uni *topdown.Engine, cas *Cascade, cp *ast.CProgram, query string) bool {
+// holds decides a ground read in the empty state: it holds when Read
+// yields its one empty binding.
+func holds(c *Cascade, body *ast.CRule) (bool, error) {
+	ok := false
+	err := c.Read(body, c.EmptyState(), func([]symbols.Const) error {
+		ok = true
+		return nil
+	})
+	return ok, err
+}
+
+func askBoth(t *testing.T, uni, cas *Cascade, cp *ast.CProgram, query string) bool {
 	t.Helper()
-	cpr := compileQuery(t, cp, query)
-	u, err := AskPremise(uni, cpr, nil, uni.EmptyState())
+	body := compileQuery(t, cp, query)
+	u, err := holds(uni, body)
 	if err != nil {
 		t.Fatalf("uniform %q: %v", query, err)
 	}
-	c, err := AskPremise(cas, cpr, nil, cas.EmptyState())
+	c, err := holds(cas, body)
 	if err != nil {
 		t.Fatalf("cascade %q: %v", query, err)
 	}
@@ -263,6 +280,8 @@ func TestCascadeDeletionFuzz(t *testing.T) {
 	}
 }
 
+// TestSolutions: an open read streams every binding that makes its
+// premise hold, on the uniform evaluator and on the cascade.
 func TestSolutions(t *testing.T) {
 	src := `
 		take(tony, his101).
@@ -271,19 +290,10 @@ func TestSolutions(t *testing.T) {
 		grad(S) :- take(S, his101), take(S, eng201).
 	`
 	uni, cas, cp := buildBoth(t, src)
-	pr, err := parser.ParsePremise("grad(S)[add: take(S, eng201)]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := map[string]int{}
-	var names []string
-	cpr, err := ast.CompilePremise(pr, cp.Syms, vars, &names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []Asker{uni, cas} {
+	body := compileQuery(t, cp, "grad(S)[add: take(S, eng201)]")
+	for _, c := range []*Cascade{uni, cas} {
 		got := map[string]bool{}
-		err := Solutions(a, new(topdown.Budget), cpr, len(names), a.EmptyState(), func(s Solution) error {
+		err := c.Read(body, c.EmptyState(), func(s []symbols.Const) error {
 			got[cp.Syms.ConstName(s[0])] = true
 			return nil
 		})
@@ -299,18 +309,13 @@ func TestSolutions(t *testing.T) {
 	}
 }
 
+// TestSolutionsGroundQuery: a ground read that holds yields one empty
+// binding.
 func TestSolutionsGroundQuery(t *testing.T) {
 	uni, _, cp := buildBoth(t, "p(a).\nq(X) :- p(X).")
-	pr, _ := parser.ParsePremise("q(a)")
-	vars := map[string]int{}
-	var names []string
-	cpr, err := ast.CompilePremise(pr, cp.Syms, vars, &names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sols []Solution
-	err = Solutions(uni, new(topdown.Budget), cpr, len(names), uni.EmptyState(), func(s Solution) error {
-		sols = append(sols, s)
+	var sols [][]symbols.Const
+	err := uni.Read(compileQuery(t, cp, "q(a)"), uni.EmptyState(), func(s []symbols.Const) error {
+		sols = append(sols, slices.Clone(s))
 		return nil
 	})
 	if err != nil {
@@ -340,9 +345,9 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 	}
 	ask := func(query string) (bool, error) {
 		t.Helper()
-		cpr := compileQuery(t, cp, query)
+		body := compileQuery(t, cp, query)
 		mem.Begin()
-		return AskPremise(cas, cpr, nil, cas.EmptyState())
+		return holds(cas, body)
 	}
 	drop := func() {
 		for _, se := range cas.sigma {
@@ -410,7 +415,7 @@ func TestCascadeAsksOneComponent(t *testing.T) {
 		t.Helper()
 		b := new(topdown.Budget)
 		_, cas, cp := buildBothWith(t, src, b)
-		ok, err := AskPremise(cas, compileQuery(t, cp, query), nil, cas.EmptyState())
+		ok, err := holds(cas, compileQuery(t, cp, query))
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
@@ -460,8 +465,8 @@ func TestCascadeAsksOneComponent(t *testing.T) {
 // TestCascadeDeadline: every component of a cascade draws on the Budget
 // it was built with, so one Begin bounds the whole query. A Hamiltonian
 // refutation over a complete 11-node core — Σ search and Δ
-// materialisations alike — stops at its deadline, asked as a ground
-// premise or enumerated by Solutions, and the Budget serves the next
+// materialisations alike — stops at its deadline, read as a ground
+// premise or enumerated by an open read, and the Budget serves the next
 // query unharmed.
 func TestCascadeDeadline(t *testing.T) {
 	g := workload.Digraph{N: 12} // v11 is isolated: there is no Hamiltonian path
@@ -476,9 +481,9 @@ func TestCascadeDeadline(t *testing.T) {
 	_, cas, cp := buildBothWith(t, workload.HamiltonianProgram(g), b)
 	yes, open := compileQuery(t, cp, "yes"), compileQuery(t, cp, "path(X)[add: pnode(X)]")
 	for name, read := range map[string]func() error{
-		"AskPremise": func() error { _, err := AskPremise(cas, yes, nil, cas.EmptyState()); return err },
-		"Solutions": func() error {
-			return Solutions(cas, b, open, 1, cas.EmptyState(), func(Solution) error { return nil })
+		"ground": func() error { _, err := holds(cas, yes); return err },
+		"open": func() error {
+			return cas.Read(open, cas.EmptyState(), func([]symbols.Const) error { return nil })
 		},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -499,7 +504,40 @@ func TestCascadeDeadline(t *testing.T) {
 	if err := b.Begin(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := AskPremise(cas, compileQuery(t, cp, "node(v0)"), nil, cas.EmptyState()); err != nil || !ok {
+	if ok, err := holds(cas, compileQuery(t, cp, "node(v0)")); err != nil || !ok {
 		t.Fatalf("node(v0) after the aborts = %v, %v; want true", ok, err)
+	}
+}
+
+// TestCascadeOpenDeltaReadDeadline: an open read of a Δ predicate asks
+// the top Σ engine's resolver for every instance, and once the Δ model is
+// materialised an instance counts no goal and runs no join, so only the
+// read's own tick per root instance polls the context. Over 700
+// constants, q(X, Y) has 490,000 instances and three answers; the read
+// stops at its deadline without a goal.
+func TestCascadeOpenDeltaReadDeadline(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("e(c0, c1).\ne(c1, c2).\ne(c2, c0).\nq(X, Y) :- e(X, Y).\n")
+	for i := 3; i < 700; i++ {
+		fmt.Fprintf(&src, "pad(c%d).\n", i)
+	}
+	b := new(topdown.Budget)
+	_, cas, cp := buildBothWith(t, src.String(), b)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := b.Begin(ctx)
+	if err == nil {
+		err = cas.Read(compileQuery(t, cp, "q(X, Y)"), cas.EmptyState(), func([]symbols.Const) error { return nil })
+	}
+	b.End()
+	if !errors.Is(err, topdown.ErrDeadline) {
+		t.Fatalf("q(X, Y) = %v, want ErrDeadline", err)
+	}
+	if d := time.Since(start); d >= 500*time.Millisecond {
+		t.Errorf("aborted after %v, want well under 500ms", d)
+	}
+	if g := b.Work().Goals; g != 0 {
+		t.Errorf("the read asked %d goals, want 0", g)
 	}
 }

@@ -490,11 +490,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	results := make([]batchResult, len(req.Queries))
 	err := t.Pool().Do(ctx, func(e *hypo.Engine) error {
 		ri.dataVersion = e.DataVersion()
-		before := e.Stats()
-		defer func() { ri.stats = e.Stats().Sub(before) }()
+		before, depth := e.Stats(), 0
+		defer func() {
+			// The ledger's depth is the engine's lifetime maximum; the
+			// batch's is the deepest of its reads' own.
+			ri.stats = e.Stats().Sub(before)
+			ri.stats.MaxDepth = depth
+		}()
 		for i, item := range req.Queries {
-			res, abort := evalBatchItem(ctx, e, item)
-			results[i] = res
+			res, d, abort := evalBatchItem(ctx, e, item)
+			results[i], depth = res, max(depth, d)
 			if abort != nil {
 				for j := i + 1; j < len(req.Queries); j++ {
 					results[j] = batchResult{Error: &errorBody{
@@ -521,15 +526,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 // batchKinds maps a batch item's kind to its read.
 var batchKinds = map[string]hypo.ReadKind{"ask": hypo.ReadAsk, "askunder": hypo.ReadAskUnder, "query": hypo.ReadQuery}
 
-// evalBatchItem runs one batch entry on the leased engine. Item-level
-// problems (bad query, unknown kind, budget) land in the result; an
-// abort is also returned so the batch stops.
-func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchResult, error) {
+// evalBatchItem runs one batch entry on the leased engine and reports its
+// read's deepest proof stack. Item-level problems (bad query, unknown
+// kind, budget) land in the result; an abort is also returned so the
+// batch stops.
+func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchResult, int, error) {
 	kind := item.Kind
 	if kind == "" {
 		kind = "ask"
 	}
 	var res batchResult
+	var info hypo.ReadInfo
 	var err error
 	rk, known := batchKinds[kind]
 	switch {
@@ -539,13 +546,13 @@ func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchRe
 		err = errors.New(errAddNotAskUnder)
 	case rk == hypo.ReadQuery:
 		res.Bindings = []hypo.Binding{}
-		_, err = e.Read(ctx, hypo.Request{Kind: rk, Query: item.Query}, func(b hypo.Binding) error {
+		info, err = e.Read(ctx, hypo.Request{Kind: rk, Query: item.Query}, func(b hypo.Binding) error {
 			res.Bindings = append(res.Bindings, b)
 			return nil
 		})
 	default:
 		ok := false
-		_, err = e.Read(ctx, hypo.Request{Kind: rk, Query: item.Query, Add: item.Add}, func(hypo.Binding) error {
+		info, err = e.Read(ctx, hypo.Request{Kind: rk, Query: item.Query, Add: item.Add}, func(hypo.Binding) error {
 			ok = true
 			return nil
 		})
@@ -556,10 +563,10 @@ func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchRe
 		_, ekind, _ := classify(err)
 		res.Error = &errorBody{Kind: ekind, Message: err.Error()}
 		if errors.Is(err, hypo.ErrCanceled) || errors.Is(err, hypo.ErrDeadline) {
-			return res, err
+			return res, info.Stats.MaxDepth, err
 		}
 	}
-	return res, nil
+	return res, info.Stats.MaxDepth, nil
 }
 
 // handleFacts commits a mutation batch against the live store. It does

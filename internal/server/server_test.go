@@ -766,6 +766,32 @@ func TestAccessLogFields(t *testing.T) {
 	}
 }
 
+// TestBatchLogsItsOwnDepth: a batch's access-log max_depth is the
+// deepest of its own reads, not the leased engine's lifetime maximum. On
+// the n = 40 chain, a1 under b1 walks the whole chain; a batch asking a39
+// on the same engine afterwards logs a shallower stack.
+func TestBatchLogsItsOwnDepth(t *testing.T) {
+	var buf syncBuffer
+	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	_, ts := newTestServer(t, workload.ChainProgram(40), hypo.Options{Mode: hypo.ModeUniform, PoolSize: 1}, Config{Logger: logger})
+	post(t, ts.Client(), ts.URL+"/v1/askunder", `{"query": "a1", "add": ["b1"]}`)
+	post(t, ts.Client(), ts.URL+"/v1/batch", `{"queries": [{"query": "a39"}]}`)
+
+	depth := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var entry map[string]any
+		if json.Unmarshal([]byte(line), &entry) != nil || entry["msg"] != "request" {
+			continue
+		}
+		if ep, ok := entry["endpoint"].(string); ok {
+			depth[ep], _ = entry["max_depth"].(float64)
+		}
+	}
+	if deep, batch := depth["askunder"], depth["batch"]; deep == 0 || batch >= deep {
+		t.Errorf("askunder logged max_depth %v, the batch after it %v; want the batch's own, shallower stack", deep, batch)
+	}
+}
+
 // syncBuffer is a mutex-guarded bytes.Buffer: slog handlers may be
 // called from concurrent request goroutines.
 type syncBuffer struct {

@@ -22,6 +22,7 @@ type Budget struct {
 	Stats Stats
 
 	begun Stats           // the ledger when the current query began
+	depth int             // the current query's deepest proof stack
 	ctx   context.Context // the query's, or nil when it cannot be canceled
 	ticks int64
 }
@@ -37,6 +38,7 @@ const ctxCheckInterval = 256
 // ErrDeadline.
 func (b *Budget) Begin(ctx context.Context) error {
 	b.begun = b.Stats
+	b.depth = 0
 	b.Mem.Begin()
 	b.ctx = nil
 	if ctx == nil || ctx.Done() == nil {
@@ -67,11 +69,23 @@ func (b *Budget) Goal() *AbortError {
 }
 
 // Work returns the current query's work: the ledger less its reading at
-// Begin, with MemBytes the meter's growth since Begin.
+// Begin, with MaxDepth the query's deepest proof stack and MemBytes the
+// meter's growth since Begin.
 func (b *Budget) Work() Stats {
 	s := b.Stats.Sub(b.begun)
+	s.MaxDepth = b.depth
 	s.MemBytes = b.Mem.Grown()
 	return s
+}
+
+// noteDepth records a proof stack of depth d: the query's gauge, read by
+// Work, starts at 0 at Begin, and the ledger's MaxDepth keeps the
+// evaluator's lifetime maximum.
+func (b *Budget) noteDepth(d int) {
+	if d > b.depth {
+		b.depth = d
+		b.Stats.MaxDepth = max(b.Stats.MaxDepth, d)
+	}
 }
 
 // Tick counts one step of the query's work — a goal expansion, a Δ-part

@@ -102,7 +102,8 @@ func (e *Engine) Explain(goal facts.AtomID, st facts.State) (*Proof, error) {
 
 // explain reconstructs one derivation through prove's own body evaluation:
 // evalBody offers each rule instance that holds, in the planner's order, to
-// a continuation that builds its sub-proofs. An on-path set guards against
+// a continuation that builds its sub-proofs. The premises are proved one
+// frame below the goal, as prove proves them. An on-path set guards against
 // cyclic reconstruction; an instance whose sub-proof would repeat an
 // on-path goal is rejected and the enumeration moves on (a provable goal
 // always has an acyclic derivation, so this stays complete).
@@ -124,7 +125,7 @@ func (e *Engine) explain(goal facts.AtomID, st facts.State, onPath map[tableKey]
 			continue
 		}
 		var proof *Proof
-		ok, _, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, 0, func() (bool, error) {
+		ok, _, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, 1, func() (bool, error) {
 			children, ok, err := e.explainInstance(rule, binding, st, onPath)
 			if ok {
 				proof = &Proof{

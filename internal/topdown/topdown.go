@@ -136,7 +136,8 @@ type Stats struct {
 
 // Sub returns the evaluation work between an earlier snapshot of the same
 // ledger and s: counters are differenced, the MaxDepth and TableSize
-// gauges keep s's reading.
+// gauges keep s's reading. A ledger's MaxDepth is its evaluator's lifetime
+// maximum; a query's own is in Budget.Work.
 func (s Stats) Sub(before Stats) Stats {
 	s.Goals -= before.Goals
 	s.TableHits -= before.TableHits
@@ -242,13 +243,14 @@ func NewWithBase(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, opts Opt
 
 // indexPreds builds the per-predicate tables from the program's rule
 // index and Options.ExternalIDB. A predicate with rules here is
-// intensional even if ExternalIDB lists it.
+// intensional even if ExternalIDB lists it, and without a Resolver
+// ExternalIDB lists nothing.
 func (e *Engine) indexPreds() {
 	n := e.prog.Syms.NumPreds()
 	e.kinds = make([]predKind, n)
 	e.byHead = make([][]int, n)
 	for p, ok := range e.opts.ExternalIDB {
-		if ok {
+		if ok && e.opts.Resolver != nil {
 			e.kinds[p] = external
 		}
 	}
@@ -323,29 +325,42 @@ func (e *Engine) PruneTable(cone map[symbols.Pred]bool) int {
 	return n
 }
 
-// ApplyDelta mutates the engine's base database in place with a commit's
-// effective fact delta and invalidates the memo entries the change can
-// affect. The caller must not be mid-query, and the removed/added ids
-// must already be interned in this engine's interner.
-func (e *Engine) ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred]bool) error {
-	for _, id := range removed {
-		e.base.Remove(id)
+// Ask reports whether the interned ground atom is derivable in the state:
+// R, DB+Δ ⊢ A. State membership, an extensional predicate and a
+// resolver-owned one are answered before a goal is counted; every other
+// goal is proved in the state normalised by its must-add set. It aborts
+// with an *AbortError when the engine's Budget runs out or its query's
+// context is done.
+func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
+	if st.Has(goal) {
+		return true, nil
 	}
-	for _, id := range added {
-		if _, err := e.base.Insert(id); err != nil {
-			return err
-		}
+	pred := e.in.Pred(goal)
+	switch e.kind(pred) {
+	case extensional:
+		return false, nil
+	case external:
+		return e.opts.Resolver(goal, st)
 	}
-	e.PruneTable(cone)
-	return nil
+	ok, _, err := e.prove(goal, st.Normalised(pred), 0)
+	return ok, err
 }
 
-// Ask reports whether the interned ground atom is derivable in the state:
-// R, DB+Δ ⊢ A. It aborts with an *AbortError when the engine's Budget
-// runs out or its query's context is done.
-func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
-	ok, _, err := e.prove(goal, st.Normalised(e.in.Pred(goal)), 0)
-	return ok, err
+// Read streams the bindings under which a read holds in st. The read is a
+// one-premise body, NumVars its variables; evalBody runs it as it runs a
+// rule body, and the continuation yields each binding and rejects it, so
+// the search moves on to the next. Ask decides each instance of the
+// premise, read negated for a negated premise. Every instance and every
+// matched answer ticks the Budget, so a read whose cost is the
+// enumeration itself still aborts promptly. The yielded slice, in slot
+// order, is valid only during the call; a non-nil error from yield stops
+// the enumeration and is returned verbatim.
+func (e *Engine) Read(body *ast.CRule, st facts.State, yield func([]symbols.Const) error) error {
+	binding := ast.NewBinding(body.NumVars)
+	_, _, err := e.evalBody(body, binding, 1, st, 0, func() (bool, error) {
+		return false, yield(binding)
+	})
+	return err
 }
 
 // prove implements the tabled DFS. depth doubles as this goal's frame
@@ -360,20 +375,17 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 		return false, maxFrame, ae
 	}
 	e.budget.Stats.Goals++
-	if depth > e.budget.Stats.MaxDepth {
-		e.budget.Stats.MaxDepth = depth
-	}
+	e.budget.noteDepth(depth)
 	if st.Has(goal) {
 		return true, maxFrame, nil
 	}
 	pred := e.in.Pred(goal)
-	if k := e.kind(pred); k != intensional {
-		if k == external && e.opts.Resolver != nil {
-			ok, err := e.opts.Resolver(goal, st)
-			return ok, maxFrame, err
-		}
-		// Extensional predicate: only state membership can make it true.
+	switch e.kind(pred) {
+	case extensional: // only state membership can make it true
 		return false, maxFrame, nil
+	case external:
+		ok, err := e.opts.Resolver(goal, st)
+		return ok, maxFrame, err
 	}
 	// The table keys on the part of the state the goal can read, which
 	// decides it (DESIGN §3); the on-stack check keys on the whole state.
@@ -421,10 +433,10 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	return false, minTouched, nil
 }
 
-// Extensional reports whether a predicate is neither defined by this
+// isExtensional reports whether a predicate is neither defined by this
 // engine's rules nor owned by the resolver: a goal of it holds exactly
 // when the state has it.
-func (e *Engine) Extensional(p symbols.Pred) bool {
+func (e *Engine) isExtensional(p symbols.Pred) bool {
 	return e.kind(p) == extensional
 }
 
@@ -445,7 +457,9 @@ type bodyCont func() (bool, error)
 // evalBody proves the premises indicated by mask under binding, choosing
 // the next premise with the planner. A nil k accepts the first instance
 // that holds — prove's path; Explain passes one that builds the
-// instance's derivation. Returns (proved, minTouchedFrame).
+// instance's derivation, and Read one that yields it. depth is the frame
+// index the premises' proofs start at: 0 only for a read's premise, whose
+// instances Ask decides. Returns (proved, minTouchedFrame).
 func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	if mask == 0 {
 		if k == nil {
@@ -460,19 +474,42 @@ func (e *Engine) evalBody(rule *ast.CRule, binding []symbols.Const, mask uint64,
 
 	// Enumerate any unbound variables the premise needs, then evaluate it
 	// and recurse on the remaining premises.
-	if pr.Kind == ast.Plain && e.Extensional(pr.Atom.Pred) {
-		// Extensional: matching the state is complete.
+	if e.matchable(pr, binding) {
 		return e.evalEDBPremise(rule, pr, binding, rest, st, depth, k)
 	}
 	return e.evalEnumerated(rule, pr, binding, rest, st, depth, k)
 }
 
-// evalEDBPremise matches an extensional premise against the state, which
-// is complete because extensional predicates have no rules. Each match
-// extends the binding.
+// matchable reports whether a premise's instances that hold are the
+// matches of its atom in the state it is asked in: a plain or
+// hypothetical premise over an extensional predicate, whose adds and dels
+// are bound.
+func (e *Engine) matchable(pr *ast.CPremise, binding []symbols.Const) bool {
+	return pr.Kind != ast.Negated && e.isExtensional(pr.Atom.Pred) && bound(pr.Adds, binding) && bound(pr.Dels, binding)
+}
+
+// bound reports whether binding binds every variable of atoms.
+func bound(atoms []ast.CAtom, binding []symbols.Const) bool {
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			if t.IsVar() && binding[t.VarSlot()] == ast.Unbound {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// evalEDBPremise matches an extensional premise against the state it is
+// asked in (the rule's, extended by its adds and dels), which is complete
+// because extensional predicates have no rules. Each match extends the
+// binding and ticks the Budget.
 func (e *Engine) evalEDBPremise(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	minTouched := maxFrame
-	_, err := facts.Match(st, pr.Atom, binding, func() error {
+	_, err := facts.Match(e.in.Under(pr, binding, st), pr.Atom, binding, func() error {
+		if ae := e.budget.Tick(); ae != nil {
+			return ae
+		}
 		res, touched, err := e.evalBody(rule, binding, rest, st, depth, k)
 		minTouched = min(minTouched, touched)
 		if err == nil && res {
@@ -492,11 +529,11 @@ func (e *Engine) evalEDBPremise(rule *ast.CRule, pr *ast.CPremise, binding []sym
 // errStop is an internal sentinel to stop match enumeration early.
 var errStop = fmt.Errorf("topdown: stop")
 
-// evalEnumerated handles intensional plain, hypothetical and negated
-// premises: unbound variables range over the domain (Definition 3's
-// "ground substitution over dom(R, DB)"), and each ground instance is
-// proved recursively — a negated one in a region of its own (negCheck).
-// The negation rewrite leaves no variable that only a negation binds.
+// evalEnumerated handles every premise matchable does not: unbound
+// variables range over the domain (Definition 3's "ground substitution
+// over dom(R, DB)"), and each ground instance is proved recursively — a
+// negated one in a region of its own (negCheck). The negation rewrite
+// leaves no variable that only a negation binds.
 func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int, k bodyCont) (bool, int, error) {
 	minTouched := maxFrame
 	tried, err := ast.Assign(appendUnboundSlots(nil, pr, binding), e.dom, binding, func() error {
@@ -523,9 +560,18 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 }
 
 // instanceHolds proves the ground instance of a plain, hypothetical or
-// negated premise under binding; a negated one in a region of its own.
+// negated premise under binding; a negated one in a region of its own. A
+// read's instance (depth 0) is its root: Ask decides it, after a tick,
+// since Ask may count no goal.
 func (e *Engine) instanceHolds(pr *ast.CPremise, binding []symbols.Const, st facts.State, depth int) (bool, int, error) {
 	goal, st := e.in.Instance(pr, binding, st)
+	if depth == 0 {
+		if ae := e.budget.Tick(); ae != nil {
+			return false, maxFrame, ae
+		}
+		ok, err := e.Ask(goal, st)
+		return ok != (pr.Kind == ast.Negated), maxFrame, err
+	}
 	if pr.Kind == ast.Negated {
 		held, err := e.negCheck(goal, st)
 		return !held, maxFrame, err
@@ -617,7 +663,7 @@ func (e *Engine) premiseCost(pr *ast.CPremise, binding []symbols.Const, st facts
 	}
 	switch pr.Kind {
 	case ast.Plain:
-		if e.Extensional(pr.Atom.Pred) {
+		if e.isExtensional(pr.Atom.Pred) {
 			if unboundCount == 0 {
 				return 0
 			}

@@ -67,9 +67,9 @@ func ask(t *testing.T, e *Engine, cp *ast.CProgram, query string) bool {
 	return ok
 }
 
-// askPremise decides a ground premise as engine.AskPremise does (this
-// package's tests cannot import it): the premise's atom, in the state
-// extended by its adds and dels, read negated for a negated premise.
+// askPremise decides a ground premise as a read decides its root
+// instance: Ask of the premise's atom, in the state extended by its adds
+// and dels, read negated for a negated premise.
 func askPremise(e *Engine, p ast.CPremise, st facts.State) (bool, error) {
 	ok, err := e.Ask(e.in.Instance(&p, nil, st))
 	return ok != (p.Kind == ast.Negated), err
@@ -269,6 +269,24 @@ func TestStatsAndTable(t *testing.T) {
 	e.ResetTable()
 	if e.budget.Stats.TableSize != 0 {
 		t.Errorf("table not cleared")
+	}
+}
+
+// TestHypExtensionalPremiseMatches: a hypothetical premise over an
+// extensional predicate, its adds bound, is matched in the state its adds
+// make, as a plain one is in the rule's state: r(a) takes Y from e's atoms
+// under e(a, z) instead of ranging Y over dom and proving each e(a, Y).
+// Over 50 filler constants it costs one goal, r(a)'s own.
+func TestHypExtensionalPremiseMatches(t *testing.T) {
+	src := "d(a).\ne(b, c).\nr(X) :- d(X), e(X, Y)[add: e(X, z)].\n"
+	for i := 0; i < 50; i++ {
+		src += fmt.Sprintf("pad(c%d).\n", i)
+	}
+	e, cp := newEngine(t, src, Options{})
+	expect(t, e, cp, "r(a)", true)
+	expect(t, e, cp, "r(b)", false)
+	if g, n := e.budget.Stats.Goals, e.budget.Stats.Enumerated; g != 2 || n != 0 {
+		t.Errorf("r(a) and r(b) asked %d goals and enumerated %d bindings, want 2 and 0", g, n)
 	}
 }
 

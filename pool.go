@@ -526,7 +526,7 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 	// its admission effect: at most PoolSize explanations run at once.
 	err = pl.Do(ctx, func(e *Engine) (err error) {
 		info = ReadInfo{DataVersion: e.version, Cache: CacheBypass}
-		if e.uni == nil {
+		if !e.uniform {
 			cur := pl.cur.Load()
 			sub, err := cur.substrate()
 			if err != nil {

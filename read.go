@@ -10,7 +10,6 @@ import (
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/cache"
-	"hypodatalog/internal/engine"
 	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/symbols"
@@ -24,8 +23,9 @@ import (
 //
 //   - compileRead: parse, validate read-only, then intern. Nothing a
 //     rejected read mentions reaches the shared symbol table.
-//   - (*Engine).eval: state = empty + adds, enumerate σ; a ground read
-//     yields one empty binding when it holds.
+//   - (*Engine).eval: state = empty + adds, then the premise run as a
+//     one-premise rule body, which enumerates σ; a ground read yields one
+//     empty binding when it holds.
 //   - (*Pool).read: data-version pinning, the answer cache above the
 //     lease, the lease itself, per-query measurement and replay.
 
@@ -76,10 +76,9 @@ type Request struct {
 
 // compiledRead is one read, validated and interned.
 type compiledRead struct {
-	kind    ReadKind
-	premise ast.CPremise
-	names   []string    // variable name per solution slot; empty when ground
-	adds    []ast.CAtom // outer hypothetical adds (AskUnder)
+	kind ReadKind
+	body ast.CRule   // the premise as a one-premise body; VarNames in slot order
+	adds []ast.CAtom // outer hypothetical adds (AskUnder)
 
 	// key is the canonical answer-cache key: the kind, the parsed premise
 	// rendered back to surface syntax (so formatting differences collapse)
@@ -147,9 +146,11 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 		}
 		r.adds = append(r.adds, ca)
 	}
-	if r.premise, err = ast.CompilePremise(pr, syms, map[string]int{}, &r.names); err != nil {
+	cpr, err := ast.CompilePremise(pr, syms, map[string]int{}, &r.body.VarNames)
+	if err != nil {
 		return nil, err
 	}
+	r.body.Body, r.body.NumVars = []ast.CPremise{cpr}, len(r.body.VarNames)
 	return r, nil
 }
 
@@ -160,13 +161,13 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 // symbol table. A non-nil error from yield stops the enumeration and is
 // returned verbatim.
 func (e *Engine) eval(r *compiledRead, yield func(Binding) error) error {
-	st := e.asker.EmptyState()
+	st := e.ev.EmptyState()
 	for _, ca := range r.adds {
-		st = st.Add(e.asker.Interner().Ground(ca, nil))
+		st = st.Add(e.ev.Interner().Ground(ca, nil))
 	}
-	return engine.Solutions(e.asker, e.budget, r.premise, len(r.names), st, func(s engine.Solution) error {
-		b := make(Binding, len(r.names))
-		for slot, name := range r.names {
+	return e.ev.Read(&r.body, st, func(s []symbols.Const) error {
+		b := make(Binding, len(s))
+		for slot, name := range r.body.VarNames {
 			b[name] = e.prog.syms.ConstName(s[slot])
 		}
 		return yield(b)
@@ -293,7 +294,7 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 			bytes = bindingsBytes(acc)
 		}
 		return cache.Computed{
-			Val:   &cachedAnswer{bindings: acc, version: info.DataVersion, preds: premisePreds(r.premise, r.adds)},
+			Val:   &cachedAnswer{bindings: acc, version: info.DataVersion, preds: premisePreds(r.body.Body[0], r.adds)},
 			Bytes: bytes,
 			Store: info.DataVersion == key.Version,
 		}, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hypodatalog/internal/metrics"
+	"hypodatalog/internal/workload"
 )
 
 // readSurface is Read of one kind, or one of the shims kept over it,
@@ -310,6 +311,12 @@ func TestReadSurfaceConformance(t *testing.T) {
 	}
 }
 
+// readModes are the modes every read is held to, by name.
+var readModes = []struct {
+	name string
+	Mode
+}{{"auto", ModeAuto}, {"uniform", ModeUniform}, {"cascade", ModeCascade}}
+
 // TestOpenReadsMatch: an open read of a predicate the program does not
 // define takes its bindings from the state's matching atoms, in every
 // mode, plain or under ground adds. On E8's padded cycle — three edges
@@ -322,10 +329,7 @@ func TestOpenReadsMatch(t *testing.T) {
 		src += fmt.Sprintf("pad(c%d).\n", i)
 	}
 	prog := mustParse(t, src)
-	for _, mode := range []struct {
-		name string
-		Mode
-	}{{"auto", ModeAuto}, {"uniform", ModeUniform}, {"cascade", ModeCascade}} {
+	for _, mode := range readModes {
 		e, err := New(prog, Options{Mode: mode.Mode})
 		if err != nil {
 			t.Fatal(err)
@@ -346,6 +350,83 @@ func TestOpenReadsMatch(t *testing.T) {
 				t.Errorf("%s: %s enumerated %d bindings and asked %d goals, want 0 and 0",
 					mode.name, rd.query, info.Stats.Enumerated, info.Stats.Goals)
 			}
+		}
+	}
+}
+
+// TestGroundExtensionalReads: a ground read of a predicate the program
+// does not define is decided by the state it is asked in — plain, under
+// a ground add or del, or negated — in every mode, and asks no goal.
+func TestGroundExtensionalReads(t *testing.T) {
+	prog := mustParse(t, "edge(c0, c1).\nedge(c1, c2).\nreach(X, Y) :- edge(X, Y).\n")
+	for _, mode := range readModes {
+		e, err := New(prog, Options{Mode: mode.Mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range []struct {
+			query string
+			want  bool
+		}{
+			{"edge(c0, c1)", true},
+			{"edge(c0, c2)", false},
+			{"edge(c0, c2)[add: edge(c0, c2)]", true},
+			{"edge(c1, c0)[add: edge(c0, c2)]", false},
+			{"edge(c0, c1)[del: edge(c0, c1)]", false},
+			{"not edge(c0, c2)", true},
+			{"not edge(c0, c1)", false},
+		} {
+			ok := false
+			info, err := e.Read(context.Background(), Request{Kind: ReadAsk, Query: rd.query}, holds(&ok))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", mode.name, rd.query, err)
+			}
+			if ok != rd.want {
+				t.Errorf("%s: %s = %v, want %v", mode.name, rd.query, ok, rd.want)
+			}
+			if info.Stats.Goals != 0 {
+				t.Errorf("%s: %s asked %d goals, want 0", mode.name, rd.query, info.Stats.Goals)
+			}
+		}
+	}
+}
+
+// TestReadReportsItsOwnDepth: a read's MaxDepth is its own deepest proof
+// stack, not the engine's lifetime one. On the n = 40 chain, a1 under b1
+// walks the whole chain; a39 asked after it on the same engine reports
+// the depth it reports on a fresh engine, and Engine.Stats keeps the
+// lifetime maximum.
+func TestReadReportsItsOwnDepth(t *testing.T) {
+	prog := mustParse(t, workload.ChainProgram(40))
+	depth := func(e *Engine, req Request) int {
+		t.Helper()
+		info, err := e.Read(context.Background(), req, func(Binding) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Stats.MaxDepth
+	}
+	deepReq := Request{Kind: ReadAskUnder, Query: "a1", Add: []string{"b1"}}
+	shallowReq := Request{Kind: ReadAsk, Query: "a39"}
+	for _, mode := range readModes[1:] {
+		e, err := New(prog, Options{Mode: mode.Mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(prog, Options{Mode: mode.Mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := depth(fresh, shallowReq)
+		deep := depth(e, deepReq)
+		if deep <= want {
+			t.Fatalf("%s: a1 under b1 reached depth %d, a39 %d: the chain is not deeper", mode.name, deep, want)
+		}
+		if got := depth(e, shallowReq); got != want {
+			t.Errorf("%s: a39 after a1 under b1 reports depth %d; on a fresh engine %d", mode.name, got, want)
+		}
+		if got := e.Stats().MaxDepth; got != deep {
+			t.Errorf("%s: Engine.Stats().MaxDepth = %d, want the lifetime maximum %d", mode.name, got, deep)
 		}
 	}
 }
