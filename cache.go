@@ -1,10 +1,5 @@
 package hypo
 
-import (
-	"hypodatalog/internal/ast"
-	"hypodatalog/internal/symbols"
-)
-
 // CacheStatus reports how a Pool read was served when the versioned
 // answer cache (Options.CacheBytes) is enabled.
 type CacheStatus int
@@ -55,41 +50,6 @@ type ReadInfo struct {
 type cachedAnswer struct {
 	bindings []Binding
 	version  uint64
-
-	// preds are the predicates the answer depends on from the outside: the
-	// query's root predicate plus any hypothetically added/deleted ones.
-	// On a commit the pool carries the entry forward to the new version
-	// when none of them fall inside the commit's affected cone — the
-	// answer is then version-stable by construction. nil means "unknown;
-	// never carry".
-	preds []symbols.Pred
-}
-
-// premisePreds collects the predicates a compiled premise reads at the
-// root: the queried atom's predicate plus every hypothetical add/del,
-// and any extra atoms (AskUnder's outer adds). Reverse-closed cones make
-// this sufficient for carry-forward: if none of these predicates are in
-// a commit's cone, no changed predicate is reachable from the query.
-func premisePreds(cpr ast.CPremise, extra []ast.CAtom) []symbols.Pred {
-	seen := make(map[symbols.Pred]bool, 1+len(cpr.Adds)+len(cpr.Dels)+len(extra))
-	out := make([]symbols.Pred, 0, 1+len(cpr.Adds)+len(cpr.Dels)+len(extra))
-	add := func(p symbols.Pred) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	add(cpr.Atom.Pred)
-	for _, a := range cpr.Adds {
-		add(a.Pred)
-	}
-	for _, a := range cpr.Dels {
-		add(a.Pred)
-	}
-	for _, a := range extra {
-		add(a.Pred)
-	}
-	return out
 }
 
 // boolAnswerBytes is the charged size of a cached ground answer.

@@ -484,9 +484,9 @@ func metamorphicStorm(t *testing.T, opts Options) {
 	}
 }
 
-// TestCacheCarriesAcrossUnrelatedCommit: a commit invalidates only the
-// cached answers whose premises intersect its cone; everything else is
-// re-keyed to the new version and keeps serving without evaluation.
+// TestCacheCarriesAcrossUnrelatedCommit: no cached answer outlives its
+// data version, whether or not the commit could have changed it: after a
+// commit every read is a miss at the new version, never a stale hit.
 // liveSrc has two independent cones — flag/light and edge/reach.
 func TestCacheCarriesAcrossUnrelatedCommit(t *testing.T) {
 	l := openLive(t, Options{CacheBytes: 1 << 20, Mode: ModeUniform})
@@ -504,39 +504,28 @@ func TestCacheCarriesAcrossUnrelatedCommit(t *testing.T) {
 		}
 	}
 
-	// Commit inside the edge/reach cone only.
+	// Commit inside the edge/reach cone only. Both reads are misses at v1:
+	// light(off) is outside the cone and re-evaluates to the same answer,
+	// reach(a, b) is inside it and must not be served its old answer.
 	if _, err := l.Apply(mutations(t, []string{"edge(b, c)"}, nil)); err != nil {
 		t.Fatal(err)
 	}
-
-	// light(off) is outside the cone: its answer was carried to v1 and
-	// still serves as a hit.
-	ok, info, err := pl.AskInfoCtx(ctx, "light(off)")
-	if err != nil || !ok {
-		t.Fatalf("light(off) after commit: ok=%v err=%v", ok, err)
-	}
-	if info.Cache != CacheHit {
-		t.Fatalf("light(off) after unrelated commit served %v, want carried hit", info.Cache)
-	}
-	if info.DataVersion != 1 {
-		t.Fatalf("carried hit at version %d, want 1", info.DataVersion)
+	for _, q := range []string{"light(off)", "reach(a, b)"} {
+		ok, info, err := pl.AskInfoCtx(ctx, q)
+		if err != nil || !ok {
+			t.Fatalf("%q after commit: ok=%v err=%v", q, ok, err)
+		}
+		if info.Cache != CacheMiss || info.DataVersion != 1 {
+			t.Fatalf("%q after commit served %v at version %d, want a miss at 1", q, info.Cache, info.DataVersion)
+		}
 	}
 
-	// reach(a, b) is inside the cone: the old answer must not survive.
-	ok, info, err = pl.AskInfoCtx(ctx, "reach(a, b)")
-	if err != nil || !ok {
-		t.Fatalf("reach(a, b) after commit: ok=%v err=%v", ok, err)
-	}
-	if info.Cache != CacheMiss {
-		t.Fatalf("reach(a, b) after in-cone commit served %v, want miss", info.Cache)
-	}
-
-	// A commit in the flag/light cone drops the carried entry: the next
-	// light read is a miss, not a stale carried answer.
+	// A commit in the flag/light cone: the next light read is a miss, not
+	// a stale answer.
 	if _, err := l.Apply(mutations(t, []string{"flag(a)"}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	ok, info, err = pl.AskInfoCtx(ctx, "light(a)")
+	ok, info, err := pl.AskInfoCtx(ctx, "light(a)")
 	if err != nil || !ok {
 		t.Fatalf("light(a) after flag commit: ok=%v err=%v", ok, err)
 	}

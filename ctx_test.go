@@ -127,16 +127,49 @@ func TestQueryCtxDeadline(t *testing.T) {
 	}
 }
 
+// stuckSrc's "yes" enumerates 16^9 bindings (workload.StuckJoinProgram),
+// for the tests that need a read to outlive its deadline with tabling on.
+var stuckSrc = workload.StuckJoinProgram(16, 8)
+
+// TestStuckJoinOutlivesDeadlines pins stuckSrc to its purpose: in both
+// evaluators, refuting "yes" takes at least 20 times the longest deadline
+// a test gives it (30 s, TestQueryClientGoneMidStream's). A 200 ms run
+// measures the rate; every binding costs at least one unit of work (the
+// negated premise's goal in the uniform evaluator, a join probe in the
+// cascade's Δ part), so the rate bounds the whole enumeration from below.
+func TestStuckJoinOutlivesDeadlines(t *testing.T) {
+	const bindings = 1 << 36 // 16^9
+	for _, mode := range []Mode{ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			e := mustEngine(t, stuckSrc, Options{Mode: mode})
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err := e.Read(ctx, Request{Kind: ReadAsk, Query: "yes"}, holds(new(bool)))
+			elapsed := time.Since(start)
+			var ae *AbortError
+			if !errors.As(err, &ae) || !errors.Is(err, ErrDeadline) {
+				t.Fatalf("read = %v, want ErrDeadline", err)
+			}
+			work := ae.Stats.Goals + ae.Stats.JoinProbes
+			if work == 0 {
+				t.Fatalf("no work recorded: %+v", ae.Stats)
+			}
+			if whole := time.Duration(float64(elapsed) * bindings / float64(work)); whole < 20*30*time.Second {
+				t.Errorf("%d units of work in %v: the whole read takes about %v, want at least 10m", work, elapsed, whole)
+			}
+		})
+	}
+}
+
 // TestExplainCtxDeadline: an explanation is a proof search like any read,
 // so the request's deadline bounds it, not only the wait for an engine.
 // Explanations run on a uniform engine — a cascade pool builds a
-// throwaway one — and NoTabling keeps the search running past the
-// deadline there.
+// throwaway one.
 func TestExplainCtxDeadline(t *testing.T) {
-	src := workload.HamiltonianProgram(hardHamiltonian(t))
 	for _, mode := range []Mode{ModeUniform, ModeCascade} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			pl, err := NewPool(mustParse(t, src), Options{Mode: mode, NoTabling: true, PoolSize: 1})
+			pl, err := NewPool(mustParse(t, stuckSrc), Options{Mode: mode, PoolSize: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,10 +56,8 @@ import (
 	"hash/fnv"
 	"io"
 	"strings"
-	"sync"
 
 	"hypodatalog/internal/ast"
-	"hypodatalog/internal/depgraph"
 	"hypodatalog/internal/engine"
 	"hypodatalog/internal/facts"
 	"hypodatalog/internal/metrics"
@@ -106,15 +104,11 @@ type Program struct {
 	strt *strat.Stratification // nil if not linearly stratifiable
 	serr error                 // why strt is nil
 
-	// graph returns the dependency graph of the rewritten rules, which
-	// commit cones are computed against: an auxiliary predicate is then in
-	// the cone of what its premise reads, and a commit prunes its memo
-	// entries too. It is built once, on first use, and depends only on the
-	// rules, so every data version derived by withFacts shares it.
-	graph func() *depgraph.Graph
-	// rel is the rules' keying stage — the relevance classes every
-	// engine's interner projects states onto and the must-add sets it
-	// normalises them by. Like strt it is computed when the program is
+	// rel is the rewritten rules' dependency analysis: the cones a
+	// commit's affected predicates and a Δ part's token effects are read
+	// from, and the keying stage derived from them — the relevance classes
+	// every engine's interner projects states onto and the must-add sets
+	// it normalises them by. Like strt it is computed when the program is
 	// built, not per engine, and shared by every data version.
 	rel *facts.Relevance
 
@@ -153,10 +147,10 @@ func ParseFile(path string) (*Program, error) {
 
 // FromAST builds a Program from an already-constructed AST, which it does
 // not modify. The engines run the program the section 3.1 rewrite makes
-// of it (ast.RewriteNegation): validation, stratification, compilation,
-// relevance and the graph commit cones are cut from all see the
-// rewritten rules, and String, AST, WriteSnapshot and RulesHash the
-// user's.
+// of it (ast.RewriteNegation): validation, stratification, compilation
+// and the dependency analysis see the rewritten rules, and String, AST,
+// WriteSnapshot and RulesHash the user's. Recursion through negation is
+// the one stratification failure that is an error.
 func FromAST(p *ast.Program) (*Program, error) {
 	rw := ast.RewriteNegation(p)
 	if errs := ast.Validate(rw); len(errs) > 0 {
@@ -166,21 +160,17 @@ func FromAST(p *ast.Program) (*Program, error) {
 		}
 		return nil, errors.New(strings.Join(msgs, "; "))
 	}
-	if err := strat.CheckNegation(rw); err != nil {
-		return nil, err
+	strt, serr := strat.Stratify(rw)
+	var nse *strat.NotStratifiableError
+	if errors.As(serr, &nse) && nse.Negation {
+		return nil, serr
 	}
 	syms := symbols.NewTable()
 	cp, err := ast.Compile(rw, syms)
 	if err != nil {
 		return nil, err
 	}
-	out := &Program{src: p, comp: cp, syms: syms}
-	out.strt, out.serr = strat.Stratify(rw)
-	out.graph = sync.OnceValue(func() *depgraph.Graph {
-		return depgraph.Build(&ast.Program{Rules: rw.Rules})
-	})
-	out.rel = facts.NewRelevance(cp)
-	return out, nil
+	return &Program{src: p, comp: cp, syms: syms, strt: strt, serr: serr, rel: facts.NewRelevance(cp)}, nil
 }
 
 // String renders the program back in surface syntax.
@@ -231,7 +221,7 @@ func (p *Program) withFacts(fs []ast.Atom, pinDom []symbols.Const) (*Program, er
 		IDB:      p.comp.IDB,
 		MaxArity: maxAr,
 	}
-	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, graph: p.graph, rel: p.rel}, nil
+	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, rel: p.rel}, nil
 }
 
 // AST returns the program's syntax tree as the user wrote it, before the
@@ -330,9 +320,6 @@ type Options struct {
 	// means unlimited (accounting stays on, so Pool.MemBytes and tenant
 	// quotas still see the footprint). Enforced in both modes.
 	MaxMemoryBytes int64
-	// NoTabling disables the uniform engine's memo table, for ablations
-	// and for tests that need a query to stay intractable.
-	NoTabling bool
 	// ExtraDomain adds constants to dom(R, DB) so that queries may
 	// mention symbols absent from the program.
 	ExtraDomain []string
@@ -449,14 +436,14 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 		id, ok := in.Lookup(ca.Pred, args)
 		return ok && base.Has(id)
 	})
-	cadd, crem, seeds, err := compileDelta(added, removed, e.prog.syms)
+	cadd, crem, err := compileDelta(added, removed, e.prog.syms)
 	if err != nil {
 		return err
 	}
 	if len(cadd)+len(crem) == 0 {
 		return nil
 	}
-	return e.applyDeltaCompiled(cadd, crem, e.prog.coneOf(seeds))
+	return e.applyDeltaCompiled(cadd, crem, e.prog.rel.Affected(cadd, crem))
 }
 
 // applyDeltaCompiled applies an effective, already-compiled base-fact
@@ -480,48 +467,23 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	return e.ev.ApplyDelta(addIDs, remIDs, cone)
 }
 
-// compileDelta compiles effective surface-level delta atoms and collects
-// their distinct predicate signatures — the seeds of the affected cone.
-func compileDelta(added, removed []ast.Atom, syms *symbols.Table) (cadd, crem []ast.CAtom, seeds []ast.PredSig, err error) {
-	seen := map[ast.PredSig]bool{}
-	note := func(a ast.Atom) {
-		sig := ast.PredSig{Name: a.Pred, Arity: a.Arity()}
-		if !seen[sig] {
-			seen[sig] = true
-			seeds = append(seeds, sig)
-		}
-	}
+// compileDelta compiles effective surface-level delta atoms.
+func compileDelta(added, removed []ast.Atom, syms *symbols.Table) (cadd, crem []ast.CAtom, err error) {
 	for _, a := range added {
 		ca, cerr := compileGroundAtom(a, syms)
 		if cerr != nil {
-			return nil, nil, nil, cerr
+			return nil, nil, cerr
 		}
 		cadd = append(cadd, ca)
-		note(a)
 	}
 	for _, a := range removed {
 		ca, cerr := compileGroundAtom(a, syms)
 		if cerr != nil {
-			return nil, nil, nil, cerr
+			return nil, nil, cerr
 		}
 		crem = append(crem, ca)
-		note(a)
 	}
-	return cadd, crem, seeds, nil
-}
-
-// coneOf translates the dependency-graph cone of the seed predicates into
-// interned predicates. Cone members never interned (mentioned by no
-// compiled rule or fact) are dropped — no evaluation can reference them.
-func (p *Program) coneOf(seeds []ast.PredSig) map[symbols.Pred]bool {
-	sigCone := p.graph().Cone(seeds)
-	cone := make(map[symbols.Pred]bool, len(sigCone))
-	for sig := range sigCone {
-		if pr, ok := p.syms.LookupPred(sig.Name, sig.Arity); ok {
-			cone[pr] = true
-		}
-	}
-	return cone
+	return cadd, crem, nil
 }
 
 // New builds an engine for a program.
@@ -558,7 +520,7 @@ func (s *substrate) clone() *substrate {
 
 // assemble is the one engine constructor: it builds the evaluator the
 // options select — the cascade, or its one-stratum form, the uniform
-// evaluator NoTabling reaches — over a substrate the engine takes over.
+// evaluator — over a substrate the engine takes over.
 func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 	mode := opts.Mode
 	if mode == ModeAuto {
@@ -567,10 +529,10 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 			mode = ModeCascade
 		}
 	}
-	s, noTabling := p.strt, false
+	s := p.strt
 	switch {
 	case mode == ModeUniform:
-		s, noTabling = nil, opts.NoTabling
+		s = nil
 	case mode != ModeCascade:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
 	case s == nil:
@@ -585,7 +547,7 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 		budget:  &topdown.Budget{Max: opts.MaxGoals, Mem: newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db)},
 	}
 	var err error
-	if e.ev, err = engine.NewCascadeWithBase(p.comp, s, dom, sub.db, noTabling, e.budget); err != nil {
+	if e.ev, err = engine.NewCascadeWithBase(p.comp, s, dom, sub.db, e.budget); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -321,14 +321,14 @@ func TestCommitSubstrateSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	// Plain SetProgram records no history, so every stale/new lease takes
+	// Plain setProgram records no history, so every stale/new lease takes
 	// the rebuild path.
 	p2, err := p.withFacts(p.src.Facts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := metrics.Default.LiveSubstrateBuilds.Value()
-	pl.SetProgram(p2, 1)
+	pl.setProgram(p2, 1)
 
 	var ready, release sync.WaitGroup
 	ready.Add(k)

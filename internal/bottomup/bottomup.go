@@ -42,7 +42,7 @@ type Prover struct {
 	own      map[symbols.Pred]bool    // predicates defined by those rules
 	levels   [][]*rule                // rules grouped by negation sub-stratum
 	level    map[symbols.Pred]int     // own predicate -> index of its level
-	deps     *premiseDeps             // what the movable premises depend on, computed on first use
+	movable  []movable                // premises a grown state can move, besides by growing them
 	cache    map[facts.StateID]*model // state -> materialised model
 	maxCache int
 	rootBusy bool // the empty state's model is being computed
@@ -107,6 +107,14 @@ func New(cp *ast.CProgram, base *facts.DB, dom []symbols.Const, rules []int, ora
 		return nil, err
 	}
 	p.levels = lv
+	for _, cr := range p.rules {
+		for i := range cr.r.Body {
+			pr := &cr.r.Body[i]
+			if pr.Kind != ast.Plain || p.oracleOwned(pr.Atom.Pred) {
+				p.movable = append(p.movable, movable{pred: pr.Atom.Pred, level: p.level[cr.r.Head.Pred], neg: pr.Kind == ast.Negated})
+			}
+		}
+	}
 	return p, nil
 }
 
@@ -306,80 +314,30 @@ type effect struct {
 	cold bool
 }
 
-// premiseDeps is what the part's premises that can move under a grown
-// state depend on, gathered once per prover.
-type premiseDeps struct {
-	negFrom map[symbols.Pred]int  // predicate -> first level negating a premise that depends on it
-	cold    map[symbols.Pred]bool // predicates an oracle-answered or hypothetical premise depends on
-	negAll  int                   // first level negating a premise that depends on everything
-	coldAll bool                  // an oracle-answered or hypothetical premise depends on everything
+// movable is a premise whose answers a grown state can change other than
+// by growing them: a negated one, which can lose answers from its level
+// on, or an oracle-answered or hypothetical one (cold).
+type movable struct {
+	pred  symbols.Pred
+	level int
+	neg   bool
 }
 
+// effect reads the program's cones (facts.Relevance.Reads): a movable
+// premise moves when its cone holds q.
 func (p *Prover) effect(q symbols.Pred) effect {
-	if p.deps == nil {
-		p.deps = p.premiseDeps()
-	}
-	d := p.deps
-	e := effect{from: d.negAll, cold: p.own[q] || d.coldAll || d.cold[q]}
-	if l, ok := d.negFrom[q]; ok {
-		e.from = min(e.from, l)
+	e := effect{from: len(p.levels), cold: p.own[q]}
+	rel := p.in.Relevance()
+	for _, m := range p.movable {
+		switch {
+		case !rel.Reads(m.pred, q):
+		case m.neg:
+			e.from = min(e.from, m.level)
+		default:
+			e.cold = true
+		}
 	}
 	return e
-}
-
-func (p *Prover) premiseDeps() *premiseDeps {
-	d := &premiseDeps{negFrom: map[symbols.Pred]int{}, cold: map[symbols.Pred]bool{}, negAll: len(p.levels)}
-	for _, cr := range p.rules {
-		lvl := p.level[cr.r.Head.Pred]
-		for i := range cr.r.Body {
-			pr := &cr.r.Body[i]
-			neg := pr.Kind == ast.Negated
-			if !neg && pr.Kind == ast.Plain && !p.oracleOwned(pr.Atom.Pred) {
-				continue // grows with the state: propagation handles it
-			}
-			deps, all := p.dependsOn(pr.Atom.Pred)
-			switch {
-			case neg && all:
-				d.negAll = min(d.negAll, lvl)
-			case neg:
-				for q := range deps {
-					if l, ok := d.negFrom[q]; !ok || lvl < l {
-						d.negFrom[q] = lvl
-					}
-				}
-			case all:
-				d.coldAll = true
-			default:
-				for q := range deps {
-					d.cold[q] = true
-				}
-			}
-		}
-	}
-	return d
-}
-
-// dependsOn returns pred and every predicate its rules reach through
-// premises of any kind, and whether one of them is intensional with no
-// rule in the program: defined elsewhere, by the oracle alone, and so
-// taken to depend on everything.
-func (p *Prover) dependsOn(pred symbols.Pred) (map[symbols.Pred]bool, bool) {
-	seen, all := map[symbols.Pred]bool{pred: true}, false
-	for stack := []symbols.Pred{pred}; len(stack) > 0; {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		rs := p.prog.ByHead[q]
-		all = all || (len(rs) == 0 && p.prog.IDB[q])
-		for _, ri := range rs {
-			for _, pr := range p.prog.Rules[ri].Body {
-				if !seen[pr.Atom.Pred] {
-					seen[pr.Atom.Pred] = true
-					stack = append(stack, pr.Atom.Pred)
-				}
-			}
-		}
-	}
-	return seen, all
 }
 
 // fixpoint builds the model level by level (the paper's LFP_i / T_i

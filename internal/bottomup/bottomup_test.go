@@ -34,7 +34,7 @@ func build(t *testing.T, src string, oracle Oracle, below ...string) (*Prover, *
 		isBelow[cp.Syms.Pred(name, 1)] = true
 		cp.IDB[cp.Syms.Pred(name, 1)] = true
 	}
-	base, _ := facts.Load(cp, nil)
+	base, _ := facts.Load(cp, facts.NewRelevance(cp))
 	var rules []int
 	for i := range cp.Rules {
 		if !isBelow[cp.Rules[i].Head.Pred] {
@@ -145,7 +145,7 @@ func TestOracleCalls(t *testing.T) {
 	hPred := cp.Syms.Pred("h", 1)
 	cp.IDB[qPred] = true
 	cp.IDB[sPred] = true
-	base, _ := facts.Load(cp, nil)
+	base, _ := facts.Load(cp, facts.NewRelevance(cp))
 	in := base.Interner()
 	oracleCalls := 0
 	oracle := func(goal facts.AtomID, st facts.State) (bool, error) {
@@ -185,7 +185,7 @@ func TestMissingOracleIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.IDB[cp.Syms.Pred("q", 1)] = true // q intensional, no oracle
-	base, _ := facts.Load(cp, nil)
+	base, _ := facts.Load(cp, facts.NewRelevance(cp))
 	in := base.Interner()
 	p, err := New(cp, base, ref.Domain(cp), []int{0}, nil, nil)
 	if err != nil {

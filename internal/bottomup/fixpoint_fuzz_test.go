@@ -242,13 +242,28 @@ func (cov *coverage) classify(p *Prover, st facts.State) {
 }
 
 // unread reports whether no premise of the part depends on the predicate
-// of any of the atoms.
+// of any of the atoms: the predicate is not reachable from the premise's
+// through the program's rules, and no intensional predicate without a
+// rule (answered elsewhere, so depending on everything) is.
 func (p *Prover) unread(atoms []facts.AtomID) bool {
 	for _, cr := range p.rules {
 		for _, pr := range cr.r.Body {
-			deps, all := p.dependsOn(pr.Atom.Pred)
+			seen, all := map[symbols.Pred]bool{pr.Atom.Pred: true}, false
+			for stack := []symbols.Pred{pr.Atom.Pred}; len(stack) > 0; {
+				q := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				all = all || p.prog.IDB[q] && len(p.prog.ByHead[q]) == 0
+				for _, ri := range p.prog.ByHead[q] {
+					for _, b := range p.prog.Rules[ri].Body {
+						if !seen[b.Atom.Pred] {
+							seen[b.Atom.Pred] = true
+							stack = append(stack, b.Atom.Pred)
+						}
+					}
+				}
+			}
 			for _, id := range atoms {
-				if all || deps[p.in.Pred(id)] {
+				if all || seen[p.in.Pred(id)] {
 					return false
 				}
 			}

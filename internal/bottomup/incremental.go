@@ -2,8 +2,8 @@
 // (extensional) fact commits.
 //
 // A commit that adds and removes base facts invalidates derived state
-// only inside the *affected cone* — the predicates that can reach a
-// changed predicate in the dependency graph (depgraph.Cone). A Δ prover
+// only inside the *affected cone* — the predicates whose cones hold a
+// changed predicate (facts.Relevance.Affected). A Δ prover
 // whose own predicates are outside the cone keeps every cached model
 // untouched. An affected prover drops the models of its hypothetical
 // states — a later read derives them again from the empty state's — and

@@ -286,63 +286,6 @@ func (s *shard) insert(c *Cache, k Key, val any, bytes int64) int64 {
 	return evicted
 }
 
-// CarryForward re-keys entries from version `from` to version `to` when
-// the caller can prove the commit between them could not have changed
-// their answer. rekey is consulted for every entry at version `from`: it
-// receives the key and stored value and returns the value to store at
-// {to, Query} plus whether to carry it at all (return the same value, or
-// a copy with any embedded version field updated — the cache stores
-// whatever it gets back). Entries rekey declines stay behind and age out
-// as usual. A carried entry never overwrites a fresher one: if the
-// target key already has an entry or an in-flight computation, the carry
-// is skipped (the racing miss computed at the new version wins).
-//
-// rekey runs with a shard lock held and must not call back into the
-// cache. Returns how many entries were carried.
-func (c *Cache) CarryForward(from, to uint64, rekey func(k Key, val any) (any, bool)) int64 {
-	if to <= from || rekey == nil {
-		return 0
-	}
-	type carry struct {
-		q     string
-		val   any
-		bytes int64
-	}
-	var carries []carry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.entries {
-			if k.Version != from {
-				continue
-			}
-			if val, ok := rekey(k, e.val); ok {
-				// e.bytes includes the key length and overhead; strip them
-				// back out so insert's own accounting applies once.
-				carries = append(carries, carry{k.Query, val, e.bytes - int64(len(k.Query)) - entryOverhead})
-			}
-		}
-		s.mu.Unlock()
-	}
-	var carried int64
-	for _, cr := range carries {
-		k := Key{Version: to, Query: cr.q}
-		s := c.shardFor(k)
-		s.mu.Lock()
-		_, haveEntry := s.entries[k]
-		_, haveFlight := s.flights[k]
-		if !haveEntry && !haveFlight {
-			evicted := s.insert(c, k, cr.val, cr.bytes)
-			c.evictions.Add(evicted)
-			c.mets.CacheEvictions.Add(evicted)
-			carried++
-		}
-		s.mu.Unlock()
-	}
-	c.mets.CacheCarried.Add(carried)
-	return carried
-}
-
 // Invalidate drops every entry whose version is older than minVersion,
 // returning how many were dropped. The version-in-key scheme makes this
 // optional (stale entries are never served); it exists so callers can

@@ -374,104 +374,3 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("stats %+v: expected both hits and misses", st)
 	}
 }
-
-func TestCarryForwardRekeysEntries(t *testing.T) {
-	c := New(1<<20, nil)
-	mustDo(t, c, Key{Version: 3, Query: "keep"}, "k")
-	mustDo(t, c, Key{Version: 3, Query: "drop"}, "d")
-	mustDo(t, c, Key{Version: 2, Query: "old"}, "o")
-	n := c.CarryForward(3, 4, func(k Key, val any) (any, bool) {
-		if k.Version != 3 {
-			t.Errorf("rekey saw version %d, want 3", k.Version)
-		}
-		if k.Query == "drop" {
-			return nil, false
-		}
-		return val.(string) + "'", true
-	})
-	if n != 1 {
-		t.Fatalf("carried %d, want 1", n)
-	}
-	if v, ok := c.Get(Key{Version: 4, Query: "keep"}); !ok || v.(string) != "k'" {
-		t.Fatalf("carried entry: %v %v", v, ok)
-	}
-	if _, ok := c.Get(Key{Version: 4, Query: "drop"}); ok {
-		t.Fatal("declined entry was carried")
-	}
-	if _, ok := c.Get(Key{Version: 4, Query: "old"}); ok {
-		t.Fatal("entry at a different source version was carried")
-	}
-	// The source entries stay behind (they age out naturally).
-	if _, ok := c.Get(Key{Version: 3, Query: "keep"}); !ok {
-		t.Fatal("source entry vanished")
-	}
-}
-
-func TestCarryForwardNeverOverwrites(t *testing.T) {
-	c := New(1<<20, nil)
-	mustDo(t, c, Key{Version: 1, Query: "q"}, "stale")
-	mustDo(t, c, Key{Version: 2, Query: "q"}, "fresh")
-	n := c.CarryForward(1, 2, func(k Key, val any) (any, bool) { return val, true })
-	if n != 0 {
-		t.Fatalf("carried %d over an existing entry, want 0", n)
-	}
-	if v, _ := c.Get(Key{Version: 2, Query: "q"}); v.(string) != "fresh" {
-		t.Fatalf("carry overwrote a fresher entry: %v", v)
-	}
-}
-
-func TestCarryForwardSkipsActiveFlights(t *testing.T) {
-	c := New(1<<20, nil)
-	mustDo(t, c, Key{Version: 1, Query: "q"}, "stale")
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _, _ = c.Do(context.Background(), Key{Version: 2, Query: "q"}, func() (Computed, error) {
-			close(started)
-			<-release
-			return Computed{Val: "fresh", Bytes: 8, Store: true}, nil
-		})
-	}()
-	<-started
-	n := c.CarryForward(1, 2, func(k Key, val any) (any, bool) { return val, true })
-	close(release)
-	<-done
-	if n != 0 {
-		t.Fatalf("carried %d past an active flight, want 0", n)
-	}
-	if v, _ := c.Get(Key{Version: 2, Query: "q"}); v.(string) != "fresh" {
-		t.Fatalf("flight's answer lost: %v", v)
-	}
-}
-
-func TestCarryForwardDegenerateArgs(t *testing.T) {
-	c := New(1<<20, nil)
-	mustDo(t, c, Key{Version: 2, Query: "q"}, "v")
-	if n := c.CarryForward(2, 2, func(Key, any) (any, bool) { return nil, true }); n != 0 {
-		t.Fatalf("same-version carry: %d", n)
-	}
-	if n := c.CarryForward(3, 2, func(Key, any) (any, bool) { return nil, true }); n != 0 {
-		t.Fatalf("backwards carry: %d", n)
-	}
-	if n := c.CarryForward(2, 3, nil); n != 0 {
-		t.Fatalf("nil rekey carry: %d", n)
-	}
-}
-
-func TestCarryForwardAccountsBytes(t *testing.T) {
-	c := New(1<<20, nil)
-	mustDo(t, c, Key{Version: 1, Query: "q"}, "v")
-	before := c.Stats()
-	c.CarryForward(1, 2, func(k Key, val any) (any, bool) { return val, true })
-	after := c.Stats()
-	if after.Entries != before.Entries+1 {
-		t.Fatalf("entries %d -> %d, want +1", before.Entries, after.Entries)
-	}
-	// The carried entry is the same size as its source (same query, same
-	// caller-reported byte count).
-	if got, want := after.Bytes-before.Bytes, before.Bytes; got != want {
-		t.Fatalf("carried entry charged %d bytes, want %d", got, want)
-	}
-}

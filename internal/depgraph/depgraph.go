@@ -206,53 +206,6 @@ func MutuallyRecursive(compOf []int, a, b int) bool {
 	return compOf[a] == compOf[b]
 }
 
-// Cone returns the affected cone of a set of seed predicates: every
-// predicate whose extension can change when the seeds' base extensions
-// change — the seeds themselves plus all predicates that reach a seed in
-// the head→premise digraph (reverse reachability), over every edge kind.
-// Negative and hypothetical occurrences propagate dependence just like
-// positive ones: a head whose rule consults a seed through ~B or
-// B[add: ...] can flip either way when the seed's extension moves, so
-// the cone is exactly the set whose memoised results a base-fact commit
-// may invalidate; everything outside it keeps its tables.
-//
-// Seeds absent from the graph are ignored — a predicate no rule or fact
-// mentions cannot influence any derivation. A hypothetically added atom
-// contributes no edge (it is data, per Build), which is sound here too:
-// the premise B[add: c(x̄)] reads c's base extension only through rules
-// for B that mention c, and those contribute B→c edges already.
-func (g *Graph) Cone(seeds []ast.PredSig) map[ast.PredSig]bool {
-	cone := make(map[ast.PredSig]bool, len(seeds))
-	// Reverse adjacency: radj[to] = nodes with an edge into to.
-	radj := make([][]int, len(g.Nodes))
-	for from, edges := range g.Adj {
-		for _, e := range edges {
-			radj[e.To] = append(radj[e.To], from)
-		}
-	}
-	marked := make([]bool, len(g.Nodes))
-	var queue []int
-	for _, sig := range seeds {
-		cone[sig] = true // seeds are affected even when unmentioned
-		if n, ok := g.NodeOf[sig]; ok && !marked[n] {
-			marked[n] = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		cone[g.Nodes[n]] = true
-		for _, m := range radj[n] {
-			if !marked[m] {
-				marked[m] = true
-				queue = append(queue, m)
-			}
-		}
-	}
-	return cone
-}
-
 // OfCompiled builds the dependency graph of a compiled program's rules:
 // node i is the predicate symbols.Pred(i) of the program's symbol table,
 // and edges are premise occurrences as in Build.

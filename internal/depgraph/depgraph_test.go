@@ -142,51 +142,3 @@ func TestSCCPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCone(t *testing.T) {
-	// Chain with a fork: top and mid depend on e; aside depends only on f;
-	// neg consults e through negation, hy through a hypothetical premise.
-	g := build(t, `
-		top(X) :- mid(X).
-		mid(X) :- e(X).
-		aside(X) :- f(X).
-		neg(X) :- g(X), not e(X).
-		hy(X) :- e(X)[add: f(X)].
-	`)
-	cone := g.Cone([]ast.PredSig{{Name: "e", Arity: 1}})
-	for _, name := range []string{"e", "mid", "top", "neg", "hy"} {
-		if !cone[ast.PredSig{Name: name, Arity: 1}] {
-			t.Errorf("%s missing from cone of e", name)
-		}
-	}
-	for _, name := range []string{"aside", "f", "g"} {
-		if cone[ast.PredSig{Name: name, Arity: 1}] {
-			t.Errorf("%s wrongly in cone of e", name)
-		}
-	}
-}
-
-func TestConeUnknownSeed(t *testing.T) {
-	g := build(t, "h :- p.")
-	cone := g.Cone([]ast.PredSig{{Name: "zzz", Arity: 3}})
-	if len(cone) != 1 || !cone[ast.PredSig{Name: "zzz", Arity: 3}] {
-		t.Errorf("cone of unmentioned seed = %v", cone)
-	}
-}
-
-// TestConeRecursive: in a recursive program the whole SCC of a dependent
-// predicate joins the cone.
-func TestConeRecursive(t *testing.T) {
-	g := build(t, `
-		reach(X, Y) :- edge(X, Y).
-		reach(X, Y) :- edge(X, Z), reach(Z, Y).
-		iso(X) :- lonely(X).
-	`)
-	cone := g.Cone([]ast.PredSig{{Name: "edge", Arity: 2}})
-	if !cone[ast.PredSig{Name: "reach", Arity: 2}] {
-		t.Error("reach missing from cone of edge")
-	}
-	if cone[ast.PredSig{Name: "iso", Arity: 1}] || cone[ast.PredSig{Name: "lonely", Arity: 1}] {
-		t.Error("unrelated predicates in cone")
-	}
-}

@@ -53,7 +53,7 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, 
 	if err != nil {
 		return nil, err
 	}
-	return NewCascadeWithBase(cp, s, dom, base, false, b)
+	return NewCascadeWithBase(cp, s, dom, base, b)
 }
 
 // NewCascadeWithBase builds the cascade over an existing base database
@@ -70,14 +70,13 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, 
 // goal expansion: the meter and the query's context are what bound it.
 //
 // A nil s builds the uniform evaluator: one Σ engine over the whole
-// program, with no Δ provers and no resolver. noTabling switches off the
-// Σ engines' memo tables (topdown.Options.NoTabling).
-func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, base *facts.DB, noTabling bool, b *topdown.Budget) (*Cascade, error) {
+// program, with no Δ provers and no resolver.
+func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, base *facts.DB, b *topdown.Budget) (*Cascade, error) {
 	if b == nil {
 		b = new(topdown.Budget)
 	}
 	if s == nil || s.NumStrata == 0 { // a program without strata has no rules
-		top := topdown.NewWithBase(cp, base, dom, topdown.Options{NoTabling: noTabling}, b)
+		top := topdown.NewWithBase(cp, base, dom, topdown.Options{}, b)
 		return &Cascade{Engine: top, sigma: []*topdown.Engine{top}}, nil
 	}
 	c := &Cascade{
@@ -124,7 +123,6 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 				return c.askAt(goal, st, 2*i-1)
 			},
 			ExternalIDB: external,
-			NoTabling:   noTabling,
 		}, b)
 	}
 	c.Engine = c.sigma[s.NumStrata-1]
@@ -133,10 +131,10 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 
 // ApplyDelta applies a commit's effective base-fact delta to the cascade
 // in place instead of rebuilding it. cone is the affected cone of the
-// changed predicates (depgraph.Cone translated to interned predicates):
-// everything outside it keeps its Σ memo entries and Δ materialisations
-// verbatim. The update is two-phase because DRed overdeletion must join
-// against the pre-commit database:
+// changed predicates (facts.Relevance.Affected): everything outside it
+// keeps its Σ memo entries and Δ materialisations verbatim. The update is
+// two-phase because DRed overdeletion must join against the pre-commit
+// database:
 //
 //  1. each Δ prover (one per component of each Δ part) plans — per cached
 //     state, either drop the entry or compute its overdeletion set against

@@ -32,8 +32,8 @@ func dbAtomBytes(nargs int) int64 { return 32 + 32*int64(nargs) }
 func NewDB(in *Interner) *DB { return &DB{in: in, idx: make(Index)} }
 
 // Load interns a compiled program's facts into a fresh base database over
-// a new interner keyed by rel, the program's keying stage (nil keys
-// nothing). It fails on a fact whose arity disagrees with its predicate's.
+// a new interner keyed by rel, the program's dependency analysis (nil
+// keys nothing and knows no cones). It fails on a fact whose arity disagrees with its predicate's.
 func Load(cp *ast.CProgram, rel *Relevance) (*DB, error) {
 	in := NewInterner(cp.Syms)
 	in.SetRelevance(rel)

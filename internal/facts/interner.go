@@ -38,9 +38,9 @@ type Interner struct {
 	// atoms (state.go). It is private to this interner: Clone starts an
 	// empty one, so StateIDs never travel between engines.
 	states stateTable
-	// rel is the program's keying stage (relevance.go): the relevance
-	// classes the state table projects states onto and the must-add sets
-	// states are normalised by; nil does neither.
+	// rel is the program's dependency analysis (relevance.go): the cones,
+	// the relevance classes the state table projects states onto and the
+	// must-add sets states are normalised by; nil keys nothing.
 	rel *Relevance
 }
 
@@ -66,6 +66,10 @@ func NewInterner(syms *symbols.Table) *Interner {
 // It must come before any state is interned: a state node records its
 // classes when it is created. Clone carries it.
 func (in *Interner) SetRelevance(r *Relevance) { in.rel = r }
+
+// Relevance returns the program's dependency analysis the interner keys
+// by, or nil.
+func (in *Interner) Relevance() *Relevance { return in.rel }
 
 // Syms returns the symbol table the interner was built over.
 func (in *Interner) Syms() *symbols.Table { return in.syms }

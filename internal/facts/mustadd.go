@@ -18,7 +18,6 @@ type mustSets struct {
 	full  []uint64   // U
 	must  [][]uint64 // by predicate; nil for ∅
 	del   []bool     // by predicate: its cone holds a [del:]
-	any   bool       // some must-add set is not empty
 
 	set  []uint64        // scratch: the set being computed
 	key  []byte          // scratch for appendAtomKey
@@ -106,9 +105,6 @@ func (m *mustSets) component(comp []int, hyp bool) {
 				m.must[v], changed = slices.Clone(set), true
 			}
 		}
-	}
-	for _, v := range comp {
-		m.any = m.any || m.must[v] != nil
 	}
 }
 

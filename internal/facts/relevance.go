@@ -8,17 +8,26 @@ import (
 	"hypodatalog/internal/symbols"
 )
 
-// Relevance is a program's keying stage: what the Σ memo may leave out
-// of the state a goal is asked in. It holds two derivations, both
-// functions of the rules alone.
+// Relevance is a program's dependency analysis and the keying stage
+// derived from it, all functions of the rules alone.
+//
+// A predicate's dependency cone is the predicate and every predicate its
+// rules reach through premises of any kind: plain, negated or
+// hypothetical. Whether R, DB+Δ ⊢ A holds depends only on the atoms of
+// predicates in A's cone, so the cones answer what a goal can read (the
+// relevance classes below), which goals a base-fact commit can change
+// (Affected), and which premises a hypothetically added atom can move
+// (Reads). An intensional predicate with no rule is answered elsewhere
+// (by an oracle) and taken to depend on everything, and so is every
+// predicate whose cone holds one. A predicate interned after the program
+// was analysed appears in no rule: its cone is itself.
 //
 // Relevance classes group the goal predicates by the part of a
-// hypothetical state their proofs can read. Whether R, DB+Δ ⊢ A holds
-// depends only on the atoms of predicates in A's dependency cone, so a
-// table keyed by (A, the state restricted to that cone) is exact; the
-// state table computes that restriction (State.RelevantID).
+// hypothetical state their proofs can read, so a table keyed by (A, the
+// state restricted to A's class) is exact; the state table computes that
+// restriction (State.RelevantID).
 //
-// Cones are taken only over T, the predicates a state can carry a token
+// Classes are taken only over T, the predicates a state can carry a token
 // of: the extensional ones and the targets of rule [add:]/[del:] lists. A
 // goal's class is its cone ∩ T, and goals with equal classes share one.
 // A token whose predicate is outside T (an askunder add of an intensional
@@ -61,6 +70,9 @@ import (
 // A Relevance is built once per program and is read-only afterwards, so
 // engines on many goroutines share it.
 type Relevance struct {
+	cones [][]uint64 // by predicate: its cone, a bit set over the program's predicates
+	open  []bool     // by predicate: its cone holds an intensional predicate with no rule
+
 	classOf []uint8 // by predicate: 1 + its goals' class, or 0 for the whole state
 	tokens  []uint8 // by predicate: the classes a token of it is relevant to
 
@@ -77,77 +89,83 @@ const maxClasses = 8
 // allClasses is the mask of a token relevant to every class.
 const allClasses = ^uint8(0)
 
-// NewRelevance computes a compiled program's keying stage: one pass over
-// the condensation of its dependency graph computes each predicate's cone
-// as a bit set over T, and the must-add sets of the predicates with a
-// hypothetical premise in their cone as bit sets over U, iterating only
-// inside a strongly connected component. It returns nil when every goal
-// reads every token a state can hold and no must-add set is non-empty.
+// NewRelevance analyses a compiled program: one pass over the
+// condensation of its dependency graph computes each predicate's cone as
+// a bit set over the predicates, and the must-add sets of the predicates
+// with a hypothetical premise in their cone as bit sets over U, iterating
+// only inside a strongly connected component. A program whose goals all
+// read every token a state can hold and have empty must-add sets gets no
+// classes and no sets: its goals key on their whole states.
 func NewRelevance(cp *ast.CProgram) *Relevance {
 	n := cp.Syms.NumPreds()
-	inT := make([]bool, n)
-	for p := range inT {
-		inT[p] = !cp.IDB[symbols.Pred(p)]
+	words := (n + 63) / 64
+	inT := make([]uint64, words)
+	mark := func(p symbols.Pred) { inT[p/64] |= 1 << (p % 64) }
+	for p := 0; p < n; p++ {
+		if !cp.IDB[symbols.Pred(p)] {
+			mark(symbols.Pred(p))
+		}
 	}
 	for _, r := range cp.Rules {
 		for _, pr := range r.Body {
 			for _, a := range pr.Adds {
-				inT[a.Pred] = true
+				mark(a.Pred)
 			}
 			for _, a := range pr.Dels {
-				inT[a.Pred] = true
+				mark(a.Pred)
 			}
 		}
 	}
-	tIndex := make([]int, n) // position in T, or -1
-	size := 0
-	for p, ok := range inT {
-		tIndex[p] = -1
-		if ok {
-			tIndex[p] = size
-			size++
-		}
-	}
-	words := (size + 63) / 64
 
 	// Strongly connected components arrive callees first, so every edge
 	// out of a component reaches a cone and a must-add set already
 	// computed.
+	r := &Relevance{cones: make([][]uint64, n), open: make([]bool, n)}
 	g := depgraph.OfCompiled(cp)
 	comps, _ := g.SCCs()
-	cone := make([][]uint64, n)
 	hyp := make([]bool, n) // a hypothetical premise is in the cone
 	ms := newMustSets(cp)
 	for _, comp := range comps {
-		set, h := make([]uint64, words), false
+		set, h, open := make([]uint64, words), false, false
 		for _, v := range comp {
-			if t := tIndex[v]; t >= 0 {
-				set[t/64] |= 1 << (t % 64)
-			}
+			set[v/64] |= 1 << (v % 64)
+			open = open || cp.IDB[symbols.Pred(v)] && len(cp.ByHead[symbols.Pred(v)]) == 0
 			for _, e := range g.Adj[v] {
-				for w, b := range cone[e.To] { // nil inside comp: same set
+				for w, b := range r.cones[e.To] { // nil inside comp: same set
 					set[w] |= b
 				}
 				h = h || e.Kind == depgraph.Hyp || hyp[e.To]
+				open = open || r.open[e.To]
 			}
 		}
 		for _, v := range comp {
-			cone[v], hyp[v] = set, h
+			r.cones[v], hyp[v], r.open[v] = set, h, open
 		}
 		ms.component(comp, h)
 	}
+	r.u, r.uBit, r.uPred, r.must = ms.u, ms.uBit, ms.uPred, ms.must
 
-	r := &Relevance{
-		classOf: make([]uint8, n), tokens: make([]uint8, n),
-		u: ms.u, uBit: ms.uBit, uPred: ms.uPred, must: ms.must,
+	// A class is a cone ∩ T.
+	size := popcount(inT)
+	classCone := func(p int) []uint64 {
+		set := make([]uint64, words)
+		for w := range set {
+			set[w] = r.cones[p][w] & inT[w]
+		}
+		return set
 	}
+	r.classOf, r.tokens = make([]uint8, n), make([]uint8, n)
 	var sets [][]uint64
 	index := map[string]int{}
-	for p := range cone {
-		if !hyp[p] || popcount(cone[p]) == size {
+	for p := range r.cones {
+		if !hyp[p] {
 			continue
 		}
-		key := bitsKey(cone[p])
+		cone := classCone(p)
+		if popcount(cone) == size {
+			continue
+		}
+		key := bitsKey(cone)
 		c, ok := index[key]
 		if !ok {
 			if len(sets) == maxClasses {
@@ -155,30 +173,68 @@ func NewRelevance(cp *ast.CProgram) *Relevance {
 			}
 			c = len(sets)
 			index[key] = c
-			sets = append(sets, cone[p])
+			sets = append(sets, cone)
 		}
 		r.classOf[p] = uint8(c + 1)
 	}
-	if len(sets) == 0 && !ms.any {
-		return nil
-	}
-	for p := range cone {
-		if cp.IDB[symbols.Pred(p)] && !hyp[p] {
-			r.classOf[p] = smallestCover(sets, cone[p])
+	for p := range r.cones {
+		if len(sets) > 0 && cp.IDB[symbols.Pred(p)] && !hyp[p] {
+			r.classOf[p] = smallestCover(sets, classCone(p))
 		}
 	}
-	for p, t := range tIndex {
-		if t < 0 {
+	for p := range r.tokens {
+		if inT[p/64]>>(p%64)&1 == 0 {
 			r.tokens[p] = allClasses
 			continue
 		}
 		for c, set := range sets {
-			if set[t/64]>>(t%64)&1 != 0 {
+			if set[p/64]>>(p%64)&1 != 0 {
 				r.tokens[p] |= 1 << c
 			}
 		}
 	}
 	return r
+}
+
+// Reads reports whether atoms of q can change whether a goal of p holds:
+// q is in p's cone, or p's cone holds a predicate answered elsewhere. A
+// nil Relevance knows no cones and answers true.
+func (r *Relevance) Reads(p, q symbols.Pred) bool {
+	switch {
+	case r == nil:
+		return true
+	case int(p) >= len(r.cones):
+		return p == q
+	case r.open[p]:
+		return true
+	}
+	return int(q) < len(r.cones) && r.cones[p][q/64]>>(q%64)&1 != 0
+}
+
+// Affected returns the affected cone of a base-fact change: the
+// predicates of the changed atoms and every predicate whose goals read
+// one of them. Goals and Δ models of predicates outside it keep their
+// answers across the change.
+func (r *Relevance) Affected(changed ...[]ast.CAtom) map[symbols.Pred]bool {
+	cone := map[symbols.Pred]bool{}
+	var seeds []symbols.Pred
+	for _, atoms := range changed {
+		for _, a := range atoms {
+			if !cone[a.Pred] {
+				cone[a.Pred] = true
+				seeds = append(seeds, a.Pred)
+			}
+		}
+	}
+	for p := range r.cones {
+		for _, q := range seeds {
+			if r.Reads(symbols.Pred(p), q) {
+				cone[symbols.Pred(p)] = true
+				break
+			}
+		}
+	}
+	return cone
 }
 
 // class returns the class goals of pred are tabled under, if they have

@@ -212,12 +212,6 @@ type Set struct {
 	CacheBytes     Gauge   `expvar:"cache_bytes"`
 	CacheEntries   Gauge   `expvar:"cache_entries"`
 
-	// CacheCarried counts entries carried forward across a commit because
-	// the commit's recorded predicate cone could not have changed their
-	// answer (cone-aware retention; without it every version bump expires
-	// the whole cache).
-	CacheCarried Counter `expvar:"cache_carried"`
-
 	// WAL-shipping replication (internal/repl). Primary side:
 	// ReplFramesSent counts record/heartbeat/gone frames written to
 	// followers, ReplSnapshotsServed bootstrap snapshots streamed, and

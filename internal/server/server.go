@@ -304,10 +304,8 @@ type reqInfo struct {
 
 // wrap is the middleware around every query handler: tenant resolution
 // (the {name} path segment, or the default program for un-prefixed
-// routes), request counting on the resolved tenant's metric set, a
-// status-recording writer, panic-to-500 recovery, and one structured
-// access-log line per request with the program, query, outcome, latency
-// and the evaluation-work stats delta.
+// routes), request counting on the resolved tenant's metric set, and the
+// access log (logged) with the query and the evaluation-work stats delta.
 func (s *Server) wrap(endpoint string, named bool, h func(http.ResponseWriter, *http.Request, *reqInfo, *tenant.Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var t *tenant.Tenant
@@ -316,49 +314,78 @@ func (s *Server) wrap(endpoint string, named bool, h func(http.ResponseWriter, *
 		} else {
 			t = s.def
 		}
+		ri := &reqInfo{endpoint: endpoint, program: r.PathValue("name")}
 		if t != nil {
 			t.Metrics().HTTPRequests.Inc()
+			ri.program = t.Name()
 		} else {
 			s.mets.HTTPRequests.Inc()
 		}
-		sw := &statusWriter{ResponseWriter: w}
-		ri := &reqInfo{endpoint: endpoint}
-		if t != nil {
-			ri.program = t.Name()
-		} else {
-			ri.program = r.PathValue("name")
+		s.logged(w, ri, true, func(sw *statusWriter) {
+			if t == nil {
+				ri.outcome = "unknown_program"
+				writeError(sw, http.StatusNotFound, "unknown_program",
+					"no program named "+strconv.Quote(r.PathValue("name"))+" (PUT /v1/programs/{name} creates one)")
+				return
+			}
+			h(sw, r, ri, t)
+		})
+	}
+}
+
+// wrapAdmin is the wrap variant for registry-admin handlers: the same
+// access log without the evaluation fields, no tenant resolution (the
+// handler manages tenants itself), counters on the server's own metric
+// set.
+func (s *Server) wrapAdmin(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mets.HTTPRequests.Inc()
+		ri := &reqInfo{endpoint: endpoint, program: r.PathValue("name")}
+		s.logged(w, ri, false, func(sw *statusWriter) { h(sw, r, ri) })
+	}
+}
+
+// logged runs h with a status-recording writer, recovers a panic into a
+// 500, and writes one structured access-log line: endpoint, program,
+// status, outcome and latency, plus, for a query route (query), the
+// query, its bindings, the evaluation-work stats delta and the data
+// version and cache status it was served at.
+func (s *Server) logged(w http.ResponseWriter, ri *reqInfo, query bool, h func(*statusWriter)) {
+	sw := &statusWriter{ResponseWriter: w}
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			// The engine (if any was leased) is already back on the
+			// pool's free list: Pool.Do and the Pool query methods
+			// return it in a defer that runs before this one.
+			ri.outcome = "panic"
+			s.log.Error("handler panic",
+				"endpoint", ri.endpoint, "program", ri.program,
+				"panic", p, "stack", string(debug.Stack()))
+			if !sw.wrote {
+				writeError(sw, http.StatusInternalServerError, "internal", "internal server error")
+			}
 		}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				// The engine (if any was leased) is already back on the
-				// pool's free list: Pool.Do and the Pool query methods
-				// return it in a defer that runs before this one.
-				ri.outcome = "panic"
-				s.log.Error("handler panic",
-					"endpoint", endpoint, "program", ri.program,
-					"panic", p, "stack", string(debug.Stack()))
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal", "internal server error")
-				}
-			}
-			status := ri.status
-			if status == 0 {
-				status = sw.status
-			}
-			if status == 0 {
-				status = http.StatusOK
-			}
-			if ri.outcome == "" {
-				ri.outcome = "ok"
-			}
-			s.log.Info("request",
-				"endpoint", endpoint,
-				"program", ri.program,
-				"status", status,
-				"outcome", ri.outcome,
+		status := ri.status
+		if status == 0 {
+			status = sw.status
+		}
+		if status == 0 {
+			status = http.StatusOK
+		}
+		if ri.outcome == "" {
+			ri.outcome = "ok"
+		}
+		attrs := []any{
+			"endpoint", ri.endpoint,
+			"program", ri.program,
+			"status", status,
+			"outcome", ri.outcome,
+			"elapsed_ms", float64(time.Since(start).Microseconds()) / 1000,
+		}
+		if query {
+			attrs = append(attrs,
 				"query", ri.query,
-				"elapsed_ms", float64(time.Since(start).Microseconds())/1000,
 				"bindings", ri.bindings,
 				"goals", ri.stats.Goals,
 				"enumerated", ri.stats.Enumerated,
@@ -371,56 +398,10 @@ func (s *Server) wrap(endpoint string, named bool, h func(http.ResponseWriter, *
 				"role", s.cfg.Role,
 				"min_version", ri.minVersion,
 			)
-		}()
-		if t == nil {
-			ri.outcome = "unknown_program"
-			writeError(sw, http.StatusNotFound, "unknown_program",
-				"no program named "+strconv.Quote(r.PathValue("name"))+" (PUT /v1/programs/{name} creates one)")
-			return
 		}
-		h(sw, r, ri, t)
-	}
-}
-
-// wrapAdmin is the wrap variant for registry-admin handlers: same
-// logging and panic recovery, no tenant resolution (the handler manages
-// tenants itself), counters on the server's own metric set.
-func (s *Server) wrapAdmin(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.mets.HTTPRequests.Inc()
-		sw := &statusWriter{ResponseWriter: w}
-		ri := &reqInfo{endpoint: endpoint, program: r.PathValue("name")}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				ri.outcome = "panic"
-				s.log.Error("handler panic",
-					"endpoint", endpoint, "program", ri.program,
-					"panic", p, "stack", string(debug.Stack()))
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal", "internal server error")
-				}
-			}
-			status := ri.status
-			if status == 0 {
-				status = sw.status
-			}
-			if status == 0 {
-				status = http.StatusOK
-			}
-			if ri.outcome == "" {
-				ri.outcome = "ok"
-			}
-			s.log.Info("request",
-				"endpoint", endpoint,
-				"program", ri.program,
-				"status", status,
-				"outcome", ri.outcome,
-				"elapsed_ms", float64(time.Since(start).Microseconds())/1000,
-			)
-		}()
-		h(sw, r, ri)
-	}
+		s.log.Info("request", attrs...)
+	}()
+	h(sw)
 }
 
 // refuse writes the response for an admission failure.

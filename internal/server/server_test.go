@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,12 +34,10 @@ grad(S) :- take(S, his101), take(S, eng201).
 
 // hardSrc is a hard Hamiltonian instance: an 11-node complete core plus
 // an isolated 12th node, so "yes" is false but refuting it must exhaust
-// a near-factorial search. Tests that need "yes" to run until its
-// deadline must evaluate with ModeUniform AND NoTabling — the memo
-// table is keyed by hypothetical state, which collapses the search to a
-// subset-style dynamic program that finishes in ~100ms. The edge
-// relation still enumerates instantly: 110 tuples, the large binding
-// set for the streaming tests.
+// a near-factorial search — which the memo table, keyed by hypothetical
+// state, collapses to a subset-style dynamic program that finishes in
+// ~100ms. The edge relation enumerates instantly: 110 tuples, the large
+// binding set for the streaming tests.
 var hardSrc = func() string {
 	g := workload.Digraph{N: 12}
 	for i := 0; i < 11; i++ {
@@ -52,6 +51,13 @@ var hardSrc = func() string {
 }()
 
 const hardEdges = 110
+
+// stuckSrc's "yes" is for the tests that need a read to run until its
+// deadline: it enumerates 16^9 bindings with tabling on, in either
+// evaluator, and builds no hypothetical state (workload.StuckJoinProgram;
+// the root package's TestStuckJoinOutlivesDeadlines pins how long it
+// runs).
+var stuckSrc = workload.StuckJoinProgram(16, 8)
 
 // newTestServer builds a pool over src and a server over the pool,
 // mounted on an httptest.Server. Logs are discarded to keep test output
@@ -337,7 +343,7 @@ func TestErrorStatuses(t *testing.T) {
 // engine goal budget (422).
 func TestDeadlineAndBudgetStatuses(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
-		_, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true}, Config{})
+		_, ts := newTestServer(t, stuckSrc, hypo.Options{Mode: hypo.ModeUniform}, Config{})
 		for _, path := range []string{"/v1/ask", "/v1/query", "/v1/explain"} {
 			resp, body := post(t, ts.Client(), ts.URL+path, `{"query": "yes", "timeout": "60ms"}`)
 			if resp.StatusCode != http.StatusGatewayTimeout {
@@ -371,7 +377,7 @@ func TestDeadlineAndBudgetStatuses(t *testing.T) {
 // requests with 429 + Retry-After immediately, and no goroutines may
 // outlive the burst.
 func TestLoadShed(t *testing.T) {
-	_, ts := newQueueTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 1}, 1)
+	_, ts := newQueueTestServer(t, stuckSrc, hypo.Options{Mode: hypo.ModeUniform, PoolSize: 1}, 1)
 	cl := ts.Client()
 	shedBefore := metrics.Default.HTTPShed.Value()
 	before := runtime.NumGoroutine()
@@ -431,8 +437,8 @@ func TestLoadShed(t *testing.T) {
 // clients — including clients that hang up mid-evaluation — and then
 // checks nothing leaked.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	src := uniSrc + workload.ParityProgram(6) + hardSrc
-	_, ts := newQueueTestServer(t, src, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 4}, 256)
+	src := uniSrc + workload.ParityProgram(6) + stuckSrc
+	_, ts := newQueueTestServer(t, src, hypo.Options{Mode: hypo.ModeUniform, PoolSize: 4}, 256)
 	cl := ts.Client()
 	before := runtime.NumGoroutine()
 
@@ -489,7 +495,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 // its own completion rather than being killed.
 func TestGracefulDrain(t *testing.T) {
 	// One slot (the pool's one engine) and the default queue of 4.
-	s, ts := newTestServer(t, hardSrc, hypo.Options{Mode: hypo.ModeUniform, NoTabling: true, PoolSize: 1}, Config{})
+	s, ts := newTestServer(t, stuckSrc, hypo.Options{Mode: hypo.ModeUniform, PoolSize: 1}, Config{})
 	cl := ts.Client()
 
 	type result struct {
@@ -584,8 +590,8 @@ func TestPanicRecovery(t *testing.T) {
 // TestBatchSingleLease covers mixed batch items, per-item errors that do
 // not fail the batch, and an abort that skips the rest.
 func TestBatchSingleLease(t *testing.T) {
-	s, ts := newUnstartedTestServer(t, uniSrc+hardSrc,
-		hypo.Options{Mode: hypo.ModeUniform, NoTabling: true}, Config{})
+	s, ts := newUnstartedTestServer(t, uniSrc+stuckSrc,
+		hypo.Options{Mode: hypo.ModeUniform}, Config{})
 	s.maxBatch = 8
 	ts.Start()
 	cl := ts.Client()
@@ -732,37 +738,60 @@ func TestHealthAndVars(t *testing.T) {
 	}
 }
 
-// TestAccessLogFields checks the structured access log carries the
-// query, outcome and work stats.
+// TestAccessLogFields: a query route and an admin route each write one
+// "request" line, through the same access log, with exactly their own
+// attribute sets: the admin line has no query or evaluation fields.
 func TestAccessLogFields(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	_, ts := newTestServer(t, uniSrc, hypo.Options{}, Config{Logger: logger})
 	post(t, ts.Client(), ts.URL+"/v1/ask", `{"query": "grad(tony)"}`)
+	resp, err := ts.Client().Get(ts.URL + "/v1/programs/nosuch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 
-	var seen bool
+	common := "elapsed_ms endpoint level msg outcome program status time"
+	want := map[string]struct{ keys, outcome string }{
+		"ask": {common + " bindings cache data_version derived_models enumerated goals" +
+			" materialisations max_depth min_version query role table_hits", "ok"},
+		"program_get": {common, "unknown_program"},
+	}
+	seen := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var entry map[string]any
-		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+		if err := json.Unmarshal([]byte(line), &entry); err != nil || entry["msg"] != "request" {
 			continue
 		}
-		if entry["msg"] != "request" {
+		ep, _ := entry["endpoint"].(string)
+		w, ok := want[ep]
+		if !ok {
+			t.Errorf("unexpected request line: %s", line)
 			continue
 		}
-		seen = true
-		if entry["query"] != "grad(tony)" || entry["outcome"] != "ok" ||
-			entry["endpoint"] != "ask" {
-			t.Errorf("log entry: %s", line)
+		seen[ep] = true
+		keys := make([]string, 0, len(entry))
+		for k := range entry {
+			keys = append(keys, k)
 		}
-		if _, ok := entry["goals"]; !ok {
-			t.Errorf("log entry missing goals: %s", line)
+		wantKeys := strings.Fields(w.keys)
+		slices.Sort(keys)
+		slices.Sort(wantKeys)
+		if !slices.Equal(keys, wantKeys) {
+			t.Errorf("%s line attributes %v, want %v", ep, keys, wantKeys)
 		}
-		if _, ok := entry["elapsed_ms"]; !ok {
-			t.Errorf("log entry missing elapsed_ms: %s", line)
+		if entry["outcome"] != w.outcome {
+			t.Errorf("%s line outcome %v, want %s: %s", ep, entry["outcome"], w.outcome, line)
+		}
+		if ep == "ask" && entry["query"] != "grad(tony)" {
+			t.Errorf("ask line: %s", line)
 		}
 	}
-	if !seen {
-		t.Fatalf("no request log line:\n%s", buf.String())
+	for ep := range want {
+		if !seen[ep] {
+			t.Errorf("no %s request line:\n%s", ep, buf.String())
+		}
 	}
 }
 

@@ -309,19 +309,19 @@ func TestExplainEndpoint(t *testing.T) {
 
 // TestTenantIsolationE2E is the headline property of the registry: a
 // tenant driven past its admission quota and cache budget must not
-// shed, evict, or slow a well-behaved neighbour. "hot" runs a
-// near-factorial Hamiltonian refutation that pins its single evaluation
-// slot and floods its answer cache; "cold" serves trivial asks
+// shed, evict, or slow a well-behaved neighbour. "hot" runs a refutation
+// that outlives its deadline (stuckSrc), pins its single evaluation slot
+// and floods its answer cache; "cold" serves trivial asks
 // throughout, and every one of them must succeed quickly with a clean
 // cache.
 func TestTenantIsolationE2E(t *testing.T) {
 	_, ts, reg := newRegistryServer(t, tenant.Config{
-		Options:  hypo.Options{PoolSize: 1, Mode: hypo.ModeUniform, NoTabling: true, CacheBytes: 1 << 14},
+		Options:  hypo.Options{PoolSize: 1, Mode: hypo.ModeUniform, CacheBytes: 1 << 14},
 		MaxQueue: 1,
 	}, Config{})
 	cl := ts.Client()
 
-	if _, _, err := reg.Create("hot", hardSrc); err != nil {
+	if _, _, err := reg.Create("hot", stuckSrc); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := reg.Create("cold", uniSrc); err != nil {
@@ -385,8 +385,8 @@ func TestTenantIsolationE2E(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		for j := 0; j < 12; j++ {
-			for _, q := range []string{"edge(v0, v1)", "edge(v1, v0)"} {
-				body := fmt.Sprintf(`{"query": "%s", "add": ["edge(v%d, v%d)"]}`, q, i, j)
+			for _, q := range []string{"link(c0, c1)", "link(c1, c0)"} {
+				body := fmt.Sprintf(`{"query": "%s", "add": ["link(c%d, c%d)"]}`, q, i, j)
 				resp, data := post(t, cl, ts.URL+"/v1/programs/hot/askunder", body)
 				if resp.StatusCode != 200 {
 					t.Fatalf("hot cache filler (%d,%d) = %d %s", i, j, resp.StatusCode, data)

@@ -24,6 +24,10 @@ type NotStratifiableError struct {
 	Reason string        // human-readable failure class
 	Preds  []ast.PredSig // the offending equivalence class
 	Lines  []int         // source lines of the offending rules, if known
+	// Negation marks recursion through negation (Lemma 1's first test):
+	// the program has no semantics at all, where failing only the second
+	// test leaves it evaluable.
+	Negation bool
 }
 
 func (e *NotStratifiableError) Error() string {
@@ -102,13 +106,20 @@ func Check(p *ast.Program) error {
 func CheckNegation(p *ast.Program) error {
 	g := depgraph.Build(p)
 	comps, compOf := g.SCCs()
+	return negationCycle(p, g, comps, compOf)
+}
+
+// negationCycle is test 1: recursion through negation — a negative edge
+// inside an SCC.
+func negationCycle(p *ast.Program, g *depgraph.Graph, comps [][]int, compOf []int) error {
 	for from, edges := range g.Adj {
 		for _, e := range edges {
 			if e.Kind.Negative() && compOf[e.To] == compOf[from] {
 				return &NotStratifiableError{
-					Reason: "recursion through negation",
-					Preds:  compSigs(g, comps[compOf[from]]),
-					Lines:  []int{p.Rules[e.Rule].Line},
+					Reason:   "recursion through negation",
+					Preds:    compSigs(g, comps[compOf[from]]),
+					Lines:    []int{p.Rules[e.Rule].Line},
+					Negation: true,
 				}
 			}
 		}
@@ -117,17 +128,8 @@ func CheckNegation(p *ast.Program) error {
 }
 
 func check(p *ast.Program, g *depgraph.Graph, comps [][]int, compOf []int) error {
-	// Test 1: recursion through negation — a negative edge inside an SCC.
-	for from, edges := range g.Adj {
-		for _, e := range edges {
-			if e.Kind.Negative() && compOf[e.To] == compOf[from] {
-				return &NotStratifiableError{
-					Reason: "recursion through negation",
-					Preds:  compSigs(g, comps[compOf[from]]),
-					Lines:  []int{p.Rules[e.Rule].Line},
-				}
-			}
-		}
+	if err := negationCycle(p, g, comps, compOf); err != nil {
+		return err
 	}
 	// Test 2: an SCC with both hypothetical recursion and non-linear
 	// recursion. A rule is recursive iff its premises mention >= 1

@@ -295,6 +295,26 @@ func ClosureProgram(g Digraph, recursive string) string {
 	return b.String()
 }
 
+// StuckJoinProgram is a read no memo table shortens: link/2 holds every
+// pair of the constants c0..c(n-1), and yes joins it depth premises deep
+// and closes the cycle with a negated link, which no binding satisfies.
+// Refuting yes enumerates all n^(depth+1) bindings in either evaluator,
+// and builds no hypothetical state.
+func StuckJoinProgram(n, depth int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			fmt.Fprintf(&b, "link(c%d, c%d).\n", i, j)
+		}
+	}
+	b.WriteString("yes :- ")
+	for i := 1; i <= depth; i++ {
+		fmt.Fprintf(&b, "link(X%d, X%d), ", i, i+1)
+	}
+	fmt.Fprintf(&b, "not link(X%d, X1).\n", depth+1)
+	return b.String()
+}
+
 // Chain is the path 0 -> 1 -> ... -> n: n edges, n(n+1)/2 reach tuples.
 func Chain(n int) Digraph {
 	g := Digraph{N: n + 1}

@@ -127,7 +127,7 @@ func OpenLive(initial *Program, lc LiveConfig, opts Options) (*Live, error) {
 		st.Close()
 		return nil, err
 	}
-	pl.SetProgram(cur, rec.Version)
+	pl.setProgram(cur, rec.Version)
 
 	mets := opts.metricSet()
 	mets.LiveVersion.Set(int64(rec.Version))
@@ -301,7 +301,7 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 	}
 	// The effective delta must be computed against the pre-commit store:
 	// it is what lets stale pooled engines catch up in place instead of
-	// rebuilding (see Pool.SetProgramDelta).
+	// rebuilding (see Pool.setProgramDelta).
 	added, removed := effectiveDelta(ms, l.store.Has)
 	info, err := l.store.Commit(ms)
 	if err != nil {
@@ -323,7 +323,7 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 		return live.CommitInfo{}, fmt.Errorf("hypo: committed batch failed to compile: %w", err)
 	}
 	l.cur = next
-	l.pool.SetProgramDelta(next, info.Version, added, removed)
+	l.pool.setProgramDelta(next, info.Version, added, removed)
 	l.broadcastLocked()
 
 	l.mets.LiveCommits.Inc()
@@ -407,7 +407,7 @@ func (l *Live) InstallSnapshot(rd io.Reader, version uint64) error {
 		return fmt.Errorf("hypo: bootstrap snapshot failed to compile: %w", err)
 	}
 	l.cur = next
-	l.pool.SetProgram(next, version)
+	l.pool.setProgram(next, version)
 	l.broadcastLocked()
 	l.mets.LiveCommits.Inc()
 	l.mets.LiveVersion.Set(int64(version))

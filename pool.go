@@ -43,7 +43,7 @@ var ErrPoolClosed = errors.New("hypo: pool is closed")
 // afterwards — is dropped so its memo tables and interner become
 // garbage. A closed pool stays closed.
 // verProgram pairs a program with its data version so both swap
-// atomically under SetProgram. It also owns the version's fact
+// atomically under setProgram. It also owns the version's fact
 // substrate — the interner and base database holding the program's
 // facts — built at most once per version no matter how many engines
 // rebuild at it: after a commit invalidates every idle engine, K
@@ -162,10 +162,10 @@ func NewPool(p *Program, opts Options) (*Pool, error) {
 	return pl, nil
 }
 
-// SetProgram swaps the pool to a new data version of its program. The
+// setProgram swaps the pool to a new data version of its program. The
 // swap is a hot one: in-flight queries keep the engines (and hence the
 // exact base DB and memo state) they leased — snapshot isolation — while
-// every lease that starts after SetProgram returns evaluates at the new
+// every lease that starts after setProgram returns evaluates at the new
 // version, rebuilding any stale idle engine it draws. The program must
 // share the seed program's symbol table (Pool compiles queries against
 // it before leasing), which holds for every Program.withFacts
@@ -174,7 +174,7 @@ func NewPool(p *Program, opts Options) (*Pool, error) {
 // slow commit finishing after a newer one already published) can never
 // roll the served data version back. Used by Live; a static pool never
 // calls it.
-func (pl *Pool) SetProgram(p *Program, version uint64) {
+func (pl *Pool) setProgram(p *Program, version uint64) {
 	next := &verProgram{prog: p, version: version, mets: pl.mets}
 	for {
 		cur := pl.cur.Load()
@@ -187,63 +187,36 @@ func (pl *Pool) SetProgram(p *Program, version uint64) {
 	}
 }
 
-// SetProgramDelta is SetProgram for commits whose effective base-fact
+// setProgramDelta is setProgram for commits whose effective base-fact
 // change is known: it records the delta (with its affected predicate
 // cone) in the pool's catch-up history before publishing the new
 // version, so stale idle engines drawn after the swap apply the change
 // in place — keeping memo tables and materialisations outside the cone —
 // instead of rebuilding from scratch. Oversized batches and deltas that
 // fail to compile are published without history; engines then rebuild
-// exactly as under SetProgram, sharing the version's substrate build.
-func (pl *Pool) SetProgramDelta(p *Program, version uint64, added, removed []ast.Atom) {
-	var (
-		recorded bool
-		from     uint64
-		cone     map[symbols.Pred]bool
-	)
+// exactly as under setProgram, sharing the version's substrate build.
+// Cached answers of the old version are not carried: they age out under
+// LRU like any other entry.
+func (pl *Pool) setProgramDelta(p *Program, version uint64, added, removed []ast.Atom) {
 	if len(added)+len(removed) <= maxDeltaAtoms {
-		if cadd, crem, seeds, err := compileDelta(added, removed, p.syms); err == nil {
-			cone = pl.prog.coneOf(seeds)
+		if cadd, crem, err := compileDelta(added, removed, p.syms); err == nil {
+			cone := p.rel.Affected(cadd, crem)
 			pl.hmu.Lock()
-			from = pl.cur.Load().version
-			if version > from {
+			if from := pl.cur.Load().version; version > from {
 				pl.history = append(pl.history, commitDelta{from: from, to: version, added: cadd, removed: crem, cone: cone})
 				if len(pl.history) > maxDeltaHistory {
 					pl.history = append([]commitDelta(nil), pl.history[len(pl.history)-maxDeltaHistory:]...)
 				}
-				recorded = true
 			}
 			pl.hmu.Unlock()
 		}
 	}
-	if recorded && pl.cache != nil {
-		// Cone-aware retention: answers whose predicates are all outside
-		// the commit's affected cone cannot have changed — re-key them to
-		// the new version before it is published, so the first readers
-		// after the swap hit instead of re-evaluating. Entries that
-		// predate `from`, carry no predicate list, or touch the cone stay
-		// behind and age out.
-		pl.cache.CarryForward(from, version, func(_ cache.Key, val any) (any, bool) {
-			ca, ok := val.(*cachedAnswer)
-			if !ok || ca.preds == nil {
-				return nil, false
-			}
-			for _, p := range ca.preds {
-				if cone[p] {
-					return nil, false
-				}
-			}
-			nc := *ca
-			nc.version = version
-			return &nc, true
-		})
-	}
-	pl.SetProgram(p, version)
+	pl.setProgram(p, version)
 }
 
 // deltasBetween returns the contiguous chain of recorded commit deltas
 // leading from version `from` to version `to`, or ok=false when the
-// history has a gap (evicted entry, oversized batch, plain SetProgram).
+// history has a gap (evicted entry, oversized batch, plain setProgram).
 func (pl *Pool) deltasBetween(from, to uint64) ([]commitDelta, bool) {
 	pl.hmu.Lock()
 	defer pl.hmu.Unlock()
@@ -375,11 +348,11 @@ func (pl *Pool) build() (*Engine, error) {
 // contiguous chain of commit deltas from the engine's version to the
 // current one, each is applied incrementally — derived state outside the
 // commits' affected cones survives, warm. Only when the chain is missing
-// (engine idle past the history bound, bulk load, plain SetProgram) or
+// (engine idle past the history bound, bulk load, plain setProgram) or
 // an application fails is the engine dropped and rebuilt from the
 // version's substrate. A rebuild failure — only possible if a withFacts
 // derivative fails to construct, which New already succeeded on at
-// SetProgram time — releases the engine slot so the pool keeps serving.
+// setProgram time — releases the engine slot so the pool keeps serving.
 func (pl *Pool) fresh(e *Engine) (*Engine, error) {
 	cur := pl.cur.Load()
 	if e.version == cur.version {

@@ -294,7 +294,7 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 			bytes = bindingsBytes(acc)
 		}
 		return cache.Computed{
-			Val:   &cachedAnswer{bindings: acc, version: info.DataVersion, preds: premisePreds(r.body.Body[0], r.adds)},
+			Val:   &cachedAnswer{bindings: acc, version: info.DataVersion},
 			Bytes: bytes,
 			Store: info.DataVersion == key.Version,
 		}, nil

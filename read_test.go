@@ -134,7 +134,7 @@ func TestReadSurfaceConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pl.Close()
-			pl.SetProgram(prog, poolVersion)
+			pl.setProgram(prog, poolVersion)
 			surfaces := append(engineSurfaces(e), poolSurfaces(pl)...)
 			ctx := context.Background()
 

@@ -20,10 +20,10 @@ func TestPublicSurface(t *testing.T) {
 		// examples, and the four shims benchmark/ladder.go calls
 		// (QueryEach, AskInfoCtx, AskUnderInfoCtx, QueryEachInfoCtx).
 		"*hypo.Engine methods": "ApplyDelta Ask AskUnder DataVersion Explain MemBytes Program Query QueryEach Read Stats",
-		"*hypo.Pool methods":   "AskInfoCtx AskUnderInfoCtx CacheMemBytes Close Do ExplainCtx MemBytes QueryEachInfoCtx Read SetProgram SetProgramDelta Size TrimMemory Version",
+		"*hypo.Pool methods":   "AskInfoCtx AskUnderInfoCtx CacheMemBytes Close Do ExplainCtx MemBytes QueryEachInfoCtx Read Size TrimMemory Version",
 
 		"hypo.Request fields":    "Kind Query Add Info",
-		"hypo.Options fields":    "Mode MaxGoals MaxMemoryBytes NoTabling ExtraDomain PoolSize CacheBytes Metrics",
+		"hypo.Options fields":    "Mode MaxGoals MaxMemoryBytes ExtraDomain PoolSize CacheBytes Metrics",
 		"hypo.LiveConfig fields": "WALPath SnapshotPath SnapshotEvery NoSync Logger FS StreamTailLen RecoveryProbeInterval",
 		"server.Config fields":   "Registry Pool Live DefaultTimeout MaxTimeout MaxBodyBytes Logger Role ReplPrimary ReplicaStatus PrimaryURL MinVersionWait Metrics",
 		"tenant.Config fields":   "Dir DefaultName Options LiveConfig MaxQueue MemoryQuota DiskQuota Logger",
