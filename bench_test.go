@@ -4,11 +4,16 @@ package hypo_test
 // benchmark: `go test -bench 'E/E8'` runs one experiment, `-bench
 // 'E/E8/clique'` some of its cases. The cases are defined once, in
 // internal/bench; cmd/hdlbench measures the same ones into BENCH_core.json
-// and internal/bench's test gates their counters.
+// and internal/bench's test gates their counters. BenchmarkLiveApply
+// times one Live commit.
 
 import (
+	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	hypo "hypodatalog"
 	"hypodatalog/internal/bench"
 )
 
@@ -33,6 +38,60 @@ func BenchmarkE(b *testing.B) {
 						b.ReportMetric(float64(v), name)
 					}
 				})
+			}
+		})
+	}
+}
+
+// BenchmarkLiveApply times one in-process commit, without fsync, that
+// toggles an edge of a reach program: node/1 over n constants, a spine of
+// edges v_i → v_i+1 and chords v_i → v_i+2 up to the fact count. No read
+// runs, so no engine catches up: the figure is what a commit itself
+// costs, and it should not grow with the facts it leaves alone.
+func BenchmarkLiveApply(b *testing.B) {
+	for _, facts := range []int{61, 6398} {
+		b.Run(fmt.Sprint("facts=", facts), func(b *testing.B) {
+			n := (facts + 1) / 2
+			var src strings.Builder
+			src.WriteString("reach(X, Y) :- edge(X, Y).\nreach(X, Y) :- edge(X, Z), reach(Z, Y).\n")
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&src, "node(v%d).\n", i)
+			}
+			for i := 0; n+i < facts; i++ {
+				if i+1 < n {
+					fmt.Fprintf(&src, "edge(v%d, v%d).\n", i, i+1)
+				} else {
+					fmt.Fprintf(&src, "edge(v%d, v%d).\n", i-n+1, i-n+3)
+				}
+			}
+			p, err := hypo.Parse(src.String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, err := hypo.OpenLive(p, hypo.LiveConfig{WALPath: filepath.Join(b.TempDir(), "wal.log"), NoSync: true}, hypo.Options{PoolSize: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			toggle := fmt.Sprintf("edge(v0, v%d)", n-1)
+			assert, err := hypo.ParseMutations([]string{toggle}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			retract, err := hypo.ParseMutations(nil, []string{toggle})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms := assert
+				if i%2 == 1 {
+					ms = retract
+				}
+				if _, err := l.Apply(ms); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

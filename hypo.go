@@ -96,7 +96,10 @@ type AbortError = topdown.AbortError
 // access logs) need not import the evaluation layer.
 type Stats = topdown.Stats
 
-// Program is a parsed, validated, compiled hypothetical Datalog program.
+// Program is a parsed, validated, compiled hypothetical Datalog program:
+// the rules every engine built from it shares, and the facts a standalone
+// engine or a Pool starts from. A Live's later data versions change only
+// the facts, in its pool's base (see Pool), never the Program.
 type Program struct {
 	src  *ast.Program  // as the user wrote it
 	comp *ast.CProgram // src after ast.RewriteNegation, compiled
@@ -109,16 +112,8 @@ type Program struct {
 	// from, and the keying stage derived from them — the relevance classes
 	// every engine's interner projects states onto and the must-add sets
 	// it normalises them by. Like strt it is computed when the program is
-	// built, not per engine, and shared by every data version.
+	// built, not per engine.
 	rel *facts.Relevance
-
-	// pinDom, when non-nil, overrides dom(R, DB) computation: every engine
-	// built from this Program enumerates exactly these constants. Live
-	// pools pin the domain at OpenLive so that all data versions of one
-	// program agree on what "for all constants" means — recomputing dom
-	// per version would let a retraction silently shrink the range of
-	// negation-as-failure between two queries.
-	pinDom []symbols.Const
 }
 
 // Parse parses, validates and compiles a program from source text.
@@ -190,38 +185,6 @@ func ReadSnapshot(r io.Reader) (*Program, error) {
 		return nil, err
 	}
 	return FromAST(prog)
-}
-
-// withFacts derives a Program with the same rules, queries, symbol table
-// and stratification but a different base fact set — one data version of
-// a live program. Only the facts are recompiled: rules, head indexes and
-// the IDB set are shared structurally with the receiver, so deriving a
-// version is O(|facts|), not O(|program|). The caller passes the pinned
-// domain every version must enumerate (see Program.pinDom).
-func (p *Program) withFacts(fs []ast.Atom, pinDom []symbols.Const) (*Program, error) {
-	cfacts := make([]ast.CAtom, 0, len(fs))
-	maxAr := p.comp.MaxArity
-	for _, f := range fs {
-		ca, err := compileGroundAtom(f, p.syms)
-		if err != nil {
-			return nil, err
-		}
-		cfacts = append(cfacts, ca)
-		if n := len(ca.Args); n > maxAr {
-			maxAr = n
-		}
-	}
-	src := &ast.Program{Rules: p.src.Rules, Facts: fs, Queries: p.src.Queries}
-	comp := &ast.CProgram{
-		Syms:     p.comp.Syms,
-		Rules:    p.comp.Rules,
-		Facts:    cfacts,
-		Queries:  p.comp.Queries,
-		ByHead:   p.comp.ByHead,
-		IDB:      p.comp.IDB,
-		MaxArity: maxAr,
-	}
-	return &Program{src: src, comp: comp, syms: p.syms, strt: p.strt, serr: p.serr, pinDom: pinDom, rel: p.rel}, nil
 }
 
 // AST returns the program's syntax tree as the user wrote it, before the
@@ -355,12 +318,13 @@ type Engine struct {
 	prog    *Program
 	ev      *engine.Cascade // the evaluator; one stratum in uniform mode
 	uniform bool            // built in ModeUniform, which Explain needs
-	domSet  map[symbols.Const]bool
+	dom     *domain         // shared with the engine's pool, if any
 
-	// version is the data version of the program this engine was built
-	// against; set by Pool on engines serving a live program, zero
-	// otherwise. Memo tables, interner and base DB are all private to the
-	// engine, so an engine never observes facts from any other version.
+	// version is the data version of the engine's base facts: the pool's
+	// version when the engine cloned its base, moved on by each commit it
+	// catches up with; zero outside a live pool. Memo tables, interner and
+	// base DB are all private to the engine, so an engine never observes
+	// facts from any other version.
 	version uint64
 
 	// mets is the metric set this engine reports into (never nil; defaults
@@ -392,10 +356,9 @@ func newMemTracker(max int64, in *facts.Interner, base *facts.DB) *topdown.MemTr
 	return t
 }
 
-// DataVersion reports the data version of the base database this engine
-// was built against (0 for engines outside a live pool). During a
-// Pool.Do lease it is stable: a concurrent commit produces new engines
-// at the new version rather than mutating leased ones.
+// DataVersion reports the data version of the engine's base database (0
+// for engines outside a live pool). During a Pool.Do lease it is stable:
+// a commit reaches an engine only when a later lease draws it.
 func (e *Engine) DataVersion() uint64 { return e.version }
 
 // ApplyDelta mutates the engine's base fact set in place — asserts are
@@ -410,16 +373,15 @@ func (e *Engine) DataVersion() uint64 { return e.version }
 // Mutations apply in batch order against the current base, and only the
 // effective changes (facts whose membership actually flips) propagate —
 // asserting a present fact or retracting an absent one is a no-op.
-// The engine's Program() still reports the fact set it was built with;
-// queries answer against the mutated base. Like every Engine method,
-// ApplyDelta must not run concurrently with queries on the same engine.
+// Like every Engine method, ApplyDelta must not run concurrently with
+// queries on the same engine.
 func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 	ms, err := ParseMutations(asserts, retracts)
 	if err != nil {
 		return err
 	}
 	for _, m := range ms {
-		if err := validateMutation(m, e.prog, e.domSet); err != nil {
+		if err := validateMutation(m, e.prog, e.dom.set); err != nil {
 			return err
 		}
 	}
@@ -469,42 +431,46 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 
 // compileDelta compiles effective surface-level delta atoms.
 func compileDelta(added, removed []ast.Atom, syms *symbols.Table) (cadd, crem []ast.CAtom, err error) {
-	for _, a := range added {
-		ca, cerr := compileGroundAtom(a, syms)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		cadd = append(cadd, ca)
+	if cadd, err = compileAtoms(added, syms); err == nil {
+		crem, err = compileAtoms(removed, syms)
 	}
-	for _, a := range removed {
-		ca, cerr := compileGroundAtom(a, syms)
-		if cerr != nil {
-			return nil, nil, cerr
+	return cadd, crem, err
+}
+
+// compileAtoms compiles ground surface atoms.
+func compileAtoms(as []ast.Atom, syms *symbols.Table) ([]ast.CAtom, error) {
+	out := make([]ast.CAtom, 0, len(as))
+	for _, a := range as {
+		ca, err := compileGroundAtom(a, syms)
+		if err != nil {
+			return nil, err
 		}
-		crem = append(crem, ca)
+		out = append(out, ca)
 	}
-	return cadd, crem, nil
+	return out, nil
 }
 
 // New builds an engine for a program.
 func New(p *Program, opts Options) (*Engine, error) {
-	sub, err := buildSubstrate(p)
+	sub, err := loadSubstrate(p, p.comp.Facts)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(p, opts, sub)
+	return assemble(p, opts, newDomain(p, opts.ExtraDomain), sub)
 }
 
-// substrate is an interner + base database pair holding a program's
-// facts: what an engine is assembled over. New builds a private one; a
-// Pool builds one per data version and hands each engine a clone.
+// substrate is an interner + base database pair holding a set of facts:
+// what an engine is assembled over. New builds a private one; a Pool
+// keeps one base at its current version and hands each engine a clone.
 type substrate struct {
 	in *facts.Interner
 	db *facts.DB
 }
 
-func buildSubstrate(p *Program) (*substrate, error) {
-	db, err := facts.Load(p.comp, p.rel)
+// loadSubstrate interns compiled facts into a fresh substrate keyed by
+// p's dependency analysis.
+func loadSubstrate(p *Program, fs []ast.CAtom) (*substrate, error) {
+	db, err := facts.Load(&ast.CProgram{Syms: p.syms, Facts: fs}, p.rel)
 	if err != nil {
 		return nil, err
 	}
@@ -520,8 +486,8 @@ func (s *substrate) clone() *substrate {
 
 // assemble is the one engine constructor: it builds the evaluator the
 // options select — the cascade, or its one-stratum form, the uniform
-// evaluator — over a substrate the engine takes over.
-func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
+// evaluator — over a substrate the engine takes over, ranging over dom.
+func assemble(p *Program, opts Options, dom *domain, sub *substrate) (*Engine, error) {
 	mode := opts.Mode
 	if mode == ModeAuto {
 		mode = ModeUniform
@@ -538,43 +504,43 @@ func assemble(p *Program, opts Options, sub *substrate) (*Engine, error) {
 	case s == nil:
 		return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
 	}
-	dom, domSet := domainInfo(p, opts)
 	e := &Engine{
 		prog:    p,
 		uniform: s == nil,
-		domSet:  domSet,
+		dom:     dom,
 		mets:    opts.metricSet(),
 		budget:  &topdown.Budget{Max: opts.MaxGoals, Mem: newMemTracker(opts.MaxMemoryBytes, sub.in, sub.db)},
 	}
 	var err error
-	if e.ev, err = engine.NewCascadeWithBase(p.comp, s, dom, sub.db, e.budget); err != nil {
+	if e.ev, err = engine.NewCascadeWithBase(p.comp, s, dom.consts, sub.db, e.budget); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// domainInfo computes dom(R, DB) plus Options.ExtraDomain, as both the
-// slice the engines enumerate over and the set the query validator uses.
-// A pinned domain (live programs) is used verbatim — it was computed once
-// at OpenLive and must stay identical across data versions.
-func domainInfo(p *Program, opts Options) ([]symbols.Const, map[symbols.Const]bool) {
-	dom := p.pinDom
-	if dom == nil {
-		var extra []symbols.Const
-		for _, name := range opts.ExtraDomain {
-			extra = append(extra, p.syms.Const(name))
-		}
-		dom = ref.Domain(p.comp, extra...)
-	}
-	domSet := make(map[symbols.Const]bool, len(dom))
-	for _, c := range dom {
-		domSet[c] = true
-	}
-	return dom, domSet
+// domain is dom(R, DB) plus Options.ExtraDomain: the constants the
+// evaluators range over, and the set reads and mutations are checked
+// against. A pool computes it once, so that every data version ranges
+// over the same constants.
+type domain struct {
+	consts []symbols.Const
+	set    map[symbols.Const]bool
 }
 
-// Program returns the engine's program.
-func (e *Engine) Program() *Program { return e.prog }
+// newDomain computes p's domain with the extra constants appended, in
+// order, after those of p.
+func newDomain(p *Program, extra []string) *domain {
+	ext := make([]symbols.Const, len(extra))
+	for i, name := range extra {
+		ext[i] = p.syms.Const(name)
+	}
+	d := &domain{consts: ref.Domain(p.comp, ext...)}
+	d.set = make(map[symbols.Const]bool, len(d.consts))
+	for _, c := range d.consts {
+		d.set[c] = true
+	}
+	return d
+}
 
 // Binding is one answer to a non-ground query: variable name to constant.
 type Binding map[string]string
@@ -629,7 +595,7 @@ func (e *Engine) explain(query string) (string, error) {
 	if !e.uniform {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}
-	r, err := compileRead(Request{Kind: ReadQuery, Query: query}, e.prog.syms, e.domSet)
+	r, err := compileRead(Request{Kind: ReadQuery, Query: query}, e.prog.syms, e.dom.set)
 	if err != nil {
 		return "", err
 	}

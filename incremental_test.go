@@ -1,6 +1,7 @@
 package hypo
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"hypodatalog/internal/ast"
 	"hypodatalog/internal/metrics"
 )
 
@@ -26,6 +28,45 @@ unreached(X) :- node(X), ~reach(a, X).
 could(X) :- reach(a, X)[add: edge(c, d)].
 sink(X) :- node(X), ~edge(X, Y).
 `
+
+// coldEngine builds an engine from nothing over p's rules and the facts
+// fs, ranging over dom: the reference an engine that took commits in
+// place must answer like.
+func coldEngine(t *testing.T, p *Program, dom *domain, mode Mode, fs []ast.Atom) *Engine {
+	t.Helper()
+	cfs, err := compileAtoms(fs, p.syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := loadSubstrate(p, cfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := assemble(p, Options{Mode: mode}, dom, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// factSet parses a set of surface facts, in sorted order.
+func factSet(t *testing.T, set map[string]bool) []ast.Atom {
+	t.Helper()
+	var fs []string
+	for f := range set {
+		fs = append(fs, f)
+	}
+	sort.Strings(fs)
+	ms, err := ParseMutations(fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atoms := make([]ast.Atom, len(ms))
+	for i, m := range ms {
+		atoms[i] = m.Atom
+	}
+	return atoms
+}
 
 // probeAll renders a canonical answer sheet for the fixed probe set.
 func probeAll(t *testing.T, e *Engine) string {
@@ -79,7 +120,7 @@ func probeAll(t *testing.T, e *Engine) string {
 // incremental engines' fixed dom(R, DB).
 func TestEngineApplyDeltaMatchesRebuild(t *testing.T) {
 	p := mustParse(t, incSrc)
-	dom, _ := domainInfo(p, Options{})
+	dom := newDomain(p, nil)
 
 	incUni, err := New(p, Options{Mode: ModeUniform})
 	if err != nil {
@@ -119,27 +160,7 @@ func TestEngineApplyDeltaMatchesRebuild(t *testing.T) {
 		for _, s := range st.retracts {
 			delete(facts, s)
 		}
-		var fs []string
-		for f := range facts {
-			fs = append(fs, f)
-		}
-		sort.Strings(fs)
-		ms, err := ParseMutations(fs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var atoms = p.src.Facts[:0:0]
-		for _, m := range ms {
-			atoms = append(atoms, m.Atom)
-		}
-		coldProg, err := p.withFacts(atoms, dom)
-		if err != nil {
-			t.Fatalf("step %d withFacts: %v", si, err)
-		}
-		cold, err := New(coldProg, Options{Mode: ModeUniform})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold := coldEngine(t, p, dom, ModeUniform, factSet(t, facts))
 		want := probeAll(t, cold)
 		if got := probeAll(t, incUni); got != want {
 			t.Errorf("step %d uniform drifted from cold rebuild:\ngot:\n%s\nwant:\n%s", si, got, want)
@@ -164,7 +185,7 @@ selectx(X) :- item(X), not copied(X).
 item(x1). item(x2). item(x3).
 copied(x4).
 `)
-	dom, _ := domainInfo(p, Options{})
+	dom := newDomain(p, nil)
 	probe := func(e *Engine) string {
 		var sb strings.Builder
 		for _, adds := range [][]string{nil, {"copied(x1)"}, {"copied(x2)", "copied(x3)"}, {"item(x4)"}} {
@@ -213,27 +234,7 @@ copied(x4).
 		for _, s := range st.retracts {
 			delete(facts, s)
 		}
-		var fs []string
-		for f := range facts {
-			fs = append(fs, f)
-		}
-		sort.Strings(fs)
-		ms, err := ParseMutations(fs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var atoms = p.src.Facts[:0:0]
-		for _, m := range ms {
-			atoms = append(atoms, m.Atom)
-		}
-		coldProg, err := p.withFacts(atoms, dom)
-		if err != nil {
-			t.Fatalf("step %d withFacts: %v", si, err)
-		}
-		cold, err := New(coldProg, Options{Mode: ModeUniform})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold := coldEngine(t, p, dom, ModeUniform, factSet(t, facts))
 		want := probe(cold)
 		for i, e := range inc {
 			if got := probe(e); got != want {
@@ -311,24 +312,23 @@ func TestLiveIncrementalCatchUp(t *testing.T) {
 }
 
 // TestCommitSubstrateSingleflight pins the thundering-herd fix: after a
-// version swap with no usable delta history, K concurrent leases must
-// share exactly ONE substrate build (fact interning) instead of K.
+// reset, which leaves no history to catch up from, K concurrent leases
+// make ONE base build (fact interning) and K clones of it — the idle
+// engine's rebuild and K-1 new engines — instead of K builds.
 func TestCommitSubstrateSingleflight(t *testing.T) {
 	const k = 8
 	p := mustParse(t, incSrc)
-	pl, err := NewPool(p, Options{PoolSize: k})
+	mets := metrics.NewSet("singleflight")
+	pl, err := NewPool(p, Options{PoolSize: k, Metrics: mets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	// Plain setProgram records no history, so every stale/new lease takes
-	// the rebuild path.
-	p2, err := p.withFacts(p.src.Facts, nil)
-	if err != nil {
+	builds := mets.LiveSubstrateBuilds.Value()
+	clones := mets.LiveRebuilds.Value() + mets.PoolNews.Value()
+	if err := pl.reset(p.comp.Facts, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := metrics.Default.LiveSubstrateBuilds.Value()
-	pl.setProgram(p2, 1)
 
 	var ready, release sync.WaitGroup
 	ready.Add(k)
@@ -353,8 +353,11 @@ func TestCommitSubstrateSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := metrics.Default.LiveSubstrateBuilds.Value() - before; got != 1 {
-		t.Errorf("substrate builds after one swap with %d concurrent leases = %d, want 1", k, got)
+	if got := mets.LiveSubstrateBuilds.Value() - builds; got != 1 {
+		t.Errorf("base builds after one reset with %d concurrent leases = %d, want 1", k, got)
+	}
+	if got := mets.LiveRebuilds.Value() + mets.PoolNews.Value() - clones; got != k {
+		t.Errorf("clones after one reset with %d concurrent leases = %d, want %d", k, got, k)
 	}
 }
 
@@ -374,7 +377,7 @@ reach(X, Y) :- edge(X, Z), reach(Z, Y).
 cut(X) :- node(X), ~reach(a, X).
 `
 	p := mustParse(t, src)
-	dom, _ := domainInfo(p, Options{})
+	dom := newDomain(p, nil)
 	e, err := New(p, Options{Mode: ModeCascade})
 	if err != nil {
 		t.Fatal(err)
@@ -410,28 +413,7 @@ cut(X) :- node(X), ~reach(a, X).
 		return sb.String()
 	}
 	cold := func() string {
-		var fs []string
-		for f := range facts {
-			fs = append(fs, f)
-		}
-		sort.Strings(fs)
-		ms, err := ParseMutations(fs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var atoms = p.src.Facts[:0:0]
-		for _, m := range ms {
-			atoms = append(atoms, m.Atom)
-		}
-		prog, err := p.withFacts(atoms, dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce, err := New(prog, Options{Mode: ModeCascade})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return probe(ce)
+		return probe(coldEngine(t, p, dom, ModeCascade, factSet(t, facts)))
 	}
 
 	probe(e) // caches the empty state's models and every child's
@@ -465,5 +447,241 @@ cut(X) :- node(X), ~reach(a, X).
 		if d := e.Stats().DerivedModels - before.DerivedModels; d == 0 {
 			t.Errorf("step %d: no child model was derived again after the commit", si)
 		}
+	}
+}
+
+// sheet renders e's answers to qs, each run as a Query, in a canonical
+// order.
+func sheet(e *Engine, qs []string) (string, error) {
+	var sb strings.Builder
+	for _, q := range qs {
+		bs, err := e.Query(q)
+		if err != nil {
+			return "", fmt.Errorf("Query(%s): %w", q, err)
+		}
+		rows := make([]string, len(bs))
+		for i, b := range bs {
+			rows[i] = fmt.Sprint(b)
+		}
+		sort.Strings(rows)
+		fmt.Fprintf(&sb, "%s: %v\n", q, rows)
+	}
+	return sb.String(), nil
+}
+
+// TestRebuildsAfterCommitsAnswerCold forces each way a live pool builds
+// an engine from its base after commits — a batch over maxDeltaAtoms, a
+// slot TrimMemory dropped and a later lease re-creates, a replica's
+// InstallSnapshot — with concurrent leases, and checks every leased
+// engine answers like a cold engine over Store.Facts() at its own data
+// version. One engine, leased before the first commit and read
+// throughout, holds a clone of the base the commits then change in
+// place, retractions included: it must keep answering at version 0.
+func TestRebuildsAfterCommitsAnswerCold(t *testing.T) {
+	for _, mode := range []Mode{ModeUniform, ModeCascade} {
+		t.Run(fmt.Sprint("mode=", mode), func(t *testing.T) { rebuildsAfterCommits(t, mode) })
+	}
+}
+
+func rebuildsAfterCommits(t *testing.T, mode Mode) {
+	const n, k = 48, 3 // nodes; pool size
+	node := func(i int) string { return fmt.Sprintf("n%d", i) }
+	var src strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "node(%s).\n", node(i))
+	}
+	src.WriteString(`edge(n0, n1). edge(n1, n2). edge(n2, n0).
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- edge(X, Z), reach(Z, Y).
+unreached(X) :- node(X), ~reach(n0, X).
+`)
+	qs := []string{"reach(n0, X)", "reach(X, n2)", "unreached(X)", "reach(n5, n0)", "reach(n5, n0)[add: edge(n47, n0)]"}
+	p := mustParse(t, src.String())
+	dir := t.TempDir()
+	mets := metrics.NewSet("rebuilds")
+	l, err := OpenLive(p, LiveConfig{WALPath: dir + "/wal.log", NoSync: true, Logger: quietLog},
+		Options{Mode: mode, PoolSize: k, Metrics: mets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	pl := l.Pool()
+
+	// want[v] is a cold engine's sheet over the store's facts at v.
+	want := map[uint64]string{}
+	recordCold := func() {
+		t.Helper()
+		s, err := sheet(coldEngine(t, p, pl.dom, mode, l.Store().Facts()), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[l.Version()] = s
+	}
+	type answer struct {
+		version uint64
+		sheet   string
+	}
+	var mu sync.Mutex
+	var got []answer
+	record := func(e *Engine) error {
+		s, err := sheet(e, qs)
+		if err == nil {
+			mu.Lock()
+			got = append(got, answer{e.DataVersion(), s})
+			mu.Unlock()
+		}
+		return err
+	}
+	// burst holds k-1 leases at once, so each draws its own engine — every
+	// one the held engine leaves — and each answers.
+	burst := func() {
+		t.Helper()
+		var ready, release sync.WaitGroup
+		ready.Add(k - 1)
+		release.Add(1)
+		errs := make(chan error, k-1)
+		for i := 0; i < k-1; i++ {
+			go func() {
+				errs <- pl.Do(context.Background(), func(e *Engine) error {
+					defer release.Wait()
+					defer ready.Done()
+					return record(e)
+				})
+			}()
+		}
+		ready.Wait()
+		release.Done()
+		for i := 0; i < k-1; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply := func(asserts, retracts []string) {
+		t.Helper()
+		if _, err := l.Apply(mutations(t, asserts, retracts)); err != nil {
+			t.Fatal(err)
+		}
+		recordCold()
+	}
+	delta := func(c *metrics.Counter) func() int64 {
+		before := c.Value()
+		return func() int64 { return c.Value() - before }
+	}
+
+	recordCold()
+	held, stop := make(chan error, 1), make(chan struct{})
+	leased := make(chan struct{})
+	go func() {
+		held <- pl.Do(context.Background(), func(e *Engine) error {
+			close(leased)
+			for {
+				if err := record(e); err != nil {
+					return err
+				}
+				select {
+				case <-stop:
+					return record(e)
+				default:
+				}
+			}
+		})
+	}()
+	<-leased
+	burst() // k-1 more engines at version 0, all clones of the boot base
+
+	// A small commit with a retraction: the other engines catch up.
+	caught, rebuilt := delta(&mets.LiveIncrementalApplies), delta(&mets.LiveRebuilds)
+	apply([]string{"edge(n2, n3)"}, []string{"edge(n1, n2)"})
+	burst()
+	if caught() != k-1 || rebuilt() != 0 {
+		t.Errorf("small commit: %d catch-ups, %d rebuilds; want %d, 0", caught(), rebuilt(), k-1)
+	}
+
+	// A batch over maxDeltaAtoms: no history to catch up from.
+	var big []string
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			big = append(big, fmt.Sprintf("edge(%s, %s)", node(i), node(j)))
+		}
+	}
+	if len(big) <= maxDeltaAtoms {
+		t.Fatalf("batch of %d atoms does not exceed maxDeltaAtoms", len(big))
+	}
+	rebuilt = delta(&mets.LiveRebuilds)
+	apply(big, []string{"edge(n2, n0)"})
+	burst()
+	if rebuilt() != k-1 {
+		t.Errorf("batch over maxDeltaAtoms: %d rebuilds, want %d", rebuilt(), k-1)
+	}
+
+	// Retractions out of the big closure: caught up in place again.
+	var cut []string
+	for j := 1; j < n; j++ {
+		cut = append(cut, fmt.Sprintf("edge(n0, %s)", node(j)))
+	}
+	caught, rebuilt = delta(&mets.LiveIncrementalApplies), delta(&mets.LiveRebuilds)
+	apply([]string{"edge(n5, n0)"}, cut)
+	burst()
+	if caught() != k-1 || rebuilt() != 0 {
+		t.Errorf("retraction commit: %d catch-ups, %d rebuilds; want %d, 0", caught(), rebuilt(), k-1)
+	}
+
+	// TrimMemory drops the idle engines; later leases re-create them.
+	if dropped := pl.TrimMemory(0); dropped != k-1 {
+		t.Fatalf("TrimMemory dropped %d engines, want %d", dropped, k-1)
+	}
+	news := delta(&mets.PoolNews)
+	apply(nil, []string{"edge(n2, n3)"})
+	burst()
+	if news() != k-1 {
+		t.Errorf("after TrimMemory: %d new engines, want %d", news(), k-1)
+	}
+
+	// A replica's bootstrap snapshot replaces the base.
+	var snap strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&snap, "node(%s).\n", node(i))
+	}
+	for i := 3; i < n; i += 2 {
+		fmt.Fprintf(&snap, "edge(n0, %s). edge(%s, n1).\n", node(i), node(i))
+	}
+	var buf bytes.Buffer
+	if err := mustParse(t, snap.String()).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	builds, rebuilt := delta(&mets.LiveSubstrateBuilds), delta(&mets.LiveRebuilds)
+	if err := l.InstallSnapshot(&buf, l.Version()+5); err != nil {
+		t.Fatal(err)
+	}
+	recordCold()
+	burst()
+	if builds() != 1 || rebuilt() != k-1 {
+		t.Errorf("InstallSnapshot: %d base builds, %d rebuilds; want 1, %d", builds(), rebuilt(), k-1)
+	}
+	caught = delta(&mets.LiveIncrementalApplies)
+	apply([]string{"edge(n1, n2)"}, []string{"edge(n0, n3)"})
+	burst()
+	if caught() != k-1 {
+		t.Errorf("commit after InstallSnapshot: %d catch-ups, want %d", caught(), k-1)
+	}
+
+	close(stop)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	versions := map[uint64]int{}
+	for _, a := range got {
+		w, ok := want[a.version]
+		if !ok {
+			t.Fatalf("an engine answered at version %d, which no commit made", a.version)
+		}
+		if a.sheet != w {
+			t.Errorf("engine at version %d drifted from a cold engine:\ngot:\n%s\nwant:\n%s", a.version, a.sheet, w)
+		}
+		versions[a.version]++
+	}
+	if len(versions) != len(want) {
+		t.Errorf("answers at %d versions, want all %d", len(versions), len(want))
 	}
 }

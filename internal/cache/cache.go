@@ -38,7 +38,6 @@ import (
 	"context"
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"hypodatalog/internal/metrics"
 )
@@ -98,14 +97,11 @@ type WaitError struct{ Err error }
 func (e *WaitError) Error() string { return "cache: wait aborted: " + e.Err.Error() }
 func (e *WaitError) Unwrap() error { return e.Err }
 
-// Stats is a point-in-time snapshot of one cache's counters.
+// Stats is a point-in-time snapshot of what one cache holds. Its hits,
+// misses, coalesces and evictions are counted in its metric set.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Coalesced int64
-	Evictions int64
-	Bytes     int64
-	Entries   int64
+	Bytes   int64
+	Entries int64
 }
 
 // Cache is the sharded LRU. Safe for concurrent use.
@@ -113,11 +109,6 @@ type Cache struct {
 	shards []shard
 	seed   maphash.Seed
 	mets   *metrics.Set // metric set the cache reports into (never nil)
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	evictions atomic.Int64
 }
 
 type shard struct {
@@ -185,21 +176,6 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[h.Sum64()%numShards]
 }
 
-// Get looks the key up without computing anything, refreshing its LRU
-// position on a hit.
-func (c *Cache) Get(k Key) (any, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		s.touch(e)
-		c.hits.Add(1)
-		c.mets.CacheHits.Inc()
-		return e.val, true
-	}
-	return nil, false
-}
-
 // Do returns the cached value for k, or computes it. At most one compute
 // runs per key at a time; concurrent callers coalesce onto it (see the
 // package comment for the error-sharing policy). ctx bounds only the
@@ -212,7 +188,6 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (Computed, error))
 		if e, ok := s.entries[k]; ok {
 			s.touch(e)
 			s.mu.Unlock()
-			c.hits.Add(1)
 			c.mets.CacheHits.Inc()
 			return e.val, Hit, nil
 		}
@@ -221,7 +196,6 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (Computed, error))
 			select {
 			case <-f.done:
 				if f.ok {
-					c.coalesced.Add(1)
 					c.mets.CacheCoalesced.Inc()
 					return f.val, Coalesced, nil
 				}
@@ -240,14 +214,11 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (Computed, error))
 		s.mu.Lock()
 		delete(s.flights, k)
 		if err == nil && res.Store {
-			evicted := s.insert(c, k, res.Val, res.Bytes)
-			c.evictions.Add(evicted)
-			c.mets.CacheEvictions.Add(evicted)
+			c.mets.CacheEvictions.Add(s.insert(k, res.Val, res.Bytes))
 		}
 		f.val, f.ok = res.Val, err == nil
 		close(f.done)
 		s.mu.Unlock()
-		c.misses.Add(1)
 		c.mets.CacheMisses.Inc()
 		return res.Val, Miss, err
 	}
@@ -256,7 +227,7 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (Computed, error))
 // insert stores (or replaces) an entry and evicts LRU entries until the
 // shard is within budget, returning how many were evicted. Called with
 // the shard lock held.
-func (s *shard) insert(c *Cache, k Key, val any, bytes int64) int64 {
+func (s *shard) insert(k Key, val any, bytes int64) int64 {
 	size := bytes + int64(len(k.Query)) + entryOverhead
 	if e, ok := s.entries[k]; ok {
 		s.bytes += size - e.bytes
@@ -303,19 +274,13 @@ func (c *Cache) Invalidate(minVersion uint64) int64 {
 		}
 		s.mu.Unlock()
 	}
-	c.evictions.Add(dropped)
 	c.mets.CacheEvictions.Add(dropped)
 	return dropped
 }
 
-// Stats snapshots the cache's counters.
+// Stats snapshots what the cache holds.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Evictions: c.evictions.Load(),
-	}
+	var st Stats
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

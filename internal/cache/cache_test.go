@@ -7,7 +7,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hypodatalog/internal/metrics"
 )
+
+// lookup reads k as a read that stores nothing on a miss: the cached
+// value and whether it was a hit. A hit refreshes k's LRU position.
+func lookup(c *Cache, k Key) (any, bool) {
+	v, st, _ := c.Do(context.Background(), k, func() (Computed, error) {
+		return Computed{}, nil
+	})
+	return v, st == Hit
+}
 
 func mustDo(t *testing.T, c *Cache, k Key, val any) {
 	t.Helper()
@@ -20,7 +31,8 @@ func mustDo(t *testing.T, c *Cache, k Key, val any) {
 }
 
 func TestDoMissThenHit(t *testing.T) {
-	c := New(1<<20, nil)
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
 	k := Key{Version: 1, Query: "q"}
 	calls := 0
 	compute := func() (Computed, error) {
@@ -38,9 +50,11 @@ func TestDoMissThenHit(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	st2 := c.Stats()
-	if st2.Hits != 1 || st2.Misses != 1 || st2.Entries != 1 {
-		t.Fatalf("stats %+v", st2)
+	if h, m, n := mets.CacheHits.Value(), mets.CacheMisses.Value(), c.Stats().Entries; h != 1 || m != 1 || n != 1 {
+		t.Fatalf("hits %d, misses %d, entries %d; want 1 each", h, m, n)
+	}
+	if g := mets.CacheEntries.Value(); g != 1 {
+		t.Fatalf("entries gauge %d, want 1", g)
 	}
 }
 
@@ -48,18 +62,22 @@ func TestVersionIsPartOfTheKey(t *testing.T) {
 	c := New(1<<20, nil)
 	mustDo(t, c, Key{Version: 1, Query: "q"}, "old")
 	mustDo(t, c, Key{Version: 2, Query: "q"}, "new")
-	if v, ok := c.Get(Key{Version: 1, Query: "q"}); !ok || v.(string) != "old" {
+	if v, ok := lookup(c, Key{Version: 1, Query: "q"}); !ok || v.(string) != "old" {
 		t.Fatalf("v1 entry: %v %v", v, ok)
 	}
-	if v, ok := c.Get(Key{Version: 2, Query: "q"}); !ok || v.(string) != "new" {
+	if v, ok := lookup(c, Key{Version: 2, Query: "q"}); !ok || v.(string) != "new" {
 		t.Fatalf("v2 entry: %v %v", v, ok)
 	}
 }
 
-func TestGetMiss(t *testing.T) {
-	c := New(1<<20, nil)
-	if _, ok := c.Get(Key{Version: 9, Query: "nope"}); ok {
-		t.Fatal("Get on empty cache reported a hit")
+func TestLookupMiss(t *testing.T) {
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
+	if _, ok := lookup(c, Key{Version: 9, Query: "nope"}); ok {
+		t.Fatal("a read of an empty cache reported a hit")
+	}
+	if h, m, n := mets.CacheHits.Value(), mets.CacheMisses.Value(), c.Stats().Entries; h != 0 || m != 1 || n != 0 {
+		t.Fatalf("hits %d, misses %d, entries %d; want 0, 1, 0 (a Store=false miss stores nothing)", h, m, n)
 	}
 }
 
@@ -104,13 +122,20 @@ func TestLRUEviction(t *testing.T) {
 	// One shard gets budget/numShards; use keys that all land wherever
 	// they land and just assert the global invariant: bytes within budget
 	// and the most recent keys still present.
-	c := New(numShards*1024, nil) // minimum per-shard budget
+	mets := metrics.NewSet("cache_test")
+	c := New(numShards*1024, mets) // minimum per-shard budget
 	for i := 0; i < 200; i++ {
 		mustDo(t, c, Key{Version: 1, Query: fmt.Sprintf("q%03d", i)}, i)
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
+	if mets.CacheEvictions.Value() == 0 {
 		t.Fatal("no evictions despite 200 entries against a minimal budget")
+	}
+	if ev := mets.CacheEvictions.Value(); st.Entries+ev != 200 {
+		t.Fatalf("%d entries + %d evictions, want 200", st.Entries, ev)
+	}
+	if g := mets.CacheBytes.Value(); g != st.Bytes {
+		t.Fatalf("bytes gauge %d, held %d", g, st.Bytes)
 	}
 	if st.Bytes > numShards*1024 {
 		t.Fatalf("bytes %d exceed total budget %d", st.Bytes, numShards*1024)
@@ -131,14 +156,14 @@ func TestLRUOrderRespected(t *testing.T) {
 	k1 := Key{Version: 1, Query: "keep"}
 	mustDo(t, c, k1, 1)
 	for i := 0; i < 100; i++ {
-		if _, ok := c.Get(k1); !ok {
+		if _, ok := lookup(c, k1); !ok {
 			t.Fatalf("touched entry evicted at i=%d", i)
 		}
 		mustDo(t, c, Key{Version: 1, Query: fmt.Sprintf("filler%03d", i)}, i)
 	}
 	// k1 was re-touched before every insert, so unless it shares a shard
 	// with every filler (impossible across 16 shards), it survives.
-	if _, ok := c.Get(k1); !ok {
+	if _, ok := lookup(c, k1); !ok {
 		t.Fatal("most-recently-used entry was evicted")
 	}
 }
@@ -152,7 +177,7 @@ func TestOversizedEntryIsKeptNotThrashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(k); !ok {
+	if _, ok := lookup(c, k); !ok {
 		t.Fatal("oversized entry evicted itself; cache would thrash on every oversized query")
 	}
 }
@@ -181,17 +206,21 @@ func TestReplaceExistingKeyAccounting(t *testing.T) {
 }
 
 func TestInvalidateDropsOldVersions(t *testing.T) {
-	c := New(1<<20, nil)
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
 	mustDo(t, c, Key{Version: 1, Query: "a"}, 1)
 	mustDo(t, c, Key{Version: 2, Query: "b"}, 2)
 	mustDo(t, c, Key{Version: 3, Query: "c"}, 3)
 	if n := c.Invalidate(3); n != 2 {
 		t.Fatalf("Invalidate dropped %d, want 2", n)
 	}
-	if _, ok := c.Get(Key{Version: 1, Query: "a"}); ok {
+	if ev := mets.CacheEvictions.Value(); ev != 2 {
+		t.Fatalf("evictions %d, want 2", ev)
+	}
+	if _, ok := lookup(c, Key{Version: 1, Query: "a"}); ok {
 		t.Fatal("v1 survived Invalidate(3)")
 	}
-	if _, ok := c.Get(Key{Version: 3, Query: "c"}); !ok {
+	if _, ok := lookup(c, Key{Version: 3, Query: "c"}); !ok {
 		t.Fatal("v3 dropped by Invalidate(3)")
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -200,7 +229,8 @@ func TestInvalidateDropsOldVersions(t *testing.T) {
 }
 
 func TestCoalescingSharesOneComputation(t *testing.T) {
-	c := New(1<<20, nil)
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
 	k := Key{Version: 1, Query: "q"}
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -246,10 +276,19 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 	if results[0] != Miss {
 		t.Fatalf("leader status %v, want Miss", results[0])
 	}
+	var coalesced, hits int64
 	for i := 1; i < 8; i++ {
-		if results[i] != Coalesced && results[i] != Hit {
+		switch results[i] {
+		case Coalesced:
+			coalesced++
+		case Hit:
+			hits++
+		default:
 			t.Fatalf("waiter %d status %v, want Coalesced or Hit", i, results[i])
 		}
+	}
+	if c, h, m := mets.CacheCoalesced.Value(), mets.CacheHits.Value(), mets.CacheMisses.Value(); c != coalesced || h != hits || m != 1 {
+		t.Fatalf("coalesced %d, hits %d, misses %d; want %d, %d, 1", c, h, m, coalesced, hits)
 	}
 }
 
@@ -347,7 +386,8 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestConcurrentMixedKeys(t *testing.T) {
-	c := New(64<<10, nil)
+	mets := metrics.NewSet("cache_test")
+	c := New(64<<10, mets)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -370,7 +410,11 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("stats %+v: expected both hits and misses", st)
+	h, m, co := mets.CacheHits.Value(), mets.CacheMisses.Value(), mets.CacheCoalesced.Value()
+	if h == 0 || m == 0 {
+		t.Fatalf("hits %d, misses %d: expected both", h, m)
+	}
+	if h+m+co != 8*500 {
+		t.Fatalf("hits %d + misses %d + coalesced %d, want %d reads", h, m, co, 8*500)
 	}
 }

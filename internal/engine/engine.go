@@ -60,8 +60,8 @@ func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, 
 // (and its interner, whose keying stage — relevance classes and must-add
 // sets — must be the whole program's or none); the program's facts are
 // assumed to already be in it. This
-// lets pooled engines share a per-version fact substrate by cloning
-// instead of re-interning from scratch.
+// lets pooled engines clone their pool's base instead of re-interning
+// the facts from scratch.
 //
 // Every PROVE_Σ engine and PROVE_Δ prover is built around b, so the goal
 // allowance bounds the Σ engines' sum and one memory meter takes every

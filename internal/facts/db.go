@@ -134,14 +134,13 @@ func (db *DB) All() []AtomID {
 // Clone returns an independent copy of the database sharing the interner.
 // The index lists are shared copy-on-write (Index.Clone), which makes
 // cloning O(entries) map copies with no per-atom re-indexing — the path
-// pool engines take when stamping a fresh engine from a shared
-// per-version substrate.
+// pool engines take when stamping a fresh engine from the pool's base.
 func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 
 // CloneFor is Clone with the copy bound to a different interner — one
 // that assigns the same ids (an Interner.Clone of this database's), so a
 // pooled engine gets a fully private interner+database pair cloned from
-// a shared per-version substrate.
+// the pool's base.
 func (db *DB) CloneFor(in *Interner) *DB {
 	return &DB{
 		in:    in,

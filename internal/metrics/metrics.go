@@ -184,9 +184,10 @@ type Set struct {
 	// counts those catch-ups, LiveIncrementalAtoms the base atoms applied
 	// by them, LiveIncrementalFallbacks the catch-ups that could not use
 	// the delta path (history gap, oversized batch) and fell back to a
-	// rebuild. LiveSubstrateBuilds counts per-version fact substrates
-	// interned (the singleflighted part of a rebuild; K engines rebuilding
-	// at one version share a single substrate build). Inside the cascade,
+	// rebuild. LiveSubstrateBuilds counts pool bases interned from a
+	// whole fact set: one when a pool is built (a Live's boot recovery)
+	// and one per replica snapshot install; commits change the base in
+	// place, and rebuilding engines clone it. Inside the cascade,
 	// LiveIncrementalStates counts cached Δ-part materialisations
 	// maintained in place and LiveIncrementalDropped the cached states (or
 	// memo entries' worth of them) discarded to lazy recomputation.

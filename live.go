@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,25 +46,22 @@ type LiveConfig struct {
 // Live couples a Pool with a durable, versioned fact store
 // (internal/live): the program's rules stay fixed while its base EDB
 // accepts transactional assert/retract batches at runtime. Every commit
-// produces a new immutable data version; queries in flight keep the
+// produces a new data version; queries in flight keep the
 // version their engine was leased at (snapshot isolation), queries
 // admitted after Apply returns see the new one. Validation — constants
 // inside the pinned dom(R, DB), no intensional predicates, ground facts
 // only — happens here, above the store, which keeps internal/live free
 // of engine concepts.
 type Live struct {
-	mu     sync.Mutex // serialises Apply: validate → commit → swap
-	store  *live.Store
-	pool   *Pool
-	cur    *Program
-	pinDom []symbols.Const
-	domSet map[symbols.Const]bool
-	rec    live.Recovery
-	mets   *metrics.Set // metric set for commit traffic (never nil)
+	mu    sync.Mutex // serialises Apply: validate → commit → publish
+	store *live.Store
+	pool  *Pool
+	rec   live.Recovery
+	mets  *metrics.Set // metric set for commit traffic (never nil)
 
-	// changed is closed and replaced after each pool swap (under mu).
+	// changed is closed and replaced after each publish or reset (under mu).
 	// WaitVersion waits on it rather than on the store's own broadcast,
-	// which fires between the durable commit and the swap — waking there
+	// which fires between the durable commit and the publish — waking there
 	// could admit a read that still leases an engine at the old version.
 	changed chan struct{}
 
@@ -104,30 +102,26 @@ func OpenLive(initial *Program, lc LiveConfig, opts Options) (*Live, error) {
 
 	// Pin the domain. Recovered facts may mention constants absent from
 	// the initial text (asserted in a previous run); they were in-domain
-	// when accepted, so they stay in-domain now.
-	dom, domSet := domainInfo(initial, opts)
-	pinDom := append([]symbols.Const(nil), dom...)
-	for _, f := range st.Facts() {
+	// when accepted, so they stay in-domain now: they follow
+	// opts.ExtraDomain, in the order the facts name them.
+	fs := st.Facts()
+	extra := slices.Clip(opts.ExtraDomain)
+	for _, f := range fs {
 		for _, t := range f.Args {
-			c := initial.syms.Const(t.Name)
-			if !domSet[c] {
-				domSet[c] = true
-				pinDom = append(pinDom, c)
-			}
+			extra = append(extra, t.Name)
 		}
 	}
-
-	cur, err := initial.withFacts(st.Facts(), pinDom)
+	dom := newDomain(initial, extra)
+	cfs, err := compileAtoms(fs, initial.syms)
 	if err != nil {
 		st.Close()
 		return nil, fmt.Errorf("hypo: compiling recovered facts: %w", err)
 	}
-	pl, err := NewPool(cur, opts)
+	pl, err := newPool(initial, opts, dom, cfs, rec.Version)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	pl.setProgram(cur, rec.Version)
 
 	mets := opts.metricSet()
 	mets.LiveVersion.Set(int64(rec.Version))
@@ -142,9 +136,6 @@ func OpenLive(initial *Program, lc LiveConfig, opts Options) (*Live, error) {
 	l := &Live{
 		store:   st,
 		pool:    pl,
-		cur:     cur,
-		pinDom:  pinDom,
-		domSet:  domSet,
 		rec:     rec,
 		mets:    mets,
 		changed: make(chan struct{}),
@@ -280,10 +271,10 @@ func ParseMutations(asserts, retracts []string) ([]live.Mutation, error) {
 }
 
 // Apply commits a mutation batch: all mutations are validated, written
-// durably (WAL fsync), applied as one new data version, and the pool is
-// swapped so every subsequent lease evaluates at that version. The batch
+// durably (WAL fsync), and published to the pool as one new data
+// version, so every subsequent lease evaluates at that version. The batch
 // is all-or-nothing — one invalid mutation rejects it with no effect.
-// Apply returns only after the swap, so a caller that sees the ack is
+// Apply returns only after the publish, so a caller that sees the ack is
 // guaranteed the next query it sends observes the commit (or a later
 // one). Concurrent Applies serialise; each gets its own version.
 func (l *Live) Apply(ms []live.Mutation) (live.CommitInfo, error) {
@@ -300,9 +291,14 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 		}
 	}
 	// The effective delta must be computed against the pre-commit store:
-	// it is what lets stale pooled engines catch up in place instead of
-	// rebuilding (see Pool.setProgramDelta).
+	// it is what the pool's base and its stale engines apply in place (see
+	// Pool.publish). Only the batch's own atoms are compiled.
 	added, removed := effectiveDelta(ms, l.store.Has)
+	cadd, crem, err := compileDelta(added, removed, l.pool.prog.syms)
+	if err != nil {
+		l.mets.LiveRejected.Inc()
+		return live.CommitInfo{}, err
+	}
 	info, err := l.store.Commit(ms)
 	if err != nil {
 		// An I/O failure is a degradation, not a rejection: the batch was
@@ -315,15 +311,12 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 		}
 		return live.CommitInfo{}, err
 	}
-	next, err := l.cur.withFacts(l.store.Facts(), l.pinDom)
-	if err != nil {
-		// The commit is durable but unservable — impossible unless a
-		// validated fact fails to compile. Fail loudly rather than serve a
-		// version that silently dropped it.
-		return live.CommitInfo{}, fmt.Errorf("hypo: committed batch failed to compile: %w", err)
+	if err := l.pool.publish(info.Version, cadd, crem); err != nil {
+		// The commit is durable but unservable — impossible for a compiled
+		// fact. Fail loudly rather than serve a version that silently
+		// dropped it.
+		return live.CommitInfo{}, fmt.Errorf("hypo: committed batch failed to apply: %w", err)
 	}
-	l.cur = next
-	l.pool.setProgramDelta(next, info.Version, added, removed)
 	l.broadcastLocked()
 
 	l.mets.LiveCommits.Inc()
@@ -345,13 +338,13 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 // Store exposes the underlying versioned store. Replication
 // (internal/repl) reads the WAL tail and snapshots through it; normal
 // mutation traffic must keep going through Apply, which is what
-// validates and swaps the pool.
+// validates and publishes to the pool.
 func (l *Live) Store() *live.Store { return l.store }
 
 // ApplyReplicated applies one streamed WAL record from a replication
 // primary, exactly as Apply would have applied the original batch: same
 // validation, same durability (the record is re-framed into the local
-// WAL), same pool swap. Records must arrive in version order with no
+// WAL), same publish. Records must arrive in version order with no
 // gaps — the record's version must be exactly the local version + 1;
 // anything else means the stream and the store have diverged and the
 // caller must re-bootstrap from a snapshot.
@@ -376,7 +369,7 @@ func (l *Live) ApplyReplicated(rec live.Record) (live.CommitInfo, error) {
 
 // InstallSnapshot replaces the entire fact base with a bootstrap
 // snapshot (storage.Write format) at the given version, durably, and
-// swaps the pool to it. It is the replication cold-start path: a
+// resets the pool's base to it. It is the replication cold-start path: a
 // follower whose WAL position has aged out of the primary's stream
 // window downloads a full snapshot and resumes tailing from its
 // version. Every fact is validated against the local program's pinned
@@ -396,18 +389,19 @@ func (l *Live) InstallSnapshot(rd io.Reader, version uint64) error {
 			return fmt.Errorf("hypo: bootstrap snapshot: %w", err)
 		}
 	}
+	fs, err := compileAtoms(snap.Facts, l.pool.prog.syms)
+	if err != nil {
+		return fmt.Errorf("hypo: bootstrap snapshot failed to compile: %w", err)
+	}
 	if err := l.store.ResetToFacts(snap.Facts, version); err != nil {
 		if errors.Is(err, live.ErrReadOnly) {
 			l.noteDegradedLocked()
 		}
 		return err
 	}
-	next, err := l.cur.withFacts(l.store.Facts(), l.pinDom)
-	if err != nil {
-		return fmt.Errorf("hypo: bootstrap snapshot failed to compile: %w", err)
+	if err := l.pool.reset(fs, version); err != nil {
+		return fmt.Errorf("hypo: bootstrap snapshot failed to load: %w", err)
 	}
-	l.cur = next
-	l.pool.setProgram(next, version)
 	l.broadcastLocked()
 	l.mets.LiveCommits.Inc()
 	l.mets.LiveVersion.Set(int64(version))
@@ -416,7 +410,7 @@ func (l *Live) InstallSnapshot(rd io.Reader, version uint64) error {
 }
 
 // broadcastLocked wakes WaitVersion waiters; called with mu held, after
-// the pool has been swapped to the new version.
+// the pool has moved to the new version.
 func (l *Live) broadcastLocked() {
 	close(l.changed)
 	l.changed = make(chan struct{})
@@ -430,7 +424,7 @@ func (l *Live) broadcastLocked() {
 // up.
 func (l *Live) WaitVersion(ctx context.Context, min uint64) error {
 	for {
-		// Grab the channel and check the version under one lock: the swap
+		// Grab the channel and check the version under one lock: the publish
 		// and the broadcast also happen under it, so a commit landing after
 		// the check closes the channel we already hold — the wake-up cannot
 		// be missed.
@@ -453,7 +447,7 @@ func (l *Live) WaitVersion(ctx context.Context, min uint64) error {
 // the fact must be ground, its predicate extensional, and its constants
 // inside the pinned domain.
 func (l *Live) validate(m live.Mutation) error {
-	return validateMutation(m, l.cur, l.domSet)
+	return validateMutation(m, l.pool.prog, l.pool.dom.set)
 }
 
 // validateMutation is the admission check shared by Live.Apply and

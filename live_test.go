@@ -7,11 +7,13 @@ import (
 	"io"
 	"log/slog"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hypodatalog/internal/live"
+	"hypodatalog/internal/ref"
 	"hypodatalog/internal/vfs"
 )
 
@@ -230,6 +232,58 @@ func TestLiveRecovery(t *testing.T) {
 	// And the recovered constant is assertable again.
 	if _, err := r.Apply(mutations(t, []string{"node(d)"}, nil)); err != nil {
 		t.Fatalf("asserting recovered constant: %v", err)
+	}
+}
+
+// TestLiveRecoveredDomainOrder pins the domain a recovered Live ranges
+// over: dom(R, DB) of the initial program, then Options.ExtraDomain, then
+// each constant the recovered facts name that neither holds, in the
+// store's fact order — the same constants in the same order however the
+// domain is computed.
+func TestLiveRecoveredDomainOrder(t *testing.T) {
+	dir := t.TempDir()
+	lc := LiveConfig{WALPath: filepath.Join(dir, "wal.log"), NoSync: true, Logger: quietLog}
+	l, err := OpenLive(mustParse(t, liveSrc), lc, Options{ExtraDomain: []string{"e", "d", "f"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Apply(mutations(t, []string{"edge(f, e)", "edge(c, d)", "flag(d)"}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenLive(mustParse(t, liveSrc), lc, Options{ExtraDomain: []string{"g", "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	p := mustParse(t, liveSrc)
+	var want []string
+	seen := map[string]bool{}
+	add := func(c string) {
+		if !seen[c] {
+			seen[c] = true
+			want = append(want, c)
+		}
+	}
+	for _, c := range ref.Domain(p.comp) {
+		add(p.syms.ConstName(c))
+	}
+	add("g")
+	add("a")
+	for _, f := range r.Store().Facts() {
+		for _, a := range f.Args {
+			add(a.Name)
+		}
+	}
+	var got []string
+	for _, c := range r.pool.dom.consts {
+		got = append(got, r.pool.prog.syms.ConstName(c))
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("recovered domain = %v, want %v", got, want)
 	}
 }
 

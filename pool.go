@@ -42,70 +42,26 @@ var ErrPoolClosed = errors.New("hypo: pool is closed")
 // whether idle at Close time or returned by an in-flight query
 // afterwards — is dropped so its memo tables and interner become
 // garbage. A closed pool stays closed.
-// verProgram pairs a program with its data version so both swap
-// atomically under setProgram. It also owns the version's fact
-// substrate — the interner and base database holding the program's
-// facts — built at most once per version no matter how many engines
-// rebuild at it: after a commit invalidates every idle engine, K
-// concurrent leases would otherwise each re-intern the whole fact set
-// (the thundering herd); with the singleflight they share one build and
-// pay only a clone each.
-type verProgram struct {
-	prog    *Program
-	version uint64
-	mets    *metrics.Set // the owning pool's set (never nil)
-
-	subOnce sync.Once
-	sub     *substrate
-	subErr  error
-}
-
-// substrate builds the version's fact substrate on first use; concurrent
-// callers block on the one build.
-func (v *verProgram) substrate() (*substrate, error) {
-	v.subOnce.Do(func() {
-		v.mets.LiveSubstrateBuilds.Inc()
-		v.sub, v.subErr = buildSubstrate(v.prog)
-	})
-	return v.sub, v.subErr
-}
-
-// commitDelta is one commit's effective base-fact change, kept so stale
-// idle engines can catch up from version `from` to `to` by mutating
-// their state in place instead of rebuilding.
-type commitDelta struct {
-	from, to uint64
-	added    []ast.CAtom
-	removed  []ast.CAtom
-	cone     map[symbols.Pred]bool
-}
-
-const (
-	// maxDeltaHistory bounds how many commits the pool retains for
-	// catch-up; an engine idle for longer rebuilds.
-	maxDeltaHistory = 64
-	// maxDeltaAtoms bounds one commit's recorded delta; a bulk load
-	// bigger than this is cheaper to rebuild into than to propagate.
-	maxDeltaAtoms = 1024
-)
-
+//
+// # Data versions
+//
+// The pool keeps one base — an interner and database holding its facts
+// at its current data version — which every engine clones when it is
+// built. A Live commit changes the base in place and records its delta;
+// an idle engine drawn after it catches up by applying the deltas it
+// missed to its own clone (see fresh), and in-flight queries keep the
+// engines, and so the facts, they leased: snapshot isolation.
 type Pool struct {
-	prog   *Program // the seed program; syms and domSet are version-stable
-	opts   Options
-	domSet map[symbols.Const]bool
-	mets   *metrics.Set // metric set for pool traffic (never nil)
+	prog *Program // the rules every engine shares
+	opts Options
+	dom  *domain      // computed once: every version ranges over it
+	mets *metrics.Set // metric set for pool traffic (never nil)
 
 	// cache is the pool-wide versioned answer cache (nil when
 	// Options.CacheBytes is zero). It sits ABOVE the engine lease:
 	// coalesced callers of one in-flight query and callers served from a
 	// stored entry never draw an engine at all.
 	cache *cache.Cache
-
-	// cur is the program/version engines must be built against. Leases
-	// check it on every get: an idle engine carrying an older version is
-	// discarded — memo tables keyed to a stale base DB must never answer
-	// for a newer one — and rebuilt from cur before being handed out.
-	cur atomic.Pointer[verProgram]
 
 	// free holds idle engines; its capacity is the pool size. Engines are
 	// created lazily up to that capacity, so created only grows and a put
@@ -122,25 +78,49 @@ type Pool struct {
 	// the two reads agree and the sum never drifts.
 	idleBytes atomic.Int64
 
-	// hmu guards the commit-delta history.
-	hmu     sync.Mutex
-	history []commitDelta
+	// version is the data version new leases evaluate at. It moves only
+	// under hmu, together with base and history; leases read it without
+	// the lock to tell a current engine from a stale one.
+	version atomic.Uint64
+
+	// hmu guards base and history. history holds the commits since the
+	// last reset, oldest first and at most maxDeltaHistory of them, with
+	// no gap: history[i] leads from version histFrom+i to histFrom+i+1,
+	// and the last one to version.
+	hmu      sync.Mutex
+	base     *substrate
+	history  []commitDelta
+	histFrom uint64
 }
+
+// commitDelta is one commit's effective base-fact change, kept so stale
+// idle engines can catch up by mutating their state in place instead of
+// rebuilding.
+type commitDelta struct {
+	added, removed []ast.CAtom
+	cone           map[symbols.Pred]bool
+}
+
+const (
+	// maxDeltaHistory bounds how many commits the pool retains for
+	// catch-up; an engine idle for longer rebuilds.
+	maxDeltaHistory = 64
+	// maxDeltaAtoms bounds one commit's recorded delta; a bulk load
+	// bigger than this is cheaper to rebuild into than to propagate.
+	maxDeltaAtoms = 1024
+)
 
 // NewPool builds an engine pool. It constructs one engine eagerly so that
 // configuration errors (e.g. cascade mode without a linear
 // stratification) surface immediately. The pool holds at most
 // Options.PoolSize engines (GOMAXPROCS when zero).
 func NewPool(p *Program, opts Options) (*Pool, error) {
+	return newPool(p, opts, newDomain(p, opts.ExtraDomain), p.comp.Facts, 0)
+}
+
+// newPool builds a pool over p's rules whose base holds fs at version.
+func newPool(p *Program, opts Options, dom *domain, fs []ast.CAtom, version uint64) (*Pool, error) {
 	mets := opts.metricSet()
-	var ac *cache.Cache
-	if opts.CacheBytes > 0 {
-		ac = cache.New(opts.CacheBytes, mets)
-	}
-	first, err := New(p, opts)
-	if err != nil {
-		return nil, err
-	}
 	size := opts.PoolSize
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
@@ -148,102 +128,106 @@ func NewPool(p *Program, opts Options) (*Pool, error) {
 	pl := &Pool{
 		prog:    p,
 		opts:    opts,
-		domSet:  first.domSet,
+		dom:     dom,
 		mets:    mets,
-		cache:   ac,
 		free:    make(chan *Engine, size),
 		closing: make(chan struct{}),
-		created: 1,
 	}
-	pl.cur.Store(&verProgram{prog: p, mets: mets})
+	if err := pl.reset(fs, version); err != nil {
+		return nil, err
+	}
+	first, err := pl.build()
+	if err != nil {
+		return nil, err
+	}
+	if opts.CacheBytes > 0 {
+		pl.cache = cache.New(opts.CacheBytes, mets)
+	}
+	pl.created = 1
 	pl.idleBytes.Add(first.MemBytes())
 	pl.free <- first
 	mets.PoolNews.Inc()
 	return pl, nil
 }
 
-// setProgram swaps the pool to a new data version of its program. The
-// swap is a hot one: in-flight queries keep the engines (and hence the
-// exact base DB and memo state) they leased — snapshot isolation — while
-// every lease that starts after setProgram returns evaluates at the new
-// version, rebuilding any stale idle engine it draws. The program must
-// share the seed program's symbol table (Pool compiles queries against
-// it before leasing), which holds for every Program.withFacts
-// derivative. Versions are monotonic: a swap carrying a version older
-// than the current one is dropped, so delayed or racing swaps (e.g. a
-// slow commit finishing after a newer one already published) can never
-// roll the served data version back. Used by Live; a static pool never
-// calls it.
-func (pl *Pool) setProgram(p *Program, version uint64) {
-	next := &verProgram{prog: p, version: version, mets: pl.mets}
-	for {
-		cur := pl.cur.Load()
-		if cur != nil && version < cur.version {
-			return
-		}
-		if pl.cur.CompareAndSwap(cur, next) {
-			return
-		}
+// reset replaces the pool's base with a fresh one holding fs at version,
+// and clears the commit history: every engine already built rebuilds on
+// its next lease. Boot recovery and Live.InstallSnapshot use it.
+func (pl *Pool) reset(fs []ast.CAtom, version uint64) error {
+	sub, err := loadSubstrate(pl.prog, fs)
+	if err != nil {
+		return err
 	}
-}
-
-// setProgramDelta is setProgram for commits whose effective base-fact
-// change is known: it records the delta (with its affected predicate
-// cone) in the pool's catch-up history before publishing the new
-// version, so stale idle engines drawn after the swap apply the change
-// in place — keeping memo tables and materialisations outside the cone —
-// instead of rebuilding from scratch. Oversized batches and deltas that
-// fail to compile are published without history; engines then rebuild
-// exactly as under setProgram, sharing the version's substrate build.
-// Cached answers of the old version are not carried: they age out under
-// LRU like any other entry.
-func (pl *Pool) setProgramDelta(p *Program, version uint64, added, removed []ast.Atom) {
-	if len(added)+len(removed) <= maxDeltaAtoms {
-		if cadd, crem, err := compileDelta(added, removed, p.syms); err == nil {
-			cone := p.rel.Affected(cadd, crem)
-			pl.hmu.Lock()
-			if from := pl.cur.Load().version; version > from {
-				pl.history = append(pl.history, commitDelta{from: from, to: version, added: cadd, removed: crem, cone: cone})
-				if len(pl.history) > maxDeltaHistory {
-					pl.history = append([]commitDelta(nil), pl.history[len(pl.history)-maxDeltaHistory:]...)
-				}
-			}
-			pl.hmu.Unlock()
-		}
-	}
-	pl.setProgram(p, version)
-}
-
-// deltasBetween returns the contiguous chain of recorded commit deltas
-// leading from version `from` to version `to`, or ok=false when the
-// history has a gap (evicted entry, oversized batch, plain setProgram).
-func (pl *Pool) deltasBetween(from, to uint64) ([]commitDelta, bool) {
+	pl.mets.LiveSubstrateBuilds.Inc()
 	pl.hmu.Lock()
 	defer pl.hmu.Unlock()
-	var out []commitDelta
-	v := from
-	for v < to {
-		found := false
-		for i := range pl.history {
-			if pl.history[i].from == v {
-				out = append(out, pl.history[i])
-				v = pl.history[i].to
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
+	pl.base, pl.history, pl.histFrom = sub, nil, version
+	pl.version.Store(version)
+	return nil
+}
+
+// publish moves the pool to version, one past its current one, by a
+// commit's effective, compiled base-fact change: it applies the change to
+// the base in place and records it, with its affected predicate cone, in
+// the catch-up history, so stale idle engines drawn afterwards apply it
+// too — keeping memo tables and materialisations outside the cone —
+// instead of rebuilding. An oversized batch clears the history, and so
+// does a version that does not follow the current one; engines then
+// rebuild from the base. In-flight queries keep the engines they leased;
+// every lease that starts after publish returns evaluates at version.
+// Earlier clones of the base are unaffected: Insert appends past every
+// clone's clipped lists and Remove builds fresh ones. Insert fails only
+// on an atom whose arity disagrees with its predicate's, which
+// compileGroundAtom rules out. Cached answers of the old version are not
+// carried: they age out under LRU like any other entry.
+func (pl *Pool) publish(version uint64, added, removed []ast.CAtom) error {
+	pl.hmu.Lock()
+	defer pl.hmu.Unlock()
+	in, db := pl.base.in, pl.base.db
+	for _, ca := range removed {
+		db.Remove(in.Ground(ca, nil))
+	}
+	for _, ca := range added {
+		if _, err := db.Insert(in.Ground(ca, nil)); err != nil {
+			return err
 		}
 	}
-	if v != to {
-		return nil, false
+	switch {
+	case version != pl.version.Load()+1 || len(added)+len(removed) > maxDeltaAtoms:
+		pl.history, pl.histFrom = nil, version
+	default:
+		if len(pl.history) == maxDeltaHistory {
+			pl.history, pl.histFrom = pl.history[1:], pl.histFrom+1
+		}
+		pl.history = append(pl.history, commitDelta{added: added, removed: removed, cone: pl.prog.rel.Affected(added, removed)})
 	}
-	return out, true
+	pl.version.Store(version)
+	return nil
+}
+
+// since returns the recorded commits from version v to the pool's
+// current version, oldest first, and that version; ok is false when the
+// history does not reach back to v. Appends never write into the
+// returned slice, so it stays valid after the lock is released.
+func (pl *Pool) since(v uint64) (ds []commitDelta, to uint64, ok bool) {
+	pl.hmu.Lock()
+	defer pl.hmu.Unlock()
+	if v < pl.histFrom {
+		return nil, 0, false
+	}
+	return pl.history[v-pl.histFrom:], pl.version.Load(), true
+}
+
+// clone copies the base and reads its version under one lock, so an
+// engine's version stamp always matches its facts.
+func (pl *Pool) clone() (*substrate, uint64) {
+	pl.hmu.Lock()
+	defer pl.hmu.Unlock()
+	return pl.base.clone(), pl.version.Load()
 }
 
 // Version reports the data version new leases evaluate at.
-func (pl *Pool) Version() uint64 { return pl.cur.Load().version }
+func (pl *Pool) Version() uint64 { return pl.version.Load() }
 
 // Size reports the maximum number of engines (= concurrent queries).
 func (pl *Pool) Size() int { return cap(pl.free) }
@@ -326,56 +310,33 @@ func (pl *Pool) get(ctx context.Context) (*Engine, error) {
 	}
 }
 
-// build constructs an engine at the current data version, cloning the
-// version's singleflighted fact substrate instead of re-interning the
-// facts per engine.
+// build constructs an engine at the current data version over a clone
+// of the pool's base.
 func (pl *Pool) build() (*Engine, error) {
-	cur := pl.cur.Load()
-	sub, err := cur.substrate()
+	sub, version := pl.clone()
+	e, err := assemble(pl.prog, pl.opts, pl.dom, sub)
 	if err != nil {
 		return nil, err
 	}
-	e, err := assemble(cur.prog, pl.opts, sub.clone())
-	if err != nil {
-		return nil, err
-	}
-	e.version = cur.version
+	e.version = version
 	return e, nil
 }
 
 // fresh returns e if it matches the current data version. A stale engine
-// first tries to catch up in place: if the pool's history holds a
-// contiguous chain of commit deltas from the engine's version to the
-// current one, each is applied incrementally — derived state outside the
-// commits' affected cones survives, warm. Only when the chain is missing
-// (engine idle past the history bound, bulk load, plain setProgram) or
-// an application fails is the engine dropped and rebuilt from the
-// version's substrate. A rebuild failure — only possible if a withFacts
-// derivative fails to construct, which New already succeeded on at
-// setProgram time — releases the engine slot so the pool keeps serving.
+// first tries to catch up in place: if the pool's history reaches back to
+// the engine's version, each commit since is applied incrementally —
+// derived state outside the commits' affected cones survives, warm. Only
+// when the history does not reach back (engine idle past the history
+// bound, bulk load, reset) or an application fails is the engine dropped
+// and rebuilt from a clone of the base. A rebuild failure — New already
+// succeeded with the same rules in NewPool — releases the engine slot so
+// the pool keeps serving.
 func (pl *Pool) fresh(e *Engine) (*Engine, error) {
-	cur := pl.cur.Load()
-	if e.version == cur.version {
+	if e.version == pl.version.Load() {
 		return e, nil
 	}
-	if ds, ok := pl.deltasBetween(e.version, cur.version); ok {
-		applied := true
-		atoms := 0
-		for _, d := range ds {
-			if err := e.applyDeltaCompiled(d.added, d.removed, d.cone); err != nil {
-				// The engine is half-mutated; fall through to a rebuild.
-				applied = false
-				break
-			}
-			atoms += len(d.added) + len(d.removed)
-		}
-		if applied {
-			e.prog = cur.prog
-			e.version = cur.version
-			pl.mets.LiveIncrementalApplies.Inc()
-			pl.mets.LiveIncrementalAtoms.Add(int64(atoms))
-			return e, nil
-		}
+	if pl.catchUp(e) {
+		return e, nil
 	}
 	pl.mets.LiveIncrementalFallbacks.Inc()
 	ne, err := pl.build()
@@ -387,6 +348,26 @@ func (pl *Pool) fresh(e *Engine) (*Engine, error) {
 	}
 	pl.mets.LiveRebuilds.Inc()
 	return ne, nil
+}
+
+// catchUp applies the commits since e's version to e in place, reporting
+// whether it could; on false e may be half-mutated and must be dropped.
+func (pl *Pool) catchUp(e *Engine) bool {
+	ds, to, ok := pl.since(e.version)
+	if !ok {
+		return false
+	}
+	atoms := 0
+	for _, d := range ds {
+		if err := e.applyDeltaCompiled(d.added, d.removed, d.cone); err != nil {
+			return false
+		}
+		atoms += len(d.added) + len(d.removed)
+	}
+	e.version = to
+	pl.mets.LiveIncrementalApplies.Inc()
+	pl.mets.LiveIncrementalAtoms.Add(int64(atoms))
+	return true
 }
 
 // put returns a leased engine; never blocks since created ≤ cap(free).
@@ -486,7 +467,7 @@ func (pl *Pool) QueryEachInfoCtx(ctx context.Context, query string, info *ReadIn
 // at; see Engine.Explain. Explanations always run on a uniform engine:
 // when the pool's engines are uniform the leased engine's warm memo
 // tables answer directly; when they run the cascade, a one-off uniform
-// engine is built from the current version's fact substrate (an
+// engine is built from a clone of the pool's base (an
 // explanation is a diagnostic read — one extra engine build is the price
 // of a proof tree, not a hot-path cost). Answers bypass the cache: the
 // proof tree, not the boolean, is the product. ctx bounds both the wait
@@ -500,17 +481,13 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 	err = pl.Do(ctx, func(e *Engine) (err error) {
 		info = ReadInfo{DataVersion: e.version, Cache: CacheBypass}
 		if !e.uniform {
-			cur := pl.cur.Load()
-			sub, err := cur.substrate()
-			if err != nil {
-				return err
-			}
+			sub, version := pl.clone()
 			opts := pl.opts
 			opts.Mode = ModeUniform
-			if e, err = assemble(cur.prog, opts, sub.clone()); err != nil {
+			if e, err = assemble(pl.prog, opts, pl.dom, sub); err != nil {
 				return fmt.Errorf("hypo: building uniform engine for Explain: %w", err)
 			}
-			info.DataVersion = cur.version
+			info.DataVersion = version
 		}
 		info.Stats, err = e.measured(ctx, func() (err error) {
 			out, err = e.explain(query)

@@ -228,7 +228,7 @@ func (e *Engine) Read(ctx context.Context, req Request, yield func(Binding) erro
 	}
 	*info = ReadInfo{DataVersion: e.version, Cache: CacheBypass}
 	fin := trackQuery(e.mets)
-	r, err := compileRead(req, e.prog.syms, e.domSet)
+	r, err := compileRead(req, e.prog.syms, e.dom.set)
 	if err == nil {
 		info.Stats, err = e.measured(ctx, func() error { return e.eval(r, yield) })
 	}
@@ -339,7 +339,7 @@ func (pl *Pool) Read(ctx context.Context, req Request, yield func(Binding) error
 	}
 	*info = ReadInfo{}
 	fin := trackQuery(pl.mets)
-	r, err := compileRead(req, pl.prog.syms, pl.domSet)
+	r, err := compileRead(req, pl.prog.syms, pl.dom.set)
 	if err == nil {
 		err = pl.read(ctx, r, info, yield)
 	}

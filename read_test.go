@@ -134,7 +134,9 @@ func TestReadSurfaceConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pl.Close()
-			pl.setProgram(prog, poolVersion)
+			if err := pl.reset(prog.comp.Facts, poolVersion); err != nil {
+				t.Fatal(err)
+			}
 			surfaces := append(engineSurfaces(e), poolSurfaces(pl)...)
 			ctx := context.Background()
 

@@ -19,7 +19,7 @@ func TestPublicSurface(t *testing.T) {
 		// One read method per type (Read), Ask/Query/AskUnder for the
 		// examples, and the four shims benchmark/ladder.go calls
 		// (QueryEach, AskInfoCtx, AskUnderInfoCtx, QueryEachInfoCtx).
-		"*hypo.Engine methods": "ApplyDelta Ask AskUnder DataVersion Explain MemBytes Program Query QueryEach Read Stats",
+		"*hypo.Engine methods": "ApplyDelta Ask AskUnder DataVersion Explain MemBytes Query QueryEach Read Stats",
 		"*hypo.Pool methods":   "AskInfoCtx AskUnderInfoCtx CacheMemBytes Close Do ExplainCtx MemBytes QueryEachInfoCtx Read Size TrimMemory Version",
 
 		"hypo.Request fields":    "Kind Query Add Info",
