@@ -187,10 +187,6 @@ func ReadSnapshot(r io.Reader) (*Program, error) {
 	return FromAST(prog)
 }
 
-// AST returns the program's syntax tree as the user wrote it, before the
-// section 3.1 rewrite the engines run.
-func (p *Program) AST() *ast.Program { return p.src }
-
 // RulesHash is a fingerprint of the program's rule set (canonical text,
 // facts excluded). Replication uses it as a compatibility check: a
 // replica may only apply a primary's WAL stream when both run the same

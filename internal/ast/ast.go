@@ -15,7 +15,6 @@ package ast
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -92,11 +91,6 @@ type Atom struct {
 	Args []Term
 }
 
-// NewAtom builds an atom.
-func NewAtom(pred string, args ...Term) Atom {
-	return Atom{Pred: pred, Args: args}
-}
-
 // Arity returns the number of arguments.
 func (a Atom) Arity() int { return len(a.Args) }
 
@@ -140,19 +134,6 @@ func (a Atom) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Equal reports structural equality of atoms.
-func (a Atom) Equal(b Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if a.Args[i] != b.Args[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // PremiseKind distinguishes the three premise forms of Definition 1 plus
@@ -204,16 +185,6 @@ func PlainP(a Atom) Premise { return Premise{Kind: Plain, Atom: a} }
 
 // NegP wraps an atom as a negated premise.
 func NegP(a Atom) Premise { return Premise{Kind: Negated, Atom: a} }
-
-// HypP builds a hypothetical premise atom[add: adds...].
-func HypP(a Atom, adds ...Atom) Premise {
-	return Premise{Kind: Hyp, Atom: a, Adds: adds}
-}
-
-// HypDelP builds a hypothetical premise atom[add: ...][del: ...].
-func HypDelP(a Atom, adds, dels []Atom) Premise {
-	return Premise{Kind: Hyp, Atom: a, Adds: adds, Dels: dels}
-}
 
 // Vars appends the premise's variable names to dst in first-occurrence
 // order, skipping duplicates.
@@ -315,94 +286,6 @@ func (p *Program) String() string {
 		b.WriteString(".\n")
 	}
 	return b.String()
-}
-
-// Clone returns a deep copy of the program.
-func (p *Program) Clone() *Program {
-	out := &Program{
-		Rules:   make([]Rule, len(p.Rules)),
-		Facts:   make([]Atom, len(p.Facts)),
-		Queries: make([]Premise, len(p.Queries)),
-	}
-	for i, r := range p.Rules {
-		out.Rules[i] = cloneRule(r)
-	}
-	for i, f := range p.Facts {
-		out.Facts[i] = cloneAtom(f)
-	}
-	for i, q := range p.Queries {
-		out.Queries[i] = clonePremise(q)
-	}
-	return out
-}
-
-func cloneAtom(a Atom) Atom {
-	out := Atom{Pred: a.Pred}
-	if a.Args != nil {
-		out.Args = append([]Term(nil), a.Args...)
-	}
-	return out
-}
-
-func clonePremise(p Premise) Premise {
-	out := Premise{Kind: p.Kind, Atom: cloneAtom(p.Atom)}
-	for _, a := range p.Adds {
-		out.Adds = append(out.Adds, cloneAtom(a))
-	}
-	for _, a := range p.Dels {
-		out.Dels = append(out.Dels, cloneAtom(a))
-	}
-	return out
-}
-
-func cloneRule(r Rule) Rule {
-	out := Rule{Head: cloneAtom(r.Head), Line: r.Line}
-	for _, p := range r.Body {
-		out.Body = append(out.Body, clonePremise(p))
-	}
-	return out
-}
-
-// Predicates returns the name/arity pairs of all predicates mentioned
-// anywhere in the program, sorted by name then arity.
-func (p *Program) Predicates() []PredSig {
-	seen := map[PredSig]bool{}
-	add := func(a Atom) { seen[PredSig{a.Pred, a.Arity()}] = true }
-	for _, f := range p.Facts {
-		add(f)
-	}
-	for _, r := range p.Rules {
-		add(r.Head)
-		for _, pr := range r.Body {
-			add(pr.Atom)
-			for _, a := range pr.Adds {
-				add(a)
-			}
-			for _, a := range pr.Dels {
-				add(a)
-			}
-		}
-	}
-	for _, q := range p.Queries {
-		add(q.Atom)
-		for _, a := range q.Adds {
-			add(a)
-		}
-		for _, a := range q.Dels {
-			add(a)
-		}
-	}
-	out := make([]PredSig, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
 }
 
 // PredSig identifies a predicate by name and arity.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAtomHelpers(t *testing.T) {
-	a := NewAtom("edge", Const("a"), Var("X"))
+	a := Atom{Pred: "edge", Args: []Term{Const("a"), Var("X")}}
 	if a.IsGround() {
 		t.Error("edge(a, X) reported ground")
 	}
@@ -19,25 +19,18 @@ func TestAtomHelpers(t *testing.T) {
 	if len(vs) != 1 || vs[0] != "X" {
 		t.Errorf("Vars = %v", vs)
 	}
-	b := NewAtom("edge", Const("a"), Var("X"))
-	if !a.Equal(b) {
-		t.Error("Equal false for identical atoms")
-	}
-	if a.Equal(NewAtom("edge", Var("X"), Const("a"))) {
-		t.Error("Equal true for different atoms")
-	}
-	zero := NewAtom("yes")
+	zero := Atom{Pred: "yes"}
 	if zero.String() != "yes" || zero.Arity() != 0 {
 		t.Errorf("zero-arity atom: %q/%d", zero.String(), zero.Arity())
 	}
 }
 
 func TestPremiseString(t *testing.T) {
-	p := HypP(NewAtom("grad", Var("S")), NewAtom("take", Var("S"), Var("C")))
+	p := Premise{Kind: Hyp, Atom: Atom{Pred: "grad", Args: []Term{Var("S")}}, Adds: []Atom{Atom{Pred: "take", Args: []Term{Var("S"), Var("C")}}}}
 	if got := p.String(); got != "grad(S)[add: take(S, C)]" {
 		t.Errorf("String = %q", got)
 	}
-	n := NegP(NewAtom("p", Var("X")))
+	n := NegP(Atom{Pred: "p", Args: []Term{Var("X")}})
 	if got := n.String(); got != "not p(X)" {
 		t.Errorf("String = %q", got)
 	}
@@ -45,10 +38,10 @@ func TestPremiseString(t *testing.T) {
 
 func TestRuleVarsOrder(t *testing.T) {
 	r := Rule{
-		Head: NewAtom("h", Var("A"), Var("B")),
+		Head: Atom{Pred: "h", Args: []Term{Var("A"), Var("B")}},
 		Body: []Premise{
-			PlainP(NewAtom("p", Var("B"), Var("C"))),
-			HypP(NewAtom("q", Var("D")), NewAtom("w", Var("E"))),
+			PlainP(Atom{Pred: "p", Args: []Term{Var("B"), Var("C")}}),
+			Premise{Kind: Hyp, Atom: Atom{Pred: "q", Args: []Term{Var("D")}}, Adds: []Atom{Atom{Pred: "w", Args: []Term{Var("E")}}}},
 		},
 	}
 	got := strings.Join(r.Vars(), ",")
@@ -57,26 +50,13 @@ func TestRuleVarsOrder(t *testing.T) {
 	}
 }
 
-func TestProgramCloneIndependence(t *testing.T) {
-	p := &Program{
-		Facts: []Atom{NewAtom("p", Const("a"))},
-		Rules: []Rule{{Head: NewAtom("q", Var("X")), Body: []Premise{PlainP(NewAtom("p", Var("X")))}}},
-	}
-	c := p.Clone()
-	c.Facts[0].Args[0] = Const("zzz")
-	c.Rules[0].Body[0].Atom.Pred = "changed"
-	if p.Facts[0].Args[0].Name != "a" || p.Rules[0].Body[0].Atom.Pred != "p" {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestValidateCatchesProblems(t *testing.T) {
 	p := &Program{
-		Facts: []Atom{NewAtom("p", Var("X"))}, // non-ground fact
+		Facts: []Atom{Atom{Pred: "p", Args: []Term{Var("X")}}}, // non-ground fact
 		Rules: []Rule{
-			{Head: NewAtom("q"), Body: []Premise{{Kind: NegHyp, Atom: NewAtom("r")}}}, // no adds
-			{Head: NewAtom("s"), Body: []Premise{{Kind: Hyp, Atom: NewAtom("r")}}},    // no adds
-			{Head: NewAtom("p", Const("a"), Const("b"))},                              // arity clash with p/1
+			{Head: Atom{Pred: "q"}, Body: []Premise{{Kind: NegHyp, Atom: Atom{Pred: "r"}}}}, // no adds
+			{Head: Atom{Pred: "s"}, Body: []Premise{{Kind: Hyp, Atom: Atom{Pred: "r"}}}},    // no adds
+			{Head: Atom{Pred: "p", Args: []Term{Const("a"), Const("b")}}},                   // arity clash with p/1
 		},
 	}
 	errs := Validate(p)
@@ -88,10 +68,10 @@ func TestValidateCatchesProblems(t *testing.T) {
 func TestRewriteNegHyp(t *testing.T) {
 	p := &Program{
 		Rules: []Rule{{
-			Head: NewAtom("q", Var("X")),
+			Head: Atom{Pred: "q", Args: []Term{Var("X")}},
 			Body: []Premise{
-				PlainP(NewAtom("p", Var("X"))),
-				{Kind: NegHyp, Atom: NewAtom("r", Var("X"), Var("Y")), Adds: []Atom{NewAtom("w", Var("X"))}},
+				PlainP(Atom{Pred: "p", Args: []Term{Var("X")}}),
+				{Kind: NegHyp, Atom: Atom{Pred: "r", Args: []Term{Var("X"), Var("Y")}}, Adds: []Atom{Atom{Pred: "w", Args: []Term{Var("X")}}}},
 			},
 		}},
 	}
@@ -111,7 +91,7 @@ func TestRewriteNegHyp(t *testing.T) {
 	}
 	// The aux rule keeps the hypothetical body, Y free in it.
 	aux := rw.Rules[1]
-	if !aux.Head.Equal(pr.Atom) || aux.Body[0].Kind != Hyp || aux.Body[0].String() != "r(X, Y)[add: w(X)]" {
+	if aux.Head.String() != pr.Atom.String() || aux.Body[0].Kind != Hyp || aux.Body[0].String() != "r(X, Y)[add: w(X)]" {
 		t.Errorf("aux rule = %v", aux)
 	}
 	if errs := Validate(rw); len(errs) != 0 {
@@ -127,16 +107,16 @@ func TestRewriteNegationLocalVariable(t *testing.T) {
 	p := &Program{
 		Rules: []Rule{
 			{ // Example 6: Y is local to the negation.
-				Head: NewAtom("even"),
-				Body: []Premise{NegP(NewAtom("selectx", Var("Y")))},
+				Head: Atom{Pred: "even"},
+				Body: []Premise{NegP(Atom{Pred: "selectx", Args: []Term{Var("Y")}})},
 			},
 			{ // Every variable of the negation is bound elsewhere: kept.
-				Head: NewAtom("q", Var("X")),
-				Body: []Premise{PlainP(NewAtom("p", Var("X"))), NegP(NewAtom("r", Var("X")))},
+				Head: Atom{Pred: "q", Args: []Term{Var("X")}},
+				Body: []Premise{PlainP(Atom{Pred: "p", Args: []Term{Var("X")}}), NegP(Atom{Pred: "r", Args: []Term{Var("X")}})},
 			},
 			{ // X is shared, Z local: the aux predicate keeps X.
-				Head: NewAtom("s", Var("X")),
-				Body: []Premise{PlainP(NewAtom("p", Var("X"))), NegP(NewAtom("t", Var("X"), Var("Z")))},
+				Head: Atom{Pred: "s", Args: []Term{Var("X")}},
+				Body: []Premise{PlainP(Atom{Pred: "p", Args: []Term{Var("X")}}), NegP(Atom{Pred: "t", Args: []Term{Var("X"), Var("Z")}})},
 			},
 		},
 	}
@@ -178,12 +158,12 @@ func TestRewriteNegationLocalVariable(t *testing.T) {
 
 func TestCompileInternsSlots(t *testing.T) {
 	p := &Program{
-		Facts: []Atom{NewAtom("edge", Const("a"), Const("b"))},
+		Facts: []Atom{Atom{Pred: "edge", Args: []Term{Const("a"), Const("b")}}},
 		Rules: []Rule{{
-			Head: NewAtom("tc", Var("X"), Var("Y")),
+			Head: Atom{Pred: "tc", Args: []Term{Var("X"), Var("Y")}},
 			Body: []Premise{
-				PlainP(NewAtom("tc", Var("X"), Var("Z"))),
-				PlainP(NewAtom("edge", Var("Z"), Var("Y"))),
+				PlainP(Atom{Pred: "tc", Args: []Term{Var("X"), Var("Z")}}),
+				PlainP(Atom{Pred: "edge", Args: []Term{Var("Z"), Var("Y")}}),
 			},
 		}},
 	}
@@ -214,11 +194,11 @@ func TestCompileInternsSlots(t *testing.T) {
 func TestPosVarComputation(t *testing.T) {
 	p := &Program{
 		Rules: []Rule{{
-			Head: NewAtom("h", Var("A")),
+			Head: Atom{Pred: "h", Args: []Term{Var("A")}},
 			Body: []Premise{
-				NegP(NewAtom("n", Var("B"))),                            // B negation-local
-				HypP(NewAtom("q", Var("C")), NewAtom("w", Var("D"))),    // C, D positive
-				{Kind: Negated, Atom: NewAtom("m", Var("A"), Var("C"))}, // A, C already positive
+				NegP(Atom{Pred: "n", Args: []Term{Var("B")}}), // B negation-local
+				Premise{Kind: Hyp, Atom: Atom{Pred: "q", Args: []Term{Var("C")}}, Adds: []Atom{Atom{Pred: "w", Args: []Term{Var("D")}}}}, // C, D positive
+				{Kind: Negated, Atom: Atom{Pred: "m", Args: []Term{Var("A"), Var("C")}}},                                                 // A, C already positive
 			},
 		}},
 	}
@@ -238,8 +218,8 @@ func TestPosVarComputation(t *testing.T) {
 func TestRestrict(t *testing.T) {
 	p := &Program{
 		Rules: []Rule{
-			{Head: NewAtom("a"), Body: []Premise{PlainP(NewAtom("b"))}},
-			{Head: NewAtom("b"), Body: []Premise{PlainP(NewAtom("c"))}},
+			{Head: Atom{Pred: "a"}, Body: []Premise{PlainP(Atom{Pred: "b"})}},
+			{Head: Atom{Pred: "b"}, Body: []Premise{PlainP(Atom{Pred: "c"})}},
 		},
 	}
 	cp, err := Compile(p, symbols.NewTable())
@@ -262,22 +242,8 @@ func TestRestrict(t *testing.T) {
 }
 
 func TestCompileRejectsNonGroundFact(t *testing.T) {
-	p := &Program{Facts: []Atom{NewAtom("p", Var("X"))}}
+	p := &Program{Facts: []Atom{Atom{Pred: "p", Args: []Term{Var("X")}}}}
 	if _, err := Compile(p, symbols.NewTable()); err == nil {
 		t.Error("expected non-ground fact rejection")
-	}
-}
-
-func TestFormatCAtom(t *testing.T) {
-	p := &Program{
-		Rules: []Rule{{Head: NewAtom("p", Var("X"), Const("a"))}},
-	}
-	cp, err := Compile(p, symbols.NewTable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := cp.Rules[0]
-	if got := FormatCAtom(r.Head, cp.Syms, r.VarNames); got != "p(X, a)" {
-		t.Errorf("FormatCAtom = %q", got)
 	}
 }

@@ -372,27 +372,3 @@ func compileAtom(a Atom, syms *symbols.Table, _ map[string]int) (CAtom, error) {
 	}
 	return out, nil
 }
-
-// FormatCAtom renders an interned atom using the symbol table, optionally
-// substituting variable names from varNames.
-func FormatCAtom(a CAtom, syms *symbols.Table, varNames []string) string {
-	if len(a.Args) == 0 {
-		return syms.PredName(a.Pred)
-	}
-	s := syms.PredName(a.Pred) + "("
-	for i, t := range a.Args {
-		if i > 0 {
-			s += ", "
-		}
-		if t.IsVar() {
-			if varNames != nil && t.VarSlot() < len(varNames) {
-				s += varNames[t.VarSlot()]
-			} else {
-				s += fmt.Sprintf("_V%d", t.VarSlot())
-			}
-		} else {
-			s += syms.ConstName(t.ConstID())
-		}
-	}
-	return s + ")"
-}

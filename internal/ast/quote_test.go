@@ -14,7 +14,7 @@ func TestQuotedConstantsRoundTrip(t *testing.T) {
 		"über", "a-b", "p(x)",
 	}
 	for _, name := range cases {
-		a := NewAtom("p", Const(name))
+		a := Atom{Pred: "p", Args: []Term{Const(name)}}
 		printed := a.String() + "."
 		prog, err := parser.Parse(printed)
 		if err != nil {
@@ -50,7 +50,7 @@ func TestQuotingProperty(t *testing.T) {
 				return true // the lexer treats raw newlines inside quotes literally; skip control chars
 			}
 		}
-		a := NewAtom("p", Const(name))
+		a := Atom{Pred: "p", Args: []Term{Const(name)}}
 		prog, err := parser.Parse(a.String() + ".")
 		if err != nil {
 			return false
@@ -82,12 +82,12 @@ func TestPremiseKindStrings(t *testing.T) {
 }
 
 func TestDelPremiseStringRoundTrip(t *testing.T) {
-	p := HypDelP(NewAtom("goal"), []Atom{NewAtom("a", Var("X"))}, []Atom{NewAtom("b")})
+	p := Premise{Kind: Hyp, Atom: Atom{Pred: "goal"}, Adds: []Atom{Atom{Pred: "a", Args: []Term{Var("X")}}}, Dels: []Atom{Atom{Pred: "b"}}}
 	if got := p.String(); got != "goal[add: a(X)][del: b]" {
 		t.Errorf("String = %q", got)
 	}
 	// del-only premise.
-	p2 := HypDelP(NewAtom("goal"), nil, []Atom{NewAtom("b")})
+	p2 := Premise{Kind: Hyp, Atom: Atom{Pred: "goal"}, Dels: []Atom{Atom{Pred: "b"}}}
 	if got := p2.String(); got != "goal[del: b]" {
 		t.Errorf("String = %q", got)
 	}

@@ -355,11 +355,26 @@ func checkFixpointAgreement(t *testing.T, seed int64, eOnly bool) coverage {
 			t.Fatalf("materialise: %v", err)
 		}
 	}
+	// A cached model's state, rebuilt from its id through the parent links.
+	var stateOf func(facts.StateID) facts.State
+	stateOf = func(id facts.StateID) facts.State {
+		if id == facts.EmptyStateID {
+			return facts.NewState(base)
+		}
+		parent, atom, added := facts.StateParent(base, id)
+		if added {
+			return stateOf(parent).Add(atom)
+		}
+		return stateOf(parent).Del(atom)
+	}
 	// Every model the core cached — the asked states and the extended
 	// states its hypothetical premises opened, derived or not — must be
 	// the one a from-scratch fixpoint computes, and the reference's.
 	for sid, m := range p.cache {
-		st := facts.StateAt(base, sid)
+		st := stateOf(sid)
+		if st.ID() != sid {
+			t.Fatalf("state %d rebuilds as %d", sid, st.ID())
+		}
 		got := atomSet{}
 		p.each(m, func(id facts.AtomID) { got[id] = struct{}{} })
 		cold := &model{atoms: atomSet{}, index: make(facts.Index)}

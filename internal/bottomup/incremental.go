@@ -98,15 +98,6 @@ func (p *Prover) drop(id facts.StateID) {
 	p.budget.Stats.IncDropped++
 }
 
-// DropCache discards every cached materialisation; queries recompute
-// lazily against whatever the base database holds then.
-func (p *Prover) DropCache() {
-	for id := range p.cache {
-		p.drop(id)
-	}
-	p.cache = make(map[facts.StateID]*model) // the emptied buckets go too
-}
-
 // PlanDelta is phase one of a commit. Only the empty state's model is
 // maintained in place: every hypothetical state's model is dropped, to be
 // derived again from the maintained one on demand, and the empty state's

@@ -257,27 +257,6 @@ func (s *shard) insert(k Key, val any, bytes int64) int64 {
 	return evicted
 }
 
-// Invalidate drops every entry whose version is older than minVersion,
-// returning how many were dropped. The version-in-key scheme makes this
-// optional (stale entries are never served); it exists so callers can
-// reclaim budget eagerly after a burst of commits.
-func (c *Cache) Invalidate(minVersion uint64) int64 {
-	var dropped int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.entries {
-			if k.Version < minVersion {
-				s.remove(e)
-				dropped++
-			}
-		}
-		s.mu.Unlock()
-	}
-	c.mets.CacheEvictions.Add(dropped)
-	return dropped
-}
-
 // Stats snapshots what the cache holds.
 func (c *Cache) Stats() Stats {
 	var st Stats

@@ -189,42 +189,17 @@ func TestReplaceExistingKeyAccounting(t *testing.T) {
 		return Computed{Val: "a", Bytes: 100, Store: true}, nil
 	})
 	before := c.Stats()
-	// Force a recompute-and-replace by going through a Store=true compute
-	// for the same key after invalidating the flight path via direct
-	// insert: simplest is Invalidate then Do again with a larger size.
-	c.Invalidate(2)
-	_, _, _ = c.Do(context.Background(), k, func() (Computed, error) {
-		return Computed{Val: "bb", Bytes: 200, Store: true}, nil
-	})
+	// Insert the same key again, larger, through its shard.
+	sh := c.shardFor(k)
+	sh.mu.Lock()
+	sh.insert(k, "bb", 200)
+	sh.mu.Unlock()
 	after := c.Stats()
 	if after.Entries != 1 {
 		t.Fatalf("entries %d, want 1", after.Entries)
 	}
 	if after.Bytes <= 0 || after.Bytes == before.Bytes {
 		t.Fatalf("bytes not re-accounted: before %d after %d", before.Bytes, after.Bytes)
-	}
-}
-
-func TestInvalidateDropsOldVersions(t *testing.T) {
-	mets := metrics.NewSet("cache_test")
-	c := New(1<<20, mets)
-	mustDo(t, c, Key{Version: 1, Query: "a"}, 1)
-	mustDo(t, c, Key{Version: 2, Query: "b"}, 2)
-	mustDo(t, c, Key{Version: 3, Query: "c"}, 3)
-	if n := c.Invalidate(3); n != 2 {
-		t.Fatalf("Invalidate dropped %d, want 2", n)
-	}
-	if ev := mets.CacheEvictions.Value(); ev != 2 {
-		t.Fatalf("evictions %d, want 2", ev)
-	}
-	if _, ok := lookup(c, Key{Version: 1, Query: "a"}); ok {
-		t.Fatal("v1 survived Invalidate(3)")
-	}
-	if _, ok := lookup(c, Key{Version: 3, Query: "c"}); !ok {
-		t.Fatal("v3 dropped by Invalidate(3)")
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries %d, want 1", st.Entries)
 	}
 }
 

@@ -200,12 +200,6 @@ func (g *Graph) SCCs() (comps [][]int, compOf []int) {
 	return comps, compOf
 }
 
-// MutuallyRecursive reports whether two predicates are in the same SCC,
-// given compOf from SCCs.
-func MutuallyRecursive(compOf []int, a, b int) bool {
-	return compOf[a] == compOf[b]
-}
-
 // OfCompiled builds the dependency graph of a compiled program's rules:
 // node i is the predicate symbols.Pred(i) of the program's symbol table,
 // and edges are premise occurrences as in Build.

@@ -64,9 +64,6 @@ func TestSCCsMutualRecursion(t *testing.T) {
 	if compOf[even] == compOf[sel] {
 		t.Error("sel wrongly grouped with even")
 	}
-	if !MutuallyRecursive(compOf, even, odd) {
-		t.Error("MutuallyRecursive false")
-	}
 	// Reverse topological order: sel's component before even/odd's.
 	if compOf[sel] > compOf[even] {
 		t.Errorf("comp order: sel=%d even=%d (callees must come first)", compOf[sel], compOf[even])
@@ -108,8 +105,8 @@ func TestSCCPartitionProperty(t *testing.T) {
 			for j := 0; j < n; j++ {
 				if rng.Float64() < 0.2 {
 					prog.Rules = append(prog.Rules, ast.Rule{
-						Head: ast.NewAtom(names[i]),
-						Body: []ast.Premise{ast.PlainP(ast.NewAtom(names[j]))},
+						Head: ast.Atom{Pred: names[i]},
+						Body: []ast.Premise{ast.PlainP(ast.Atom{Pred: names[j]})},
 					})
 				}
 			}

@@ -138,6 +138,8 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 		return fmt.Errorf("%w: compile rewritten: %v", ErrSkip, err)
 	}
 	keys := facts.NewRelevance(rw)
+	// Interners over each symbol table, only to print ground atoms.
+	cpAtoms, rwAtoms := facts.NewInterner(cp.Syms), facts.NewInterner(rw.Syms)
 
 	hp, err := hypo.Parse(src)
 	if err != nil {
@@ -161,7 +163,10 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 	for _, r := range cp.Rules {
 		for _, pr := range r.Body {
 			for _, a := range append(append([]ast.CAtom(nil), pr.Adds...), pr.Dels...) {
-				if s := ast.FormatCAtom(a, cp.Syms, nil); a.IsGround() && !seen[s] {
+				if !a.IsGround() {
+					continue
+				}
+				if s := cpAtoms.Format(cpAtoms.Ground(a, nil)); !seen[s] {
 					seen[s] = true
 					pool = append(pool, s)
 				}
@@ -207,14 +212,14 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 			}
 			sx = append(sx, s...)
 			for _, a := range must {
-				if x := ast.FormatCAtom(a, rw.Syms, nil); rng.Intn(2) == 0 || trial == 0 {
+				if x := rwAtoms.Format(rwAtoms.Ground(a, nil)); rng.Intn(2) == 0 || trial == 0 {
 					sx = append(sx, x)
 				}
 			}
 			want := refHolds(goal, s)
 			if got := refHolds(goal, sx); got != want {
 				return fmt.Errorf("difftest: must-add set of %s is unsound: ref answers %v under %v but %v under %v (M = %v)\n%s",
-					goal, want, s, got, sx, formatAtoms(rw.Syms, must), src)
+					goal, want, s, got, sx, formatAtoms(rwAtoms, must), src)
 			}
 			for name, e := range engines {
 				for _, adds := range [][]string{s, sx} {
@@ -224,7 +229,7 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 					}
 					if got != want {
 						return fmt.Errorf("difftest: AskUnder(%s, add %v): %s=%v ref=%v (M = %v)\n%s",
-							goal, adds, name, got, want, formatAtoms(rw.Syms, must), src)
+							goal, adds, name, got, want, formatAtoms(rwAtoms, must), src)
 					}
 				}
 			}
@@ -233,10 +238,10 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 	return nil
 }
 
-func formatAtoms(syms *symbols.Table, atoms []ast.CAtom) []string {
+func formatAtoms(in *facts.Interner, atoms []ast.CAtom) []string {
 	out := make([]string, len(atoms))
 	for i, a := range atoms {
-		out[i] = ast.FormatCAtom(a, syms, nil)
+		out[i] = in.Format(in.Ground(a, nil))
 	}
 	return out
 }

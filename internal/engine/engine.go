@@ -44,18 +44,6 @@ type Cascade struct {
 	deltaOf map[symbols.Pred]*bottomup.Prover
 }
 
-// NewCascade builds the cascade from a compiled program and its linear
-// stratification (from strat.Stratify on the same source program), or the
-// uniform evaluator when s is nil. Every component draws on b; a nil b
-// sets no limits.
-func NewCascade(cp *ast.CProgram, s *strat.Stratification, dom []symbols.Const, b *topdown.Budget) (*Cascade, error) {
-	base, err := facts.Load(cp, facts.NewRelevance(cp))
-	if err != nil {
-		return nil, err
-	}
-	return NewCascadeWithBase(cp, s, dom, base, b)
-}
-
 // NewCascadeWithBase builds the cascade over an existing base database
 // (and its interner, whose keying stage — relevance classes and must-add
 // sets — must be the whole program's or none); the program's facts are

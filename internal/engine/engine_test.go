@@ -12,6 +12,7 @@ import (
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/bottomup"
+	"hypodatalog/internal/facts"
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/strat"
@@ -44,15 +45,26 @@ func buildBothWith(t *testing.T, src string, b *topdown.Budget) (*Cascade, *Casc
 		t.Fatalf("compile: %v", err)
 	}
 	dom := ref.Domain(cp)
-	uni, err := NewCascade(cp, nil, dom, nil)
+	uni, err := NewCascadeWithBase(cp, nil, dom, loadBase(t, cp), nil)
 	if err != nil {
 		t.Fatalf("uniform: %v", err)
 	}
-	cas, err := NewCascade(cp, s, dom, b)
+	cas, err := NewCascadeWithBase(cp, s, dom, loadBase(t, cp), b)
 	if err != nil {
 		t.Fatalf("cascade: %v", err)
 	}
 	return uni, cas, cp
+}
+
+// loadBase interns cp's facts into a base database keyed by cp's
+// relevance stage, as the pool's base is.
+func loadBase(t *testing.T, cp *ast.CProgram) *facts.DB {
+	t.Helper()
+	base, err := facts.Load(cp, facts.NewRelevance(cp))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return base
 }
 
 // compileQuery compiles a query premise against the program's symbols
@@ -188,7 +200,7 @@ func TestCascadeAgainstReference(t *testing.T) {
 		dom := ref.Domain(cp)
 		ip := ref.New(cp)
 		uni := topdown.New(cp, dom, topdown.Options{}, &topdown.Budget{Max: 5_000_000})
-		cas, err := NewCascade(cp, s, dom, nil)
+		cas, err := NewCascadeWithBase(cp, s, dom, loadBase(t, cp), nil)
 		if err != nil {
 			t.Fatalf("seed %d: cascade: %v\n%s", seed, err, src)
 		}
@@ -249,7 +261,7 @@ func TestCascadeDeletionFuzz(t *testing.T) {
 		dom := ref.Domain(cp)
 		ip := ref.New(cp)
 		uni := topdown.New(cp, dom, topdown.Options{}, &topdown.Budget{Max: 5_000_000})
-		cas, err := NewCascade(cp, s, dom, nil)
+		cas, err := NewCascadeWithBase(cp, s, dom, loadBase(t, cp), nil)
 		if err != nil {
 			t.Fatalf("seed %d: cascade: %v\n%s", seed, err, src)
 		}
@@ -349,12 +361,15 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 		mem.Begin()
 		return holds(cas, body)
 	}
+	every := make(map[symbols.Pred]bool)
+	for p := symbols.Pred(0); int(p) < cp.Syms.NumPreds(); p++ {
+		every[p] = true
+	}
 	drop := func() {
-		for _, se := range cas.sigma {
-			se.ResetTable()
-		}
-		for _, dp := range cas.delta {
-			dp.DropCache()
+		// An empty commit whose cone is every predicate: it prunes every
+		// memo entry and drops every Δ-model of a hypothetical state.
+		if err := cas.ApplyDelta(nil, nil, every); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -374,11 +389,15 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 	// down — before the bottom state's Δ-model or any memo entry exists, so
 	// by the state nodes alone.
 	track(budget)
-	atoms, goals := cas.Interner().Len(), b.Stats.Goals
+	// Atom ids are dense, so the id a fresh atom gets counts the atoms
+	// interned before it.
+	note, _ := cp.Syms.LookupPred("note", 1)
+	probe := func(c string) int { return int(cas.Interner().ID(note, []symbols.Const{cp.Syms.Const(c)})) }
+	atoms, goals := probe("probe0"), b.Stats.Goals
 	if _, err := ask("a1[add: note(t1)]"); !errors.Is(err, topdown.ErrMemory) {
 		t.Fatalf("fresh chain under a %d-byte budget: err = %v, want ErrMemory", budget, err)
 	}
-	if n, g := cas.Interner().Len()-atoms, b.Stats.Goals-goals; n > 1 || g >= depth {
+	if n, g := probe("probe1")-atoms-1, b.Stats.Goals-goals; n > 1 || g >= depth {
 		t.Fatalf("the refused chain interned %d atoms and ran %d goals: the refusal does not show the state table's charge", n, g)
 	}
 	drop()
@@ -398,7 +417,7 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 	}
 	drop()
 	if g := mem.Grown(); g != 0 {
-		t.Fatalf("%d bytes still charged after ResetTable + DropCache", g)
+		t.Fatalf("%d bytes still charged after an empty commit over every predicate", g)
 	}
 }
 

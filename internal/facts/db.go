@@ -106,9 +106,6 @@ func (db *DB) Has(id AtomID) bool {
 	return w < uint(len(db.bits)) && db.bits[w]&(1<<(id&63)) != 0
 }
 
-// Len reports the number of atoms in the database.
-func (db *DB) Len() int { return db.n }
-
 // ByPred returns the atoms with the given predicate. The returned slice
 // must not be modified.
 func (db *DB) ByPred(p symbols.Pred) []AtomID { return db.idx.ByPred(p) }
@@ -130,12 +127,6 @@ func (db *DB) All() []AtomID {
 	}
 	return out
 }
-
-// Clone returns an independent copy of the database sharing the interner.
-// The index lists are shared copy-on-write (Index.Clone), which makes
-// cloning O(entries) map copies with no per-atom re-indexing — the path
-// pool engines take when stamping a fresh engine from the pool's base.
-func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 
 // CloneFor is Clone with the copy bound to a different interner — one
 // that assigns the same ids (an Interner.Clone of this database's), so a

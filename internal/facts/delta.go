@@ -88,9 +88,6 @@ func sortedDelta(ids, dels []AtomID) Delta {
 	return d
 }
 
-// EmptyDelta is the delta of the unmodified database.
-var EmptyDelta = Delta{}
-
 // NewDelta builds an additions-only delta from the given ids (copied,
 // sorted, deduped). Like every Delta built outside a State it is not
 // interned until a State over it is asked for its ID.

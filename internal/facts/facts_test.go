@@ -41,8 +41,8 @@ func TestInternerRoundTrip(t *testing.T) {
 	if _, ok := in.Lookup(p, []symbols.Const{a, a}); ok {
 		t.Error("lookup invented an atom")
 	}
-	if in.Len() != 2 {
-		t.Errorf("Len = %d", in.Len())
+	if len(in.atoms) != 2 {
+		t.Errorf("interned %d atoms", len(in.atoms))
 	}
 }
 
@@ -66,8 +66,8 @@ func TestDBIndexes(t *testing.T) {
 	for i := 0; i+1 < len(consts); i++ {
 		db.Insert(in.ID(edge, []symbols.Const{consts[i], consts[i+1]}))
 	}
-	if db.Len() != 4 {
-		t.Fatalf("Len = %d", db.Len())
+	if n := len(db.All()); n != 4 {
+		t.Fatalf("%d atoms", n)
 	}
 	if got := db.ByPredArg(edge, 0, consts[1]); len(got) != 1 {
 		t.Errorf("index pos0=b: %d atoms", len(got))
@@ -82,9 +82,9 @@ func TestDBIndexes(t *testing.T) {
 	if added, err := db.Insert(in.ID(edge, []symbols.Const{consts[0], consts[1]})); err != nil || added {
 		t.Errorf("duplicate insert: added=%v err=%v", added, err)
 	}
-	clone := db.Clone()
+	clone := db.CloneFor(db.in)
 	clone.Insert(in.ID(edge, []symbols.Const{consts[4], consts[0]}))
-	if db.Len() == clone.Len() {
+	if len(db.All()) == len(clone.All()) {
 		t.Error("clone shares storage")
 	}
 }
@@ -110,8 +110,8 @@ func TestInsertRejectsArityMismatch(t *testing.T) {
 	if db.Has(bad) {
 		t.Fatal("arity-mismatched atom visible in the DB")
 	}
-	if db.Len() != 1 {
-		t.Fatalf("Len = %d after rejected insert, want 1", db.Len())
+	if n := len(db.All()); n != 1 {
+		t.Fatalf("%d atoms after rejected insert, want 1", n)
 	}
 	if got := db.ByPred(edge); len(got) != 1 {
 		t.Fatalf("ByPred lists %d atoms after rejected insert, want 1", len(got))
@@ -119,7 +119,7 @@ func TestInsertRejectsArityMismatch(t *testing.T) {
 }
 
 func TestDeltaBasics(t *testing.T) {
-	d := EmptyDelta
+	var d Delta
 	if d.Len() != 0 || d.Key() != "" {
 		t.Fatal("empty delta not empty")
 	}
@@ -137,7 +137,7 @@ func TestDeltaBasics(t *testing.T) {
 		t.Error("immutability violated")
 	}
 	// Same set, same key, regardless of insertion order.
-	other := EmptyDelta.Add(3).Add(5)
+	other := Delta{}.Add(3).Add(5)
 	if other.Key() != d3.Key() {
 		t.Error("keys differ for equal sets")
 	}
@@ -147,7 +147,7 @@ func TestDeltaBasics(t *testing.T) {
 // of Adds behaves exactly like a set, and equal sets have equal keys.
 func TestDeltaSetSemantics(t *testing.T) {
 	f := func(ids []uint8, probe uint8) bool {
-		d := EmptyDelta
+		var d Delta
 		set := map[AtomID]bool{}
 		for _, x := range ids {
 			d = d.Add(AtomID(x))
@@ -164,7 +164,7 @@ func TestDeltaSetSemantics(t *testing.T) {
 		rand.New(rand.NewSource(int64(len(ids)))).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		d2 := EmptyDelta
+		var d2 Delta
 		for _, x := range shuffled {
 			d2 = d2.Add(AtomID(x))
 		}
@@ -192,7 +192,7 @@ func TestDeltaSetSemantics(t *testing.T) {
 // tabling layer depends on this being exact, not probabilistic).
 func TestDeltaKeyInjective(t *testing.T) {
 	f := func(a, b []uint8) bool {
-		da, db := EmptyDelta, EmptyDelta
+		var da, db Delta
 		sa, sb := map[uint8]bool{}, map[uint8]bool{}
 		for _, x := range a {
 			da = da.Add(AtomID(x))
@@ -318,12 +318,12 @@ func TestStateVisibility(t *testing.T) {
 	if !st2.Has(b) || st.Has(b) {
 		t.Fatal("delta visibility wrong")
 	}
-	st3 := st.AddAll([]AtomID{a, b})
+	st3 := st.Add(a).Add(b)
 	if st3.Key() != st2.Key() {
-		// a is already in base but AddAll records it in the delta too;
+		// a is already in base but Add records it in the delta too;
 		// the keys then differ, which is fine — different deltas.
 		if !st3.Has(a) || !st3.Has(b) {
-			t.Fatal("AddAll lost atoms")
+			t.Fatal("Add lost atoms")
 		}
 	}
 }

@@ -62,8 +62,8 @@ func TestDBRemove(t *testing.T) {
 	if db.Has(ab) {
 		t.Error("removed atom still visible")
 	}
-	if db.Len() != 1 {
-		t.Errorf("Len = %d, want 1", db.Len())
+	if n := len(db.All()); n != 1 {
+		t.Errorf("%d atoms, want 1", n)
 	}
 	if got := db.ByPred(edge); len(got) != 1 || got[0] != ac {
 		t.Errorf("ByPred = %v, want [%v]", got, ac)
@@ -101,7 +101,7 @@ func TestDBCloneCopyOnWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clone := db.Clone()
+	clone := db.CloneFor(db.in)
 	// Mutate the clone: remove one atom, insert a new one.
 	clone.Remove(ids[1])
 	newAtom := in.ID(edge, []symbols.Const{cs[0], cs[5]})
@@ -109,8 +109,8 @@ func TestDBCloneCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The original must be untouched.
-	if !db.Has(ids[1]) || db.Has(newAtom) || db.Len() != 4 {
-		t.Fatalf("original DB observed clone mutations: len=%d", db.Len())
+	if !db.Has(ids[1]) || db.Has(newAtom) || len(db.All()) != 4 {
+		t.Fatalf("original DB observed clone mutations: %d atoms", len(db.All()))
 	}
 	want := append([]AtomID(nil), ids...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -146,8 +146,8 @@ func TestInternerClone(t *testing.T) {
 	a, b := syms.Const("a"), syms.Const("b")
 	ida := in.ID(p, []symbols.Const{a})
 	clone := in.Clone()
-	if clone.Len() != in.Len() {
-		t.Fatalf("clone Len = %d, want %d", clone.Len(), in.Len())
+	if len(clone.atoms) != len(in.atoms) {
+		t.Fatalf("clone holds %d atoms, want %d", len(clone.atoms), len(in.atoms))
 	}
 	if got, ok := clone.Lookup(p, []symbols.Const{a}); !ok || got != ida {
 		t.Fatalf("clone lost atom: %v %v", got, ok)

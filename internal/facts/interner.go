@@ -140,9 +140,6 @@ func (in *Interner) Pred(id AtomID) symbols.Pred { return in.atoms[id].pred }
 // slice must not be modified.
 func (in *Interner) Args(id AtomID) []symbols.Const { return in.atoms[id].args }
 
-// Len reports how many atoms have been interned.
-func (in *Interner) Len() int { return len(in.atoms) }
-
 // Clone returns an independent interner with the same atom/id assignment
 // and no interned states. The per-atom argument slices are shared (they
 // are immutable after interning); the atoms slice and index maps are

@@ -34,9 +34,10 @@ func mustOf(t *testing.T, cp *ast.CProgram, r *Relevance, name string, arity int
 	if !ok {
 		t.Fatalf("no predicate %s/%d", name, arity)
 	}
+	in := NewInterner(cp.Syms)
 	var out []string
 	for _, a := range r.MustAdd(p) {
-		out = append(out, ast.FormatCAtom(a, cp.Syms, nil))
+		out = append(out, in.Format(in.Ground(a, nil)))
 	}
 	slices.Sort(out)
 	return out
@@ -170,7 +171,8 @@ n :- f.
 			}
 			for _, u := range r.u {
 				if cp.IDB[u.Pred] {
-					t.Errorf("U holds the intensional atom %s", ast.FormatCAtom(u, cp.Syms, nil))
+					in := NewInterner(cp.Syms)
+					t.Errorf("U holds the intensional atom %s", in.Format(in.Ground(u, nil)))
 				}
 			}
 		})

@@ -286,13 +286,6 @@ type State struct {
 // NewState returns the state of the unmodified base database.
 func NewState(base *DB) State { return State{Base: base} }
 
-// StateAt returns the state a StateID of base's interner names. The sets
-// are rebuilt from the table, so this is for code that holds states by id
-// and needs their contents back (the interning tests), not for proofs.
-func StateAt(base *DB, id StateID) State {
-	return State{Base: base, Delta: base.in.states.delta(id)}
-}
-
 // StateParent returns the state that id extends by one token in base's
 // interner, that token's atom, and whether the token adds it (false: it
 // deletes it). id must not be EmptyStateID.
@@ -408,15 +401,6 @@ func (s State) rebuilt(ids, dels []AtomID) State {
 	d := sortedDelta(ids, dels)
 	d.sid = s.Base.in.intern(ids, dels)
 	return State{Base: s.Base, Delta: d}
-}
-
-// AddAll returns the state extended with all the given atoms.
-func (s State) AddAll(ids []AtomID) State {
-	out := s
-	for _, id := range ids {
-		out = out.Add(id)
-	}
-	return out
 }
 
 // Key returns the canonical key of the state's delta, derived from its

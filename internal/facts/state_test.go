@@ -10,6 +10,20 @@ import (
 	"hypodatalog/internal/symbols"
 )
 
+// replay rebuilds the state id names by following StateParent to the
+// empty state and applying each token again.
+func replay(db *DB, id StateID) State {
+	if id == EmptyStateID {
+		return NewState(db)
+	}
+	parent, atom, added := StateParent(db, id)
+	st := replay(db, parent)
+	if added {
+		return st.Add(atom)
+	}
+	return st.Del(atom)
+}
+
 // checkStateIntern drives State.Add/Del from an op string over six atoms,
 // three of them base facts (so no-op adds, undeletes and unadds all occur),
 // and holds every state reached to the interning contract, with the derived
@@ -18,7 +32,7 @@ import (
 //   - equal keys ⇒ equal ids, however the state was reached;
 //   - different keys ⇒ different ids;
 //   - equal visible sets ⇒ equal ids (canonicalisation against the base);
-//   - an id rebuilds to the sets it names.
+//   - replaying an id's StateParent chain reaches the id and its sets.
 //
 // Each op byte picks an atom (low bits), add or delete (bit 7) and whether
 // to restart from the empty state first (bit 6) — restarts are what reach
@@ -70,13 +84,13 @@ func checkStateIntern(t *testing.T, ops []byte, mix func(uint32) uint32) {
 			t.Fatalf("op %d: visible set %s has ids %d and %d", i, visible, want, sid)
 		}
 		byVisible[visible] = sid
-		if back := StateAt(db, sid); back.Key() != key || back.ID() != sid {
+		if back := replay(db, sid); back.Key() != key || back.ID() != sid {
 			t.Fatalf("op %d: id %d rebuilds to %v/%v, want %v/%v", i, sid, back.Delta.IDs(), back.Delta.dels, st.Delta.IDs(), st.Delta.dels)
 		}
 		if sid != EmptyStateID {
 			// The parent is the state minus exactly the token StateParent names.
 			parent, atom, added := StateParent(db, sid)
-			p := StateAt(db, parent).Delta
+			p := replay(db, parent).Delta
 			ids, dels := p.IDs(), p.dels
 			if added {
 				ids = insertSorted(ids, atom)
@@ -469,7 +483,7 @@ func checkStatePreds(t *testing.T, ops []byte) {
 		}
 		check(i, st)
 		for _, g := range goals {
-			check(i, StateAt(db, st.RelevantID(g)))
+			check(i, replay(db, st.RelevantID(g)))
 		}
 	}
 }
@@ -514,7 +528,13 @@ func chainAddBytes(n int) uint64 {
 	for i := range atoms {
 		atoms[i] = in.ID(p, []symbols.Const{syms.Const(fmt.Sprint(i))})
 	}
-	walk := func() State { return NewState(db).AddAll(atoms) }
+	walk := func() State {
+		st := NewState(db)
+		for _, id := range atoms {
+			st = st.Add(id)
+		}
+		return st
+	}
 	walk()
 	const walks = 4
 	var before, after runtime.MemStats
@@ -584,7 +604,10 @@ func TestStateAddedManyRuns(t *testing.T) {
 	absent := atoms[n:]
 	atoms = atoms[:n]
 	rand.New(rand.NewSource(1989)).Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
-	st := NewState(db).AddAll(atoms)
+	st := NewState(db)
+	for _, id := range atoms {
+		st = st.Add(id)
+	}
 	runs := 0
 	for r := st.Delta.runs; r != nil; r = r.older {
 		runs++

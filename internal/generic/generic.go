@@ -11,16 +11,12 @@
 //	first1(a1), next1(a1, a2), ..., next1(a_{n-1}, a_n), last1(a_n)
 //
 // for each permutation a1..an of the elements satisfying the domain
-// predicate, and then try to derive the 0-ary goal accept. The package
-// also provides genericity helpers: renaming databases and checking order
-// independence.
+// predicate, and then try to derive the 0-ary goal accept.
 package generic
 
 import (
 	"fmt"
 	"strings"
-
-	"hypodatalog/internal/ast"
 )
 
 // OrderRules returns the section 6.2.1 rulebase asserting every linear
@@ -49,26 +45,6 @@ evenpos(Y) :- next1(X, Y), oddpos(X).
 oddpos(Y) :- next1(X, Y), evenpos(X).
 accept :- last1(X), oddpos(X).
 `
-}
-
-// RenameConsts applies a renaming (permutation of constant symbols) to
-// every fact of a program, returning the isomorphic copy. Constants
-// missing from the map are kept. Rules and queries are not touched — the
-// construction is constant-free there.
-func RenameConsts(p *ast.Program, rename map[string]string) *ast.Program {
-	out := p.Clone()
-	for fi := range out.Facts {
-		f := &out.Facts[fi]
-		for ai := range f.Args {
-			if f.Args[ai].IsVar {
-				continue
-			}
-			if to, ok := rename[f.Args[ai].Name]; ok {
-				f.Args[ai] = ast.Const(to)
-			}
-		}
-	}
-	return out
 }
 
 // DomainFacts renders n facts domPred(e1). ... domPred(en).

@@ -91,28 +91,6 @@ func TestOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestRenameConsts checks the isomorphism helper.
-func TestRenameConsts(t *testing.T) {
-	prog, err := parser.Parse("p(a, b).\nq(b).\nr(X) :- p(X, Y).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenameConsts(prog, map[string]string{"a": "b", "b": "a"})
-	if got := out.Facts[0].String(); got != "p(b, a)" {
-		t.Errorf("fact 0 = %s", got)
-	}
-	if got := out.Facts[1].String(); got != "q(a)" {
-		t.Errorf("fact 1 = %s", got)
-	}
-	// Rules untouched; original program untouched.
-	if out.Rules[0].String() != prog.Rules[0].String() {
-		t.Error("rules were modified")
-	}
-	if prog.Facts[0].String() != "p(a, b)" {
-		t.Error("original mutated")
-	}
-}
-
 // TestGenericWithExtraRelation uses the asserted order to answer a query
 // over a second relation: yes iff the number of marked elements is odd —
 // the order walks the whole domain, counting only marked ones.

@@ -23,7 +23,6 @@ import (
 // Engine evaluates a Horn program bottom-up and answers membership in its
 // perfect model.
 type Engine struct {
-	in   *facts.Interner
 	base *facts.DB
 	pv   *bottomup.Prover
 	b    *topdown.Budget // no limits; its ledger counts the joins' work
@@ -70,20 +69,11 @@ func New(cp *ast.CProgram) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("horn: %w", err)
 	}
-	return &Engine{in: base.Interner(), base: base, pv: pv, b: b}, nil
+	return &Engine{base: base, pv: pv, b: b}, nil
 }
-
-// Interner returns the engine's ground-atom interner.
-func (e *Engine) Interner() *facts.Interner { return e.in }
 
 // JoinProbes reports how many candidate atoms the joins have inspected.
 func (e *Engine) JoinProbes() int64 { return e.b.Stats.JoinProbes }
-
-// Holds reports whether an interned atom is a base fact or in the perfect
-// model (computed on first use).
-func (e *Engine) Holds(goal facts.AtomID) (bool, error) {
-	return e.pv.Holds(goal, facts.NewState(e.base))
-}
 
 // Model returns the derived atoms, sorted. Base facts are not included.
 func (e *Engine) Model() ([]facts.AtomID, error) {

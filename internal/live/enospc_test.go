@@ -30,11 +30,11 @@ func TestENOSPCCommitDegradesTransient(t *testing.T) {
 	en := vfs.NewENOSPC(7) // first failing write is torn: rollback must cope
 	ft := vfs.NewFault(mem, en)
 	s := openMemStore(t, ft, 0)
-	mustCommit(t, s, Assert(atom(t, "edge(c, d)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(c, d)")})
 	version, facts := s.Version(), factKeys(s.Facts())
 
 	en.Fill()
-	_, err := s.Commit([]Mutation{Assert(atom(t, "edge(d, e)"))})
+	_, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(d, e)")}})
 	if !errors.Is(err, ErrReadOnly) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("commit on full disk = %v; want ErrReadOnly wrapping ENOSPC", err)
 	}
@@ -68,7 +68,7 @@ func TestENOSPCCommitDegradesTransient(t *testing.T) {
 	if ro, _, _ := s.Degraded(); ro {
 		t.Fatal("store still read-only after successful recovery")
 	}
-	mustCommit(t, s, Assert(atom(t, "edge(d, e)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(d, e)")})
 	want := factKeys(s.Facts())
 
 	// The recovered write path is durable: a crash loses nothing acked.
@@ -100,10 +100,10 @@ func TestENOSPCStickyWhenRollbackFails(t *testing.T) {
 	})
 	ft := vfs.NewFault(vfs.NewMem(), script)
 	s := openMemStore(t, ft, 0)
-	mustCommit(t, s, Assert(atom(t, "edge(c, d)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(c, d)")})
 
 	en.Fill()
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(d, e)"))}); !errors.Is(err, ErrReadOnly) {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(d, e)")}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("commit on full disk = %v; want ErrReadOnly", err)
 	}
 	if _, transient, _ := s.Degraded(); transient {
@@ -207,7 +207,7 @@ func enospcRound(seedProg *ast.Program, batches [][]Mutation, states [][]string,
 			return fmt.Errorf("TryRecover after space returned: %v", err)
 		}
 	}
-	extra := Assert(ast.Atom{Pred: "edge", Args: []ast.Term{ast.Const("a"), ast.Const("f")}})
+	extra := Mutation{Op: OpAssert, Atom: ast.Atom{Pred: "edge", Args: []ast.Term{ast.Const("a"), ast.Const("f")}}}
 	if _, err := s.Commit([]Mutation{extra}); err != nil {
 		return fmt.Errorf("commit after recovery: %v", err)
 	}

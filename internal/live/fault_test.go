@@ -42,11 +42,11 @@ func TestCommitSyncFailureDegrades(t *testing.T) {
 	// Sync #1 is the WAL header; #2 and #3 are the two good commits.
 	ft := vfs.NewFault(mem, vfs.FailNth(vfs.OpSync, 4))
 	s := openMemStore(t, ft, 0)
-	mustCommit(t, s, Assert(atom(t, "edge(c, d)")))
-	mustCommit(t, s, Assert(atom(t, "edge(d, e)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(c, d)")})
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(d, e)")})
 	version, facts := s.Version(), factKeys(s.Facts())
 
-	_, err := s.Commit([]Mutation{Assert(atom(t, "edge(e, f)"))})
+	_, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(e, f)")}})
 	if !errors.Is(err, ErrReadOnly) || !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("commit over failed sync = %v; want ErrReadOnly wrapping ErrInjected", err)
 	}
@@ -59,7 +59,7 @@ func TestCommitSyncFailureDegrades(t *testing.T) {
 	if ro, roErr := s.ReadOnly(); !ro || !errors.Is(roErr, vfs.ErrInjected) {
 		t.Fatalf("ReadOnly() = %v, %v; want sticky injected cause", ro, roErr)
 	}
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(e, f)"))}); !errors.Is(err, ErrReadOnly) {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(e, f)")}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("second commit after degradation = %v; want ErrReadOnly", err)
 	}
 	if !s.Has(atom(t, "edge(d, e)")) {
@@ -90,15 +90,15 @@ func TestSnapshotRenameFailureStaysWritable(t *testing.T) {
 	mem := vfs.NewMem()
 	ft := vfs.NewFault(mem, vfs.FailPath(vfs.OpRename, tortureSnap))
 	s := openMemStore(t, ft, 2)
-	mustCommit(t, s, Assert(atom(t, "edge(c, d)")))
-	info := mustCommit(t, s, Assert(atom(t, "edge(d, e)"))) // triggers the doomed compaction
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(c, d)")})
+	info := mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(d, e)")}) // triggers the doomed compaction
 	if info.Compacted {
 		t.Fatal("compaction reported success past a failed snapshot rename")
 	}
 	if ro, _ := s.ReadOnly(); ro {
 		t.Fatal("a failed snapshot rename degraded the store; the WAL still covers everything")
 	}
-	mustCommit(t, s, Assert(atom(t, "edge(e, f)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(e, f)")})
 	want := factKeys(s.Facts())
 
 	s2, rec, err := Open(prog(t, seedSrc), tortureConfig(mem))
@@ -124,15 +124,15 @@ func TestSnapshotDirSyncFailureAbortsCompaction(t *testing.T) {
 	// SyncDir #1 durably creates the WAL; #2 is the snapshot rename's.
 	ft := vfs.NewFault(mem, vfs.FailNth(vfs.OpSyncDir, 2))
 	s := openMemStore(t, ft, 2)
-	mustCommit(t, s, Assert(atom(t, "edge(c, d)")))
-	info := mustCommit(t, s, Assert(atom(t, "edge(d, e)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(c, d)")})
+	info := mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(d, e)")})
 	if info.Compacted {
 		t.Fatal("compaction reported success past a failed snapshot dir-sync")
 	}
 	if ro, _ := s.ReadOnly(); ro {
 		t.Fatal("an aborted compaction degraded the store")
 	}
-	mustCommit(t, s, Assert(atom(t, "edge(e, f)")))
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(e, f)")})
 	want := factKeys(s.Facts())
 
 	mem.Crash(rand.New(rand.NewSource(11)))
@@ -158,14 +158,14 @@ func TestWALRotationDirSyncFailureDegrades(t *testing.T) {
 	// SyncDir #1: WAL create; #2: snapshot rename; #3: WAL rotation.
 	ft := vfs.NewFault(mem, vfs.FailNth(vfs.OpSyncDir, 3))
 	s := openMemStore(t, ft, 2)
-	mustCommit(t, s, Assert(atom(t, "edge(c, d)")))
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(d, e)"))}); err != nil {
+	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(c, d)")})
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(d, e)")}}); err != nil {
 		t.Fatalf("the triggering commit was durable before the rotation; it must ack: %v", err)
 	}
 	if ro, roErr := s.ReadOnly(); !ro || !errors.Is(roErr, vfs.ErrInjected) {
 		t.Fatalf("ReadOnly() = %v, %v; want degraded with injected cause", ro, roErr)
 	}
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(e, f)"))}); !errors.Is(err, ErrReadOnly) {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(e, f)")}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("commit after rotation degradation = %v; want ErrReadOnly", err)
 	}
 	version, want := s.Version(), factKeys(s.Facts())

@@ -80,19 +80,13 @@ type Mutation struct {
 	Atom ast.Atom
 }
 
-// Assert builds an OpAssert mutation.
-func Assert(a ast.Atom) Mutation { return Mutation{Op: OpAssert, Atom: a} }
-
-// Retract builds an OpRetract mutation.
-func Retract(a ast.Atom) Mutation { return Mutation{Op: OpRetract, Atom: a} }
-
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("live: store is closed")
 
-// ErrReadOnly is returned by Commit (and Compact) once an I/O error has
-// degraded the store to read-only: reads keep serving the last
-// committed version and every subsequent mutation fails with an error
-// satisfying errors.Is(err, ErrReadOnly). For corruption-class errors
+// ErrReadOnly is returned by Commit once an I/O error has degraded the
+// store to read-only: reads keep serving the last committed version and
+// every subsequent mutation fails with an error satisfying
+// errors.Is(err, ErrReadOnly). For corruption-class errors
 // (EIO, a failed rollback) the state is sticky — only a restart, which
 // re-runs recovery against the surviving durable state, clears it. For
 // transient space pressure (ENOSPC with a clean rollback) the write
@@ -196,7 +190,10 @@ type Store struct {
 	// source for replication followers. It is seeded from the WAL tail at
 	// recovery and bounded by cfg.StreamTailLen; a follower further behind
 	// than the ring's first record must bootstrap from a snapshot instead.
-	tail []Record
+	// Its versions are gapless and end at version; once full, tailHead is
+	// the slot of the oldest record, which the next commit overwrites.
+	tail     []Record
+	tailHead int
 	// changed is closed (and replaced) on every commit or reset — the
 	// broadcast replication streamers block on between records.
 	changed chan struct{}
@@ -303,7 +300,7 @@ func (s *Store) openWAL(rec *Recovery) error {
 	for _, r := range recs {
 		if r.reset {
 			s.facts = make(map[string]ast.Atom, len(r.muts))
-			s.tail = nil
+			s.tail, s.tailHead = nil, 0
 		}
 		for _, m := range r.muts {
 			s.apply(m)
@@ -606,13 +603,6 @@ func (s *Store) Version() uint64 {
 	return s.version
 }
 
-// Len returns the number of facts at the current version.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.facts)
-}
-
 // SinceSnapshot returns the number of commits since the last compaction
 // (or since Open, if none has happened) — the length of the WAL tail a
 // crash right now would replay.
@@ -655,17 +645,6 @@ func (s *Store) factsLocked() []ast.Atom {
 		s.cache = out
 	}
 	return s.cache
-}
-
-// Compact writes the current fact set to the snapshot file and rotates
-// the WAL. It is a no-op error when no SnapshotPath is configured.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
 }
 
 // compactLocked writes snapshot.tmp, renames it over the snapshot and
@@ -763,13 +742,15 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// appendTailLocked pushes one record onto the bounded stream ring.
+// appendTailLocked pushes one record onto the stream ring, overwriting
+// the oldest once the ring holds StreamTailLen.
 func (s *Store) appendTailLocked(r Record) {
-	s.tail = append(s.tail, r)
-	if n := len(s.tail); n > s.cfg.StreamTailLen {
-		// Copy rather than re-slice so the evicted prefix becomes garbage.
-		s.tail = append([]Record(nil), s.tail[n-s.cfg.StreamTailLen:]...)
+	if len(s.tail) < s.cfg.StreamTailLen {
+		s.tail = append(s.tail, r)
+		return
 	}
+	s.tail[s.tailHead] = r
+	s.tailHead = (s.tailHead + 1) % len(s.tail)
 }
 
 // broadcastLocked wakes everyone blocked on Updates.
@@ -800,14 +781,15 @@ func (s *Store) RecordsSince(from uint64) ([]Record, bool) {
 	if from >= s.version {
 		return nil, true
 	}
-	if len(s.tail) == 0 || s.tail[0].Version > from+1 {
+	horizon := s.horizonLocked()
+	if from < horizon {
 		return nil, false
 	}
-	i := 0
-	for i < len(s.tail) && s.tail[i].Version <= from {
-		i++
+	out := make([]Record, 0, s.version-from)
+	for i := from - horizon; i < uint64(len(s.tail)); i++ {
+		out = append(out, s.tail[(s.tailHead+int(i))%len(s.tail)])
 	}
-	return append([]Record(nil), s.tail[i:]...), true
+	return out, true
 }
 
 // StreamHorizon reports the lowest version a follower may resume
@@ -816,11 +798,11 @@ func (s *Store) RecordsSince(from uint64) ([]Record, bool) {
 func (s *Store) StreamHorizon() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tail) == 0 {
-		return s.version
-	}
-	return s.tail[0].Version - 1
+	return s.horizonLocked()
 }
+
+// horizonLocked is the version just before the ring's oldest record.
+func (s *Store) horizonLocked() uint64 { return s.version - uint64(len(s.tail)) }
 
 // SnapshotProgram returns the rules plus the fact set of the current
 // version as one program, with the version it is consistent at — the
@@ -880,7 +862,7 @@ func (s *Store) ResetToFacts(facts []ast.Atom, version uint64) error {
 	s.sinceSnap++
 	// Records before the jump cannot seed a contiguous catch-up chain any
 	// more; followers of this store (chained replicas) must re-bootstrap.
-	s.tail = nil
+	s.tail, s.tailHead = nil, 0
 	s.broadcastLocked()
 	if s.cfg.SnapshotPath != "" {
 		if err := s.compactLocked(); err != nil {

@@ -25,7 +25,7 @@ func openTailStore(t *testing.T, dir string, tailLen int) *Store {
 
 func commitFact(t *testing.T, s *Store, src string) CommitInfo {
 	t.Helper()
-	info, err := s.Commit([]Mutation{Assert(atom(t, src))})
+	info, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, src)}})
 	if err != nil {
 		t.Fatalf("Commit(%s): %v", src, err)
 	}
@@ -105,8 +105,8 @@ func TestUpdatesBroadcastOnCommit(t *testing.T) {
 
 func TestEncodeDecodeRecordPayload(t *testing.T) {
 	rec := Record{Version: 7, Muts: []Mutation{
-		Assert(atom(t, "edge(a, b)")),
-		Retract(atom(t, "edge(b, c)")),
+		{Op: OpAssert, Atom: atom(t, "edge(a, b)")},
+		{Op: OpRetract, Atom: atom(t, "edge(b, c)")},
 	}}
 	got, err := DecodeRecordPayload(EncodeRecordPayload(rec))
 	if err != nil {

@@ -6,10 +6,12 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/parser"
+	"hypodatalog/internal/vfs"
 )
 
 func atom(t *testing.T, src string) ast.Atom {
@@ -63,11 +65,11 @@ func TestCommitAndVersioning(t *testing.T) {
 	if rec.Version != 0 || rec.Replayed != 0 || rec.FromSnapshot {
 		t.Fatalf("fresh recovery = %+v", rec)
 	}
-	if n := s.Len(); n != 2 {
+	if n := len(s.Facts()); n != 2 {
 		t.Fatalf("seed fact count = %d, want 2", n)
 	}
 
-	info, err := s.Commit([]Mutation{Assert(atom(t, "edge(c, d)"))})
+	info, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}})
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -81,9 +83,9 @@ func TestCommitAndVersioning(t *testing.T) {
 	// Batches are one version regardless of size; no-op mutations commit
 	// but report Changed accordingly.
 	info, err = s.Commit([]Mutation{
-		Assert(atom(t, "edge(c, d)")), // already present
-		Retract(atom(t, "edge(a, b)")),
-		Retract(atom(t, "edge(x, y)")), // absent
+		{Op: OpAssert, Atom: atom(t, "edge(c, d)")}, // already present
+		{Op: OpRetract, Atom: atom(t, "edge(a, b)")},
+		{Op: OpRetract, Atom: atom(t, "edge(x, y)")}, // absent
 	})
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
@@ -107,7 +109,7 @@ func TestCommitRejectsBadBatches(t *testing.T) {
 		t.Fatal("empty batch committed")
 	}
 	nonGround := ast.Atom{Pred: "edge", Args: []ast.Term{ast.Var("X"), ast.Const("b")}}
-	if _, err := s.Commit([]Mutation{Assert(nonGround)}); err == nil {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: nonGround}}); err == nil {
 		t.Fatal("non-ground fact committed")
 	}
 	if _, err := s.Commit([]Mutation{{Op: 7, Atom: atom(t, "edge(a, b)")}}); err == nil {
@@ -115,8 +117,8 @@ func TestCommitRejectsBadBatches(t *testing.T) {
 	}
 	// A bad mutation anywhere in the batch rejects the whole batch.
 	if _, err := s.Commit([]Mutation{
-		Assert(atom(t, "edge(z, z)")),
-		Assert(nonGround),
+		{Op: OpAssert, Atom: atom(t, "edge(z, z)")},
+		{Op: OpAssert, Atom: nonGround},
 	}); err == nil {
 		t.Fatal("batch with one bad mutation committed")
 	}
@@ -138,7 +140,7 @@ func TestFactsSnapshotIsolationOfSlice(t *testing.T) {
 	if again := s.Facts(); &again[0] != &before[0] {
 		t.Fatal("same-version Facts() rebuilt the slice")
 	}
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(c, d)"))}); err != nil {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}}); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Facts()
@@ -157,9 +159,9 @@ func TestRecoveryReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, 0) // no compaction: everything lives in the WAL
 	for _, m := range []Mutation{
-		Assert(atom(t, "edge(c, d)")),
-		Assert(atom(t, "edge(d, e)")),
-		Retract(atom(t, "edge(a, b)")),
+		{Op: OpAssert, Atom: atom(t, "edge(c, d)")},
+		{Op: OpAssert, Atom: atom(t, "edge(d, e)")},
+		{Op: OpRetract, Atom: atom(t, "edge(a, b)")},
 	} {
 		if _, err := s.Commit([]Mutation{m}); err != nil {
 			t.Fatal(err)
@@ -184,10 +186,10 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "wal.log")
 	s, _ := openStore(t, dir, 0)
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(c, d)"))}); err != nil {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(d, e)"))}); err != nil {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(d, e)")}}); err != nil {
 		t.Fatal(err)
 	}
 	s.wal.Close()
@@ -213,7 +215,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	}
 	// The torn tail must be gone from disk so the next commit appends to
 	// a valid prefix: commit and recover once more.
-	if _, err := r.Commit([]Mutation{Assert(atom(t, "edge(e, f)"))}); err != nil {
+	if _, err := r.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(e, f)")}}); err != nil {
 		t.Fatal(err)
 	}
 	r.wal.Close()
@@ -229,7 +231,7 @@ func TestRecoveryRejectsCorruptInterior(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "wal.log")
 	s, _ := openStore(t, dir, 0)
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(c, d)"))}); err != nil {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}}); err != nil {
 		t.Fatal(err)
 	}
 	s.wal.Close()
@@ -241,7 +243,7 @@ func TestRecoveryRejectsCorruptInterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, encodeRecord(99, []Mutation{Assert(ast.Atom{Pred: "p"})})...)
+	data = append(data, encodeRecord(99, []Mutation{{Op: OpAssert, Atom: ast.Atom{Pred: "p"}}})...)
 	if err := os.WriteFile(wal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestCompactionAndSnapshotRecovery(t *testing.T) {
 	var last CommitInfo
 	for _, f := range []string{"edge(c, d)", "edge(d, e)", "edge(e, f)"} {
 		var err error
-		if last, err = s.Commit([]Mutation{Assert(atom(t, f))}); err != nil {
+		if last, err = s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, f)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +288,7 @@ func TestCompactionAndSnapshotRecovery(t *testing.T) {
 func TestCleanCloseCompactsAndReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, 0) // periodic compaction off; Close still compacts
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(c, d)"))}); err != nil {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -295,7 +297,7 @@ func TestCleanCloseCompactsAndReplaysNothing(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(x, y)"))}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(x, y)")}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Commit after Close = %v, want ErrClosed", err)
 	}
 
@@ -314,22 +316,17 @@ func TestCleanCloseCompactsAndReplaysNothing(t *testing.T) {
 // replaying them on top must be a harmless no-op.
 func TestCompactionCrashWindow(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStore(t, dir, 0)
-	if _, err := s.Commit([]Mutation{Assert(atom(t, "edge(c, d)"))}); err != nil {
-		t.Fatal(err)
+	s, _ := openStore(t, dir, 2) // the second commit compacts
+	m1 := []Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}}
+	m2 := []Mutation{{Op: OpRetract, Atom: atom(t, "edge(a, b)")}}
+	mustCommit(t, s, m1...)
+	if info := mustCommit(t, s, m2...); !info.Compacted {
+		t.Fatal("the second commit did not compact")
 	}
-	if _, err := s.Commit([]Mutation{Retract(atom(t, "edge(a, b)"))}); err != nil {
-		t.Fatal(err)
-	}
-	// Write the snapshot by hand, leaving the old WAL (records 1..2, base
-	// 0) in place — exactly the state after the first rename.
-	old, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	// Put the old WAL (records 1..2, base 0) back over the rotated one —
+	// exactly the state after the snapshot rename.
+	old := append(encodeHeader(0), encodeRecord(1, m1)...)
+	old = append(old, encodeRecord(2, m2)...)
 	if err := os.WriteFile(filepath.Join(dir, "wal.log"), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +345,9 @@ func TestCompactionCrashWindow(t *testing.T) {
 
 func TestWALRoundTrip(t *testing.T) {
 	ms := []Mutation{
-		Assert(atom(t, "edge(a, b)")),
-		Retract(atom(t, "flag")),
-		Assert(atom(t, "'weird pred'('multi word const', '')")),
+		{Op: OpAssert, Atom: atom(t, "edge(a, b)")},
+		{Op: OpRetract, Atom: atom(t, "flag")},
+		{Op: OpAssert, Atom: atom(t, "'weird pred'('multi word const', '')")},
 	}
 	data := encodeHeader(41)
 	data = append(data, encodeRecord(42, ms)...)
@@ -365,8 +362,43 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("record = %+v", recs[0])
 	}
 	for i, m := range recs[0].muts {
-		if m.Op != ms[i].Op || !m.Atom.Equal(ms[i].Atom) {
+		if m.Op != ms[i].Op || m.Atom.String() != ms[i].Atom.String() {
 			t.Fatalf("mutation %d = %+v, want %+v", i, m, ms[i])
 		}
+	}
+}
+
+// TestStreamRingAllocsFlat: once the stream ring holds StreamTailLen
+// records, a commit allocates about what one did while it was filling —
+// the ring overwrites its oldest record instead of copying the others.
+func TestStreamRingAllocsFlat(t *testing.T) {
+	s, _, err := Open(prog(t, seedSrc), Config{WALPath: "wal.log", NoSync: true, FS: vfs.NewMem(), Logger: quiet()})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	const window = 1000
+	toggle := [2][]Mutation{
+		{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}},
+		{{Op: OpRetract, Atom: atom(t, "edge(c, d)")}},
+	}
+	commits := 0
+	bytesPerCommit := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := s.Commit(toggle[commits%2]); err != nil {
+				t.Fatal(err)
+			}
+			commits++
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+	}
+	bytesPerCommit(s.cfg.StreamTailLen - window)
+	filling := bytesPerCommit(window) // the ring fills with the last of these
+	full := bytesPerCommit(window)
+	if full > 4*filling {
+		t.Errorf("a commit allocates %d B once the ring is full, %d B while it fills", full, filling)
 	}
 }

@@ -76,9 +76,9 @@ func makeBatches(rng *rand.Rand, n int) [][]Mutation {
 		for j := range batch {
 			a := ast.Atom{Pred: "edge", Args: []ast.Term{pick(), pick()}}
 			if rng.Intn(3) == 0 {
-				batch[j] = Retract(a)
+				batch[j] = Mutation{Op: OpRetract, Atom: a}
 			} else {
-				batch[j] = Assert(a)
+				batch[j] = Mutation{Op: OpAssert, Atom: a}
 			}
 		}
 		batches[i] = batch

@@ -71,23 +71,6 @@ func ParseFile(path string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// ParseRule parses a single rule (or fact) from text, without the program
-// wrapper. The trailing period is required.
-func ParseRule(src string) (ast.Rule, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return ast.Rule{}, err
-	}
-	switch {
-	case len(prog.Rules) == 1 && len(prog.Facts) == 0 && len(prog.Queries) == 0:
-		return prog.Rules[0], nil
-	case len(prog.Facts) == 1 && len(prog.Rules) == 0 && len(prog.Queries) == 0:
-		return ast.Rule{Head: prog.Facts[0]}, nil
-	default:
-		return ast.Rule{}, fmt.Errorf("parser: expected exactly one rule in %q", src)
-	}
-}
-
 // ParseAtom parses a single atom (no trailing period).
 func ParseAtom(src string) (ast.Atom, error) {
 	toks, err := lexer.Tokens(src)

@@ -27,10 +27,11 @@ func TestParseFactsAndRules(t *testing.T) {
 }
 
 func TestParseHypotheticalPremise(t *testing.T) {
-	r, err := ParseRule("within1(S, D) :- grad(S, D)[add: take(S, C)].")
+	prog, err := Parse("within1(S, D) :- grad(S, D)[add: take(S, C)].")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := prog.Rules[0]
 	if len(r.Body) != 1 {
 		t.Fatalf("body len %d", len(r.Body))
 	}
@@ -44,65 +45,72 @@ func TestParseHypotheticalPremise(t *testing.T) {
 }
 
 func TestParseMultipleAdds(t *testing.T) {
-	r, err := ParseRule("a(T) :- accept(T)[add: control(T), cell(T), cell2(T)].")
+	prog, err := Parse("a(T) :- accept(T)[add: control(T), cell(T), cell2(T)].")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := prog.Rules[0]
 	if len(r.Body[0].Adds) != 3 {
 		t.Fatalf("adds = %d, want 3", len(r.Body[0].Adds))
 	}
 }
 
 func TestParseDeletions(t *testing.T) {
-	r, err := ParseRule("goal :- sub[add: a(X)][del: b(X), c].")
+	prog, err := Parse("goal :- sub[add: a(X)][del: b(X), c].")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := prog.Rules[0]
 	pr := r.Body[0]
 	if pr.Kind != ast.Hyp || len(pr.Adds) != 1 || len(pr.Dels) != 2 {
 		t.Fatalf("premise = %v (adds=%d dels=%d)", pr, len(pr.Adds), len(pr.Dels))
 	}
 	// del-only premise.
-	r2, err := ParseRule("goal :- sub[del: b].")
+	prog2, err := Parse("goal :- sub[del: b].")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := prog2.Rules[0]
 	if r2.Body[0].Kind != ast.Hyp || len(r2.Body[0].Dels) != 1 || len(r2.Body[0].Adds) != 0 {
 		t.Fatalf("premise = %v", r2.Body[0])
 	}
 	// Order [del][add] also accepted; round-trips via String.
-	r3, err := ParseRule("goal :- sub[del: b][add: a].")
+	prog3, err := Parse("goal :- sub[del: b][add: a].")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r3 := prog3.Rules[0]
 	if got := r3.String(); got != "goal :- sub[add: a][del: b]." {
 		t.Errorf("canonical form = %q", got)
 	}
 }
 
 func TestParseNegation(t *testing.T) {
-	r, err := ParseRule("select(Y) :- node(Y), not pnode(Y).")
+	prog, err := Parse("select(Y) :- node(Y), not pnode(Y).")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := prog.Rules[0]
 	if r.Body[1].Kind != ast.Negated {
 		t.Fatalf("kind = %v", r.Body[1].Kind)
 	}
 	// Tilde form is equivalent.
-	r2, err := ParseRule("select(Y) :- node(Y), ~pnode(Y).")
+	prog2, err := Parse("select(Y) :- node(Y), ~pnode(Y).")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := prog2.Rules[0]
 	if r2.Body[1].Kind != ast.Negated {
 		t.Fatalf("~ kind = %v", r2.Body[1].Kind)
 	}
 }
 
 func TestParseNegatedHypothetical(t *testing.T) {
-	r, err := ParseRule("a :- not b[add: c].")
+	prog, err := Parse("a :- not b[add: c].")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := prog.Rules[0]
 	if r.Body[0].Kind != ast.NegHyp {
 		t.Fatalf("kind = %v, want NegHyp", r.Body[0].Kind)
 	}

@@ -21,7 +21,7 @@
 // It exists as the specification against which the real engines are
 // differentially tested; it is exponential and must only be used on small
 // programs. Programs must be free of recursion through negation (run
-// strat.Check first) — this package does not re-verify it.
+// strat.CheckNegation first) — this package does not re-verify it.
 package ref
 
 import (

@@ -77,11 +77,10 @@ type Status struct {
 	// primary's last advertised one (0 until the first heartbeat).
 	Applied uint64
 	Primary uint64
-	// RecordsApplied, Bootstraps and Reconnects count records applied,
-	// snapshot bootstraps and stream re-establishments since Start.
-	RecordsApplied uint64
-	Bootstraps     uint64
-	Reconnects     uint64
+	// Bootstraps and Reconnects count snapshot bootstraps and stream
+	// re-establishments since Start.
+	Bootstraps uint64
+	Reconnects uint64
 	// LastError is the most recent stream/bootstrap error, cleared on a
 	// healthy reconnect.
 	LastError string

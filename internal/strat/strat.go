@@ -79,30 +79,12 @@ type Stratification struct {
 	Iterations int
 }
 
-// StratumOfPred returns the 1-based stratum of a predicate (partitions
-// 2i-1 and 2i form stratum i). Extensional predicates are in stratum 1.
-func (s *Stratification) StratumOfPred(p ast.PredSig) int {
-	part, ok := s.Part[p]
-	if !ok || part <= 0 {
-		return 1
-	}
-	return (part + 1) / 2
-}
-
-// Check runs the two Lemma 1 tests on a program. A nil error means the
-// program is linearly stratifiable.
-func Check(p *ast.Program) error {
-	g := depgraph.Build(p)
-	comps, compOf := g.SCCs()
-	return check(p, g, comps, compOf)
-}
-
 // CheckNegation runs only the first Lemma 1 test: no recursion through
 // negation. This is the condition required for the program's semantics to
-// be well defined at all (section 3.1); linear stratifiability (the full
-// Check) additionally bounds the data-complexity but is not needed for
-// evaluation. Example 3 of the paper, for instance, passes CheckNegation
-// but not Check.
+// be well defined at all (section 3.1); linear stratifiability (both
+// tests, which Stratify runs) additionally bounds the data-complexity but
+// is not needed for evaluation. Example 3 of the paper, for instance,
+// passes CheckNegation but is not linearly stratifiable.
 func CheckNegation(p *ast.Program) error {
 	g := depgraph.Build(p)
 	comps, compOf := g.SCCs()

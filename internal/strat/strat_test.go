@@ -40,11 +40,8 @@ func TestExample9IsLinearlyStratified(t *testing.T) {
 	// Each a_i must be in stratum i and in an even (Σ) partition.
 	for i, name := range []string{"a1", "a2", "a3"} {
 		sig := ast.PredSig{Name: name, Arity: 0}
-		if got := s.StratumOfPred(sig); got != i+1 {
-			t.Errorf("stratum(%s) = %d, want %d", name, got, i+1)
-		}
-		if part := s.Part[sig]; part%2 != 0 {
-			t.Errorf("partition(%s) = %d, want even (Σ part)", name, part)
+		if part := s.Part[sig]; part != 2*(i+1) {
+			t.Errorf("partition(%s) = %d, want %d (stratum %d's Σ part)", name, part, 2*(i+1), i+1)
 		}
 	}
 }
@@ -89,7 +86,7 @@ func TestExample10NotLinearButHStratified(t *testing.T) {
 
 func TestRecursionThroughNegationRejected(t *testing.T) {
 	p := parse(t, "a :- not b.\nb :- not a.\n")
-	err := Check(p)
+	_, err := Stratify(p)
 	if err == nil {
 		t.Fatal("expected recursion-through-negation error")
 	}
@@ -110,7 +107,7 @@ func TestIndirectNonLinearityRejected(t *testing.T) {
 		d2 :- a[add: c2].
 	`
 	p := parse(t, src)
-	if err := Check(p); err == nil {
+	if _, err := Stratify(p); err == nil {
 		t.Fatal("expected non-linearity error for the indirect encoding")
 	}
 }
@@ -118,7 +115,7 @@ func TestIndirectNonLinearityRejected(t *testing.T) {
 func TestDirectNonLinearHypRejected(t *testing.T) {
 	// Rule form (2): two recursive hypothetical premises.
 	p := parse(t, "a :- b, a[add: c1], a[add: c2].\na :- d.\n")
-	if err := Check(p); err == nil {
+	if _, err := Stratify(p); err == nil {
 		t.Fatal("expected non-linearity error for rule form (2)")
 	}
 }
@@ -171,11 +168,12 @@ func TestHamiltonianIsOneStratum(t *testing.T) {
 	// yes is NP (stratum 1); no = ~yes needs the next Δ, i.e. stratum 2.
 	yes := ast.PredSig{Name: "yes", Arity: 0}
 	no := ast.PredSig{Name: "no", Arity: 0}
-	if s.StratumOfPred(yes) != 1 {
-		t.Errorf("stratum(yes) = %d, want 1", s.StratumOfPred(yes))
+	// Partitions 2i-1 and 2i form stratum i.
+	if part := s.Part[yes]; part < 1 || part > 2 {
+		t.Errorf("partition(yes) = %d, want stratum 1's (1 or 2)", part)
 	}
-	if s.StratumOfPred(no) != 2 {
-		t.Errorf("stratum(no) = %d, want 2", s.StratumOfPred(no))
+	if part := s.Part[no]; part < 3 || part > 4 {
+		t.Errorf("partition(no) = %d, want stratum 2's (3 or 4)", part)
 	}
 }
 

@@ -19,9 +19,6 @@ type Pred int32
 // Const identifies an interned constant symbol.
 type Const int32
 
-// NoPred is the zero Pred; it never names a real predicate.
-const NoPred Pred = -1
-
 // Table maps predicate and constant names to dense ids and back.
 // The zero value is ready to use. A Table must not be copied after first
 // use.
@@ -149,16 +146,4 @@ func (t *Table) NumPreds() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.preds)
-}
-
-// Consts returns the ids of all interned constants, in interning order.
-// The returned slice is freshly allocated.
-func (t *Table) Consts() []Const {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Const, len(t.consts))
-	for i := range out {
-		out[i] = Const(i)
-	}
-	return out
 }

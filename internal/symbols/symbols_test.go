@@ -40,10 +40,9 @@ func TestConstInterning(t *testing.T) {
 	if tb.ConstName(a) != "a" {
 		t.Error("name wrong")
 	}
-	b := tb.Const("b")
-	cs := tb.Consts()
-	if len(cs) != 2 || cs[0] != a || cs[1] != b {
-		t.Errorf("Consts = %v", cs)
+	// Ids are dense, in interning order.
+	if b := tb.Const("b"); a != 0 || b != 1 {
+		t.Errorf("ids a=%d b=%d, want 0 and 1", a, b)
 	}
 }
 

@@ -169,10 +169,6 @@ func NewStatic(name string, pool *hypo.Pool, live *hypo.Live, mets *metrics.Set,
 	return r
 }
 
-// Static reports whether the registry was built by NewStatic (admin
-// operations unavailable).
-func (r *Registry) Static() bool { return r.static }
-
 // DefaultName returns the name of the default tenant.
 func (r *Registry) DefaultName() string { return r.defName }
 

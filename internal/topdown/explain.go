@@ -79,15 +79,6 @@ func (p *Proof) render(b *strings.Builder, depth int) {
 	}
 }
 
-// Size counts the nodes of the proof tree.
-func (p *Proof) Size() int {
-	n := 1
-	for _, c := range p.Children {
-		n += c.Size()
-	}
-	return n
-}
-
 // Explain produces a derivation tree for a provable ground goal, or nil
 // when the goal does not hold. It reuses the engine's memo table, so
 // explaining after asking is cheap.

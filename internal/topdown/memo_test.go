@@ -122,8 +122,8 @@ func FuzzMemo(f *testing.F) {
 }
 
 // TestEngineTableSizeCountsEntries: the ledger's TableSize counts memo
-// entries, not slots or pages, and ResetTable returns every entry and
-// every byte the table charged.
+// entries, not slots or pages, and pruning every predicate returns every
+// entry and every byte but the pages the emptied table keeps.
 func TestEngineTableSizeCountsEntries(t *testing.T) {
 	e, cp := newEngine(t, paritySrc(4), Options{})
 	mem := NewMemTracker(0)
@@ -136,8 +136,8 @@ func TestEngineTableSizeCountsEntries(t *testing.T) {
 	if got, want := mem.Grown(), e.table.memBytes(); got != want {
 		t.Fatalf("tracker grew %d bytes, want the table's %d", got, want)
 	}
-	e.ResetTable()
-	if s, g := e.budget.Stats.TableSize, mem.Grown(); s != 0 || g != 0 {
-		t.Fatalf("after ResetTable: TableSize %d, %d bytes still charged", s, g)
+	e.PruneTable(everyPred(cp))
+	if s, g, want := e.budget.Stats.TableSize, mem.Grown(), e.table.memBytes(); s != 0 || g != want {
+		t.Fatalf("after pruning every predicate: TableSize %d, %d bytes still charged, want the emptied table's %d", s, g, want)
 	}
 }

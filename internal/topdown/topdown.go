@@ -289,17 +289,6 @@ func (e *Engine) EmptyState() facts.State { return facts.NewState(e.base) }
 // Interner returns the engine's ground-atom interner.
 func (e *Engine) Interner() *facts.Interner { return e.in }
 
-// Dom returns the engine's enumeration domain.
-func (e *Engine) Dom() []symbols.Const { return e.dom }
-
-// ResetTable clears the memo table.
-func (e *Engine) ResetTable() {
-	e.budget.Mem.Add(-e.table.memBytes())
-	n, _ := e.table.prune(func(facts.AtomID) bool { return true })
-	e.budget.Stats.TableSize -= n
-	e.table = memo{}
-}
-
 // store tables a goal's result, counting a new entry into the ledger's
 // TableSize and the bytes it took into the meter.
 func (e *Engine) store(key tableKey, val bool) {
