@@ -8,13 +8,17 @@ package hypo_test
 // times one Live commit.
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	hypo "hypodatalog"
 	"hypodatalog/internal/bench"
+	"hypodatalog/internal/live"
+	"hypodatalog/internal/workload"
 )
 
 func BenchmarkE(b *testing.B) {
@@ -92,6 +96,71 @@ func BenchmarkLiveApply(b *testing.B) {
 				if _, err := l.Apply(ms); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkCatchUp times a commit together with what it costs the read
+// after it. The shape is churn_mixed's: a right-linear reach program over
+// a 32-node spine with 12 of 24 chords present, served by a live pool of
+// one engine. One op is one Live.Apply toggling a chord, then one ground
+// reach ask at the new version, which the engine answers after applying
+// the commit to its derived state. add asserts an absent chord, retract
+// retracts a present one; the commit that restores it, and its read, run
+// with the timer stopped.
+func BenchmarkCatchUp(b *testing.B) {
+	g, chords := workload.SpineChords(rand.New(rand.NewSource(1)), 32, 24)
+	g.Edges = append(g.Edges, chords[:12]...)
+	p, err := hypo.Parse(workload.ClosureProgram(g, workload.RightLinear))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		chord  [2]int
+		assert bool
+	}{{"add", chords[12], true}, {"retract", chords[0], false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			l, err := hypo.OpenLive(p, hypo.LiveConfig{WALPath: filepath.Join(b.TempDir(), "wal.log"), NoSync: true}, hypo.Options{PoolSize: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			atom := []string{fmt.Sprintf("edge(n%d, n%d)", bc.chord[0], bc.chord[1])}
+			do, err := hypo.ParseMutations(atom, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			undo, err := hypo.ParseMutations(nil, atom)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !bc.assert {
+				do, undo = undo, do
+			}
+			read := hypo.Request{Kind: hypo.ReadAsk, Query: "reach(n0, n31)"}
+			ask := func(version uint64) {
+				info, err := l.Pool().Read(context.Background(), read, func(hypo.Binding) error { return nil })
+				if err != nil || info.DataVersion != version {
+					b.Fatalf("read at version %d: %v (want %d)", info.DataVersion, err, version)
+				}
+			}
+			commit := func(ms []live.Mutation) {
+				ci, err := l.Apply(ms)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ask(ci.Version)
+			}
+			ask(l.Version())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				commit(do)
+				b.StopTimer()
+				commit(undo)
+				b.StartTimer()
 			}
 		})
 	}

@@ -36,6 +36,7 @@ type Sizes struct {
 	ReplN   []int // E18: replica counts
 	TenantK []int // E19: co-resident tenant counts
 	MemN    []int // E20: memory-budget graph sizes
+	MaintN  []int // E21: spine lengths under a commit
 	Seed    int64
 }
 
@@ -56,6 +57,7 @@ func DefaultSizes() Sizes {
 		ReplN:   []int{1, 2, 3},
 		TenantK: []int{1, 2, 4},
 		MemN:    []int{24, 48, 64},
+		MaintN:  []int{32, 64},
 		Seed:    1,
 	}
 }
@@ -79,6 +81,7 @@ func SmokeSizes() Sizes {
 		ReplN:   []int{1, 2},
 		TenantK: []int{1, 2},
 		MemN:    []int{24},
+		MaintN:  []int{32},
 		Seed:    1,
 	}
 }
@@ -721,5 +724,6 @@ func All() []Experiment {
 		{"E18", "(replication): closure reads on replicas, min-version wait under churn", "one scenario per case; values are latencies of its inner operations.", e18Replication},
 		{"E19", "(multi-tenant): K co-resident programs under mixed traffic", "round-robin interleaved clients, one request in flight at a time.", e19MultiTenant},
 		{"E20", "(memory governance): a per-query byte budget, refusing vs paying", fmt.Sprintf("budget %d bytes; full = unbudgeted reach(X, Y), abort = the budgeted pool refusing it, cheap = edge(n0, Y) on that pool afterwards.", e20Budget), e20MemGovern},
+		{"E21", "(maintenance): one commit, then one read, on a materialised closure", "each cell one cold cascade engine, warmed by the read; counters are the commit's work and the read's after it.", e21Maintenance},
 	}
 }

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -322,6 +323,33 @@ func Chain(n int) Digraph {
 		g.Edges = append(g.Edges, [2]int{i, i + 1})
 	}
 	return g
+}
+
+// Chains is k disjoint paths of length nodes each: node i*length + j
+// has an edge to node i*length + j + 1. Its closure is k·length(length-1)/2
+// reach tuples, each chain's its own.
+func Chains(k, length int) Digraph {
+	g := Digraph{N: k * length}
+	for i := 0; i < k; i++ {
+		for j := 0; j+1 < length; j++ {
+			g.Edges = append(g.Edges, [2]int{i*length + j, i*length + j + 1})
+		}
+	}
+	return g
+}
+
+// SpineChords is the spine 0 -> 1 -> ... -> n-1 and k distinct chords
+// drawn from rng: edges between two nodes that are neither a self-loop
+// nor a spine edge, the edges a churning writer toggles.
+func SpineChords(rng *rand.Rand, n, k int) (spine Digraph, chords [][2]int) {
+	spine = Chain(n - 1)
+	for len(chords) < k {
+		e := [2]int{rng.Intn(n), rng.Intn(n)}
+		if e[0] != e[1] && e[1] != e[0]+1 && !slices.Contains(chords, e) {
+			chords = append(chords, e)
+		}
+	}
+	return spine, chords
 }
 
 // Clique is the complete digraph on nodes 0..k-1 plus the isolated node
