@@ -359,12 +359,14 @@ func (e *Engine) DataVersion() uint64 { return e.version }
 
 // ApplyDelta mutates the engine's base fact set in place — asserts are
 // inserted, retracts removed, both validated like Live mutations (ground,
-// extensional predicate, constants inside dom(R, DB)) — and incrementally
-// maintains the engine's derived state instead of rebuilding it: memo
-// entries and Δ-part materialisations outside the affected cone of the
-// changed predicates survive untouched, those inside it are updated
-// semi-naively (additions) and by delete-and-rederive (retractions), or
-// dropped for lazy recomputation where in-place maintenance is unsound.
+// extensional predicate, constants inside dom(R, DB)) — and maintains the
+// engine's derived state instead of rebuilding it: memo entries and
+// Δ-part materialisations outside the affected cone of the changed
+// predicates survive untouched. Inside it, memo entries are pruned, and a
+// Δ part's root model is extended semi-naively by a batch that only adds;
+// a batch that retracts, or a part whose negated, oracle-answered or
+// hypothetical premises the batch can move, drops it, and the next read
+// rematerialises it.
 //
 // Mutations apply in batch order against the current base, and only the
 // effective changes (facts whose membership actually flips) propagate —

@@ -4,18 +4,26 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hypodatalog/internal/ast"
+	"hypodatalog/internal/live"
 	"hypodatalog/internal/metrics"
+	"hypodatalog/internal/ref"
+	"hypodatalog/internal/symbols"
+	"hypodatalog/internal/workload"
 )
 
 // incSrc exercises every maintenance regime at once: linear-recursive
-// reach (semi-naive addition + DRed retraction, with cycles once edges
-// loop), negation over a cone predicate (memo pruning / cache drop), and
+// reach (semi-naive addition, a retraction that drops the root model, with
+// cycles once edges loop), negation over a cone predicate (memo pruning / cache drop), and
 // a hypothetical premise (always ineligible for in-place Δ maintenance).
 // sink shares no predicate with reach and unreached, so the cascade's Δ
 // part has two components, each maintained by its own prover.
@@ -113,7 +121,7 @@ func probeAll(t *testing.T, e *Engine) string {
 }
 
 // TestEngineApplyDeltaMatchesRebuild drives both engine modes through a
-// mutation sequence covering additions, DRed retractions (including with
+// mutation sequence covering additions, retractions (including with
 // a cycle in play), mixed batches and no-op batches, comparing every
 // incremental engine against a cold engine built from the final facts at
 // each step. The cold engines pin the original domain, matching the
@@ -141,7 +149,7 @@ func TestEngineApplyDeltaMatchesRebuild(t *testing.T) {
 		asserts, retracts []string
 	}{
 		{[]string{"edge(c, d)"}, nil},                    // growth
-		{nil, []string{"edge(a, b)"}},                    // DRed collapse from the root
+		{nil, []string{"edge(a, b)"}},                    // collapse from the root
 		{[]string{"edge(a, b)", "edge(d, a)"}, nil},      // re-add + close a cycle
 		{nil, []string{"edge(b, c)"}},                    // retraction with the cycle live
 		{[]string{"edge(b, c)"}, []string{"edge(c, d)"}}, // mixed batch
@@ -294,8 +302,8 @@ func TestLiveIncrementalCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With edge(a, b) retracted, a no longer reaches b (the only remaining
-	// edges are b->c and c->a), but b still reaches a — the DRed path must
-	// delete exactly the reach facts that lost support.
+	// edges are b->c and c->a), but b still reaches a — the catch-up must
+	// lose exactly the reach facts that lost support.
 	if ok, err := ask(context.Background(), pl, "reach(b, a)"); err != nil || !ok {
 		t.Fatalf("reach(b, a) after retraction = %v, %v", ok, err)
 	}
@@ -683,5 +691,115 @@ unreached(X) :- node(X), ~reach(n0, X).
 	}
 	if len(versions) != len(want) {
 		t.Errorf("answers at %d versions, want all %d", len(versions), len(want))
+	}
+}
+
+// TestCatchUpRaceMatchesRef: a live pool of two engines serves two readers
+// while a writer toggles chords of a spine, retractions among them, so
+// each engine catches up by dropping and extending its root models between
+// reads. A reader waits for the writer's latest version before each read,
+// and every answer must equal internal/ref's at the version the read is
+// stamped with.
+func TestCatchUpRaceMatchesRef(t *testing.T) {
+	const n, commits = 12, 40
+	g, chords := workload.SpineChords(rand.New(rand.NewSource(7)), n, 8)
+	rng := rand.New(rand.NewSource(8))
+	present := map[[2]int]bool{}
+	edgesAt := [][][2]int{g.Edges} // by data version
+	var toggles [][]live.Mutation
+	for i := 0; i < commits; i++ {
+		c := chords[rng.Intn(len(chords))]
+		atom := []string{fmt.Sprintf("edge(n%d, n%d)", c[0], c[1])}
+		if present[c] {
+			toggles = append(toggles, mutations(t, nil, atom))
+		} else {
+			toggles = append(toggles, mutations(t, atom, nil))
+		}
+		present[c] = !present[c]
+		es := slices.Clone(g.Edges)
+		for _, ch := range chords {
+			if present[ch] {
+				es = append(es, ch)
+			}
+		}
+		edgesAt = append(edgesAt, es)
+	}
+	pairs := [][2]int{{0, n - 1}, {n - 1, 0}, {5, 2}, {8, 3}, {3, 1}, {9, 4}}
+	query := func(pr [2]int) string { return fmt.Sprintf("reach(n%d, n%d)", pr[0], pr[1]) }
+	want := make([]map[string]bool, len(edgesAt))
+	for v, es := range edgesAt {
+		p := mustParse(t, workload.ClosureProgram(workload.Digraph{N: n, Edges: es}, workload.RightLinear))
+		ip := ref.New(p.comp)
+		reach, _ := p.syms.LookupPred("reach", 2)
+		want[v] = map[string]bool{}
+		for _, pr := range pairs {
+			x, _ := p.syms.LookupConst(fmt.Sprintf("n%d", pr[0]))
+			y, _ := p.syms.LookupConst(fmt.Sprintf("n%d", pr[1]))
+			want[v][query(pr)] = ip.Holds(ip.Interner().ID(reach, []symbols.Const{x, y}), ip.EmptyState())
+		}
+	}
+
+	l, err := OpenLive(mustParse(t, workload.ClosureProgram(g, workload.RightLinear)),
+		LiveConfig{WALPath: filepath.Join(t.TempDir(), "wal.log"), NoSync: true, Logger: quietLog},
+		Options{PoolSize: 2, Mode: ModeCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var latest atomic.Uint64
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i, ms := range toggles {
+			ci, err := l.Apply(ms)
+			if err == nil && ci.Version != uint64(i+1) {
+				err = fmt.Errorf("commit %d made version %d", i, ci.Version)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+			latest.Store(ci.Version)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := r; ; i++ {
+				last := done.Load() // one more read after the writer stops
+				min := latest.Load()
+				if err := l.WaitVersion(ctx, min); err != nil {
+					errs <- err
+					return
+				}
+				q := query(pairs[i%len(pairs)])
+				got := false
+				info, err := l.Pool().Read(ctx, Request{Kind: ReadAsk, Query: q}, func(Binding) error { got = true; return nil })
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("%s: %w", q, err)
+					return
+				case info.DataVersion < min:
+					errs <- fmt.Errorf("%s read at version %d, below its minimum %d", q, info.DataVersion, min)
+					return
+				case got != want[info.DataVersion][q]:
+					errs <- fmt.Errorf("%s = %v at version %d, ref says %v", q, got, info.DataVersion, !got)
+					return
+				}
+				if last {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -157,7 +157,7 @@ func TestDerivedChildCharges(t *testing.T) {
 	if g := mem.Grown(); g != charged || len(p.cache) != p.maxCache {
 		t.Errorf("past maxCache: %d bytes charged (want %d), %d entries (want %d)", g, charged, len(p.cache), p.maxCache)
 	}
-	if p.PlanDelta(nil, nil, p.own) != nil || len(p.cache) != 0 {
+	if p.ApplyDelta(nil, nil, p.own); len(p.cache) != 0 {
 		t.Fatalf("a commit over every own predicate kept %d models of a hypothetical program", len(p.cache))
 	}
 	if g := mem.Grown(); g != 0 {
@@ -295,7 +295,7 @@ func TestOverlayChainFlattens(t *testing.T) {
 	if flattened < 2 {
 		t.Errorf("%d models flattened along the chain, want at least 2", flattened)
 	}
-	if p.PlanDelta(nil, nil, p.own) != nil || len(p.cache) != 0 {
+	if p.ApplyDelta(nil, nil, p.own); len(p.cache) != 0 {
 		t.Fatalf("a commit over every own predicate kept %d models of a hypothetical program", len(p.cache))
 	}
 	if got := mem.Grown(); got != 0 {

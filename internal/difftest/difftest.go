@@ -150,8 +150,8 @@ func Check(src string) error {
 // engine built from scratch at the post-batch fact set. The batch is
 // derived deterministically from the program — every third extensional
 // ground atom over the domain, capped — flipping membership: present
-// facts are retracted (exercising DRed delete-rederive), absent ones
-// asserted (semi-naive propagation). The cold engine pins the original
+// facts are retracted (the root model is dropped and rematerialised),
+// absent ones asserted (semi-naive propagation). The cold engine pins the original
 // domain via ExtraDomain, matching the incremental engines' fixed
 // dom(R, DB).
 func checkIncremental(ctx context.Context, src string, prog *ast.Program, cp *ast.CProgram, dom []symbols.Const, hp *hypo.Program) error {

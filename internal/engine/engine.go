@@ -120,27 +120,16 @@ func NewCascadeWithBase(cp *ast.CProgram, s *strat.Stratification, dom []symbols
 // ApplyDelta applies a commit's effective base-fact delta to the cascade
 // in place instead of rebuilding it. cone is the affected cone of the
 // changed predicates (facts.Relevance.Affected): everything outside it
-// keeps its Σ memo entries and Δ materialisations verbatim. The update is
-// two-phase because DRed overdeletion must join against the pre-commit
-// database:
-//
-//  1. each Δ prover (one per component of each Δ part) plans — per cached
-//     state, either drop the entry or compute its overdeletion set against
-//     the old base;
-//  2. the shared base database is mutated;
-//  3. Σ memo entries whose goal predicate is in the cone are pruned;
-//  4. each planned Δ entry is finished: overdeleted atoms are removed,
-//     survivors rederived, and rederivations plus additions propagated
-//     semi-naively to the new fixpoint, lowest stratum first so oracle
-//     consultations during rederivation see fully-updated lower strata.
+// keeps its Σ memo entries and Δ materialisations verbatim. The shared
+// base database is mutated first, then Σ memo entries whose goal
+// predicate is in the cone are pruned, and then each Δ prover (one per
+// component of each Δ part), lowest stratum first, extends its root model
+// by the added atoms or drops it (bottomup.Prover.ApplyDelta), so an
+// oracle it consults reads lower strata already at the new facts.
 //
 // The caller must hold the cascade exclusively (no query in flight). On
 // error the cascade is left half-mutated and must be discarded.
 func (c *Cascade) ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pred]bool) error {
-	plans := make([]*bottomup.Plan, len(c.delta))
-	for i, dp := range c.delta {
-		plans[i] = dp.PlanDelta(added, removed, cone)
-	}
 	for _, id := range removed {
 		c.Base().Remove(id)
 	}
@@ -152,8 +141,8 @@ func (c *Cascade) ApplyDelta(added, removed []facts.AtomID, cone map[symbols.Pre
 	for _, se := range c.sigma {
 		se.PruneTable(cone)
 	}
-	for i, dp := range c.delta {
-		dp.ApplyPlan(plans[i], added)
+	for _, dp := range c.delta {
+		dp.ApplyDelta(added, removed, cone)
 	}
 	return nil
 }

@@ -421,6 +421,63 @@ func TestStateNodesChargedAndReleased(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaRetractRematerialises: a retract-only commit in a Δ
+// prover's cone drops the prover's root model without a join, and the
+// next read materialises it once; an add-only commit extends the root in
+// place, and the next read materialises nothing.
+func TestApplyDeltaRetractRematerialises(t *testing.T) {
+	const src = `
+node(a). node(b). node(c). node(d).
+edge(a, b). edge(b, c). edge(c, d).
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- edge(X, Z), reach(Z, Y).
+`
+	b := new(topdown.Budget)
+	_, cas, cp := buildBothWith(t, src, b)
+	ground := func(qs []string) (ids []facts.AtomID, atoms []ast.CAtom) {
+		for _, q := range qs {
+			a := compileQuery(t, cp, q).Body[0].Atom
+			ids, atoms = append(ids, cas.Interner().Ground(a, nil)), append(atoms, a)
+		}
+		return ids, atoms
+	}
+	commit := func(asserts, retracts []string) topdown.Stats {
+		t.Helper()
+		add, addAtoms := ground(asserts)
+		rem, remAtoms := ground(retracts)
+		before := b.Stats
+		if err := cas.ApplyDelta(add, rem, cas.Interner().Relevance().Affected(addAtoms, remAtoms)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Stats.Sub(before)
+	}
+	read := compileQuery(t, cp, "reach(a, d)")
+	ask := func(want bool) topdown.Stats {
+		t.Helper()
+		before := b.Stats
+		if got, err := holds(cas, read); err != nil || got != want {
+			t.Fatalf("reach(a, d) = %v, %v; want %v", got, err, want)
+		}
+		return b.Stats.Sub(before)
+	}
+
+	if w := ask(true); w.Materialisations != 1 {
+		t.Fatalf("cold read: %d materialisations, want 1", w.Materialisations)
+	}
+	if w := commit(nil, []string{"edge(b, c)"}); w.IncDropped != 1 || w.IncStates != 0 || w.JoinProbes != 0 {
+		t.Errorf("retract: %d dropped, %d extended, %d join probes; want 1, 0, 0", w.IncDropped, w.IncStates, w.JoinProbes)
+	}
+	if w := ask(false); w.Materialisations != 1 {
+		t.Errorf("read after the retract: %d materialisations, want 1", w.Materialisations)
+	}
+	if w := commit([]string{"edge(b, d)"}, nil); w.IncStates != 1 || w.IncDropped != 0 {
+		t.Errorf("add: %d extended, %d dropped; want 1, 0", w.IncStates, w.IncDropped)
+	}
+	if w := ask(true); w.Materialisations != 0 {
+		t.Errorf("read after the add: %d materialisations, want 0", w.Materialisations)
+	}
+}
+
 // TestCascadeAsksOneComponent: a Δ part whose predicates fall into two
 // connected components gets one prover per component, and a goal of one
 // materialises that component alone. Here Δ2 holds no :- not yes and

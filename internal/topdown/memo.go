@@ -106,7 +106,8 @@ func (m *memo) put(k tableKey, val bool) (added int, grown int64) {
 }
 
 // prune deletes every entry whose goal drop selects and returns how many
-// it deleted and the bytes that freed. Pages stay until reset.
+// it deleted and the bytes that freed: the overflow entries and every page
+// it leaves with no entry.
 func (m *memo) prune(drop func(goal facts.AtomID) bool) (n int, freed int64) {
 	before := m.memBytes()
 	for key := range m.overflow {
@@ -136,6 +137,12 @@ func (m *memo) prune(drop func(goal facts.AtomID) bool) (n int, freed int64) {
 			if s := m.slot(k.state); !s.full {
 				*s = memoSlot{goal: k.goal, full: true, val: val}
 				delete(m.overflow, key)
+			}
+		}
+		for p, pg := range m.pages {
+			if pg != nil && *pg == (memoPage{}) {
+				m.pages[p] = nil
+				m.npages--
 			}
 		}
 	}

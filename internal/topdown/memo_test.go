@@ -21,7 +21,8 @@ var memoStates = []facts.StateID{0, 1, 2, 3, pageSize - 1, pageSize, pageSize + 
 // to drop). Every get must agree with the model, the entry count with its
 // size, and the bytes put and prune report with what the table charges:
 // its pages and its overflow entries. A state's slot is full whenever the
-// model holds an entry at that state.
+// model holds an entry at that state, and every allocated page holds an
+// entry.
 func checkMemo(t *testing.T, ops []byte) {
 	var m memo
 	model := map[tableKey]bool{}
@@ -71,6 +72,19 @@ func checkMemo(t *testing.T, ops []byte) {
 			if s := m.slot(mk.state); s == nil || !s.full {
 				t.Fatalf("op %d: state %d holds goal %d but its slot is empty", i/3, mk.state, mk.goal)
 			}
+		}
+		pages := 0
+		for p, pg := range m.pages {
+			if pg == nil {
+				continue
+			}
+			pages++
+			if *pg == (memoPage{}) {
+				t.Fatalf("op %d: page %d is allocated and holds no entry", i/3, p)
+			}
+		}
+		if pages != m.npages {
+			t.Fatalf("op %d: %d pages allocated, npages says %d", i/3, pages, m.npages)
 		}
 	}
 }
@@ -123,7 +137,7 @@ func FuzzMemo(f *testing.F) {
 
 // TestEngineTableSizeCountsEntries: the ledger's TableSize counts memo
 // entries, not slots or pages, and pruning every predicate returns every
-// entry and every byte but the pages the emptied table keeps.
+// entry and every byte, the emptied pages' too.
 func TestEngineTableSizeCountsEntries(t *testing.T) {
 	e, cp := newEngine(t, paritySrc(4), Options{})
 	mem := NewMemTracker(0)
@@ -137,7 +151,7 @@ func TestEngineTableSizeCountsEntries(t *testing.T) {
 		t.Fatalf("tracker grew %d bytes, want the table's %d", got, want)
 	}
 	e.PruneTable(everyPred(cp))
-	if s, g, want := e.budget.Stats.TableSize, mem.Grown(), e.table.memBytes(); s != 0 || g != want {
-		t.Fatalf("after pruning every predicate: TableSize %d, %d bytes still charged, want the emptied table's %d", s, g, want)
+	if s, g, tb := e.budget.Stats.TableSize, mem.Grown(), e.table.memBytes(); s != 0 || g != 0 || tb != 0 {
+		t.Fatalf("after pruning every predicate: TableSize %d, %d bytes still charged, the table's %d; want 0", s, g, tb)
 	}
 }
