@@ -11,8 +11,8 @@
 // hypothetical state, and a state's model is derived from its nearest
 // cached ancestor's where the added atoms allow, stored as an overlay on
 // it. Each fixpoint is semi-naive over an index of the atoms derived so
-// far (join.go); incremental.go maintains the empty state's model across
-// base-fact commits with the same joins.
+// far (join.go); across base-fact commits, incremental.go extends the
+// empty state's model with the same joins or drops it.
 package bottomup
 
 import (
@@ -204,8 +204,8 @@ const maxOverlayDepth = 8
 // materialise computes (or returns the cached) perfect model of the Δ part
 // over the state, per the paper's PROVE_Δi main loop. Cached models are
 // held by state id alone; a miss derives the model from an ancestor
-// state's when it can (derive), and incremental maintenance
-// (incremental.go) keeps the empty state's model exact across commits.
+// state's when it can (derive), and a commit (incremental.go) extends
+// the empty state's model or drops it.
 func (p *Prover) materialise(st facts.State) (*model, error) {
 	key := st.ID()
 	if m, ok := p.cache[key]; ok {
