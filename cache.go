@@ -52,18 +52,33 @@ type cachedAnswer struct {
 	version  uint64
 }
 
-// boolAnswerBytes is the charged size of a cached ground answer.
-const boolAnswerBytes = 16
-
-// bindingsBytes estimates the heap footprint of a materialised binding
-// set for the cache's byte budget.
-func bindingsBytes(bs []Binding) int64 {
-	n := int64(24)
+// answerBytes is the heap a cached answer holds, for the cache's byte
+// budget: the cachedAnswer, its slice of bindings and each binding's
+// map. A binding's keys are the read's variable names and its values
+// interned constant names, both shared, so only the map is charged.
+func answerBytes(bs []Binding) int64 {
+	n := int64(32 + 8*cap(bs))
 	for _, b := range bs {
-		n += 48
-		for k, v := range b {
-			n += int64(len(k)+len(v)) + 32
-		}
+		n += bindingBytes(len(b))
 	}
 	return n
+}
+
+// bindingBytes is the heap a map[string]string of n entries holds: a
+// 48-byte header and, once it has an entry, groups of eight slots, one
+// key string and one value string each (288 bytes as allocated), enough
+// of them to keep the load at 7/8 or less. Past eight entries the groups
+// are a power of two, behind a table and a directory (40 bytes).
+func bindingBytes(n int) int64 {
+	switch {
+	case n == 0:
+		return 48
+	case n <= 8:
+		return 48 + 288
+	}
+	groups := int64(1)
+	for groups*7 < int64(n) {
+		groups *= 2
+	}
+	return 88 + 288*groups
 }

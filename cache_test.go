@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"hypodatalog/internal/metrics"
+	"hypodatalog/internal/workload"
 )
 
 const cacheTestSrc = `
@@ -531,5 +533,120 @@ func TestCacheCarriesAcrossUnrelatedCommit(t *testing.T) {
 	}
 	if info.Cache != CacheMiss {
 		t.Fatalf("light(a) after flag commit served %v, want miss", info.Cache)
+	}
+}
+
+// heapAfterGC is the live heap once a collection has run.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestCacheChargesWhatAnswersHold: the bytes the cache charges for
+// its entries are what those entries hold on the heap. 1,024 open reads
+// of reach over a 32-chain, each under its own hypothetical edge, run
+// once through a pool with a cache and once through a pool without one;
+// the heap the first keeps beyond the second is the cache's, and the
+// cache's charge must be within 25 % of it, or a byte budget (and a
+// tenant's memory quota) would not bound the memory the cache holds.
+func TestCacheChargesWhatAnswersHold(t *testing.T) {
+	const n = 32
+	src := workload.ClosureProgram(workload.Chain(n), workload.RightLinear)
+	var reads []string
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			reads = append(reads, fmt.Sprintf("reach(n%d, Y)[add: edge(n%d, n%d)]", i, n-1, j))
+		}
+	}
+	// grown is the heap a fresh program and pool of one hold after every
+	// read has run once, with the cache's charge.
+	grown := func(cacheBytes int64) (heap, charged int64) {
+		before := heapAfterGC()
+		pl, err := NewPool(mustParse(t, src), Options{PoolSize: 1, CacheBytes: cacheBytes, Metrics: metrics.NewSet("estimate")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range reads {
+			if _, err := pl.Read(context.Background(), Request{Kind: ReadQuery, Query: q}, func(Binding) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		heap = heapAfterGC() - before
+		charged = pl.CacheMemBytes()
+		pl.Close()
+		return heap, charged
+	}
+	grown(0) // the symbol tables, code paths and pools that stay warm
+	bare, _ := grown(0)
+	cached, charged := grown(1 << 30)
+	held := cached - bare
+	t.Logf("%d entries charged %d B; they hold %d B (%d B with the cache, %d B without)", len(reads), charged, held, cached, bare)
+	if held <= 0 || charged < held*3/4 || charged > held*5/4 {
+		t.Fatalf("the cache charged %d B for entries holding %d B on the heap; want within 25 %%", charged, held)
+	}
+}
+
+// TestCommitFreesSupersededAnswers: a commit frees the cached answers of
+// the version it supersedes, which no reader can key again. A live pool
+// with the cache on takes commits, each followed by one open read per
+// node. Right after a commit the cache holds nothing; after the reads it
+// holds exactly their entries; and over the last 130 commits the heap
+// after a collection grows by less than a tenth of what those commits'
+// reads were charged, which is what it would grow by if they stayed.
+func TestCommitFreesSupersededAnswers(t *testing.T) {
+	const n, commits, from = 16, 200, 70
+	mets := metrics.NewSet("supersede")
+	l, err := OpenLive(mustParse(t, workload.ClosureProgram(workload.Chain(n), workload.RightLinear)),
+		LiveConfig{WALPath: filepath.Join(t.TempDir(), "wal.log"), NoSync: true, Logger: quietLog},
+		Options{PoolSize: 1, CacheBytes: 1 << 30, Metrics: mets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	pl := l.Pool()
+	chord := []string{fmt.Sprintf("edge(n%d, n%d)", n-1, n/2)}
+	var heap0, charged int64
+	for k := 1; k <= commits; k++ {
+		if k == from {
+			heap0 = heapAfterGC()
+		}
+		ms := mutations(t, chord, nil)
+		if k%2 == 0 {
+			ms = mutations(t, nil, chord)
+		}
+		if _, err := l.Apply(ms); err != nil {
+			t.Fatal(err)
+		}
+		old := pl.cache.Stats()
+		if old.Entries != 0 || old.Bytes != 0 {
+			t.Fatalf("after commit %d the cache holds %d entries (%d B) of older versions", k, old.Entries, old.Bytes)
+		}
+		for i := 0; i < n; i++ {
+			q := fmt.Sprintf("reach(n%d, Y)", i)
+			info, err := pl.Read(context.Background(), Request{Kind: ReadQuery, Query: q}, func(Binding) error { return nil })
+			if err != nil || info.DataVersion != uint64(k) {
+				t.Fatalf("%s after commit %d: version %d, %v", q, k, info.DataVersion, err)
+			}
+		}
+		st := pl.cache.Stats()
+		if st.Entries != n {
+			t.Fatalf("after commit %d and %d reads the cache holds %d entries", k, n, st.Entries)
+		}
+		if k >= from {
+			charged += st.Bytes - old.Bytes
+		}
+	}
+	grew := heapAfterGC() - heap0
+	t.Logf("the reads after commits %d..%d were charged %d B; the heap grew %d B", from, commits, charged, grew)
+	if grew > charged/10 {
+		t.Fatalf("the heap grew %d B over commits whose reads were charged %d B", grew, charged)
+	}
+	if got, want := mets.CacheSuperseded.Value(), int64(n*(commits-1)); got != want {
+		t.Errorf("cache_superseded = %d, want %d", got, want)
+	}
+	if got := mets.CacheEvictions.Value(); got != 0 {
+		t.Errorf("cache_evictions = %d under a 1 GiB budget", got)
 	}
 }

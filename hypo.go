@@ -290,7 +290,8 @@ type Options struct {
 	// query, sorted hypothetical adds) up to this byte budget, with
 	// singleflight coalescing of concurrent identical misses. Entries from
 	// older data versions are never served after a hot swap (the version
-	// is part of the key); they expire lazily under LRU pressure. Zero
+	// is part of the key), and the commit that supersedes them frees
+	// them. The budget is charged what an answer holds on the heap. Zero
 	// disables caching. Ignored by New.
 	CacheBytes int64
 	// Metrics selects the metric set this engine (and any Pool, Live or

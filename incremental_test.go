@@ -701,6 +701,32 @@ unreached(X) :- node(X), ~reach(n0, X).
 // and every answer must equal internal/ref's at the version the read is
 // stamped with.
 func TestCatchUpRaceMatchesRef(t *testing.T) {
+	catchUpRace(t, Options{PoolSize: 2, Mode: ModeCascade})
+}
+
+// TestCatchUpRaceMatchesRefCached is TestCatchUpRaceMatchesRef with the
+// answer cache on, so reads that began before a commit race its sweep to
+// store their answers. At quiescence no entry may sit below the floor:
+// raising it to the current version again must sweep nothing.
+func TestCatchUpRaceMatchesRefCached(t *testing.T) {
+	mets := metrics.NewSet("catchup_cached")
+	pl := catchUpRace(t, Options{PoolSize: 2, Mode: ModeCascade, CacheBytes: 1 << 20, Metrics: mets})
+	if mets.CacheHits.Value()+mets.CacheCoalesced.Value() == 0 {
+		t.Error("no read was served from the cache")
+	}
+	swept := mets.CacheSuperseded.Value()
+	pl.cache.Raise(pl.Version())
+	if got := mets.CacheSuperseded.Value() - swept; got != 0 {
+		t.Errorf("%d entries were stored below the floor %d", got, pl.Version())
+	}
+}
+
+// catchUpRace runs the race of TestCatchUpRaceMatchesRef on a live pool
+// built with opts, failing t on any answer that differs from
+// internal/ref's at its stamped version, and returns the pool once the
+// writer and both readers are done.
+func catchUpRace(t *testing.T, opts Options) *Pool {
+	t.Helper()
 	const n, commits = 12, 40
 	g, chords := workload.SpineChords(rand.New(rand.NewSource(7)), n, 8)
 	rng := rand.New(rand.NewSource(8))
@@ -741,11 +767,11 @@ func TestCatchUpRaceMatchesRef(t *testing.T) {
 
 	l, err := OpenLive(mustParse(t, workload.ClosureProgram(g, workload.RightLinear)),
 		LiveConfig{WALPath: filepath.Join(t.TempDir(), "wal.log"), NoSync: true, Logger: quietLog},
-		Options{PoolSize: 2, Mode: ModeCascade})
+		opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	var latest atomic.Uint64
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -770,14 +796,19 @@ func TestCatchUpRaceMatchesRef(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ctx := context.Background()
-			for i := r; ; i++ {
-				last := done.Load() // one more read after the writer stops
+			// After the writer stops, one more round of every query, read
+			// twice in a row at its last version: with the cache on, the
+			// second read of each is served from the cache.
+			for i, after := r, 0; after <= 2*len(pairs); i++ {
+				if done.Load() {
+					after++
+				}
 				min := latest.Load()
 				if err := l.WaitVersion(ctx, min); err != nil {
 					errs <- err
 					return
 				}
-				q := query(pairs[i%len(pairs)])
+				q := query(pairs[i/2%len(pairs)])
 				got := false
 				info, err := l.Pool().Read(ctx, Request{Kind: ReadAsk, Query: q}, func(Binding) error { got = true; return nil })
 				switch {
@@ -791,9 +822,6 @@ func TestCatchUpRaceMatchesRef(t *testing.T) {
 					errs <- fmt.Errorf("%s = %v at version %d, ref says %v", q, got, info.DataVersion, !got)
 					return
 				}
-				if last {
-					return
-				}
 			}
 		}()
 	}
@@ -802,4 +830,5 @@ func TestCatchUpRaceMatchesRef(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	return l.Pool()
 }

@@ -9,9 +9,17 @@
 // (the hypo layer folds the operation kind and any sorted hypothetical
 // adds into it). Because the version is part of the key, a hot engine
 // swap invalidates by construction: readers at the new version compute
-// new keys and simply never look up the old entries, which age out of
-// the LRU under byte pressure. A stale-version answer can therefore
-// never be served to a reader keyed at a newer version.
+// new keys and never look up the old entries, so a stale-version answer
+// can never be served to a reader keyed at a newer version.
+//
+// The cache also has a floor, the version below which nothing can be
+// read again: readers key at the pool's data version, which only moves
+// forward. Raise moves the floor up and drops every stored entry keyed
+// below it, and an insert keyed below the floor is refused, so an entry
+// whose computation began before a commit cannot be stored after the
+// commit's sweep. The hypo layer raises the floor on every commit; with
+// no older entry left to walk past, each entry is visited once, by the
+// sweep of the commit that supersedes it.
 //
 // # Coalescing
 //
@@ -49,10 +57,11 @@ type Key struct {
 	Query   string
 }
 
-// entryOverhead approximates the bookkeeping bytes per entry (list
-// links, map cell, header fields) charged on top of the caller-reported
-// value size and the key length.
-const entryOverhead = 96
+// entryOverhead is the heap an entry's bookkeeping holds, charged on
+// top of the caller-reported value size and the key length: the 64-byte
+// entry (key, value, size, list links) and its cell in the shard's map,
+// 32 bytes at a load of 7/8 or less that doubles when it fills.
+const entryOverhead = 128
 
 // Status reports how a Do call was served.
 type Status int
@@ -98,7 +107,8 @@ func (e *WaitError) Error() string { return "cache: wait aborted: " + e.Err.Erro
 func (e *WaitError) Unwrap() error { return e.Err }
 
 // Stats is a point-in-time snapshot of what one cache holds. Its hits,
-// misses, coalesces and evictions are counted in its metric set.
+// misses, coalesces, evictions and superseded entries are counted in its
+// metric set.
 type Stats struct {
 	Bytes   int64
 	Entries int64
@@ -116,6 +126,7 @@ type shard struct {
 	mets    *metrics.Set // the owning cache's set
 	budget  int64
 	bytes   int64
+	floor   uint64 // no entry keyed below it is stored; see Raise
 	entries map[Key]*entry
 	flights map[Key]*flight
 	// Intrusive LRU list: head.next is most recent, head.prev least.
@@ -225,9 +236,13 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (Computed, error))
 }
 
 // insert stores (or replaces) an entry and evicts LRU entries until the
-// shard is within budget, returning how many were evicted. Called with
-// the shard lock held.
+// shard is within budget, returning how many were evicted. A key below
+// the floor is refused: nothing is stored or charged. Called with the
+// shard lock held.
 func (s *shard) insert(k Key, val any, bytes int64) int64 {
+	if k.Version < s.floor {
+		return 0
+	}
 	size := bytes + int64(len(k.Query)) + entryOverhead
 	if e, ok := s.entries[k]; ok {
 		s.bytes += size - e.bytes
@@ -255,6 +270,32 @@ func (s *shard) insert(k Key, val any, bytes int64) int64 {
 		evicted++
 	}
 	return evicted
+}
+
+// Raise moves the floor to v and drops every stored entry keyed below
+// it, counting each as superseded; from then on an insert keyed below v
+// is refused. Each shard is swept under its own lock, so an insert racing
+// the sweep either lands first and is swept or comes after and is
+// refused. A floor below the current one is ignored; raising to the
+// current floor again drops nothing, the guard in insert having let
+// nothing in below it.
+func (c *Cache) Raise(v uint64) {
+	var swept int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		if v >= s.floor {
+			s.floor = v
+			for k, e := range s.entries {
+				if k.Version < v {
+					s.remove(e)
+					swept++
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+	c.mets.CacheSuperseded.Add(swept)
 }
 
 // Stats snapshots what the cache holds.

@@ -393,3 +393,66 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("hits %d + misses %d + coalesced %d, want %d reads", h, m, co, 8*500)
 	}
 }
+
+// TestRaiseDropsEntriesBelowTheFloor: Raise frees every entry keyed
+// below the new floor, counts each as superseded rather than evicted,
+// releases its bytes, and keeps the entries at the floor.
+func TestRaiseDropsEntriesBelowTheFloor(t *testing.T) {
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
+	for v := uint64(1); v <= 3; v++ {
+		for i := 0; i < 10; i++ {
+			mustDo(t, c, Key{Version: v, Query: fmt.Sprintf("q%d", i)}, v)
+		}
+	}
+	perVersion := c.Stats().Bytes / 3
+	c.Raise(3)
+	if st := c.Stats(); st.Entries != 10 || st.Bytes != perVersion {
+		t.Fatalf("after Raise(3): %d entries, %d B; want 10, %d", st.Entries, st.Bytes, perVersion)
+	}
+	if got, ev := mets.CacheSuperseded.Value(), mets.CacheEvictions.Value(); got != 20 || ev != 0 {
+		t.Fatalf("superseded %d, evicted %d; want 20, 0", got, ev)
+	}
+	if e, b := mets.CacheEntries.Value(), mets.CacheBytes.Value(); e != 10 || b != perVersion {
+		t.Fatalf("gauges read %d entries, %d B; want 10, %d", e, b, perVersion)
+	}
+	if v, ok := lookup(c, Key{Version: 3, Query: "q4"}); !ok || v.(uint64) != 3 {
+		t.Fatalf("entry at the floor: %v %v", v, ok)
+	}
+	// A lower floor is ignored, and the current one again sweeps nothing.
+	c.Raise(2)
+	c.Raise(3)
+	if st := c.Stats(); st.Entries != 10 || mets.CacheSuperseded.Value() != 20 {
+		t.Fatalf("a repeated Raise dropped entries: %d left, %d superseded", st.Entries, mets.CacheSuperseded.Value())
+	}
+	c.Raise(4)
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || mets.CacheBytes.Value() != 0 {
+		t.Fatalf("after Raise(4): %+v, gauge %d B", st, mets.CacheBytes.Value())
+	}
+}
+
+// TestInsertBelowTheFloorIsRefused: a computation keyed below the floor —
+// one that began before a commit and finished after its sweep — returns
+// its value to its caller but stores nothing and charges nothing.
+func TestInsertBelowTheFloorIsRefused(t *testing.T) {
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
+	mustDo(t, c, Key{Version: 5, Query: "kept"}, "kept")
+	before := c.Stats()
+	c.Raise(5)
+	for _, k := range []Key{{Version: 4, Query: "late"}, {Version: 0, Query: "kept"}} {
+		v, st, err := c.Do(context.Background(), k, func() (Computed, error) {
+			return Computed{Val: "late", Bytes: 1000, Store: true}, nil
+		})
+		if err != nil || v.(string) != "late" || st != Miss {
+			t.Fatalf("Do %v: v=%v st=%v err=%v", k, v, st, err)
+		}
+		if _, ok := lookup(c, k); ok {
+			t.Fatalf("%v below the floor was stored", k)
+		}
+	}
+	if st := c.Stats(); st != before || mets.CacheBytes.Value() != before.Bytes || mets.CacheEntries.Value() != 1 {
+		t.Fatalf("refused inserts moved the accounting: %+v → %+v, gauges %d B, %d entries",
+			before, st, mets.CacheBytes.Value(), mets.CacheEntries.Value())
+	}
+}

@@ -203,15 +203,17 @@ type Set struct {
 	// evaluation, CacheCoalesced reads that waited on another caller's
 	// identical in-flight evaluation and shared its answer (no engine
 	// lease of their own). CacheEvictions counts entries dropped for byte
-	// budget (or by explicit invalidation); CacheBytes and CacheEntries
-	// are the instantaneous totals across every cache reporting into this
-	// set.
-	CacheHits      Counter `expvar:"cache_hits"`
-	CacheMisses    Counter `expvar:"cache_misses"`
-	CacheCoalesced Counter `expvar:"cache_coalesced"`
-	CacheEvictions Counter `expvar:"cache_evictions"`
-	CacheBytes     Gauge   `expvar:"cache_bytes"`
-	CacheEntries   Gauge   `expvar:"cache_entries"`
+	// budget, CacheSuperseded entries dropped because a commit moved the
+	// data version past theirs, so no reader can key them again;
+	// CacheBytes and CacheEntries are the instantaneous totals across
+	// every cache reporting into this set.
+	CacheHits       Counter `expvar:"cache_hits"`
+	CacheMisses     Counter `expvar:"cache_misses"`
+	CacheCoalesced  Counter `expvar:"cache_coalesced"`
+	CacheEvictions  Counter `expvar:"cache_evictions"`
+	CacheSuperseded Counter `expvar:"cache_superseded"`
+	CacheBytes      Gauge   `expvar:"cache_bytes"`
+	CacheEntries    Gauge   `expvar:"cache_entries"`
 
 	// WAL-shipping replication (internal/repl). Primary side:
 	// ReplFramesSent counts record/heartbeat/gone frames written to

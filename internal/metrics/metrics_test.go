@@ -124,8 +124,8 @@ func TestSnapshotKeys(t *testing.T) {
 		"live_compactions", "live_incremental_applies", "live_incremental_fallbacks",
 		"live_incremental_atoms", "live_incremental_states", "live_incremental_dropped",
 		"live_substrate_builds", "live_version", "live_snapshot_age", "live_readonly",
-		"cache_hits", "cache_misses", "cache_coalesced", "cache_evictions", "cache_bytes",
-		"cache_entries",
+		"cache_hits", "cache_misses", "cache_coalesced", "cache_evictions", "cache_superseded",
+		"cache_bytes", "cache_entries",
 		"repl_frames_sent", "repl_snapshots_served", "repl_streams", "repl_records_applied",
 		"repl_bootstraps", "repl_reconnects", "repl_applied_version", "repl_primary_version",
 		"repl_lag", "repl_connected", "repl_proxied_writes", "repl_min_version_waits",

@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -438,5 +439,72 @@ func TestDeltaWorkChargedToItsTenant(t *testing.T) {
 	}
 	if got := deltaWork(metrics.Default) - before; got != 0 {
 		t.Errorf("default set moved by %d: Δ work charged to the wrong tenant", got)
+	}
+}
+
+// TestMemoryQuotaUnderWriteChurn: a live tenant whose memory quota is
+// far below its answer cache's budget takes commits, each followed by a
+// round of open reads through admission. A commit frees the answers it
+// supersedes, so the cache holds one version's answers and the tenant's
+// footprint stays under its quota: no warm engine is trimmed and no
+// request is shed. Dead answers that stayed until byte pressure evicted
+// them would push the footprint over the quota, which TrimMemory cannot
+// fix by dropping engines.
+func TestMemoryQuotaUnderWriteChurn(t *testing.T) {
+	const n, commits = 16, 200
+	r, err := Open(Config{
+		Dir:        t.TempDir(),
+		Options:    hypo.Options{PoolSize: 2, CacheBytes: 64 << 20},
+		LiveConfig: hypo.LiveConfig{NoSync: true},
+		Logger:     quiet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tn, _, err := r.Create("churn", workload.ClosureProgram(workload.Chain(n), workload.RightLinear))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	shed := 0
+	reads := func() {
+		for i := 0; i < n; i++ {
+			release, err := tn.Admit(ctx)
+			if err != nil {
+				shed++
+				continue
+			}
+			q := fmt.Sprintf("reach(n%d, Y)", i)
+			_, err = tn.Pool().Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: q}, func(hypo.Binding) error { return nil })
+			release()
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	reads()
+	// One version's answers and a warm engine, with 1 MiB to spare.
+	quota := tn.Pool().MemBytes() + 1<<20
+	tn.SetQuotas(quota, 0)
+	chord := []string{fmt.Sprintf("edge(n%d, n%d)", n-1, n/2)}
+	for k := 1; k <= commits; k++ {
+		ms, err := hypo.ParseMutations(chord, nil)
+		if k%2 == 0 {
+			ms, err = hypo.ParseMutations(nil, chord)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.Live().Apply(ms); err != nil {
+			t.Fatal(err)
+		}
+		reads()
+	}
+	m := tn.Metrics()
+	t.Logf("quota %d B; footprint %d B, cache %d B", quota, tn.Pool().MemBytes(), tn.Pool().CacheMemBytes())
+	if shed != 0 || m.MemTenantShed.Value() != 0 || m.MemEngineTrims.Value() != 0 {
+		t.Fatalf("under a %d B quota: %d reads shed (mem_tenant_shed %d), %d engines trimmed",
+			quota, shed, m.MemTenantShed.Value(), m.MemEngineTrims.Value())
 	}
 }

@@ -152,7 +152,9 @@ func newPool(p *Program, opts Options, dom *domain, fs []ast.CAtom, version uint
 
 // reset replaces the pool's base with a fresh one holding fs at version,
 // and clears the commit history: every engine already built rebuilds on
-// its next lease. Boot recovery and Live.InstallSnapshot use it.
+// its next lease. Boot recovery and Live.InstallSnapshot use it; the
+// store refuses a snapshot version that does not advance, so the answer
+// cache's floor rises to version and every older entry goes.
 func (pl *Pool) reset(fs []ast.CAtom, version uint64) error {
 	sub, err := loadSubstrate(pl.prog, fs)
 	if err != nil {
@@ -160,9 +162,10 @@ func (pl *Pool) reset(fs []ast.CAtom, version uint64) error {
 	}
 	pl.mets.LiveSubstrateBuilds.Inc()
 	pl.hmu.Lock()
-	defer pl.hmu.Unlock()
 	pl.base, pl.history, pl.histFrom = sub, nil, version
 	pl.version.Store(version)
+	pl.hmu.Unlock()
+	pl.supersede(version)
 	return nil
 }
 
@@ -178,9 +181,20 @@ func (pl *Pool) reset(fs []ast.CAtom, version uint64) error {
 // Earlier clones of the base are unaffected: Insert appends past every
 // clone's clipped lists and Remove builds fresh ones. Insert fails only
 // on an atom whose arity disagrees with its predicate's, which
-// compileGroundAtom rules out. Cached answers of the old version are not
-// carried: they age out under LRU like any other entry.
+// compileGroundAtom rules out. Once the version has moved, no reader
+// keys a cached answer of an older one again, so the cache's floor
+// rises to version and those answers are freed.
 func (pl *Pool) publish(version uint64, added, removed []ast.CAtom) error {
+	if err := pl.advance(version, added, removed); err != nil {
+		return err
+	}
+	pl.supersede(version)
+	return nil
+}
+
+// advance is publish's part under hmu: the base, the history and the
+// version move together.
+func (pl *Pool) advance(version uint64, added, removed []ast.CAtom) error {
 	pl.hmu.Lock()
 	defer pl.hmu.Unlock()
 	in, db := pl.base.in, pl.base.db
@@ -203,6 +217,17 @@ func (pl *Pool) publish(version uint64, added, removed []ast.CAtom) error {
 	}
 	pl.version.Store(version)
 	return nil
+}
+
+// supersede raises the answer cache's floor to version, the pool's new
+// one, freeing every answer keyed below it. It runs after hmu is
+// released, so no lease or catch-up waits on the sweep; a read that
+// began before the commit and stores its answer afterwards is refused
+// by the floor.
+func (pl *Pool) supersede(version uint64) {
+	if pl.cache != nil {
+		pl.cache.Raise(version)
+	}
 }
 
 // since returns the recorded commits from version v to the pool's

@@ -289,13 +289,9 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 		if err != nil {
 			return cache.Computed{}, err
 		}
-		bytes := int64(boolAnswerBytes)
-		if r.kind == ReadQuery {
-			bytes = bindingsBytes(acc)
-		}
 		return cache.Computed{
 			Val:   &cachedAnswer{bindings: acc, version: info.DataVersion},
-			Bytes: bytes,
+			Bytes: answerBytes(acc),
 			Store: info.DataVersion == key.Version,
 		}, nil
 	})
