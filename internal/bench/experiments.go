@@ -238,7 +238,45 @@ func e2OrderLoop(s Sizes) ([]Case, error) {
 	for _, n := range s.Order {
 		l.ask(fmt.Sprintf("n=%d", n), workload.OrderLoopProgram(n), uniform, "a", true)
 	}
+	e2OuterAdds(s, &l)
 	return l.done()
+}
+
+// e2OuterAdds asks the n = 128 order the way servedbench's hypo_search
+// asks its copy: 200 seeded asks of ap(e1)–ap(e3), each under one to
+// three outer marker adds, half of them carrying marker(e1..e_j), which
+// makes ap(e_j) hold. One engine per mode answers all of them. Every
+// marker(e_i) with i > j is an atom ap(e_j)'s proof adds itself, so
+// whether the asks share states depends on a must-add set only the data
+// (next, last) determines.
+func e2OuterAdds(s Sizes, l *caseList) {
+	const n, asks = 128, 200
+	rng := rngFor(s, 2, n)
+	list := make([]hypAsk, asks)
+	for i := range list {
+		j, k := 1+rng.Intn(3), 1+rng.Intn(3)
+		var idx []int
+		for p := 0; p < j*rng.Intn(2) && p < k; p++ {
+			idx = append(idx, p)
+		}
+		for len(idx) < k {
+			if v := rng.Intn(n); !slices.Contains(idx, v) {
+				idx = append(idx, v)
+			}
+		}
+		a := hypAsk{query: fmt.Sprintf("ap(e%d)", j), want: true}
+		for _, v := range idx {
+			a.adds = append(a.adds, fmt.Sprintf("marker(e%d)", v+1))
+		}
+		for p := 0; p < j; p++ {
+			a.want = a.want && slices.Contains(idx, p)
+		}
+		list[i] = a
+	}
+	prog := l.parse("outer-adds", workload.OrderLoopProgram(n))
+	for _, ev := range e8Evaluators {
+		l.add("outer-adds/"+ev.name, func() (Counters, error) { return askAll(prog, ev.opts, list) })
+	}
 }
 
 // e3Parity: proving the true parity predicate follows one copy chain
