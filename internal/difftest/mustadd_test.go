@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,6 +107,54 @@ func mustAddProgram(rng *rand.Rand) string {
 	for n := rng.Intn(3); n > 0; n-- {
 		b.WriteString(rule(rng.Intn(chain), rng.Intn(chain+1)))
 	}
+	b.WriteString(dataProgram(rng))
+	return b.String()
+}
+
+// dataProgram is the part of a generated program whose must-add sets the
+// data determines, Example 5's shape: h walks a relation r over c0..c3,
+// sometimes with a cycle, adding m(Y) for each step, and exits at s
+// through a body that reads m atoms. Extra rules sometimes read an m atom
+// beside the walk, walk r backwards or start from a 0-ary goal (hh); in a
+// third of the programs a rule adds an r atom at the t constants, which
+// makes r a relation the proofs can change. Every r fact is a line of its
+// own, so a commit can edit the source.
+func dataProgram(rng *rand.Rand) string {
+	const nc = 4
+	c := func() string { return fmt.Sprintf("c%d", rng.Intn(nc)) }
+	var b strings.Builder
+	for i := 0; i < nc; i++ {
+		fmt.Fprintf(&b, "cst(c%d).\n", i)
+	}
+	var edges []string
+	for n := 2 + rng.Intn(4); n > 0; n-- {
+		edges = append(edges, fmt.Sprintf("r(%s, %s)", c(), c()))
+	}
+	if rng.Intn(2) == 0 {
+		edges = append(edges, "r(c1, c2)", "r(c2, c1)")
+	}
+	slices.Sort(edges)
+	for _, e := range slices.Compact(edges) {
+		fmt.Fprintf(&b, "%s.\n", e)
+	}
+	fmt.Fprintf(&b, "s(%s).\n", c())
+	b.WriteString("h(X) :- r(X, Y), h(Y)[add: m(Y)].\n")
+	exits := []string{"k", "~m(" + c() + ")", "m(" + c() + ")", "g0"}
+	fmt.Fprintf(&b, "h(X) :- s(X), %s.\n", exits[rng.Intn(len(exits))])
+	fmt.Fprintf(&b, "k :- m(%s), m(%s).\n", c(), c())
+	if rng.Intn(3) == 0 {
+		fmt.Fprintf(&b, "h(X) :- t(X), h(X)[add: r(X, %s)].\nt(%s).\nt(%s).\n", c(), c(), c())
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		switch rng.Intn(3) {
+		case 0:
+			fmt.Fprintf(&b, "h(X) :- r(X, Y), h(Y)[add: m(Y)], m(%s).\n", c())
+		case 1:
+			b.WriteString("h(X) :- r(Y, X), h(Y)[add: m(Y)].\n")
+		default:
+			b.WriteString("hh :- r(X, Y), h(X)[add: m(Y)].\n")
+		}
+	}
 	return b.String()
 }
 
@@ -131,6 +180,7 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 		return fmt.Errorf("%w: compile: %v", ErrSkip, err)
 	}
 	ip := ref.New(cp)
+	refHolds := refOracle(ip)
 	// The sets, computed as the engines compute them: over the rewritten
 	// program.
 	rw, err := ast.Compile(ast.RewriteNegation(prog), symbols.NewTable())
@@ -172,24 +222,6 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 				}
 			}
 		}
-	}
-	atomOf := func(s string) facts.AtomID {
-		p, err := parser.ParseAtom(s)
-		if err != nil {
-			panic(err)
-		}
-		c, err := ast.CompilePremise(ast.PlainP(p), cp.Syms, map[string]int{}, new([]string))
-		if err != nil {
-			panic(err)
-		}
-		return ip.Interner().Ground(c.Atom, nil)
-	}
-	refHolds := func(goal string, adds []string) bool {
-		st := ip.EmptyState()
-		for _, s := range adds {
-			st = st.Add(atomOf(s))
-		}
-		return ip.Holds(atomOf(goal), st)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), checkDeadline)
@@ -235,7 +267,104 @@ func checkMustAdd(src string, rng *rand.Rand) error {
 			}
 		}
 	}
-	return nil
+	return checkDataMust(ctx, src, engines, rng)
+}
+
+// refOracle answers a ground goal under added atoms, both written as
+// source, with internal/ref.
+func refOracle(ip *ref.Interp) func(goal string, adds []string) bool {
+	syms := ip.Interner().Syms()
+	atomOf := func(s string) facts.AtomID {
+		p, err := parser.ParseAtom(s)
+		if err != nil {
+			panic(err)
+		}
+		c, err := ast.CompilePremise(ast.PlainP(p), syms, map[string]int{}, new([]string))
+		if err != nil {
+			panic(err)
+		}
+		return ip.Interner().Ground(c.Atom, nil)
+	}
+	return func(goal string, adds []string) bool {
+		st := ip.EmptyState()
+		for _, s := range adds {
+			st = st.Add(atomOf(s))
+		}
+		return ip.Holds(atomOf(goal), st)
+	}
+}
+
+// checkDataMust is the oracle for the data-determined must-add sets of
+// dataProgram's goals: the engines, one each across all asks, answer h(c)
+// and hh as internal/ref does under states of m atoms, some of which also
+// add an r or s atom (a state the sets must not be used in); then a
+// commit retracts an r fact and asserts another, and the same engines
+// must answer as ref does over the edited facts (sets computed before it
+// must not survive it).
+func checkDataMust(ctx context.Context, src string, engines map[string]*hypo.Engine, rng *rand.Rand) error {
+	goals := []string{"h(c0)", "h(c1)", "h(c2)", "h(c3)"}
+	if strings.Contains(src, "hh :-") {
+		goals = append(goals, "hh")
+	}
+	check := func(src, when string) error {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			return fmt.Errorf("difftest: %s: parse: %v", when, err)
+		}
+		cp, err := ast.Compile(prog, symbols.NewTable())
+		if err != nil {
+			return fmt.Errorf("difftest: %s: compile: %v", when, err)
+		}
+		refHolds := refOracle(ref.New(cp))
+		for trial := 0; trial < 6; trial++ {
+			var adds []string
+			for i := 0; i < 4; i++ {
+				if rng.Intn(2) == 0 {
+					adds = append(adds, fmt.Sprintf("m(c%d)", i))
+				}
+			}
+			switch rng.Intn(6) {
+			case 0:
+				adds = append(adds, fmt.Sprintf("r(c%d, c%d)", rng.Intn(4), rng.Intn(4)))
+			case 1:
+				adds = append(adds, fmt.Sprintf("s(c%d)", rng.Intn(4)))
+			}
+			for _, goal := range goals {
+				want := refHolds(goal, adds)
+				for name, e := range engines {
+					got, err := ask(ctx, e, goal, adds...)
+					if err != nil {
+						return skipOrFail(name, goal, err, src)
+					}
+					if got != want {
+						return fmt.Errorf("difftest: %s, AskUnder(%s, add %v): %s=%v ref=%v\n%s", when, goal, adds, name, got, want, src)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if err := check(src, "before the commit"); err != nil {
+		return err
+	}
+	var present, absent []string
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if r := fmt.Sprintf("r(c%d, c%d)", i, j); strings.Contains(src, "\n"+r+".\n") {
+				present = append(present, r)
+			} else {
+				absent = append(absent, r)
+			}
+		}
+	}
+	retract, assert := present[rng.Intn(len(present))], absent[rng.Intn(len(absent))]
+	for name, e := range engines {
+		if err := e.ApplyDelta([]string{assert}, []string{retract}); err != nil {
+			return fmt.Errorf("difftest: %s commit: %v", name, err)
+		}
+	}
+	edited := strings.Replace(src, "\n"+retract+".\n", "\n", 1) + assert + ".\n"
+	return check(edited, fmt.Sprintf("after retracting %s and asserting %s", retract, assert))
 }
 
 func formatAtoms(in *facts.Interner, atoms []ast.CAtom) []string {

@@ -25,9 +25,10 @@ type mustSets struct {
 }
 
 // newMustSets collects U. A program whose rules add no ground
-// extensional atom has no must-add set, and nothing is allocated for it.
+// extensional atom has no must-add set, and nothing is allocated for it
+// but the [del:] flags, which the data-determined sets read too.
 func newMustSets(cp *ast.CProgram) mustSets {
-	m := mustSets{cp: cp}
+	m := mustSets{cp: cp, del: make([]bool, cp.Syms.NumPreds())}
 	for _, r := range cp.Rules {
 		for _, pr := range r.Body {
 			for _, a := range pr.Adds {
@@ -36,7 +37,7 @@ func newMustSets(cp *ast.CProgram) mustSets {
 				}
 				if m.uBit == nil {
 					n := cp.Syms.NumPreds()
-					m.uBit, m.uPred, m.must, m.del = map[string]int32{}, make([]bool, n), make([][]uint64, n), make([]bool, n)
+					m.uBit, m.uPred, m.must = map[string]int32{}, make([]bool, n), make([][]uint64, n)
 				}
 				key := m.keyOf(a)
 				if _, ok := m.uBit[string(key)]; !ok {
@@ -61,9 +62,6 @@ func newMustSets(cp *ast.CProgram) mustSets {
 // hypothetical premise; without one, or with a [del:] in the cone, every
 // member keeps M = ∅.
 func (m *mustSets) component(comp []int, hyp bool) {
-	if len(m.u) == 0 {
-		return
-	}
 	cp := m.cp
 	for _, v := range comp {
 		for _, ri := range cp.ByHead[symbols.Pred(v)] {
@@ -77,7 +75,7 @@ func (m *mustSets) component(comp []int, hyp bool) {
 			}
 		}
 	}
-	if !hyp {
+	if !hyp || len(m.u) == 0 {
 		return
 	}
 	for _, v := range comp {
@@ -173,13 +171,17 @@ func appendAtomKey(b []byte, pred symbols.Pred, args []symbols.Const) []byte {
 	return b
 }
 
-// mustAdd is M(pred) as a bit set over U, or nil when it is empty.
-func (r *Relevance) mustAdd(pred symbols.Pred) []uint64 {
-	if r == nil || int(pred) >= len(r.must) {
-		return nil
+// keysOf is pred's must-add keys; the zero value for a predicate
+// interned after the program was analysed, or a nil Relevance.
+func (r *Relevance) keysOf(pred symbols.Pred) predKeys {
+	if r == nil || int(pred) >= len(r.keys) {
+		return predKeys{}
 	}
-	return r.must[pred]
+	return r.keys[pred]
 }
+
+// mustAdd is M(pred) as a bit set over U, or nil when it is empty.
+func (r *Relevance) mustAdd(pred symbols.Pred) []uint64 { return r.keysOf(pred).must }
 
 // MustAdd returns M(pred) as ground atoms, in U's order: the atoms every
 // derivation of a goal of pred adds before it reads them. It is nil when
@@ -208,37 +210,4 @@ func (in *Interner) mustHas(set []uint64, id AtomID) bool {
 	}
 	b, ok := r.uBit[string(in.encodeKey(g.pred, g.args))]
 	return ok && set[b/64]>>(b%64)&1 != 0
-}
-
-// Normalised returns the state a goal of pred is proved in: s less the
-// added atoms of pred's must-add set. Provability of the goal is the
-// same in both (DESIGN §3, "Must-add keys"). It is s itself, with no
-// allocation, when the set is empty or s adds none of its members.
-func (s State) Normalised(pred symbols.Pred) State {
-	in := s.Base.in
-	set := in.rel.mustAdd(pred)
-	if set == nil || s.Delta.n == 0 {
-		return s
-	}
-	it := s.Delta.Added()
-	for {
-		id, ok := it.Next()
-		if !ok {
-			return s
-		}
-		if in.mustHas(set, id) {
-			break
-		}
-	}
-	keep := make([]AtomID, 0, s.Delta.n)
-	for it := s.Delta.Added(); ; {
-		id, ok := it.Next()
-		if !ok {
-			break
-		}
-		if !in.mustHas(set, id) {
-			keep = append(keep, id)
-		}
-	}
-	return s.rebuilt(keep, s.Delta.dels)
 }

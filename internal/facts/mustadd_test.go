@@ -211,18 +211,19 @@ func TestStateNormalised(t *testing.T) {
 			}
 			s := build(func(AtomID) bool { return true })
 			for i := 1; i <= 5; i++ {
-				goal := cp.Syms.Pred(fmt.Sprintf("a%d", i), 0)
+				goal := atom(fmt.Sprintf("a%d", i))
 				dropped := func(id AtomID) bool { return slices.Contains(b[i-1:], id) }
 				want := build(func(id AtomID) bool { return !dropped(id) })
-				n := s.Normalised(goal)
+				var m MustDB
+				n := s.Normalised(goal, &m)
 				if n.ID() != want.ID() {
 					t.Fatalf("mask %b del %v: a%d's state is %q, want %q", mask, del, i, n.Key(), want.Key())
 				}
-				if again := n.Normalised(goal); again.ID() != n.ID() {
+				if again := n.Normalised(goal, &m); again.ID() != n.ID() {
 					t.Fatalf("mask %b del %v: normalising a%d's state again gives %q", mask, del, i, again.Key())
 				}
 				if n.ID() == s.ID() {
-					if a := testing.AllocsPerRun(10, func() { s.Normalised(goal) }); a != 0 {
+					if a := testing.AllocsPerRun(10, func() { s.Normalised(goal, &m) }); a != 0 {
 						t.Fatalf("mask %b del %v: a%d's state drops nothing but allocates %v times", mask, del, i, a)
 					}
 				}

@@ -88,7 +88,7 @@ func (e *Engine) Explain(goal facts.AtomID, st facts.State) (*Proof, error) {
 		return nil, err
 	}
 	seen := map[tableKey]struct{}{}
-	return e.explain(goal, st.Normalised(e.in.Pred(goal)), seen)
+	return e.explain(goal, e.entry(goal, st), seen)
 }
 
 // explain reconstructs one derivation through prove's own body evaluation:

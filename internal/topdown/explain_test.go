@@ -324,3 +324,50 @@ func TestExplainRendersRewrittenNegations(t *testing.T) {
 		t.Errorf("got:\n%swant:\n%s", got, want)
 	}
 }
+
+// TestExplainStartsInEntryState: Explain proves its goal in the state Ask
+// tables it in. Asked under outer marker(e_i) adds, Example 5's ap(e1) is
+// proved without every i > 1, which its proof adds itself (its
+// data-determined must-add set), so explaining after asking agrees with
+// the ask and tables nothing new: every premise it reconstructs is a hit.
+func TestExplainStartsInEntryState(t *testing.T) {
+	const n = 6
+	e, cp := newEngine(t, workload.OrderLoopProgram(n), Options{})
+	in := e.Interner()
+	marker, _ := cp.Syms.LookupPred("marker", 1)
+	ap, _ := cp.Syms.LookupPred("ap", 1)
+	elem := func(i int) []symbols.Const { return []symbols.Const{cp.Syms.Const(fmt.Sprintf("e%d", i))} }
+	goal := in.ID(ap, elem(1))
+	for _, outer := range [][]int{{1, 3}, {2, 1, 6}, {4}, {5, 6}, {1}} {
+		st := e.EmptyState()
+		for _, i := range outer {
+			st = st.Add(in.ID(marker, elem(i)))
+		}
+		want := slices.Contains(outer, 1)
+		if entry := e.entry(goal, st); entry.Delta.Len() != count(want) {
+			t.Errorf("under %v ap(e1)'s entry state keeps %d atoms", outer, entry.Delta.Len())
+		}
+		ok, err := e.Ask(goal, st)
+		if err != nil || ok != want {
+			t.Fatalf("under %v ap(e1) = %v, %v; want %v", outer, ok, err, want)
+		}
+		entries := e.budget.Stats.TableSize
+		proof, err := e.Explain(goal, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (proof != nil) != want {
+			t.Errorf("under %v: ask=%v explain=%v", outer, want, proof != nil)
+		}
+		if got := e.budget.Stats.TableSize; got != entries {
+			t.Errorf("under %v explaining tabled %d new entries: it started outside the entry state", outer, got-entries)
+		}
+	}
+}
+
+func count(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -170,6 +170,7 @@ type Engine struct {
 	byHead [][]int
 
 	table   memo
+	must    facts.MustDB // M_DB of the goals asked here (entry)
 	onStack map[tableKey]int
 	// spare holds emptied on-stack sets for negation regions to reuse.
 	spare []map[tableKey]int
@@ -307,19 +308,22 @@ func (e *Engine) store(key tableKey, val bool) {
 // exact across the commit, and states whose delta mentions a committed
 // atom are simply never asked again (the canonical state for the new base
 // differs), so stale entries under them are unreachable, not wrong.
+//
+// It drops the data-determined must-add sets of the cone's goals too:
+// such a set read only rule-invariant predicates in its goal's cone.
 func (e *Engine) PruneTable(cone map[symbols.Pred]bool) int {
 	n, freed := e.table.prune(func(goal facts.AtomID) bool { return cone[e.in.Pred(goal)] })
 	e.budget.Stats.TableSize -= n
-	e.budget.Mem.Add(-freed)
+	e.budget.Mem.Add(-freed - e.must.Prune(e.in, cone))
 	return n
 }
 
 // Ask reports whether the interned ground atom is derivable in the state:
 // R, DB+Δ ⊢ A. State membership, an extensional predicate and a
 // resolver-owned one are answered before a goal is counted; every other
-// goal is proved in the state normalised by its must-add set. It aborts
-// with an *AbortError when the engine's Budget runs out or its query's
-// context is done.
+// goal is proved in its entry state (entry). It aborts with an
+// *AbortError when the engine's Budget runs out or its query's context is
+// done.
 func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	if st.Has(goal) {
 		return true, nil
@@ -331,8 +335,19 @@ func (e *Engine) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	case external:
 		return e.opts.Resolver(goal, st)
 	}
-	ok, _, err := e.prove(goal, st.Normalised(pred), 0)
+	ok, _, err := e.prove(goal, e.entry(goal, st), 0)
 	return ok, err
+}
+
+// entry is the state an asked goal is proved and explained in: st
+// normalised by the goal's must-add sets, static and data-determined
+// (facts.State.Normalised). The data-determined sets it computes are
+// memoised on the engine and charged to its meter.
+func (e *Engine) entry(goal facts.AtomID, st facts.State) facts.State {
+	before := e.must.MemBytes()
+	st = st.Normalised(goal, &e.must)
+	e.budget.Mem.Add(e.must.MemBytes() - before)
+	return st
 }
 
 // Read streams the bindings under which a read holds in st. The read is a
@@ -355,7 +370,7 @@ func (e *Engine) Read(body *ast.CRule, st facts.State, yield func([]symbols.Cons
 // prove implements the tabled DFS. depth doubles as this goal's frame
 // index; the second result is the minimum frame index of any in-progress
 // ancestor the (failed) subtree consulted, or maxFrame when untouched.
-// Ask normalises the entry goal's state (facts.State.Normalised); a
+// Ask proves the entry goal in its entry state (entry); a
 // premise's state is the rule's state plus its adds, which may still hold
 // members of the premise goal's must-add set. Either is an exact key
 // (DESIGN §3, "Must-add keys"): un-normalised, it is only unshared.
