@@ -165,3 +165,44 @@ func BenchmarkCatchUp(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReadWarmAskUnder is one warm ground askunder with two adds,
+// a3 under b2 and b1 on ChainProgram(64), read from a pool of one engine
+// without an answer cache. The engine's memo answers it, so the figure
+// is what a read costs around its evaluation: compile, lease, measure.
+func BenchmarkReadWarmAskUnder(b *testing.B) { benchWarmRead(b, 0, hypo.CacheBypass) }
+
+// BenchmarkReadCacheHit is BenchmarkReadWarmAskUnder's read served from
+// the answer cache: no engine is leased, so compile and lookup are all.
+func BenchmarkReadCacheHit(b *testing.B) { benchWarmRead(b, 1<<20, hypo.CacheHit) }
+
+func benchWarmRead(b *testing.B, cacheBytes int64, want hypo.CacheStatus) {
+	p, err := hypo.Parse(workload.ChainProgram(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := hypo.NewPool(p, hypo.Options{PoolSize: 1, CacheBytes: cacheBytes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pl.Close()
+	ctx := context.Background()
+	req := hypo.Request{Kind: hypo.ReadAskUnder, Query: "a3", Add: []string{"b2", "b1"}}
+	var ok bool
+	yield := func(hypo.Binding) error {
+		ok = true
+		return nil
+	}
+	if _, err := pl.Read(ctx, req, yield); err != nil || !ok {
+		b.Fatalf("warm-up read: %v, %v", ok, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok = false
+		info, err := pl.Read(ctx, req, yield)
+		if err != nil || !ok || info.Cache != want {
+			b.Fatalf("read = %v, %v (cache %v, want %v)", ok, err, info.Cache, want)
+		}
+	}
+}

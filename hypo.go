@@ -520,10 +520,12 @@ func assemble(p *Program, opts Options, dom *domain, sub *substrate) (*Engine, e
 // domain is dom(R, DB) plus Options.ExtraDomain: the constants the
 // evaluators range over, and the set reads and mutations are checked
 // against. A pool computes it once, so that every data version ranges
-// over the same constants.
+// over the same constants, and with them which read texts are valid:
+// memo keeps the compiled parts of those it has accepted.
 type domain struct {
 	consts []symbols.Const
 	set    map[symbols.Const]bool
+	memo   readMemo
 }
 
 // newDomain computes p's domain with the extra constants appended, in
@@ -594,14 +596,14 @@ func (e *Engine) explain(query string) (string, error) {
 	if !e.uniform {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}
-	r, err := compileRead(Request{Kind: ReadQuery, Query: query}, e.prog.syms, e.dom.set)
+	r, err := compileRead(Request{Kind: ReadQuery, Query: query}, e.prog.syms, e.dom)
 	if err != nil {
 		return "", err
 	}
-	if r.body.NumVars > 0 {
+	if r.prem.body.NumVars > 0 {
 		return "", fmt.Errorf("hypo: Explain needs a ground query")
 	}
-	pr := &r.body.Body[0]
+	pr := &r.prem.body.Body[0]
 	if pr.Kind != ast.Plain && pr.Kind != ast.Hyp {
 		return "", fmt.Errorf("hypo: Explain supports plain and hypothetical queries")
 	}

@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,8 +24,8 @@ import (
 // are what a test can gate on where wall-clock time cannot.
 type Counters map[string]int64
 
-// Diff reports the first counter, in name order, that differs between c
-// and got ("-" is a counter one side lacks), or nil when the two agree
+// Diff reports every counter, in name order, that differs between c and
+// got ("-" is a counter one side lacks), or nil when the two agree
 // exactly.
 func (c Counters) Diff(got Counters) error {
 	names := map[string]bool{}
@@ -34,14 +35,18 @@ func (c Counters) Diff(got Counters) error {
 	for k := range got {
 		names[k] = true
 	}
+	var moved []string
 	for _, k := range sortedNames(names) {
 		w, wok := c[k]
 		g, gok := got[k]
 		if wok != gok || w != g {
-			return fmt.Errorf("counter %q = %s, want %s", k, cell(fmt.Sprint(g), gok), cell(fmt.Sprint(w), wok))
+			moved = append(moved, fmt.Sprintf("counter %q = %s, want %s", k, cell(fmt.Sprint(g), gok), cell(fmt.Sprint(w), wok)))
 		}
 	}
-	return nil
+	if moved == nil {
+		return nil
+	}
+	return errors.New(strings.Join(moved, "; "))
 }
 
 // Case is one measurable cell of an experiment. Run is one cold

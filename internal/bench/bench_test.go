@@ -244,3 +244,23 @@ func TestParityProveGoals(t *testing.T) {
 		}
 	}
 }
+
+// TestCountersDiffNamesEveryMove: a diff names every counter that moved,
+// in name order, including one that only one side has — not just the
+// first.
+func TestCountersDiffNamesEveryMove(t *testing.T) {
+	want := Counters{"goals": 10, "table_hits": 4, "enumerated": 2, "gone": 1}
+	got := Counters{"goals": 12, "table_hits": 4, "enumerated": 3, "new": 5}
+	err := want.Diff(got)
+	if err == nil {
+		t.Fatal("no diff")
+	}
+	const msg = `counter "enumerated" = 3, want 2; counter "goals" = 12, want 10; ` +
+		`counter "gone" = -, want 1; counter "new" = 5, want -`
+	if err.Error() != msg {
+		t.Errorf("diff = %q\nwant %q", err, msg)
+	}
+	if err := want.Diff(want); err != nil {
+		t.Errorf("a counter set differs from itself: %v", err)
+	}
+}

@@ -298,6 +298,37 @@ func (c *Cache) Raise(v uint64) {
 	c.mets.CacheSuperseded.Add(swept)
 }
 
+// Trim evicts least-recently-used entries until the cache holds at most
+// target bytes, or nothing, and returns how many it evicted, counting
+// them as evictions. The shards give up their oldest entry in turn, so
+// across the cache the order is least recent first up to the spread of
+// keys over shards.
+func (c *Cache) Trim(target int64) int64 {
+	total := c.Stats().Bytes
+	var evicted int64
+	for total > target {
+		n := evicted
+		for i := range c.shards {
+			if total <= target {
+				break
+			}
+			s := &c.shards[i]
+			s.mu.Lock()
+			if old := s.head.prev; old != &s.head {
+				total -= old.bytes
+				s.remove(old)
+				evicted++
+			}
+			s.mu.Unlock()
+		}
+		if evicted == n {
+			break // every shard is empty
+		}
+	}
+	c.mets.CacheEvictions.Add(evicted)
+	return evicted
+}
+
 // Stats snapshots what the cache holds.
 func (c *Cache) Stats() Stats {
 	var st Stats

@@ -456,3 +456,47 @@ func TestInsertBelowTheFloorIsRefused(t *testing.T) {
 			before, st, mets.CacheBytes.Value(), mets.CacheEntries.Value())
 	}
 }
+
+// TestTrimEvictsLeastRecentFirst: Trim evicts down to its target, the
+// least recently used entries first, counts them as evictions, and on a
+// target below anything it can reach empties the cache and stops.
+func TestTrimEvictsLeastRecentFirst(t *testing.T) {
+	mets := metrics.NewSet("cache_test")
+	c := New(1<<20, mets)
+	const n = 64
+	for i := 0; i < n; i++ {
+		mustDo(t, c, Key{Version: 1, Query: fmt.Sprintf("q%02d", i)}, i)
+	}
+	per := c.Stats().Bytes / n // every entry is the same size
+	if got := c.Trim(c.Stats().Bytes); got != 0 {
+		t.Fatalf("a trim to the current size evicted %d", got)
+	}
+	if got := c.Trim(per * n / 2); got != n/2 {
+		t.Fatalf("trim to half: evicted %d, want %d", got, n/2)
+	}
+	if st := c.Stats(); st.Bytes != per*n/2 || st.Entries != n/2 {
+		t.Fatalf("after a trim to half: %+v", st)
+	}
+	// Within each shard, what is left is its most recent entries.
+	kept := map[*shard]bool{} // a shard that kept an older entry
+	for i := 0; i < n; i++ {
+		k := Key{Version: 1, Query: fmt.Sprintf("q%02d", i)}
+		s := c.shardFor(k)
+		s.mu.Lock()
+		_, ok := s.entries[k]
+		s.mu.Unlock()
+		if kept[s] && !ok {
+			t.Errorf("%s was evicted while an older entry of its shard was kept", k.Query)
+		}
+		kept[s] = kept[s] || ok
+	}
+	if got := c.Trim(-1); got != n/2 || c.Stats().Entries != 0 {
+		t.Fatalf("trim below zero: evicted %d, %d entries left", got, c.Stats().Entries)
+	}
+	if got := mets.CacheEvictions.Value(); got != n {
+		t.Fatalf("cache_evictions = %d, want %d", got, n)
+	}
+	if got := c.Trim(-1); got != 0 {
+		t.Fatalf("trimming an empty cache evicted %d", got)
+	}
+}

@@ -203,7 +203,8 @@ type Set struct {
 	// evaluation, CacheCoalesced reads that waited on another caller's
 	// identical in-flight evaluation and shared its answer (no engine
 	// lease of their own). CacheEvictions counts entries dropped for byte
-	// budget, CacheSuperseded entries dropped because a commit moved the
+	// budget or a tenant's memory quota, CacheSuperseded entries dropped
+	// because a commit moved the
 	// data version past theirs, so no reader can key them again;
 	// CacheBytes and CacheEntries are the instantaneous totals across
 	// every cache reporting into this set.

@@ -20,18 +20,24 @@ import (
 
 	hypo "hypodatalog"
 	"hypodatalog/internal/metrics"
+	"hypodatalog/internal/tenant"
 	"hypodatalog/internal/vfs"
 	"hypodatalog/internal/workload"
 )
 
-// TestOverMemoryShed: a tenant whose untrimmable footprint (the answer
-// cache) exceeds its memory quota refuses new work with 503 over_memory
-// and a Retry-After, before consuming an evaluation slot.
+// TestOverMemoryShed: a tenant over its memory quota trims its idle
+// engines and then its cached answers before it refuses anything, so a
+// footprint that a trim brings under the quota is served; what the quota
+// does refuse is answered 503 over_memory with a Retry-After.
 func TestOverMemoryShed(t *testing.T) {
 	s, ts := newTestServer(t, uniSrc,
 		hypo.Options{PoolSize: 1, CacheBytes: 1 << 20}, Config{})
 	s.def.SetQuotas(1, 0)
 	cl := ts.Client()
+	// The default program reports into the process-wide metric set, which
+	// earlier tests (and earlier -count runs) have moved.
+	m := s.def.Metrics()
+	evictions, shed := m.CacheEvictions.Value(), m.MemTenantShed.Value()
 
 	// First request: the only footprint is the idle engine, which the
 	// quota gate trims away — admitted, evaluated, and the answer cached.
@@ -41,14 +47,24 @@ func TestOverMemoryShed(t *testing.T) {
 			resp.StatusCode, body)
 	}
 
-	// Second request: the cache entry cannot be trimmed and is over the
-	// 1-byte quota — shed.
+	// Second request: the cached answer is over the 1-byte quota, and
+	// the gate evicts it — admitted, and evaluated afresh.
 	resp, body = post(t, cl, ts.URL+"/v1/query", `{"query": "grad(S)"}`)
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "over_memory") {
-		t.Fatalf("query over memory quota: status %d body %s (want 503 over_memory)",
-			resp.StatusCode, body)
+	if resp.StatusCode != 200 || resp.Header.Get("X-Hdl-Cache") != "miss" {
+		t.Fatalf("query over memory quota: status %d, X-Hdl-Cache %q, body %s (want 200 miss: the trim evicts the cached answer)",
+			resp.StatusCode, resp.Header.Get("X-Hdl-Cache"), body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
+	if e, sh := m.CacheEvictions.Value()-evictions, m.MemTenantShed.Value()-shed; e != 1 || sh != 0 {
+		t.Fatalf("cache_evictions +%d, mem_tenant_shed +%d; want +1, +0", e, sh)
+	}
+
+	// The refusal, when a trim does not suffice.
+	rec := httptest.NewRecorder()
+	s.refuse(rec, &reqInfo{}, tenant.ErrOverMemory)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "over_memory") {
+		t.Fatalf("over-memory refusal: status %d body %s (want 503 over_memory)", rec.Code, rec.Body)
+	}
+	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("over_memory refusal carries no Retry-After")
 	}
 }

@@ -28,31 +28,16 @@ type askRequest struct {
 	Timeout string   `json:"timeout,omitempty"`
 }
 
-type askResponse struct {
-	Result bool `json:"result"`
-	// DataVersion is the base-EDB version the query evaluated at (always
-	// 0 for a server without a live store).
-	DataVersion uint64 `json:"dataVersion"`
-}
-
 // queryRequest is the body of /v1/query.
 type queryRequest struct {
 	Query   string `json:"query"`
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// The NDJSON lines of a /v1/query response: zero or more binding lines,
-// then exactly one done or error line.
-type bindingLine struct {
-	Binding hypo.Binding `json:"binding"`
-}
-
-type doneLine struct {
-	Done        bool   `json:"done"`
-	Count       int    `json:"count"`
-	DataVersion uint64 `json:"dataVersion"`
-}
-
+// errorLine is the body of every error response, and the terminal line
+// of a /v1/query stream that aborted after its first binding; the lines
+// before it, and the done line that ends a stream that did not abort,
+// are appended by hand (lines.go).
 type errorLine struct {
 	Error errorBody `json:"error"`
 }
@@ -286,7 +271,11 @@ func (s *Server) answerAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, 
 		return
 	}
 	setCacheHeader(w, info.Cache)
-	writeJSON(w, askResponse{Result: result, DataVersion: info.DataVersion})
+	w.Header().Set("Content-Type", "application/json")
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	*buf = appendAskResponse((*buf)[:0], result, info.DataVersion)
+	_, _ = w.Write(*buf)
 }
 
 // setCacheHeader surfaces how the answer cache served the request. The
@@ -319,7 +308,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	// Deferred too so that a panic cannot leave an armed timer flushing
 	// a ResponseWriter whose handler has returned.
 	defer sw.stop()
-	enc := json.NewEncoder(sw)
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
 	n := 0
 	var info hypo.ReadInfo
 	// Read sets info's DataVersion and Cache before the first yield, so
@@ -329,7 +319,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 			setCacheHeader(w, info.Cache)
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
-		if err := enc.Encode(bindingLine{Binding: b}); err != nil {
+		*buf = appendBindingLine((*buf)[:0], b)
+		if _, err := sw.Write(*buf); err != nil {
 			return fmt.Errorf("%w: %v", errClientWrite, err)
 		}
 		n++
@@ -352,7 +343,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		_, kind, write := classify(err)
 		ri.outcome = kind
 		if write {
-			_ = enc.Encode(errorLine{Error: errorBody{Kind: kind, Message: err.Error()}})
+			_ = json.NewEncoder(sw).Encode(errorLine{Error: errorBody{Kind: kind, Message: err.Error()}})
 		} else {
 			ri.status = statusClientClosed
 		}
@@ -362,7 +353,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		setCacheHeader(w, info.Cache)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	if err := enc.Encode(doneLine{Done: true, Count: n, DataVersion: info.DataVersion}); err != nil {
+	*buf = appendDoneLine((*buf)[:0], n, info.DataVersion)
+	if _, err := sw.Write(*buf); err != nil {
 		// Writing or flushing the last bindings failed: the client left
 		// after the enumeration's final yield.
 		ri.outcome = "canceled"

@@ -346,10 +346,8 @@ func (s *Server) wrapAdmin(endpoint string, h func(http.ResponseWriter, *http.Re
 }
 
 // logged runs h with a status-recording writer, recovers a panic into a
-// 500, and writes one structured access-log line: endpoint, program,
-// status, outcome and latency, plus, for a query route (query), the
-// query, its bindings, the evaluation-work stats delta and the data
-// version and cache status it was served at.
+// 500, and writes one structured access-log line (see accessAttrs; query
+// says whether h is a query route).
 func (s *Server) logged(w http.ResponseWriter, ri *reqInfo, query bool, h func(*statusWriter)) {
 	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
@@ -376,32 +374,41 @@ func (s *Server) logged(w http.ResponseWriter, ri *reqInfo, query bool, h func(*
 		if ri.outcome == "" {
 			ri.outcome = "ok"
 		}
-		attrs := []any{
-			"endpoint", ri.endpoint,
-			"program", ri.program,
-			"status", status,
-			"outcome", ri.outcome,
-			"elapsed_ms", float64(time.Since(start).Microseconds()) / 1000,
-		}
-		if query {
-			attrs = append(attrs,
-				"query", ri.query,
-				"bindings", ri.bindings,
-				"goals", ri.stats.Goals,
-				"enumerated", ri.stats.Enumerated,
-				"table_hits", ri.stats.TableHits,
-				"max_depth", ri.stats.MaxDepth,
-				"materialisations", ri.stats.Materialisations,
-				"derived_models", ri.stats.DerivedModels,
-				"data_version", ri.dataVersion,
-				"cache", ri.cache.String(),
-				"role", s.cfg.Role,
-				"min_version", ri.minVersion,
-			)
-		}
-		s.log.Info("request", attrs...)
+		var a [17]slog.Attr
+		elapsed := float64(time.Since(start).Microseconds()) / 1000
+		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request", s.accessAttrs(&a, ri, query, status, elapsed)...)
 	}()
 	h(sw)
+}
+
+// accessAttrs fills a with the access-log attributes of one request, in
+// their logged order, and returns those it set: the five every route
+// logs, then, for a query route, the query, its bindings, the
+// evaluation-work stats delta and the data version and cache status it
+// was served at. The values are typed as slog would type them from any,
+// so the line reads the same under every handler.
+func (s *Server) accessAttrs(a *[17]slog.Attr, ri *reqInfo, query bool, status int, elapsedMS float64) []slog.Attr {
+	a[0] = slog.String("endpoint", ri.endpoint)
+	a[1] = slog.String("program", ri.program)
+	a[2] = slog.Int("status", status)
+	a[3] = slog.String("outcome", ri.outcome)
+	a[4] = slog.Float64("elapsed_ms", elapsedMS)
+	if !query {
+		return a[:5]
+	}
+	a[5] = slog.String("query", ri.query)
+	a[6] = slog.Int("bindings", ri.bindings)
+	a[7] = slog.Int64("goals", ri.stats.Goals)
+	a[8] = slog.Int64("enumerated", ri.stats.Enumerated)
+	a[9] = slog.Int64("table_hits", ri.stats.TableHits)
+	a[10] = slog.Int("max_depth", ri.stats.MaxDepth)
+	a[11] = slog.Int64("materialisations", ri.stats.Materialisations)
+	a[12] = slog.Int64("derived_models", ri.stats.DerivedModels)
+	a[13] = slog.Uint64("data_version", ri.dataVersion)
+	a[14] = slog.String("cache", ri.cache.String())
+	a[15] = slog.String("role", s.cfg.Role)
+	a[16] = slog.Uint64("min_version", ri.minVersion)
+	return a[:]
 }
 
 // refuse writes the response for an admission failure.

@@ -1,8 +1,8 @@
 package tenant
 
 // Per-tenant resource-quota tests: the memory ceiling (trim idle
-// engines first, shed only if still over) and the write-path disk
-// quota.
+// engines first, then cached answers, shed only if still over) and the
+// write-path disk quota.
 
 import (
 	"context"
@@ -13,9 +13,9 @@ import (
 )
 
 // TestMemoryQuotaTrimsBeforeShedding: a tenant over its memory ceiling
-// first sheds idle engines (warm memo tables rebuild lazily); only the
-// footprint that trimming cannot reclaim — the answer cache — causes
-// requests to be refused with ErrOverMemory.
+// first drops idle engines (warm memo tables rebuild lazily), then its
+// least recently used cached answers; a footprint that trimming brings
+// under the ceiling is admitted, not refused with ErrOverMemory.
 func TestMemoryQuotaTrimsBeforeShedding(t *testing.T) {
 	r, err := Open(Config{
 		Dir:        t.TempDir(),
@@ -40,23 +40,27 @@ func TestMemoryQuotaTrimsBeforeShedding(t *testing.T) {
 		t.Fatal("warm pool reports no footprint; the quota has nothing to govern")
 	}
 
-	// A 1-byte ceiling: idle engines are dropped, but the cached answers
-	// remain — still over, so the request is shed before taking a slot.
+	// A 1-byte ceiling: idle engines are dropped, then the cached answer
+	// — nothing is left over it, so the request takes a slot.
 	tn.SetQuotas(1, 0)
-	if _, err := tn.Admit(context.Background()); !errors.Is(err, ErrOverMemory) {
-		t.Fatalf("admit over memory quota = %v, want ErrOverMemory", err)
+	rel, err := tn.Admit(context.Background())
+	if err != nil {
+		t.Fatalf("admit over memory quota = %v, want a trim and a slot", err)
 	}
-	if got := tn.Metrics().MemEngineTrims.Value(); got <= 0 {
-		t.Fatalf("mem_engine_trims = %d, want > 0 (idle engines must go first)", got)
+	rel()
+	m := tn.Metrics()
+	if m.MemEngineTrims.Value() <= 0 || m.CacheEvictions.Value() != 1 || m.MemTenantShed.Value() != 0 {
+		t.Fatalf("mem_engine_trims %d, cache_evictions %d, mem_tenant_shed %d; want > 0, 1, 0",
+			m.MemEngineTrims.Value(), m.CacheEvictions.Value(), m.MemTenantShed.Value())
 	}
-	if got := tn.Metrics().MemTenantShed.Value(); got != 1 {
-		t.Fatalf("mem_tenant_shed = %d, want 1", got)
+	if n := tn.Pool().MemBytes(); n != 0 {
+		t.Fatalf("footprint %d B after trimming to a 1-byte ceiling, want 0", n)
 	}
 
 	// With a ceiling that the post-trim footprint fits, trimming alone
 	// satisfies the quota and the request is admitted.
 	tn.SetQuotas(1<<20, 0)
-	rel, err := tn.Admit(context.Background())
+	rel, err = tn.Admit(context.Background())
 	if err != nil {
 		t.Fatalf("admit under a fitting quota = %v", err)
 	}

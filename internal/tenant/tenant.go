@@ -165,8 +165,8 @@ func (t *Tenant) SetQuotas(memBytes, diskBytes int64) {
 
 // overMemory enforces the memory quota: when the tenant's tracked
 // footprint exceeds it, idle engines are trimmed first (dropping warm
-// memo tables, which rebuild lazily); only if the footprint is still
-// over — the answer cache plus remaining floor — is the request shed.
+// memo tables, which rebuild lazily), then least-recently-used cached
+// answers; only if the footprint is still over is the request shed.
 func (t *Tenant) overMemory() bool {
 	quota := t.memQuota.Load()
 	if quota <= 0 {

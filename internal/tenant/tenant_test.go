@@ -448,8 +448,8 @@ func TestDeltaWorkChargedToItsTenant(t *testing.T) {
 // supersedes, so the cache holds one version's answers and the tenant's
 // footprint stays under its quota: no warm engine is trimmed and no
 // request is shed. Dead answers that stayed until byte pressure evicted
-// them would push the footprint over the quota, which TrimMemory cannot
-// fix by dropping engines.
+// them would push the footprint over the quota, and every admission
+// would trim the warm engines for them.
 func TestMemoryQuotaUnderWriteChurn(t *testing.T) {
 	const n, commits = 16, 200
 	r, err := Open(Config{
@@ -506,5 +506,63 @@ func TestMemoryQuotaUnderWriteChurn(t *testing.T) {
 	if shed != 0 || m.MemTenantShed.Value() != 0 || m.MemEngineTrims.Value() != 0 {
 		t.Fatalf("under a %d B quota: %d reads shed (mem_tenant_shed %d), %d engines trimmed",
 			quota, shed, m.MemTenantShed.Value(), m.MemEngineTrims.Value())
+	}
+}
+
+// TestMemoryQuotaTrimsCache: a tenant whose memory quota is below one
+// version's answers alone is not shed for good. Each admission drops the
+// idle engines and then the least recently used cached answers down to
+// the quota, counting them as cache evictions, and takes its slot.
+func TestMemoryQuotaTrimsCache(t *testing.T) {
+	const n = 16
+	r, err := Open(Config{
+		Dir:        t.TempDir(),
+		Options:    hypo.Options{PoolSize: 2, CacheBytes: 64 << 20},
+		LiveConfig: hypo.LiveConfig{NoSync: true},
+		Logger:     quiet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tn, _, err := r.Create("trim", workload.ClosureProgram(workload.Chain(n), workload.RightLinear))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reads := func() {
+		for i := 0; i < n; i++ {
+			release, err := tn.Admit(ctx)
+			if err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			q := fmt.Sprintf("reach(n%d, Y)", i)
+			_, err = tn.Pool().Read(ctx, hypo.Request{Kind: hypo.ReadQuery, Query: q}, func(hypo.Binding) error { return nil })
+			release()
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	reads()
+	m := tn.Metrics()
+	quota := tn.Pool().CacheMemBytes() / 2
+	if quota <= 0 || m.CacheEvictions.Value() != 0 {
+		t.Fatalf("cache holds %d B after %d answers, %d evicted", 2*quota, n, m.CacheEvictions.Value())
+	}
+	tn.SetQuotas(quota, 0)
+	reads()
+	if m.MemTenantShed.Value() != 0 || m.CacheEvictions.Value() == 0 {
+		t.Fatalf("under a %d B quota: mem_tenant_shed %d, cache_evictions %d; want 0 and > 0",
+			quota, m.MemTenantShed.Value(), m.CacheEvictions.Value())
+	}
+	// The last read stored its answer after its admission's trim.
+	release, err := tn.Admit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if c := tn.Pool().CacheMemBytes(); c > quota || c == 0 {
+		t.Errorf("cache holds %d B after a trim to a %d B quota; want some, at most the quota", c, quota)
 	}
 }

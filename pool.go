@@ -423,8 +423,8 @@ func (pl *Pool) MemBytes() int64 {
 	return n
 }
 
-// CacheMemBytes reports the answer cache's share of MemBytes — the
-// part TrimMemory cannot reclaim (0 when the pool has no cache).
+// CacheMemBytes reports the answer cache's share of MemBytes (0 when the
+// pool has no cache).
 func (pl *Pool) CacheMemBytes() int64 {
 	if pl.cache == nil {
 		return 0
@@ -432,11 +432,14 @@ func (pl *Pool) CacheMemBytes() int64 {
 	return pl.cache.Stats().Bytes
 }
 
-// TrimMemory drops idle engines until the pool's tracked footprint is at
-// or below target (or no idle engines remain), returning the number of
-// engines released. Dropped slots are recreated lazily on demand, so a
-// trim trades warm memo tables for memory — it never shrinks the pool's
-// capacity. In-flight leases are untouched.
+// TrimMemory brings the pool's tracked footprint to at most target:
+// it drops idle engines until the footprint is there or none remain,
+// then evicts least-recently-used cached answers (counted as cache
+// evictions) until it is there or the cache is empty. It returns the
+// number of engines released. Dropped slots are recreated lazily on
+// demand, so a trim trades warm memo tables and cached answers for
+// memory — it never shrinks the pool's capacity. In-flight leases are
+// untouched.
 func (pl *Pool) TrimMemory(target int64) int {
 	dropped := 0
 	for pl.MemBytes() > target {
@@ -447,9 +450,13 @@ func (pl *Pool) TrimMemory(target int64) int {
 			pl.created--
 			pl.mu.Unlock()
 			dropped++
+			continue
 		default:
-			return dropped
 		}
+		if pl.cache != nil {
+			pl.cache.Trim(target - pl.idleBytes.Load())
+		}
+		break
 	}
 	return dropped
 }
@@ -500,7 +507,7 @@ func (pl *Pool) QueryEachInfoCtx(ctx context.Context, query string, info *ReadIn
 // the deadline aborts with ErrDeadline (ErrCanceled on cancellation), and
 // Options.MaxGoals and MaxMemoryBytes bound it as they bound a query.
 func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info ReadInfo, err error) {
-	fin := trackQuery(pl.mets)
+	w := trackQuery(pl.mets)
 	// The lease is kept even when a throwaway engine does the work, for
 	// its admission effect: at most PoolSize explanations run at once.
 	err = pl.Do(ctx, func(e *Engine) (err error) {
@@ -520,7 +527,7 @@ func (pl *Pool) ExplainCtx(ctx context.Context, query string) (out string, info 
 		})
 		return err
 	})
-	fin(err)
+	w.done(err)
 	return out, info, err
 }
 

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"hypodatalog/internal/ast"
@@ -74,40 +75,133 @@ type Request struct {
 	Info *ReadInfo
 }
 
-// compiledRead is one read, validated and interned.
+// compiledRead is one read, validated and interned. Its parts are the
+// domain's memo entries, shared with every other read of the same text.
 type compiledRead struct {
 	kind ReadKind
-	body ast.CRule   // the premise as a one-premise body; VarNames in slot order
-	adds []ast.CAtom // outer hypothetical adds (AskUnder)
-
-	// key is the canonical answer-cache key: the kind, the parsed premise
-	// rendered back to surface syntax (so formatting differences collapse)
-	// and, for AskUnder, the sorted adds (so one hypothetical state reached
-	// in a different add order shares an entry). Ask and AskUnder keep
-	// distinct prefixes even when semantically equivalent — a little
-	// duplication for keys that are trivially correct.
-	key string
+	prem *memoPremise
+	adds []*memoAtom // outer hypothetical adds (AskUnder), in request order
 }
 
-// compileRead parses and validates a read on its surface form — ground
-// adds, every constant inside dom(R, DB) (variable enumeration and
+// key is the canonical answer-cache key: the kind, the parsed premise
+// rendered back to surface syntax (so formatting differences collapse)
+// and, for AskUnder, the sorted adds (so one hypothetical state reached
+// in a different add order shares an entry). Ask and AskUnder keep
+// distinct prefixes even when semantically equivalent — a little
+// duplication for keys that are trivially correct.
+func (r *compiledRead) key() string {
+	var buf [8]*memoAtom
+	sorted := append(buf[:0], r.adds...)
+	slices.SortFunc(sorted, func(a, b *memoAtom) int { return strings.Compare(a.text, b.text) })
+	n := 3 + len(r.prem.text)
+	for _, a := range sorted {
+		n += 1 + len(a.text)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte(byte(r.kind))
+	b.WriteByte('\x1f')
+	b.WriteString(r.prem.text)
+	if r.kind == ReadAskUnder {
+		b.WriteByte('\x1f')
+		for i, a := range sorted {
+			if i > 0 {
+				b.WriteByte('\x1f')
+			}
+			b.WriteString(a.text)
+		}
+	}
+	return b.String()
+}
+
+// readMemo holds the compiled parts of the reads a domain has accepted,
+// by their text: premises, and ground adds. The domain fixes which texts
+// are valid for as long as it lives, so an entry never goes stale; a
+// read whose parts are all held skips lexing, parsing, validation and
+// the String() of its cache key.
+type readMemo struct {
+	premises memoMap[*memoPremise]
+	atoms    memoMap[*memoAtom]
+}
+
+// maxMemoEntries and maxMemoBytes bound each memoMap.
+const (
+	maxMemoEntries = 4096
+	maxMemoBytes   = 1 << 20
+)
+
+// memoMap is one of a readMemo's maps, by the text a request carries. It
+// holds at most maxMemoEntries entries and maxMemoBytes bytes of text,
+// counting the text looked up and the text rendered back; one that would
+// go past either is emptied before the insert, so a stream of one-off
+// texts cannot keep the hot ones out for good, and a text over
+// maxMemoBytes on its own is not held. Its zero value is empty and ready
+// to use.
+type memoMap[V any] struct {
+	mu    sync.RWMutex
+	m     map[string]V
+	bytes int
+}
+
+func (mm *memoMap[V]) get(src string) V {
+	mm.mu.RLock()
+	defer mm.mu.RUnlock()
+	return mm.m[src]
+}
+
+// put holds v, compiled from src and rendered back as text.
+func (mm *memoMap[V]) put(src, text string, v V) {
+	n := len(src) + len(text)
+	if n > maxMemoBytes {
+		return
+	}
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if mm.m == nil || len(mm.m) >= maxMemoEntries || mm.bytes+n > maxMemoBytes {
+		mm.m, mm.bytes = map[string]V{}, 0
+	}
+	mm.m[src] = v
+	mm.bytes += n
+}
+
+// memoPremise is a compiled, validated read premise.
+type memoPremise struct {
+	body ast.CRule // the premise as a one-premise body; VarNames in slot order
+	text string    // the premise rendered back to surface syntax
+}
+
+// memoAtom is a compiled, validated ground add.
+type memoAtom struct {
+	atom ast.CAtom
+	text string // the atom rendered back to surface syntax
+}
+
+// compileRead validates a read on its surface form — ground adds, every
+// constant inside dom(R, DB) (variable enumeration and
 // negation-as-failure range over the engine's fixed domain, so a fresh
 // constant would silently be excluded from them and could produce wrong
-// answers), a ground premise unless the kind enumerates — using read-only
-// symbol lookups, and only then interns it. A stream of bad reads against
-// one Program therefore cannot leak interned garbage into every engine
-// sharing its symbol table.
-func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool) (*compiledRead, error) {
-	kind, added := req.Kind, req.Add
+// answers), a ground premise unless the kind enumerates — using the
+// domain's memo and read-only symbol lookups, and only then compiles,
+// interning, the parts the memo did not hold. A stream of bad reads
+// against one Program therefore cannot leak interned garbage into every
+// engine sharing its symbol table.
+func compileRead(req Request, syms *symbols.Table, dom *domain) (*compiledRead, error) {
+	kind := req.Kind
 	switch {
 	case kind != ReadAsk && kind != ReadQuery && kind != ReadAskUnder:
 		return nil, fmt.Errorf("hypo: unknown read kind %v", kind)
-	case kind != ReadAskUnder && len(added) > 0:
+	case kind != ReadAskUnder && len(req.Add) > 0:
 		return nil, fmt.Errorf("hypo: %s takes no outer adds; use AskUnder", kind)
 	}
-	adds := make([]ast.Atom, len(added))
-	sorted := make([]string, len(added))
-	for i, src := range added {
+	r := &compiledRead{kind: kind}
+	var fresh []ast.Atom // the parsed adds the memo lacked, by position
+	if len(req.Add) > 0 {
+		r.adds = make([]*memoAtom, len(req.Add))
+	}
+	for i, src := range req.Add {
+		if r.adds[i] = dom.memo.atoms.get(src); r.adds[i] != nil {
+			continue
+		}
 		a, err := parser.ParseAtom(src)
 		if err != nil {
 			return nil, err
@@ -115,42 +209,57 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 		if !a.IsGround() {
 			return nil, fmt.Errorf("hypo: added atom %q is not ground", src)
 		}
-		if err := checkAtomDomain(a, syms, domSet); err != nil {
+		if err := checkAtomDomain(a, syms, dom.set); err != nil {
 			return nil, err
 		}
-		adds[i], sorted[i] = a, a.String()
+		if fresh == nil {
+			fresh = make([]ast.Atom, len(req.Add))
+		}
+		fresh[i] = a
 	}
-	pr, err := parser.ParsePremise(req.Query)
-	if err != nil {
-		return nil, err
+	var pr *ast.Premise // parsed when the memo lacked the premise
+	open := false
+	if r.prem = dom.memo.premises.get(req.Query); r.prem != nil {
+		open = r.prem.body.NumVars > 0
+	} else {
+		p, err := parser.ParsePremise(req.Query)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkQueryDomain(p, syms, dom.set); err != nil {
+			return nil, err
+		}
+		if p.Kind == ast.NegHyp {
+			return nil, fmt.Errorf("hypo: query %s: negated hypotheticals are not supported", p)
+		}
+		pr, open = &p, len(p.Vars(nil)) > 0
 	}
-	if err := checkQueryDomain(pr, syms, domSet); err != nil {
-		return nil, err
-	}
-	if pr.Kind == ast.NegHyp {
-		return nil, fmt.Errorf("hypo: query %s: negated hypotheticals are not supported", pr)
-	}
-	if kind != ReadQuery && len(pr.Vars(nil)) > 0 {
+	if kind != ReadQuery && open {
 		return nil, fmt.Errorf("hypo: %s needs a ground query; use Query for %q", kind, req.Query)
 	}
 
-	r := &compiledRead{kind: kind, key: string(kind) + "\x1f" + pr.String()}
-	if kind == ReadAskUnder {
-		sort.Strings(sorted)
-		r.key += "\x1f" + strings.Join(sorted, "\x1f")
-	}
-	for _, a := range adds {
+	// Every part is valid: compile what the memo lacked, interning it.
+	for i, a := range fresh {
+		if r.adds[i] != nil {
+			continue
+		}
 		ca, err := compileGroundAtom(a, syms)
 		if err != nil {
 			return nil, err
 		}
-		r.adds = append(r.adds, ca)
+		r.adds[i] = &memoAtom{atom: ca, text: a.String()}
+		dom.memo.atoms.put(req.Add[i], r.adds[i].text, r.adds[i])
 	}
-	cpr, err := ast.CompilePremise(pr, syms, map[string]int{}, &r.body.VarNames)
-	if err != nil {
-		return nil, err
+	if pr != nil {
+		p := &memoPremise{text: pr.String()}
+		cpr, err := ast.CompilePremise(*pr, syms, map[string]int{}, &p.body.VarNames)
+		if err != nil {
+			return nil, err
+		}
+		p.body.Body, p.body.NumVars = []ast.CPremise{cpr}, len(p.body.VarNames)
+		r.prem = p
+		dom.memo.premises.put(req.Query, p.text, p)
 	}
-	r.body.Body, r.body.NumVars = []ast.CPremise{cpr}, len(r.body.VarNames)
 	return r, nil
 }
 
@@ -162,12 +271,12 @@ func compileRead(req Request, syms *symbols.Table, domSet map[symbols.Const]bool
 // returned verbatim.
 func (e *Engine) eval(r *compiledRead, yield func(Binding) error) error {
 	st := e.ev.EmptyState()
-	for _, ca := range r.adds {
-		st = st.Add(e.ev.Interner().Ground(ca, nil))
+	for _, a := range r.adds {
+		st = st.Add(e.ev.Interner().Ground(a.atom, nil))
 	}
-	return e.ev.Read(&r.body, st, func(s []symbols.Const) error {
+	return e.ev.Read(&r.prem.body, st, func(s []symbols.Const) error {
 		b := make(Binding, len(s))
-		for slot, name := range r.body.VarNames {
+		for slot, name := range r.prem.body.VarNames {
 			b[name] = e.prog.syms.ConstName(s[slot])
 		}
 		return yield(b)
@@ -191,7 +300,7 @@ func (e *Engine) measured(ctx context.Context, fn func() error) (Stats, error) {
 	work := e.budget.Work()
 	e.charge(work)
 	var ae *AbortError
-	if errors.As(err, &ae) {
+	if err != nil && errors.As(err, &ae) {
 		// Keep a memory abort's own reading of the growth that tripped it.
 		mem := ae.Stats.MemBytes
 		ae.Stats = work
@@ -227,12 +336,12 @@ func (e *Engine) Read(ctx context.Context, req Request, yield func(Binding) erro
 		info = new(ReadInfo)
 	}
 	*info = ReadInfo{DataVersion: e.version, Cache: CacheBypass}
-	fin := trackQuery(e.mets)
-	r, err := compileRead(req, e.prog.syms, e.dom.set)
+	w := trackQuery(e.mets)
+	r, err := compileRead(req, e.prog.syms, e.dom)
 	if err == nil {
 		info.Stats, err = e.measured(ctx, func() error { return e.eval(r, yield) })
 	}
-	fin(err)
+	w.done(err)
 	return *info, err
 }
 
@@ -279,7 +388,7 @@ func (pl *Pool) read(ctx context.Context, r *compiledRead, info *ReadInfo, yield
 	if pl.cache == nil {
 		return lease(CacheBypass, yield)
 	}
-	key := cache.Key{Version: pl.Version(), Query: r.key}
+	key := cache.Key{Version: pl.Version(), Query: r.key()}
 	v, st, err := pl.cache.Do(ctx, key, func() (cache.Computed, error) {
 		var acc []Binding
 		err := lease(CacheMiss, func(b Binding) error {
@@ -334,33 +443,40 @@ func (pl *Pool) Read(ctx context.Context, req Request, yield func(Binding) error
 		info = new(ReadInfo)
 	}
 	*info = ReadInfo{}
-	fin := trackQuery(pl.mets)
-	r, err := compileRead(req, pl.prog.syms, pl.dom.set)
+	w := trackQuery(pl.mets)
+	r, err := compileRead(req, pl.prog.syms, pl.dom)
 	if err == nil {
 		err = pl.read(ctx, r, info, yield)
 	}
-	fin(err)
+	w.done(err)
 	return *info, err
 }
 
-// trackQuery opens a metrics window for one top-level query; the
-// returned func closes it, classifying the outcome — queries_started
-// always equals succeeded + failed + canceled.
-func trackQuery(m *metrics.Set) func(error) {
+// queryWindow is the metrics window of one top-level query, opened by
+// trackQuery and closed by done, which classifies the outcome —
+// queries_started always equals succeeded + failed + canceled.
+type queryWindow struct {
+	m     *metrics.Set
+	start time.Time
+}
+
+func trackQuery(m *metrics.Set) queryWindow {
 	m.QueriesStarted.Inc()
-	start := time.Now()
-	return func(err error) {
-		m.QueryLatency.Observe(time.Since(start).Seconds())
-		switch {
-		case err == nil:
-			m.QueriesSucceeded.Inc()
-		case errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline):
-			m.QueriesCanceled.Inc()
-		default:
-			if errors.Is(err, ErrMemory) {
-				m.MemQueryAborts.Inc()
-			}
-			m.QueriesFailed.Inc()
+	return queryWindow{m: m, start: time.Now()}
+}
+
+func (w queryWindow) done(err error) {
+	m := w.m
+	m.QueryLatency.Observe(time.Since(w.start).Seconds())
+	switch {
+	case err == nil:
+		m.QueriesSucceeded.Inc()
+	case errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline):
+		m.QueriesCanceled.Inc()
+	default:
+		if errors.Is(err, ErrMemory) {
+			m.MemQueryAborts.Inc()
 		}
+		m.QueriesFailed.Inc()
 	}
 }

@@ -87,7 +87,11 @@ func poolSurfaces(pl *Pool) []readSurface {
 // and every shim kept over it — cache off and on — over one fixture and
 // holds them to one contract: identical answers, identical error classes,
 // ReadInfo filled before the first yield, nothing interned by a rejected
-// read, and a balanced metrics window per call.
+// read, and a balanced metrics window per call. Each cache setting runs
+// twice: on cold compile memos, and on memos warmed with the valid halves
+// of its rejected reads, so that a read whose every other part is held
+// compiled is still rejected on the part that is not, and interns
+// nothing.
 func TestReadSurfaceConformance(t *testing.T) {
 	const poolVersion = 7 // non-zero, so an unset ReadInfo.DataVersion shows
 
@@ -120,8 +124,27 @@ func TestReadSurfaceConformance(t *testing.T) {
 	// Reserved for the cancellation rows: never answered, so never cached.
 	const uncached = "grad(mary)[add: take(mary, eng201), take(tony, his101)]"
 
-	for _, cacheBytes := range []int64{0, 1 << 20} {
-		t.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(t *testing.T) {
+	// The valid halves of the rejected reads below: their premises, their
+	// valid adds, and a premise that is valid open under Query. Each interns
+	// the predicates it names, which are then no rejected read's doing.
+	warmUps := []Request{
+		{Kind: ReadQuery, Query: "fresh2(S)"},
+		{Kind: ReadQuery, Query: "grad(S)"},
+		{Kind: ReadAskUnder, Query: "grad(tony)", Add: []string{"fresh4(tony)"}},
+		{Kind: ReadAskUnder, Query: "grad(tony)", Add: []string{"take(mary, eng201)"}},
+	}
+	warmed := map[string]bool{"fresh2": true, "fresh4": true}
+
+	for _, tc := range []struct {
+		cacheBytes int64
+		warm       bool
+	}{{0, false}, {1 << 20, false}, {0, true}, {1 << 20, true}} {
+		cacheBytes := tc.cacheBytes
+		name := fmt.Sprintf("cache=%v", cacheBytes > 0)
+		if tc.warm {
+			name += ",warmed"
+		}
+		t.Run(name, func(t *testing.T) {
 			mets := metrics.NewSet("conformance")
 			opts := Options{CacheBytes: cacheBytes, Metrics: mets, PoolSize: 2}
 			prog := mustParse(t, uniSrc)
@@ -141,6 +164,17 @@ func TestReadSurfaceConformance(t *testing.T) {
 			ctx := context.Background()
 
 			calls := int64(0)
+			if tc.warm {
+				for _, req := range warmUps {
+					calls += 2
+					if _, err := e.Read(ctx, req, func(Binding) error { return nil }); err != nil {
+						t.Fatalf("warm-up %+v on the engine: %v", req, err)
+					}
+					if _, err := pl.Read(ctx, req, func(Binding) error { return nil }); err != nil {
+						t.Fatalf("warm-up %+v on the pool: %v", req, err)
+					}
+				}
+			}
 			call := func(ctx context.Context, s readSurface, q string, adds []string, yield func(Binding) error) ([]Binding, *ReadInfo, error) {
 				calls++
 				var streamed []Binding
@@ -234,6 +268,7 @@ func TestReadSurfaceConformance(t *testing.T) {
 				{"adds off AskUnder", "grad(tony)", []string{"take(mary, eng201)"}, "aq", "takes no outer adds"},
 				{"variables under adds", "grad(S)", []string{"take(mary, eng201)"}, "q", "takes no outer adds"},
 			}
+			preds := prog.syms.NumPreds()
 			for _, rj := range rejected {
 				first := ""
 				for _, s := range surfaces {
@@ -259,8 +294,11 @@ func TestReadSurfaceConformance(t *testing.T) {
 					t.Errorf("rejected read interned constant %q", name)
 				}
 			}
+			if n := prog.syms.NumPreds(); n != preds {
+				t.Errorf("rejected reads interned %d predicates", n-preds)
+			}
 			for name, arity := range map[string]int{"fresh1": 2, "fresh2": 1, "fresh3": 1, "fresh4": 1, "fresh5": 1} {
-				if _, ok := prog.syms.LookupPred(name, arity); ok {
+				if _, ok := prog.syms.LookupPred(name, arity); ok && !(tc.warm && warmed[name]) {
 					t.Errorf("rejected read interned predicate %s/%d", name, arity)
 				}
 			}
