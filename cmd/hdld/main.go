@@ -287,7 +287,7 @@ func run() int {
 		var rp *repl.Primary
 		if lv != nil {
 			rp = repl.NewPrimary(repl.PrimaryConfig{
-				Source:    lv.Store(),
+				Source:    lv,
 				RulesHash: prog.RulesHash(),
 				Logger:    logger,
 			})

@@ -384,20 +384,7 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 			return err
 		}
 	}
-	base, in := e.ev.Base(), e.ev.Interner()
-	added, removed := effectiveDelta(ms, func(a ast.Atom) bool {
-		ca, cerr := compileGroundAtom(a, e.prog.syms)
-		if cerr != nil {
-			return false
-		}
-		args := make([]symbols.Const, len(ca.Args))
-		for i, t := range ca.Args {
-			args[i] = t.ConstID()
-		}
-		id, ok := in.Lookup(ca.Pred, args)
-		return ok && base.Has(id)
-	})
-	cadd, crem, err := compileDelta(added, removed, e.prog.syms)
+	cadd, crem, _, err := effectiveDelta(ms, e.ev.Base())
 	if err != nil {
 		return err
 	}
@@ -426,14 +413,6 @@ func (e *Engine) applyDeltaCompiled(added, removed []ast.CAtom, cone map[symbols
 	before := e.Stats()
 	defer func() { e.charge(e.Stats().Sub(before)) }()
 	return e.ev.ApplyDelta(addIDs, remIDs, cone)
-}
-
-// compileDelta compiles effective surface-level delta atoms.
-func compileDelta(added, removed []ast.Atom, syms *symbols.Table) (cadd, crem []ast.CAtom, err error) {
-	if cadd, err = compileAtoms(added, syms); err == nil {
-		crem, err = compileAtoms(removed, syms)
-	}
-	return cadd, crem, err
 }
 
 // compileAtoms compiles ground surface atoms.

@@ -481,8 +481,8 @@ func sheet(e *Engine, qs []string) (string, error) {
 // an engine from its base after commits — a batch over maxDeltaAtoms, a
 // slot TrimMemory dropped and a later lease re-creates, a replica's
 // InstallSnapshot — with concurrent leases, and checks every leased
-// engine answers like a cold engine over Store.Facts() at its own data
-// version. One engine, leased before the first commit and read
+// engine answers like a cold engine over the test's own model of the
+// facts at its data version. One engine, leased before the first commit and read
 // throughout, holds a clone of the base the commits then change in
 // place, retractions included: it must keep answering at version 0.
 func TestRebuildsAfterCommitsAnswerCold(t *testing.T) {
@@ -515,11 +515,16 @@ unreached(X) :- node(X), ~reach(n0, X).
 	defer l.Close()
 	pl := l.Pool()
 
-	// want[v] is a cold engine's sheet over the store's facts at v.
+	// want[v] is a cold engine's sheet over model, the facts at v as the
+	// test's own mutations make them.
 	want := map[uint64]string{}
+	model := map[string]bool{}
+	for _, f := range p.src.Facts {
+		model[f.String()] = true
+	}
 	recordCold := func() {
 		t.Helper()
-		s, err := sheet(coldEngine(t, p, pl.dom, mode, l.Store().Facts()), qs)
+		s, err := sheet(coldEngine(t, p, pl.dom, mode, factSet(t, model)), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,6 +574,12 @@ unreached(X) :- node(X), ~reach(n0, X).
 		t.Helper()
 		if _, err := l.Apply(mutations(t, asserts, retracts)); err != nil {
 			t.Fatal(err)
+		}
+		for _, f := range asserts {
+			model[f] = true
+		}
+		for _, f := range retracts {
+			delete(model, f)
 		}
 		recordCold()
 	}
@@ -661,6 +672,10 @@ unreached(X) :- node(X), ~reach(n0, X).
 	builds, rebuilt := delta(&mets.LiveSubstrateBuilds), delta(&mets.LiveRebuilds)
 	if err := l.InstallSnapshot(&buf, l.Version()+5); err != nil {
 		t.Fatal(err)
+	}
+	clear(model)
+	for _, f := range mustParse(t, snap.String()).src.Facts {
+		model[f.String()] = true
 	}
 	recordCold()
 	burst()

@@ -70,7 +70,7 @@ func e18Replication(s Sizes) ([]Case, error) {
 
 			mux := http.NewServeMux()
 			repl.NewPrimary(repl.PrimaryConfig{
-				Source:    primary.Store(),
+				Source:    primary,
 				RulesHash: prog.RulesHash(),
 				Heartbeat: 100 * time.Millisecond,
 				Logger:    quiet,

@@ -73,7 +73,7 @@ func TestENOSPCCommitDegradesTransient(t *testing.T) {
 
 	// The recovered write path is durable: a crash loses nothing acked.
 	mem.Crash(rand.New(rand.NewSource(3)))
-	s2, rec, err := Open(prog(t, seedSrc), tortureConfig(mem))
+	s2, rec, err := openModel(prog(t, seedSrc), tortureConfig(mem))
 	if err != nil {
 		t.Fatalf("recovery after crash: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestTortureENOSPCSweep(t *testing.T) {
 	// Counting run on a healthy disk enumerates the fill points.
 	mem := vfs.NewMem()
 	ft := vfs.NewFault(mem, nil)
-	s, _, err := Open(seedProg, tortureConfig(ft))
+	s, _, err := openModel(seedProg, tortureConfig(ft))
 	if err != nil {
 		t.Fatalf("healthy open: %v", err)
 	}
@@ -168,12 +168,12 @@ func enospcRound(seedProg *ast.Program, batches [][]Mutation, states [][]string,
 		return en.Decide(op)
 	})
 	ft := vfs.NewFault(mem, script)
-	s, _, err := Open(seedProg, tortureConfig(ft))
+	s, _, err := openModel(seedProg, tortureConfig(ft))
 	if err != nil {
 		// The fill landed inside Open (e.g. the WAL header write). Space
 		// returning must make a fresh Open succeed; nothing was acked.
 		en.Release()
-		s, _, err = Open(seedProg, tortureConfig(ft))
+		s, _, err = openModel(seedProg, tortureConfig(ft))
 		if err != nil {
 			return fmt.Errorf("reopen after releasing space: %v", err)
 		}
@@ -215,7 +215,7 @@ func enospcRound(seedProg *ast.Program, batches [][]Mutation, states [][]string,
 
 	// The post-recovery write path is durable: crash and recover.
 	mem.Crash(rand.New(rand.NewSource(int64(k))))
-	s2, rec, err := Open(seedProg, tortureConfig(mem))
+	s2, rec, err := openModel(seedProg, tortureConfig(mem))
 	if err != nil {
 		return fmt.Errorf("recovery after crash: %v", err)
 	}

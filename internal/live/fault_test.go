@@ -13,18 +13,18 @@ import (
 	"hypodatalog/internal/vfs"
 )
 
-func openMemStore(t *testing.T, fs vfs.FS, every int) *Store {
+func openMemStore(t *testing.T, fs vfs.FS, every int) *model {
 	t.Helper()
 	cfg := tortureConfig(fs)
 	cfg.SnapshotEvery = every
-	s, _, err := Open(prog(t, seedSrc), cfg)
+	s, _, err := openModel(prog(t, seedSrc), cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	return s
 }
 
-func mustCommit(t *testing.T, s *Store, ms ...Mutation) CommitInfo {
+func mustCommit(t *testing.T, s *model, ms ...Mutation) CommitInfo {
 	t.Helper()
 	info, err := s.Commit(ms)
 	if err != nil {
@@ -56,8 +56,8 @@ func TestCommitSyncFailureDegrades(t *testing.T) {
 	if got := factKeys(s.Facts()); !equalKeys(got, facts) {
 		t.Fatalf("facts moved across a failed commit:\n got %v\nwant %v", got, facts)
 	}
-	if ro, roErr := s.ReadOnly(); !ro || !errors.Is(roErr, vfs.ErrInjected) {
-		t.Fatalf("ReadOnly() = %v, %v; want sticky injected cause", ro, roErr)
+	if ro, _, roErr := s.Degraded(); !ro || !errors.Is(roErr, vfs.ErrInjected) {
+		t.Fatalf("Degraded() = %v, %v; want sticky injected cause", ro, roErr)
 	}
 	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(e, f)")}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("second commit after degradation = %v; want ErrReadOnly", err)
@@ -69,7 +69,7 @@ func TestCommitSyncFailureDegrades(t *testing.T) {
 	// Power cut, then recovery on the healed disk: the acked version and
 	// nothing else.
 	mem.Crash(rand.New(rand.NewSource(7)))
-	s2, rec, err := Open(prog(t, seedSrc), tortureConfig(mem))
+	s2, rec, err := openModel(prog(t, seedSrc), tortureConfig(mem))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -95,13 +95,13 @@ func TestSnapshotRenameFailureStaysWritable(t *testing.T) {
 	if info.Compacted {
 		t.Fatal("compaction reported success past a failed snapshot rename")
 	}
-	if ro, _ := s.ReadOnly(); ro {
+	if ro, _, _ := s.Degraded(); ro {
 		t.Fatal("a failed snapshot rename degraded the store; the WAL still covers everything")
 	}
 	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(e, f)")})
 	want := factKeys(s.Facts())
 
-	s2, rec, err := Open(prog(t, seedSrc), tortureConfig(mem))
+	s2, rec, err := openModel(prog(t, seedSrc), tortureConfig(mem))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -129,14 +129,14 @@ func TestSnapshotDirSyncFailureAbortsCompaction(t *testing.T) {
 	if info.Compacted {
 		t.Fatal("compaction reported success past a failed snapshot dir-sync")
 	}
-	if ro, _ := s.ReadOnly(); ro {
+	if ro, _, _ := s.Degraded(); ro {
 		t.Fatal("an aborted compaction degraded the store")
 	}
 	mustCommit(t, s, Mutation{Op: OpAssert, Atom: atom(t, "edge(e, f)")})
 	want := factKeys(s.Facts())
 
 	mem.Crash(rand.New(rand.NewSource(11)))
-	s2, rec, err := Open(prog(t, seedSrc), tortureConfig(mem))
+	s2, rec, err := openModel(prog(t, seedSrc), tortureConfig(mem))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -162,8 +162,8 @@ func TestWALRotationDirSyncFailureDegrades(t *testing.T) {
 	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(d, e)")}}); err != nil {
 		t.Fatalf("the triggering commit was durable before the rotation; it must ack: %v", err)
 	}
-	if ro, roErr := s.ReadOnly(); !ro || !errors.Is(roErr, vfs.ErrInjected) {
-		t.Fatalf("ReadOnly() = %v, %v; want degraded with injected cause", ro, roErr)
+	if ro, _, roErr := s.Degraded(); !ro || !errors.Is(roErr, vfs.ErrInjected) {
+		t.Fatalf("Degraded() = %v, %v; want degraded with injected cause", ro, roErr)
 	}
 	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(e, f)")}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("commit after rotation degradation = %v; want ErrReadOnly", err)
@@ -171,7 +171,7 @@ func TestWALRotationDirSyncFailureDegrades(t *testing.T) {
 	version, want := s.Version(), factKeys(s.Facts())
 
 	mem.Crash(rand.New(rand.NewSource(13)))
-	s2, rec, err := Open(prog(t, seedSrc), tortureConfig(mem))
+	s2, rec, err := openModel(prog(t, seedSrc), tortureConfig(mem))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestWALRotationDirSyncFailureDegrades(t *testing.T) {
 // acked into a file a crash unlinks.
 func TestFirstBootCreateDirSyncFailure(t *testing.T) {
 	ft := vfs.NewFault(vfs.NewMem(), vfs.FailNth(vfs.OpSyncDir, 1))
-	if _, _, err := Open(prog(t, seedSrc), tortureConfig(ft)); !errors.Is(err, vfs.ErrInjected) {
+	if _, _, _, err := Open(prog(t, seedSrc), tortureConfig(ft)); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("Open over failed create dir-sync = %v; want ErrInjected", err)
 	}
 }

@@ -7,11 +7,18 @@
 //
 //   - a commit is appended to an append-only, CRC-guarded write-ahead log
 //     and fsynced before it is acknowledged;
-//   - every SnapshotEvery commits the fact set is compacted into the
-//     HDLSNAP snapshot format (internal/storage) and the WAL is rotated;
+//   - every SnapshotEvery commits the caller's fact set is compacted into
+//     the HDLSNAP snapshot format (internal/storage) and the WAL is
+//     rotated;
 //   - crash recovery = load the snapshot (or the seed program) and replay
 //     the WAL tail; a torn last record is discarded by its checksum, so
 //     recovery converges on a version ≥ every acknowledged commit.
+//
+// The store keeps no fact set of its own: Open hands the recovered facts
+// to its caller once, and the caller — hypo.Live, whose pool base is the
+// one in-memory copy — passes the facts back to Compact when CompactDue
+// says a snapshot is due. Every fact list crossing that boundary is
+// sorted by canonical text (SortFacts).
 //
 // All disk access goes through an injectable filesystem (internal/vfs,
 // Config.FS): production uses the real one, the crash-consistency
@@ -25,11 +32,12 @@
 // not retried: after EIO the kernel may have dropped the dirty pages, so
 // "retry until it works" silently loses acknowledged data.
 //
-// The store itself is engine-agnostic: it owns facts as surface-syntax
-// ground atoms and knows nothing about domains, stratification or
-// intensional predicates. Admission policy (rejecting constants outside
-// the declared domain, mutations of intensional predicates, arity
-// conflicts) belongs to the engine layer wrapping it — see hypo.Live.
+// The store itself is engine-agnostic: it logs and snapshots facts as
+// surface-syntax ground atoms and knows nothing about domains,
+// stratification or intensional predicates. Admission policy (rejecting
+// constants outside the declared domain, mutations of intensional
+// predicates, arity conflicts) belongs to the engine layer wrapping it —
+// see hypo.Live.
 //
 // A Store is safe for concurrent use; commits are serialised internally.
 package live
@@ -43,7 +51,9 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -92,7 +102,7 @@ var ErrClosed = errors.New("live: store is closed")
 // transient space pressure (ENOSPC with a clean rollback) the write
 // path can be re-enabled in place once TryRecover's probe write fsyncs
 // cleanly. Test with errors.Is; the original I/O error is joined in
-// (and available via ReadOnly).
+// (and available via Degraded).
 var ErrReadOnly = errors.New("live: store is read-only (degraded after an I/O error; restart to recover)")
 
 // Config parameterises a Store.
@@ -101,15 +111,15 @@ type Config struct {
 	// replayed (with the torn tail truncated) if present.
 	WALPath string
 
-	// SnapshotPath, when set, enables compaction: the fact set is
-	// periodically written there in the HDLSNAP format and the WAL is
+	// SnapshotPath, when set, enables compaction: the facts Compact is
+	// given are written there in the HDLSNAP format and the WAL is
 	// rotated. On Open, an existing snapshot at this path seeds the fact
 	// set (the WAL tail is replayed on top of it).
 	SnapshotPath string
 
-	// SnapshotEvery compacts after this many commits since the last
-	// compaction. Zero disables periodic compaction (a clean Close still
-	// compacts when SnapshotPath is set).
+	// SnapshotEvery makes CompactDue call for a snapshot after this many
+	// commits since the last compaction. Zero disables periodic
+	// compaction (a clean close still compacts when SnapshotPath is set).
 	SnapshotEvery int
 
 	// NoSync skips the per-commit fsync (and the directory fsyncs).
@@ -148,7 +158,8 @@ type Recovery struct {
 	FromSnapshot bool
 }
 
-// CommitInfo reports one successful commit.
+// CommitInfo reports one successful commit of hypo.Live, which fills it:
+// the store logs a batch without holding the facts it changes.
 type CommitInfo struct {
 	// Version is the new data version produced by the batch.
 	Version uint64
@@ -167,16 +178,13 @@ type Store struct {
 	cfg   Config
 	fs    vfs.FS
 	log   *slog.Logger
-	rules *ast.Program // rules and queries only; facts live in the map
+	rules *ast.Program // rules and queries, written into every snapshot
 
-	facts   map[string]ast.Atom // key: canonical surface text
 	version uint64
 
 	wal       vfs.File
-	walBase   uint64 // header base version of the current WAL file
-	sinceSnap int    // commits since the last compaction (or Open)
+	sinceSnap int // commits since the last compaction (or Open)
 
-	cache  []ast.Atom // sorted fact slice for the current version
 	closed bool
 	roErr  error // first degrading I/O error; non-nil = read-only
 	// roTransient marks the degradation as transient I/O pressure (e.g.
@@ -200,12 +208,15 @@ type Store struct {
 }
 
 // Open builds a store from the seed program and the durable state at
-// cfg's paths. The seed's rules and queries are authoritative (they are
-// what gets written into compaction snapshots); its facts are used only
-// when no snapshot exists. Facts are deduplicated by canonical text.
-func Open(seed *ast.Program, cfg Config) (*Store, Recovery, error) {
+// cfg's paths, and returns the facts at the recovered version, sorted by
+// canonical text: the snapshot's (or, without one, the seed's) with the
+// WAL tail replayed on top. The store keeps no reference to them. The
+// seed's rules and queries are authoritative (they are what gets written
+// into compaction snapshots); its facts are used only when no snapshot
+// exists. Facts are deduplicated by canonical text.
+func Open(seed *ast.Program, cfg Config) (*Store, []ast.Atom, Recovery, error) {
 	if cfg.WALPath == "" {
-		return nil, Recovery{}, errors.New("live: Config.WALPath is required")
+		return nil, nil, Recovery{}, errors.New("live: Config.WALPath is required")
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -221,10 +232,10 @@ func Open(seed *ast.Program, cfg Config) (*Store, Recovery, error) {
 		fs:      cfg.FS,
 		log:     cfg.Logger,
 		rules:   &ast.Program{Rules: seed.Rules, Queries: seed.Queries},
-		facts:   make(map[string]ast.Atom),
 		changed: make(chan struct{}),
 	}
 	var rec Recovery
+	facts := make(map[string]ast.Atom) // key: canonical surface text
 
 	// Base fact set: the snapshot if one exists, else the seed program.
 	base := seed.Facts
@@ -235,33 +246,59 @@ func Open(seed *ast.Program, cfg Config) (*Store, Recovery, error) {
 			snap, rerr := storage.Read(f)
 			f.Close()
 			if rerr != nil {
-				return nil, Recovery{}, fmt.Errorf("live: snapshot %s: %w", cfg.SnapshotPath, rerr)
+				return nil, nil, Recovery{}, fmt.Errorf("live: snapshot %s: %w", cfg.SnapshotPath, rerr)
 			}
 			base = snap.Facts
 			rec.FromSnapshot = true
 		case errors.Is(err, fs.ErrNotExist):
 			// First boot: seed facts.
 		default:
-			return nil, Recovery{}, fmt.Errorf("live: snapshot: %w", err)
+			return nil, nil, Recovery{}, fmt.Errorf("live: snapshot: %w", err)
 		}
 	}
 	for _, a := range base {
 		if !a.IsGround() {
-			return nil, Recovery{}, fmt.Errorf("live: base fact %s is not ground", a)
+			return nil, nil, Recovery{}, fmt.Errorf("live: base fact %s is not ground", a)
 		}
-		s.facts[a.String()] = a
+		facts[a.String()] = a
 	}
 
-	if err := s.openWAL(&rec); err != nil {
-		return nil, Recovery{}, err
+	if err := s.openWAL(&rec, facts); err != nil {
+		return nil, nil, Recovery{}, err
 	}
 	rec.Version = s.version
-	return s, rec, nil
+	keys := make([]string, 0, len(facts))
+	for k := range facts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]ast.Atom, len(keys))
+	for i, k := range keys {
+		out[i] = facts[k]
+	}
+	return s, out, rec, nil
 }
 
-// openWAL replays (or creates) the WAL file and leaves it open for
-// appending.
-func (s *Store) openWAL(rec *Recovery) error {
+// SortFacts sorts facts by canonical text: the order of every fact list
+// the store returns or writes into a snapshot.
+func SortFacts(facts []ast.Atom) {
+	type keyed struct {
+		key  string
+		atom ast.Atom
+	}
+	ks := make([]keyed, len(facts))
+	for i, a := range facts {
+		ks[i] = keyed{a.String(), a}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	for i, k := range ks {
+		facts[i] = k.atom
+	}
+}
+
+// openWAL replays (or creates) the WAL file onto facts and leaves it open
+// for appending.
+func (s *Store) openWAL(rec *Recovery, facts map[string]ast.Atom) error {
 	data, err := s.fs.ReadFile(s.cfg.WALPath)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -295,15 +332,19 @@ func (s *Store) openWAL(rec *Recovery) error {
 			return fmt.Errorf("live: truncating torn WAL tail: %w", err)
 		}
 	}
-	s.walBase = base
 	s.version = base
 	for _, r := range recs {
 		if r.reset {
-			s.facts = make(map[string]ast.Atom, len(r.muts))
+			clear(facts)
 			s.tail, s.tailHead = nil, 0
 		}
 		for _, m := range r.muts {
-			s.apply(m)
+			switch m.Op {
+			case OpAssert:
+				facts[m.Atom.String()] = m.Atom
+			case OpRetract:
+				delete(facts, m.Atom.String())
+			}
 		}
 		s.version = r.version
 		if !r.reset {
@@ -342,7 +383,6 @@ func (s *Store) createWAL(base uint64) error {
 		return err
 	}
 	s.wal = f
-	s.walBase = base
 	s.version = base
 	s.sinceSnap = 0
 	return nil
@@ -398,14 +438,6 @@ func (s *Store) degradeLocked(cause error, rollbackOK bool) error {
 		}
 	}
 	return errors.Join(ErrReadOnly, cause)
-}
-
-// ReadOnly reports whether an I/O error has degraded the store to
-// read-only, and if so the error that caused it.
-func (s *Store) ReadOnly() (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roErr != nil, s.roErr
 }
 
 // Degraded reports the store's degradation state: whether it is
@@ -496,104 +528,67 @@ func (s *Store) DiskBytes() int64 {
 	return n
 }
 
-// apply performs one mutation on the fact map, reporting whether it
-// changed anything.
-func (s *Store) apply(m Mutation) bool {
-	key := m.Atom.String()
-	switch m.Op {
-	case OpAssert:
-		if _, ok := s.facts[key]; ok {
-			return false
-		}
-		s.facts[key] = m.Atom
-		return true
-	case OpRetract:
-		if _, ok := s.facts[key]; !ok {
-			return false
-		}
-		delete(s.facts, key)
-		return true
-	default:
-		return false
-	}
-}
-
-// Commit applies a mutation batch atomically: the batch is validated,
-// appended to the WAL and fsynced, and only then applied to the fact
-// set under a new data version. A failed validation or write leaves the
-// store exactly as it was. Asserting a present fact or retracting an
-// absent one is a committed no-op (it still produces a version).
-func (s *Store) Commit(ms []Mutation) (CommitInfo, error) {
+// Commit logs a mutation batch atomically under the next data version,
+// which it returns: the batch is validated, appended to the WAL and
+// fsynced, and only then does the version move. A failed validation or
+// write leaves the store exactly as it was. Asserting a present fact or
+// retracting an absent one is a committed no-op (it still produces a
+// version). The caller applies the batch to its facts, then compacts
+// when CompactDue says so.
+func (s *Store) Commit(ms []Mutation) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return CommitInfo{}, ErrClosed
+		return 0, ErrClosed
 	}
 	if s.roErr != nil {
-		return CommitInfo{}, errors.Join(ErrReadOnly, s.roErr)
+		return 0, errors.Join(ErrReadOnly, s.roErr)
 	}
 	if len(ms) == 0 {
-		return CommitInfo{}, errors.New("live: empty mutation batch")
+		return 0, errors.New("live: empty mutation batch")
 	}
 	for _, m := range ms {
 		if m.Op != OpAssert && m.Op != OpRetract {
-			return CommitInfo{}, fmt.Errorf("live: unknown mutation op %d", m.Op)
+			return 0, fmt.Errorf("live: unknown mutation op %d", m.Op)
 		}
 		if !m.Atom.IsGround() {
-			return CommitInfo{}, fmt.Errorf("live: %s %s: fact is not ground", m.Op, m.Atom)
+			return 0, fmt.Errorf("live: %s %s: fact is not ground", m.Op, m.Atom)
 		}
 		if len(m.Atom.Args) > 1024 {
-			return CommitInfo{}, fmt.Errorf("live: %s %s: implausible arity %d", m.Op, m.Atom, len(m.Atom.Args))
+			return 0, fmt.Errorf("live: %s %s: implausible arity %d", m.Op, m.Atom, len(m.Atom.Args))
 		}
 	}
 
-	// Durability first: the record reaches disk before the fact set (or
-	// the version) moves, so an acknowledged commit can never be lost and
-	// a failed write never leaves a half-applied batch. Any failure here
-	// degrades the store to read-only: after a failed append or fsync the
-	// on-disk suffix is unknowable (the truncate below is best-effort, and
-	// post-EIO page-cache state is not trustworthy), so appending further
-	// records could corrupt the WAL interior — recovery hard-fails on
-	// that, which would turn one lost commit into a lost store.
+	// Durability first: the record reaches disk before the version moves,
+	// so an acknowledged commit can never be lost and a failed write never
+	// leaves a half-applied batch. Any failure here degrades the store to
+	// read-only: after a failed append or fsync the on-disk suffix is
+	// unknowable (the truncate below is best-effort, and post-EIO
+	// page-cache state is not trustworthy), so appending further records
+	// could corrupt the WAL interior — recovery hard-fails on that, which
+	// would turn one lost commit into a lost store.
 	record := encodeRecord(s.version+1, ms)
 	off, err := s.wal.Seek(0, io.SeekEnd)
 	if err != nil {
-		return CommitInfo{}, s.degradeLocked(fmt.Errorf("live: WAL seek: %w", err), true)
+		return 0, s.degradeLocked(fmt.Errorf("live: WAL seek: %w", err), true)
 	}
 	if _, err := s.wal.Write(record); err != nil {
 		// Cut the possibly partial record back off so the surviving prefix
 		// stays parseable for recovery; a clean cut also keeps a transient
 		// failure (ENOSPC) recoverable in place.
 		terr := s.wal.Truncate(off)
-		return CommitInfo{}, s.degradeLocked(fmt.Errorf("live: WAL append: %w", err), terr == nil)
+		return 0, s.degradeLocked(fmt.Errorf("live: WAL append: %w", err), terr == nil)
 	}
 	if err := s.syncFile(s.wal); err != nil {
 		terr := s.wal.Truncate(off)
-		return CommitInfo{}, s.degradeLocked(err, terr == nil)
+		return 0, s.degradeLocked(err, terr == nil)
 	}
 
-	info := CommitInfo{Version: s.version + 1}
-	for _, m := range ms {
-		if s.apply(m) {
-			info.Changed++
-		}
-	}
 	s.version++
-	s.cache = nil
 	s.sinceSnap++
 	s.appendTailLocked(Record{Version: s.version, Muts: append([]Mutation(nil), ms...)})
 	s.broadcastLocked()
-
-	if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotPath != "" && s.sinceSnap >= s.cfg.SnapshotEvery {
-		if err := s.compactLocked(); err != nil {
-			// The commit itself is durable in the WAL; a failed compaction
-			// only delays the next one.
-			s.log.Error("live: compaction failed", "err", err)
-		} else {
-			info.Compacted = true
-		}
-	}
-	return info, nil
+	return s.version, nil
 }
 
 // Version returns the current data version.
@@ -612,39 +607,34 @@ func (s *Store) SinceSnapshot() int {
 	return s.sinceSnap
 }
 
-// Has reports whether the ground atom is a fact at the current version.
-func (s *Store) Has(a ast.Atom) bool {
+// CompactDue reports whether the compaction policy calls for a snapshot:
+// every SnapshotEvery commits, and with force (after a reset, and on a
+// clean close) whenever a commit or reset has landed since the last
+// compaction. A store without a SnapshotPath, or closed, or degraded,
+// never compacts.
+func (s *Store) CompactDue(force bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.facts[a.String()]
-	return ok
+	return s.cfg.SnapshotPath != "" && !s.closed && s.roErr == nil &&
+		(force && s.sinceSnap > 0 || s.cfg.SnapshotEvery > 0 && s.sinceSnap >= s.cfg.SnapshotEvery)
 }
 
-// Facts returns the fact set of the current version, sorted by canonical
-// text. The returned slice is shared and immutable: callers must not
-// modify it, and successive calls at the same version return the same
-// slice (a new slice is built per version, so a caller holding version
-// v's slice is isolated from later commits).
-func (s *Store) Facts() []ast.Atom {
+// Compact folds the WAL into a snapshot of facts, the fact set at the
+// store's current version sorted by canonical text (SortFacts); callers
+// ask CompactDue first. A failure is logged and returned: the WAL still
+// holds every commit, so it only delays the next compaction — unless it
+// degraded the store (see compactLocked).
+func (s *Store) Compact(facts []ast.Atom) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.factsLocked()
-}
-
-func (s *Store) factsLocked() []ast.Atom {
-	if s.cache == nil {
-		keys := make([]string, 0, len(s.facts))
-		for k := range s.facts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]ast.Atom, len(keys))
-		for i, k := range keys {
-			out[i] = s.facts[k]
-		}
-		s.cache = out
+	if s.cfg.SnapshotPath == "" || s.closed || s.roErr != nil {
+		return errors.New("live: compaction needs an open, writable store with a SnapshotPath")
 	}
-	return s.cache
+	err := s.compactLocked(facts)
+	if err != nil {
+		s.log.Error("live: compaction failed", "err", err)
+	}
+	return err
 }
 
 // compactLocked writes snapshot.tmp, renames it over the snapshot and
@@ -663,14 +653,8 @@ func (s *Store) factsLocked() []ast.Atom {
 // directory points at the rotated WAL, appends land there, and if the
 // rotation itself could be rolled back by a crash those appends could
 // not be guaranteed to survive.
-func (s *Store) compactLocked() error {
-	if s.cfg.SnapshotPath == "" {
-		return errors.New("live: no SnapshotPath configured")
-	}
-	if s.roErr != nil {
-		return errors.Join(ErrReadOnly, s.roErr)
-	}
-	prog := &ast.Program{Rules: s.rules.Rules, Queries: s.rules.Queries, Facts: s.factsLocked()}
+func (s *Store) compactLocked(facts []ast.Atom) error {
+	prog := &ast.Program{Rules: s.rules.Rules, Queries: s.rules.Queries, Facts: facts}
 	tmp := s.cfg.SnapshotPath + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -729,7 +713,6 @@ func (s *Store) compactLocked() error {
 	// appending to the unlinked old WAL.
 	s.wal.Close()
 	s.wal = nf
-	s.walBase = s.version
 	s.sinceSnap = 0
 	if err := s.syncDir(s.cfg.WALPath); err != nil {
 		// Recoverable when transient: the rotated file is already the
@@ -738,7 +721,7 @@ func (s *Store) compactLocked() error {
 		return s.degradeLocked(fmt.Errorf("live: WAL rotation: %w", err), true)
 	}
 	s.log.Info("live: compacted",
-		"snapshot", s.cfg.SnapshotPath, "version", s.version, "facts", len(s.facts))
+		"snapshot", s.cfg.SnapshotPath, "version", s.version, "facts", len(facts))
 	return nil
 }
 
@@ -804,25 +787,14 @@ func (s *Store) StreamHorizon() uint64 {
 // horizonLocked is the version just before the ring's oldest record.
 func (s *Store) horizonLocked() uint64 { return s.version - uint64(len(s.tail)) }
 
-// SnapshotProgram returns the rules plus the fact set of the current
-// version as one program, with the version it is consistent at — the
-// payload a primary serves to a bootstrapping follower. The fact slice
-// is the shared immutable per-version slice; callers must not modify it.
-func (s *Store) SnapshotProgram() (*ast.Program, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prog := &ast.Program{Rules: s.rules.Rules, Queries: s.rules.Queries, Facts: s.factsLocked()}
-	return prog, s.version
-}
-
 // ResetToFacts atomically replaces the whole fact set, jumping the store
 // to the given version — how a replication follower installs a snapshot
 // fetched from its primary. The reset is a single durable WAL append
-// (fsynced before the fact set or version move), so a crash at any point
-// leaves either the old state or the new one, never a mixture. version
-// must be ahead of the current one. When a snapshot path is configured
-// the store compacts immediately afterwards, folding the (fact-set-
-// sized) reset record out of the WAL.
+// (fsynced before the version moves), so a crash at any point leaves
+// either the old state or the new one, never a mixture. version must be
+// ahead of the current one. The caller then installs facts and compacts
+// when CompactDue(true) says so, folding the (fact-set-sized) reset
+// record out of the WAL when a snapshot path is configured.
 func (s *Store) ResetToFacts(facts []ast.Atom, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -853,45 +825,26 @@ func (s *Store) ResetToFacts(facts []ast.Atom, version uint64) error {
 		terr := s.wal.Truncate(off)
 		return s.degradeLocked(err, terr == nil)
 	}
-	s.facts = make(map[string]ast.Atom, len(facts))
-	for _, a := range facts {
-		s.facts[a.String()] = a
-	}
 	s.version = version
-	s.cache = nil
 	s.sinceSnap++
 	// Records before the jump cannot seed a contiguous catch-up chain any
 	// more; followers of this store (chained replicas) must re-bootstrap.
 	s.tail, s.tailHead = nil, 0
 	s.broadcastLocked()
-	if s.cfg.SnapshotPath != "" {
-		if err := s.compactLocked(); err != nil {
-			// The reset itself is durable in the WAL; a failed compaction
-			// only leaves the oversized record for the next one to fold.
-			s.log.Error("live: post-reset compaction failed", "err", err)
-		}
-	}
 	return nil
 }
 
-// Close compacts once more when a snapshot path is configured (so a
-// clean restart replays nothing) and closes the WAL. A degraded
-// (read-only) store skips the final compaction — the WAL already holds
-// everything that was acknowledged, and the disk is not to be trusted.
-// Further operations fail with ErrClosed. Close is idempotent.
+// Close closes the WAL; further operations fail with ErrClosed. A clean
+// shutdown compacts first when CompactDue(true), so a restart replays nothing
+// (a degraded store skips that compaction — the WAL already holds
+// everything that was acknowledged, and the disk is not to be trusted).
+// Close is idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	var err error
-	if s.cfg.SnapshotPath != "" && s.sinceSnap > 0 && s.roErr == nil {
-		err = s.compactLocked()
-	}
 	s.closed = true
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.wal.Close()
 }

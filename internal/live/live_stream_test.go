@@ -10,9 +10,9 @@ import (
 
 // openTailStore opens a store with a tiny stream tail so eviction paths
 // are easy to hit.
-func openTailStore(t *testing.T, dir string, tailLen int) *Store {
+func openTailStore(t *testing.T, dir string, tailLen int) *model {
 	t.Helper()
-	s, _, err := Open(prog(t, seedSrc), Config{
+	s, _, err := openModel(prog(t, seedSrc), Config{
 		WALPath:       filepath.Join(dir, "wal.log"),
 		StreamTailLen: tailLen,
 		Logger:        quiet(),
@@ -23,7 +23,7 @@ func openTailStore(t *testing.T, dir string, tailLen int) *Store {
 	return s
 }
 
-func commitFact(t *testing.T, s *Store, src string) CommitInfo {
+func commitFact(t *testing.T, s *model, src string) CommitInfo {
 	t.Helper()
 	info, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, src)}})
 	if err != nil {
@@ -126,11 +126,11 @@ func TestEncodeDecodeRecordPayload(t *testing.T) {
 	}
 }
 
-func storeFacts(t *testing.T, s *Store) []string {
+func storeFacts(t *testing.T, s *model) []string {
 	t.Helper()
-	prog, _ := s.SnapshotProgram()
-	out := make([]string, 0, len(prog.Facts))
-	for _, f := range prog.Facts {
+	fs := s.Facts()
+	out := make([]string, 0, len(fs))
+	for _, f := range fs {
 		out = append(out, f.String())
 	}
 	sort.Strings(out)

@@ -45,9 +45,103 @@ func quiet() *slog.Logger {
 	return slog.New(slog.NewTextHandler(bytes.NewBuffer(nil), nil))
 }
 
-func openStore(t *testing.T, dir string, every int) (*Store, Recovery) {
+// model plays the part hypo.Live plays for a Store in production: it
+// holds the fact set the store hands over at Open and keeps no copy of,
+// applies each committed batch and reset to it, and runs the store's
+// compaction policy over it after every commit and reset and on Close.
+// The store's tests check facts against it and against what a reopen
+// recovers.
+type model struct {
+	*Store
+	facts map[string]ast.Atom // key: canonical surface text
+}
+
+func openModel(seed *ast.Program, cfg Config) (*model, Recovery, error) {
+	s, fs, rec, err := Open(seed, cfg)
+	if err != nil {
+		return nil, rec, err
+	}
+	m := &model{Store: s, facts: make(map[string]ast.Atom, len(fs))}
+	for _, a := range fs {
+		m.facts[a.String()] = a
+	}
+	return m, rec, nil
+}
+
+// Commit commits ms, applies it to the model in batch order and compacts
+// when the policy says so, reporting what hypo.Live would: Changed counts
+// the mutations that flip membership.
+func (m *model) Commit(ms []Mutation) (CommitInfo, error) {
+	v, err := m.Store.Commit(ms)
+	if err != nil {
+		return CommitInfo{}, err
+	}
+	info := CommitInfo{Version: v}
+	for _, mu := range ms {
+		k := mu.Atom.String()
+		if _, had := m.facts[k]; had != (mu.Op == OpAssert) {
+			info.Changed++
+			if had {
+				delete(m.facts, k)
+			} else {
+				m.facts[k] = mu.Atom
+			}
+		}
+	}
+	info.Compacted, _ = m.compact(false)
+	return info, nil
+}
+
+// compact compacts over the model's facts when the policy says so,
+// reporting whether a snapshot was written.
+func (m *model) compact(force bool) (bool, error) {
+	if !m.CompactDue(force) {
+		return false, nil
+	}
+	err := m.Compact(m.Facts())
+	return err == nil, err
+}
+
+// ResetToFacts resets the store and the model to fs, then compacts.
+func (m *model) ResetToFacts(fs []ast.Atom, version uint64) error {
+	if err := m.Store.ResetToFacts(fs, version); err != nil {
+		return err
+	}
+	clear(m.facts)
+	for _, a := range fs {
+		m.facts[a.String()] = a
+	}
+	m.compact(true)
+	return nil
+}
+
+// Close compacts, as a clean shutdown does, and closes the store.
+func (m *model) Close() error {
+	_, err := m.compact(true)
+	if cerr := m.Store.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Facts returns the model's facts sorted by canonical text.
+func (m *model) Facts() []ast.Atom {
+	out := make([]ast.Atom, 0, len(m.facts))
+	for _, a := range m.facts {
+		out = append(out, a)
+	}
+	SortFacts(out)
+	return out
+}
+
+func (m *model) Has(a ast.Atom) bool {
+	_, ok := m.facts[a.String()]
+	return ok
+}
+
+func openStore(t *testing.T, dir string, every int) (*model, Recovery) {
 	t.Helper()
-	s, rec, err := Open(prog(t, seedSrc), Config{
+	s, rec, err := openModel(prog(t, seedSrc), Config{
 		WALPath:       filepath.Join(dir, "wal.log"),
 		SnapshotPath:  filepath.Join(dir, "db.snap"),
 		SnapshotEvery: every,
@@ -130,22 +224,38 @@ func TestCommitRejectsBadBatches(t *testing.T) {
 	}
 }
 
+// TestFactsSnapshotIsolationOfSlice: the facts Open recovers are the
+// caller's, sorted by canonical text. The store keeps no reference to
+// them: overwriting the slice changes nothing it logs or recovers, and
+// its later commits leave the slice as it was.
 func TestFactsSnapshotIsolationOfSlice(t *testing.T) {
-	s, _ := openStore(t, t.TempDir(), 0)
-	defer s.Close()
-	before := s.Facts()
+	dir := t.TempDir()
+	cfg := Config{WALPath: filepath.Join(dir, "wal.log"), Logger: quiet()}
+	s, before, _, err := Open(prog(t, seedSrc), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(before) != 2 {
-		t.Fatalf("Facts len = %d, want 2", len(before))
+		t.Fatalf("recovered facts len = %d, want 2", len(before))
 	}
-	if again := s.Facts(); &again[0] != &before[0] {
-		t.Fatal("same-version Facts() rebuilt the slice")
-	}
+	first := before[0].String()
+	before[0] = atom(t, "edge(z, z)")
 	if _, err := s.Commit([]Mutation{{Op: OpAssert, Atom: atom(t, "edge(c, d)")}}); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Facts()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, after, _, err := Open(prog(t, seedSrc), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
 	if len(before) != 2 || len(after) != 3 {
 		t.Fatalf("old slice len %d / new %d, want 2 / 3", len(before), len(after))
+	}
+	if after[0].String() != first {
+		t.Fatalf("recovered %s first, want %s: the caller's write reached the store", after[0], first)
 	}
 	// Sorted by canonical text.
 	for i := 1; i < len(after); i++ {
@@ -247,7 +357,7 @@ func TestRecoveryRejectsCorruptInterior(t *testing.T) {
 	if err := os.WriteFile(wal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(prog(t, seedSrc), Config{WALPath: wal, Logger: quiet()})
+	_, _, _, err = Open(prog(t, seedSrc), Config{WALPath: wal, Logger: quiet()})
 	if err == nil {
 		t.Fatal("out-of-sequence WAL opened")
 	}
@@ -372,7 +482,7 @@ func TestWALRoundTrip(t *testing.T) {
 // records, a commit allocates about what one did while it was filling —
 // the ring overwrites its oldest record instead of copying the others.
 func TestStreamRingAllocsFlat(t *testing.T) {
-	s, _, err := Open(prog(t, seedSrc), Config{WALPath: "wal.log", NoSync: true, FS: vfs.NewMem(), Logger: quiet()})
+	s, _, _, err := Open(prog(t, seedSrc), Config{WALPath: "wal.log", NoSync: true, FS: vfs.NewMem(), Logger: quiet()})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

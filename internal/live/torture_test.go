@@ -146,7 +146,7 @@ func equalKeys(a, b []string) bool {
 // is returned as an error.
 func runToCut(seedProg *ast.Program, batches [][]Mutation, mem *vfs.Mem, cut vfs.Script) (acked, attempted int, harness error) {
 	ft := vfs.NewFault(mem, cut)
-	s, _, err := Open(seedProg, tortureConfig(ft))
+	s, _, err := openModel(seedProg, tortureConfig(ft))
 	if err != nil {
 		return 0, 0, nil // the cut landed inside Open: nothing was acked
 	}
@@ -161,8 +161,8 @@ func runToCut(seedProg *ast.Program, batches [][]Mutation, mem *vfs.Mem, cut vfs
 			if _, err2 := s.Commit(b); !isReadOnly(err2) {
 				return acked, attempted, fmt.Errorf("read-only state not sticky: second commit = %v", err2)
 			}
-			if ro, _ := s.ReadOnly(); !ro {
-				return acked, attempted, fmt.Errorf("commit failed (%v) but ReadOnly() = false", err)
+			if ro, _, _ := s.Degraded(); !ro {
+				return acked, attempted, fmt.Errorf("commit failed (%v) but Degraded() = false", err)
 			}
 			return acked, attempted, nil
 		}
@@ -174,7 +174,7 @@ func runToCut(seedProg *ast.Program, batches [][]Mutation, mem *vfs.Mem, cut vfs
 // checkRecovery opens a fresh store over the crashed (now fault-free)
 // disk image and verifies the durability contract.
 func checkRecovery(seedProg *ast.Program, states [][]string, acked, attempted int, mem *vfs.Mem) error {
-	s, rec, err := Open(seedProg, tortureConfig(mem))
+	s, rec, err := openModel(seedProg, tortureConfig(mem))
 	if err != nil {
 		return fmt.Errorf("recovery failed: %v", err)
 	}
@@ -187,7 +187,7 @@ func checkRecovery(seedProg *ast.Program, states [][]string, acked, attempted in
 	if !equalKeys(got, states[v]) {
 		return fmt.Errorf("facts at recovered version %d diverge from model:\n got %v\nwant %v", v, got, states[v])
 	}
-	if ro, roErr := s.ReadOnly(); ro {
+	if ro, _, roErr := s.Degraded(); ro {
 		return fmt.Errorf("recovered store is read-only: %v", roErr)
 	}
 	return nil
@@ -204,7 +204,7 @@ func tortureSweep(seedProg *ast.Program, seed int64, nBatches int) error {
 	// boundaries the sweep enumerates.
 	mem := vfs.NewMem()
 	ft := vfs.NewFault(mem, nil)
-	s, _, err := Open(seedProg, tortureConfig(ft))
+	s, _, err := openModel(seedProg, tortureConfig(ft))
 	if err != nil {
 		return fmt.Errorf("healthy open: %v", err)
 	}

@@ -16,8 +16,8 @@ import (
 	"hypodatalog/internal/storage"
 )
 
-// Source is the slice of the live store a primary streams from;
-// *live.Store satisfies it.
+// Source is what a primary streams from: a live store's WAL tail and
+// snapshots of its facts. *hypo.Live satisfies it.
 type Source interface {
 	// Version is the current committed data version.
 	Version() uint64

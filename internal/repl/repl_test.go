@@ -71,7 +71,7 @@ func newPrimaryServer(t *testing.T, lv *hypo.Live) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	repl.NewPrimary(repl.PrimaryConfig{
-		Source:    lv.Store(),
+		Source:    lv,
 		RulesHash: parse(t).RulesHash(),
 		Heartbeat: 50 * time.Millisecond,
 		Logger:    quiet,
@@ -142,7 +142,7 @@ func assertEdge(t *testing.T, lv *hypo.Live, from, to string) uint64 {
 
 func nodeFacts(t *testing.T, lv *hypo.Live) []string {
 	t.Helper()
-	prog, _ := lv.Store().SnapshotProgram()
+	prog, _ := lv.SnapshotProgram()
 	out := make([]string, 0, len(prog.Facts))
 	for _, f := range prog.Facts {
 		out = append(out, f.String())

@@ -303,7 +303,7 @@ func TestPrimaryEndpointsMounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := repl.NewPrimary(repl.PrimaryConfig{
-		Source:    lv.Store(),
+		Source:    lv,
 		RulesHash: prog.RulesHash(),
 		Logger:    quiet,
 	})

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hypodatalog/internal/ast"
+	"hypodatalog/internal/facts"
 	"hypodatalog/internal/live"
 	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/parser"
@@ -52,9 +53,10 @@ type LiveConfig struct {
 // admitted after Apply returns see the new one. Validation — constants
 // inside the pinned dom(R, DB), no intensional predicates, ground facts
 // only — happens here, above the store, which keeps internal/live free
-// of engine concepts.
+// of engine concepts. The store logs the facts; the pool's base is their
+// one in-memory copy, read by Apply's effective delta and every snapshot.
 type Live struct {
-	mu    sync.Mutex // serialises Apply: validate → commit → publish
+	mu    sync.Mutex // serialises Apply: validate → commit → publish → compact
 	store *live.Store
 	pool  *Pool
 	rec   live.Recovery
@@ -69,10 +71,10 @@ type Live struct {
 	// probing is true while a background recovery goroutine is retrying
 	// TryRecover after a transient degradation (written under mu); stop
 	// ends it at Close. probeIv is the initial probe interval.
-	probing  atomic.Bool
-	stop     chan struct{}
-	stopOnce sync.Once
-	probeIv  time.Duration
+	probing   atomic.Bool
+	stop      chan struct{}
+	closeOnce sync.Once
+	probeIv   time.Duration
 }
 
 // OpenLive builds a live engine: it recovers the durable state at lc's
@@ -88,7 +90,7 @@ type Live struct {
 // the same constants at every version, so a retraction can flip answers
 // only through the facts, never by silently shrinking the domain.
 func OpenLive(initial *Program, lc LiveConfig, opts Options) (*Live, error) {
-	st, rec, err := live.Open(initial.src, live.Config{
+	st, fs, rec, err := live.Open(initial.src, live.Config{
 		WALPath:       lc.WALPath,
 		SnapshotPath:  lc.SnapshotPath,
 		SnapshotEvery: lc.SnapshotEvery,
@@ -105,7 +107,6 @@ func OpenLive(initial *Program, lc LiveConfig, opts Options) (*Live, error) {
 	// the initial text (asserted in a previous run); they were in-domain
 	// when accepted, so they stay in-domain now: they follow
 	// opts.ExtraDomain, in the order the facts name them.
-	fs := st.Facts()
 	extra := slices.Clip(opts.ExtraDomain)
 	for _, f := range fs {
 		for _, t := range f.Args {
@@ -165,12 +166,12 @@ func (l *Live) Recovery() live.Recovery { return l.rec }
 // restart; transient ones (ENOSPC) are retried by a background recovery
 // prober (see Recovering) and clear in place once a probe write fsyncs.
 func (l *Live) Degraded() (bool, string) {
-	ro, err := l.store.ReadOnly()
+	ro, _, err := l.store.Degraded()
 	if !ro && l.probing.Load() {
 		// A probe has made the store writable and holds mu until it has
 		// counted the recovery (probeLoop): wait for it.
 		l.mu.Lock()
-		ro, err = l.store.ReadOnly()
+		ro, _, err = l.store.Degraded()
 		l.mu.Unlock()
 	}
 	if !ro {
@@ -299,16 +300,16 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 			return live.CommitInfo{}, err
 		}
 	}
-	// The effective delta must be computed against the pre-commit store:
-	// it is what the pool's base and its stale engines apply in place (see
-	// Pool.publish). Only the batch's own atoms are compiled.
-	added, removed := effectiveDelta(ms, l.store.Has)
-	cadd, crem, err := compileDelta(added, removed, l.pool.prog.syms)
+	// The effective delta is computed against the pool's base, which holds
+	// the pre-commit facts: it is what the base and its stale engines apply
+	// in place (see Pool.publish). Every writer of the base holds mu, so
+	// reading it under mu alone races with none of them.
+	cadd, crem, changed, err := effectiveDelta(ms, l.pool.base.db)
 	if err != nil {
 		l.mets.LiveRejected.Inc()
 		return live.CommitInfo{}, err
 	}
-	info, err := l.store.Commit(ms)
+	version, err := l.store.Commit(ms)
 	if err != nil {
 		// An I/O failure is a degradation, not a rejection: the batch was
 		// fine, the disk was not. Flip the gauge operators alert on and
@@ -320,7 +321,7 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 		}
 		return live.CommitInfo{}, err
 	}
-	if err := l.pool.publish(info.Version, cadd, crem); err != nil {
+	if err := l.pool.publish(version, cadd, crem); err != nil {
 		// The commit is durable but unservable — impossible for a compiled
 		// fact. Fail loudly rather than serve a version that silently
 		// dropped it.
@@ -330,25 +331,69 @@ func (l *Live) applyLocked(ms []live.Mutation) (live.CommitInfo, error) {
 
 	l.mets.LiveCommits.Inc()
 	l.mets.LiveMutations.Add(int64(len(ms)))
-	l.mets.LiveVersion.Set(int64(info.Version))
-	l.mets.LiveSnapshotAge.Set(int64(l.store.SinceSnapshot()))
-	if info.Compacted {
-		l.mets.LiveCompactions.Inc()
-	}
-	l.mets.DiskBytes.Set(l.store.DiskBytes())
-	// A commit can succeed and still degrade the store (the WAL rotation
-	// inside its compaction failed after the record was durable).
-	if ro, _ := l.store.ReadOnly(); ro {
-		l.noteDegradedLocked()
-	}
-	return info, nil
+	l.mets.LiveVersion.Set(int64(version))
+	compacted, _ := l.compactLocked(false)
+	return live.CommitInfo{Version: version, Changed: changed, Compacted: compacted}, nil
 }
 
-// Store exposes the underlying versioned store. Replication
-// (internal/repl) reads the WAL tail and snapshots through it; normal
-// mutation traffic must keep going through Apply, which is what
-// validates and publishes to the pool.
+// compactLocked runs the store's compaction policy (force: after a reset
+// and on Close) over the pool base, which the publish or reset before it
+// has moved to the store's version. It then updates what a compaction
+// moves: live_compactions, the snapshot age, disk_bytes, and, when a
+// failed WAL rotation degraded the store, the read-only gauge and prober.
+func (l *Live) compactLocked(force bool) (done bool, err error) {
+	if done = l.store.CompactDue(force); done {
+		err = l.store.Compact(l.pool.base.facts())
+		if done = err == nil; done {
+			l.mets.LiveCompactions.Inc()
+		}
+	}
+	l.mets.LiveSnapshotAge.Set(int64(l.store.SinceSnapshot()))
+	l.mets.DiskBytes.Set(l.store.DiskBytes())
+	if ro, _, _ := l.store.Degraded(); ro {
+		l.noteDegradedLocked()
+	}
+	return done, err
+}
+
+// facts returns the substrate's facts as surface atoms sorted by
+// canonical text: the snapshot a Live compacts to or serves.
+func (s *substrate) facts() []ast.Atom {
+	syms := s.in.Syms()
+	ids := s.db.All()
+	out := make([]ast.Atom, len(ids))
+	for i, id := range ids {
+		args := s.in.Args(id)
+		out[i] = ast.Atom{Pred: syms.PredName(s.in.Pred(id)), Args: make([]ast.Term, len(args))}
+		for j, c := range args {
+			out[i].Args[j] = ast.Const(syms.ConstName(c))
+		}
+	}
+	live.SortFacts(out)
+	return out
+}
+
+// Store exposes the underlying versioned store; normal mutation traffic
+// must keep going through Apply, which is what validates and publishes
+// to the pool.
 func (l *Live) Store() *live.Store { return l.store }
+
+// StreamHorizon, RecordsSince and Updates are the store's: a Live is the
+// repl.Source a replication primary streams from.
+func (l *Live) StreamHorizon() uint64                          { return l.store.StreamHorizon() }
+func (l *Live) RecordsSince(from uint64) ([]live.Record, bool) { return l.store.RecordsSince(from) }
+func (l *Live) Updates() <-chan struct{}                       { return l.store.Updates() }
+
+// SnapshotProgram returns the rules plus the pool base's facts, sorted
+// by canonical text, and their version: the payload a primary serves to
+// a bootstrapping follower. Every commit and reset moves the base and
+// the store together under mu, so under mu they are at one version.
+func (l *Live) SnapshotProgram() (*ast.Program, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	src := l.pool.prog.src
+	return &ast.Program{Rules: src.Rules, Queries: src.Queries, Facts: l.pool.base.facts()}, l.pool.Version()
+}
 
 // ApplyReplicated applies one streamed WAL record from a replication
 // primary, exactly as Apply would have applied the original batch: same
@@ -414,7 +459,7 @@ func (l *Live) InstallSnapshot(rd io.Reader, version uint64) error {
 	l.broadcastLocked()
 	l.mets.LiveCommits.Inc()
 	l.mets.LiveVersion.Set(int64(version))
-	l.mets.LiveSnapshotAge.Set(int64(l.store.SinceSnapshot()))
+	l.compactLocked(true) // a failure leaves the reset record to the next one
 	return nil
 }
 
@@ -481,52 +526,72 @@ func validateMutation(m live.Mutation, p *Program, domSet map[symbols.Const]bool
 	return nil
 }
 
-// effectiveDelta simulates a mutation batch in order against a presence
-// oracle for the pre-batch base and returns the facts whose membership
-// actually changes — asserting a present fact, retracting an absent one,
-// or doing both to the same atom in one batch nets out to nothing. The
-// returned slices preserve first-occurrence order, so the same batch
-// always produces the same delta.
-func effectiveDelta(ms []live.Mutation, has func(ast.Atom) bool) (added, removed []ast.Atom) {
+// effectiveDelta compiles a mutation batch and simulates it in order
+// against base, the pre-batch facts, returning the facts whose
+// membership actually changes — asserting a present fact, retracting an
+// absent one, or doing both to the same atom in one batch nets out to
+// nothing — and changed, the number of mutations that flip membership as
+// the batch runs. The returned slices preserve first-occurrence order, so
+// the same batch always produces the same delta. Of base it only reads
+// membership, through an interner lookup whose key buffer is all it
+// writes.
+func effectiveDelta(ms []live.Mutation, base *facts.DB) (added, removed []ast.CAtom, changed int, err error) {
+	in := base.Interner()
 	type entry struct {
-		atom      ast.Atom
+		atom      ast.CAtom
 		base, now bool
 	}
 	state := map[string]*entry{}
-	var order []string
+	var order []*entry
 	for _, m := range ms {
 		k := m.Atom.String()
 		en, ok := state[k]
 		if !ok {
-			p := has(m.Atom)
-			en = &entry{atom: m.Atom, base: p, now: p}
+			ca, err := compileGroundAtom(m.Atom, in.Syms())
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			var buf [8]symbols.Const
+			args := buf[:0]
+			for _, t := range ca.Args {
+				args = append(args, t.ConstID())
+			}
+			id, found := in.Lookup(ca.Pred, args)
+			en = &entry{atom: ca, base: found && base.Has(id)}
+			en.now = en.base
 			state[k] = en
-			order = append(order, k)
+			order = append(order, en)
 		}
-		switch m.Op {
-		case live.OpAssert:
-			en.now = true
-		case live.OpRetract:
-			en.now = false
+		if now := m.Op == live.OpAssert; now != en.now {
+			en.now = now
+			changed++
 		}
 	}
-	for _, k := range order {
-		en := state[k]
-		if en.now && !en.base {
+	for _, en := range order {
+		switch {
+		case en.now && !en.base:
 			added = append(added, en.atom)
-		}
-		if !en.now && en.base {
+		case !en.now && en.base:
 			removed = append(removed, en.atom)
 		}
 	}
-	return added, removed
+	return added, removed, changed, nil
 }
 
 // Close stops the recovery prober, shuts the pool down (in-flight
 // queries finish on their leased engines) and then closes the store,
-// compacting once more when a snapshot path is configured.
-func (l *Live) Close() error {
-	l.stopOnce.Do(func() { close(l.stop) })
-	l.pool.Close()
-	return l.store.Close()
+// compacting once more when a snapshot path is configured. Close is
+// idempotent.
+func (l *Live) Close() (err error) {
+	l.closeOnce.Do(func() {
+		close(l.stop)
+		l.pool.Close()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		_, err = l.compactLocked(true)
+		if cerr := l.store.Close(); err == nil {
+			err = cerr
+		}
+	})
+	return err
 }

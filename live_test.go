@@ -7,12 +7,15 @@ import (
 	"io"
 	"log/slog"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"hypodatalog/internal/live"
+	"hypodatalog/internal/metrics"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/vfs"
 )
@@ -238,8 +241,9 @@ func TestLiveRecovery(t *testing.T) {
 // TestLiveRecoveredDomainOrder pins the domain a recovered Live ranges
 // over: dom(R, DB) of the initial program, then Options.ExtraDomain, then
 // each constant the recovered facts name that neither holds, in the
-// store's fact order — the same constants in the same order however the
-// domain is computed.
+// order the store recovers facts: sorted by canonical text (d before f
+// and e here, though edge(f, e) was asserted first) — the same constants
+// in the same order however the domain is computed.
 func TestLiveRecoveredDomainOrder(t *testing.T) {
 	dir := t.TempDir()
 	lc := LiveConfig{WALPath: filepath.Join(dir, "wal.log"), NoSync: true, Logger: quietLog}
@@ -273,8 +277,10 @@ func TestLiveRecoveredDomainOrder(t *testing.T) {
 	}
 	add("g")
 	add("a")
-	for _, f := range r.Store().Facts() {
-		for _, a := range f.Args {
+	recovered := []string{"flag(off)", "node(a)", "node(b)", "node(c)", "edge(a, b)", "edge(f, e)", "edge(c, d)", "flag(d)"}
+	sort.Strings(recovered)
+	for _, m := range mutations(t, recovered, nil) {
+		for _, a := range m.Atom.Args {
 			add(a.Name)
 		}
 	}
@@ -468,5 +474,170 @@ func TestLiveNoVersionSkewUnderCompactionLatency(t *testing.T) {
 	}
 	if pv, sv := pl.Version(), l.Version(); pv != sv {
 		t.Fatalf("after quiescence pool version %d != store version %d", pv, sv)
+	}
+}
+
+// TestInstallSnapshotCompactionDegrades: InstallSnapshot compacts after
+// its reset through the same path as Apply. A healthy compaction counts
+// live_compactions and refreshes disk_bytes; one that degrades the store
+// — the WAL rotation's directory fsync failing on a full disk — also
+// flips live_read_only and starts the recovery prober.
+func TestInstallSnapshotCompactionDegrades(t *testing.T) {
+	// SyncDir #1 creates the WAL; each compaction then makes two, the
+	// snapshot rename's and the WAL rotation's. The second rotation fails.
+	syncDirs := 0
+	script := vfs.ScriptFunc(func(op vfs.Op) vfs.Decision {
+		if op.Kind != vfs.OpSyncDir {
+			return vfs.Decision{}
+		}
+		if syncDirs++; syncDirs == 5 {
+			return vfs.Decision{Err: fmt.Errorf("sync dir: %w", syscall.ENOSPC)}
+		}
+		return vfs.Decision{}
+	})
+	mets := metrics.NewSet("test_install_snapshot_compaction")
+	l, err := OpenLive(mustParse(t, liveSrc), LiveConfig{
+		WALPath:               "/db/wal.log",
+		SnapshotPath:          "/db/db.snap",
+		FS:                    vfs.NewFault(vfs.NewMem(), script),
+		Logger:                quietLog,
+		RecoveryProbeInterval: time.Hour,
+	}, Options{PoolSize: 1, Metrics: mets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	install := func(src string, version uint64) {
+		t.Helper()
+		var buf strings.Builder
+		if err := mustParse(t, src).WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.InstallSnapshot(strings.NewReader(buf.String()), version); err != nil {
+			t.Fatalf("InstallSnapshot: %v", err)
+		}
+	}
+
+	install("flag(off). node(a). edge(a, b).", 5)
+	if got := mets.LiveCompactions.Value(); got != 1 {
+		t.Fatalf("live_compactions = %d after a compacting InstallSnapshot, want 1", got)
+	}
+	if got, want := mets.DiskBytes.Value(), l.Store().DiskBytes(); got != want {
+		t.Fatalf("disk_bytes = %d, want %d", got, want)
+	}
+	if got := mets.LiveSnapshotAge.Value(); got != 0 {
+		t.Fatalf("live_snapshot_age = %d after compaction, want 0", got)
+	}
+
+	install("flag(off). node(b). edge(b, c).", 9)
+	if ro, _ := l.Degraded(); !ro {
+		t.Fatal("a failed WAL rotation after InstallSnapshot did not degrade the store")
+	}
+	if got := mets.LiveReadOnly.Value(); got != 1 {
+		t.Fatalf("live_read_only = %d after the degrading compaction, want 1", got)
+	}
+	if !l.Recovering() {
+		t.Fatal("no recovery prober after a transient degradation in InstallSnapshot")
+	}
+	if got := mets.LiveCompactions.Value(); got != 1 {
+		t.Fatalf("live_compactions = %d after a failed compaction, want 1", got)
+	}
+	if got, want := mets.DiskBytes.Value(), l.Store().DiskBytes(); got != want {
+		t.Fatalf("disk_bytes = %d after the rotation, want %d", got, want)
+	}
+}
+
+// TestLiveSnapshotProgramUnderCommits: followers bootstrapping through
+// SnapshotProgram while the primary commits, compacting every third
+// commit, get at whatever version they are handed exactly the primary's
+// fact set at that version. The snapshot is read from the pool's base,
+// which must be at the store's version whenever mu is free.
+func TestLiveSnapshotProgramUnderCommits(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLive(mustParse(t, liveSrc), LiveConfig{
+		WALPath:       filepath.Join(dir, "wal.log"),
+		SnapshotPath:  filepath.Join(dir, "db.snap"),
+		SnapshotEvery: 3,
+		NoSync:        true,
+		Logger:        quietLog,
+	}, Options{PoolSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	// states[v] is the fact set at version v, replayed from the batches.
+	var batches [][]live.Mutation
+	cur := map[string]bool{}
+	for _, f := range mustParse(t, liveSrc).src.Facts {
+		cur[f.String()] = true
+	}
+	render := func() string {
+		var fs []string
+		for f := range cur {
+			fs = append(fs, f)
+		}
+		sort.Strings(fs)
+		return strings.Join(fs, " ")
+	}
+	states := []string{render()}
+	nodes := []string{"a", "b", "c"}
+	for i := 0; i < 120; i++ {
+		e := fmt.Sprintf("edge(%s, %s)", nodes[i%3], nodes[i/3%3])
+		asserts, retracts := []string{e}, []string{"flag(off)"}
+		if cur[e] {
+			asserts, retracts = []string{"flag(off)"}, []string{e}
+		}
+		batches = append(batches, mutations(t, asserts, retracts))
+		for _, f := range asserts {
+			cur[f] = true
+		}
+		for _, f := range retracts {
+			delete(cur, f)
+		}
+		states = append(states, render())
+	}
+
+	done := make(chan struct{})
+	errCh := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					errCh <- nil
+					return
+				default:
+				}
+				prog, v := l.SnapshotProgram()
+				fs := make([]string, len(prog.Facts))
+				for i, f := range prog.Facts {
+					fs[i] = f.String()
+				}
+				if !sort.StringsAreSorted(fs) {
+					errCh <- fmt.Errorf("snapshot at version %d is not sorted by canonical text: %v", v, fs)
+					return
+				}
+				if got := strings.Join(fs, " "); got != states[v] {
+					errCh <- fmt.Errorf("snapshot at version %d:\n got %s\nwant %s", v, got, states[v])
+					return
+				}
+			}
+		}()
+	}
+	for _, b := range batches {
+		if _, err := l.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for r := 0; r < 2; r++ {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -83,10 +83,11 @@ type Pool struct {
 	// the lock to tell a current engine from a stale one.
 	version atomic.Uint64
 
-	// hmu guards base and history. history holds the commits since the
-	// last reset, oldest first and at most maxDeltaHistory of them, with
-	// no gap: history[i] leads from version histFrom+i to histFrom+i+1,
-	// and the last one to version.
+	// hmu guards base and history. A Live writes the base only under its
+	// own mu too, so it also reads the base under that mu alone. history
+	// holds the commits since the last reset, oldest first and at most
+	// maxDeltaHistory of them, with no gap: history[i] leads from version
+	// histFrom+i to histFrom+i+1, and the last one to version.
 	hmu      sync.Mutex
 	base     *substrate
 	history  []commitDelta
